@@ -290,7 +290,7 @@ func TestDropTableRemovesData(t *testing.T) {
 		t.Fatal(err)
 	}
 	loadGrid(t, e, "pts", 100)
-	if err := e.DropTable("", "pts"); err != nil {
+	if err := e.DropTable(context.Background(), "", "pts"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Catalog().Get("", "pts"); err == nil {

@@ -306,13 +306,14 @@ func (e *Engine) OpenTable(user, name string) (*table.Table, error) {
 	return t, nil
 }
 
-// DropTable removes a table: data first, then the catalog entry.
-func (e *Engine) DropTable(user, name string) error {
+// DropTable removes a table: data first, then the catalog entry. ctx
+// bounds the data purge (a keys-only scan plus one batched delete).
+func (e *Engine) DropTable(ctx context.Context, user, name string) error {
 	t, err := e.OpenTable(user, name)
 	if err != nil {
 		return err
 	}
-	if err := t.DropData(); err != nil {
+	if err := t.DropData(ctx); err != nil {
 		return err
 	}
 	e.mu.Lock()

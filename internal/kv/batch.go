@@ -1,12 +1,12 @@
 package kv
 
 // WriteBatch collects mutations for a single group-committed
-// Cluster.Apply. The batch is the unit of amortization on the write
-// path: Apply groups its mutations by owning region, and each region
+// Cluster.ApplyCtx. The batch is the unit of amortization on the write
+// path: ApplyCtx groups its mutations by owning region, and each region
 // takes its lock once, appends every record to the WAL in one buffered
 // sequence with a single sync, and inserts into the memtable under that
 // one acquisition — instead of paying lock, WAL append and flush check
-// per mutation as Put does.
+// per mutation as PutCtx does.
 //
 // Mutations within a batch are applied in the order they were added
 // (later entries win on duplicate keys). A WriteBatch is not safe for

@@ -36,11 +36,11 @@ func TestWriteBatchApplyAndGet(t *testing.T) {
 	if b.Len() != 300 {
 		t.Fatalf("Len = %d, want 300", b.Len())
 	}
-	if err := c.Apply(&b); err != nil {
+	if err := c.ApplyCtx(bg, &b); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 300; i++ {
-		v, err := c.Get([]byte(fmt.Sprintf("%c-key-%03d", 'a'+i%26, i)))
+		v, err := c.GetCtx(bg, []byte(fmt.Sprintf("%c-key-%03d", 'a'+i%26, i)))
 		if err != nil || string(v) != fmt.Sprintf("v-%d", i) {
 			t.Fatalf("Get key %d = %q, %v", i, v, err)
 		}
@@ -54,19 +54,19 @@ func TestWriteBatchApplyAndGet(t *testing.T) {
 	b2.Put([]byte("a-key-000"), []byte("final"))
 	b2.Put([]byte("b-key-001"), []byte("doomed"))
 	b2.Delete([]byte("b-key-001"))
-	if err := c.Apply(&b2); err != nil {
+	if err := c.ApplyCtx(bg, &b2); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := c.Get([]byte("a-key-000")); err != nil || string(v) != "final" {
+	if v, err := c.GetCtx(bg, []byte("a-key-000")); err != nil || string(v) != "final" {
 		t.Fatalf("within-batch overwrite: %q, %v", v, err)
 	}
-	if _, err := c.Get([]byte("b-key-001")); err != ErrNotFound {
+	if _, err := c.GetCtx(bg, []byte("b-key-001")); err != ErrNotFound {
 		t.Fatalf("within-batch delete: %v", err)
 	}
 
 	// Scans see batch writes, in key order.
 	var keys []string
-	err = c.ScanRange(KeyRange{Start: []byte("c"), End: []byte("d")}, func(k, v []byte) bool {
+	err = ScanRange(bg, c, KeyRange{Start: []byte("c"), End: []byte("d")}, func(k, v []byte) bool {
 		keys = append(keys, string(k))
 		return true
 	})
@@ -93,7 +93,7 @@ func TestApplyGroupCommitMetrics(t *testing.T) {
 	for i := 0; i < 90; i++ {
 		b.Put([]byte(fmt.Sprintf("%c-%03d", 'a'+i%26, i)), []byte("v"))
 	}
-	if err := c.Apply(&b); err != nil {
+	if err := c.ApplyCtx(bg, &b); err != nil {
 		t.Fatal(err)
 	}
 	m := c.Metrics()
@@ -119,7 +119,7 @@ func TestMultiGet(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		b.Put([]byte(fmt.Sprintf("%c-mg-%03d", 'a'+i%26, i)), []byte(fmt.Sprintf("v-%d", i)))
 	}
-	if err := c.Apply(&b); err != nil {
+	if err := c.ApplyCtx(bg, &b); err != nil {
 		t.Fatal(err)
 	}
 	c.Flush() // half the probes hit SSTables, half the fresh memtable
@@ -127,14 +127,14 @@ func TestMultiGet(t *testing.T) {
 	for i := 60; i < 90; i++ {
 		b2.Put([]byte(fmt.Sprintf("%c-mg-%03d", 'a'+i%26, i)), []byte(fmt.Sprintf("v-%d", i)))
 	}
-	if err := c.Apply(&b2); err != nil {
+	if err := c.ApplyCtx(bg, &b2); err != nil {
 		t.Fatal(err)
 	}
 	keys := make([][]byte, 0, 100)
 	for i := 0; i < 100; i++ { // 90 present, 10 missing
 		keys = append(keys, []byte(fmt.Sprintf("%c-mg-%03d", 'a'+i%26, i)))
 	}
-	vals, err := c.MultiGet(keys)
+	vals, err := c.MultiGetCtx(bg, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestBatchCrashRecoveryAcrossRegions(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		seed.Put([]byte(fmt.Sprintf("%c-old-%03d", 'a'+i%26, i)), []byte("old"))
 	}
-	if err := c.Apply(&seed); err != nil {
+	if err := c.ApplyCtx(bg, &seed); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -257,7 +257,7 @@ func TestBatchCrashRecoveryAcrossRegions(t *testing.T) {
 		b.Delete([]byte(fmt.Sprintf("%c-old-%03d", 'a'+i%26, i)))
 		b.Put([]byte(fmt.Sprintf("%c-new-%03d", 'a'+i%26, i)), []byte(fmt.Sprintf("n-%d", i)))
 	}
-	if err := c.Apply(&b); err != nil {
+	if err := c.ApplyCtx(bg, &b); err != nil {
 		t.Fatal(err)
 	}
 
@@ -277,11 +277,11 @@ func TestBatchCrashRecoveryAcrossRegions(t *testing.T) {
 	}
 	defer c2.Close()
 	for i := 0; i < 30; i++ {
-		v, err := c2.Get([]byte(fmt.Sprintf("%c-new-%03d", 'a'+i%26, i)))
+		v, err := c2.GetCtx(bg, []byte(fmt.Sprintf("%c-new-%03d", 'a'+i%26, i)))
 		if err != nil || string(v) != fmt.Sprintf("n-%d", i) {
 			t.Fatalf("recovered put %d = %q, %v", i, v, err)
 		}
-		if _, err := c2.Get([]byte(fmt.Sprintf("%c-old-%03d", 'a'+i%26, i))); err != ErrNotFound {
+		if _, err := c2.GetCtx(bg, []byte(fmt.Sprintf("%c-old-%03d", 'a'+i%26, i))); err != ErrNotFound {
 			t.Fatalf("recovered tombstone %d: err = %v, want ErrNotFound", i, err)
 		}
 	}
@@ -599,9 +599,9 @@ func TestBlockCacheDisableSentinel(t *testing.T) {
 		t.Fatal("cache not disabled by negative BlockCacheBytes")
 	}
 	// Reads still work without a cache, and never count cache traffic.
-	c.Put([]byte("k"), []byte("v"))
+	c.PutCtx(bg, []byte("k"), []byte("v"))
 	c.Flush()
-	if v, err := c.Get([]byte("k")); err != nil || string(v) != "v" {
+	if v, err := c.GetCtx(bg, []byte("k")); err != nil || string(v) != "v" {
 		t.Fatalf("Get without cache = %q, %v", v, err)
 	}
 	if m := c.Metrics(); m.BlockCacheHits != 0 || m.BlockCacheMisses != 0 {
@@ -629,7 +629,7 @@ func TestConcurrentApplyAndScan(t *testing.T) {
 					k := fmt.Sprintf("%c-w%d-%04d", 'a'+(bi*perBatch+i)%26, w, bi*perBatch+i)
 					b.Put([]byte(k), []byte(fmt.Sprintf("val-%d-%d", w, bi)))
 				}
-				if err := c.Apply(&b); err != nil {
+				if err := c.ApplyCtx(bg, &b); err != nil {
 					t.Error(err)
 					return
 				}
@@ -647,8 +647,8 @@ func TestConcurrentApplyAndScan(t *testing.T) {
 					return
 				default:
 				}
-				c.Get([]byte("a-w0-0000"))
-				c.ScanRange(KeyRange{Start: []byte("a"), End: []byte("c")}, func(k, v []byte) bool { return true })
+				c.GetCtx(bg, []byte("a-w0-0000"))
+				ScanRange(bg, c, KeyRange{Start: []byte("a"), End: []byte("c")}, func(k, v []byte) bool { return true })
 			}
 		}()
 	}
@@ -659,7 +659,7 @@ func TestConcurrentApplyAndScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	err = c.ScanRange(KeyRange{}, func(k, v []byte) bool {
+	err = ScanRange(bg, c, KeyRange{}, func(k, v []byte) bool {
 		total++
 		return true
 	})

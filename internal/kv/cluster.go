@@ -283,48 +283,45 @@ func (c *Cluster) regionFor(key []byte) *regionHandle {
 	return c.regions[i]
 }
 
-// Put stores key → value on the owning region's leader, failing over
+// Every point operation takes the caller's context. The in-process
+// cluster has no wire to propagate a deadline over; honoring
+// cancellation at the operation boundary keeps SQL-layer deadlines
+// effective — individual region operations are short, the loops above
+// them are what a deadline needs to cut.
+
+// PutCtx stores key → value on the owning region's leader, failing over
 // (promoting a replica) if the leader's server is down.
-func (c *Cluster) Put(key, value []byte) error {
-	c.mu.RLock()
-	if c.closed {
-		c.mu.RUnlock()
-		return ErrClosed
+func (c *Cluster) PutCtx(ctx context.Context, key, value []byte) error {
+	h, err := c.handleFor(ctx, key)
+	if err != nil {
+		return err
 	}
-	h := c.regionFor(key)
-	c.mu.RUnlock()
 	if err := h.leaderDo(c, func(r *region) error { return r.Put(key, value) }); err != nil {
 		return err
 	}
 	return c.maybeSplit(h)
 }
 
-// Delete removes key.
-func (c *Cluster) Delete(key []byte) error {
-	c.mu.RLock()
-	if c.closed {
-		c.mu.RUnlock()
-		return ErrClosed
+// DeleteCtx removes key.
+func (c *Cluster) DeleteCtx(ctx context.Context, key []byte) error {
+	h, err := c.handleFor(ctx, key)
+	if err != nil {
+		return err
 	}
-	h := c.regionFor(key)
-	c.mu.RUnlock()
 	return h.leaderDo(c, func(r *region) error { return r.Delete(key) })
 }
 
-// Get fetches the value for key or ErrNotFound, transparently reading
+// GetCtx fetches the value for key or ErrNotFound, transparently reading
 // from a replica (drained to the committed sequence first) when the
 // leader's server is down. A read that trips on a corrupt SSTable
 // block reports the damage (quarantine + background repair) and
 // retries on a healthy copy; only at RF=0 does the typed corruption
 // error reach the caller.
-func (c *Cluster) Get(key []byte) ([]byte, error) {
-	c.mu.RLock()
-	if c.closed {
-		c.mu.RUnlock()
-		return nil, ErrClosed
+func (c *Cluster) GetCtx(ctx context.Context, key []byte) ([]byte, error) {
+	h, err := c.handleFor(ctx, key)
+	if err != nil {
+		return nil, err
 	}
-	h := c.regionFor(key)
-	c.mu.RUnlock()
 	for attempt := 0; ; attempt++ {
 		n, err := h.readNode(c)
 		if err != nil {
@@ -338,58 +335,19 @@ func (c *Cluster) Get(key []byte) ([]byte, error) {
 	}
 }
 
-// Context-carrying variants (see Store). The in-process cluster has no
-// wire to propagate a deadline over; honoring cancellation at the
-// operation boundary keeps SQL-layer deadlines effective — individual
-// region operations are short, the loops above them are what a
-// deadline needs to cut.
-
-// PutCtx is Put bounded by ctx.
-func (c *Cluster) PutCtx(ctx context.Context, key, value []byte) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return c.Put(key, value)
-}
-
-// DeleteCtx is Delete bounded by ctx.
-func (c *Cluster) DeleteCtx(ctx context.Context, key []byte) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return c.Delete(key)
-}
-
-// GetCtx is Get bounded by ctx.
-func (c *Cluster) GetCtx(ctx context.Context, key []byte) ([]byte, error) {
+// handleFor is the shared prologue of the single-key operations: an
+// expired context or a closed cluster fails before any region is
+// touched; otherwise the handle owning key is returned.
+func (c *Cluster) handleFor(ctx context.Context, key []byte) (*regionHandle, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return c.Get(key)
-}
-
-// ApplyCtx is Apply bounded by ctx.
-func (c *Cluster) ApplyCtx(ctx context.Context, b *WriteBatch) error {
-	if err := ctx.Err(); err != nil {
-		return err
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if c.closed {
+		return nil, ErrClosed
 	}
-	return c.Apply(b)
-}
-
-// MultiGetCtx is MultiGet bounded by ctx.
-func (c *Cluster) MultiGetCtx(ctx context.Context, keys [][]byte) ([][]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return c.MultiGet(keys)
-}
-
-// DeleteBatchCtx is DeleteBatch bounded by ctx.
-func (c *Cluster) DeleteBatchCtx(ctx context.Context, keys [][]byte) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return c.DeleteBatch(keys)
+	return c.regionFor(key), nil
 }
 
 // Flush persists all memtables; call after bulk loads and before
@@ -467,14 +425,17 @@ func eachRegion(hs []*regionHandle, fn func(*regionHandle) error) error {
 	return nil
 }
 
-// Apply group-commits a WriteBatch: mutations are grouped by owning
+// ApplyCtx group-commits a WriteBatch: mutations are grouped by owning
 // region and each region applies its group under one lock acquisition —
 // all WAL records appended in one buffered sequence with a single sync,
 // all memtable inserts under that acquisition — with regions running in
 // parallel. Mutations keep their batch order within each region (later
 // entries win on duplicate keys). It is the bulk write path behind
-// Table.InsertBatch.
-func (c *Cluster) Apply(b *WriteBatch) error {
+// Table.InsertBatchCtx.
+func (c *Cluster) ApplyCtx(ctx context.Context, b *WriteBatch) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	if b == nil || len(b.muts) == 0 {
 		return nil
 	}
@@ -518,11 +479,14 @@ func (c *Cluster) Apply(b *WriteBatch) error {
 	return nil
 }
 
-// MultiGet fetches many keys at once: keys are grouped by owning region
-// and each region probes its group against one consistent snapshot
-// (single lock acquisition), with regions running in parallel. The
-// result is parallel to keys; missing keys yield nil entries.
-func (c *Cluster) MultiGet(keys [][]byte) ([][]byte, error) {
+// MultiGetCtx fetches many keys at once: keys are grouped by owning
+// region and each region probes its group against one consistent
+// snapshot (single lock acquisition), with regions running in parallel.
+// The result is parallel to keys; missing keys yield nil entries.
+func (c *Cluster) MultiGetCtx(ctx context.Context, keys [][]byte) ([][]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	out := make([][]byte, len(keys))
 	if len(keys) == 0 {
 		return out, nil
@@ -567,40 +531,29 @@ func (c *Cluster) MultiGet(keys [][]byte) ([][]byte, error) {
 	return out, nil
 }
 
-// DeleteBatch removes many keys at once via the group-commit path: one
-// lock acquisition and one WAL sync per region, regions in parallel. It
-// is the bulk path behind DROP TABLE's data purge.
-func (c *Cluster) DeleteBatch(keys [][]byte) error {
+// DeleteBatchCtx removes many keys at once via the group-commit path:
+// one lock acquisition and one WAL sync per region, regions in parallel.
+// It is the bulk path behind DROP TABLE's data purge.
+func (c *Cluster) DeleteBatchCtx(ctx context.Context, keys [][]byte) error {
 	var b WriteBatch
 	for _, k := range keys {
 		b.Delete(k)
 	}
-	return c.Apply(&b)
+	return c.ApplyCtx(ctx, &b)
 }
 
-// ScanRange streams pairs of one range in key order; emit returning false
-// stops the scan early.
-func (c *Cluster) ScanRange(kr KeyRange, emit func(key, value []byte) bool) error {
-	return scanRangeOrdered(c, kr, emit)
-}
-
-// scanRangeOrdered is the shared serial ScanRange implementation:
-// tasks are visited in region (= key) order, so pairs stream sorted.
-func scanRangeOrdered(s Store, kr KeyRange, emit func(key, value []byte) bool) error {
+// ScanRange streams the pairs of one range in key order; emit returning
+// false stops the scan early. Tasks are visited serially in region
+// (= key) order, which is what keeps the stream sorted.
+func ScanRange(ctx context.Context, s Store, kr KeyRange, emit func(key, value []byte) bool) error {
 	for _, t := range s.scanTasks([]KeyRange{kr}) {
 		stop := false
-		err := s.runScanTask(context.Background(), t, func(k, v []byte) bool {
-			if !emit(k, v) {
-				stop = true
-				return false
-			}
-			return true
+		err := s.runScanTask(ctx, t, func(k, v []byte) bool {
+			stop = !emit(k, v)
+			return !stop
 		})
-		if err != nil {
+		if err != nil || stop {
 			return err
-		}
-		if stop {
-			return nil
 		}
 	}
 	return nil
@@ -641,10 +594,10 @@ func (c *Cluster) scanWidth() int { return len(c.servers) }
 //
 // ScanRanges ships whole pairs to the consumer and therefore copies
 // every key and value; callers that can decode or filter per pair
-// should use ScanRangesFunc, which runs that stage inside the scan
-// workers and skips the copies entirely.
-func (c *Cluster) ScanRanges(ctx context.Context, ranges []KeyRange, emit func(key, value []byte) bool) error {
-	return ScanRangesFunc(ctx, c, ranges, func(k, v []byte) (Pair, bool, error) {
+// should use ScanRangesFunc or ScanCollect, which run that stage inside
+// the scan workers and skip the copies entirely.
+func ScanRanges(ctx context.Context, s Store, ranges []KeyRange, emit func(key, value []byte) bool) error {
+	return ScanRangesFunc(ctx, s, ranges, func(k, v []byte) (Pair, bool, error) {
 		return Pair{
 			Key:   append([]byte(nil), k...),
 			Value: append([]byte(nil), v...),
@@ -652,33 +605,107 @@ func (c *Cluster) ScanRanges(ctx context.Context, ranges []KeyRange, emit func(k
 	}, func(p Pair) bool { return emit(p.Key, p.Value) })
 }
 
-// scanBatchSize is the worker→consumer hand-off granularity.
+// scanBatchSize is ScanRangesFunc's worker→consumer hand-off granularity.
 const scanBatchSize = 512
 
 // maxSerialScanTasks bounds the plan size below which goroutine fan-out
 // costs more than it saves.
 const maxSerialScanTasks = 4
 
-// ScanRangesFunc is the pipelined scan: one task per (region × range)
-// runs on its region server, and each task applies process to every
-// pair *inside the worker* — decode, decompress and filter work
-// parallelizes across region-server slots instead of serializing on the
-// consumer. Only values that process keeps are batched and delivered to
-// emit (serially, in arbitrary inter-range order), so filtered-out
-// pairs are never copied out of the storage layer.
+// ScanRangesFunc is the per-pair face of the scan engine (scanCollect):
+// each task applies process to every pair *inside the worker*, and only
+// the values process keeps are batched (scanBatchSize at a time) and
+// delivered to emit — serially, in arbitrary inter-range order — so
+// filtered-out pairs are never copied out of the storage layer.
+// ScanKept counts the values delivered, ScanBatches the batches they
+// crossed the worker → consumer boundary in.
 //
 // The key/value slices passed to process are valid only during the
-// call; process must copy anything it retains. A process error or an
-// iterator error cancels the scan and is returned (first error wins,
-// even when emit cancelled the scan concurrently). emit returning
-// false cancels outstanding tasks and drains the pipeline before
-// returning.
-//
-// Canceling ctx (client disconnect, deadline, admin kill) aborts the
-// scan promptly: every worker checks the cancel flag per pair, queued
-// tasks never take a server slot, and the raw context error is
-// returned (callers lift it into the typed lifecycle errors).
+// call; process must copy anything it retains. Errors, emit returning
+// false and ctx cancellation behave as documented on scanCollect.
 func ScanRangesFunc[T any](ctx context.Context, s Store, ranges []KeyRange, process func(key, value []byte) (T, bool, error), emit func(T) bool) error {
+	met := s.metrics()
+	// Batch slices are pooled: the consumer returns each batch after
+	// draining it, so a steady scan recycles ~one batch per in-flight
+	// task instead of allocating one per scanBatchSize pairs.
+	pool := &sync.Pool{New: func() any {
+		s := make([]T, 0, scanBatchSize)
+		return &s
+	}}
+	newTask := func() TaskCollector[[]T] {
+		batch := *pool.Get().(*[]T)
+		return TaskCollector[[]T]{
+			Add: func(k, v []byte) ([]T, bool, error) {
+				out, keep, err := process(k, v)
+				if err != nil || !keep {
+					return nil, false, err
+				}
+				batch = append(batch, out)
+				if len(batch) < scanBatchSize {
+					return nil, false, nil
+				}
+				full := batch
+				batch = *pool.Get().(*[]T)
+				return full, true, nil
+			},
+			Finish: func() ([]T, bool, error) { return batch, len(batch) > 0, nil },
+		}
+	}
+	return scanCollect(ctx, s, ranges, newTask, func(batch []T) bool {
+		atomic.AddInt64(&met.ScanKept, int64(len(batch)))
+		keep := true
+		for _, x := range batch {
+			if keep = emit(x); !keep {
+				break
+			}
+		}
+		clear(batch) // drop references so pooled slices don't pin rows
+		batch = batch[:0]
+		pool.Put(&batch)
+		return keep
+	}, &met.ScanBatches)
+}
+
+// TaskCollector accumulates the pairs of one scan task into batches.
+// ScanCollect builds one per task, so a collector can keep mutable
+// per-task state (column vectors being filled) without synchronization.
+type TaskCollector[B any] struct {
+	// Add consumes one pair (slices valid only during the call; copy
+	// anything retained) and returns a completed batch when one fills.
+	Add func(key, value []byte) (B, bool, error)
+	// Finish flushes the final partial batch, if any. Called once after
+	// the task's last pair; not called if the task failed or was
+	// cancelled mid-stream.
+	Finish func() (B, bool, error)
+}
+
+// ScanCollect is the batch face of the scan engine (scanCollect): each
+// (region × range) task owns a TaskCollector that folds pairs into
+// batches inside the scan worker, and whole batches (not pairs) cross
+// the worker → consumer boundary. Every batch delivered increments the
+// BatchesDecoded metric.
+func ScanCollect[B any](ctx context.Context, s Store, ranges []KeyRange, newTask func() TaskCollector[B], emit func(B) bool) error {
+	return scanCollect(ctx, s, ranges, newTask, emit, &s.metrics().BatchesDecoded)
+}
+
+// scanCollect is the one scan engine. One task per (region × range)
+// runs on its region server and feeds its own collector, so decode and
+// filter work parallelizes across region-server slots instead of
+// serializing on the consumer. Batches are delivered to emit serially,
+// in arbitrary inter-task order, and counted into *batches.
+//
+// Plans of at most maxSerialScanTasks tasks run inline, one task after
+// the other; larger plans fan out one goroutine per task (queued tasks
+// wait for a server slot inside runScanTask). emit returning false
+// cancels outstanding tasks and drains the pipeline before returning.
+// Canceling ctx (client disconnect, deadline, admin kill) aborts
+// promptly — workers poll the cancel flag per pair, queued tasks never
+// take a slot — and the raw context error is returned (callers lift it
+// into the typed lifecycle errors). A corrupt block resumes just past
+// the last processed key on a healthy copy (batches already collected
+// stay collected). The first collector or iterator error wins, even
+// when emit cancelled the scan concurrently.
+func scanCollect[B any](ctx context.Context, s Store, ranges []KeyRange, newTask func() TaskCollector[B], emit func(B) bool, batches *int64) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -691,46 +718,7 @@ func ScanRangesFunc[T any](ctx context.Context, s Store, ranges []KeyRange, proc
 	}
 	met := s.metrics()
 	atomic.AddInt64(&met.ScanTasks, int64(len(tasks)))
-
-	if len(tasks) <= maxSerialScanTasks {
-		// Small plans: run the pipeline stages inline, still one scan
-		// slot per task.
-		for _, t := range tasks {
-			var scanned, kept int64
-			stop := false
-			var stageErr error
-			err := s.runScanTask(ctx, t, func(k, v []byte) bool {
-				scanned++
-				if scanned&63 == 0 && ctx.Err() != nil {
-					stageErr = ctx.Err()
-					return false
-				}
-				out, keep, perr := process(k, v)
-				if perr != nil {
-					stageErr = perr
-					return false
-				}
-				if !keep {
-					return true
-				}
-				kept++
-				if !emit(out) {
-					stop = true
-					return false
-				}
-				return true
-			})
-			atomic.AddInt64(&met.ScanPairs, scanned)
-			atomic.AddInt64(&met.ScanKept, kept)
-			if stageErr != nil {
-				return stageErr
-			}
-			if err != nil || stop {
-				return err
-			}
-		}
-		return nil
-	}
+	serial := len(tasks) <= maxSerialScanTasks
 
 	var (
 		cancelled atomic.Bool
@@ -749,259 +737,96 @@ func ScanRangesFunc[T any](ctx context.Context, s Store, ranges []KeyRange, proc
 	// already polls per pair, so teardown is prompt even mid-iterator.
 	stopWatch := context.AfterFunc(ctx, func() { fail(ctx.Err()) })
 	defer stopWatch()
-	// Batch slices are pooled: the consumer returns each batch after
-	// draining it, so a steady scan recycles ~one batch per in-flight
-	// task instead of allocating one per scanBatchSize pairs.
-	pool := &sync.Pool{New: func() any {
-		s := make([]T, 0, scanBatchSize)
-		return &s
-	}}
-	batches := make(chan []T, s.scanWidth()*2)
-	var wg sync.WaitGroup
-	for _, t := range tasks {
-		wg.Add(1)
-		go func(t scanTask) {
-			defer wg.Done()
-			var scanned, kept int64
-			defer func() {
-				atomic.AddInt64(&met.ScanPairs, scanned)
-				atomic.AddInt64(&met.ScanKept, kept)
-			}()
-			batch := *pool.Get().(*[]T)
-			var stageErr error
-			err := s.runScanTask(ctx, t, func(k, v []byte) bool {
-				// Node selection, slot accounting, corruption failover and
-				// resume all live inside runScanTask; the pipeline stage
-				// only processes and batches.
-				if cancelled.Load() {
-					return false
-				}
-				scanned++
-				out, keep, perr := process(k, v)
-				if perr != nil {
-					stageErr = perr
-					return false
-				}
-				if !keep {
-					return true
-				}
-				kept++
-				batch = append(batch, out)
-				if len(batch) == scanBatchSize {
-					batches <- batch
-					batch = *pool.Get().(*[]T)
-				}
-				return true
-			})
-			if stageErr != nil {
-				fail(stageErr)
-				return
-			}
-			if err != nil {
-				fail(err)
-				return
-			}
-			if len(batch) > 0 {
-				batches <- batch
-			}
-		}(t)
-	}
-	go func() {
-		wg.Wait()
-		close(batches)
-	}()
+
+	// deliver hands one batch to the consumer and reports whether the
+	// scan goes on.
 	var delivered int64
-	for batch := range batches {
+	deliver := func(b B) bool {
 		delivered++
-		if !cancelled.Load() {
-			for _, x := range batch {
-				if !emit(x) {
-					cancelled.Store(true)
-					break
-				}
-			}
+		if cancelled.Load() {
+			return false
 		}
-		clear(batch) // drop references so pooled slices don't pin rows
-		batch = batch[:0]
-		pool.Put(&batch)
-	}
-	atomic.AddInt64(&met.ScanBatches, delivered)
-	// The batches channel is closed only after every worker finished, so
-	// all fail() calls happened-before this point: the first worker error
-	// is reported deterministically, even when emit cancelled the scan.
-	errMu.Lock()
-	err := firstErr
-	errMu.Unlock()
-	return err
-}
-
-// TaskCollector accumulates the pairs of one scan task into batches.
-// ScanCollect builds one per task, so a collector can keep mutable
-// per-task state (column vectors being filled) without synchronization.
-type TaskCollector[B any] struct {
-	// Add consumes one pair (slices valid only during the call; copy
-	// anything retained) and returns a completed batch when one fills.
-	Add func(key, value []byte) (B, bool, error)
-	// Finish flushes the final partial batch, if any. Called once after
-	// the task's last pair; not called if the task failed or was
-	// cancelled mid-stream.
-	Finish func() (B, bool, error)
-}
-
-// ScanCollect is the columnar counterpart of ScanRangesFunc: instead of
-// a stateless per-pair process stage, each (region × range) task owns a
-// TaskCollector that folds pairs into batches inside the scan worker —
-// decode and filter work parallelizes across region-server slots, and
-// whole batches (not pairs) cross the worker → consumer boundary.
-// Batches are delivered to emit serially, in arbitrary inter-task
-// order; emit returning false cancels outstanding tasks. Every batch
-// delivered increments the BatchesDecoded metric.
-//
-// Cancellation, corruption failover and error reporting follow
-// ScanRangesFunc: ctx cancellation aborts promptly, a corrupt block
-// resumes just past the last processed key on a healthy copy (batches
-// already collected stay collected), and the first collector or
-// iterator error wins.
-func ScanCollect[B any](ctx context.Context, s Store, ranges []KeyRange, newTask func() TaskCollector[B], emit func(B) bool) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	tasks := s.scanTasks(ranges)
-	if len(tasks) == 0 {
-		return nil
-	}
-	met := s.metrics()
-	atomic.AddInt64(&met.ScanTasks, int64(len(tasks)))
-
-	if len(tasks) <= maxSerialScanTasks {
-		for _, t := range tasks {
-			col := newTask()
-			var scanned, delivered int64
-			stop := false
-			var stageErr error
-			err := s.runScanTask(ctx, t, func(k, v []byte) bool {
-				scanned++
-				if scanned&63 == 0 && ctx.Err() != nil {
-					stageErr = ctx.Err()
-					return false
-				}
-				b, full, perr := col.Add(k, v)
-				if perr != nil {
-					stageErr = perr
-					return false
-				}
-				if full {
-					delivered++
-					if !emit(b) {
-						stop = true
-						return false
-					}
-				}
-				return true
-			})
-			atomic.AddInt64(&met.ScanPairs, scanned)
-			if stageErr == nil && err == nil && !stop {
-				if b, ok, ferr := col.Finish(); ferr != nil {
-					stageErr = ferr
-				} else if ok {
-					delivered++
-					if !emit(b) {
-						stop = true
-					}
-				}
-			}
-			atomic.AddInt64(&met.BatchesDecoded, delivered)
-			if stageErr != nil {
-				return stageErr
-			}
-			if err != nil || stop {
-				return err
-			}
+		if !emit(b) {
+			cancelled.Store(true)
+			return false
 		}
-		return nil
+		return true
 	}
-
-	var (
-		cancelled atomic.Bool
-		errMu     sync.Mutex
-		firstErr  error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		cancelled.Store(true)
+	// Workers reach the consumer through out: a channel send when fanned
+	// out; the serial path is its own consumer and delivers in place (so
+	// emit returning false stops its iterator at once).
+	out := deliver
+	var ch chan B
+	if !serial {
+		ch = make(chan B, s.scanWidth()*2)
+		out = func(b B) bool { ch <- b; return true }
 	}
-	stopWatch := context.AfterFunc(ctx, func() { fail(ctx.Err()) })
-	defer stopWatch()
-	batches := make(chan B, s.scanWidth()*2)
-	var wg sync.WaitGroup
-	for _, t := range tasks {
-		wg.Add(1)
-		go func(t scanTask) {
-			defer wg.Done()
-			col := newTask()
-			var scanned int64
-			defer func() { atomic.AddInt64(&met.ScanPairs, scanned) }()
-			var stageErr error
-			aborted := false
-			err := s.runScanTask(ctx, t, func(k, v []byte) bool {
-				if cancelled.Load() {
-					aborted = true
-					return false
-				}
-				scanned++
-				b, full, perr := col.Add(k, v)
-				if perr != nil {
-					stageErr = perr
-					return false
-				}
-				if full {
-					batches <- b
-				}
-				return true
-			})
-			if stageErr != nil {
-				fail(stageErr)
-				return
+	runTask := func(t scanTask) {
+		col := newTask()
+		var scanned int64
+		defer func() { atomic.AddInt64(&met.ScanPairs, scanned) }()
+		var stageErr error
+		// Node selection, slot accounting, corruption failover and resume
+		// all live inside runScanTask; the engine only collects.
+		err := s.runScanTask(ctx, t, func(k, v []byte) bool {
+			if cancelled.Load() {
+				return false
 			}
-			if err != nil {
-				fail(err)
-				return
+			scanned++
+			b, full, perr := col.Add(k, v)
+			if perr != nil {
+				stageErr = perr
+				return false
 			}
-			if aborted {
-				// Cancelled mid-stream: the collector's partial batch is
-				// dropped, matching the pre-networked pipeline.
-				return
-			}
+			return !full || out(b)
+		})
+		switch {
+		case stageErr != nil:
+			fail(stageErr)
+		case err != nil:
+			fail(err)
+		case cancelled.Load():
+			// Stopped mid-stream: the collector's partial batch is dropped.
+		default:
 			if b, ok, err := col.Finish(); err != nil {
 				fail(err)
 			} else if ok {
-				batches <- b
+				out(b)
 			}
-		}(t)
-	}
-	go func() {
-		wg.Wait()
-		close(batches)
-	}()
-	var delivered int64
-	for b := range batches {
-		delivered++
-		if !cancelled.Load() && !emit(b) {
-			cancelled.Store(true)
 		}
 	}
-	atomic.AddInt64(&met.BatchesDecoded, delivered)
+
+	if serial {
+		for _, t := range tasks {
+			if cancelled.Load() {
+				break
+			}
+			runTask(t)
+		}
+	} else {
+		var wg sync.WaitGroup
+		for _, t := range tasks {
+			wg.Add(1)
+			go func(t scanTask) {
+				defer wg.Done()
+				runTask(t)
+			}(t)
+		}
+		go func() {
+			wg.Wait()
+			close(ch)
+		}()
+		for b := range ch {
+			deliver(b)
+		}
+	}
+	atomic.AddInt64(batches, delivered)
+	// Every worker has finished (the channel closes only after wg.Wait),
+	// so all fail() calls happened-before this point: the first worker
+	// error is reported deterministically, even when emit cancelled.
 	errMu.Lock()
-	err := firstErr
-	errMu.Unlock()
-	return err
+	defer errMu.Unlock()
+	return firstErr
 }
 
 // scanOne runs one region-range scan on the serving node with
@@ -1160,70 +985,25 @@ func (c *Cluster) Metrics() Metrics {
 	c.mu.RLock()
 	hs := append([]*regionHandle(nil), c.regions...)
 	c.mu.RUnlock()
-	var depth, shippedBatches, shippedBytes, applies, rejects, lagMax int64
+	// Counters are snapshotted whole; the gauges and the replication
+	// group totals (kept by internal/replica, not in c.met) are filled in.
+	m := c.met.snapshot()
 	for _, h := range hs {
 		for _, n := range h.nodeViews() {
-			depth += int64(n.r.immCount())
+			m.FlushQueueDepth += int64(n.r.immCount())
 		}
 		if h.group != nil {
 			st := h.group.Stats()
-			shippedBatches += st.ShippedBatches
-			shippedBytes += st.ShippedBytes
-			applies += st.Applies
-			rejects += st.Rejects
-			if int64(st.LagMax) > lagMax {
-				lagMax = int64(st.LagMax)
+			m.ShippedBatches += st.ShippedBatches
+			m.ShippedBytes += st.ShippedBytes
+			m.ReplicaApplies += st.Applies
+			m.ReplicaRejects += st.Rejects
+			if int64(st.LagMax) > m.ReplicaLagMax {
+				m.ReplicaLagMax = int64(st.LagMax)
 			}
 		}
 	}
-	return Metrics{
-		ShippedBatches:     shippedBatches,
-		ShippedBytes:       shippedBytes,
-		ReplicaApplies:     applies,
-		ReplicaRejects:     rejects,
-		ReplicaLagMax:      lagMax,
-		Failovers:          atomic.LoadInt64(&c.met.Failovers),
-		FailoverReads:      atomic.LoadInt64(&c.met.FailoverReads),
-		StaleReads:         atomic.LoadInt64(&c.met.StaleReads),
-		BytesWritten:       atomic.LoadInt64(&c.met.BytesWritten),
-		BytesRead:          atomic.LoadInt64(&c.met.BytesRead),
-		BlocksRead:         atomic.LoadInt64(&c.met.BlocksRead),
-		BlockCacheHits:     atomic.LoadInt64(&c.met.BlockCacheHits),
-		BlockCacheMisses:   atomic.LoadInt64(&c.met.BlockCacheMisses),
-		BloomNegatives:     atomic.LoadInt64(&c.met.BloomNegatives),
-		Flushes:            atomic.LoadInt64(&c.met.Flushes),
-		Compactions:        atomic.LoadInt64(&c.met.Compactions),
-		ScanTasks:          atomic.LoadInt64(&c.met.ScanTasks),
-		ScanPairs:          atomic.LoadInt64(&c.met.ScanPairs),
-		ScanKept:           atomic.LoadInt64(&c.met.ScanKept),
-		ScanBatches:        atomic.LoadInt64(&c.met.ScanBatches),
-		BlocksSkipped:      atomic.LoadInt64(&c.met.BlocksSkipped),
-		BatchesDecoded:     atomic.LoadInt64(&c.met.BatchesDecoded),
-		GroupCommits:       atomic.LoadInt64(&c.met.GroupCommits),
-		GroupCommitRecords: atomic.LoadInt64(&c.met.GroupCommitRecords),
-		WALSyncs:           atomic.LoadInt64(&c.met.WALSyncs),
-		WALSyncBytes:       atomic.LoadInt64(&c.met.WALSyncBytes),
-		WriteStalls:        atomic.LoadInt64(&c.met.WriteStalls),
-		WriteStallNanos:    atomic.LoadInt64(&c.met.WriteStallNanos),
-		FlushQueueDepth:    depth,
-
-		CorruptionsDetected: atomic.LoadInt64(&c.met.CorruptionsDetected),
-		ReadRetries:         atomic.LoadInt64(&c.met.ReadRetries),
-		BlocksScrubbed:      atomic.LoadInt64(&c.met.BlocksScrubbed),
-		ScrubRuns:           atomic.LoadInt64(&c.met.ScrubRuns),
-		TablesQuarantined:   atomic.LoadInt64(&c.met.TablesQuarantined),
-		RepairsCompleted:    atomic.LoadInt64(&c.met.RepairsCompleted),
-		OrphansRemoved:      atomic.LoadInt64(&c.met.OrphansRemoved),
-		CompactionsDeferred: atomic.LoadInt64(&c.met.CompactionsDeferred),
-
-		RegionSplits:      atomic.LoadInt64(&c.met.RegionSplits),
-		RegionMerges:      atomic.LoadInt64(&c.met.RegionMerges),
-		RegionMoves:       atomic.LoadInt64(&c.met.RegionMoves),
-		StaleMapRefreshes: atomic.LoadInt64(&c.met.StaleMapRefreshes),
-		RPCRetries:        atomic.LoadInt64(&c.met.RPCRetries),
-		RPCBytesIn:        atomic.LoadInt64(&c.met.RPCBytesIn),
-		RPCBytesOut:       atomic.LoadInt64(&c.met.RPCBytesOut),
-	}
+	return m
 }
 
 // Close shuts the cluster down in dependency order: replica shippers

@@ -28,12 +28,12 @@ func TestClusterRouting(t *testing.T) {
 	}
 	keys := [][]byte{{0x00, 1}, {0x40, 1}, {0x7F}, {0x80}, {0xFF, 9}}
 	for i, k := range keys {
-		if err := c.Put(k, []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if err := c.PutCtx(bg, k, []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, k := range keys {
-		v, err := c.Get(k)
+		v, err := c.GetCtx(bg, k)
 		if err != nil || string(v) != fmt.Sprintf("v%d", i) {
 			t.Fatalf("Get(%x) = %q, %v", k, v, err)
 		}
@@ -50,12 +50,12 @@ func TestClusterRouting(t *testing.T) {
 func TestClusterScanRangeOrdered(t *testing.T) {
 	c := newTestCluster(t, ClusterOptions{SplitPoints: [][]byte{[]byte("m")}})
 	for i := 0; i < 1000; i++ {
-		c.Put([]byte(fmt.Sprintf("%c%04d", 'a'+i%26, i)), []byte("v"))
+		c.PutCtx(bg, []byte(fmt.Sprintf("%c%04d", 'a'+i%26, i)), []byte("v"))
 	}
 	c.Flush()
 	var prev []byte
 	n := 0
-	err := c.ScanRange(KeyRange{}, func(k, v []byte) bool {
+	err := ScanRange(bg, c, KeyRange{}, func(k, v []byte) bool {
 		if prev != nil && bytes.Compare(prev, k) >= 0 {
 			t.Fatalf("ScanRange out of order: %q then %q", prev, k)
 		}
@@ -78,7 +78,7 @@ func TestClusterScanRangesParallel(t *testing.T) {
 	want := map[string]bool{}
 	for i := 0; i < 2000; i++ {
 		k := fmt.Sprintf("%d-%04d", i%10, i)
-		c.Put([]byte(k), []byte("v"))
+		c.PutCtx(bg, []byte(k), []byte("v"))
 		if k[0] == '2' || k[0] == '7' {
 			want[k] = true
 		}
@@ -89,7 +89,7 @@ func TestClusterScanRangesParallel(t *testing.T) {
 		{Start: []byte("7"), End: []byte("8")},
 	}
 	got := map[string]bool{}
-	err := c.ScanRanges(context.Background(), ranges, func(k, v []byte) bool {
+	err := ScanRanges(context.Background(), c, ranges, func(k, v []byte) bool {
 		got[string(k)] = true
 		return true
 	})
@@ -109,11 +109,11 @@ func TestClusterScanRangesParallel(t *testing.T) {
 func TestClusterScanEarlyStop(t *testing.T) {
 	c := newTestCluster(t, ClusterOptions{})
 	for i := 0; i < 5000; i++ {
-		c.Put([]byte(fmt.Sprintf("k-%05d", i)), []byte("v"))
+		c.PutCtx(bg, []byte(fmt.Sprintf("k-%05d", i)), []byte("v"))
 	}
 	c.Flush()
 	n := 0
-	err := c.ScanRanges(context.Background(), []KeyRange{{}}, func(k, v []byte) bool {
+	err := ScanRanges(context.Background(), c, []KeyRange{{}}, func(k, v []byte) bool {
 		n++
 		return n < 10
 	})
@@ -135,7 +135,7 @@ func TestClusterConcurrentReadWrite(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				c.Put([]byte(fmt.Sprintf("w%d-%04d", w, i)), []byte("v"))
+				c.PutCtx(bg, []byte(fmt.Sprintf("w%d-%04d", w, i)), []byte("v"))
 			}
 		}(w)
 	}
@@ -143,12 +143,12 @@ func TestClusterConcurrentReadWrite(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			c.ScanRange(KeyRange{}, func(k, v []byte) bool { return true })
+			ScanRange(bg, c, KeyRange{}, func(k, v []byte) bool { return true })
 		}
 	}()
 	wg.Wait()
 	n := 0
-	c.ScanRange(KeyRange{}, func(k, v []byte) bool { n++; return true })
+	ScanRange(bg, c, KeyRange{}, func(k, v []byte) bool { n++; return true })
 	if n != 2000 {
 		t.Fatalf("final count = %d, want 2000", n)
 	}
@@ -163,7 +163,7 @@ func TestClusterAutoSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	val := bytes.Repeat([]byte("x"), 100)
 	for i := 0; i < 20000; i++ {
-		c.Put([]byte(fmt.Sprintf("k-%08d", rng.Intn(1e8))), val)
+		c.PutCtx(bg, []byte(fmt.Sprintf("k-%08d", rng.Intn(1e8))), val)
 	}
 	c.Flush()
 	if c.Regions() <= before {
@@ -172,7 +172,7 @@ func TestClusterAutoSplit(t *testing.T) {
 	// All data still reachable and ordered per scan.
 	n := 0
 	var prev []byte
-	err := c.ScanRange(KeyRange{}, func(k, v []byte) bool {
+	err := ScanRange(bg, c, KeyRange{}, func(k, v []byte) bool {
 		if prev != nil && bytes.Compare(prev, k) >= 0 {
 			t.Fatalf("post-split scan unordered")
 		}
@@ -191,10 +191,10 @@ func TestClusterAutoSplit(t *testing.T) {
 func TestClusterMetrics(t *testing.T) {
 	c := newTestCluster(t, ClusterOptions{})
 	for i := 0; i < 100; i++ {
-		c.Put([]byte(fmt.Sprintf("k-%03d", i)), bytes.Repeat([]byte("v"), 100))
+		c.PutCtx(bg, []byte(fmt.Sprintf("k-%03d", i)), bytes.Repeat([]byte("v"), 100))
 	}
 	c.Flush()
-	c.ScanRange(KeyRange{}, func(k, v []byte) bool { return true })
+	ScanRange(bg, c, KeyRange{}, func(k, v []byte) bool { return true })
 	m := c.Metrics()
 	if m.BytesWritten == 0 {
 		t.Error("BytesWritten should be > 0")
@@ -221,7 +221,7 @@ func TestClusterDiskSizeCompression(t *testing.T) {
 		defer c.Close()
 		val := bytes.Repeat([]byte("abcdefgh"), 128) // 1 KiB compressible
 		for i := 0; i < 2000; i++ {
-			c.Put([]byte(fmt.Sprintf("k-%06d", i)), val)
+			c.PutCtx(bg, []byte(fmt.Sprintf("k-%06d", i)), val)
 		}
 		c.Flush()
 		return c.DiskSize()
@@ -242,7 +242,7 @@ func BenchmarkClusterPut(b *testing.B) {
 	val := bytes.Repeat([]byte("v"), 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Put([]byte(fmt.Sprintf("k-%09d", i)), val)
+		c.PutCtx(bg, []byte(fmt.Sprintf("k-%09d", i)), val)
 	}
 }
 
@@ -254,13 +254,13 @@ func BenchmarkClusterScan(b *testing.B) {
 	defer c.Close()
 	val := bytes.Repeat([]byte("v"), 100)
 	for i := 0; i < 100000; i++ {
-		c.Put([]byte(fmt.Sprintf("k-%09d", i)), val)
+		c.PutCtx(bg, []byte(fmt.Sprintf("k-%09d", i)), val)
 	}
 	c.Flush()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		c.ScanRange(KeyRange{Start: []byte("k-000050000"), End: []byte("k-000051000")},
+		ScanRange(bg, c, KeyRange{Start: []byte("k-000050000"), End: []byte("k-000051000")},
 			func(k, v []byte) bool { n++; return true })
 		if n != 1000 {
 			b.Fatalf("scan = %d", n)

@@ -26,7 +26,7 @@ func TestScanRangesCtxPreCanceled(t *testing.T) {
 	c := pipelineCluster(t, 100)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := c.ScanRanges(ctx, []KeyRange{{}}, func(k, v []byte) bool { return true })
+	err := ScanRanges(ctx, c, []KeyRange{{}}, func(k, v []byte) bool { return true })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -41,7 +41,7 @@ func TestScanRangesCtxCancelMidScan(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		n := 0
-		err := c.ScanRanges(ctx, []KeyRange{{}}, func(k, v []byte) bool {
+		err := ScanRanges(ctx, c, []KeyRange{{}}, func(k, v []byte) bool {
 			n++
 			if n == 10 {
 				cancel()
@@ -100,7 +100,7 @@ func TestScanRangesCtxCancelWithDownServer(t *testing.T) {
 	}
 	defer c.Close()
 	for i := 0; i < 3000; i++ {
-		c.Put([]byte(fmt.Sprintf("%d-%05d", i%10, i)), []byte("v"))
+		c.PutCtx(bg, []byte(fmt.Sprintf("%d-%05d", i%10, i)), []byte("v"))
 	}
 	c.Flush()
 	base := runtime.NumGoroutine()
@@ -111,7 +111,7 @@ func TestScanRangesCtxCancelWithDownServer(t *testing.T) {
 			}
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-		err := c.ScanRanges(ctx, []KeyRange{{}}, func(k, v []byte) bool {
+		err := ScanRanges(ctx, c, []KeyRange{{}}, func(k, v []byte) bool {
 			time.Sleep(50 * time.Microsecond)
 			return true
 		})
@@ -124,7 +124,7 @@ func TestScanRangesCtxCancelWithDownServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	if err := c.ScanRanges(context.Background(), []KeyRange{{}}, func(k, v []byte) bool { n++; return true }); err != nil {
+	if err := ScanRanges(context.Background(), c, []KeyRange{{}}, func(k, v []byte) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 3000 {

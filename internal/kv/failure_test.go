@@ -219,7 +219,7 @@ func TestCorruptShippedBatch(t *testing.T) {
 
 	const n = 200
 	for i := 0; i < n; i++ {
-		if err := c.Put(spreadKey(i), []byte(fmt.Sprintf("v-%d", i))); err != nil {
+		if err := c.PutCtx(bg, spreadKey(i), []byte(fmt.Sprintf("v-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -248,7 +248,7 @@ func TestCorruptShippedBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			v, err := c.Get(spreadKey(i))
+			v, err := c.GetCtx(bg, spreadKey(i))
 			if err != nil || string(v) != fmt.Sprintf("v-%d", i) {
 				t.Fatalf("server %d down, key %d: %q, %v", srv, i, v, err)
 			}

@@ -261,12 +261,12 @@ func TestBitFlipRF0TypedError(t *testing.T) {
 	}
 	defer c.Close()
 	for i := 0; i < 300; i++ {
-		if err := c.Put([]byte(fmt.Sprintf("a-key-%05d", i)), []byte("v")); err != nil {
+		if err := c.PutCtx(bg, []byte(fmt.Sprintf("a-key-%05d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 30; i++ {
-		c.Put([]byte(fmt.Sprintf("h-key-%05d", i)), []byte("v"))
+		c.PutCtx(bg, []byte(fmt.Sprintf("h-key-%05d", i)), []byte("v"))
 	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
@@ -274,7 +274,7 @@ func TestBitFlipRF0TypedError(t *testing.T) {
 
 	flipByte(t, firstSST(t, filepath.Join(dir, "region-0000")), 10)
 
-	scanErr := c.ScanRange(KeyRange{}, func(k, v []byte) bool {
+	scanErr := ScanRange(bg, c, KeyRange{}, func(k, v []byte) bool {
 		if string(v) != "v" {
 			t.Fatalf("corrupt value returned as data: %q=%q", k, v)
 		}
@@ -289,7 +289,7 @@ func TestBitFlipRF0TypedError(t *testing.T) {
 	}
 
 	// The undamaged region still serves.
-	if v, err := c.Get([]byte("h-key-00000")); err != nil || string(v) != "v" {
+	if v, err := c.GetCtx(bg, []byte("h-key-00000")); err != nil || string(v) != "v" {
 		t.Fatalf("healthy region after corruption elsewhere: %q, %v", v, err)
 	}
 
@@ -330,7 +330,7 @@ func TestBitFlipFailoverAndRepair(t *testing.T) {
 	for i := 0; i < n; i++ {
 		b.Put(spreadKey(i), []byte(fmt.Sprintf("v-%d", i)))
 	}
-	if err := c.Apply(&b); err != nil {
+	if err := c.ApplyCtx(bg, &b); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -345,7 +345,7 @@ func TestBitFlipFailoverAndRepair(t *testing.T) {
 	// Every key must still read correctly: keys on the damaged leader
 	// fail over to the replica.
 	for i := 0; i < n; i++ {
-		v, err := c.Get(spreadKey(i))
+		v, err := c.GetCtx(bg, spreadKey(i))
 		if err != nil || string(v) != fmt.Sprintf("v-%d", i) {
 			t.Fatalf("key %d with damaged leader: %q, %v", i, v, err)
 		}
@@ -379,7 +379,7 @@ func TestBitFlipFailoverAndRepair(t *testing.T) {
 
 	// All data is intact post-repair, on every node.
 	for i := 0; i < n; i++ {
-		v, err := c.Get(spreadKey(i))
+		v, err := c.GetCtx(bg, spreadKey(i))
 		if err != nil || string(v) != fmt.Sprintf("v-%d", i) {
 			t.Fatalf("key %d after repair: %q, %v", i, v, err)
 		}
@@ -416,13 +416,13 @@ func TestScrubRepairUnderConcurrentScans(t *testing.T) {
 		k := spreadKey(i)
 		b.Put(k, append([]byte("val-"), k...))
 		if b.Len() >= 128 {
-			if err := c.Apply(&b); err != nil {
+			if err := c.ApplyCtx(bg, &b); err != nil {
 				t.Fatal(err)
 			}
 			b.Reset()
 		}
 	}
-	if err := c.Apply(&b); err != nil {
+	if err := c.ApplyCtx(bg, &b); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -442,7 +442,7 @@ func TestScrubRepairUnderConcurrentScans(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 3; iter++ {
 				seen := make(map[string]bool, n)
-				err := c.ScanRange(KeyRange{}, func(k, v []byte) bool {
+				err := ScanRange(bg, c, KeyRange{}, func(k, v []byte) bool {
 					if string(v) != "val-"+string(k) {
 						errc <- fmt.Errorf("wrong value for %q: %q", k, v)
 						return false
@@ -492,7 +492,7 @@ func TestScrubLoopBackground(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		c.Put(spreadKey(i), []byte("v"))
+		c.PutCtx(bg, spreadKey(i), []byte("v"))
 	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)

@@ -94,7 +94,7 @@ func TestDiskPressureDegradesWritePathAndRecovers(t *testing.T) {
 	}
 	val := make([]byte, 256)
 	put := func(i int) error {
-		return c.Put([]byte(fmt.Sprintf("k-%06d", i)), val)
+		return c.PutCtx(bg, []byte(fmt.Sprintf("k-%06d", i)), val)
 	}
 	for i := 0; i < 50; i++ {
 		if err := put(i); err != nil {
@@ -142,7 +142,7 @@ func TestDiskPressureDegradesWritePathAndRecovers(t *testing.T) {
 		t.Fatal("write path never surfaced ErrDiskPressure")
 	}
 	// Reads still serve from memtables and existing tables.
-	if v, err := c.Get([]byte("k-000010")); err != nil || len(v) != len(val) {
+	if v, err := c.GetCtx(bg, []byte("k-000010")); err != nil || len(v) != len(val) {
 		t.Fatalf("read during pressure: %d bytes, %v", len(v), err)
 	}
 
@@ -167,7 +167,7 @@ func TestDiskPressureDegradesWritePathAndRecovers(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatalf("flush after recovery: %v", err)
 	}
-	if v, err := c.Get([]byte("k-1000000")); err != nil || len(v) != len(val) {
+	if v, err := c.GetCtx(bg, []byte("k-1000000")); err != nil || len(v) != len(val) {
 		t.Fatalf("read after recovery: %d bytes, %v", len(v), err)
 	}
 	if err := c.Close(); err != nil {
@@ -194,7 +194,7 @@ func TestScrubRequestsDedupe(t *testing.T) {
 	// into one pass each and proving nothing about dedupe.
 	payload := make([]byte, 512)
 	for i := 0; i < 48000; i++ {
-		if err := c.Put([]byte(fmt.Sprintf("k-%06d", i)), payload); err != nil {
+		if err := c.PutCtx(bg, []byte(fmt.Sprintf("k-%06d", i)), payload); err != nil {
 			t.Fatal(err)
 		}
 		if i%6000 == 0 {
@@ -255,7 +255,7 @@ func TestCompactionStormBoundsForegroundLatency(t *testing.T) {
 
 	val := make([]byte, 128)
 	for i := 0; i < 2000; i++ {
-		if err := c.Put([]byte(fmt.Sprintf("base-%06d", i)), val); err != nil {
+		if err := c.PutCtx(bg, []byte(fmt.Sprintf("base-%06d", i)), val); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -271,7 +271,7 @@ func TestCompactionStormBoundsForegroundLatency(t *testing.T) {
 		out := make([]time.Duration, 0, n)
 		for i := 0; i < n; i++ {
 			start := time.Now()
-			if _, err := c.Get(key(i * 13)); err != nil {
+			if _, err := c.GetCtx(bg, key(i*13)); err != nil {
 				t.Fatalf("get: %v", err)
 			}
 			out = append(out, time.Since(start))
@@ -302,7 +302,7 @@ func TestCompactionStormBoundsForegroundLatency(t *testing.T) {
 				default:
 				}
 				k := []byte(fmt.Sprintf("storm-%d-%08d", w, i))
-				if err := c.Put(k, val); err != nil && !errors.Is(err, ErrClosed) {
+				if err := c.PutCtx(bg, k, val); err != nil && !errors.Is(err, ErrClosed) {
 					return
 				}
 			}

@@ -152,32 +152,33 @@ type Iterator interface {
 // Metrics counts the physical work a store performed; the benchmark
 // harness reads them to report storage sizes and IO volumes.
 type Metrics struct {
-	BytesWritten     int64 // bytes appended to WAL + SSTables
-	BytesRead        int64 // bytes read from SSTables (compressed size)
-	BlocksRead       int64 // data blocks fetched from disk
-	BlockCacheHits   int64
-	BlockCacheMisses int64
-	BloomNegatives   int64 // gets short-circuited by the bloom filter
-	Flushes          int64
-	Compactions      int64
+	BytesWritten     int64 `json:"bytes_written"` // bytes appended to WAL + SSTables
+	BytesRead        int64 `json:"bytes_read"`    // bytes read from SSTables (compressed size)
+	BlocksRead       int64 `json:"blocks_read"`   // data blocks fetched from disk
+	BlockCacheHits   int64 `json:"block_cache_hits"`
+	BlockCacheMisses int64 `json:"block_cache_misses"`
+	BloomNegatives   int64 `json:"bloom_negatives"` // gets short-circuited by the bloom filter
+	Flushes          int64 `json:"flushes"`
+	Compactions      int64 `json:"compactions"`
 
-	// Scan pipeline counters (ScanRangesFunc): ScanPairs pairs entered
-	// the in-worker process stage, ScanKept survived it and were
-	// delivered to the consumer (ScanPairs - ScanKept were filtered or
-	// dropped inside the workers), in ScanBatches batches across
-	// ScanTasks (region × range) scan tasks.
-	ScanTasks   int64
-	ScanPairs   int64
-	ScanKept    int64
-	ScanBatches int64
+	// Scan engine counters: ScanTasks (region × range) tasks run and
+	// ScanPairs pairs entered their in-worker stage, whichever face
+	// scanned. ScanRangesFunc adds ScanKept — values that survived its
+	// process stage and were delivered to the consumer (ScanPairs -
+	// ScanKept were filtered or dropped inside the workers) — in
+	// ScanBatches batches.
+	ScanTasks   int64 `json:"scan_tasks"`
+	ScanPairs   int64 `json:"scan_pairs"`
+	ScanKept    int64 `json:"scan_kept"`
+	ScanBatches int64 `json:"scan_batches"`
 
 	// Columnar scan counters: BlocksSkipped data blocks pruned by their
 	// SSTable zone map before disk read / decompression; BatchesDecoded
-	// column batches produced by the batched scan pipeline.
-	BlocksSkipped  int64
-	BatchesDecoded int64
+	// batches ScanCollect delivered (the column batches of table scans).
+	BlocksSkipped  int64 `json:"blocks_skipped"`
+	BatchesDecoded int64 `json:"batches_decoded"`
 
-	// Write path counters (Cluster.Apply / the background flusher):
+	// Write path counters (Cluster.ApplyCtx / the background flusher):
 	// GroupCommits region-level batch applies covering
 	// GroupCommitRecords mutations (the ratio is the group-commit batch
 	// size); WALSyncs fsyncs at group-commit boundaries covering
@@ -185,13 +186,13 @@ type Metrics struct {
 	// WriteStalls writer stalls totalling WriteStallNanos waiting on a
 	// full flush queue. FlushQueueDepth is a gauge — frozen memtables
 	// awaiting background flush at snapshot time, summed over regions.
-	GroupCommits       int64
-	GroupCommitRecords int64
-	WALSyncs           int64
-	WALSyncBytes       int64
-	WriteStalls        int64
-	WriteStallNanos    int64
-	FlushQueueDepth    int64
+	GroupCommits       int64 `json:"group_commits"`
+	GroupCommitRecords int64 `json:"group_commit_records"`
+	WALSyncs           int64 `json:"wal_syncs"`
+	WALSyncBytes       int64 `json:"wal_sync_bytes"`
+	WriteStalls        int64 `json:"write_stalls"`
+	WriteStallNanos    int64 `json:"write_stall_nanos"`
+	FlushQueueDepth    int64 `json:"flush_queue_depth"`
 
 	// Replication counters (WAL shipping and failover, Replication > 0):
 	// ShippedBatches sealed batch envelopes published to replica
@@ -207,14 +208,14 @@ type Metrics struct {
 	// staleness bound). ReplicaLagMax is a gauge: the largest
 	// committed-minus-applied envelope lag across all regions and
 	// replicas at snapshot time.
-	ShippedBatches int64
-	ShippedBytes   int64
-	ReplicaApplies int64
-	ReplicaRejects int64
-	Failovers      int64
-	FailoverReads  int64
-	StaleReads     int64
-	ReplicaLagMax  int64
+	ShippedBatches int64 `json:"shipped_batches"`
+	ShippedBytes   int64 `json:"shipped_bytes"`
+	ReplicaApplies int64 `json:"replica_applies"`
+	ReplicaRejects int64 `json:"replica_rejects"`
+	Failovers      int64 `json:"failovers"`
+	FailoverReads  int64 `json:"failover_reads"`
+	StaleReads     int64 `json:"stale_reads"`
+	ReplicaLagMax  int64 `json:"replica_lag_max"`
 
 	// Integrity counters (SSTable checksums, scrub & repair):
 	// CorruptionsDetected persistent checksum mismatches (or undecodable
@@ -226,13 +227,13 @@ type Metrics struct {
 	// set; RepairsCompleted region stores rebuilt from a replica after
 	// corruption; OrphansRemoved leftover temp/unreferenced SSTable
 	// files deleted at region open.
-	CorruptionsDetected int64
-	ReadRetries         int64
-	BlocksScrubbed      int64
-	ScrubRuns           int64
-	TablesQuarantined   int64
-	RepairsCompleted    int64
-	OrphansRemoved      int64
+	CorruptionsDetected int64 `json:"corruptions_detected"`
+	ReadRetries         int64 `json:"read_retries"`
+	BlocksScrubbed      int64 `json:"blocks_scrubbed"`
+	ScrubRuns           int64 `json:"scrub_runs"`
+	TablesQuarantined   int64 `json:"tables_quarantined"`
+	RepairsCompleted    int64 `json:"repairs_completed"`
+	OrphansRemoved      int64 `json:"orphans_removed"`
 
 	// Topology counters (networked cluster; the in-process Cluster only
 	// counts RegionSplits): RegionSplits completed region splits (size or
@@ -242,13 +243,13 @@ type Metrics struct {
 	// refreshes forced by ErrStaleRegion responses; RPCRetries operations
 	// re-sent after a stale map or transport failure; RPCBytesIn /
 	// RPCBytesOut wire traffic through the rpc client and server.
-	RegionSplits      int64
-	RegionMerges      int64
-	RegionMoves       int64
-	StaleMapRefreshes int64
-	RPCRetries        int64
-	RPCBytesIn        int64
-	RPCBytesOut       int64
+	RegionSplits      int64 `json:"region_splits"`
+	RegionMerges      int64 `json:"region_merges"`
+	RegionMoves       int64 `json:"region_moves"`
+	StaleMapRefreshes int64 `json:"stale_map_refreshes"`
+	RPCRetries        int64 `json:"rpc_retries"`
+	RPCBytesIn        int64 `json:"rpc_bytes_in"`
+	RPCBytesOut       int64 `json:"rpc_bytes_out"`
 
 	// Resilience counters (networked cluster): RPCHedges hedge requests
 	// fired for slow idempotent reads, of which RPCHedgeWins returned
@@ -259,20 +260,20 @@ type Metrics struct {
 	// region-server requests abandoned because the caller's propagated
 	// deadline expired; ScanCancels counts server-side scans torn down
 	// early by a client cancel frame or disconnect.
-	RPCHedges        int64
-	RPCHedgeWins     int64
-	BreakerOpens     int64
-	BreakerFastFails int64
-	RPCRedials       int64
-	DeadlineAborts   int64
-	ScanCancels      int64
+	RPCHedges        int64 `json:"rpc_hedges"`
+	RPCHedgeWins     int64 `json:"rpc_hedge_wins"`
+	BreakerOpens     int64 `json:"breaker_opens"`
+	BreakerFastFails int64 `json:"breaker_fast_fails"`
+	RPCRedials       int64 `json:"rpc_redials"`
+	DeadlineAborts   int64 `json:"deadline_aborts"`
+	ScanCancels      int64 `json:"scan_cancels"`
 
 	// Maintenance counters (the jobs scheduler): CompactionsDeferred
 	// background compaction checks that did not run to completion —
 	// shed under disk pressure, refused while the compact class was
 	// quarantined, or failed after retries (the region keeps serving
 	// with more tables; the next flush re-triggers the check).
-	CompactionsDeferred int64
+	CompactionsDeferred int64 `json:"compactions_deferred"`
 }
 
 // snapshot copies m with atomic loads, field by field. Every Metrics

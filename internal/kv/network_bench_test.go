@@ -91,7 +91,7 @@ func BenchmarkNetworkedIngest(b *testing.B) {
 				for j := 0; j < batch; j++ {
 					wb.Put([]byte(fmt.Sprintf("k-%09d", i*batch+j)), val)
 				}
-				if err := r.Apply(&wb); err != nil {
+				if err := r.ApplyCtx(bg, &wb); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -111,7 +111,7 @@ func BenchmarkNetworkedGet(b *testing.B) {
 		for i := 0; i < keys; i++ {
 			wb.Put([]byte(fmt.Sprintf("k-%09d", i)), []byte("v"))
 			if wb.Len() == 1000 {
-				if err := r.Apply(&wb); err != nil {
+				if err := r.ApplyCtx(bg, &wb); err != nil {
 					b.Fatal(err)
 				}
 				wb = WriteBatch{}
@@ -122,7 +122,7 @@ func BenchmarkNetworkedGet(b *testing.B) {
 		load(b, r)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := r.Get([]byte(fmt.Sprintf("k-%09d", i%keys))); err != nil {
+			if _, err := r.GetCtx(bg, []byte(fmt.Sprintf("k-%09d", i%keys))); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -151,7 +151,7 @@ func BenchmarkNetworkedScan(b *testing.B) {
 			for i := 0; i < 20000; i++ {
 				wb.Put([]byte(fmt.Sprintf("k-%09d", i)), val)
 				if wb.Len() == 1000 {
-					if err := r.Apply(&wb); err != nil {
+					if err := r.ApplyCtx(bg, &wb); err != nil {
 						b.Fatal(err)
 					}
 					wb = WriteBatch{}
@@ -160,7 +160,7 @@ func BenchmarkNetworkedScan(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				n := 0
-				err := r.ScanRange(KeyRange{Start: []byte("k-000005000"), End: []byte("k-000006000")},
+				err := ScanRange(bg, r, KeyRange{Start: []byte("k-000005000"), End: []byte("k-000006000")},
 					func(k, v []byte) bool { n++; return true })
 				if err != nil {
 					b.Fatal(err)

@@ -44,7 +44,7 @@ func TestChaosPartitionMidScanConverges(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		b.Put([]byte(fmt.Sprintf("k%06d", i)), []byte(fmt.Sprintf("v%d", i)))
 	}
-	if err := r.Apply(&b); err != nil {
+	if err := r.ApplyCtx(bg, &b); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
 
@@ -53,7 +53,7 @@ func TestChaosPartitionMidScanConverges(t *testing.T) {
 	ft.Add(TransportFaultRule{Op: rpc.OpScan, Prob: 1, Count: 2, AfterFrames: 2})
 	var prev []byte
 	got := 0
-	err := r.ScanRange(KeyRange{}, func(k, v []byte) bool {
+	err := ScanRange(bg, r, KeyRange{}, func(k, v []byte) bool {
 		if prev != nil && bytes.Compare(prev, k) >= 0 {
 			t.Fatalf("duplicate or out-of-order row %q after %q", k, prev)
 		}
@@ -83,7 +83,7 @@ func TestChaosPartitionMidIngestNoLoss(t *testing.T) {
 
 	const rows = 2000
 	for i := 0; i < rows; i++ {
-		if err := r.Put([]byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
+		if err := r.PutCtx(bg, []byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
@@ -92,7 +92,7 @@ func TestChaosPartitionMidIngestNoLoss(t *testing.T) {
 		t.Fatal("no faults injected; the test exercised nothing")
 	}
 	got := 0
-	if err := r.ScanRange(KeyRange{}, func(k, v []byte) bool { got++; return true }); err != nil {
+	if err := ScanRange(bg, r, KeyRange{}, func(k, v []byte) bool { got++; return true }); err != nil {
 		t.Fatalf("scan: %v", err)
 	}
 	if got != rows {
@@ -105,7 +105,7 @@ func TestChaosKillPrimaryNoAcknowledgedWriteLost(t *testing.T) {
 
 	const before = 500
 	for i := 0; i < before; i++ {
-		if err := r.Put([]byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
+		if err := r.PutCtx(bg, []byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
@@ -114,12 +114,12 @@ func TestChaosKillPrimaryNoAcknowledgedWriteLost(t *testing.T) {
 	// replica — none may be lost.
 	lb.SetDown("s1", true)
 	for i := before; i < before+100; i++ {
-		if err := r.Put([]byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
+		if err := r.PutCtx(bg, []byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
 			t.Fatalf("put after kill %d: %v", i, err)
 		}
 	}
 	got := 0
-	if err := r.ScanRange(KeyRange{}, func(k, v []byte) bool { got++; return true }); err != nil {
+	if err := ScanRange(bg, r, KeyRange{}, func(k, v []byte) bool { got++; return true }); err != nil {
 		t.Fatalf("scan after failover: %v", err)
 	}
 	if got != before+100 {
@@ -132,7 +132,7 @@ func TestChaosKillPrimaryNoAcknowledgedWriteLost(t *testing.T) {
 	// epoch-1 copy answers CodeStaleRegion to nothing (the router routes
 	// by max epoch) and reads keep coming from the promoted node.
 	lb.SetDown("s1", false)
-	if v, err := r.Get([]byte("k000000")); err != nil || string(v) != "v" {
+	if v, err := r.GetCtx(bg, []byte("k000000")); err != nil || string(v) != "v" {
 		t.Fatalf("get after heal = %q, %v", v, err)
 	}
 }
@@ -154,7 +154,7 @@ func TestChaosSplitUnderConcurrentIngest(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				k := fmt.Sprintf("w%d-%05d", w, i)
-				if err := r.Put([]byte(k), val); err != nil {
+				if err := r.PutCtx(bg, []byte(k), val); err != nil {
 					errs <- fmt.Errorf("put %s: %w", k, err)
 					return
 				}
@@ -167,7 +167,7 @@ func TestChaosSplitUnderConcurrentIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	err := r.ScanRange(KeyRange{}, func(k, v []byte) bool {
+	err := ScanRange(bg, r, KeyRange{}, func(k, v []byte) bool {
 		if seen[string(k)] {
 			t.Fatalf("duplicate row %q", k)
 		}
@@ -189,7 +189,7 @@ func TestChaosRefreshWithPrimaryDownKeepsRegion(t *testing.T) {
 	lb, _, r := startChaosCluster(t, 3, 5, NodeOptions{}, RouterOptions{Replicas: 1})
 	const before = 200
 	for i := 0; i < before; i++ {
-		if err := r.Put([]byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
+		if err := r.PutCtx(bg, []byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
@@ -206,12 +206,12 @@ func TestChaosRefreshWithPrimaryDownKeepsRegion(t *testing.T) {
 		t.Fatal("region map emptied by refresh while primary down")
 	}
 	for i := before; i < before+50; i++ {
-		if err := r.Put([]byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
+		if err := r.PutCtx(bg, []byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
 			t.Fatalf("put after refresh %d: %v", i, err)
 		}
 	}
 	got := 0
-	if err := r.ScanRange(KeyRange{}, func(k, v []byte) bool { got++; return true }); err != nil {
+	if err := ScanRange(bg, r, KeyRange{}, func(k, v []byte) bool { got++; return true }); err != nil {
 		t.Fatalf("scan: %v", err)
 	}
 	if got != before+50 {
@@ -226,7 +226,7 @@ func TestChaosRouterRestartWhilePrimaryDown(t *testing.T) {
 	lb, ft, r := startChaosCluster(t, 3, 9, NodeOptions{}, RouterOptions{Replicas: 1})
 	const rows = 300
 	for i := 0; i < rows; i++ {
-		if err := r.Put([]byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
+		if err := r.PutCtx(bg, []byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
@@ -244,13 +244,13 @@ func TestChaosRouterRestartWhilePrimaryDown(t *testing.T) {
 	}
 	defer r2.Close()
 	got := 0
-	if err := r2.ScanRange(KeyRange{}, func(k, v []byte) bool { got++; return true }); err != nil {
+	if err := ScanRange(bg, r2, KeyRange{}, func(k, v []byte) bool { got++; return true }); err != nil {
 		t.Fatalf("scan via restarted router: %v", err)
 	}
 	if got != rows {
 		t.Fatalf("scan sees %d rows, want %d", got, rows)
 	}
-	if err := r2.Put([]byte("k-after-restart"), []byte("v")); err != nil {
+	if err := r2.PutCtx(bg, []byte("k-after-restart"), []byte("v")); err != nil {
 		t.Fatalf("put via restarted router: %v", err)
 	}
 }

@@ -22,7 +22,7 @@ func pipelineCluster(t *testing.T, n int) *Cluster {
 	})
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("%d-%05d", i%10, i)
-		if err := c.Put([]byte(k), []byte(strconv.Itoa(i))); err != nil {
+		if err := c.PutCtx(bg, []byte(k), []byte(strconv.Itoa(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,7 +98,7 @@ func TestScanRangesFuncProcessErrorPropagates(t *testing.T) {
 		// Single region, single range: the inline path.
 		c := newTestCluster(t, ClusterOptions{})
 		for i := 0; i < 1000; i++ {
-			c.Put([]byte(fmt.Sprintf("k-%05d", i)), []byte("v"))
+			c.PutCtx(bg, []byte(fmt.Sprintf("k-%05d", i)), []byte("v"))
 		}
 		c.Flush()
 		err := ScanRangesFunc(context.Background(), c, []KeyRange{{}}, process, func([]byte) bool { return true })
@@ -174,17 +174,17 @@ func TestDeleteBatch(t *testing.T) {
 	for i := 0; i < 1000; i += 2 {
 		doomed = append(doomed, []byte(fmt.Sprintf("%d-%05d", i%10, i)))
 	}
-	if err := c.DeleteBatch(doomed); err != nil {
+	if err := c.DeleteBatchCtx(bg, doomed); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range doomed {
-		if _, err := c.Get(k); !errors.Is(err, ErrNotFound) {
+		if _, err := c.GetCtx(bg, k); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("Get(%s) after DeleteBatch = %v, want ErrNotFound", k, err)
 		}
 	}
 	// Survivors intact.
 	n := 0
-	if err := c.ScanRange(KeyRange{}, func(k, v []byte) bool { n++; return true }); err != nil {
+	if err := ScanRange(bg, c, KeyRange{}, func(k, v []byte) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 500 {
@@ -202,7 +202,7 @@ func TestFlushCompactParallel(t *testing.T) {
 	// compact all regions concurrently.
 	for i := 0; i < 2000; i++ {
 		k := fmt.Sprintf("%d-%05d", i%10, i)
-		if err := c.Put([]byte(k), []byte("v2")); err != nil {
+		if err := c.PutCtx(bg, []byte(k), []byte("v2")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,7 +214,7 @@ func TestFlushCompactParallel(t *testing.T) {
 	}
 	for i := 0; i < 2000; i += 97 {
 		k := fmt.Sprintf("%d-%05d", i%10, i)
-		v, err := c.Get([]byte(k))
+		v, err := c.GetCtx(bg, []byte(k))
 		if err != nil || string(v) != "v2" {
 			t.Fatalf("Get(%s) after compact = %q, %v", k, v, err)
 		}

@@ -453,7 +453,7 @@ func (r *region) Put(key, value []byte) error { return r.put(key, value, kindPut
 // Delete writes a tombstone for key.
 func (r *region) Delete(key []byte) error { return r.put(key, nil, kindDelete) }
 
-// applyBatch is the region half of Cluster.Apply: one lock acquisition,
+// applyBatch is the region half of Cluster.ApplyCtx: one lock acquisition,
 // one buffered WAL sequence with a single sync (the group commit), all
 // memtable inserts under that acquisition, and at most one freeze check.
 func (r *region) applyBatch(muts []mutation) error {
@@ -502,7 +502,7 @@ func (r *region) applyBatch(muts []mutation) error {
 	// bulk-ingest path (the arena's lifetime matches the memtable's
 	// anyway: everything in it stays live until the flush). A run of puts
 	// reusing one value slice — a row's attribute and index copies from
-	// Table.InsertBatch — is stored once and shared.
+	// Table.InsertBatchCtx — is stored once and shared.
 	total := 0
 	var prev []byte
 	for _, m := range muts {

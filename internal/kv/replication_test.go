@@ -44,13 +44,13 @@ func TestReplicatedConvergence(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		b.Put(spreadKey(i), []byte(fmt.Sprintf("v-%d", i)))
 		if b.Len() >= 50 {
-			if err := c.Apply(&b); err != nil {
+			if err := c.ApplyCtx(bg, &b); err != nil {
 				t.Fatal(err)
 			}
 			b.Reset()
 		}
 	}
-	if err := c.Apply(&b); err != nil {
+	if err := c.ApplyCtx(bg, &b); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.SyncReplicas(); err != nil {
@@ -93,7 +93,7 @@ func TestFailoverReads(t *testing.T) {
 	c := mustOpenRepl(t, 3, 1)
 	defer c.Close()
 	for i := 0; i < 120; i++ {
-		if err := c.Put(spreadKey(i), []byte(fmt.Sprintf("v-%d", i))); err != nil {
+		if err := c.PutCtx(bg, spreadKey(i), []byte(fmt.Sprintf("v-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -101,13 +101,13 @@ func TestFailoverReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 120; i++ {
-		v, err := c.Get(spreadKey(i))
+		v, err := c.GetCtx(bg, spreadKey(i))
 		if err != nil || string(v) != fmt.Sprintf("v-%d", i) {
 			t.Fatalf("key %d after kill: %q, %v", i, v, err)
 		}
 	}
 	got := 0
-	if err := c.ScanRange(KeyRange{}, func(k, v []byte) bool { got++; return true }); err != nil {
+	if err := ScanRange(bg, c, KeyRange{}, func(k, v []byte) bool { got++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if got != 120 {
@@ -129,12 +129,12 @@ func TestKillServerMidScan(t *testing.T) {
 	c := mustOpenRepl(t, 3, 1)
 	defer c.Close()
 	for i := 0; i < 150; i++ {
-		if err := c.Put(spreadKey(i), []byte("v")); err != nil {
+		if err := c.PutCtx(bg, spreadKey(i), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	got, killed := 0, false
-	err := c.ScanRange(KeyRange{}, func(k, v []byte) bool {
+	err := ScanRange(bg, c, KeyRange{}, func(k, v []byte) bool {
 		got++
 		if got == 10 && !killed {
 			killed = true
@@ -177,7 +177,7 @@ func TestKillServerMidIngest(t *testing.T) {
 				n := w*perWriter + i
 				b.Put(spreadKey(n), []byte(fmt.Sprintf("v-%d", n)))
 				if b.Len() >= 20 {
-					if err := c.Apply(&b); err != nil {
+					if err := c.ApplyCtx(bg, &b); err != nil {
 						t.Error(err)
 						return
 					}
@@ -187,7 +187,7 @@ func TestKillServerMidIngest(t *testing.T) {
 					close(killGate)
 				}
 			}
-			if err := c.Apply(&b); err != nil {
+			if err := c.ApplyCtx(bg, &b); err != nil {
 				t.Error(err)
 			}
 		}(w)
@@ -203,7 +203,7 @@ func TestKillServerMidIngest(t *testing.T) {
 
 	// Every acknowledged write is readable while server 1 is still down.
 	for n := 0; n < writers*perWriter; n++ {
-		v, err := c.Get(spreadKey(n))
+		v, err := c.GetCtx(bg, spreadKey(n))
 		if err != nil || string(v) != fmt.Sprintf("v-%d", n) {
 			t.Fatalf("key %d after mid-ingest kill: %q, %v", n, v, err)
 		}
@@ -238,7 +238,7 @@ func TestReviveCatchUpServes(t *testing.T) {
 	put := func(lo, hi int) {
 		t.Helper()
 		for i := lo; i < hi; i++ {
-			if err := c.Put(spreadKey(i), []byte(fmt.Sprintf("v-%d", i))); err != nil {
+			if err := c.PutCtx(bg, spreadKey(i), []byte(fmt.Sprintf("v-%d", i))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -265,7 +265,7 @@ func TestReviveCatchUpServes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 180; i++ {
-		v, err := c.Get(spreadKey(i))
+		v, err := c.GetCtx(bg, spreadKey(i))
 		if err != nil || string(v) != fmt.Sprintf("v-%d", i) {
 			t.Fatalf("key %d served by revived node: %q, %v", i, v, err)
 		}
@@ -280,7 +280,7 @@ func TestDoubleFailureRF2(t *testing.T) {
 	c := mustOpenRepl(t, 3, 2)
 	defer c.Close()
 	for i := 0; i < 90; i++ {
-		if err := c.Put(spreadKey(i), []byte(fmt.Sprintf("v-%d", i))); err != nil {
+		if err := c.PutCtx(bg, spreadKey(i), []byte(fmt.Sprintf("v-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -291,30 +291,30 @@ func TestDoubleFailureRF2(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 90; i++ {
-		v, err := c.Get(spreadKey(i))
+		v, err := c.GetCtx(bg, spreadKey(i))
 		if err != nil || string(v) != fmt.Sprintf("v-%d", i) {
 			t.Fatalf("key %d after double failure: %q, %v", i, v, err)
 		}
 	}
 	for i := 90; i < 120; i++ {
-		if err := c.Put(spreadKey(i), []byte(fmt.Sprintf("v-%d", i))); err != nil {
+		if err := c.PutCtx(bg, spreadKey(i), []byte(fmt.Sprintf("v-%d", i))); err != nil {
 			t.Fatalf("write after double failure: %v", err)
 		}
 	}
 	if err := c.KillServer(2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(spreadKey(0)); err != ErrUnavailable {
+	if _, err := c.GetCtx(bg, spreadKey(0)); err != ErrUnavailable {
 		t.Fatalf("all servers down: err = %v, want ErrUnavailable", err)
 	}
-	if err := c.Put([]byte("a-x"), []byte("x")); err != ErrUnavailable {
+	if err := c.PutCtx(bg, []byte("a-x"), []byte("x")); err != ErrUnavailable {
 		t.Fatalf("write with all servers down: err = %v, want ErrUnavailable", err)
 	}
 	if err := c.ReviveServer(0); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 120; i++ {
-		v, err := c.Get(spreadKey(i))
+		v, err := c.GetCtx(bg, spreadKey(i))
 		if err != nil || string(v) != fmt.Sprintf("v-%d", i) {
 			t.Fatalf("key %d after partial revive: %q, %v", i, v, err)
 		}
@@ -328,29 +328,29 @@ func TestUnreplicatedKillUnavailable(t *testing.T) {
 	defer c.Close()
 	// Regions 0 and 2 live on server 0; region 1 on server 1.
 	for _, k := range []string{"a-1", "h-1", "q-1"} {
-		if err := c.Put([]byte(k), []byte("v")); err != nil {
+		if err := c.PutCtx(bg, []byte(k), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := c.KillServer(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get([]byte("a-1")); err != ErrUnavailable {
+	if _, err := c.GetCtx(bg, []byte("a-1")); err != ErrUnavailable {
 		t.Fatalf("get on killed server: %v, want ErrUnavailable", err)
 	}
-	if err := c.Put([]byte("q-2"), []byte("v")); err != ErrUnavailable {
+	if err := c.PutCtx(bg, []byte("q-2"), []byte("v")); err != ErrUnavailable {
 		t.Fatalf("put on killed server: %v, want ErrUnavailable", err)
 	}
-	if v, err := c.Get([]byte("h-1")); err != nil || string(v) != "v" {
+	if v, err := c.GetCtx(bg, []byte("h-1")); err != nil || string(v) != "v" {
 		t.Fatalf("get on surviving server: %q, %v", v, err)
 	}
-	if err := c.ScanRange(KeyRange{}, func(k, v []byte) bool { return true }); err != ErrUnavailable {
+	if err := ScanRange(bg, c, KeyRange{}, func(k, v []byte) bool { return true }); err != ErrUnavailable {
 		t.Fatalf("scan spanning killed server: %v, want ErrUnavailable", err)
 	}
 	if err := c.ReviveServer(0); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := c.Get([]byte("a-1")); err != nil || string(v) != "v" {
+	if v, err := c.GetCtx(bg, []byte("a-1")); err != nil || string(v) != "v" {
 		t.Fatalf("get after revive: %q, %v", v, err)
 	}
 }
@@ -401,14 +401,14 @@ func BenchmarkReplicatedIngest(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				batch.Put(spreadKey(i), val)
 				if batch.Len() == 100 {
-					if err := c.Apply(&batch); err != nil {
+					if err := c.ApplyCtx(bg, &batch); err != nil {
 						b.Fatal(err)
 					}
 					batch.Reset()
 				}
 			}
 			if batch.Len() > 0 {
-				if err := c.Apply(&batch); err != nil {
+				if err := c.ApplyCtx(bg, &batch); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -434,7 +434,7 @@ func BenchmarkFailover(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Put([]byte("a-seed"), []byte("v")); err != nil {
+	if err := c.PutCtx(bg, []byte("a-seed"), []byte("v")); err != nil {
 		b.Fatal(err)
 	}
 	leaderOf := func() int {
@@ -461,7 +461,7 @@ func BenchmarkFailover(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if err := c.Put([]byte(fmt.Sprintf("a-%06d", i)), []byte("v")); err != nil {
+		if err := c.PutCtx(bg, []byte(fmt.Sprintf("a-%06d", i)), []byte("v")); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
@@ -488,7 +488,7 @@ func TestCloseDrainsReplicaShipping(t *testing.T) {
 	})
 	const n = 120
 	for i := 0; i < n; i++ {
-		if err := c.Put(spreadKey(i*3), []byte(fmt.Sprintf("v-%d", i))); err != nil { // region 0 only
+		if err := c.PutCtx(bg, spreadKey(i*3), []byte(fmt.Sprintf("v-%d", i))); err != nil { // region 0 only
 			t.Fatal(err)
 		}
 	}

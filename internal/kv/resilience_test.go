@@ -73,11 +73,11 @@ func TestBreakerOpensOnDeadPeerAndProberReadmits(t *testing.T) {
 		BreakerFailures: 2,
 		ProbeInterval:   25 * time.Millisecond,
 	}))
-	if err := r.Put([]byte("k1"), []byte("v1")); err != nil {
+	if err := r.PutCtx(bg, []byte("k1"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
 	lb.SetDown("s1", true)
-	if _, err := r.Get([]byte("k1")); err == nil {
+	if _, err := r.GetCtx(bg, []byte("k1")); err == nil {
 		t.Fatal("get succeeded with the only primary down")
 	}
 	if st := peerBreaker(t, r, "s1"); st != breakerOpen {
@@ -101,7 +101,7 @@ func TestBreakerOpensOnDeadPeerAndProberReadmits(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if v, err := r.Get([]byte("k1")); err != nil || string(v) != "v1" {
+	if v, err := r.GetCtx(bg, []byte("k1")); err != nil || string(v) != "v1" {
 		t.Fatalf("get after readmission = %q, %v", v, err)
 	}
 }
@@ -120,12 +120,12 @@ func TestBreakerBoundsDialsToDeadPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := r.Put([]byte("k1"), []byte("v1")); err != nil {
+	if err := r.PutCtx(bg, []byte("k1"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
 	lb.SetDown("s1", true)
 	before := ct.count("s1")
-	if _, err := r.Get([]byte("k1")); err == nil {
+	if _, err := r.GetCtx(bg, []byte("k1")); err == nil {
 		t.Fatal("get succeeded with the only primary down")
 	}
 	// The whole retry storm — route refreshes, failover probes, the read
@@ -153,7 +153,7 @@ func TestHedgedReadBeatsSlowPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := r.Put([]byte("k1"), []byte("v1")); err != nil {
+	if err := r.PutCtx(bg, []byte("k1"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
 	// The primary develops a 300ms stall on point reads; the replica
@@ -161,7 +161,7 @@ func TestHedgedReadBeatsSlowPrimary(t *testing.T) {
 	// roughly HedgeAfter, not wait out the stall.
 	ft.Add(TransportFaultRule{Addr: "s1", Op: rpc.OpGet, Prob: 1, Delay: 300 * time.Millisecond})
 	start := time.Now()
-	v, err := r.Get([]byte("k1"))
+	v, err := r.GetCtx(bg, []byte("k1"))
 	elapsed := time.Since(start)
 	if err != nil || string(v) != "v1" {
 		t.Fatalf("hedged get = %q, %v", v, err)
@@ -197,12 +197,12 @@ func TestHedgedMultiGetBeatsSlowPrimary(t *testing.T) {
 	for _, k := range keys {
 		b.Put(k, append([]byte("v-"), k...))
 	}
-	if err := r.Apply(&b); err != nil {
+	if err := r.ApplyCtx(bg, &b); err != nil {
 		t.Fatal(err)
 	}
 	ft.Add(TransportFaultRule{Addr: "s1", Op: rpc.OpMultiGet, Prob: 1, Delay: 300 * time.Millisecond})
 	start := time.Now()
-	vals, err := r.MultiGet(keys)
+	vals, err := r.MultiGetCtx(bg, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestDeadlineAbortsScanServerSide(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		b.Put([]byte(fmt.Sprintf("k%06d", i)), []byte("v"))
 		if b.Len() == 1000 {
-			if err := r.Apply(&b); err != nil {
+			if err := r.ApplyCtx(bg, &b); err != nil {
 				t.Fatal(err)
 			}
 			b = WriteBatch{}
@@ -244,7 +244,7 @@ func TestDeadlineAbortsScanServerSide(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
 	defer cancel()
 	rows := 0
-	err = r.ScanRanges(ctx, []KeyRange{{}}, func(k, v []byte) bool {
+	err = ScanRanges(ctx, r, []KeyRange{{}}, func(k, v []byte) bool {
 		rows++
 		if rows%scanBatchSize == 0 {
 			time.Sleep(8 * time.Millisecond) // slow consumer: ~40 batches to go
@@ -313,7 +313,7 @@ func TestDeadlineScanAbortOverTCP(t *testing.T) {
 	for i := 0; i < 30000; i++ {
 		b.Put([]byte(fmt.Sprintf("k%07d", i)), val)
 		if b.Len() == 1000 {
-			if err := r.Apply(&b); err != nil {
+			if err := r.ApplyCtx(bg, &b); err != nil {
 				t.Fatal(err)
 			}
 			b = WriteBatch{}
@@ -322,7 +322,7 @@ func TestDeadlineScanAbortOverTCP(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
 	defer cancel()
 	rows := 0
-	err := r.ScanRanges(ctx, []KeyRange{{}}, func(k, v []byte) bool {
+	err := ScanRanges(ctx, r, []KeyRange{{}}, func(k, v []byte) bool {
 		rows++
 		if rows%scanBatchSize == 0 {
 			time.Sleep(8 * time.Millisecond)
@@ -359,14 +359,14 @@ func TestScanEarlyStopCancelsServerOverTCP(t *testing.T) {
 	for i := 0; i < 30000; i++ {
 		b.Put([]byte(fmt.Sprintf("k%07d", i)), val)
 		if b.Len() == 1000 {
-			if err := r.Apply(&b); err != nil {
+			if err := r.ApplyCtx(bg, &b); err != nil {
 				t.Fatal(err)
 			}
 			b = WriteBatch{}
 		}
 	}
 	rows := 0
-	err := r.ScanRange(KeyRange{}, func(k, v []byte) bool {
+	err := ScanRange(bg, r, KeyRange{}, func(k, v []byte) bool {
 		rows++
 		return rows < 10 // stop almost immediately
 	})
@@ -455,14 +455,14 @@ func TestChaosKilledPeerBoundedWork(t *testing.T) {
 
 	const rows = 100
 	for i := 0; i < rows; i++ {
-		if err := r.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
+		if err := r.PutCtx(bg, []byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
 	lb.SetDown("s1", true)
 	before := ct.count("s1")
 	for i := 0; i < rows; i++ {
-		v, err := r.Get([]byte(fmt.Sprintf("k%04d", i)))
+		v, err := r.GetCtx(bg, []byte(fmt.Sprintf("k%04d", i)))
 		if err != nil || string(v) != "v" {
 			t.Fatalf("get %d across kill = %q, %v", i, v, err)
 		}

@@ -566,34 +566,19 @@ func (r *Router) failover(ctx context.Context, reg routedRegion) {
 	r.mu.Unlock()
 }
 
-// Put stores key → value.
-func (r *Router) Put(key, value []byte) error {
-	return r.PutCtx(context.Background(), key, value)
-}
-
-// PutCtx is Put bounded by ctx; the remaining budget travels to the
+// PutCtx stores key → value; the remaining budget of ctx travels to the
 // region server in the request frame's deadline envelope.
 func (r *Router) PutCtx(ctx context.Context, key, value []byte) error {
 	return r.applyMuts(ctx, []mutation{{kindPut, key, value}})
 }
 
-// Delete removes key.
-func (r *Router) Delete(key []byte) error {
-	return r.DeleteCtx(context.Background(), key)
-}
-
-// DeleteCtx is Delete bounded by ctx.
+// DeleteCtx removes key.
 func (r *Router) DeleteCtx(ctx context.Context, key []byte) error {
 	return r.applyMuts(ctx, []mutation{{kindDelete, key, nil}})
 }
 
-// Apply group-commits a WriteBatch, split across the regions its keys
-// land in; batch order is preserved within each region.
-func (r *Router) Apply(b *WriteBatch) error {
-	return r.ApplyCtx(context.Background(), b)
-}
-
-// ApplyCtx is Apply bounded by ctx.
+// ApplyCtx group-commits a WriteBatch, split across the regions its
+// keys land in; batch order is preserved within each region.
 func (r *Router) ApplyCtx(ctx context.Context, b *WriteBatch) error {
 	if len(b.muts) == 0 {
 		return nil
@@ -601,12 +586,7 @@ func (r *Router) ApplyCtx(ctx context.Context, b *WriteBatch) error {
 	return r.applyMuts(ctx, b.muts)
 }
 
-// DeleteBatch removes many keys via the group-commit path.
-func (r *Router) DeleteBatch(keys [][]byte) error {
-	return r.DeleteBatchCtx(context.Background(), keys)
-}
-
-// DeleteBatchCtx is DeleteBatch bounded by ctx.
+// DeleteBatchCtx removes many keys via the group-commit path.
 func (r *Router) DeleteBatchCtx(ctx context.Context, keys [][]byte) error {
 	muts := make([]mutation, len(keys))
 	for i, k := range keys {
@@ -674,12 +654,7 @@ func (r *Router) applyMuts(ctx context.Context, muts []mutation) error {
 	return ErrUnavailable
 }
 
-// Get fetches the value for key or ErrNotFound.
-func (r *Router) Get(key []byte) ([]byte, error) {
-	return r.GetCtx(context.Background(), key)
-}
-
-// GetCtx is Get bounded by ctx.
+// GetCtx fetches the value for key or ErrNotFound.
 func (r *Router) GetCtx(ctx context.Context, key []byte) ([]byte, error) {
 	for attempt := 0; attempt < routerMaxRetries; attempt++ {
 		if attempt > 0 {
@@ -793,13 +768,8 @@ func (r *Router) readHedged(ctx context.Context, reg routedRegion, op byte, payl
 	}
 }
 
-// MultiGet fetches many keys; the result is parallel to keys with nil
-// entries for misses.
-func (r *Router) MultiGet(keys [][]byte) ([][]byte, error) {
-	return r.MultiGetCtx(context.Background(), keys)
-}
-
-// MultiGetCtx is MultiGet bounded by ctx.
+// MultiGetCtx fetches many keys; the result is parallel to keys with
+// nil entries for misses.
 func (r *Router) MultiGetCtx(ctx context.Context, keys [][]byte) ([][]byte, error) {
 	out := make([][]byte, len(keys))
 	pending := make([]int, len(keys))
@@ -861,21 +831,6 @@ func (r *Router) MultiGetCtx(ctx context.Context, keys [][]byte) ([][]byte, erro
 		return nil, ErrUnavailable
 	}
 	return out, nil
-}
-
-// ScanRange streams one range in key order.
-func (r *Router) ScanRange(kr KeyRange, emit func(key, value []byte) bool) error {
-	return scanRangeOrdered(r, kr, emit)
-}
-
-// ScanRanges runs one scan task per (region × range) in parallel.
-func (r *Router) ScanRanges(ctx context.Context, ranges []KeyRange, emit func(key, value []byte) bool) error {
-	return ScanRangesFunc(ctx, r, ranges, func(k, v []byte) (Pair, bool, error) {
-		return Pair{
-			Key:   append([]byte(nil), k...),
-			Value: append([]byte(nil), v...),
-		}, true, nil
-	}, func(p Pair) bool { return emit(p.Key, p.Value) })
 }
 
 // scanTasks implements Store: one task per (cached region × range).

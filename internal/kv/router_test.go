@@ -35,19 +35,19 @@ func startRouterCluster(t *testing.T, n int, nopts NodeOptions, ropts RouterOpti
 func TestRouterBasicOps(t *testing.T) {
 	_, _, r := startRouterCluster(t, 3, NodeOptions{}, RouterOptions{})
 
-	if err := r.Put([]byte("alpha"), []byte("1")); err != nil {
+	if err := r.PutCtx(bg, []byte("alpha"), []byte("1")); err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	if v, err := r.Get([]byte("alpha")); err != nil || string(v) != "1" {
+	if v, err := r.GetCtx(bg, []byte("alpha")); err != nil || string(v) != "1" {
 		t.Fatalf("get = %q, %v", v, err)
 	}
-	if _, err := r.Get([]byte("nope")); err != ErrNotFound {
+	if _, err := r.GetCtx(bg, []byte("nope")); err != ErrNotFound {
 		t.Fatalf("get missing = %v, want ErrNotFound", err)
 	}
-	if err := r.Delete([]byte("alpha")); err != nil {
+	if err := r.DeleteCtx(bg, []byte("alpha")); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
-	if _, err := r.Get([]byte("alpha")); err != ErrNotFound {
+	if _, err := r.GetCtx(bg, []byte("alpha")); err != ErrNotFound {
 		t.Fatalf("get deleted = %v, want ErrNotFound", err)
 	}
 
@@ -55,10 +55,10 @@ func TestRouterBasicOps(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		b.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i)))
 	}
-	if err := r.Apply(&b); err != nil {
+	if err := r.ApplyCtx(bg, &b); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
-	vals, err := r.MultiGet([][]byte{[]byte("k000"), []byte("zz"), []byte("k199")})
+	vals, err := r.MultiGetCtx(bg, [][]byte{[]byte("k000"), []byte("zz"), []byte("k199")})
 	if err != nil {
 		t.Fatalf("multiget: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestRouterBasicOps(t *testing.T) {
 	}
 
 	var keys []string
-	err = r.ScanRange(KeyRange{Start: []byte("k100"), End: []byte("k110")}, func(k, v []byte) bool {
+	err = ScanRange(bg, r, KeyRange{Start: []byte("k100"), End: []byte("k110")}, func(k, v []byte) bool {
 		keys = append(keys, string(k))
 		return true
 	})
@@ -79,7 +79,7 @@ func TestRouterBasicOps(t *testing.T) {
 	}
 
 	count := 0
-	err = r.ScanRanges(context.Background(), []KeyRange{
+	err = ScanRanges(context.Background(), r, []KeyRange{
 		{Start: []byte("k000"), End: []byte("k050")},
 		{Start: []byte("k150"), End: []byte("k200")},
 	}, func(k, v []byte) bool { count++; return true })
@@ -89,10 +89,10 @@ func TestRouterBasicOps(t *testing.T) {
 	if count != 100 {
 		t.Fatalf("scanranges count = %d, want 100", count)
 	}
-	if err := r.DeleteBatch([][]byte{[]byte("k000"), []byte("k001")}); err != nil {
+	if err := r.DeleteBatchCtx(bg, [][]byte{[]byte("k000"), []byte("k001")}); err != nil {
 		t.Fatalf("deletebatch: %v", err)
 	}
-	if _, err := r.Get([]byte("k000")); err != ErrNotFound {
+	if _, err := r.GetCtx(bg, []byte("k000")); err != ErrNotFound {
 		t.Fatalf("get after deletebatch = %v", err)
 	}
 }
@@ -108,7 +108,7 @@ func TestRouterSplitKeepsScanExact(t *testing.T) {
 	want := map[string]string{}
 	for i := 0; i < 1500; i++ {
 		k := fmt.Sprintf("row-%05d", i)
-		if err := r.Put([]byte(k), val); err != nil {
+		if err := r.PutCtx(bg, []byte(k), val); err != nil {
 			t.Fatalf("put %s: %v", k, err)
 		}
 		want[k] = string(val)
@@ -121,7 +121,7 @@ func TestRouterSplitKeepsScanExact(t *testing.T) {
 	// key exactly once, in order, correct values.
 	var prev []byte
 	got := 0
-	err := r.ScanRange(KeyRange{}, func(k, v []byte) bool {
+	err := ScanRange(bg, r, KeyRange{}, func(k, v []byte) bool {
 		if prev != nil && bytes.Compare(prev, k) >= 0 {
 			t.Fatalf("scan order violation: %q after %q", k, prev)
 		}
@@ -153,7 +153,7 @@ func TestRouterRebalanceMovesRegions(t *testing.T) {
 	// several regions; the rebalancer should spread the primaries out.
 	val := bytes.Repeat([]byte("v"), 200)
 	for i := 0; i < 2000; i++ {
-		if err := r.Put([]byte(fmt.Sprintf("row-%05d", i)), val); err != nil {
+		if err := r.PutCtx(bg, []byte(fmt.Sprintf("row-%05d", i)), val); err != nil {
 			t.Fatalf("put: %v", err)
 		}
 	}
@@ -175,7 +175,7 @@ func TestRouterRebalanceMovesRegions(t *testing.T) {
 	}
 	// Data survives the moves intact.
 	got := 0
-	if err := r.ScanRange(KeyRange{}, func(k, v []byte) bool { got++; return true }); err != nil {
+	if err := ScanRange(bg, r, KeyRange{}, func(k, v []byte) bool { got++; return true }); err != nil {
 		t.Fatalf("scan after rebalance: %v", err)
 	}
 	if got != 2000 {
@@ -190,7 +190,7 @@ func TestRouterColdMergeShrinksMap(t *testing.T) {
 
 	val := bytes.Repeat([]byte("v"), 200)
 	for i := 0; i < 1200; i++ {
-		if err := r.Put([]byte(fmt.Sprintf("row-%05d", i)), val); err != nil {
+		if err := r.PutCtx(bg, []byte(fmt.Sprintf("row-%05d", i)), val); err != nil {
 			t.Fatalf("put: %v", err)
 		}
 	}
@@ -206,7 +206,7 @@ func TestRouterColdMergeShrinksMap(t *testing.T) {
 		}
 	}
 	got := 0
-	if err := r.ScanRange(KeyRange{}, func(k, v []byte) bool { got++; return true }); err != nil {
+	if err := ScanRange(bg, r, KeyRange{}, func(k, v []byte) bool { got++; return true }); err != nil {
 		t.Fatalf("scan after merge: %v", err)
 	}
 	if got != 1200 {
@@ -221,7 +221,7 @@ func TestRouterRestartsFromPersistedTopology(t *testing.T) {
 	// A second router over the same fabric adopts the existing regions
 	// instead of re-bootstrapping.
 	lb, _, r := startRouterCluster(t, 2, NodeOptions{}, RouterOptions{Replicas: 1})
-	if err := r.Put([]byte("x"), []byte("1")); err != nil {
+	if err := r.PutCtx(bg, []byte("x"), []byte("1")); err != nil {
 		t.Fatalf("put: %v", err)
 	}
 	r2, err := OpenRouter(RouterOptions{Peers: []string{"s1", "s2"}, Transport: lb})
@@ -229,7 +229,7 @@ func TestRouterRestartsFromPersistedTopology(t *testing.T) {
 		t.Fatalf("second router: %v", err)
 	}
 	defer r2.Close()
-	if v, err := r2.Get([]byte("x")); err != nil || string(v) != "1" {
+	if v, err := r2.GetCtx(bg, []byte("x")); err != nil || string(v) != "1" {
 		t.Fatalf("second router get = %q, %v", v, err)
 	}
 	if got := r2.Regions(); got != 1 {

@@ -11,45 +11,34 @@ import "context"
 //   - *Router: the networked deployment — a cached region map routing
 //     every operation to TCP region servers (see router.go).
 //
+// Every point operation takes the caller's context — there is no way
+// to reach storage without one. The networked Router propagates the
+// remaining budget to the region servers in the request frames (so
+// abandoned work aborts server-side); the in-process Cluster honors
+// cancellation at the operation boundary. Scans are package-level
+// functions over any Store: ScanCollect and ScanRangesFunc (parallel,
+// in-worker decode/filter), ScanRanges (parallel, whole pairs) and
+// ScanRange (one range, key order).
+//
 // The unexported methods deliberately restrict implementations to this
-// package: the generic scan pipeline (ScanRangesFunc, ScanCollect) is
-// built on their contracts, which are too easy to get subtly wrong
-// (resume semantics, corruption failover, slot accounting) to leave
-// open.
+// package: the scan engine (scanCollect) is built on their contracts,
+// which are too easy to get subtly wrong (resume semantics, corruption
+// failover, slot accounting) to leave open.
 type Store interface {
-	// Put stores key → value.
-	Put(key, value []byte) error
-	// Delete removes key.
-	Delete(key []byte) error
-	// Get fetches the value for key or ErrNotFound.
-	Get(key []byte) ([]byte, error)
-	// Apply group-commits a WriteBatch (regions in parallel, batch order
-	// kept within each region).
-	Apply(b *WriteBatch) error
-	// MultiGet fetches many keys; the result is parallel to keys, with
-	// nil entries for missing keys.
-	MultiGet(keys [][]byte) ([][]byte, error)
-	// DeleteBatch removes many keys via the group-commit path.
-	DeleteBatch(keys [][]byte) error
-
-	// Context-carrying variants of the point operations, for callers
-	// holding a query deadline: the networked Router propagates the
-	// remaining budget to the region servers in the request frames (so
-	// abandoned work aborts server-side); the in-process Cluster honors
-	// cancellation between operations. The plain methods above are these
-	// with context.Background().
+	// PutCtx stores key → value.
 	PutCtx(ctx context.Context, key, value []byte) error
+	// DeleteCtx removes key.
 	DeleteCtx(ctx context.Context, key []byte) error
+	// GetCtx fetches the value for key or ErrNotFound.
 	GetCtx(ctx context.Context, key []byte) ([]byte, error)
+	// ApplyCtx group-commits a WriteBatch (regions in parallel, batch
+	// order kept within each region).
 	ApplyCtx(ctx context.Context, b *WriteBatch) error
+	// MultiGetCtx fetches many keys; the result is parallel to keys,
+	// with nil entries for missing keys.
 	MultiGetCtx(ctx context.Context, keys [][]byte) ([][]byte, error)
+	// DeleteBatchCtx removes many keys via the group-commit path.
 	DeleteBatchCtx(ctx context.Context, keys [][]byte) error
-	// ScanRange streams pairs of one range in key order; emit returning
-	// false stops the scan early.
-	ScanRange(kr KeyRange, emit func(key, value []byte) bool) error
-	// ScanRanges runs one scan task per (region × range) in parallel,
-	// delivering pairs to emit serially in arbitrary inter-range order.
-	ScanRanges(ctx context.Context, ranges []KeyRange, emit func(key, value []byte) bool) error
 	// Flush persists all memtables.
 	Flush() error
 	// Compact fully compacts every region.

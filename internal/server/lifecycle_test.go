@@ -41,7 +41,7 @@ func loadPoints(t *testing.T, eng *core.Engine, user string, n int) {
 				fmt.Sprintf("name-%d", j),
 			})
 		}
-		if err := tbl.InsertBatch(rows); err != nil {
+		if err := tbl.InsertBatchCtx(context.Background(), rows); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"log"
 	"mime"
 	"net/http"
+	"reflect"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -580,59 +581,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	cursorBytes := s.cursorBytes
 	evicted, expired := s.evicted, s.expired
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	// Server-side gauges; every kv.Metrics counter joins them below under
+	// its json tag, so a new storage counter needs no line here.
+	out := map[string]any{
 		"regions":                   s.engine.Store().Regions(),
-		"bytes_written":             m.BytesWritten,
-		"bytes_read":                m.BytesRead,
-		"blocks_read":               m.BlocksRead,
-		"block_cache_hits":          m.BlockCacheHits,
-		"block_cache_misses":        m.BlockCacheMisses,
-		"bloom_negatives":           m.BloomNegatives,
-		"flushes":                   m.Flushes,
-		"compactions":               m.Compactions,
-		"scan_tasks":                m.ScanTasks,
-		"scan_pairs":                m.ScanPairs,
-		"scan_kept":                 m.ScanKept,
-		"scan_batches":              m.ScanBatches,
-		"blocks_skipped":            m.BlocksSkipped,
-		"batches_decoded":           m.BatchesDecoded,
 		"stats_refreshes":           s.engine.StatsRefreshes(),
-		"group_commits":             m.GroupCommits,
-		"group_commit_records":      m.GroupCommitRecords,
-		"wal_syncs":                 m.WALSyncs,
-		"wal_sync_bytes":            m.WALSyncBytes,
-		"flush_queue_depth":         m.FlushQueueDepth,
-		"write_stalls":              m.WriteStalls,
-		"write_stall_nanos":         m.WriteStallNanos,
-		"shipped_batches":           m.ShippedBatches,
-		"shipped_bytes":             m.ShippedBytes,
-		"replica_applies":           m.ReplicaApplies,
-		"replica_rejects":           m.ReplicaRejects,
-		"replica_lag_max":           m.ReplicaLagMax,
-		"failovers":                 m.Failovers,
-		"failover_reads":            m.FailoverReads,
-		"stale_reads":               m.StaleReads,
-		"corruptions_detected":      m.CorruptionsDetected,
-		"read_retries":              m.ReadRetries,
-		"blocks_scrubbed":           m.BlocksScrubbed,
-		"scrub_runs":                m.ScrubRuns,
-		"tables_quarantined":        m.TablesQuarantined,
-		"repairs_completed":         m.RepairsCompleted,
-		"orphans_removed":           m.OrphansRemoved,
-		"rpc_bytes_in":              m.RPCBytesIn,
-		"rpc_bytes_out":             m.RPCBytesOut,
-		"rpc_retries":               m.RPCRetries,
-		"rpc_redials":               m.RPCRedials,
-		"rpc_hedges":                m.RPCHedges,
-		"rpc_hedge_wins":            m.RPCHedgeWins,
-		"breaker_opens":             m.BreakerOpens,
-		"breaker_fast_fails":        m.BreakerFastFails,
-		"deadline_aborts":           m.DeadlineAborts,
-		"scan_cancels":              m.ScanCancels,
-		"region_splits":             m.RegionSplits,
-		"region_merges":             m.RegionMerges,
-		"region_moves":              m.RegionMoves,
-		"stale_map_refreshes":       m.StaleMapRefreshes,
 		"cursors_open":              openCursors,
 		"cursor_bytes":              cursorBytes,
 		"cursors_evicted":           evicted,
@@ -648,12 +601,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"peak_query_bytes":          s.peakQueryBytes.Load(),
 		"slow_queries":              s.slowQueries.Load(),
 		"codecs":                    compress.Stats(),
-		"compactions_deferred":      m.CompactionsDeferred,
 		"jobs":                      s.engine.Jobs().Metrics(),
 		"jobs_healthy":              s.engine.Jobs().Healthy(),
 		"disk_pressure":             s.engine.Jobs().Pressured(),
 		"disk_free_bytes":           s.engine.Jobs().DiskFree(),
-	})
+	}
+	mv := reflect.ValueOf(m)
+	for i := 0; i < mv.NumField(); i++ {
+		out[mv.Type().Field(i).Tag.Get("json")] = mv.Field(i).Int()
+	}
+	writeJSON(w, http.StatusOK, out)
 }
 
 // handleReplication exposes per-region replication topology and apply

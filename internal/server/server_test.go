@@ -2,10 +2,13 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -281,7 +284,7 @@ func getJSON(t *testing.T, url string) map[string]any {
 
 func TestAdminReplicationEndpoint(t *testing.T) {
 	ts, s := newReplicatedServer(t, Options{})
-	if err := s.engine.Cluster().Put([]byte("k"), []byte("v")); err != nil {
+	if err := s.engine.Cluster().PutCtx(context.Background(), []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	m := getJSON(t, ts.URL+"/api/v1/admin/replication")
@@ -336,7 +339,7 @@ func TestAdminServersKillRevive(t *testing.T) {
 
 func TestReplicationMetricsKeys(t *testing.T) {
 	ts, s := newReplicatedServer(t, Options{})
-	if err := s.engine.Cluster().Put([]byte("k"), []byte("v")); err != nil {
+	if err := s.engine.Cluster().PutCtx(context.Background(), []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.engine.Cluster().SyncReplicas(); err != nil {
@@ -443,7 +446,7 @@ func TestCursorByteBound(t *testing.T) {
 // synchronous scrub pass, and the integrity counters are on /metrics.
 func TestAdminScrubEndpoints(t *testing.T) {
 	ts, s := newReplicatedServer(t, Options{})
-	if err := s.engine.Cluster().Put([]byte("k"), []byte("v")); err != nil {
+	if err := s.engine.Cluster().PutCtx(context.Background(), []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.engine.Cluster().Flush(); err != nil {
@@ -502,5 +505,47 @@ func TestAdminScrubEndpoints(t *testing.T) {
 	}
 	if mm["blocks_scrubbed"].(float64) == 0 {
 		t.Errorf("blocks_scrubbed = %v, want > 0", mm["blocks_scrubbed"])
+	}
+}
+
+// TestMetricsKeySetGolden pins the exact key set of /api/v1/metrics:
+// the storage counters reach the response through kv.Metrics' json
+// tags, so a renamed tag or a dropped gauge must fail here. A new
+// counter adds its tag to this list.
+func TestMetricsKeySetGolden(t *testing.T) {
+	want := []string{
+		"batches_decoded", "block_cache_hits", "block_cache_misses", "blocks_read",
+		"blocks_scrubbed", "blocks_skipped", "bloom_negatives",
+		"breaker_fast_fails", "breaker_opens", "bytes_read", "bytes_written",
+		"codecs", "compactions", "compactions_deferred", "corruptions_detected",
+		"cursor_bytes", "cursors_evicted", "cursors_expired", "cursors_open",
+		"deadline_aborts", "disk_free_bytes", "disk_pressure", "failover_reads",
+		"failovers", "flush_queue_depth", "flushes", "group_commit_records",
+		"group_commits", "jobs", "jobs_healthy", "orphans_removed",
+		"peak_query_bytes", "queries_active", "queries_admitted",
+		"queries_canceled", "queries_deadline_exceeded", "queries_killed",
+		"queries_mem_budget_kills", "queries_queued", "queries_shed",
+		"read_retries", "region_merges", "region_moves", "region_splits",
+		"regions", "repairs_completed", "replica_applies", "replica_lag_max",
+		"replica_rejects", "rpc_bytes_in", "rpc_bytes_out", "rpc_hedge_wins",
+		"rpc_hedges", "rpc_redials", "rpc_retries", "scan_batches", "scan_cancels",
+		"scan_kept", "scan_pairs", "scan_tasks", "scrub_runs", "shipped_batches",
+		"shipped_bytes", "slow_queries", "stale_map_refreshes", "stale_reads",
+		"stats_refreshes", "tables_quarantined", "wal_sync_bytes", "wal_syncs",
+		"write_stall_nanos", "write_stalls",
+	}
+	ts, _ := newTestServer(t, Options{})
+	m := getJSON(t, ts.URL+"/api/v1/metrics")
+	got := make([]string, 0, len(m))
+	for k := range m {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("metrics key set changed:\n got %v\nwant %v", got, want)
+	}
+	// Counters stay JSON numbers, as the hand-written map emitted them.
+	if _, ok := m["bytes_written"].(float64); !ok {
+		t.Fatalf("bytes_written = %T, want a number", m["bytes_written"])
 	}
 }

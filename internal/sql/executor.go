@@ -81,7 +81,7 @@ func (s *Session) ExecuteStmtContext(ctx context.Context, stmt Statement) (*Resu
 	case *StoreViewStmt:
 		return s.execStoreView(ctx, v)
 	case *DropStmt:
-		return s.execDrop(v)
+		return s.execDrop(ctx, v)
 	case *ShowStmt:
 		return s.execShow(v)
 	case *DescStmt:
@@ -239,14 +239,14 @@ func (s *Session) execStoreView(ctx context.Context, st *StoreViewStmt) (*Result
 	return &Result{Message: fmt.Sprintf("stored %d rows from view %s into table %s", len(rows), st.View, st.Table)}, nil
 }
 
-func (s *Session) execDrop(st *DropStmt) (*Result, error) {
+func (s *Session) execDrop(ctx context.Context, st *DropStmt) (*Result, error) {
 	if st.IsView {
 		if err := s.engine.Views().Drop(s.user, st.Name); err != nil {
 			return nil, err
 		}
 		return &Result{Message: fmt.Sprintf("view %s dropped", st.Name)}, nil
 	}
-	if err := s.engine.DropTable(s.user, st.Name); err != nil {
+	if err := s.engine.DropTable(ctx, s.user, st.Name); err != nil {
 		return nil, err
 	}
 	return &Result{Message: fmt.Sprintf("table %s dropped", st.Name)}, nil
@@ -321,7 +321,7 @@ func (s *Session) execDesc(st *DescStmt) (*Result, error) {
 // --- DML ---
 
 // execInsert evaluates the VALUES rows and writes them all through
-// Engine.Insert, which rides Table.InsertBatch — a multi-row INSERT is
+// Engine.Insert, which rides Table.InsertBatchCtx — a multi-row INSERT is
 // one group commit per touched storage region, not one Put per value.
 func (s *Session) execInsert(ctx context.Context, st *InsertStmt) (*Result, error) {
 	t, err := s.engine.OpenTable(s.user, st.Table)
@@ -823,9 +823,9 @@ func (ex *executor) runScan(v *ScanPlan) (*exec.DataFrame, error) {
 			return nil, err
 		}
 		var rows []exec.Row
-		row, err := t.Get(v.FIDEq)
+		row, err := t.GetCtx(ex.ctx, v.FIDEq)
 		if err != nil && !errors.Is(err, kv.ErrNotFound) {
-			return nil, err
+			return nil, exec.MapCtxErr(err)
 		}
 		if err == nil {
 			// Apply remaining pushed predicates to the single row.

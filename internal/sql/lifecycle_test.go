@@ -9,7 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"just/internal/core"
 	"just/internal/exec"
+	"just/internal/kv"
+	"just/internal/rpc"
 )
 
 // lifecycleSession builds a session over a table with n point rows.
@@ -155,4 +158,52 @@ func TestViewSurvivesCreatorCancel(t *testing.T) {
 		t.Fatalf("view rows = %d, want 100", n)
 	}
 	res.Frame.Release()
+}
+
+// TestPointLookupDeadlinePropagates pins the statement deadline on the
+// attribute-index point path: with the region server's get op slowed
+// past the deadline, `WHERE fid = …` must give up with the typed
+// deadline error at about the deadline instead of waiting the delay
+// out (a context-free Get would wait and then succeed).
+func TestPointLookupDeadlinePropagates(t *testing.T) {
+	lb := kv.NewLoopback()
+	node, err := kv.OpenRegionNode(t.TempDir(), kv.NodeOptions{NodeID: 1, Transport: lb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { node.Close() })
+	lb.Register("s1", node.Handler())
+	ft := kv.NewFaultTransport(lb, 1)
+	e, err := core.Open(core.Config{
+		Dir:     t.TempDir(),
+		Workers: 2,
+		Router:  &kv.RouterOptions{Peers: []string{"s1"}, Transport: ft},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	s := NewSession(e, "")
+	mustExec(t, s, `CREATE TABLE pts (fid integer:primary key, geom point, name string)`)
+	mustExec(t, s, `INSERT INTO pts VALUES (7, st_makePoint(116.4, 39.9), 'seven')`)
+
+	const delay, deadline = 2 * time.Second, 50 * time.Millisecond
+	ft.Add(kv.TransportFaultRule{Op: rpc.OpGet, Prob: 1, Delay: delay})
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	_, err = s.ExecuteContext(ctx, `SELECT name FROM pts WHERE fid = 7`)
+	if !errors.Is(err, exec.ErrDeadlineExceeded) {
+		t.Fatalf("err = %v after %s, want ErrDeadlineExceeded", err, time.Since(start))
+	}
+	if took := time.Since(start); took >= delay {
+		t.Fatalf("point lookup took %s: it waited out the %s delay instead of its %s deadline", took, delay, deadline)
+	}
+
+	ft.Clear()
+	res := mustExec(t, s, `SELECT name FROM pts WHERE fid = 7`)
+	defer res.Frame.Release()
+	if rows := res.Frame.Collect(); len(rows) != 1 || rows[0][0] != "seven" {
+		t.Fatalf("rows after clearing the fault = %v", rows)
+	}
 }

@@ -77,17 +77,18 @@ func codecBenchTable(b *testing.B, codec string) (*Table, int64) {
 	}
 	rng := rand.New(rand.NewSource(23))
 	step := float64(benchDayMS) / codecBenchCount
+	rows := make([]exec.Row, 0, codecBenchCount)
 	for i := 0; i < codecBenchCount; i++ {
-		row := exec.Row{
+		rows = append(rows, exec.Row{
 			int64(i),
 			int64(float64(i) * step),
 			geom.Point{Lng: 116.0 + rng.Float64(), Lat: 39.5 + rng.Float64()},
 			fmt.Sprintf("rider-%04d", rng.Intn(500)),
 			rng.Float64() * 30,
-		}
-		if err := tbl.Insert(row); err != nil {
-			b.Fatal(err)
-		}
+		})
+	}
+	if err := insertRows(tbl, rows...); err != nil {
+		b.Fatal(err)
 	}
 	if err := cluster.Flush(); err != nil {
 		b.Fatal(err)

@@ -135,18 +135,19 @@ func zoneBenchTable() (*Table, error) {
 		}
 		rng := rand.New(rand.NewSource(23))
 		step := float64(benchDayMS) / zoneBenchCount
+		rows := make([]exec.Row, 0, zoneBenchCount)
 		for i := 0; i < zoneBenchCount; i++ {
-			row := exec.Row{
+			rows = append(rows, exec.Row{
 				int64(i),
 				int64(float64(i) * step), // time grows with fid
 				geom.Point{Lng: 116.0 + rng.Float64(), Lat: 39.5 + rng.Float64()},
 				fmt.Sprintf("rider-%04d", rng.Intn(500)),
 				rng.Float64() * 30,
-			}
-			if err := tbl.Insert(row); err != nil {
-				zoneBenchErr = err
-				return
-			}
+			})
+		}
+		if err := insertRows(tbl, rows...); err != nil {
+			zoneBenchErr = err
+			return
 		}
 		if err := cluster.Flush(); err != nil {
 			zoneBenchErr = err
@@ -201,34 +202,6 @@ func BenchmarkZoneMapSkip(b *testing.B) {
 	b.ReportMetric(float64(skipped)/float64(b.N), "blocks-skipped/op")
 }
 
-// BenchmarkZoneMapSkipLegacy: the identical query through the retired
-// row pipeline, which plans the same attribute scan but carries no zone
-// hints — every block is read and decoded. The before/after pair for
-// the zone-map experiment.
-func BenchmarkZoneMapSkipLegacy(b *testing.B) {
-	tbl, err := zoneBenchTable()
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := zoneBenchQuery()
-	b.ResetTimer()
-	rows := 0
-	for i := 0; i < b.N; i++ {
-		rows = 0
-		if err := tbl.scanRowsLegacy(context.Background(), q, nil, func(r exec.Row) bool {
-			rows++
-			return true
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if rows == 0 {
-		b.Fatal("query matched nothing")
-	}
-	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-}
-
 // TestZoneMapPruningFixture is the CI gate for zone-map pruning: the
 // selective window over the pruning fixture must skip blocks and still
 // return exactly the in-window rows. It uses a small local copy of the
@@ -261,15 +234,16 @@ func TestZoneMapPruningFixture(t *testing.T) {
 	const n = 8000
 	day := int64(24 * 3600 * 1000)
 	step := float64(day) / n
+	fixture := make([]exec.Row, 0, n)
 	for i := 0; i < n; i++ {
-		row := exec.Row{
+		fixture = append(fixture, exec.Row{
 			int64(i),
 			int64(float64(i) * step),
 			geom.Point{Lng: 116.0 + rng.Float64(), Lat: 39.5 + rng.Float64()},
-		}
-		if err := tbl.Insert(row); err != nil {
-			t.Fatal(err)
-		}
+		})
+	}
+	if err := insertRows(tbl, fixture...); err != nil {
+		t.Fatal(err)
 	}
 	if err := cluster.Flush(); err != nil {
 		t.Fatal(err)

@@ -171,7 +171,7 @@ func runIngestBench(b *testing.B, rows []exec.Row, mk func(*testing.B) (*Table, 
 
 func insertSeed(t *Table, rows []exec.Row) error {
 	for _, r := range rows {
-		if err := t.Insert(r); err != nil {
+		if err := t.insertOne(bg, r); err != nil {
 			return err
 		}
 	}
@@ -184,7 +184,7 @@ func insertBatched(t *Table, rows []exec.Row) error {
 		if n > len(rows) {
 			n = len(rows)
 		}
-		if err := t.InsertBatch(rows[:n]); err != nil {
+		if err := t.InsertBatchCtx(bg, rows[:n]); err != nil {
 			return err
 		}
 		rows = rows[n:]

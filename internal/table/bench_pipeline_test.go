@@ -53,18 +53,13 @@ func seedScanQuery(t *Table, q index.Query, emit func(exec.Row) bool) error {
 		full[i] = prefixRange(prefix, r)
 	}
 	var decodeErr error
-	err = t.cluster.ScanRanges(context.Background(), full, func(k, v []byte) bool {
+	err = kv.ScanRanges(context.Background(), t.cluster, full, func(k, v []byte) bool {
 		row, err := t.codec.Decode(v)
 		if err != nil {
 			decodeErr = err
 			return false
 		}
-		keep, err := t.matches(row, q)
-		if err != nil {
-			decodeErr = err
-			return false
-		}
-		if !keep {
+		if !rowMatches(t, row, q) {
 			return true
 		}
 		return emit(row)
@@ -118,6 +113,7 @@ func trajBenchTable() (*Table, error) {
 			return
 		}
 		rng := rand.New(rand.NewSource(42))
+		rows := make([]exec.Row, 0, benchTrajCount)
 		for i := 0; i < benchTrajCount; i++ {
 			lng := 116.0 + rng.Float64()
 			lat := 39.5 + rng.Float64()
@@ -137,10 +133,11 @@ func trajBenchTable() (*Table, error) {
 				trajBenchErr = err
 				return
 			}
-			if err := tbl.Insert(row); err != nil {
-				trajBenchErr = err
-				return
-			}
+			rows = append(rows, row)
+		}
+		if err := insertRows(tbl, rows...); err != nil {
+			trajBenchErr = err
+			return
 		}
 		if err := cluster.Flush(); err != nil {
 			trajBenchErr = err
@@ -265,18 +262,19 @@ func orderBenchTable() (*Table, error) {
 			return
 		}
 		rng := rand.New(rand.NewSource(7))
+		rows := make([]exec.Row, 0, benchOrderCount)
 		for i := 0; i < benchOrderCount; i++ {
-			row := exec.Row{
+			rows = append(rows, exec.Row{
 				int64(i),
 				int64(rng.Intn(int(benchDayMS))),
 				geom.Point{Lng: 116.0 + rng.Float64(), Lat: 39.5 + rng.Float64()},
 				fmt.Sprintf("rider-%04d", rng.Intn(500)),
 				rng.Float64() * 30,
-			}
-			if err := tbl.Insert(row); err != nil {
-				orderBenchErr = err
-				return
-			}
+			})
+		}
+		if err := insertRows(tbl, rows...); err != nil {
+			orderBenchErr = err
+			return
 		}
 		if err := cluster.Flush(); err != nil {
 			orderBenchErr = err

@@ -24,11 +24,14 @@ var ErrBadRow = errors.New("table: corrupt row encoding")
 // ratio for an order of magnitude faster decompression — the right
 // default for hot scan columns.
 type Codec struct {
-	cols []Column
+	cols   []Column
+	schema *exec.Schema // for the one-row batches Decode boxes rows out of
 }
 
 // NewCodec builds a codec for the column list.
-func NewCodec(cols []Column) *Codec { return &Codec{cols: cols} }
+func NewCodec(cols []Column) *Codec {
+	return &Codec{cols: cols, schema: (&Desc{Columns: cols}).Schema()}
+}
 
 // Encode serializes row (which must match the codec's arity):
 // [nullBitmap][field...], each field length-prefixed.
@@ -88,69 +91,21 @@ func (c *Codec) Decode(data []byte) (exec.Row, error) {
 // projected query over a trajectory table never pay the gzip cost of
 // its GPS list. Skipped columns are left nil in the returned row.
 func (c *Codec) DecodeProjected(data []byte, needed []bool) (exec.Row, error) {
-	row := make(exec.Row, len(c.cols))
-	if err := c.decodeInto(row, data, needed); err != nil {
+	// One walker parses the record format: DecodeIntoBatch. A row is a
+	// one-row batch boxed at the edge.
+	b := exec.NewColumnBatch(c.schema, 1)
+	if err := c.DecodeIntoBatch(b, b.Grow(), data, needed, nil); err != nil {
 		return nil, err
 	}
-	return row, nil
-}
-
-// decodeInto fills the needed columns of row from data. Columns already
-// non-nil in row are not decoded again, so a scan can decode its filter
-// columns first, post-filter, and only then decode the remaining (often
-// compressed) columns of surviving rows.
-func (c *Codec) decodeInto(row exec.Row, data []byte, needed []bool) error {
-	nb := (len(c.cols) + 7) / 8
-	if len(data) < nb {
-		return ErrBadRow
-	}
-	bitmap := data[:nb]
-	rest := data[nb:]
-	for i, col := range c.cols {
-		if bitmap[i/8]&(1<<(i%8)) != 0 {
-			continue // null
-		}
-		l, n := binary.Uvarint(rest)
-		if n <= 0 || uint64(len(rest)-n) < l {
-			return ErrBadRow
-		}
-		field := rest[n : n+int(l)]
-		rest = rest[n+int(l):]
-		if needed != nil && !needed[i] {
-			continue // projected out: skip decompression and decoding
-		}
-		if row[i] != nil {
-			continue // already decoded by an earlier pass
-		}
-		if col.Compress != "" {
-			buf := fieldBufPool.Get().(*bytes.Buffer)
-			buf.Reset()
-			if err := decompressInto(buf, col.Compress, field); err != nil {
-				fieldBufPool.Put(buf)
-				return err
-			}
-			v, err := decodeValue(col.Type, buf.Bytes())
-			fieldBufPool.Put(buf)
-			if err != nil {
-				return fmt.Errorf("table: column %q: %w", col.Name, err)
-			}
-			row[i] = v
-			continue
-		}
-		v, err := decodeValue(col.Type, field)
-		if err != nil {
-			return fmt.Errorf("table: column %q: %w", col.Name, err)
-		}
-		row[i] = v
-	}
-	return nil
+	return b.RowAt(0), nil
 }
 
 // DecodeIntoBatch decodes the needed columns of one encoded row into
 // the batch's column vectors at physical row ri (allocated beforehand
 // with b.Grow). Scalar columns land in the typed vectors without
-// boxing; unneeded fields are skipped by their length prefix, exactly
-// as in DecodeProjected. Calling it again on the same row with a
+// boxing; unneeded fields are skipped by their length prefix without
+// decompression or decoding. It is the one function that walks the
+// record format. Calling it again on the same row with a
 // disjoint needed mask fills further columns — the late-materialization
 // second pass for rows that survived the filter.
 //
@@ -437,28 +392,12 @@ func encodeValue(t exec.DataType, v any) ([]byte, error) {
 	}
 }
 
+// decodeValue decodes a field of one of the boxed (any-backed) column
+// types; decodeFieldInto handles the scalar types in place.
 func decodeValue(t exec.DataType, data []byte) (any, error) {
 	switch t {
-	case exec.TypeInt, exec.TypeTime:
-		x, n := binary.Varint(data)
-		if n <= 0 {
-			return nil, ErrBadRow
-		}
-		return x, nil
-	case exec.TypeFloat:
-		if len(data) != 8 {
-			return nil, ErrBadRow
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(data)), nil
-	case exec.TypeString:
-		return string(data), nil
 	case exec.TypeBytes:
 		return append([]byte(nil), data...), nil
-	case exec.TypeBool:
-		if len(data) != 1 {
-			return nil, ErrBadRow
-		}
-		return data[0] == 1, nil
 	case exec.TypeGeometry:
 		g, _, err := decodeGeometry(data)
 		return g, err

@@ -172,7 +172,7 @@ func newTrajTestTableCodec(t *testing.T, rng *rand.Rand, n int, method string) *
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tbl.Insert(row); err != nil {
+		if err := insertRows(tbl, row); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,7 +220,7 @@ func TestGzipRowsReadableAfterLZ4Migration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Insert(row); err != nil {
+	if err := insertRows(tbl, row); err != nil {
 		t.Fatal(err)
 	}
 	q := index.Query{Window: geom.NewMBR(115.5, 39.0, 117.5, 41.0)}

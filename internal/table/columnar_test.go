@@ -50,22 +50,27 @@ func newOrderTestTable(t *testing.T, rng *rand.Rand, n, flushEvery int) *Table {
 		t.Fatal(err)
 	}
 	day := int64(24 * 3600 * 1000)
+	var rows []exec.Row
 	for i := 0; i < n; i++ {
-		row := exec.Row{
+		rows = append(rows, exec.Row{
 			int64(i),
 			int64(rng.Intn(int(day))),
 			geom.Point{Lng: 116.0 + rng.Float64(), Lat: 39.5 + rng.Float64()},
 			fmt.Sprintf("rider-%03d", rng.Intn(50)),
 			rng.Float64() * 30,
-		}
-		if err := tbl.Insert(row); err != nil {
-			t.Fatal(err)
-		}
-		if flushEvery > 0 && i%flushEvery == flushEvery-1 {
+		})
+		if flushEvery > 0 && len(rows) == flushEvery {
+			if err := insertRows(tbl, rows...); err != nil {
+				t.Fatal(err)
+			}
 			if err := cluster.Flush(); err != nil {
 				t.Fatal(err)
 			}
+			rows = nil
 		}
+	}
+	if err := insertRows(tbl, rows...); err != nil {
+		t.Fatal(err)
 	}
 	d.MinTimeMS, d.MaxTimeMS = 0, day
 	return tbl
@@ -93,6 +98,7 @@ func newTrajTestTable(t *testing.T, rng *rand.Rand, n int) *Table {
 		t.Fatal(err)
 	}
 	day := int64(24 * 3600 * 1000)
+	var rows []exec.Row
 	for i := 0; i < n; i++ {
 		lng := 116.0 + rng.Float64()
 		lat := 39.5 + rng.Float64()
@@ -108,9 +114,10 @@ func newTrajTestTable(t *testing.T, rng *rand.Rand, n int) *Table {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tbl.Insert(row); err != nil {
-			t.Fatal(err)
-		}
+		rows = append(rows, row)
+	}
+	if err := insertRows(tbl, rows...); err != nil {
+		t.Fatal(err)
 	}
 	if err := cluster.Flush(); err != nil {
 		t.Fatal(err)
@@ -139,18 +146,6 @@ func canonicalRows(rows []exec.Row) []string {
 	return out
 }
 
-func collectLegacy(t *testing.T, tbl *Table, q index.Query, needed []bool) []exec.Row {
-	t.Helper()
-	var rows []exec.Row
-	if err := tbl.scanRowsLegacy(context.Background(), q, needed, func(r exec.Row) bool {
-		rows = append(rows, r)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return rows
-}
-
 func collectBatched(t *testing.T, tbl *Table, q index.Query, needed []bool) []exec.Row {
 	t.Helper()
 	var rows []exec.Row
@@ -163,11 +158,12 @@ func collectBatched(t *testing.T, tbl *Table, q index.Query, needed []bool) []ex
 	return rows
 }
 
-// TestScanBatchesMatchesLegacyOrders: the columnar scan must return
-// exactly the rows the retired row pipeline returned, across randomized
+// TestScanBatchesMatchesOracleOrders: the index-planned columnar scan
+// must return exactly the rows the brute-force oracle finds (every row
+// of the table, window predicate on the decoded row), across randomized
 // spatio-temporal windows and projections, on a point-record table
 // spanning SSTables and the memtable.
-func TestScanBatchesMatchesLegacyOrders(t *testing.T) {
+func TestScanBatchesMatchesOracleOrders(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tbl := newOrderTestTable(t, rng, 3000, 1000)
 	day := int64(24 * 3600 * 1000)
@@ -192,10 +188,10 @@ func TestScanBatchesMatchesLegacyOrders(t *testing.T) {
 			q = index.Query{Window: geom.WorldMBR, HasTime: true, TMin: 0, TMax: day}
 		}
 		needed := projections[trial%len(projections)]
-		want := canonicalRows(collectLegacy(t, tbl, q, needed))
+		want := canonicalRows(scanOracle(t, tbl, q, needed))
 		got := canonicalRows(collectBatched(t, tbl, q, needed))
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: columnar scan diverges from row pipeline: %d vs %d rows", trial, len(got), len(want))
+			t.Fatalf("trial %d: columnar scan diverges from the brute-force oracle: %d vs %d rows", trial, len(got), len(want))
 		}
 		if trial == 0 && len(want) == 0 {
 			t.Fatal("degenerate trial: query matched nothing")
@@ -203,10 +199,10 @@ func TestScanBatchesMatchesLegacyOrders(t *testing.T) {
 	}
 }
 
-// TestScanBatchesMatchesLegacyTraj: same equivalence on the trajectory
+// TestScanBatchesMatchesOracleTraj: same equivalence on the trajectory
 // plugin table — gzip-compressed GPS lists, xz2/xz2t indexes, NULLable
 // projected columns.
-func TestScanBatchesMatchesLegacyTraj(t *testing.T) {
+func TestScanBatchesMatchesOracleTraj(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	tbl := newTrajTestTable(t, rng, 200)
 	projections := [][]bool{
@@ -225,10 +221,10 @@ func TestScanBatchesMatchesLegacyTraj(t *testing.T) {
 			q.TMax = q.TMin + 6*3600*1000
 		}
 		needed := projections[trial%len(projections)]
-		want := canonicalRows(collectLegacy(t, tbl, q, needed))
+		want := canonicalRows(scanOracle(t, tbl, q, needed))
 		got := canonicalRows(collectBatched(t, tbl, q, needed))
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: columnar scan diverges from row pipeline: %d vs %d rows", trial, len(got), len(want))
+			t.Fatalf("trial %d: columnar scan diverges from the brute-force oracle: %d vs %d rows", trial, len(got), len(want))
 		}
 	}
 }
@@ -277,7 +273,7 @@ func TestStatsFlipPlanChoice(t *testing.T) {
 			fmt.Sprintf("rider-%03d", rng.Intn(50)),
 			rng.Float64() * 30,
 		}
-		if err := tbl.Insert(row); err != nil {
+		if err := insertRows(tbl, row); err != nil {
 			t.Fatal(err)
 		}
 	}

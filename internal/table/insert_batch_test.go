@@ -1,6 +1,7 @@
 package table
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -15,7 +16,7 @@ import (
 func collectPairs(t *testing.T, c *kv.Cluster) map[string]string {
 	t.Helper()
 	pairs := map[string]string{}
-	err := c.ScanRange(kv.KeyRange{}, func(k, v []byte) bool {
+	err := kv.ScanRange(bg, c, kv.KeyRange{}, func(k, v []byte) bool {
 		pairs[string(k)] = string(v)
 		return true
 	})
@@ -27,8 +28,8 @@ func collectPairs(t *testing.T, c *kv.Cluster) map[string]string {
 
 // TestInsertBatchMatchesInsert drives the same workload — fresh rows,
 // upserts that move records in space and time, rows with no geometry,
-// and fids repeated within one batch — through the per-row Insert path
-// on one cluster and InsertBatch on another, then asserts the stored
+// and fids repeated within one batch — through the per-row insertOne
+// oracle on one cluster and InsertBatchCtx on another, then asserts the stored
 // key/value sets are identical. That covers the attribute copy, every
 // spatial index copy, and the delete-before-write tombstones.
 func TestInsertBatchMatchesInsert(t *testing.T) {
@@ -71,11 +72,11 @@ func TestInsertBatchMatchesInsert(t *testing.T) {
 	batched, batchedCluster := newTestTable(t)
 	for _, rows := range [][]exec.Row{batch1, batch2} {
 		for _, row := range rows {
-			if err := serial.Insert(row); err != nil {
+			if err := serial.insertOne(bg, row); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := batched.InsertBatch(rows); err != nil {
+		if err := batched.InsertBatchCtx(bg, rows); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -101,11 +102,11 @@ func TestInsertBatchMatchesInsert(t *testing.T) {
 	}
 
 	// Point reads resolve within-batch duplicates to the last row.
-	row, err := batched.Get(int64(60))
+	row, err := batched.GetCtx(bg, int64(60))
 	if err != nil || row[3] != "dup-final" {
 		t.Fatalf("Get(60) = %v, %v", row, err)
 	}
-	row, err = batched.Get(int64(0))
+	row, err = batched.GetCtx(bg, int64(0))
 	if err != nil || row[3] != "moved-again" {
 		t.Fatalf("Get(0) = %v, %v", row, err)
 	}
@@ -123,9 +124,77 @@ func TestInsertBatchMatchesInsert(t *testing.T) {
 	}
 }
 
+// insertOne is the single-row write path: one GetCtx for the previous
+// version, a DeleteCtx per moved index entry, a PutCtx per copy. No
+// production caller is left (every insert is a batch); it stays here as
+// the oracle InsertBatchCtx is checked against.
+func (t *Table) insertOne(ctx context.Context, row exec.Row) error {
+	rec, err := t.record(row)
+	if err != nil {
+		return err
+	}
+	value, err := t.codec.Encode(row)
+	if err != nil {
+		return err
+	}
+	newKeys := make([][]byte, len(t.strategies))
+	for i, s := range t.strategies {
+		if rec.Geom == nil {
+			continue // non-spatial rows live only in the attribute index
+		}
+		key, err := s.Key(rec)
+		if err != nil {
+			return err
+		}
+		newKeys[i] = append(t.keyPrefix(t.Desc.Indexes[indexSlot(t.Desc, i)].ID), key...)
+	}
+	// Tombstone index entries of a previous version that landed on
+	// different keys (the record moved).
+	attrKey := append(t.keyPrefix(t.attrID), t.attr.KeyForFID(rec.FID)...)
+	if oldValue, err := t.cluster.GetCtx(ctx, attrKey); err == nil {
+		oldRow, err := t.codec.Decode(oldValue)
+		if err != nil {
+			return err
+		}
+		oldRec, err := t.record(oldRow)
+		if err != nil {
+			return err
+		}
+		for i, s := range t.strategies {
+			if oldRec.Geom == nil {
+				continue
+			}
+			oldKey, err := s.Key(oldRec)
+			if err != nil {
+				return err
+			}
+			full := append(t.keyPrefix(t.Desc.Indexes[indexSlot(t.Desc, i)].ID), oldKey...)
+			if newKeys[i] == nil || !bytes.Equal(full, newKeys[i]) {
+				if err := t.cluster.DeleteCtx(ctx, full); err != nil {
+					return err
+				}
+			}
+		}
+	} else if err != kv.ErrNotFound {
+		return err
+	}
+	if err := t.cluster.PutCtx(ctx, attrKey, value); err != nil {
+		return err
+	}
+	for _, key := range newKeys {
+		if key == nil {
+			continue
+		}
+		if err := t.cluster.PutCtx(ctx, key, value); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func TestInsertBatchEmpty(t *testing.T) {
 	tbl, cluster := newTestTable(t)
-	if err := tbl.InsertBatch(nil); err != nil {
+	if err := tbl.InsertBatchCtx(bg, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(collectPairs(t, cluster)); n != 0 {

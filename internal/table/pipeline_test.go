@@ -55,13 +55,13 @@ func TestDecodeProjectedSubsets(t *testing.T) {
 	}
 }
 
-// TestDecodeIntoSecondPass checks the two-phase decode used by the scan
-// pipeline: a partial first pass followed by a wider second pass over
-// the same row must not re-decode and must fill in the rest.
-func TestDecodeIntoSecondPass(t *testing.T) {
+// TestDecodeIntoBatchSecondPass checks the two-phase decode used by the
+// scan pipeline: a filter-column first pass followed by a second pass
+// over the complementary mask must fill in the rest of the same batch
+// row, and the result must equal the one-pass decode.
+func TestDecodeIntoBatchSecondPass(t *testing.T) {
 	codec := NewCodec(testColumns())
-	row := testRow(9)
-	data, err := codec.Encode(row)
+	data, err := codec.Encode(testRow(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,19 +69,24 @@ func TestDecodeIntoSecondPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make(exec.Row, len(testColumns()))
-	phase1 := make([]bool, len(testColumns()))
-	phase1[2], phase1[3] = true, true // time, geom
-	if err := codec.decodeInto(out, data, phase1); err != nil {
+	n := len(testColumns())
+	phase1, phase2 := make([]bool, n), make([]bool, n)
+	for i := range phase2 {
+		phase1[i] = i == 2 || i == 3 // time, geom
+		phase2[i] = !phase1[i]
+	}
+	b := exec.NewColumnBatch(codec.schema, 1)
+	ri := b.Grow()
+	if err := codec.DecodeIntoBatch(b, ri, data, phase1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if out[2] == nil || out[3] == nil || out[0] != nil {
+	if out := b.RowAt(0); out[2] == nil || out[3] == nil || out[0] != nil {
 		t.Fatalf("phase 1 decoded wrong columns: %v", out)
 	}
-	if err := codec.decodeInto(out, data, nil); err != nil {
+	if err := codec.DecodeIntoBatch(b, ri, data, phase2, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual([]any(out), []any(full)) {
+	if out := b.RowAt(0); !reflect.DeepEqual([]any(out), []any(full)) {
 		t.Fatalf("two-phase decode %v != full decode %v", out, full)
 	}
 }
@@ -90,7 +95,7 @@ func TestScanProjected(t *testing.T) {
 	tbl, _ := newTestTable(t)
 	for i := 0; i < 100; i++ {
 		row := exec.Row{int64(i), int64(i) * hourMS, geom.Point{Lng: 116.4 + float64(i)*0.0001, Lat: 39.9}, "x"}
-		if err := tbl.Insert(row); err != nil {
+		if err := insertRows(tbl, row); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,7 +140,7 @@ func TestScanDecodeErrorPropagates(t *testing.T) {
 	tbl, cluster := newTestTable(t)
 	for i := 0; i < 50; i++ {
 		row := exec.Row{int64(i), int64(i) * hourMS, geom.Point{Lng: 116.4, Lat: 39.9}, "x"}
-		if err := tbl.Insert(row); err != nil {
+		if err := insertRows(tbl, row); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,7 +148,7 @@ func TestScanDecodeErrorPropagates(t *testing.T) {
 	// truncated encoding: the null bitmap claims every column present
 	// but no field bytes follow.
 	var victims [][]byte
-	if err := cluster.ScanRange(kv.KeyRange{}, func(k, v []byte) bool {
+	if err := kv.ScanRange(bg, cluster, kv.KeyRange{}, func(k, v []byte) bool {
 		victims = append(victims, append([]byte(nil), k...))
 		return true
 	}); err != nil {
@@ -153,7 +158,7 @@ func TestScanDecodeErrorPropagates(t *testing.T) {
 		t.Fatal("no stored keys")
 	}
 	for _, k := range victims {
-		if err := cluster.Put(k, []byte{0x00}); err != nil {
+		if err := cluster.PutCtx(bg, k, []byte{0x00}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -182,97 +182,22 @@ func (t *Table) record(row exec.Row) (index.Record, error) {
 	return rec, nil
 }
 
-// Insert writes the row into the attribute index and every spatial
-// index. Re-inserting the same fid overwrites all copies — the
-// update-enabled property: keys depend only on the record itself
-// (Section I, characteristic 3). When the update moves the record in
-// space or time, the superseded index entries are tombstoned first
-// (GeoMesa's delete-before-write upsert); the attribute index's bloom
-// filters make the existence probe cheap for fresh fids.
-func (t *Table) Insert(row exec.Row) error {
-	return t.InsertCtx(context.Background(), row)
-}
-
-// InsertCtx is Insert bounded by ctx: on the networked store the
-// remaining budget rides each kv request to the region servers.
-func (t *Table) InsertCtx(ctx context.Context, row exec.Row) error {
-	rec, err := t.record(row)
-	if err != nil {
-		return err
-	}
-	value, err := t.codec.Encode(row)
-	if err != nil {
-		return err
-	}
-	newKeys := make([][]byte, len(t.strategies))
-	for i, s := range t.strategies {
-		if rec.Geom == nil {
-			continue // non-spatial rows live only in the attribute index
-		}
-		key, err := s.Key(rec)
-		if err != nil {
-			return err
-		}
-		newKeys[i] = append(t.keyPrefix(t.Desc.Indexes[indexSlot(t.Desc, i)].ID), key...)
-	}
-	// Tombstone index entries of a previous version that landed on
-	// different keys (the record moved).
-	attrKey := append(t.keyPrefix(t.attrID), t.attr.KeyForFID(rec.FID)...)
-	if oldValue, err := t.cluster.GetCtx(ctx, attrKey); err == nil {
-		oldRow, err := t.codec.Decode(oldValue)
-		if err != nil {
-			return err
-		}
-		oldRec, err := t.record(oldRow)
-		if err != nil {
-			return err
-		}
-		for i, s := range t.strategies {
-			if oldRec.Geom == nil {
-				continue
-			}
-			oldKey, err := s.Key(oldRec)
-			if err != nil {
-				return err
-			}
-			full := append(t.keyPrefix(t.Desc.Indexes[indexSlot(t.Desc, i)].ID), oldKey...)
-			if newKeys[i] == nil || !bytes.Equal(full, newKeys[i]) {
-				if err := t.cluster.DeleteCtx(ctx, full); err != nil {
-					return err
-				}
-			}
-		}
-	} else if err != kv.ErrNotFound {
-		return err
-	}
-	if err := t.cluster.PutCtx(ctx, attrKey, value); err != nil {
-		return err
-	}
-	for _, key := range newKeys {
-		if key == nil {
-			continue
-		}
-		if err := t.cluster.PutCtx(ctx, key, value); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// InsertBatch writes rows through the batched group-commit write path:
-// rows are encoded and compressed in parallel across a worker pool, the
-// previous versions for the delete-before-write upsert are probed with
-// one Cluster.MultiGet, and all mutations — tombstones for moved index
-// entries, the attribute copy, every spatial index copy — are emitted
-// as one kv.WriteBatch, so each storage region takes its lock and syncs
-// its WAL once per batch instead of once per key. Semantically it
-// matches calling Insert per row, including upserts of fids repeated
-// within the batch (later rows win).
-func (t *Table) InsertBatch(rows []exec.Row) error {
-	return t.InsertBatchCtx(context.Background(), rows)
-}
-
-// InsertBatchCtx is InsertBatch bounded by ctx.
+// InsertBatchCtx writes rows into the attribute index and every spatial
+// index through the batched group-commit write path: rows are encoded
+// and compressed in parallel across a worker pool, the previous
+// versions for the delete-before-write upsert are probed with one
+// MultiGetCtx, and all mutations — tombstones for moved index entries,
+// the attribute copy, every spatial index copy — are emitted as one
+// kv.WriteBatch, so each storage region takes its lock and syncs its
+// WAL once per batch instead of once per key.
+//
+// Re-inserting a fid overwrites all copies — the update-enabled
+// property: keys depend only on the record itself (Section I,
+// characteristic 3). When the update moves the record in space or time,
+// the superseded index entries are tombstoned first (GeoMesa's
+// delete-before-write upsert); fids repeated within the batch resolve
+// in row order (later rows win). On the networked store the remaining
+// budget of ctx rides each kv request to the region servers.
 func (t *Table) InsertBatchCtx(ctx context.Context, rows []exec.Row) error {
 	if len(rows) == 0 {
 		return nil
@@ -451,12 +376,7 @@ func indexSlot(d *Desc, i int) int {
 	return -1
 }
 
-// Get fetches a row by primary key.
-func (t *Table) Get(fid any) (exec.Row, error) {
-	return t.GetCtx(context.Background(), fid)
-}
-
-// GetCtx is Get bounded by ctx.
+// GetCtx fetches a row by primary key.
 func (t *Table) GetCtx(ctx context.Context, fid any) (exec.Row, error) {
 	key := append(t.keyPrefix(t.attrID), t.attr.KeyForFID(FIDBytes(fid))...)
 	v, err := t.cluster.GetCtx(ctx, key)
@@ -467,8 +387,8 @@ func (t *Table) GetCtx(ctx context.Context, fid any) (exec.Row, error) {
 }
 
 // Delete removes a row (all index copies) by primary key.
-func (t *Table) Delete(fid any) error {
-	row, err := t.Get(fid)
+func (t *Table) Delete(ctx context.Context, fid any) error {
+	row, err := t.GetCtx(ctx, fid)
 	if err != nil {
 		return err
 	}
@@ -485,12 +405,12 @@ func (t *Table) Delete(fid any) error {
 			return err
 		}
 		full := append(t.keyPrefix(t.Desc.Indexes[indexSlot(t.Desc, i)].ID), key...)
-		if err := t.cluster.Delete(full); err != nil {
+		if err := t.cluster.DeleteCtx(ctx, full); err != nil {
 			return err
 		}
 	}
 	attrKey := append(t.keyPrefix(t.attrID), t.attr.KeyForFID(rec.FID)...)
-	return t.cluster.Delete(attrKey)
+	return t.cluster.DeleteCtx(ctx, attrKey)
 }
 
 // chooseStrategy picks the most selective index for a query: a temporal
@@ -531,19 +451,24 @@ func (t *Table) ScanQuery(ctx context.Context, q index.Query, emit func(exec.Row
 }
 
 // ScanProjected is ScanQuery with projection pushdown: needed marks the
-// columns the caller will read (nil = all). It is a row-compatibility
-// shim over ScanBatches — rows are boxed out of the column batches at
-// the emit edge. Columns outside needed (and outside the window filter
+// columns the caller will read (nil = all). It is the one row adapter
+// over ScanBatches — rows are boxed out of the column batches at the
+// emit edge. Columns outside needed (and outside the window filter
 // set, which is always decoded) are left nil in emitted rows.
 func (t *Table) ScanProjected(ctx context.Context, q index.Query, needed []bool, emit func(exec.Row) bool) error {
-	return t.ScanBatches(ctx, q, needed, func(b *exec.ColumnBatch) bool {
+	return t.ScanBatches(ctx, q, needed, rowsOf(emit))
+}
+
+// rowsOf adapts a row consumer to a batch consumer.
+func rowsOf(emit func(exec.Row) bool) func(*exec.ColumnBatch) bool {
+	return func(b *exec.ColumnBatch) bool {
 		for i := 0; i < b.Len(); i++ {
 			if !emit(b.RowAt(i)) {
 				return false
 			}
 		}
 		return true
-	})
+	}
 }
 
 // ScanBatches is the columnar scan pipeline: key ranges are planned on
@@ -571,13 +496,24 @@ func (t *Table) ScanBatches(ctx context.Context, q index.Query, needed []bool, e
 			ranges[i].Zoned, ranges[i].ZMin, ranges[i].ZMax = true, q.TMin, q.TMax
 		}
 	}
+	return t.collectBatches(ctx, ranges, &q, needed, emit)
+}
+
+// collectBatches scans ranges into column batches. q, when non-nil, is
+// the window every row must pass (see ScanBatches for the staging); a
+// nil q keeps every row, geometry or not.
+func (t *Table) collectBatches(ctx context.Context, ranges []kv.KeyRange, q *index.Query, needed []bool, emit func(*exec.ColumnBatch) bool) error {
 	schema := t.Schema()
-	filter := t.filterCols()
-	// rest = needed ∪ filter, minus what the filter pass already decoded.
+	var filter []bool
+	if q != nil {
+		filter = t.filterCols()
+	}
+	// rest = the needed columns the filter pass has not already decoded.
 	rest := make([]bool, len(t.Desc.Columns))
 	for i := range rest {
 		rest[i] = (needed == nil || needed[i]) && (filter == nil || !filter[i])
 	}
+	timeCheck := filter != nil && q.HasTime && t.timeIdx >= 0
 	qry := exec.QueryFromContext(ctx)
 	newTask := func() kv.TaskCollector[*exec.ColumnBatch] {
 		// Batch capacity ramps up (32 → BatchRows): a LIMIT-style query
@@ -600,7 +536,7 @@ func (t *Table) ScanBatches(ctx context.Context, q index.Query, needed []bool, e
 			}
 		}
 		add := func(_, v []byte) (*exec.ColumnBatch, bool, error) {
-			if filter != nil && q.HasTime && t.timeIdx >= 0 {
+			if timeCheck {
 				if tmin, tmax, ok := t.codec.DecodeTimeBounds(v, t.timeIdx, t.endIdx); ok && (tmin > q.TMax || tmax < q.TMin) {
 					return nil, false, nil
 				}
@@ -610,7 +546,7 @@ func (t *Table) ScanBatches(ctx context.Context, q index.Query, needed []bool, e
 				if err := t.codec.DecodeIntoBatch(b, ri, v, filter, interns); err != nil {
 					return nil, false, err
 				}
-				if !t.matchesAt(b, ri, q) {
+				if !t.matchesAt(b, ri, *q) {
 					b.Ungrow()
 					return nil, false, nil
 				}
@@ -637,7 +573,7 @@ func (t *Table) ScanBatches(ctx context.Context, q index.Query, needed []bool, e
 		return kv.TaskCollector[*exec.ColumnBatch]{Add: add, Finish: finish}
 	}
 	var budgetErr error
-	err = kv.ScanCollect(ctx, t.cluster, ranges, newTask, func(b *exec.ColumnBatch) bool {
+	err := kv.ScanCollect(ctx, t.cluster, ranges, newTask, func(b *exec.ColumnBatch) bool {
 		sz := b.MemSize()
 		if err := qry.Reserve(sz); err != nil {
 			budgetErr = err
@@ -653,8 +589,9 @@ func (t *Table) ScanBatches(ctx context.Context, q index.Query, needed []bool, e
 	return exec.MapCtxErr(err)
 }
 
-// matchesAt is matches over a batch row: same predicate, no boxing for
-// the time columns.
+// matchesAt post-filters batch row ri against the query window: the
+// record's MBR must intersect it and its time span must overlap. No
+// boxing for the time columns.
 func (t *Table) matchesAt(b *exec.ColumnBatch, ri int, q index.Query) bool {
 	if t.geomIdx >= 0 {
 		g, _ := b.Col(t.geomIdx).Value(ri).(geom.Geometry)
@@ -680,18 +617,7 @@ func (t *Table) matchesAt(b *exec.ColumnBatch, ri int, q index.Query) bool {
 	return true
 }
 
-// scanRowsLegacy is the pre-columnar row pipeline, kept as the
-// reference implementation the property tests compare ScanBatches
-// against (and as a fallback path for debugging).
-func (t *Table) scanRowsLegacy(ctx context.Context, q index.Query, needed []bool, emit func(exec.Row) bool) error {
-	path, err := t.planHeuristic(q)
-	if err != nil {
-		return err
-	}
-	return t.pipelineScan(ctx, path.Ranges, q, needed, emit)
-}
-
-// filterCols returns the bitmap of columns matches() reads, or nil when
+// filterCols returns the bitmap of columns matchesAt reads, or nil when
 // the table has no window-filterable columns.
 func (t *Table) filterCols() []bool {
 	if t.geomIdx < 0 && t.timeIdx < 0 && t.endIdx < 0 {
@@ -706,77 +632,24 @@ func (t *Table) filterCols() []bool {
 	return f
 }
 
-// pipelineScan runs decode + post-filter inside the scan workers.
-func (t *Table) pipelineScan(ctx context.Context, ranges []kv.KeyRange, q index.Query, needed []bool, emit func(exec.Row) bool) error {
-	filter := t.filterCols()
-	process := func(_, v []byte) (exec.Row, bool, error) {
-		row := make(exec.Row, len(t.Desc.Columns))
-		if filter != nil {
-			if err := t.codec.decodeInto(row, v, filter); err != nil {
-				return nil, false, err
-			}
-		}
-		keep, err := t.matches(row, q)
-		if err != nil || !keep {
-			return nil, false, err
-		}
-		// Second pass decodes the surviving row's remaining needed
-		// columns; the ones decoded above are skipped (row[i] != nil).
-		if err := t.codec.decodeInto(row, v, needed); err != nil {
-			return nil, false, err
-		}
-		return row, true, nil
-	}
-	return exec.MapCtxErr(kv.ScanRangesFunc(ctx, t.cluster, ranges, process, emit))
-}
-
-// matches post-filters a decoded row against the query window.
-func (t *Table) matches(row exec.Row, q index.Query) (bool, error) {
-	if t.geomIdx >= 0 {
-		g, _ := row[t.geomIdx].(geom.Geometry)
-		if g == nil {
-			return false, nil
-		}
-		if !g.MBR().Intersects(q.Window) {
-			return false, nil
-		}
-	}
-	if q.HasTime && t.timeIdx >= 0 {
-		start, _ := row[t.timeIdx].(int64)
-		end := start
-		if t.endIdx >= 0 {
-			if e, ok := row[t.endIdx].(int64); ok {
-				end = e
-			}
-		}
-		if start > q.TMax || end < q.TMin {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// FullScan streams every row via the attribute index, decoding inside
-// the scan workers.
+// FullScan streams every row via the attribute index — the same batch
+// collector as ScanBatches with no window, so rows without a geometry
+// are returned too.
 func (t *Table) FullScan(ctx context.Context, emit func(exec.Row) bool) error {
 	prefix := t.keyPrefix(t.attrID)
 	ranges := []kv.KeyRange{{Start: prefix, End: nextKeyPrefix(prefix)}}
-	process := func(_, v []byte) (exec.Row, bool, error) {
-		row, err := t.codec.Decode(v)
-		return row, err == nil, err
-	}
-	return exec.MapCtxErr(kv.ScanRangesFunc(ctx, t.cluster, ranges, process, emit))
+	return t.collectBatches(ctx, ranges, nil, nil, rowsOf(emit))
 }
 
 // DropData deletes every key owned by the table. (DROP TABLE deletes the
 // catalog entry and the stored data.) Keys are collected without
 // touching the values and deleted in one batch per region.
-func (t *Table) DropData() error {
+func (t *Table) DropData(ctx context.Context) error {
 	id := t.Desc.TableID
 	prefix := []byte{byte(id >> 24), byte(id >> 16), byte(id >> 8), byte(id)}
 	ranges := []kv.KeyRange{{Start: prefix, End: nextKeyPrefix(prefix)}}
 	var keys [][]byte
-	err := kv.ScanRangesFunc(context.Background(), t.cluster, ranges,
+	err := kv.ScanRangesFunc(ctx, t.cluster, ranges,
 		func(k, _ []byte) ([]byte, bool, error) {
 			return append([]byte(nil), k...), true, nil
 		},
@@ -785,9 +658,9 @@ func (t *Table) DropData() error {
 			return true
 		})
 	if err != nil {
-		return err
+		return exec.MapCtxErr(err)
 	}
-	return t.cluster.DeleteBatch(keys)
+	return exec.MapCtxErr(t.cluster.DeleteBatchCtx(ctx, keys))
 }
 
 // GeomIndex returns the geometry column position or -1.

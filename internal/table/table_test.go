@@ -304,20 +304,20 @@ const hourMS = int64(3600 * 1000)
 func TestTableInsertGetDelete(t *testing.T) {
 	tbl, _ := newTestTable(t)
 	row := exec.Row{int64(1), int64(5 * hourMS), geom.Point{Lng: 116.4, Lat: 39.9}, "bj"}
-	if err := tbl.Insert(row); err != nil {
+	if err := insertRows(tbl, row); err != nil {
 		t.Fatal(err)
 	}
-	got, err := tbl.Get(int64(1))
+	got, err := tbl.GetCtx(bg, int64(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[3] != "bj" {
 		t.Fatalf("got = %v", got)
 	}
-	if err := tbl.Delete(int64(1)); err != nil {
+	if err := tbl.Delete(bg, int64(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.Get(int64(1)); err == nil {
+	if _, err := tbl.GetCtx(bg, int64(1)); err == nil {
 		t.Fatal("deleted row still readable")
 	}
 }
@@ -331,7 +331,7 @@ func TestTableScanQuery(t *testing.T) {
 			lng, lat = -70.0, -30.0 // far away
 		}
 		row := exec.Row{int64(i), int64(i) * hourMS / 10, geom.Point{Lng: lng, Lat: lat}, "x"}
-		if err := tbl.Insert(row); err != nil {
+		if err := insertRows(tbl, row); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -374,10 +374,10 @@ func TestTableScanQuery(t *testing.T) {
 func TestTableUpdateInPlace(t *testing.T) {
 	tbl, _ := newTestTable(t)
 	row := exec.Row{int64(9), int64(0), geom.Point{Lng: 10, Lat: 10}, "v1"}
-	tbl.Insert(row)
+	insertRows(tbl, row)
 	row2 := exec.Row{int64(9), int64(0), geom.Point{Lng: 10, Lat: 10}, "v2"}
-	tbl.Insert(row2)
-	got, err := tbl.Get(int64(9))
+	insertRows(tbl, row2)
+	got, err := tbl.GetCtx(bg, int64(9))
 	if err != nil || got[3] != "v2" {
 		t.Fatalf("update: %v, %v", got, err)
 	}
@@ -397,8 +397,8 @@ func TestTableUpdateMovesRecord(t *testing.T) {
 	// entry: the old location must stop matching (the taxi-dispatch
 	// example moves cabs).
 	tbl, _ := newTestTable(t)
-	tbl.Insert(exec.Row{int64(7), int64(0), geom.Point{Lng: 10, Lat: 10}, "old-pos"})
-	tbl.Insert(exec.Row{int64(7), int64(0), geom.Point{Lng: 50, Lat: 50}, "new-pos"})
+	insertRows(tbl, exec.Row{int64(7), int64(0), geom.Point{Lng: 10, Lat: 10}, "old-pos"})
+	insertRows(tbl, exec.Row{int64(7), int64(0), geom.Point{Lng: 50, Lat: 50}, "new-pos"})
 
 	count := func(win geom.MBR) int {
 		n := 0
@@ -412,7 +412,7 @@ func TestTableUpdateMovesRecord(t *testing.T) {
 		t.Fatalf("new location matches %d rows, want 1", n)
 	}
 	// Moving in time matters too (Z2T period changes).
-	tbl.Insert(exec.Row{int64(7), 40 * 24 * hourMS, geom.Point{Lng: 50, Lat: 50}, "new-time"})
+	insertRows(tbl, exec.Row{int64(7), 40 * 24 * hourMS, geom.Point{Lng: 50, Lat: 50}, "new-time"})
 	n := 0
 	tbl.ScanQuery(context.Background(), index.Query{Window: geom.NewMBR(49, 49, 51, 51), HasTime: true, TMin: 0, TMax: hourMS},
 		func(exec.Row) bool { n++; return true })
@@ -424,7 +424,7 @@ func TestTableUpdateMovesRecord(t *testing.T) {
 func TestTableFullScan(t *testing.T) {
 	tbl, _ := newTestTable(t)
 	for i := 0; i < 50; i++ {
-		tbl.Insert(exec.Row{int64(i), int64(0), geom.Point{Lng: float64(i), Lat: 0}, "x"})
+		insertRows(tbl, exec.Row{int64(i), int64(0), geom.Point{Lng: float64(i), Lat: 0}, "x"})
 	}
 	n := 0
 	if err := tbl.FullScan(context.Background(), func(r exec.Row) bool { n++; return true }); err != nil {
@@ -438,13 +438,13 @@ func TestTableFullScan(t *testing.T) {
 func TestTableDropData(t *testing.T) {
 	tbl, cluster := newTestTable(t)
 	for i := 0; i < 20; i++ {
-		tbl.Insert(exec.Row{int64(i), int64(0), geom.Point{Lng: 1, Lat: 1}, "x"})
+		insertRows(tbl, exec.Row{int64(i), int64(0), geom.Point{Lng: 1, Lat: 1}, "x"})
 	}
-	if err := tbl.DropData(); err != nil {
+	if err := tbl.DropData(bg); err != nil {
 		t.Fatal(err)
 	}
 	n := 0
-	cluster.ScanRange(kv.KeyRange{}, func(k, v []byte) bool { n++; return true })
+	kv.ScanRange(bg, cluster, kv.KeyRange{}, func(k, v []byte) bool { n++; return true })
 	if n != 0 {
 		t.Fatalf("%d keys remain after DropData", n)
 	}
@@ -516,7 +516,7 @@ func TestTrajectoryTableEndToEnd(t *testing.T) {
 		}
 		traj := &Trajectory{ID: fmt.Sprintf("t-%03d", i), Points: pts}
 		row, _ := traj.Row()
-		if err := tbl.Insert(row); err != nil {
+		if err := insertRows(tbl, row); err != nil {
 			t.Fatal(err)
 		}
 	}
