@@ -1,9 +1,6 @@
 package exec
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // AggKind enumerates aggregate functions.
 type AggKind uint8
@@ -47,128 +44,77 @@ type accumulator struct {
 	sum   float64
 	min   any
 	max   any
-	hasNF bool // saw a non-float value for sum/avg
+	hasNF bool // saw a non-numeric value: SUM/AVG are errors
 }
 
-func (a *accumulator) add(v any) {
-	a.count++
-	if v == nil {
-		return
-	}
-	switch x := v.(type) {
-	case int64:
-		a.sum += float64(x)
-	case float64:
-		a.sum += x
-	default:
-		a.hasNF = true
-	}
-	if a.min == nil {
-		a.min = v
-	} else if c, ok := Compare(v, a.min); ok && c < 0 {
-		a.min = v
-	}
-	if a.max == nil {
-		a.max = v
-	} else if c, ok := Compare(v, a.max); ok && c > 0 {
-		a.max = v
-	}
-}
-
-// addNull mirrors add(nil): COUNT includes NULL rows, extrema ignore
-// them.
+// addNull counts a NULL input: COUNT includes it, extrema ignore it.
 func (a *accumulator) addNull() { a.count++ }
 
-// addInt is add(int64) without boxing on the hot path: the interface
-// allocation for min/max happens only when the extremum moves.
+// addInt, addFloat and addStr feed one value from a typed vector. They
+// box for min/max only when the extremum moves.
 func (a *accumulator) addInt(x int64) {
 	a.count++
 	a.sum += float64(x)
-	if y, ok := a.min.(int64); ok {
-		if x < y {
-			a.min = x
-		}
-	} else if a.min == nil {
-		a.min = x
-	} else if c, ok := Compare(x, a.min); ok && c < 0 {
-		a.min = x
-	}
-	if y, ok := a.max.(int64); ok {
-		if x > y {
-			a.max = x
-		}
-	} else if a.max == nil {
-		a.max = x
-	} else if c, ok := Compare(x, a.max); ok && c > 0 {
-		a.max = x
-	}
+	extrema(a, x)
 }
 
-// addFloat is add(float64) without boxing on the hot path.
 func (a *accumulator) addFloat(x float64) {
 	a.count++
 	a.sum += x
-	if y, ok := a.min.(float64); ok {
-		if x < y {
-			a.min = x
-		}
-	} else if a.min == nil {
-		a.min = x
-	} else if c, ok := Compare(x, a.min); ok && c < 0 {
-		a.min = x
-	}
-	if y, ok := a.max.(float64); ok {
-		if x > y {
-			a.max = x
-		}
-	} else if a.max == nil {
-		a.max = x
-	} else if c, ok := Compare(x, a.max); ok && c > 0 {
-		a.max = x
-	}
+	extrema(a, x)
 }
 
-// addStr is add(string) without boxing on the hot path.
 func (a *accumulator) addStr(x string) {
 	a.count++
 	a.hasNF = true
-	if y, ok := a.min.(string); ok {
-		if x < y {
-			a.min = x
-		}
-	} else if a.min == nil {
-		a.min = x
-	} else if c, ok := Compare(x, a.min); ok && c < 0 {
-		a.min = x
-	}
-	if y, ok := a.max.(string); ok {
-		if x > y {
-			a.max = x
-		}
-	} else if a.max == nil {
-		a.max = x
-	} else if c, ok := Compare(x, a.max); ok && c > 0 {
-		a.max = x
+	extrema(a, x)
+}
+
+// addValue feeds one value of an any-backed or dynamic vector.
+func (a *accumulator) addValue(x any) {
+	switch v := x.(type) {
+	case nil:
+		a.addNull()
+	case int64:
+		a.addInt(v)
+	case float64:
+		a.addFloat(v)
+	case string:
+		a.addStr(v)
+	default:
+		a.count++
+		a.hasNF = true
+		widen(&a.min, x, -1)
+		widen(&a.max, x, 1)
 	}
 }
 
-func (a *accumulator) merge(o *accumulator) {
-	a.count += o.count
-	a.sum += o.sum
-	a.hasNF = a.hasNF || o.hasNF
-	if o.min != nil {
-		if a.min == nil {
-			a.min = o.min
-		} else if c, ok := Compare(o.min, a.min); ok && c < 0 {
-			a.min = o.min
+func extrema[T int64 | float64 | string](a *accumulator, x T) {
+	if y, ok := a.min.(T); ok {
+		if x < y {
+			a.min = x
 		}
+	} else {
+		widen(&a.min, x, -1)
 	}
-	if o.max != nil {
-		if a.max == nil {
-			a.max = o.max
-		} else if c, ok := Compare(o.max, a.max); ok && c > 0 {
-			a.max = o.max
+	if y, ok := a.max.(T); ok {
+		if x > y {
+			a.max = x
 		}
+	} else {
+		widen(&a.max, x, 1)
+	}
+}
+
+// widen moves the extremum *cur to x when cur is unset or x lies
+// beyond it in direction sign; it covers the first value and columns
+// mixing comparable types (int64 with float64). Incomparable values
+// leave the first one seen in place.
+func widen(cur *any, x any, sign int) {
+	if *cur == nil {
+		*cur = x
+	} else if c, ok := Compare(x, *cur); ok && c*sign > 0 {
+		*cur = x
 	}
 }
 
@@ -200,145 +146,11 @@ func (a *accumulator) result(kind AggKind) (any, error) {
 
 type group struct {
 	key  Row
-	accs []*accumulator
-}
-
-// GroupBy aggregates the frame by the key columns (which may be empty
-// for a global aggregate). The result schema is keys followed by one
-// column per aggregate.
-func (d *DataFrame) GroupBy(keys []string, aggs []Agg) (*DataFrame, error) {
-	return d.GroupBySized(keys, aggs, 0)
-}
-
-// GroupBySized is GroupBy with the hash tables presized for an expected
-// group count, the hint the cost-based optimizer derives from table
-// statistics. A hint of 0 means unknown.
-func (d *DataFrame) GroupBySized(keys []string, aggs []Agg, sizeHint int) (*DataFrame, error) {
-	keyIdx := make([]int, len(keys))
-	for i, k := range keys {
-		j := d.schema.Index(k)
-		if j < 0 {
-			return nil, fmt.Errorf("exec: unknown group key %q", k)
-		}
-		keyIdx[i] = j
-	}
-	aggIdx := make([]int, len(aggs))
-	for i, a := range aggs {
-		if a.Col == "*" || a.Col == "" {
-			aggIdx[i] = -1
-			continue
-		}
-		j := d.schema.Index(a.Col)
-		if j < 0 {
-			return nil, fmt.Errorf("exec: unknown aggregate column %q", a.Col)
-		}
-		aggIdx[i] = j
-	}
-
-	// Phase 1: parallel partial aggregation per partition.
-	perPart := 0
-	if sizeHint > 0 && len(d.parts) > 0 {
-		perPart = sizeHint / len(d.parts)
-	}
-	partials := make([]map[uint64][]*group, len(d.parts))
-	err := d.ctx.runParallel(len(d.parts), func(p int) error {
-		local := make(map[uint64][]*group, perPart)
-		for _, r := range d.parts[p] {
-			h := rowHash(r, keyIdx)
-			var g *group
-			for _, cand := range local[h] {
-				if keyEqual(cand.key, r, keyIdx) {
-					g = cand
-					break
-				}
-			}
-			if g == nil {
-				key := make(Row, len(keyIdx))
-				for i, j := range keyIdx {
-					key[i] = r[j]
-				}
-				g = &group{key: key, accs: make([]*accumulator, len(aggs))}
-				for i := range g.accs {
-					g.accs[i] = &accumulator{}
-				}
-				local[h] = append(local[h], g)
-			}
-			for i, j := range aggIdx {
-				if j < 0 {
-					g.accs[i].add(int64(1)) // COUNT(*)
-				} else {
-					g.accs[i].add(r[j])
-				}
-			}
-		}
-		partials[p] = local
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 2: merge partials.
-	var mu sync.Mutex
-	merged := make(map[uint64][]*group)
-	for _, local := range partials {
-		for h, gs := range local {
-			mu.Lock()
-			for _, g := range gs {
-				var target *group
-				for _, cand := range merged[h] {
-					if keyRowsEqual(cand.key, g.key) {
-						target = cand
-						break
-					}
-				}
-				if target == nil {
-					merged[h] = append(merged[h], g)
-				} else {
-					for i := range target.accs {
-						target.accs[i].merge(g.accs[i])
-					}
-				}
-			}
-			mu.Unlock()
-		}
-	}
-
-	// Build the output frame.
-	out := aggResultSchema(d.schema, keyIdx, aggs, aggIdx)
-	fields := out.Fields
-	var rows []Row
-	for _, gs := range merged {
-		for _, g := range gs {
-			row := make(Row, 0, len(fields))
-			row = append(row, g.key...)
-			for i, a := range aggs {
-				v, err := g.accs[i].result(a.Kind)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, v)
-			}
-			rows = append(rows, row)
-		}
-	}
-	// Special case: global aggregate over an empty frame still yields one
-	// row of zero counts / nil extrema.
-	if len(keys) == 0 && len(rows) == 0 {
-		row := make(Row, len(aggs))
-		for i, a := range aggs {
-			if a.Kind == AggCount {
-				row[i] = int64(0)
-			}
-		}
-		rows = []Row{row}
-	}
-	return NewDataFrame(d.ctx, &Schema{Fields: fields}, rows)
+	accs []accumulator
 }
 
 // aggResultSchema builds the result schema of an aggregation: the key
-// columns followed by one column per aggregate. Shared by the row and
-// columnar paths so both produce identical shapes.
+// columns followed by one column per aggregate.
 func aggResultSchema(schema *Schema, keyIdx []int, aggs []Agg, aggIdx []int) *Schema {
 	fields := make([]Field, 0, len(keyIdx)+len(aggs))
 	for _, j := range keyIdx {
@@ -376,24 +188,6 @@ func aggName(k AggKind) string {
 	return "agg"
 }
 
-func keyEqual(key Row, r Row, idx []int) bool {
-	for i, j := range idx {
-		if !valueEq(key[i], r[j]) {
-			return false
-		}
-	}
-	return true
-}
-
-func keyRowsEqual(a, b Row) bool {
-	for i := range a {
-		if !valueEq(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 func valueEq(a, b any) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
@@ -402,98 +196,4 @@ func valueEq(a, b any) bool {
 		return c == 0
 	}
 	return fmt.Sprint(a) == fmt.Sprint(b)
-}
-
-// JoinType selects the join semantics.
-type JoinType uint8
-
-// Supported join types.
-const (
-	InnerJoin JoinType = iota + 1
-	LeftJoin
-)
-
-// Join hash-joins d (left) with o (right) on equality of the named
-// columns. The result schema is left columns followed by right columns
-// (right join keys included, names deduplicated with a "r_" prefix).
-func (d *DataFrame) Join(o *DataFrame, leftKeys, rightKeys []string, jt JoinType) (*DataFrame, error) {
-	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
-		return nil, fmt.Errorf("exec: join requires matching key lists")
-	}
-	lIdx := make([]int, len(leftKeys))
-	for i, k := range leftKeys {
-		j := d.schema.Index(k)
-		if j < 0 {
-			return nil, fmt.Errorf("exec: unknown left join key %q", k)
-		}
-		lIdx[i] = j
-	}
-	rIdx := make([]int, len(rightKeys))
-	for i, k := range rightKeys {
-		j := o.schema.Index(k)
-		if j < 0 {
-			return nil, fmt.Errorf("exec: unknown right join key %q", k)
-		}
-		rIdx[i] = j
-	}
-	// Build on the right side.
-	build := make(map[uint64][]Row)
-	for _, p := range o.parts {
-		for _, r := range p {
-			h := rowHash(r, rIdx)
-			build[h] = append(build[h], r)
-		}
-	}
-	fields := append([]Field{}, d.schema.Fields...)
-	taken := map[string]bool{}
-	for _, f := range fields {
-		taken[f.Name] = true
-	}
-	for _, f := range o.schema.Fields {
-		name := f.Name
-		if taken[name] {
-			name = "r_" + name
-		}
-		taken[name] = true
-		fields = append(fields, Field{Name: name, Type: f.Type})
-	}
-	schema := &Schema{Fields: fields}
-
-	outParts := make([][]Row, len(d.parts))
-	err := d.ctx.runParallel(len(d.parts), func(p int) error {
-		var out []Row
-		for _, lr := range d.parts[p] {
-			h := rowHash(lr, lIdx)
-			matched := false
-			for _, rr := range build[h] {
-				if joinKeysEqual(lr, lIdx, rr, rIdx) {
-					matched = true
-					nr := make(Row, 0, len(lr)+len(rr))
-					nr = append(nr, lr...)
-					nr = append(nr, rr...)
-					out = append(out, nr)
-				}
-			}
-			if !matched && jt == LeftJoin {
-				nr := make(Row, len(lr)+o.schema.Len())
-				copy(nr, lr)
-				out = append(out, nr)
-			}
-		}
-		outParts[p] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return newFrame(d.ctx, schema, outParts)
-}
-
-func joinKeysEqual(l Row, lIdx []int, r Row, rIdx []int) bool {
-	for i := range lIdx {
-		if !valueEq(l[lIdx[i]], r[rIdx[i]]) {
-			return false
-		}
-	}
-	return true
 }

@@ -1,11 +1,11 @@
 package exec
 
-// Columnar batches: the vectorized half of the execution engine. A
-// ColumnBatch holds a fixed run of rows as typed column vectors plus a
-// selection vector, so the scan pipeline can decode, filter and
-// aggregate without boxing every value into a Row. The Row API stays as
-// the compatibility shim — RowAt/AppendRow convert at the batch edge
-// for operators not yet vectorized.
+// Columnar batches: what the scan produces and every operator above it
+// consumes. A ColumnBatch holds a fixed run of rows as typed column
+// vectors plus a selection vector, so decode, filter, project, join,
+// sort and aggregate run without boxing every value into a Row. Rows
+// exist only at the edges: BatchOf where a row source enters, RowAt
+// where a result leaves.
 
 // BatchRows is the default number of rows per ColumnBatch. Small enough
 // that a batch of wide rows stays cache-resident, large enough to
@@ -17,6 +17,9 @@ const BatchRows = 256
 // unselected row positions are undefined — late materialization fills
 // only the rows that survived earlier predicates.
 type Vector struct {
+	// Type selects the storage. The zero Type is a dynamically typed
+	// column, boxed in Any: a computed expression whose values do not
+	// all match the type its schema field declares (VectorOf).
 	Type DataType
 	// Nulls[i] reports whether row i is NULL in this column. A nil
 	// Nulls slice means the column has not been materialized at all.
@@ -26,7 +29,7 @@ type Vector struct {
 	Floats []float64 // TypeFloat
 	Strs   []string  // TypeString
 	Bools  []bool    // TypeBool
-	Any    []any     // TypeGeometry, TypeBytes, TypeSTSeries, TypeTSeries
+	Any    []any     // TypeGeometry, TypeBytes, TypeSTSeries, TypeTSeries, dynamic
 }
 
 // intBacked reports whether the vector stores into Ints.
@@ -52,9 +55,13 @@ func (v *Vector) alloc(n int) {
 	}
 }
 
+// null reports whether row i is NULL; an unmaterialized vector is
+// all-NULL.
+func (v *Vector) null(i int) bool { return v.Nulls == nil || v.Nulls[i] }
+
 // Value boxes the value at row i (nil for NULL or unmaterialized).
 func (v *Vector) Value(i int) any {
-	if v.Nulls == nil || v.Nulls[i] {
+	if v.null(i) {
 		return nil
 	}
 	switch {
@@ -191,26 +198,13 @@ func (b *ColumnBatch) Col(c int) *Vector {
 	return v
 }
 
-// Filled reports whether column c has been materialized.
-func (b *ColumnBatch) Filled(c int) bool { return b.cols[c].Nulls != nil }
+// Vec returns column c for reading. Unlike Col it never materializes:
+// batches are shared between plan nodes, cached views and concurrent
+// queries, so operators only read them.
+func (b *ColumnBatch) Vec(c int) *Vector { return &b.cols[c] }
 
-// HasNulls reports whether column c is NULL in any live row. An
-// unmaterialized column is all-NULL.
-func (b *ColumnBatch) HasNulls(c int) bool {
-	v := &b.cols[c]
-	if v.Nulls == nil {
-		return b.Len() > 0
-	}
-	for i, n := 0, b.Len(); i < n; i++ {
-		if v.Nulls[b.live(i)] {
-			return true
-		}
-	}
-	return false
-}
-
-// live returns the i'th live physical row index.
-func (b *ColumnBatch) live(i int) int {
+// Live returns the physical index of the i'th live row.
+func (b *ColumnBatch) Live(i int) int {
 	if b.Sel != nil {
 		return int(b.Sel[i])
 	}
@@ -220,47 +214,92 @@ func (b *ColumnBatch) live(i int) int {
 // RowAt boxes the i'th *live* row into a Row. Columns never
 // materialized come back nil, matching the projected row decode.
 func (b *ColumnBatch) RowAt(i int) Row {
-	p := b.live(i)
 	row := make(Row, len(b.cols))
+	b.readRow(b.Live(i), row)
+	return row
+}
+
+// readRow boxes physical row p into row.
+func (b *ColumnBatch) readRow(p int, row Row) {
 	for c := range b.cols {
 		if b.cols[c].Nulls != nil {
 			row[c] = b.cols[c].Value(p)
 		}
 	}
-	return row
 }
 
-// AppendRow adds a row, materializing every column it sets.
-func (b *ColumnBatch) AppendRow(row Row) {
-	i := b.Grow()
-	for c := range b.cols {
-		if c < len(row) {
-			b.Col(c).Set(i, row[c])
-		} else {
-			b.Col(c).Set(i, nil)
+// conforms reports whether val can be stored in a vector of type t.
+func conforms(t DataType, val any) bool {
+	if val == nil || anyBacked(t) {
+		return true
+	}
+	switch val.(type) {
+	case int64:
+		return intBacked(t)
+	case float64:
+		return t == TypeFloat
+	case string:
+		return t == TypeString
+	case bool:
+		return t == TypeBool
+	}
+	return false
+}
+
+func anyBacked(t DataType) bool {
+	return !intBacked(t) && t != TypeFloat && t != TypeString && t != TypeBool
+}
+
+// VectorOf turns boxed values into the vector of a column declared as
+// t: typed storage when every value conforms, a dynamic vector that
+// keeps vals otherwise. Schemas of computed projections declare a
+// best-guess type (`v + 1` is "double" whatever v is), so the values
+// decide the storage, not the declaration.
+func VectorOf(t DataType, vals []any) Vector {
+	for _, val := range vals {
+		if !conforms(t, val) {
+			t = 0
+			break
 		}
 	}
-	if b.Sel != nil {
-		b.Sel = append(b.Sel, int32(i))
+	v := Vector{Type: t}
+	if anyBacked(t) {
+		v.Nulls = make([]bool, len(vals))
+		v.Any = vals
+		for i, val := range vals {
+			v.Nulls[i] = val == nil
+		}
+		return v
 	}
+	v.alloc(len(vals))
+	for i, val := range vals {
+		v.Set(i, val)
+	}
+	return v
 }
 
-// FromRows converts rows into a single batch over schema.
-func FromRows(schema *Schema, rows []Row) *ColumnBatch {
-	b := NewColumnBatch(schema, len(rows))
-	for _, r := range rows {
-		b.AppendRow(r)
+// BatchOf boxes rows into one dense batch over schema: the edge where a
+// row source (a point lookup, k-NN neighbours, an aggregate's groups,
+// an analysis operator's output) enters the engine. Rows shorter than
+// the schema are NULL-padded.
+func BatchOf(schema *Schema, rows []Row) *ColumnBatch {
+	b := &ColumnBatch{Schema: schema, cols: make([]Vector, schema.Len()), n: len(rows), cap: len(rows)}
+	var vals []any // one column's values; reused unless the vector kept it
+	for c := range b.cols {
+		if vals == nil {
+			vals = make([]any, len(rows))
+		}
+		for i, r := range rows {
+			vals[i] = nil
+			if c < len(r) {
+				vals[i] = r[c]
+			}
+		}
+		if b.cols[c] = VectorOf(schema.Fields[c].Type, vals); b.cols[c].Any != nil {
+			vals = nil
+		}
 	}
 	return b
-}
-
-// ToRows materializes every live row.
-func (b *ColumnBatch) ToRows() []Row {
-	out := make([]Row, b.Len())
-	for i := range out {
-		out[i] = b.RowAt(i)
-	}
-	return out
 }
 
 // MemSize estimates the batch's heap footprint, the unit the per-query
@@ -273,80 +312,55 @@ func (b *ColumnBatch) MemSize() int64 {
 	return total
 }
 
-// FilterInt narrows the selection to live rows where column c is
-// non-NULL and keep(value) holds. Vectorized: one pass over the int
-// vector, no boxing.
-func (b *ColumnBatch) FilterInt(c int, keep func(int64) bool) {
-	v := b.Col(c)
-	b.filter(func(p int) bool { return !v.Nulls[p] && keep(v.Ints[p]) })
+// WithSel returns a batch sharing the receiver's vectors under a new
+// selection. Operators never narrow a batch in place: a batch may be
+// shared with a cached view or an earlier plan node.
+func (b *ColumnBatch) WithSel(sel []int32) *ColumnBatch {
+	out := *b
+	out.Sel = sel
+	return &out
 }
 
-// FilterFloat narrows the selection on a float column.
-func (b *ColumnBatch) FilterFloat(c int, keep func(float64) bool) {
-	v := b.Col(c)
-	b.filter(func(p int) bool { return !v.Nulls[p] && keep(v.Floats[p]) })
+// Derive returns a batch over schema with the receiver's rows and
+// selection whose columns are cols — vectors shared from the receiver
+// (a projection) or computed over its physical rows (an expression).
+func (b *ColumnBatch) Derive(schema *Schema, cols []Vector) *ColumnBatch {
+	return &ColumnBatch{Schema: schema, Sel: b.Sel, cols: cols, n: b.n, cap: b.cap}
 }
 
-// FilterStr narrows the selection on a string column.
-func (b *ColumnBatch) FilterStr(c int, keep func(string) bool) {
-	v := b.Col(c)
-	b.filter(func(p int) bool { return !v.Nulls[p] && keep(v.Strs[p]) })
-}
-
-// FilterAny narrows the selection on an any-backed column (geometry,
-// series); NULL rows are dropped, as in SQL predicate semantics.
-func (b *ColumnBatch) FilterAny(c int, keep func(any) bool) {
-	v := b.Col(c)
-	b.filter(func(p int) bool { return !v.Nulls[p] && keep(v.Any[p]) })
-}
-
-// filter applies pred over live physical indices, building/refining Sel
-// in place.
-func (b *ColumnBatch) filter(pred func(p int) bool) {
-	if b.Sel == nil {
-		b.Sel = make([]int32, 0, b.n)
-		for p := 0; p < b.n; p++ {
-			if pred(p) {
-				b.Sel = append(b.Sel, int32(p))
-			}
-		}
-		return
-	}
-	out := b.Sel[:0]
-	for _, p := range b.Sel {
-		if pred(int(p)) {
-			out = append(out, p)
-		}
-	}
-	b.Sel = out
-}
-
-// Project returns a batch exposing only columns idx. Vectors are shared
-// with the receiver (zero copy); the selection vector is shared too.
-func (b *ColumnBatch) Project(idx []int) *ColumnBatch {
-	out := &ColumnBatch{
-		Schema: b.Schema.Project(idx),
-		Sel:    b.Sel,
-		cols:   make([]Vector, len(idx)),
-		n:      b.n,
-		cap:    b.cap,
-	}
+// Narrow drops every column but idx — strictly ascending positions —
+// and rebinds the batch to schema, in place and without allocating.
+// Only a batch's sole owner may narrow it: the consumer of a scan, on a
+// batch no frame holds yet. Everything downstream shares batches and
+// uses Derive.
+func (b *ColumnBatch) Narrow(schema *Schema, idx []int) {
 	for i, j := range idx {
-		out.cols[i] = b.cols[j]
+		b.cols[i] = b.cols[j]
 	}
-	return out
+	clear(b.cols[len(idx):]) // release the dropped vectors
+	b.cols = b.cols[:len(idx)]
+	b.Schema = schema
 }
 
-// Reset clears the batch for reuse, keeping allocated vectors.
-func (b *ColumnBatch) Reset() {
-	b.n = 0
-	b.Sel = nil
-	for c := range b.cols {
-		b.cols[c].Nulls = nil
-		b.cols[c].Ints = nil
-		b.cols[c].Floats = nil
-		b.cols[c].Strs = nil
-		b.cols[c].Bools = nil
-		b.cols[c].Any = nil
+// Compact copies the live rows into a dense batch, so a selective
+// filter does not pin the vectors of every row it rejected.
+func (b *ColumnBatch) Compact() *ColumnBatch {
+	refs := make([]rowRef, b.Len())
+	for i := range refs {
+		refs[i] = rowRef{b, int32(b.Live(i))}
 	}
+	return gather(b.Schema, refs)
+}
+
+// Head returns the batch narrowed to its first n live rows (the
+// receiver itself when it has no more than n).
+func (b *ColumnBatch) Head(n int) *ColumnBatch {
+	if b.Len() <= n {
+		return b
+	}
+	sel := make([]int32, n)
+	for i := range sel {
+		sel[i] = int32(b.Live(i))
+	}
+	return b.WithSel(sel)
 }

@@ -6,60 +6,70 @@ import (
 	"sort"
 )
 
-// Vectorized operators over ColumnBatch streams: hash aggregation and
-// sort. Both produce exactly the rows the row-oriented operators
-// (DataFrame.GroupBy / SortBy) would, so the SQL layer can switch paths
-// without observable change; group and output order is unspecified in
-// both, as with the row path.
+// Operators over ColumnBatch streams: hash aggregation, sort and hash
+// join. They share one NULL rule — NULL equals NULL and orders before
+// every value — which is also what the SQL comparison operators do.
+
+// hashValue folds a boxed value into h; values equal under valueEq
+// hash alike.
+func hashValue(h uint64, v any) uint64 {
+	switch x := v.(type) {
+	case int64:
+		return hashBits(h, math.Float64bits(float64(x)))
+	case float64:
+		return hashBits(h, math.Float64bits(x))
+	case bool:
+		if x {
+			return hashBits(h, 1)
+		}
+		return hashBits(h, 2)
+	case string:
+		return hashStr(h, x)
+	}
+	return hashBits(h, uint64(len(fmt.Sprint(v))))
+}
+
+func hashBits(h, x uint64) uint64 {
+	for s := 0; s < 64; s += 8 {
+		h ^= (x >> s) & 0xff
+		h *= 1099511628211
+	}
+	return h
+}
+
+func hashStr(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
 
 // batchHashes computes one hash per live row over the key columns,
-// reading the typed vectors directly. The hash function differs from
-// rowHash (no fmt round-trip) but induces the same partition: rows
-// equal under valueEq collide here too.
+// reading the typed vectors directly. Rows equal under valueEq collide.
 func batchHashes(b *ColumnBatch, keyIdx []int, out []uint64) []uint64 {
 	n := b.Len()
 	out = out[:0]
 	for i := 0; i < n; i++ {
 		out = append(out, 14695981039346656037) // FNV-64a offset
 	}
-	mix := func(i int, x uint64) {
-		h := out[i]
-		for s := 0; s < 64; s += 8 {
-			h ^= (x >> s) & 0xff
-			h *= 1099511628211
-		}
-		out[i] = h
-	}
 	for _, c := range keyIdx {
-		v := b.Col(c)
+		v := &b.cols[c]
 		for i := 0; i < n; i++ {
-			p := b.live(i)
-			if v.Nulls[p] {
-				mix(i, 0xa5a5a5a5)
-				continue
-			}
+			p := b.Live(i)
 			switch {
+			case v.null(p):
+				out[i] = hashBits(out[i], 0xa5a5a5a5)
 			case intBacked(v.Type):
 				// Hash ints through their float form so int64(3) and
 				// float64(3) group together, as valueEq demands.
-				mix(i, math.Float64bits(float64(v.Ints[p])))
+				out[i] = hashBits(out[i], math.Float64bits(float64(v.Ints[p])))
 			case v.Type == TypeFloat:
-				mix(i, math.Float64bits(v.Floats[p]))
-			case v.Type == TypeBool:
-				if v.Bools[p] {
-					mix(i, 1)
-				} else {
-					mix(i, 2)
-				}
+				out[i] = hashBits(out[i], math.Float64bits(v.Floats[p]))
 			case v.Type == TypeString:
-				h := out[i]
-				for _, ch := range []byte(v.Strs[p]) {
-					h ^= uint64(ch)
-					h *= 1099511628211
-				}
-				out[i] = h
+				out[i] = hashStr(out[i], v.Strs[p])
 			default:
-				mix(i, uint64(len(fmt.Sprint(v.Any[p]))))
+				out[i] = hashValue(out[i], v.Value(p))
 			}
 		}
 	}
@@ -67,9 +77,10 @@ func batchHashes(b *ColumnBatch, keyIdx []int, out []uint64) []uint64 {
 }
 
 // AggregateBatches hash-aggregates the live rows of batches by the key
-// columns (by schema position), exactly as DataFrame.GroupBy does by
-// name. sizeHint presizes the hash table from table statistics (pass 0
-// when unknown). It returns the result schema and rows.
+// columns (by schema position; none for a global aggregate). sizeHint
+// presizes the hash table from table statistics (pass 0 when unknown).
+// It returns the result schema — keys, then one column per aggregate —
+// and one row per group, in no particular order.
 func AggregateBatches(schema *Schema, batches []*ColumnBatch, keyIdx []int, aggs []Agg, aggIdx []int, sizeHint int) (*Schema, []Row, error) {
 	if sizeHint < 0 {
 		sizeHint = 0
@@ -88,7 +99,7 @@ func AggregateBatches(schema *Schema, batches []*ColumnBatch, keyIdx []int, aggs
 		groups = groups[:0]
 		for i := 0; i < n; i++ {
 			h := hashes[i]
-			p := b.live(i)
+			p := b.Live(i)
 			var g *group
 			for _, cand := range table[h] {
 				if batchKeyEqual(cand.key, b, keyIdx, p) {
@@ -99,12 +110,9 @@ func AggregateBatches(schema *Schema, batches []*ColumnBatch, keyIdx []int, aggs
 			if g == nil {
 				key := make(Row, len(keyIdx))
 				for k, c := range keyIdx {
-					key[k] = b.Col(c).Value(p)
+					key[k] = b.cols[c].Value(p)
 				}
-				g = &group{key: key, accs: make([]*accumulator, len(aggs))}
-				for k := range g.accs {
-					g.accs[k] = &accumulator{}
-				}
+				g = &group{key: key, accs: make([]accumulator, len(aggs))}
 				table[h] = append(table[h], g)
 			}
 			groups = append(groups, g)
@@ -112,42 +120,24 @@ func AggregateBatches(schema *Schema, batches []*ColumnBatch, keyIdx []int, aggs
 		for k, c := range aggIdx {
 			if c < 0 { // COUNT(*)
 				for _, g := range groups {
-					g.accs[k].addInt(1)
+					g.accs[k].count++
 				}
 				continue
 			}
-			v := b.Col(c)
-			switch {
-			case intBacked(v.Type):
-				for i, g := range groups {
-					p := b.live(i)
-					if v.Nulls[p] {
-						g.accs[k].addNull()
-					} else {
-						g.accs[k].addInt(v.Ints[p])
-					}
-				}
-			case v.Type == TypeFloat:
-				for i, g := range groups {
-					p := b.live(i)
-					if v.Nulls[p] {
-						g.accs[k].addNull()
-					} else {
-						g.accs[k].addFloat(v.Floats[p])
-					}
-				}
-			case v.Type == TypeString:
-				for i, g := range groups {
-					p := b.live(i)
-					if v.Nulls[p] {
-						g.accs[k].addNull()
-					} else {
-						g.accs[k].addStr(v.Strs[p])
-					}
-				}
-			default:
-				for i, g := range groups {
-					g.accs[k].add(v.Value(b.live(i)))
+			v := &b.cols[c]
+			for i, g := range groups {
+				p := b.Live(i)
+				switch {
+				case v.null(p):
+					g.accs[k].addNull()
+				case intBacked(v.Type):
+					g.accs[k].addInt(v.Ints[p])
+				case v.Type == TypeFloat:
+					g.accs[k].addFloat(v.Floats[p])
+				case v.Type == TypeString:
+					g.accs[k].addStr(v.Strs[p])
+				default:
+					g.accs[k].addValue(v.Value(p))
 				}
 			}
 		}
@@ -169,6 +159,8 @@ func AggregateBatches(schema *Schema, batches []*ColumnBatch, keyIdx []int, aggs
 			rows = append(rows, row)
 		}
 	}
+	// A global aggregate over no rows still yields one row: zero counts,
+	// NULL everything else.
 	if len(keyIdx) == 0 && len(rows) == 0 {
 		row := make(Row, len(aggs))
 		for i, a := range aggs {
@@ -183,82 +175,150 @@ func AggregateBatches(schema *Schema, batches []*ColumnBatch, keyIdx []int, aggs
 
 func batchKeyEqual(key Row, b *ColumnBatch, keyIdx []int, p int) bool {
 	for k, c := range keyIdx {
-		if !valueEq(key[k], b.Col(c).Value(p)) {
+		if !valueEq(key[k], b.cols[c].Value(p)) {
 			return false
 		}
 	}
 	return true
 }
 
-type batchRef struct {
+// rowRef addresses one physical row of a batch; a nil batch stands for
+// an all-NULL row (the unmatched side of a left join).
+type rowRef struct {
 	b *ColumnBatch
 	p int32
 }
 
-// SortBatches stable-sorts the live rows of batches by column col
-// (NULLs first, descending reverses) and materializes them only after
-// the sort — the comparator reads the typed vectors, so unboxed keys
-// and untouched payload columns never round-trip through Row until the
-// final output.
-func SortBatches(batches []*ColumnBatch, col int, desc bool) []Row {
+// compareAt is Compare over row pa of va and row pb of vb, without
+// boxing when both vectors share a primitive type: NULL sorts first,
+// and ok is false for values that cannot be compared.
+func compareAt(va *Vector, pa int32, vb *Vector, pb int32) (c int, ok bool) {
+	na, nb := va.null(int(pa)), vb.null(int(pb))
+	switch {
+	case na && nb:
+		return 0, true
+	case na:
+		return -1, true
+	case nb:
+		return 1, true
+	case intBacked(va.Type) && intBacked(vb.Type):
+		return cmpInt(va.Ints[pa], vb.Ints[pb]), true
+	case va.Type == TypeFloat && vb.Type == TypeFloat:
+		return cmpFloat(va.Floats[pa], vb.Floats[pb]), true
+	case va.Type == TypeString && vb.Type == TypeString:
+		x, y := va.Strs[pa], vb.Strs[pb]
+		switch {
+		case x < y:
+			return -1, true
+		case x > y:
+			return 1, true
+		}
+		return 0, true
+	}
+	return Compare(va.Value(int(pa)), vb.Value(int(pb)))
+}
+
+// gather copies the referenced rows, in order, into one dense batch
+// over schema. Column c of every referenced batch must have the same
+// storage type, which holds for the batches of one frame.
+func gather(schema *Schema, refs []rowRef) *ColumnBatch {
+	out := NewColumnBatch(schema, len(refs))
+	out.n = len(refs)
+	for c := range out.cols {
+		var dst *Vector
+		for i, r := range refs {
+			if r.b == nil || r.b.cols[c].null(int(r.p)) {
+				continue
+			}
+			src := &r.b.cols[c]
+			if dst == nil {
+				out.cols[c].Type = src.Type
+				dst = out.Col(c)
+			}
+			dst.Nulls[i] = false
+			switch {
+			case intBacked(src.Type):
+				dst.Ints[i] = src.Ints[r.p]
+			case src.Type == TypeFloat:
+				dst.Floats[i] = src.Floats[r.p]
+			case src.Type == TypeString:
+				dst.Strs[i] = src.Strs[r.p]
+			case src.Type == TypeBool:
+				dst.Bools[i] = src.Bools[r.p]
+			default:
+				dst.Any[i] = src.Any[r.p]
+			}
+		}
+	}
+	return out
+}
+
+// SortKey orders by the column at position Col.
+type SortKey struct {
+	Col  int
+	Desc bool
+}
+
+// SortBatches stable-sorts the live rows of batches by keys — NULLs
+// first ascending, last descending, incomparable values tying — and
+// returns them as one dense batch over schema. The comparator reads the
+// typed vectors; payload columns are touched only by the final copy.
+func SortBatches(schema *Schema, batches []*ColumnBatch, keys []SortKey) *ColumnBatch {
 	total := 0
 	for _, b := range batches {
 		total += b.Len()
 	}
-	refs := make([]batchRef, 0, total)
+	refs := make([]rowRef, 0, total)
 	for _, b := range batches {
 		for i, n := 0, b.Len(); i < n; i++ {
-			refs = append(refs, batchRef{b, int32(b.live(i))})
-		}
-	}
-	cmp := func(a, br batchRef) int {
-		va, vb := a.b.Col(col), br.b.Col(col)
-		na, nb := va.Nulls[a.p], vb.Nulls[br.p]
-		if na || nb {
-			switch {
-			case na && nb:
-				return 0
-			case na:
-				return -1
-			default:
-				return 1
-			}
-		}
-		switch {
-		case intBacked(va.Type) && intBacked(vb.Type):
-			return cmpInt(va.Ints[a.p], vb.Ints[br.p])
-		case va.Type == TypeFloat && vb.Type == TypeFloat:
-			return cmpFloat(va.Floats[a.p], vb.Floats[br.p])
-		case va.Type == TypeString && vb.Type == TypeString:
-			x, y := va.Strs[a.p], vb.Strs[br.p]
-			switch {
-			case x < y:
-				return -1
-			case x > y:
-				return 1
-			}
-			return 0
-		default:
-			c, _ := Compare(va.Value(int(a.p)), vb.Value(int(br.p)))
-			return c
+			refs = append(refs, rowRef{b, int32(b.Live(i))})
 		}
 	}
 	sort.SliceStable(refs, func(i, j int) bool {
-		c := cmp(refs[i], refs[j])
-		if desc {
-			return c > 0
-		}
-		return c < 0
-	})
-	rows := make([]Row, len(refs))
-	for i, r := range refs {
-		row := make(Row, r.b.Schema.Len())
-		for c := range row {
-			if r.b.Filled(c) {
-				row[c] = r.b.cols[c].Value(int(r.p))
+		x, y := refs[i], refs[j]
+		for _, k := range keys {
+			if c, _ := compareAt(&x.b.cols[k.Col], x.p, &y.b.cols[k.Col], y.p); c != 0 {
+				return (c < 0) != k.Desc
 			}
 		}
-		rows[i] = row
+		return false
+	})
+	return gather(schema, refs)
+}
+
+// JoinBatches hash-joins left and right on equality of one key column
+// each (NULL keys match each other), building on the right key vectors
+// and probing with the left. outer keeps unmatched left rows with NULL
+// right columns. The result is one dense batch over schema: its first
+// nLeft columns are the left side's, the rest the right side's.
+func JoinBatches(schema *Schema, nLeft int, left []*ColumnBatch, lKey int, right []*ColumnBatch, rKey int, outer bool) *ColumnBatch {
+	build := make(map[uint64][]rowRef)
+	lKeys, rKeys := []int{lKey}, []int{rKey}
+	var hashes []uint64
+	for _, b := range right {
+		hashes = batchHashes(b, rKeys, hashes)
+		for i, h := range hashes {
+			build[h] = append(build[h], rowRef{b, int32(b.Live(i))})
+		}
 	}
-	return rows
+	var lRefs, rRefs []rowRef
+	for _, b := range left {
+		hashes = batchHashes(b, lKeys, hashes)
+		for i, h := range hashes {
+			l := rowRef{b, int32(b.Live(i))}
+			matched := false
+			for _, r := range build[h] {
+				if c, ok := compareAt(&b.cols[lKey], l.p, &r.b.cols[rKey], r.p); ok && c == 0 {
+					matched = true
+					lRefs, rRefs = append(lRefs, l), append(rRefs, r)
+				}
+			}
+			if !matched && outer {
+				lRefs, rRefs = append(lRefs, l), append(rRefs, rowRef{})
+			}
+		}
+	}
+	l := gather(&Schema{Fields: schema.Fields[:nLeft]}, lRefs)
+	r := gather(&Schema{Fields: schema.Fields[nLeft:]}, rRefs)
+	return l.Derive(schema, append(l.cols, r.cols...))
 }

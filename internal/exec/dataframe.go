@@ -2,29 +2,24 @@ package exec
 
 import (
 	"context"
-	"fmt"
-	"hash/fnv"
 	"runtime"
-	"sort"
-	"sync"
 	"sync/atomic"
 )
 
 // ctxShared is the engine-wide execution state every bound Context
-// aliases: the worker pool and the global memory budget.
+// aliases: the global memory budget.
 type ctxShared struct {
 	workers int
-	sem     chan struct{}
 
 	memBudget int64 // 0 = unlimited
 	memUsed   atomic.Int64
 }
 
-// Context owns the worker pool and memory budget shared by all frames of
-// one query or session — the analogue of the shared Spark context the
-// paper's service layer maintains (Section VII-A). Bind derives
-// per-query views that add cancellation and a per-query memory budget
-// on top of the shared state.
+// Context owns the memory budget shared by all frames of one engine —
+// the analogue of the shared Spark context the paper's service layer
+// maintains (Section VII-A). Bind derives per-query views that add
+// cancellation and a per-query memory budget on top of the shared
+// state.
 type Context struct {
 	s *ctxShared
 
@@ -39,18 +34,14 @@ func NewContext(workers int, memBudget int64) *Context {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	return &Context{s: &ctxShared{
-		workers:   workers,
-		sem:       make(chan struct{}, workers),
-		memBudget: memBudget,
-	}}
+	return &Context{s: &ctxShared{workers: workers, memBudget: memBudget}}
 }
 
 // DefaultContext returns a context with NumCPU workers and no memory cap.
 func DefaultContext() *Context { return NewContext(0, 0) }
 
-// Bind derives a per-query view of the context: same worker pool and
-// global budget, plus cancellation from ctx and (when ctx carries one
+// Bind derives a per-query view of the context: same global budget,
+// plus cancellation from ctx and (when ctx carries one
 // via WithQuery) a per-query memory budget. Frames built under the
 // bound context inherit both; operators abort with the typed lifecycle
 // errors once ctx is done.
@@ -70,7 +61,8 @@ func (c *Context) Err() error {
 	return MapCtxErr(c.ctx.Err())
 }
 
-// Workers returns the configured parallelism.
+// Workers returns the configured parallelism. Operators above the scan
+// run on the statement's goroutine; the scan sizes its own fan-out.
 func (c *Context) Workers() int { return c.s.workers }
 
 // reserve accounts n bytes against the global budget and, when bound,
@@ -104,114 +96,50 @@ func (c *Context) Release(n int64) { c.release(n) }
 // MemUsed reports the currently accounted bytes (global).
 func (c *Context) MemUsed() int64 { return c.s.memUsed.Load() }
 
-// RunParallel executes fn for i in [0, n) on the worker pool and returns
-// the first error. It is the scheduling primitive behind every operator
-// and is exported for bulk ingest and the benchmark harness.
-func (c *Context) RunParallel(n int, fn func(i int) error) error {
-	return c.runParallel(n, fn)
+// DataFrame is a schema-ed sequence of column batches: what plan nodes
+// exchange and what a statement returns. Batches are immutable once
+// appended, so frames share them freely (a filter's output aliases its
+// input's vectors under a narrower selection); each frame charges the
+// batches it holds to the budgets until Release.
+type DataFrame struct {
+	ctx     *Context
+	schema  *Schema
+	batches []*ColumnBatch
+	mem     int64 // accounted bytes, released by Release
 }
 
-// runParallel executes fn for each partition index on the pool and
-// returns the first error. A canceled bound context aborts between
-// partitions with the typed lifecycle error.
-func (c *Context) runParallel(n int, fn func(i int) error) error {
-	if err := c.Err(); err != nil {
+// NewFrame returns an empty frame over schema; Append fills it.
+func NewFrame(ctx *Context, schema *Schema) *DataFrame {
+	return &DataFrame{ctx: ctx, schema: schema}
+}
+
+// NewDataFrame wraps the rows of a row source (BatchOf) into a frame.
+func NewDataFrame(ctx *Context, schema *Schema, rows []Row) (*DataFrame, error) {
+	d := NewFrame(ctx, schema)
+	if err := d.Append(BatchOf(schema, rows)); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// Append adds a batch, charging its footprint to the budgets; on a
+// budget or lifecycle error the frame is unchanged. Empty batches are
+// dropped.
+func (d *DataFrame) Append(b *ColumnBatch) error {
+	if err := d.ctx.Err(); err != nil {
 		return err
 	}
-	if n == 0 {
+	if b.Len() == 0 {
 		return nil
 	}
-	if n == 1 {
-		return fn(0)
+	n := b.MemSize()
+	if err := d.ctx.reserve(n); err != nil {
+		return err
 	}
-	var wg sync.WaitGroup
-	var firstErr atomic.Value
-	for i := 0; i < n; i++ {
-		if err := c.Err(); err != nil {
-			firstErr.CompareAndSwap(nil, err)
-			break
-		}
-		wg.Add(1)
-		c.s.sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-c.s.sem }()
-			if firstErr.Load() != nil {
-				return
-			}
-			if err := c.Err(); err != nil {
-				firstErr.CompareAndSwap(nil, err)
-				return
-			}
-			if err := fn(i); err != nil {
-				firstErr.CompareAndSwap(nil, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if err := firstErr.Load(); err != nil {
-		return err.(error)
-	}
+	d.mem += n
+	d.ctx.query.AddRows(int64(b.Len()))
+	d.batches = append(d.batches, b)
 	return nil
-}
-
-// DataFrame is a schema-ed, partitioned row collection. Operators return
-// new frames; partitions are processed in parallel on the context pool.
-type DataFrame struct {
-	ctx    *Context
-	schema *Schema
-	parts  [][]Row
-	mem    int64 // accounted bytes, released by Release
-}
-
-// NewDataFrame wraps rows into a frame with the context's default
-// partitioning.
-func NewDataFrame(ctx *Context, schema *Schema, rows []Row) (*DataFrame, error) {
-	parts := partition(rows, ctx.s.workers)
-	return newFrame(ctx, schema, parts)
-}
-
-// NewDataFramePartitioned wraps pre-partitioned rows.
-func NewDataFramePartitioned(ctx *Context, schema *Schema, parts [][]Row) (*DataFrame, error) {
-	return newFrame(ctx, schema, parts)
-}
-
-func newFrame(ctx *Context, schema *Schema, parts [][]Row) (*DataFrame, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var mem int64
-	var rows int64
-	for _, p := range parts {
-		rows += int64(len(p))
-		for _, r := range p {
-			mem += RowSize(r)
-		}
-	}
-	if err := ctx.reserve(mem); err != nil {
-		return nil, err
-	}
-	ctx.query.AddRows(rows)
-	return &DataFrame{ctx: ctx, schema: schema, parts: parts, mem: mem}, nil
-}
-
-func partition(rows []Row, n int) [][]Row {
-	if n < 1 {
-		n = 1
-	}
-	if len(rows) == 0 {
-		return make([][]Row, 1)
-	}
-	per := (len(rows) + n - 1) / n
-	var parts [][]Row
-	for start := 0; start < len(rows); start += per {
-		end := start + per
-		if end > len(rows) {
-			end = len(rows)
-		}
-		parts = append(parts, rows[start:end])
-	}
-	return parts
 }
 
 // Release returns the frame's memory to the context budget. Frames are
@@ -219,220 +147,50 @@ func partition(rows []Row, n int) [][]Row {
 func (d *DataFrame) Release() {
 	d.ctx.release(d.mem)
 	d.mem = 0
-	d.parts = nil
+	d.batches = nil
 }
 
 // Bound returns a zero-cost alias of the frame bound to ctx: same
-// schema and partitions, no additional memory reservation (Release on
-// the alias is a no-op for the shared rows). It lets a cached view
+// schema and batches, no additional memory reservation (Release on the
+// alias is a no-op for the shared batches). It lets a cached view
 // frame participate in a new query under that query's cancellation and
 // budget instead of the (long-finished) one it was built under.
 func (d *DataFrame) Bound(ctx *Context) *DataFrame {
 	if d.ctx == ctx {
 		return d
 	}
-	return &DataFrame{ctx: ctx, schema: d.schema, parts: d.parts}
+	return &DataFrame{ctx: ctx, schema: d.schema, batches: d.batches}
 }
 
 // Schema returns the frame's schema.
 func (d *DataFrame) Schema() *Schema { return d.schema }
 
+// Batches returns the frame's batches, for operators to read.
+func (d *DataFrame) Batches() []*ColumnBatch { return d.batches }
+
 // Count returns the number of rows.
 func (d *DataFrame) Count() int {
 	n := 0
-	for _, p := range d.parts {
-		n += len(p)
+	for _, b := range d.batches {
+		n += b.Len()
 	}
 	return n
 }
 
-// Partitions returns the number of partitions.
-func (d *DataFrame) Partitions() int { return len(d.parts) }
-
-// Collect concatenates every partition into one slice (the driver-side
-// materialization of Fig. 2).
+// Collect boxes every row — the driver-side materialization of Fig. 2,
+// and the one place a query result becomes rows. The rows are carved
+// from one backing array.
 func (d *DataFrame) Collect() []Row {
+	w := d.schema.Len()
 	out := make([]Row, 0, d.Count())
-	for _, p := range d.parts {
-		out = append(out, p...)
+	backing := make(Row, cap(out)*w)
+	for _, b := range d.batches {
+		for i, n := 0, b.Len(); i < n; i++ {
+			row := backing[:w:w]
+			backing = backing[w:]
+			b.readRow(b.Live(i), row)
+			out = append(out, row)
+		}
 	}
 	return out
-}
-
-// transform maps each partition through fn in parallel and wraps the
-// result with the same schema unless newSchema is non-nil.
-func (d *DataFrame) transform(newSchema *Schema, fn func(part []Row) ([]Row, error)) (*DataFrame, error) {
-	outParts := make([][]Row, len(d.parts))
-	err := d.ctx.runParallel(len(d.parts), func(i int) error {
-		rows, err := fn(d.parts[i])
-		if err != nil {
-			return err
-		}
-		outParts[i] = rows
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if newSchema == nil {
-		newSchema = d.schema
-	}
-	return newFrame(d.ctx, newSchema, outParts)
-}
-
-// Filter keeps rows where pred returns true.
-func (d *DataFrame) Filter(pred func(Row) (bool, error)) (*DataFrame, error) {
-	return d.transform(nil, func(part []Row) ([]Row, error) {
-		out := make([]Row, 0, len(part))
-		for _, r := range part {
-			ok, err := pred(r)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out = append(out, r)
-			}
-		}
-		return out, nil
-	})
-}
-
-// Map rewrites every row with fn under a new schema (Spark SQL UDF — the
-// paper's 1-1 analysis operations).
-func (d *DataFrame) Map(schema *Schema, fn func(Row) (Row, error)) (*DataFrame, error) {
-	return d.transform(schema, func(part []Row) ([]Row, error) {
-		out := make([]Row, len(part))
-		for i, r := range part {
-			nr, err := fn(r)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = nr
-		}
-		return out, nil
-	})
-}
-
-// FlatMap expands each row to zero or more rows (the paper's 1-N
-// analysis operations, which Spark UDFs cannot express).
-func (d *DataFrame) FlatMap(schema *Schema, fn func(Row) ([]Row, error)) (*DataFrame, error) {
-	return d.transform(schema, func(part []Row) ([]Row, error) {
-		var out []Row
-		for _, r := range part {
-			rs, err := fn(r)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, rs...)
-		}
-		return out, nil
-	})
-}
-
-// Select projects the frame onto the named columns.
-func (d *DataFrame) Select(names ...string) (*DataFrame, error) {
-	idx := make([]int, len(names))
-	for i, n := range names {
-		j := d.schema.Index(n)
-		if j < 0 {
-			return nil, fmt.Errorf("exec: unknown column %q", n)
-		}
-		idx[i] = j
-	}
-	schema := d.schema.Project(idx)
-	return d.transform(schema, func(part []Row) ([]Row, error) {
-		out := make([]Row, len(part))
-		for i, r := range part {
-			nr := make(Row, len(idx))
-			for k, j := range idx {
-				nr[k] = r[j]
-			}
-			out[i] = nr
-		}
-		return out, nil
-	})
-}
-
-// SortBy globally sorts the frame with the comparator (stable).
-func (d *DataFrame) SortBy(less func(a, b Row) bool) (*DataFrame, error) {
-	rows := d.Collect()
-	sorted := make([]Row, len(rows))
-	copy(sorted, rows)
-	sort.SliceStable(sorted, func(i, j int) bool { return less(sorted[i], sorted[j]) })
-	return NewDataFrame(d.ctx, d.schema, sorted)
-}
-
-// Limit keeps the first n rows in partition order.
-func (d *DataFrame) Limit(n int) (*DataFrame, error) {
-	var out []Row
-	for _, p := range d.parts {
-		for _, r := range p {
-			if len(out) == n {
-				return NewDataFrame(d.ctx, d.schema, out)
-			}
-			out = append(out, r)
-		}
-	}
-	return NewDataFrame(d.ctx, d.schema, out)
-}
-
-// Union appends another frame with an identical schema length.
-func (d *DataFrame) Union(o *DataFrame) (*DataFrame, error) {
-	if d.schema.Len() != o.schema.Len() {
-		return nil, fmt.Errorf("exec: union arity mismatch: %d vs %d", d.schema.Len(), o.schema.Len())
-	}
-	parts := append(append([][]Row{}, d.parts...), o.parts...)
-	return newFrame(d.ctx, d.schema, parts)
-}
-
-// Distinct removes duplicate rows (by fingerprint of all columns).
-func (d *DataFrame) Distinct() (*DataFrame, error) {
-	seen := make(map[uint64][]Row)
-	var out []Row
-	for _, p := range d.parts {
-	rowLoop:
-		for _, r := range p {
-			h := rowHash(r, nil)
-			for _, prev := range seen[h] {
-				if rowsEqual(prev, r) {
-					continue rowLoop
-				}
-			}
-			seen[h] = append(seen[h], r)
-			out = append(out, r)
-		}
-	}
-	return NewDataFrame(d.ctx, d.schema, out)
-}
-
-func rowsEqual(a, b Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !Equal(a[i], b[i]) {
-			if fmt.Sprint(a[i]) != fmt.Sprint(b[i]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// rowHash fingerprints the key columns (all columns when idx is nil).
-func rowHash(r Row, idx []int) uint64 {
-	h := fnv.New64a()
-	write := func(v any) {
-		fmt.Fprintf(h, "%v|", v)
-	}
-	if idx == nil {
-		for _, v := range r {
-			write(v)
-		}
-	} else {
-		for _, i := range idx {
-			write(r[i])
-		}
-	}
-	return h.Sum64()
 }

@@ -1,32 +1,12 @@
 package exec
 
 import (
+	"context"
+	"errors"
 	"fmt"
-	"math/rand"
-	"sort"
+	"reflect"
 	"testing"
-	"testing/quick"
 )
-
-func testFrame(t *testing.T, n int) *DataFrame {
-	t.Helper()
-	ctx := NewContext(4, 0)
-	schema := NewSchema(
-		Field{"id", TypeInt},
-		Field{"name", TypeString},
-		Field{"score", TypeFloat},
-		Field{"grp", TypeString},
-	)
-	rows := make([]Row, n)
-	for i := 0; i < n; i++ {
-		rows[i] = Row{int64(i), fmt.Sprintf("name-%d", i), float64(i % 10), fmt.Sprintf("g%d", i%3)}
-	}
-	df, err := NewDataFrame(ctx, schema, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return df
-}
 
 func TestParseType(t *testing.T) {
 	cases := map[string]DataType{
@@ -46,95 +26,33 @@ func TestParseType(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	df := testFrame(t, 100)
-	out, err := df.Filter(func(r Row) (bool, error) { return r[0].(int64) < 10, nil })
-	if err != nil {
-		t.Fatal(err)
+// testRows is n rows of (id, name, score, grp) with grp cycling g0-g2.
+func testRows(n int) (*Schema, []Row) {
+	schema := NewSchema(
+		Field{"id", TypeInt},
+		Field{"name", TypeString},
+		Field{"score", TypeFloat},
+		Field{"grp", TypeString},
+	)
+	rows := make([]Row, n)
+	for i := 0; i < n; i++ {
+		rows[i] = Row{int64(i), fmt.Sprintf("name-%d", i), float64(i % 10), fmt.Sprintf("g%d", i%3)}
 	}
-	if out.Count() != 10 {
-		t.Fatalf("filter count = %d, want 10", out.Count())
-	}
+	return schema, rows
 }
 
-func TestSelect(t *testing.T) {
-	df := testFrame(t, 10)
-	out, err := df.Select("name", "id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Schema().Len() != 2 || out.Schema().Field(0).Name != "name" {
-		t.Fatalf("schema = %v", out.Schema().Names())
-	}
-	rows := out.Collect()
-	if rows[0][0] != "name-0" || rows[0][1] != int64(0) {
-		t.Fatalf("row = %v", rows[0])
-	}
-	if _, err := df.Select("nope"); err == nil {
-		t.Fatal("unknown column should fail")
-	}
-}
-
-func TestMapAndFlatMap(t *testing.T) {
-	df := testFrame(t, 10)
-	schema := NewSchema(Field{"doubled", TypeInt})
-	out, err := df.Map(schema, func(r Row) (Row, error) {
-		return Row{r[0].(int64) * 2}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Collect()[3][0] != int64(6) {
-		t.Fatal("map failed")
-	}
-	fm, err := df.FlatMap(schema, func(r Row) ([]Row, error) {
-		if r[0].(int64)%2 == 0 {
-			return []Row{{r[0]}, {r[0]}}, nil
-		}
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fm.Count() != 10 {
-		t.Fatalf("flatmap count = %d, want 10", fm.Count())
-	}
-}
-
-func TestSortLimit(t *testing.T) {
-	df := testFrame(t, 50)
-	sorted, err := df.SortBy(func(a, b Row) bool { return a[0].(int64) > b[0].(int64) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := sorted.Collect()
-	for i := 1; i < len(rows); i++ {
-		if rows[i-1][0].(int64) < rows[i][0].(int64) {
-			t.Fatal("not sorted descending")
-		}
-	}
-	top, err := sorted.Limit(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if top.Count() != 5 || top.Collect()[0][0] != int64(49) {
-		t.Fatalf("limit = %v", top.Collect())
-	}
-}
-
-func TestGroupByAggregates(t *testing.T) {
-	df := testFrame(t, 90) // grp g0,g1,g2 x 30 each
-	out, err := df.GroupBy([]string{"grp"}, []Agg{
+func TestAggregateBatchesGrouped(t *testing.T) {
+	schema, all := testRows(90) // grp g0,g1,g2 x 30 each
+	_, rows, err := AggregateBatches(schema, toBatches(schema, all, 32), []int{3}, []Agg{
 		{Kind: AggCount, Col: "*", Name: "n"},
 		{Kind: AggSum, Col: "score", Name: "total"},
 		{Kind: AggMin, Col: "id", Name: "lo"},
 		{Kind: AggMax, Col: "id", Name: "hi"},
 		{Kind: AggAvg, Col: "score", Name: "mean"},
-	})
+	}, []int{-1, 2, 0, 0, 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := out.Collect()
 	if len(rows) != 3 {
 		t.Fatalf("groups = %d, want 3", len(rows))
 	}
@@ -147,155 +65,100 @@ func TestGroupByAggregates(t *testing.T) {
 		if r[3].(int64) != wantLo {
 			t.Errorf("group %s lo = %v, want %d", grp, r[3], wantLo)
 		}
-		mean := r[5].(float64)
-		sum := r[2].(float64)
-		if mean != sum/30 {
+		if mean, sum := r[5].(float64), r[2].(float64); mean != sum/30 {
 			t.Errorf("group %s mean inconsistent", grp)
 		}
 	}
 }
 
-func TestGlobalAggregate(t *testing.T) {
-	df := testFrame(t, 100)
-	out, err := df.GroupBy(nil, []Agg{{Kind: AggCount, Col: "*", Name: "n"}})
+func TestAggregateBatchesGlobalCount(t *testing.T) {
+	schema, rows := testRows(100)
+	_, out, err := AggregateBatches(schema, toBatches(schema, rows, 40), nil, []Agg{{Kind: AggCount, Col: "*", Name: "n"}}, []int{-1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := out.Collect()
-	if len(rows) != 1 || rows[0][0].(int64) != 100 {
-		t.Fatalf("global count = %v", rows)
-	}
-	// Empty frame still produces a zero-count row.
-	empty, _ := df.Filter(func(Row) (bool, error) { return false, nil })
-	out2, err := empty.GroupBy(nil, []Agg{{Kind: AggCount, Col: "*", Name: "n"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out2.Collect()[0][0].(int64) != 0 {
-		t.Fatal("empty global count should be 0")
+	if len(out) != 1 || out[0][0].(int64) != 100 {
+		t.Fatalf("global count = %v", out)
 	}
 }
 
-func TestGroupBySumMatchesSequential(t *testing.T) {
-	// Property: parallel grouped sums equal a sequential reference.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 200 + rng.Intn(300)
-		rows := make([]Row, n)
-		ref := map[string]float64{}
-		for i := range rows {
-			g := fmt.Sprintf("g%d", rng.Intn(7))
-			v := float64(rng.Intn(1000))
-			rows[i] = Row{g, v}
-			ref[g] += v
-		}
-		ctx := NewContext(8, 0)
-		df, err := NewDataFrame(ctx, NewSchema(Field{"g", TypeString}, Field{"v", TypeFloat}), rows)
-		if err != nil {
-			return false
-		}
-		out, err := df.GroupBy([]string{"g"}, []Agg{{Kind: AggSum, Col: "v", Name: "s"}})
-		if err != nil {
-			return false
-		}
-		got := map[string]float64{}
-		for _, r := range out.Collect() {
-			got[r[0].(string)] = r[1].(float64)
-		}
-		if len(got) != len(ref) {
-			return false
-		}
-		for k, v := range ref {
-			if got[k] != v {
-				return false
-			}
-		}
-		return true
+func TestDeriveSharesAndComputes(t *testing.T) {
+	schema, rows := testRows(10)
+	b := BatchOf(schema, rows).WithSel([]int32{1, 3, 5})
+	doubled := make([]any, b.Rows())
+	for i := 0; i < b.Len(); i++ {
+		p := b.Live(i)
+		doubled[p] = b.Vec(0).Value(p).(int64) * 2
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
+	out := b.Derive(NewSchema(Field{"name", TypeString}, Field{"doubled", TypeInt}),
+		[]Vector{*b.Vec(1), VectorOf(TypeInt, doubled)})
+	want := []Row{{"name-1", int64(2)}, {"name-3", int64(6)}, {"name-5", int64(10)}}
+	if got := liveRows(out); !reflect.DeepEqual(got, want) {
+		t.Fatalf("derived rows = %v, want %v", got, want)
+	}
+	if out.Vec(1).Type != TypeInt {
+		t.Fatal("conforming values must build a typed vector")
+	}
+	// Narrow: the same projection done in place by a batch's owner.
+	b.Narrow(NewSchema(Field{"name", TypeString}, Field{"grp", TypeString}), []int{1, 3})
+	want = []Row{{"name-1", "g1"}, {"name-3", "g0"}, {"name-5", "g2"}}
+	if got := liveRows(b); !reflect.DeepEqual(got, want) {
+		t.Fatalf("narrowed rows = %v, want %v", got, want)
 	}
 }
 
-func TestJoinInner(t *testing.T) {
-	ctx := NewContext(4, 0)
-	left, _ := NewDataFrame(ctx,
-		NewSchema(Field{"id", TypeInt}, Field{"name", TypeString}),
-		[]Row{{int64(1), "a"}, {int64(2), "b"}, {int64(3), "c"}})
-	right, _ := NewDataFrame(ctx,
-		NewSchema(Field{"uid", TypeInt}, Field{"city", TypeString}),
-		[]Row{{int64(1), "bj"}, {int64(1), "sh"}, {int64(3), "gz"}})
-	out, err := left.Join(right, []string{"id"}, []string{"uid"}, InnerJoin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := out.Collect()
-	if len(rows) != 3 {
-		t.Fatalf("inner join rows = %d, want 3", len(rows))
-	}
-	if out.Schema().Index("city") < 0 {
-		t.Fatal("joined schema missing right column")
+func TestHeadLimit(t *testing.T) {
+	schema, rows := testRows(50)
+	sorted := SortBatches(schema, toBatches(schema, rows, 16), []SortKey{{Col: 0, Desc: true}})
+	top := liveRows(sorted.Head(5))
+	if len(top) != 5 || top[0][0] != int64(49) || top[4][0] != int64(45) {
+		t.Fatalf("top 5 = %v", top)
 	}
 }
 
-func TestJoinLeft(t *testing.T) {
-	ctx := NewContext(4, 0)
-	left, _ := NewDataFrame(ctx,
-		NewSchema(Field{"id", TypeInt}),
-		[]Row{{int64(1)}, {int64(9)}})
-	right, _ := NewDataFrame(ctx,
-		NewSchema(Field{"id", TypeInt}, Field{"v", TypeString}),
-		[]Row{{int64(1), "x"}})
-	out, err := left.Join(right, []string{"id"}, []string{"id"}, LeftJoin)
-	if err != nil {
+// TestFrameLifecycle: a frame charges what it holds to the engine and
+// per-query budgets until Release, refuses batches once its query is
+// canceled or over budget, and a Bound alias shares batches at no
+// charge.
+func TestFrameLifecycle(t *testing.T) {
+	schema, rows := testRows(64)
+	root := NewContext(2, 0)
+	q := NewQuery(0)
+	cctx, cancel := context.WithCancel(WithQuery(context.Background(), q))
+	ctx := root.Bind(cctx)
+	df := NewFrame(ctx, schema)
+	if err := df.Append(BatchOf(schema, rows)); err != nil {
 		t.Fatal(err)
 	}
-	rows := out.Collect()
-	if len(rows) != 2 {
-		t.Fatalf("left join rows = %d, want 2", len(rows))
+	if err := df.Append(BatchOf(schema, nil)); err != nil || len(df.Batches()) != 1 {
+		t.Fatalf("empty batch must be dropped: %v, %d batches", err, len(df.Batches()))
 	}
-	var unmatched Row
-	for _, r := range rows {
-		if r[0].(int64) == 9 {
-			unmatched = r
-		}
+	if root.MemUsed() <= 0 || q.MemUsed() != root.MemUsed() || q.Rows() != 64 {
+		t.Fatalf("accounting: engine %d query %d rows %d", root.MemUsed(), q.MemUsed(), q.Rows())
 	}
-	if unmatched == nil || unmatched[2] != nil {
-		t.Fatalf("unmatched row = %v", unmatched)
+	alias := df.Bound(root.Bind(context.Background()))
+	if alias.Count() != 64 || root.MemUsed() != q.MemUsed() {
+		t.Fatal("a Bound alias must share the batches without a second charge")
 	}
-	// Duplicate right column name gets prefixed.
-	if out.Schema().Index("r_id") < 0 {
-		t.Fatalf("schema = %v", out.Schema().Names())
+	alias.Release()
+	if df.Count() != 64 || root.MemUsed() == 0 {
+		t.Fatal("releasing an alias must not release the shared batches")
 	}
-}
+	cancel()
+	if err := df.Append(BatchOf(schema, rows)); !errors.Is(err, ErrQueryCanceled) {
+		t.Fatalf("append after cancel = %v, want ErrQueryCanceled", err)
+	}
+	df.Release()
+	if root.MemUsed() != 0 || q.MemUsed() != 0 {
+		t.Fatalf("after release: engine %d query %d", root.MemUsed(), q.MemUsed())
+	}
 
-func TestDistinct(t *testing.T) {
-	ctx := NewContext(2, 0)
-	df, _ := NewDataFrame(ctx, NewSchema(Field{"v", TypeInt}),
-		[]Row{{int64(1)}, {int64(2)}, {int64(1)}, {int64(3)}, {int64(2)}})
-	out, err := df.Distinct()
-	if err != nil {
-		t.Fatal(err)
+	tight := root.Bind(WithQuery(context.Background(), NewQuery(256)))
+	if _, err := NewDataFrame(tight, schema, rows); !errors.Is(err, ErrMemoryBudget) {
+		t.Fatalf("over-budget frame = %v, want ErrMemoryBudget", err)
 	}
-	if out.Count() != 3 {
-		t.Fatalf("distinct = %d, want 3", out.Count())
-	}
-}
-
-func TestUnion(t *testing.T) {
-	ctx := NewContext(2, 0)
-	a, _ := NewDataFrame(ctx, NewSchema(Field{"v", TypeInt}), []Row{{int64(1)}})
-	b, _ := NewDataFrame(ctx, NewSchema(Field{"v", TypeInt}), []Row{{int64(2)}, {int64(3)}})
-	out, err := a.Union(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Count() != 3 {
-		t.Fatalf("union count = %d", out.Count())
-	}
-	c, _ := NewDataFrame(ctx, NewSchema(Field{"x", TypeInt}, Field{"y", TypeInt}), nil)
-	if _, err := a.Union(c); err == nil {
-		t.Fatal("arity mismatch should fail")
+	if root.MemUsed() != 0 {
+		t.Fatalf("failed append leaked %d bytes", root.MemUsed())
 	}
 }
 
@@ -348,38 +211,6 @@ func TestCompare(t *testing.T) {
 	}
 }
 
-func TestPartitionBalance(t *testing.T) {
-	rows := make([]Row, 103)
-	parts := partition(rows, 4)
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total != 103 {
-		t.Fatalf("partition lost rows: %d", total)
-	}
-	if len(parts) > 4 {
-		t.Fatalf("too many partitions: %d", len(parts))
-	}
-}
-
-func TestSortStability(t *testing.T) {
-	ctx := NewContext(2, 0)
-	df, _ := NewDataFrame(ctx, NewSchema(Field{"k", TypeInt}, Field{"seq", TypeInt}),
-		[]Row{{int64(1), int64(0)}, {int64(1), int64(1)}, {int64(0), int64(2)}, {int64(1), int64(3)}})
-	sorted, _ := df.SortBy(func(a, b Row) bool { return a[0].(int64) < b[0].(int64) })
-	rows := sorted.Collect()
-	var seqs []int64
-	for _, r := range rows {
-		if r[0].(int64) == 1 {
-			seqs = append(seqs, r[1].(int64))
-		}
-	}
-	if !sort.SliceIsSorted(seqs, func(i, j int) bool { return seqs[i] < seqs[j] }) {
-		t.Fatalf("sort not stable: %v", seqs)
-	}
-}
-
 func TestSizeOfEstimates(t *testing.T) {
 	cases := []struct {
 		v   any
@@ -413,49 +244,18 @@ func TestContextDefaults(t *testing.T) {
 	ctx.release(1 << 40)
 }
 
-func TestRunParallelPropagatesError(t *testing.T) {
-	ctx := NewContext(4, 0)
-	err := ctx.RunParallel(10, func(i int) error {
-		if i == 7 {
-			return ErrOutOfMemory
-		}
-		return nil
-	})
-	if err != ErrOutOfMemory {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func BenchmarkGroupBy(b *testing.B) {
-	ctx := DefaultContext()
+func BenchmarkAggregateBatches(b *testing.B) {
+	schema := NewSchema(Field{"g", TypeString}, Field{"v", TypeFloat})
 	rows := make([]Row, 100000)
 	for i := range rows {
 		rows[i] = Row{fmt.Sprintf("g%d", i%100), float64(i)}
 	}
-	df, _ := NewDataFrame(ctx, NewSchema(Field{"g", TypeString}, Field{"v", TypeFloat}), rows)
+	batches := toBatches(schema, rows, BatchRows)
+	aggs := []Agg{{Kind: AggSum, Col: "v"}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := df.GroupBy([]string{"g"}, []Agg{{Kind: AggSum, Col: "v"}})
-		if err != nil {
+		if _, _, err := AggregateBatches(schema, batches, []int{0}, aggs, []int{1}, 0); err != nil {
 			b.Fatal(err)
 		}
-		out.Release()
-	}
-}
-
-func BenchmarkFilter(b *testing.B) {
-	ctx := DefaultContext()
-	rows := make([]Row, 100000)
-	for i := range rows {
-		rows[i] = Row{int64(i)}
-	}
-	df, _ := NewDataFrame(ctx, NewSchema(Field{"v", TypeInt}), rows)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := df.Filter(func(r Row) (bool, error) { return r[0].(int64)%2 == 0, nil })
-		if err != nil {
-			b.Fatal(err)
-		}
-		out.Release()
 	}
 }

@@ -1,8 +1,9 @@
 // Package exec is JUST's execution engine: the stand-in for Apache Spark
-// in the paper's stack. It provides a schema-aware DataFrame partitioned
-// across a worker pool, with the relational operators the SQL layer
-// lowers to (filter, project, aggregate, sort, join, limit), and memory
-// accounting so memory-bound baselines can fail realistically.
+// in the paper's stack. It provides typed column batches (ColumnBatch),
+// the DataFrame that carries them between plan nodes, the relational
+// operators the SQL layer lowers to (hash aggregate, sort, hash join;
+// filter, project and limit are selection vectors and shared columns),
+// and memory accounting so memory-bound baselines can fail realistically.
 package exec
 
 import (
@@ -125,15 +126,6 @@ func (s *Schema) Names() []string {
 		out[i] = f.Name
 	}
 	return out
-}
-
-// Project returns a schema with only the given positions.
-func (s *Schema) Project(idx []int) *Schema {
-	fields := make([]Field, len(idx))
-	for i, j := range idx {
-		fields[i] = s.Fields[j]
-	}
-	return &Schema{Fields: fields}
 }
 
 // Row is one record; values are Go natives per DataType:
@@ -263,13 +255,4 @@ func cmpFloat(a, b float64) int {
 	default:
 		return 0
 	}
-}
-
-// Equal reports deep value equality for grouping and joins.
-func Equal(a, b any) bool {
-	c, ok := Compare(a, b)
-	if ok {
-		return c == 0
-	}
-	return false
 }

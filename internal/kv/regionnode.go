@@ -104,8 +104,11 @@ type servedRegion struct {
 	repSeq   map[string]uint64 // primary: last acked ship seq per replica
 	seq      uint64            // replica: last applied ship seq
 
-	rateBytes int64 // bytes ingested in the current rate window
-	rateStart int64 // window start, unix nanos
+	// Ingest-rate window. Written under wmu, read by the region-map
+	// report and the split check without it: atomics are the one
+	// discipline.
+	rateBytes atomic.Int64 // bytes ingested in the current rate window
+	rateStart atomic.Int64 // window start, unix nanos
 }
 
 // nodeMeta is the persisted topology (nodemeta.json).
@@ -405,10 +408,11 @@ func (n *RegionNode) handlePutBatch(ctx context.Context, payload []byte, w *rpc.
 // noteWriteLocked tracks the region's ingest rate (caller holds wmu).
 func (n *RegionNode) noteWriteLocked(sr *servedRegion, bytes int64) {
 	now := time.Now().UnixNano()
-	if now-sr.rateStart > int64(splitRateWindow) {
-		sr.rateStart, sr.rateBytes = now, 0
+	if now-sr.rateStart.Load() > int64(splitRateWindow) {
+		sr.rateStart.Store(now)
+		sr.rateBytes.Store(0)
 	}
-	sr.rateBytes += bytes
+	sr.rateBytes.Add(bytes)
 }
 
 // shipLocked synchronously replicates one sealed batch payload to every
@@ -697,7 +701,7 @@ func (n *RegionNode) handleRegionMap(w *rpc.ResponseWriter) error {
 			Role: sr.role, Replicas: append([]string(nil), sr.replicas...),
 			Bytes: sr.r.DiskSize(), LastSeq: sr.seq,
 		}
-		info.WriteBps = sr.rateBytes * int64(time.Second) / int64(splitRateWindow)
+		info.WriteBps = sr.rateBytes.Load() * int64(time.Second) / int64(splitRateWindow)
 		sr.mu.RUnlock()
 		resp.Regions = append(resp.Regions, info)
 	}
@@ -859,7 +863,7 @@ func (n *RegionNode) handleMaintenance(w *rpc.ResponseWriter, fn func(*region) e
 // the same key into the same daughter IDs.
 func (n *RegionNode) maybeSplit(sr *servedRegion) {
 	sizeHot := n.opts.SplitBytes > 0 && sr.r.DiskSize() > n.opts.SplitBytes
-	rateHot := n.opts.SplitWriteBytes > 0 && atomic.LoadInt64(&sr.rateBytes) > n.opts.SplitWriteBytes &&
+	rateHot := n.opts.SplitWriteBytes > 0 && sr.rateBytes.Load() > n.opts.SplitWriteBytes &&
 		sr.r.DiskSize() > n.opts.SplitWriteBytes/4
 	if !sizeHot && !rateHot {
 		return

@@ -36,7 +36,7 @@ func (s *Session) loadCSV(st *LoadStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	mapping, filter, limit, err := compileLoadConfig(st, srcSchema)
+	cfg, err := compileLoadConfig(st, srcSchema)
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +50,7 @@ func (s *Session) loadCSV(st *LoadStmt) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sql: LOAD csv: %w", err)
 		}
-		if limit > 0 && len(rows) >= limit {
+		if cfg.limit > 0 && len(rows) >= cfg.limit {
 			break
 		}
 		src := make(exec.Row, len(header))
@@ -59,18 +59,12 @@ func (s *Session) loadCSV(st *LoadStmt) (*Result, error) {
 				src[i] = parseCSVValue(record[i])
 			}
 		}
-		if filter != nil {
-			keep, err := evalExpr(filter, srcSchema, src)
-			if err != nil {
-				return nil, err
-			}
-			if b, ok := keep.(bool); !ok || !b {
-				continue
-			}
-		}
-		row, err := applyMapping(mapping, dst.Desc.Columns, srcSchema, src)
+		row, err := cfg.apply(dst.Desc.Columns, src)
 		if err != nil {
 			return nil, err
+		}
+		if row == nil {
+			continue
 		}
 		rows = append(rows, row)
 	}

@@ -47,7 +47,7 @@ func (s *Session) Execute(src string) (*Result, error) {
 
 // ExecuteContext parses, plans and runs one JustQL statement. ctx
 // cancels the statement end-to-end — scans abort inside the storage
-// workers, operators abort between partitions — surfacing as the typed
+// workers, operators abort between batches — surfacing as the typed
 // exec.ErrQueryCanceled / exec.ErrDeadlineExceeded. A per-query memory
 // budget attached with exec.WithQuery is charged by every dataframe
 // materialization and scan buffer.
@@ -336,7 +336,7 @@ func (s *Session) execInsert(ctx context.Context, st *InsertStmt) (*Result, erro
 		}
 		row := make(exec.Row, len(cols))
 		for i, e := range exprRow {
-			v, err := evalExpr(foldExpr(e), nil, nil)
+			v, err := evalConst(foldExpr(e))
 			if err != nil {
 				return nil, err
 			}
@@ -417,11 +417,14 @@ func (s *Session) execSelect(ctx context.Context, st *SelectStmt) (*Result, erro
 	return &Result{Frame: df, Plan: plan}, nil
 }
 
-// executor runs an optimized plan, tracking intermediate frames so their
-// memory returns to the shared context budget. ctx is the query's
-// lifecycle (cancellation, deadline); ectx is the engine execution
-// context bound to it (and to the per-query memory budget, when the
-// context carries one).
+// executor runs an optimized plan. Every plan node takes and returns a
+// frame of column batches; rows appear only where a row source enters
+// (point lookup, k-NN, aggregate groups, analysis operators) and where
+// the caller collects the result. It tracks the frames it creates so
+// their memory returns to the budgets. ctx is the query's lifecycle
+// (cancellation, deadline); ectx is the engine execution context bound
+// to it (and to the per-query memory budget, when the context carries
+// one).
 type executor struct {
 	session *Session
 	ctx     context.Context
@@ -432,6 +435,21 @@ type executor struct {
 func (ex *executor) track(df *exec.DataFrame) *exec.DataFrame {
 	ex.temps = append(ex.temps, df)
 	return df
+}
+
+// newFrame starts a tracked frame, so an operator that fails midway
+// leaves its partial output to cleanup.
+func (ex *executor) newFrame(schema *exec.Schema) *exec.DataFrame {
+	return ex.track(exec.NewFrame(ex.ectx, schema))
+}
+
+// fromRows wraps a row source's output into a tracked frame.
+func (ex *executor) fromRows(schema *exec.Schema, rows []exec.Row) (*exec.DataFrame, error) {
+	df, err := exec.NewDataFrame(ex.ectx, schema, rows)
+	if err != nil {
+		return nil, err
+	}
+	return ex.track(df), nil
 }
 
 // cleanup releases every tracked frame except keep (the query result).
@@ -456,7 +474,7 @@ func (ex *executor) run(p Plan) (*exec.DataFrame, error) {
 		return ex.runScan(v)
 	case *ViewPlan:
 		// Borrowed, never released here: the alias rebinds the cached
-		// rows to this query's cancellation and budget (the frame was
+		// batches to this query's cancellation and budget (the frame was
 		// built under the long-finished creating query's context).
 		return v.View.Frame.Bound(ex.ectx), nil
 	case *FilterPlan:
@@ -464,89 +482,57 @@ func (ex *executor) run(p Plan) (*exec.DataFrame, error) {
 		if err != nil {
 			return nil, err
 		}
-		schema := child.Schema()
-		out, err := child.Filter(func(r exec.Row) (bool, error) {
-			val, err := evalExpr(v.Cond, schema, r)
-			if err != nil {
-				return false, err
-			}
-			b, ok := val.(bool)
-			if !ok {
-				return false, fmt.Errorf("sql: WHERE clause is not boolean")
-			}
-			return b, nil
-		})
+		fn, err := bind(v.Cond, child.Schema())
 		if err != nil {
 			return nil, err
 		}
-		return ex.track(out), nil
+		where := filter{preds: []predicate{{fn, v.Cond}}}
+		return ex.mapBatches(child, child.Schema(), where.apply)
 	case *AggregatePlan:
-		if df, ok, err := ex.columnarAgg(v); err != nil {
-			return nil, err
-		} else if ok {
-			return df, nil
-		}
 		child, err := ex.run(v.Child)
 		if err != nil {
 			return nil, err
 		}
-		out, err := child.GroupBySized(v.Keys, v.Aggs, aggSizeHint(v.Child))
-		if err != nil {
-			return nil, err
-		}
-		return ex.track(out), nil
-	case *SortPlan:
-		if df, ok, err := ex.columnarSort(v); err != nil {
-			return nil, err
-		} else if ok {
-			return df, nil
-		}
-		child, err := ex.run(v.Child)
-		if err != nil {
-			return nil, err
-		}
-		schema := child.Schema()
-		var evalErr error
-		out, err := child.SortBy(func(a, b exec.Row) bool {
-			for _, k := range v.Keys {
-				av, err1 := evalExpr(k.Expr, schema, a)
-				bv, err2 := evalExpr(k.Expr, schema, b)
-				if err1 != nil || err2 != nil {
-					if evalErr == nil {
-						evalErr = fmt.Errorf("sql: ORDER BY evaluation failed")
-					}
-					return false
-				}
-				c, ok := exec.Compare(av, bv)
-				if !ok {
-					continue
-				}
-				if c != 0 {
-					if k.Desc {
-						return c > 0
-					}
-					return c < 0
-				}
+		in := child.Schema()
+		keyIdx := make([]int, len(v.Keys))
+		for i, k := range v.Keys {
+			if keyIdx[i] = in.Index(k); keyIdx[i] < 0 {
+				return nil, fmt.Errorf("sql: unknown group key %q", k)
 			}
-			return false
-		})
+		}
+		aggIdx := make([]int, len(v.Aggs))
+		for i, a := range v.Aggs {
+			if a.Col == "*" || a.Col == "" {
+				aggIdx[i] = -1
+			} else if aggIdx[i] = in.Index(a.Col); aggIdx[i] < 0 {
+				return nil, fmt.Errorf("sql: unknown aggregate column %q", a.Col)
+			}
+		}
+		schema, rows, err := exec.AggregateBatches(in, child.Batches(), keyIdx, v.Aggs, aggIdx, aggSizeHint(v.Child))
 		if err != nil {
 			return nil, err
 		}
-		if evalErr != nil {
-			return nil, evalErr
+		return ex.fromRows(schema, rows)
+	case *SortPlan:
+		child, err := ex.run(v.Child)
+		if err != nil {
+			return nil, err
 		}
-		return ex.track(out), nil
+		return ex.runSort(v, child)
 	case *LimitPlan:
 		child, err := ex.run(v.Child)
 		if err != nil {
 			return nil, err
 		}
-		out, err := child.Limit(v.N)
-		if err != nil {
-			return nil, err
+		if child.Count() <= v.N {
+			return child, nil
 		}
-		return ex.track(out), nil
+		remaining := v.N
+		return ex.mapBatches(child, child.Schema(), func(b *exec.ColumnBatch) (*exec.ColumnBatch, error) {
+			h := b.Head(remaining)
+			remaining -= h.Len()
+			return h, nil
+		})
 	case *JoinPlan:
 		left, err := ex.run(v.Left)
 		if err != nil {
@@ -556,17 +542,27 @@ func (ex *executor) run(p Plan) (*exec.DataFrame, error) {
 		if err != nil {
 			return nil, err
 		}
-		jt := exec.InnerJoin
-		if v.LeftOuter {
-			jt = exec.LeftJoin
+		schema := v.Schema()
+		out := ex.newFrame(schema)
+		joined := exec.JoinBatches(schema, left.Schema().Len(),
+			left.Batches(), left.Schema().Index(v.LeftCol),
+			right.Batches(), right.Schema().Index(v.RightCol), v.LeftOuter)
+		if err := out.Append(joined); err != nil {
+			return nil, err
 		}
-		out, err := left.Join(right, []string{v.LeftCol}, []string{v.RightCol}, jt)
+		return out, nil
+	case *ProjectPlan:
+		child, err := ex.run(v.Child)
 		if err != nil {
 			return nil, err
 		}
-		return ex.track(out), nil
-	case *ProjectPlan:
-		return ex.runProject(v)
+		// 1-N and N-M analysis operators define their own output.
+		if len(v.Items) == 1 {
+			if call, ok := v.Items[0].Expr.(*FuncCall); ok && analysisFuncs[call.Name] {
+				return ex.runAnalysis(call, child, v.Schema())
+			}
+		}
+		return ex.project(child, v.Items, v.Schema())
 	default:
 		return nil, fmt.Errorf("sql: cannot execute %T", p)
 	}
@@ -597,13 +593,206 @@ func aggSizeHint(p Plan) int {
 	return 0
 }
 
-// columnarScannable reports whether a scan can feed the vectorized
-// operators directly: a plain range scan with no point lookup, no k-NN,
-// no residual predicates and no pushed limit. Window and time bounds
-// are fine — the batch scan applies them with the same semantics as the
-// row path.
-func columnarScannable(v *ScanPlan) bool {
-	return v.FIDEq == nil && v.KNN == nil && len(v.Residual) == 0 && v.Limit <= 0
+// predicate is a bound boolean expression; src names it in errors.
+type predicate struct {
+	fn  evalFn
+	src Expr
+}
+
+// filter is a conjunction of predicates over batches of one schema.
+type filter struct {
+	preds []predicate
+	r     env // the position under evaluation, reused across batches
+}
+
+// apply narrows b to the live rows every predicate keeps. It returns b
+// itself when all rows pass, and a dense copy when fewer than half do,
+// so a selective filter does not retain the rows it rejected.
+func (f *filter) apply(b *exec.ColumnBatch) (*exec.ColumnBatch, error) {
+	if len(f.preds) == 0 {
+		return b, nil
+	}
+	r := &f.r
+	r.b = b
+	n := b.Len()
+	var sel []int32 // nil until the first rejected row
+	for i := 0; i < n; i++ {
+		r.p = b.Live(i)
+		keep := true
+		for _, pr := range f.preds {
+			val, err := pr.fn(r)
+			if err != nil {
+				return nil, err
+			}
+			ok, isBool := val.(bool)
+			if !isBool {
+				return nil, fmt.Errorf("sql: predicate %s is not boolean", exprString(pr.src))
+			}
+			if !ok {
+				keep = false
+				break
+			}
+		}
+		switch {
+		case keep && sel != nil:
+			sel = append(sel, int32(r.p))
+		case !keep && sel == nil:
+			sel = make([]int32, i, n)
+			for k := range sel {
+				sel[k] = int32(b.Live(k))
+			}
+		}
+	}
+	switch {
+	case sel == nil:
+		return b, nil
+	case len(sel)*2 < b.Rows():
+		return b.WithSel(sel).Compact(), nil
+	}
+	return b.WithSel(sel), nil
+}
+
+// projection evaluates SELECT items over batches of one schema: a bare
+// column shares the input's vector, anything else is computed
+// position-at-a-time into a new one.
+type projection struct {
+	schema *exec.Schema
+	src    []int    // input column per item, or -1 = computed
+	fns    []evalFn // per computed item
+	// identity: the output is the input, column for column.
+	identity bool
+	r        env // the position under evaluation, reused across batches
+}
+
+func newProjection(items []SelectItem, in, schema *exec.Schema) (*projection, error) {
+	p := &projection{schema: schema, src: make([]int, len(items)), fns: make([]evalFn, len(items))}
+	p.identity = len(items) == in.Len()
+	for i, it := range items {
+		p.src[i] = -1
+		if id, ok := it.Expr.(*Ident); ok {
+			p.src[i] = in.Index(id.Name)
+		}
+		if p.src[i] < 0 {
+			fn, err := bind(it.Expr, in)
+			if err != nil {
+				return nil, err
+			}
+			p.fns[i] = fn
+		}
+		p.identity = p.identity && p.src[i] == i && schema.Field(i).Name == in.Field(i).Name
+	}
+	return p, nil
+}
+
+// columnItems is the projection list selecting the named columns.
+func columnItems(names []string) []SelectItem {
+	items := make([]SelectItem, len(names))
+	for i, n := range names {
+		items[i] = SelectItem{Expr: &Ident{Name: n}}
+	}
+	return items
+}
+
+func (p *projection) apply(b *exec.ColumnBatch) (*exec.ColumnBatch, error) {
+	if p.identity {
+		return b, nil
+	}
+	cols := make([]exec.Vector, len(p.src))
+	r := &p.r
+	r.b = b
+	for i, j := range p.src {
+		if j >= 0 {
+			cols[i] = *b.Vec(j)
+			continue
+		}
+		vals := make([]any, b.Rows())
+		for k, n := 0, b.Len(); k < n; k++ {
+			r.p = b.Live(k)
+			val, err := p.fns[i](r)
+			if err != nil {
+				return nil, err
+			}
+			vals[r.p] = val
+		}
+		cols[i] = exec.VectorOf(p.schema.Field(i).Type, vals)
+	}
+	return b.Derive(p.schema, cols), nil
+}
+
+func (ex *executor) project(child *exec.DataFrame, items []SelectItem, schema *exec.Schema) (*exec.DataFrame, error) {
+	p, err := newProjection(items, child.Schema(), schema)
+	if err != nil {
+		return nil, err
+	}
+	if p.identity {
+		return child, nil
+	}
+	return ex.mapBatches(child, schema, p.apply)
+}
+
+// mapBatches is the shape of every one-batch-in, one-batch-out
+// operator: a new frame over schema holding fn of each input batch.
+func (ex *executor) mapBatches(child *exec.DataFrame, schema *exec.Schema, fn func(*exec.ColumnBatch) (*exec.ColumnBatch, error)) (*exec.DataFrame, error) {
+	out := ex.newFrame(schema)
+	for _, b := range child.Batches() {
+		mapped, err := fn(b)
+		if err != nil {
+			return nil, err
+		}
+		if err := out.Append(mapped); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// runSort orders child by the plan's keys. A key that is not a bare
+// column is computed into a trailing column first and dropped after the
+// sort, so exec.SortBatches only ever compares vectors.
+func (ex *executor) runSort(v *SortPlan, child *exec.DataFrame) (*exec.DataFrame, error) {
+	in := child.Schema()
+	items := columnItems(in.Names())
+	fields := append([]exec.Field{}, in.Fields...)
+	keys := make([]exec.SortKey, len(v.Keys))
+	for i, k := range v.Keys {
+		keys[i] = exec.SortKey{Col: -1, Desc: k.Desc}
+		if id, ok := k.Expr.(*Ident); ok {
+			keys[i].Col = in.Index(id.Name)
+		}
+		if keys[i].Col < 0 {
+			keys[i].Col = len(items)
+			items = append(items, SelectItem{Expr: k.Expr})
+			fields = append(fields, exec.Field{Name: exprString(k.Expr)})
+		}
+	}
+	batches := child.Batches()
+	keyed := in
+	if len(items) > in.Len() {
+		keyed = exec.NewSchema(fields...)
+		p, err := newProjection(items, in, keyed)
+		if err != nil {
+			return nil, err
+		}
+		batches = make([]*exec.ColumnBatch, len(batches))
+		for i, b := range child.Batches() {
+			if batches[i], err = p.apply(b); err != nil {
+				return nil, err
+			}
+		}
+	}
+	sorted := exec.SortBatches(keyed, batches, keys)
+	if keyed != in {
+		cols := make([]exec.Vector, in.Len())
+		for i := range cols {
+			cols[i] = *sorted.Vec(i)
+		}
+		sorted = sorted.Derive(in, cols)
+	}
+	out := ex.newFrame(in)
+	if err := out.Append(sorted); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func scanIndexQuery(v *ScanPlan) index.Query {
@@ -618,251 +807,101 @@ func scanIndexQuery(v *ScanPlan) index.Query {
 	return q
 }
 
-// collectBatches runs the columnar scan and retains every batch,
-// charging each to the query's memory budget. The returned release
-// frees the charge; callers defer it past result materialization.
-func (ex *executor) collectBatches(t *table.Table, v *ScanPlan, needed []bool) ([]*exec.ColumnBatch, func(), error) {
-	var batches []*exec.ColumnBatch
-	var reserved int64
-	ectx := ex.ectx
-	release := func() { ectx.Release(reserved) }
-	var budgetErr error
-	err := t.ScanBatches(ex.ctx, scanIndexQuery(v), needed, func(b *exec.ColumnBatch) bool {
-		n := b.MemSize()
-		if err := ectx.Reserve(n); err != nil {
-			budgetErr = err
-			return false
+// runScan lowers a ScanPlan to one of three sources — the columnar
+// range scan, and the two row sources (attribute-index point lookup,
+// k-NN) wrapped into a batch — and passes every batch through the same
+// three steps: exact-geometry refinement plus residual predicates, the
+// pushed LIMIT, and the pushed projection. Batches are retained, and
+// charged to the query's memory budget, as they arrive, so an
+// oversized result set kills the query with exec.ErrMemoryBudget
+// mid-scan instead of OOMing the process.
+func (ex *executor) runScan(v *ScanPlan) (*exec.DataFrame, error) {
+	t := v.Table
+	full, schema := t.Schema(), v.Schema()
+	var where filter
+	if gi := t.GeomIndex(); v.Window != nil && gi >= 0 {
+		// The index scan filters on the record's MBR; the window
+		// predicate is on the geometry itself.
+		w := *v.Window
+		where.preds = append(where.preds, predicate{fn: func(r *env) (any, error) {
+			g, ok := r.col(gi).(geom.Geometry)
+			return ok && geom.IntersectsMBR(g, w), nil
+		}})
+	}
+	if ti := t.TimeIndex(); v.FIDEq != nil && ti >= 0 && (v.TMin != nil || v.TMax != nil) {
+		// A point lookup bypasses the index scan that applies the bounds.
+		lo, hi := timeBounds(v.TMin, v.TMax)
+		where.preds = append(where.preds, predicate{fn: func(r *env) (any, error) {
+			ts, ok := r.col(ti).(int64)
+			return ok && ts >= lo && ts <= hi, nil
+		}})
+	}
+	for _, e := range v.Residual {
+		fn, err := bind(e, full)
+		if err != nil {
+			return nil, err
 		}
-		reserved += n
-		batches = append(batches, b)
-		return true
-	})
-	if budgetErr != nil {
-		err = budgetErr
+		where.preds = append(where.preds, predicate{fn, e})
 	}
-	if err != nil {
-		return nil, release, err
-	}
-	return batches, release, nil
-}
-
-// columnarAgg runs aggregate-over-scan on the vectorized path: the scan
-// emits column batches and hash aggregation reads the typed vectors
-// directly, so rows are never boxed between storage and the hash table.
-// ok=false falls back to the row operators.
-func (ex *executor) columnarAgg(v *AggregatePlan) (*exec.DataFrame, bool, error) {
-	scan, isScan := v.Child.(*ScanPlan)
-	if !isScan || !columnarScannable(scan) {
-		return nil, false, nil
-	}
-	t, err := ex.session.engine.OpenTable(scan.Table.Desc.User, scan.Table.Desc.Name)
-	if err != nil {
-		return nil, false, err
-	}
-	full := t.Schema()
-	needed := make([]bool, full.Len())
-	keyIdx := make([]int, len(v.Keys))
-	for i, k := range v.Keys {
-		j := full.Index(k)
-		if j < 0 {
-			return nil, false, nil // row path reports the unknown column
-		}
-		keyIdx[i] = j
-		needed[j] = true
-	}
-	aggIdx := make([]int, len(v.Aggs))
-	for i, a := range v.Aggs {
-		if a.Col == "*" || a.Col == "" {
-			aggIdx[i] = -1
-			continue
-		}
-		j := full.Index(a.Col)
-		if j < 0 {
-			return nil, false, nil
-		}
-		aggIdx[i] = j
-		needed[j] = true
-	}
-	batches, release, err := ex.collectBatches(t, scan, needed)
-	defer release()
-	if err != nil {
-		return nil, false, err
-	}
-	schema, rows, err := exec.AggregateBatches(full, batches, keyIdx, v.Aggs, aggIdx, aggSizeHint(v.Child))
-	if err != nil {
-		return nil, false, err
-	}
-	df, err := exec.NewDataFrame(ex.ectx, schema, rows)
-	if err != nil {
-		return nil, false, err
-	}
-	return ex.track(df), true, nil
-}
-
-// columnarSort runs sort-over-scan on the vectorized path: batches are
-// sorted via the key's typed vector and rows materialize only after the
-// sort. ok=false falls back when the key is not a bare column of the
-// scan, the scan is not batch-eligible, or the key column holds NULLs
-// (the row comparator treats NULL as tying with everything, the vector
-// sort orders NULLs first — the rare NULL-key sort keeps the historic
-// order).
-func (ex *executor) columnarSort(v *SortPlan) (*exec.DataFrame, bool, error) {
-	if len(v.Keys) != 1 {
-		return nil, false, nil
-	}
-	ident, isIdent := v.Keys[0].Expr.(*Ident)
-	if !isIdent {
-		return nil, false, nil
-	}
-	scan, isScan := v.Child.(*ScanPlan)
-	if !isScan || !columnarScannable(scan) {
-		return nil, false, nil
-	}
-	outSchema := scan.Schema()
-	if outSchema.Index(ident.Name) < 0 {
-		return nil, false, nil
-	}
-	t, err := ex.session.engine.OpenTable(scan.Table.Desc.User, scan.Table.Desc.Name)
-	if err != nil {
-		return nil, false, err
-	}
-	full := t.Schema()
-	col := full.Index(ident.Name)
-	if col < 0 {
-		return nil, false, nil
-	}
-	needed := make([]bool, full.Len())
-	needed[col] = true
-	var colIdx []int
-	if scan.Cols != nil {
-		colIdx = make([]int, len(scan.Cols))
-		for i, c := range scan.Cols {
+	// Push the projection into the scan so untouched columns are never
+	// decoded (or decompressed). Residual predicates evaluate against
+	// the full schema, so every column they reference is decoded too.
+	var keep []int // positions of v.Cols, which pruneColumns lists in table order
+	var needed []bool
+	if v.Cols != nil {
+		needed = make([]bool, full.Len())
+		for _, c := range v.Cols {
 			j := full.Index(c)
-			if j < 0 {
-				return nil, false, nil
+			if len(keep) > 0 && j <= keep[len(keep)-1] {
+				return nil, fmt.Errorf("sql: scan projection %v is not in table order", v.Cols)
 			}
-			colIdx[i] = j
+			keep = append(keep, j)
 			needed[j] = true
 		}
-	} else {
-		for i := range needed {
-			needed[i] = true
-		}
-	}
-	batches, release, err := ex.collectBatches(t, scan, needed)
-	defer release()
-	if err != nil {
-		return nil, false, err
-	}
-	for _, b := range batches {
-		if b.HasNulls(col) {
-			return nil, false, nil
-		}
-	}
-	rows := exec.SortBatches(batches, col, v.Keys[0].Desc)
-	if colIdx != nil {
-		for i, r := range rows {
-			nr := make(exec.Row, len(colIdx))
-			for k, j := range colIdx {
-				nr[k] = r[j]
+		if len(v.Residual) > 0 {
+			read := map[string]bool{}
+			for _, e := range v.Residual {
+				collectIdents(e, read)
 			}
-			rows[i] = nr
-		}
-	}
-	df, err := exec.NewDataFrame(ex.ectx, outSchema, rows)
-	if err != nil {
-		return nil, false, err
-	}
-	return ex.track(df), true, nil
-}
-
-func (ex *executor) runScan(v *ScanPlan) (*exec.DataFrame, error) {
-	eng := ex.session.engine
-	ectx := ex.ectx
-	fullSchema := v.Table.Schema()
-	var colIdx []int
-	outSchema := fullSchema
-	if v.Cols != nil {
-		colIdx = make([]int, len(v.Cols))
-		for i, c := range v.Cols {
-			colIdx[i] = fullSchema.Index(c)
-		}
-		outSchema = v.Schema()
-	}
-	project := func(row exec.Row) exec.Row {
-		if colIdx == nil {
-			return row
-		}
-		nr := make(exec.Row, len(colIdx))
-		for i, j := range colIdx {
-			nr[i] = row[j]
-		}
-		return nr
-	}
-	residualOK := func(row exec.Row) (bool, error) {
-		for _, e := range v.Residual {
-			val, err := evalExpr(e, fullSchema, row)
-			if err != nil {
-				return false, err
-			}
-			b, ok := val.(bool)
-			if !ok {
-				return false, fmt.Errorf("sql: predicate %s is not boolean", exprString(e))
-			}
-			if !b {
-				return false, nil
+			for i, f := range full.Fields {
+				needed[i] = needed[i] || read[f.Name]
 			}
 		}
-		return true, nil
 	}
 
-	if v.FIDEq != nil {
-		// Attribute-index point lookup.
-		t, err := eng.OpenTable(v.Table.Desc.User, v.Table.Desc.Name)
-		if err != nil {
-			return nil, err
+	out := ex.newFrame(schema)
+	remaining := v.Limit
+	var emitErr error
+	emit := func(b *exec.ColumnBatch) bool {
+		if b, emitErr = where.apply(b); emitErr != nil {
+			return false
 		}
-		var rows []exec.Row
-		row, err := t.GetCtx(ex.ctx, v.FIDEq)
-		if err != nil && !errors.Is(err, kv.ErrNotFound) {
-			return nil, exec.MapCtxErr(err)
+		// A pushed-down LIMIT stops the scan (cancelling region
+		// workers) once enough surviving rows are in hand.
+		if v.Limit > 0 {
+			b = b.Head(remaining)
+			remaining -= b.Len()
 		}
-		if err == nil {
-			// Apply remaining pushed predicates to the single row.
-			keep := true
-			if v.Window != nil {
-				gi := t.GeomIndex()
-				if gi >= 0 {
-					if g, ok := row[gi].(geom.Geometry); !ok || !geom.IntersectsMBR(g, *v.Window) {
-						keep = false
-					}
-				}
-			}
-			if keep && (v.TMin != nil || v.TMax != nil) && t.TimeIndex() >= 0 {
-				lo, hi := timeBounds(v.TMin, v.TMax)
-				if ts, ok := row[t.TimeIndex()].(int64); !ok || ts < lo || ts > hi {
-					keep = false
-				}
-			}
-			if keep {
-				ok, err := residualOK(row)
-				if err != nil {
-					return nil, err
-				}
-				keep = ok
-			}
-			if keep {
-				rows = append(rows, project(row))
-			}
+		if keep != nil {
+			// The batch is this scan's alone until a frame holds it.
+			b.Narrow(schema, keep)
 		}
-		df, err := exec.NewDataFrame(ectx, outSchema, rows)
-		if err != nil {
-			return nil, err
+		if emitErr = out.Append(b); emitErr != nil {
+			return false
 		}
-		return ex.track(df), nil
+		return v.Limit <= 0 || remaining > 0
 	}
 
-	if v.KNN != nil {
+	var err error
+	switch {
+	case v.FIDEq != nil:
+		var row exec.Row
+		if row, err = t.GetCtx(ex.ctx, v.FIDEq); err == nil {
+			emit(exec.BatchOf(full, []exec.Row{row}))
+		} else if errors.Is(err, kv.ErrNotFound) {
+			err = nil
+		}
+	case v.KNN != nil:
 		opts := core.KNNOptions{}
 		if v.Window != nil {
 			opts.Root = *v.Window
@@ -871,96 +910,24 @@ func (ex *executor) runScan(v *ScanPlan) (*exec.DataFrame, error) {
 			opts.HasTime = true
 			opts.TMin, opts.TMax = timeBounds(v.TMin, v.TMax)
 		}
-		neighbors, err := eng.KNN(ex.ctx, v.Table.Desc.User, v.Table.Desc.Name, v.KNN.Point, v.KNN.K, opts)
-		if err != nil {
-			return nil, err
-		}
-		var rows []exec.Row
-		for _, nb := range neighbors {
-			ok, err := residualOK(nb.Row)
-			if err != nil {
-				return nil, err
+		var neighbors []core.Neighbor
+		if neighbors, err = ex.session.engine.KNN(ex.ctx, t.Desc.User, t.Desc.Name, v.KNN.Point, v.KNN.K, opts); err == nil {
+			rows := make([]exec.Row, len(neighbors))
+			for i, nb := range neighbors {
+				rows[i] = nb.Row
 			}
-			if ok {
-				rows = append(rows, project(nb.Row))
-			}
+			emit(exec.BatchOf(full, rows))
 		}
-		df, err := exec.NewDataFrame(ectx, outSchema, rows)
-		if err != nil {
-			return nil, err
-		}
-		return ex.track(df), nil
+	default:
+		err = t.ScanBatches(ex.ctx, scanIndexQuery(v), needed, emit)
 	}
-
-	q := scanIndexQuery(v)
-	// Push the projection into the scan so untouched columns are never
-	// decoded (or decompressed). Residual predicates evaluate against
-	// the full schema, so every column they reference must be decoded
-	// too, not just the projected ones.
-	var scanCols []string
-	if v.Cols != nil {
-		set := make(map[string]bool, len(v.Cols))
-		for _, c := range v.Cols {
-			set[c] = true
-		}
-		for _, e := range v.Residual {
-			collectIdents(e, set)
-		}
-		for _, f := range fullSchema.Fields {
-			if set[f.Name] {
-				scanCols = append(scanCols, f.Name)
-			}
-		}
+	if emitErr != nil {
+		return nil, emitErr
 	}
-	gi := v.Table.GeomIndex()
-	var rows []exec.Row
-	var scanErr error
-	// Rows accumulated before the frame exists are charged to the
-	// query's memory budget incrementally, so an oversized result set
-	// kills the query with exec.ErrMemoryBudget mid-scan instead of
-	// OOMing the process at materialization time.
-	var reserved int64
-	defer func() { ectx.Release(reserved) }()
-	err := eng.ScanProjected(ex.ctx, v.Table.Desc.User, v.Table.Desc.Name, q, scanCols, func(row exec.Row) bool {
-		// Exact geometry refinement when a window was pushed.
-		if v.Window != nil && gi >= 0 {
-			if g, ok := row[gi].(geom.Geometry); ok && !geom.IntersectsMBR(g, *v.Window) {
-				return true
-			}
-		}
-		ok, err := residualOK(row)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		if ok {
-			pr := project(row)
-			n := exec.RowSize(pr)
-			if err := ectx.Reserve(n); err != nil {
-				scanErr = err
-				return false
-			}
-			reserved += n
-			rows = append(rows, pr)
-			// A pushed-down LIMIT stops the scan (cancelling region
-			// workers) once enough surviving rows are in hand.
-			if v.Limit > 0 && len(rows) >= v.Limit {
-				return false
-			}
-		}
-		return true
-	})
 	if err != nil {
-		return nil, err
+		return nil, exec.MapCtxErr(err)
 	}
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	df, err := exec.NewDataFrame(ectx, outSchema, rows)
-	if err != nil {
-		return nil, err
-	}
-	return ex.track(df), nil
+	return out, nil
 }
 
 func timeBounds(tmin, tmax *int64) (int64, int64) {
@@ -975,84 +942,32 @@ func timeBounds(tmin, tmax *int64) (int64, int64) {
 	return lo, hi
 }
 
-func (ex *executor) runProject(v *ProjectPlan) (*exec.DataFrame, error) {
-	child, err := ex.run(v.Child)
-	if err != nil {
-		return nil, err
-	}
-	// Analysis operator special case.
-	if len(v.Items) == 1 && !v.Items[0].Star {
-		if call, ok := v.Items[0].Expr.(*FuncCall); ok && analysisFuncs[call.Name] {
-			out, err := ex.runAnalysis(call, child, v.Schema())
-			if err != nil {
-				return nil, err
-			}
-			return ex.track(out), nil
-		}
-	}
-	// Pure column projection.
-	allIdents := true
-	var names []string
-	for _, it := range v.Items {
-		id, ok := it.Expr.(*Ident)
-		if !ok || it.Alias != "" || id.Name == "item" {
-			allIdents = false
-			break
-		}
-		names = append(names, id.Name)
-	}
-	if allIdents {
-		if sameNames(names, child.Schema().Names()) {
-			return child, nil
-		}
-		out, err := child.Select(names...)
-		if err != nil {
-			return nil, err
-		}
-		return ex.track(out), nil
-	}
-	// General expression projection (1-1 operations via Map).
-	schema := child.Schema()
-	out, err := child.Map(v.Schema(), func(r exec.Row) (exec.Row, error) {
-		nr := make(exec.Row, len(v.Items))
-		for i, it := range v.Items {
-			val, err := evalExpr(it.Expr, schema, r)
-			if err != nil {
-				return nil, err
-			}
-			nr[i] = val
-		}
-		return nr, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ex.track(out), nil
-}
-
-func sameNames(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// runAnalysis executes the 1-N and N-M operators.
+// runAnalysis executes the 1-N and N-M operators. They take and return
+// whole entities, so each live row is boxed for them and their output
+// re-enters the engine as a row source.
 func (ex *executor) runAnalysis(call *FuncCall, child *exec.DataFrame, outSchema *exec.Schema) (*exec.DataFrame, error) {
 	argF := func(i int, def float64) (float64, error) {
 		if len(call.Args) <= i {
 			return def, nil
 		}
-		v, err := evalExpr(call.Args[i], nil, nil)
+		v, err := evalConst(call.Args[i])
 		if err != nil {
 			return 0, err
 		}
 		return toFloat(v)
+	}
+	flatMap := func(fn func(exec.Row) ([]exec.Row, error)) (*exec.DataFrame, error) {
+		var out []exec.Row
+		for _, b := range child.Batches() {
+			for i, n := 0, b.Len(); i < n; i++ {
+				rows, err := fn(b.RowAt(i))
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, rows...)
+			}
+		}
+		return ex.fromRows(outSchema, out)
 	}
 	switch call.Name {
 	case "st_trajnoisefilter":
@@ -1060,7 +975,7 @@ func (ex *executor) runAnalysis(call *FuncCall, child *exec.DataFrame, outSchema
 		if err != nil {
 			return nil, err
 		}
-		return child.FlatMap(outSchema, func(r exec.Row) ([]exec.Row, error) {
+		return flatMap(func(r exec.Row) ([]exec.Row, error) {
 			traj, err := table.TrajectoryFromRow(r)
 			if err != nil {
 				return nil, err
@@ -1080,7 +995,7 @@ func (ex *executor) runAnalysis(call *FuncCall, child *exec.DataFrame, outSchema
 		if err != nil {
 			return nil, err
 		}
-		return child.FlatMap(outSchema, func(r exec.Row) ([]exec.Row, error) {
+		return flatMap(func(r exec.Row) ([]exec.Row, error) {
 			traj, err := table.TrajectoryFromRow(r)
 			if err != nil {
 				return nil, err
@@ -1108,7 +1023,7 @@ func (ex *executor) runAnalysis(call *FuncCall, child *exec.DataFrame, outSchema
 		if err != nil {
 			return nil, err
 		}
-		return child.FlatMap(outSchema, func(r exec.Row) ([]exec.Row, error) {
+		return flatMap(func(r exec.Row) ([]exec.Row, error) {
 			traj, err := table.TrajectoryFromRow(r)
 			if err != nil {
 				return nil, err
@@ -1142,11 +1057,12 @@ func (ex *executor) runAnalysis(call *FuncCall, child *exec.DataFrame, outSchema
 		if err != nil {
 			return nil, err
 		}
-		rows := child.Collect()
-		pts := make([]geom.Point, 0, len(rows))
-		for _, r := range rows {
-			if g, ok := r[gi].(geom.Geometry); ok {
-				pts = append(pts, g.MBR().Center())
+		var pts []geom.Point
+		for _, b := range child.Batches() {
+			for i, n := 0, b.Len(); i < n; i++ {
+				if g, ok := b.Vec(gi).Value(b.Live(i)).(geom.Geometry); ok {
+					pts = append(pts, g.MBR().Center())
+				}
 			}
 		}
 		labels := analysis.DBSCAN(pts, int(minPtsF), radius)
@@ -1154,7 +1070,7 @@ func (ex *executor) runAnalysis(call *FuncCall, child *exec.DataFrame, outSchema
 		for i := range pts {
 			out[i] = exec.Row{int64(labels[i]), pts[i]}
 		}
-		return exec.NewDataFrame(ex.ectx, outSchema, out)
+		return ex.fromRows(outSchema, out)
 	default:
 		return nil, fmt.Errorf("sql: unknown analysis function %q", call.Name)
 	}
@@ -1185,33 +1101,24 @@ func (s *Session) loadTable(ctx context.Context, st *LoadStmt) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	mapping, filter, limit, err := compileLoadConfig(st, src.Schema())
+	cfg, err := compileLoadConfig(st, src.Schema())
 	if err != nil {
 		return nil, err
 	}
 	var rows []exec.Row
-	srcSchema := src.Schema()
 	var ferr error
 	err = src.FullScan(ctx, func(r exec.Row) bool {
-		if limit > 0 && len(rows) >= limit {
+		if cfg.limit > 0 && len(rows) >= cfg.limit {
 			return false
 		}
-		if filter != nil {
-			keep, err := evalExpr(filter, srcSchema, r)
-			if err != nil {
-				ferr = err
-				return false
-			}
-			if b, ok := keep.(bool); !ok || !b {
-				return true
-			}
-		}
-		row, err := applyMapping(mapping, dst.Desc.Columns, srcSchema, r)
+		row, err := cfg.apply(dst.Desc.Columns, r)
 		if err != nil {
 			ferr = err
 			return false
 		}
-		rows = append(rows, row)
+		if row != nil {
+			rows = append(rows, row)
+		}
 		return true
 	})
 	if err != nil {
@@ -1226,46 +1133,64 @@ func (s *Session) loadTable(ctx context.Context, st *LoadStmt) (*Result, error) 
 	return &Result{Message: fmt.Sprintf("loaded %d rows into %s", len(rows), st.Dst)}, nil
 }
 
-// compileLoadConfig parses the CONFIG expressions and FILTER clause.
-func compileLoadConfig(st *LoadStmt, srcSchema *exec.Schema) (map[string]Expr, Expr, int, error) {
-	mapping := map[string]Expr{}
+// loadConfig is a LOAD statement's CONFIG mapping, FILTER predicate and
+// row limit, bound to the source schema.
+type loadConfig struct {
+	src     *exec.Schema
+	mapping map[string]evalFn // destination column → expression over the source
+	filter  evalFn            // nil = keep every row
+	limit   int
+}
+
+// compileLoadConfig parses and binds the CONFIG expressions and FILTER
+// clause.
+func compileLoadConfig(st *LoadStmt, srcSchema *exec.Schema) (*loadConfig, error) {
+	cfg := &loadConfig{src: srcSchema, mapping: map[string]evalFn{}}
 	for dstCol, exprSrc := range st.Config {
 		e, err := ParseExpr(exprSrc)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("sql: CONFIG %q: %w", dstCol, err)
+		if err == nil {
+			cfg.mapping[dstCol], err = bind(e, srcSchema)
 		}
-		mapping[dstCol] = e
+		if err != nil {
+			return nil, fmt.Errorf("sql: CONFIG %q: %w", dstCol, err)
+		}
 	}
-	var filter Expr
-	limit := 0
 	if st.Filter != "" {
 		e, n, err := ParseFilter(st.Filter)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, err
 		}
-		filter, limit = e, n
+		if cfg.filter, err = bind(e, srcSchema); err != nil {
+			return nil, err
+		}
+		cfg.limit = n
 	}
-	return mapping, filter, limit, nil
+	return cfg, nil
 }
 
-func applyMapping(mapping map[string]Expr, cols []table.Column, srcSchema *exec.Schema, src exec.Row) (exec.Row, error) {
-	row := make(exec.Row, len(cols))
-	for i, col := range cols {
-		e, ok := mapping[col.Name]
-		if !ok {
-			// Default: same-named source column, else null.
-			if j := srcSchema.Index(col.Name); j >= 0 {
-				cv, err := coerceValue(col, src[j])
-				if err != nil {
-					return nil, err
-				}
-				row[i] = cv
-			}
-			continue
-		}
-		v, err := evalExpr(e, srcSchema, src)
+// apply maps one source row onto the destination columns; it returns a
+// nil row when the FILTER rejects the source row.
+func (cfg *loadConfig) apply(cols []table.Column, src exec.Row) (exec.Row, error) {
+	r := env{row: src}
+	if cfg.filter != nil {
+		keep, err := cfg.filter(&r)
 		if err != nil {
 			return nil, err
+		}
+		if b, ok := keep.(bool); !ok || !b {
+			return nil, nil
+		}
+	}
+	row := make(exec.Row, len(cols))
+	for i, col := range cols {
+		var v any
+		if fn, ok := cfg.mapping[col.Name]; ok {
+			var err error
+			if v, err = fn(&r); err != nil {
+				return nil, err
+			}
+		} else if j := cfg.src.Index(col.Name); j >= 0 {
+			v = src[j] // default: the same-named source column, else NULL
 		}
 		cv, err := coerceValue(col, v)
 		if err != nil {

@@ -351,91 +351,118 @@ func geohash(p geom.Point, precision int) string {
 	return sb.String()
 }
 
-// evalExpr evaluates e against a row (schema resolves identifiers); row
-// may be nil for constant expressions.
-func evalExpr(e Expr, schema *exec.Schema, row exec.Row) (any, error) {
+// env is the one position an expression is evaluated at: a physical row
+// of a column batch or, for LOAD whose sources are rows, a row.
+type env struct {
+	b   *exec.ColumnBatch
+	p   int
+	row exec.Row
+}
+
+func (r *env) col(i int) any {
+	if r.b != nil {
+		return r.b.Vec(i).Value(r.p)
+	}
+	return r.row[i]
+}
+
+// evalFn is an expression bound to the column positions of one schema.
+type evalFn func(*env) (any, error)
+
+// bind resolves e's identifiers against schema once per statement, so
+// evaluating a position costs no name lookups. It is the generic
+// position-at-a-time adapter: operators and scalar functions see boxed
+// values, one row at a time. A nil schema binds a constant expression.
+func bind(e Expr, schema *exec.Schema) (evalFn, error) {
 	switch v := e.(type) {
 	case *Literal:
-		return v.Val, nil
+		val := v.Val
+		return func(*env) (any, error) { return val, nil }, nil
 	case *Ident:
-		if schema == nil || row == nil {
+		if schema == nil {
 			return nil, fmt.Errorf("sql: column %q in constant context", v.Name)
 		}
 		i := schema.Index(v.Name)
 		if i < 0 {
 			return nil, fmt.Errorf("sql: unknown column %q", v.Name)
 		}
-		return row[i], nil
+		return func(r *env) (any, error) { return r.col(i), nil }, nil
 	case *UnaryExpr:
-		x, err := evalExpr(v.X, schema, row)
+		x, err := bind(v.X, schema)
 		if err != nil {
 			return nil, err
 		}
-		switch v.Op {
-		case "NOT":
-			b, ok := x.(bool)
-			if !ok {
-				return nil, fmt.Errorf("sql: NOT of non-boolean %T", x)
+		op := v.Op
+		return func(r *env) (any, error) {
+			xv, err := x(r)
+			if err != nil {
+				return nil, err
 			}
-			return !b, nil
-		case "-":
-			switch n := x.(type) {
-			case int64:
-				return -n, nil
-			case float64:
-				return -n, nil
+			switch op {
+			case "NOT":
+				b, ok := xv.(bool)
+				if !ok {
+					return nil, fmt.Errorf("sql: NOT of non-boolean %T", xv)
+				}
+				return !b, nil
+			case "-":
+				switch n := xv.(type) {
+				case nil:
+					return nil, nil
+				case int64:
+					return -n, nil
+				case float64:
+					return -n, nil
+				}
+				return nil, fmt.Errorf("sql: negation of %T", xv)
 			}
-			return nil, fmt.Errorf("sql: negation of %T", x)
-		}
-		return nil, fmt.Errorf("sql: unknown unary op %q", v.Op)
+			return nil, fmt.Errorf("sql: unknown unary op %q", op)
+		}, nil
 	case *BinaryExpr:
-		return evalBinary(v, schema, row)
+		return bindBinary(v, schema)
 	case *BetweenExpr:
-		x, err := evalExpr(v.X, schema, row)
+		args, err := bindAll(schema, v.X, v.Lo, v.Hi)
 		if err != nil {
 			return nil, err
 		}
-		lo, err := evalExpr(v.Lo, schema, row)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := evalExpr(v.Hi, schema, row)
-		if err != nil {
-			return nil, err
-		}
-		// Time-typed comparisons accept string literals.
-		if _, isInt := x.(int64); isInt {
-			if s, isStr := lo.(string); isStr {
-				if ms, err := toTimeMS(s); err == nil {
-					lo = ms
-				}
+		return func(r *env) (any, error) {
+			x, err := args[0](r)
+			if err != nil {
+				return nil, err
 			}
-			if s, isStr := hi.(string); isStr {
-				if ms, err := toTimeMS(s); err == nil {
-					hi = ms
-				}
+			lo, err := args[1](r)
+			if err != nil {
+				return nil, err
 			}
-		}
-		c1, ok1 := exec.Compare(x, lo)
-		c2, ok2 := exec.Compare(x, hi)
-		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("sql: BETWEEN on incomparable types")
-		}
-		return c1 >= 0 && c2 <= 0, nil
+			hi, err := args[2](r)
+			if err != nil {
+				return nil, err
+			}
+			c1, ok1 := exec.Compare(x, timeLiteral(x, lo))
+			c2, ok2 := exec.Compare(x, timeLiteral(x, hi))
+			if !ok1 || !ok2 {
+				return nil, fmt.Errorf("sql: BETWEEN on incomparable types")
+			}
+			return c1 >= 0 && c2 <= 0, nil
+		}, nil
 	case *FuncCall:
 		fn, ok := scalarFuncs[v.Name]
 		if !ok {
 			return nil, fmt.Errorf("sql: unknown function %q", v.Name)
 		}
-		args := make([]any, len(v.Args))
-		for i, a := range v.Args {
-			x, err := evalExpr(a, schema, row)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = x
+		args, err := bindAll(schema, v.Args...)
+		if err != nil {
+			return nil, err
 		}
-		return fn(args)
+		return func(r *env) (any, error) {
+			vals := make([]any, len(args))
+			for i, a := range args {
+				if vals[i], err = a(r); err != nil {
+					return nil, err
+				}
+			}
+			return fn(vals)
+		}, nil
 	case *InExpr:
 		return nil, fmt.Errorf("sql: IN %s is only valid as a k-NN predicate", v.Fn.Name)
 	default:
@@ -443,58 +470,95 @@ func evalExpr(e Expr, schema *exec.Schema, row exec.Row) (any, error) {
 	}
 }
 
-func evalBinary(v *BinaryExpr, schema *exec.Schema, row exec.Row) (any, error) {
-	switch v.Op {
-	case "AND", "OR":
-		l, err := evalExpr(v.L, schema, row)
+func bindAll(schema *exec.Schema, es ...Expr) ([]evalFn, error) {
+	out := make([]evalFn, len(es))
+	for i, e := range es {
+		fn, err := bind(e, schema)
 		if err != nil {
 			return nil, err
 		}
-		lb, ok := l.(bool)
-		if !ok {
-			return nil, fmt.Errorf("sql: %s of non-boolean %T", v.Op, l)
+		out[i] = fn
+	}
+	return out, nil
+}
+
+// evalConst evaluates an expression that references no column.
+func evalConst(e Expr) (any, error) {
+	fn, err := bind(e, nil)
+	if err != nil {
+		return nil, err
+	}
+	return fn(&env{})
+}
+
+// timeLiteral lets time-typed (int64) values compare against string
+// literals: a parsable time string becomes its Unix milliseconds.
+func timeLiteral(x, lit any) any {
+	if _, isInt := x.(int64); isInt {
+		if s, isStr := lit.(string); isStr {
+			if ms, err := toTimeMS(s); err == nil {
+				return ms
+			}
 		}
-		// Short-circuit.
-		if v.Op == "AND" && !lb {
-			return false, nil
-		}
-		if v.Op == "OR" && lb {
-			return true, nil
-		}
-		r, err := evalExpr(v.R, schema, row)
+	}
+	return lit
+}
+
+func bindBinary(v *BinaryExpr, schema *exec.Schema) (evalFn, error) {
+	args, err := bindAll(schema, v.L, v.R)
+	if err != nil {
+		return nil, err
+	}
+	l, r, op := args[0], args[1], v.Op
+	if op != "AND" && op != "OR" {
+		return func(e *env) (any, error) {
+			lv, err := l(e)
+			if err != nil {
+				return nil, err
+			}
+			rv, err := r(e)
+			if err != nil {
+				return nil, err
+			}
+			return binaryOp(op, lv, rv)
+		}, nil
+	}
+	return func(e *env) (any, error) {
+		lv, err := l(e)
 		if err != nil {
 			return nil, err
 		}
-		rb, ok := r.(bool)
+		lb, ok := lv.(bool)
 		if !ok {
-			return nil, fmt.Errorf("sql: %s of non-boolean %T", v.Op, r)
+			return nil, fmt.Errorf("sql: %s of non-boolean %T", op, lv)
+		}
+		// Short-circuit: false AND …, true OR ….
+		if lb == (op == "OR") {
+			return lb, nil
+		}
+		rv, err := r(e)
+		if err != nil {
+			return nil, err
+		}
+		rb, ok := rv.(bool)
+		if !ok {
+			return nil, fmt.Errorf("sql: %s of non-boolean %T", op, rv)
 		}
 		return rb, nil
-	}
-	l, err := evalExpr(v.L, schema, row)
-	if err != nil {
-		return nil, err
-	}
-	r, err := evalExpr(v.R, schema, row)
-	if err != nil {
-		return nil, err
-	}
-	switch v.Op {
+	}, nil
+}
+
+// binaryOp applies a non-logical binary operator to two values.
+func binaryOp(op string, l, r any) (any, error) {
+	switch op {
 	case "WITHIN":
 		return evalWithin(l, r)
 	case "=", "!=", "<", "<=", ">", ">=":
-		// Time columns compare against string literals.
-		if _, isInt := l.(int64); isInt {
-			if s, isStr := r.(string); isStr {
-				if ms, err := toTimeMS(s); err == nil {
-					r = ms
-				}
-			}
-		}
+		r = timeLiteral(l, r)
 		c, ok := exec.Compare(l, r)
 		if !ok {
 			eq := fmt.Sprint(l) == fmt.Sprint(r)
-			switch v.Op {
+			switch op {
 			case "=":
 				return eq, nil
 			case "!=":
@@ -502,7 +566,7 @@ func evalBinary(v *BinaryExpr, schema *exec.Schema, row exec.Row) (any, error) {
 			}
 			return nil, fmt.Errorf("sql: cannot compare %T with %T", l, r)
 		}
-		switch v.Op {
+		switch op {
 		case "=":
 			return c == 0, nil
 		case "!=":
@@ -513,16 +577,20 @@ func evalBinary(v *BinaryExpr, schema *exec.Schema, row exec.Row) (any, error) {
 			return c <= 0, nil
 		case ">":
 			return c > 0, nil
-		case ">=":
+		default:
 			return c >= 0, nil
 		}
 	case "+", "-", "*", "/":
-		return arith(v.Op, l, r)
+		return arith(op, l, r)
 	}
-	return nil, fmt.Errorf("sql: unknown operator %q", v.Op)
+	return nil, fmt.Errorf("sql: unknown operator %q", op)
 }
 
+// arith applies an arithmetic operator; a NULL operand yields NULL.
 func arith(op string, l, r any) (any, error) {
+	if l == nil || r == nil {
+		return nil, nil
+	}
 	li, lInt := l.(int64)
 	ri, rInt := r.(int64)
 	if lInt && rInt {

@@ -50,14 +50,14 @@ func (s *Session) loadGeoJSON(st *LoadStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	mapping, filter, limit, err := compileLoadConfig(st, srcSchema)
+	cfg, err := compileLoadConfig(st, srcSchema)
 	if err != nil {
 		return nil, err
 	}
 
 	var rows []exec.Row
 	for _, f := range fc.Features {
-		if limit > 0 && len(rows) >= limit {
+		if cfg.limit > 0 && len(rows) >= cfg.limit {
 			break
 		}
 		g, err := f.Geometry.toGeom()
@@ -71,18 +71,12 @@ func (s *Session) loadGeoJSON(st *LoadStmt) (*Result, error) {
 			}
 		}
 		src[len(fields)-1] = g
-		if filter != nil {
-			keep, err := evalExpr(filter, srcSchema, src)
-			if err != nil {
-				return nil, err
-			}
-			if b, ok := keep.(bool); !ok || !b {
-				continue
-			}
-		}
-		row, err := applyMapping(mapping, dst.Desc.Columns, srcSchema, src)
+		row, err := cfg.apply(dst.Desc.Columns, src)
 		if err != nil {
 			return nil, err
+		}
+		if row == nil {
+			continue
 		}
 		rows = append(rows, row)
 	}

@@ -177,7 +177,7 @@ func foldExpr(e Expr) Expr {
 		v.L = foldExpr(v.L)
 		v.R = foldExpr(v.R)
 		if isConst(v.L) && isConst(v.R) && v.Op != "AND" && v.Op != "OR" {
-			if val, err := evalExpr(v, nil, nil); err == nil {
+			if val, err := evalConst(v); err == nil {
 				return &Literal{Val: val}
 			}
 		}
@@ -185,7 +185,7 @@ func foldExpr(e Expr) Expr {
 	case *UnaryExpr:
 		v.X = foldExpr(v.X)
 		if isConst(v.X) {
-			if val, err := evalExpr(v, nil, nil); err == nil {
+			if val, err := evalConst(v); err == nil {
 				return &Literal{Val: val}
 			}
 		}
@@ -205,7 +205,7 @@ func foldExpr(e Expr) Expr {
 			}
 		}
 		if allConst {
-			if val, err := evalExpr(v, nil, nil); err == nil {
+			if val, err := evalConst(v); err == nil {
 				return &Literal{Val: val}
 			}
 		}

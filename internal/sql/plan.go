@@ -114,7 +114,7 @@ type JoinPlan struct {
 }
 
 // Schema implements Plan: left columns then right columns, duplicates
-// prefixed "r_" (mirroring exec.DataFrame.Join).
+// prefixed "r_".
 func (j *JoinPlan) Schema() *exec.Schema {
 	fields := append([]exec.Field{}, j.Left.Schema().Fields...)
 	taken := map[string]bool{}

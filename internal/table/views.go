@@ -10,7 +10,10 @@ import (
 )
 
 // View is a named in-memory DataFrame — the cached query result of
-// CREATE VIEW (Section IV-D): "one query, multiple usages".
+// CREATE VIEW (Section IV-D): "one query, multiple usages". The frame
+// holds the result's column batches as the query produced them; queries
+// over the view read those batches in place (DataFrame.Bound) and never
+// write to them.
 type View struct {
 	Name      string
 	User      string
