@@ -38,7 +38,6 @@ func main() {
 	role := flag.String("role", "standalone", "process role: standalone, region or router")
 	dir := flag.String("dir", "./just-data", "storage directory")
 	addr := flag.String("addr", ":8045", "HTTP listen address (standalone/router)")
-	workers := flag.Int("workers", 0, "execution pool size (0 = NumCPU)")
 	pageSize := flag.Int("page-size", 1000, "rows per result transmission")
 	viewTTL := flag.Duration("view-ttl", 30*time.Minute, "idle view eviction")
 	servers := flag.Int("servers", 0, "simulated region servers (0 = default 5; standalone only)")
@@ -101,7 +100,6 @@ func main() {
 
 	cfg := core.Config{
 		Dir:     *dir,
-		Workers: *workers,
 		ViewTTL: *viewTTL,
 		Jobs:    jobOpts,
 		Cluster: kv.ClusterOptions{

@@ -22,7 +22,6 @@ func newTestEngine(t *testing.T) *Engine {
 	t.Helper()
 	e, err := Open(Config{
 		Dir:     t.TempDir(),
-		Workers: 4,
 		Cluster: kv.ClusterOptions{Options: kv.Options{DisableWAL: true}},
 	})
 	if err != nil {
@@ -329,7 +328,7 @@ func TestHistoricalUpdate(t *testing.T) {
 
 func TestEngineReopen(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Workers: 2}
+	cfg := Config{Dir: dir}
 	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -25,8 +26,6 @@ import (
 type Config struct {
 	// Dir is the storage root; required.
 	Dir string
-	// Workers sizes the execution pool (0 = NumCPU).
-	Workers int
 	// MemoryBudget caps DataFrame memory (0 = unlimited).
 	MemoryBudget int64
 	// Shards is the per-index shard count (0 = 4).
@@ -116,7 +115,7 @@ func Open(cfg Config) (*Engine, error) {
 		sched:   sched,
 		catalog: catalog,
 		views:   table.NewViews(cfg.ViewTTL),
-		ctx:     exec.NewContext(cfg.Workers, cfg.MemoryBudget),
+		ctx:     exec.NewContext(cfg.MemoryBudget),
 		tables:  map[string]*table.Table{},
 	}
 	// Dependency edge: compactions rewrite the physical layout planner
@@ -336,9 +335,20 @@ func (e *Engine) InsertContext(ctx context.Context, user, name string, rows []ex
 	if err != nil {
 		return err
 	}
-	if err := t.InsertBatchCtx(ctx, rows); err != nil {
+	if err := e.recordIngest(t, rows); err != nil {
 		return err
 	}
+	return t.InsertBatchCtx(ctx, rows)
+}
+
+// recordIngest folds rows into the catalog's meta statistics. It runs
+// before the rows are written: the planner cuts every time predicate to
+// the table's recorded time span, so the persisted span must already
+// cover a row when it becomes readable, also after a crash between the
+// two steps. A write that then fails leaves the span wider than the
+// data, which only plans empty periods, and the record count high; the
+// count is advisory.
+func (e *Engine) recordIngest(t *table.Table, rows []exec.Row) error {
 	minT, maxT := timeSpan(t, rows)
 	return e.catalog.UpdateStats(t.Desc.User, t.Desc.Name, int64(len(rows)), minT, maxT)
 }
@@ -363,6 +373,9 @@ func (e *Engine) BulkInsertContext(ctx context.Context, user, name string, rows 
 	if err != nil {
 		return err
 	}
+	if err := e.recordIngest(t, rows); err != nil {
+		return err
+	}
 	for start := 0; start < len(rows); start += bulkBatchRows {
 		end := start + bulkBatchRows
 		if end > len(rows) {
@@ -372,31 +385,21 @@ func (e *Engine) BulkInsertContext(ctx context.Context, user, name string, rows 
 			return err
 		}
 	}
-	if err := e.cluster.Flush(); err != nil {
-		return err
-	}
-	minT, maxT := timeSpan(t, rows)
-	return e.catalog.UpdateStats(t.Desc.User, t.Desc.Name, int64(len(rows)), minT, maxT)
+	return e.cluster.Flush()
 }
 
-// timeSpan scans rows for the min/max of the table's time column (both
-// zero when the table has none), for meta statistics.
+// timeSpan scans rows for the min/max of the table's time column as
+// the indexes see it: a NULL time, like a table without a time column,
+// is keyed at the epoch.
 func timeSpan(t *table.Table, rows []exec.Row) (minT, maxT int64) {
 	ti := t.TimeIndex()
-	if ti < 0 {
+	if ti < 0 || len(rows) == 0 {
 		return 0, 0
 	}
-	first := true
+	minT, maxT = math.MaxInt64, math.MinInt64
 	for _, row := range rows {
-		if ts, ok := row[ti].(int64); ok {
-			if first || ts < minT {
-				minT = ts
-			}
-			if first || ts > maxT {
-				maxT = ts
-			}
-			first = false
-		}
+		ts, _ := row[ti].(int64)
+		minT, maxT = min(minT, ts), max(maxT, ts)
 	}
 	return minT, maxT
 }

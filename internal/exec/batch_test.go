@@ -390,7 +390,7 @@ func TestBatchRowsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	schema, rows := randBatchRows(rng, 300)
 	rows[7][2] = int64(3) // an int under the double field: that column boxes dynamically
-	df := NewFrame(NewContext(1, 0), schema)
+	df := NewFrame(NewContext(0), schema)
 	for _, b := range toBatches(schema, rows, 77) {
 		if err := df.Append(b); err != nil {
 			t.Fatal(err)

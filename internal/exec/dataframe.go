@@ -2,15 +2,12 @@ package exec
 
 import (
 	"context"
-	"runtime"
 	"sync/atomic"
 )
 
 // ctxShared is the engine-wide execution state every bound Context
 // aliases: the global memory budget.
 type ctxShared struct {
-	workers int
-
 	memBudget int64 // 0 = unlimited
 	memUsed   atomic.Int64
 }
@@ -28,17 +25,14 @@ type Context struct {
 	query *Query          // per-query memory budget and progress counters
 }
 
-// NewContext creates a context. workers <= 0 selects NumCPU;
-// memBudget <= 0 disables memory accounting failure.
-func NewContext(workers int, memBudget int64) *Context {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	return &Context{s: &ctxShared{workers: workers, memBudget: memBudget}}
+// NewContext creates a context. memBudget <= 0 disables memory
+// accounting failure.
+func NewContext(memBudget int64) *Context {
+	return &Context{s: &ctxShared{memBudget: memBudget}}
 }
 
-// DefaultContext returns a context with NumCPU workers and no memory cap.
-func DefaultContext() *Context { return NewContext(0, 0) }
+// DefaultContext returns a context with no memory cap.
+func DefaultContext() *Context { return NewContext(0) }
 
 // Bind derives a per-query view of the context: same global budget,
 // plus cancellation from ctx and (when ctx carries one
@@ -60,10 +54,6 @@ func (c *Context) Err() error {
 	}
 	return MapCtxErr(c.ctx.Err())
 }
-
-// Workers returns the configured parallelism. Operators above the scan
-// run on the statement's goroutine; the scan sizes its own fan-out.
-func (c *Context) Workers() int { return c.s.workers }
 
 // reserve accounts n bytes against the global budget and, when bound,
 // the per-query budget; it fails when either is exhausted.

@@ -122,7 +122,7 @@ func TestHeadLimit(t *testing.T) {
 // charge.
 func TestFrameLifecycle(t *testing.T) {
 	schema, rows := testRows(64)
-	root := NewContext(2, 0)
+	root := NewContext(0)
 	q := NewQuery(0)
 	cctx, cancel := context.WithCancel(WithQuery(context.Background(), q))
 	ctx := root.Bind(cctx)
@@ -163,7 +163,7 @@ func TestFrameLifecycle(t *testing.T) {
 }
 
 func TestMemoryBudget(t *testing.T) {
-	ctx := NewContext(2, 10<<10) // 10 KiB budget
+	ctx := NewContext(10 << 10) // 10 KiB budget
 	schema := NewSchema(Field{"s", TypeString})
 	big := make([]Row, 1000)
 	for i := range big {
@@ -235,9 +235,6 @@ func TestSizeOfEstimates(t *testing.T) {
 
 func TestContextDefaults(t *testing.T) {
 	ctx := DefaultContext()
-	if ctx.Workers() < 1 {
-		t.Fatal("workers must be positive")
-	}
 	if err := ctx.reserve(1 << 40); err != nil {
 		t.Fatal("unlimited budget should accept anything")
 	}

@@ -6,16 +6,15 @@
 // spatio-temporal window query to a small set of key ranges for the
 // storage layer to SCAN.
 //
-// Key layouts (all integers big-endian so byte order equals numeric order):
+// All six are one key template (all integers big-endian so byte order
+// equals numeric order); Equ. 2 and 3 of the paper are the template with
+// Z2 and XZ2 as the curve:
 //
-//	Z2   : [shard u8][z2 u64][fid]
-//	XZ2  : [shard u8][xz2 u64][fid]
-//	Z3   : [shard u8][period u32][z3 u64][fid]
-//	XZ3  : [shard u8][period u32][xz3 u64][fid]
-//	Z2T  : [shard u8][period u32][z2 u64][fid]     (Equ. 2 of the paper)
-//	XZ2T : [shard u8][period u32][xz2 u64][fid]    (Equ. 3 of the paper)
+//	[shard u8] [period u32]? [curve code u64] [fid]
 //
-// The shard byte plays GeoMesa's "random prefix" role, spreading load
+// The rows of the layouts table in strategies.go say, per strategy,
+// whether the period is present and which curve fills the code. The
+// shard byte plays GeoMesa's "random prefix" role, spreading load
 // across regions; we derive it from the record id so rewrites of the same
 // record land on the same key (that is what makes JUST update-enabled).
 package index
@@ -32,14 +31,8 @@ import (
 	"just/internal/zorder"
 )
 
-// Errors returned by strategies.
-var (
-	// ErrNeedTime reports a temporal strategy asked to plan a query with
-	// no time bounds.
-	ErrNeedTime = errors.New("index: query has no time interval for a temporal index")
-	// ErrNeedGeom reports a record without a geometry.
-	ErrNeedGeom = errors.New("index: record has no geometry")
-)
+// ErrNeedGeom reports a record without a geometry.
+var ErrNeedGeom = errors.New("index: record has no geometry")
 
 // Record is the indexable digest of a row: its id, geometry and time span.
 type Record struct {
@@ -58,6 +51,12 @@ type Query struct {
 	TMin, TMax int64
 }
 
+// Span is the closed interval [Min, Max] of record start times (ms) a
+// table holds; Min > Max means it holds none. Keys carry the period of
+// the record's start time, so no key exists outside the span's periods
+// and a plan never has to leave them, however wide the query.
+type Span struct{ Min, Max int64 }
+
 // Strategy converts records to keys and queries to key ranges.
 type Strategy interface {
 	// Name returns the strategy identifier used in USERDATA hints
@@ -68,8 +67,9 @@ type Strategy interface {
 	// Key builds the row key for a record.
 	Key(rec Record) ([]byte, error)
 	// Plan produces the key ranges a SCAN must cover so that every
-	// record matching q is visited (over-approximate; callers refine).
-	Plan(q Query) ([]kv.KeyRange, error)
+	// record of a table spanning span that matches q is visited
+	// (over-approximate; callers refine).
+	Plan(q Query, span Span) Plan
 }
 
 // Config carries the tunables shared by all strategies.
@@ -83,8 +83,6 @@ type Config struct {
 	// (its index period is that of its start time); queries look this
 	// many extra periods back. Default 1.
 	MaxRecordPeriods int
-	// ExtraLevels tunes Z-range decomposition depth; 0 = default.
-	ExtraLevels int
 }
 
 func (c Config) withDefaults() Config {
@@ -100,65 +98,100 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// shardOf hashes the record id to a stable shard byte.
-func shardOf(fid []byte, shards int) byte {
-	h := fnv.New32a()
-	h.Write(fid)
-	return byte(h.Sum32() % uint32(shards))
+// Plan is a query's key ranges in factorised form: every key prefix
+// (shard, or shard ∥ period) crossed with the curve-code ranges of its
+// period. Costing walks it with Each; only the plan that wins is
+// expanded into kv.KeyRanges.
+type Plan struct {
+	whole    bool // the single range covering every key (attribute index)
+	shards   int
+	periodic bool  // prefixes carry a period
+	first    int64 // the first period
+	// periods counts the consecutive periods from first: 1 for a
+	// period-less key, 0 for a plan that reads nothing.
+	periods int
+	// codes holds one list shared by every period (the curve ignores
+	// time) or one list per period (time is interleaved).
+	codes [][]zorder.Range
 }
 
-// periodOf implements Equ. (1): Num(t) = floor((t - RefTime) / PeriodLen)
-// with RefTime = the Unix epoch.
-func periodOf(tms int64, period time.Duration) int64 {
-	pl := period.Milliseconds()
-	n := tms / pl
-	if tms%pl < 0 {
-		n-- // floor division for pre-epoch times
-	}
-	return n
-}
-
-// periodStart returns the first millisecond of period n.
-func periodStart(n int64, period time.Duration) int64 {
-	return n * period.Milliseconds()
-}
-
-// fracInPeriod maps tms to its fraction within period n, clamped to [0,1].
-func fracInPeriod(tms, pstart int64, period time.Duration) float64 {
-	f := float64(tms-pstart) / float64(period.Milliseconds())
-	if f < 0 {
-		return 0
-	}
-	if f > 1 {
+// Len returns the number of key ranges the plan expands to.
+func (p Plan) Len() int {
+	if p.whole {
 		return 1
 	}
-	return f
-}
-
-// putU32 appends big-endian v.
-func putU32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-// putU64 appends big-endian v.
-func putU64(b []byte, v uint64) []byte {
-	var tmp [8]byte
-	binary.BigEndian.PutUint64(tmp[:], v)
-	return append(b, tmp[:]...)
-}
-
-// codeRangeToKeyRange converts an inclusive curve-code range under a key
-// prefix into a half-open kv range covering every fid suffix.
-func codeRangeToKeyRange(prefix []byte, r zorder.Range) kv.KeyRange {
-	start := putU64(append([]byte(nil), prefix...), r.Min)
-	var end []byte
-	if r.Max == ^uint64(0) {
-		// No 8-byte code exceeds Max: end at the next prefix value.
-		end = nextPrefix(prefix)
-	} else {
-		end = putU64(append([]byte(nil), prefix...), r.Max+1)
+	n := 0
+	for _, c := range p.codes {
+		n += len(c)
 	}
-	return kv.KeyRange{Start: start, End: end}
+	if len(p.codes) == 1 {
+		n *= p.periods // one list shared by every period
+	}
+	return n * p.shards
+}
+
+// Each calls fn with every key range [start, end) of the plan under the
+// key prefix base, in key-template order (period, shard, code). start
+// and end are reused between calls; end is nil when no key follows the
+// range.
+func (p Plan) Each(base []byte, fn func(start, end []byte)) {
+	if p.whole {
+		fn(base, nextPrefix(base))
+		return
+	}
+	n := len(base) + 1
+	if p.periodic {
+		n += 4
+	}
+	start, end := make([]byte, n+8), make([]byte, n+8)
+	copy(start, base)
+	for i := 0; i < p.periods; i++ {
+		codes := p.codes[min(i, len(p.codes)-1)]
+		for shard := 0; shard < p.shards; shard++ {
+			start[len(base)] = byte(shard)
+			if p.periodic {
+				binary.BigEndian.PutUint32(start[len(base)+1:], encodePeriod(p.first+int64(i)))
+			}
+			copy(end, start[:n])
+			for _, r := range codes {
+				binary.BigEndian.PutUint64(start[n:], r.Min)
+				if r.Max == ^uint64(0) {
+					// No 8-byte code exceeds Max: end at the next prefix value.
+					fn(start, nextPrefix(start[:n]))
+					continue
+				}
+				binary.BigEndian.PutUint64(end[n:], r.Max+1)
+				fn(start, end)
+			}
+		}
+	}
+}
+
+// KeyRanges expands the plan under the key prefix base. Every key of
+// the result is cut from one buffer.
+func (p Plan) KeyRanges(base []byte) []kv.KeyRange {
+	n := p.Len()
+	out := make([]kv.KeyRange, 0, n)
+	buf := make([]byte, 0, n*2*(len(base)+1+4+8))
+	// keep copies b to the buffer; the capacity cap stops an append to
+	// one key from running into the next.
+	keep := func(b []byte) []byte {
+		if b == nil {
+			return nil
+		}
+		at := len(buf)
+		buf = append(buf, b...)
+		return buf[at:len(buf):len(buf)]
+	}
+	p.Each(base, func(start, end []byte) {
+		out = append(out, kv.KeyRange{Start: keep(start), End: keep(end)})
+	})
+	return out
+}
+
+// KeysUnder returns the range of every key that starts with prefix.
+func KeysUnder(prefix []byte) kv.KeyRange {
+	return kv.KeyRange{Start: prefix, End: nextPrefix(prefix)}
 }
 
 // nextPrefix returns the smallest byte string greater than every string
@@ -174,18 +207,42 @@ func nextPrefix(p []byte) []byte {
 	return nil
 }
 
-// recordPeriods returns the index period of rec (that of its start time).
-func recordPeriod(rec Record, period time.Duration) int64 {
-	return periodOf(rec.Start, period)
+// shardOf hashes the record id to a stable shard byte.
+func shardOf(fid []byte, shards int) byte {
+	h := fnv.New32a()
+	h.Write(fid)
+	return byte(h.Sum32() % uint32(shards))
 }
 
-// queryPeriods lists the periods a temporal plan must visit: every period
-// intersecting [TMin, TMax], extended maxBack periods earlier to catch
-// records that started before the window but extend into it.
-func queryPeriods(q Query, period time.Duration, maxBack int) (lo, hi int64) {
-	lo = periodOf(q.TMin, period) - int64(maxBack)
-	hi = periodOf(q.TMax, period)
-	return lo, hi
+// periodOf implements Equ. (1): Num(t) = floor((t - RefTime) / PeriodLen)
+// with RefTime = the Unix epoch; plen is PeriodLen in ms.
+func periodOf(tms, plen int64) int64 {
+	n := tms / plen
+	if tms%plen < 0 {
+		n-- // floor division for pre-epoch times
+	}
+	return n
+}
+
+// periodBias re-centers signed period numbers into uint32 space so that
+// big-endian byte order matches numeric order even for pre-epoch data.
+const periodBias = int64(1) << 31
+
+func encodePeriod(n int64) uint32 { return uint32(n + periodBias) }
+
+// fracInPeriod maps tms to its fraction within the period that starts at
+// pstart, clamped to [0,1]. tms may be anywhere in int64 (an open-ended
+// predicate arrives as a huge bound), so the difference is tested for
+// wrap-around before it is used.
+func fracInPeriod(tms, pstart, plen int64) float64 {
+	if tms <= pstart {
+		return 0
+	}
+	d := tms - pstart
+	if d < 0 || d >= plen {
+		return 1
+	}
+	return float64(d) / float64(plen)
 }
 
 // validateRecord checks the common preconditions.

@@ -1,329 +1,147 @@
 package index
 
 import (
-	"time"
+	"encoding/binary"
 
-	"just/internal/kv"
+	"just/internal/geom"
 	"just/internal/zorder"
 )
 
-// periodBias re-centers signed period numbers into uint32 space so that
-// big-endian byte order matches numeric order even for pre-epoch data.
-const periodBias = int64(1) << 31
-
-func encodePeriod(n int64) uint32 { return uint32(n + periodBias) }
-
-// --- Z2: spatial index for point data ---
-
-// Z2Strategy indexes point geometries by their 2-D Z-order code.
-type Z2Strategy struct {
-	cfg Config
-	sfc zorder.Z2
+// curve fills the code field of a key: index encodes a record's MBR and
+// ranges decomposes a query window into code ranges covering every
+// record that can match. t1 and t2 are time fractions within the key's
+// period; a curve that is not timed ignores them, so one decomposition
+// serves every period of a plan.
+type curve struct {
+	timed  bool
+	index  func(m geom.MBR, t1, t2 float64) uint64
+	ranges func(w geom.MBR, t1, t2 float64) []zorder.Range
 }
 
-// NewZ2 creates a Z2 strategy.
-func NewZ2(cfg Config) *Z2Strategy { return &Z2Strategy{cfg: cfg.withDefaults()} }
+// The point curves encode the MBR's center (a point's MBR is the point);
+// the XZ curves encode the whole MBR.
+var (
+	curveZ2 = curve{
+		index: func(m geom.MBR, _, _ float64) uint64 {
+			c := m.Center()
+			return zorder.Z2{}.Index(c.Lng, c.Lat)
+		},
+		ranges: func(w geom.MBR, _, _ float64) []zorder.Range {
+			return zorder.Z2{}.Ranges(w, zorder.DefaultExtraLevels)
+		},
+	}
+	curveZ3 = curve{
+		timed: true,
+		index: func(m geom.MBR, t1, _ float64) uint64 {
+			c := m.Center()
+			return zorder.Z3{}.Index(c.Lng, c.Lat, t1)
+		},
+		ranges: func(w geom.MBR, t1, t2 float64) []zorder.Range {
+			return zorder.Z3{}.Ranges(w, t1, t2, zorder.DefaultExtraLevels)
+		},
+	}
+	curveXZ2 = curve{
+		index:  func(m geom.MBR, _, _ float64) uint64 { return zorder.XZ2{}.Index(m) },
+		ranges: func(w geom.MBR, _, _ float64) []zorder.Range { return zorder.XZ2{}.Ranges(w) },
+	}
+	curveXZ3 = curve{timed: true, index: zorder.XZ3{}.Index, ranges: zorder.XZ3{}.Ranges}
+)
+
+// layout is one row of the paper's key-layout table (Section IV).
+type layout struct {
+	name string
+	// periodic keys carry Num(t) of the record's start time (Equ. 1)
+	// between the shard and the code.
+	periodic bool
+	// lookBack marks records that extend in time: one that starts before
+	// the query interval can still overlap it, so plans also visit the
+	// MaxRecordPeriods periods before the interval.
+	lookBack bool
+	curve    curve
+}
+
+var layouts = []layout{
+	// GeoMesa's native indexes. Z3 and XZ3 interleave time with space
+	// inside each period, so spatial filtering degrades when the period
+	// is long — the paper's motivation for Z2T.
+	{name: "z2", curve: curveZ2},
+	{name: "xz2", curve: curveXZ2},
+	{name: "z3", periodic: true, curve: curveZ3},
+	{name: "xz3", periodic: true, lookBack: true, curve: curveXZ3},
+	// The paper's indexes: an independent 2-D curve inside each period,
+	// Equ. (2) Num(t) :: Z2(lng, lat) and Equ. (3) Num(tmin) :: XZ2(mbr).
+	// Time bits never mix with space bits, so spatial filtering keeps
+	// full power whatever the time-window / period ratio.
+	{name: "z2t", periodic: true, curve: curveZ2},
+	{name: "xz2t", periodic: true, lookBack: true, curve: curveXZ2},
+}
+
+// curveStrategy is a layout bound to a configuration; it is stateless
+// after construction.
+type curveStrategy struct {
+	layout
+	shards int
+	plen   int64 // period length, ms
+	back   int64 // periods to look back
+}
 
 // Name implements Strategy.
-func (s *Z2Strategy) Name() string { return "z2" }
+func (s *curveStrategy) Name() string { return s.name }
 
 // Temporal implements Strategy.
-func (s *Z2Strategy) Temporal() bool { return false }
+func (s *curveStrategy) Temporal() bool { return s.periodic }
 
-// Key implements Strategy.
-func (s *Z2Strategy) Key(rec Record) ([]byte, error) {
+// Key implements Strategy: shard ∥ [period] ∥ code ∥ fid.
+func (s *curveStrategy) Key(rec Record) ([]byte, error) {
 	if err := validateRecord(rec); err != nil {
 		return nil, err
 	}
-	c := rec.Geom.MBR().Center()
-	key := make([]byte, 0, 1+8+len(rec.FID))
-	key = append(key, shardOf(rec.FID, s.cfg.Shards))
-	key = putU64(key, s.sfc.Index(c.Lng, c.Lat))
-	return append(key, rec.FID...), nil
-}
-
-// Plan implements Strategy.
-func (s *Z2Strategy) Plan(q Query) ([]kv.KeyRange, error) {
-	codeRanges := s.sfc.Ranges(q.Window, s.cfg.ExtraLevels)
-	out := make([]kv.KeyRange, 0, s.cfg.Shards*len(codeRanges))
-	for shard := 0; shard < s.cfg.Shards; shard++ {
-		prefix := []byte{byte(shard)}
-		for _, r := range codeRanges {
-			out = append(out, codeRangeToKeyRange(prefix, r))
-		}
-	}
-	return out, nil
-}
-
-// --- XZ2: spatial index for extended (non-point) data ---
-
-// XZ2Strategy indexes non-point geometries by the XZ-ordering code of
-// their MBR.
-type XZ2Strategy struct {
-	cfg Config
-	sfc zorder.XZ2
-}
-
-// NewXZ2 creates an XZ2 strategy.
-func NewXZ2(cfg Config) *XZ2Strategy { return &XZ2Strategy{cfg: cfg.withDefaults()} }
-
-// Name implements Strategy.
-func (s *XZ2Strategy) Name() string { return "xz2" }
-
-// Temporal implements Strategy.
-func (s *XZ2Strategy) Temporal() bool { return false }
-
-// Key implements Strategy.
-func (s *XZ2Strategy) Key(rec Record) ([]byte, error) {
-	if err := validateRecord(rec); err != nil {
-		return nil, err
-	}
-	key := make([]byte, 0, 1+8+len(rec.FID))
-	key = append(key, shardOf(rec.FID, s.cfg.Shards))
-	key = putU64(key, s.sfc.Index(rec.Geom.MBR()))
-	return append(key, rec.FID...), nil
-}
-
-// Plan implements Strategy.
-func (s *XZ2Strategy) Plan(q Query) ([]kv.KeyRange, error) {
-	codeRanges := s.sfc.Ranges(q.Window)
-	out := make([]kv.KeyRange, 0, s.cfg.Shards*len(codeRanges))
-	for shard := 0; shard < s.cfg.Shards; shard++ {
-		prefix := []byte{byte(shard)}
-		for _, r := range codeRanges {
-			out = append(out, codeRangeToKeyRange(prefix, r))
-		}
-	}
-	return out, nil
-}
-
-// --- Z3: GeoMesa's spatio-temporal index for point data ---
-
-// Z3Strategy interleaves space and time inside each time period — the
-// native GeoMesa design whose spatial filtering degrades when the period
-// is long (the paper's motivation for Z2T).
-type Z3Strategy struct {
-	cfg Config
-	sfc zorder.Z3
-}
-
-// NewZ3 creates a Z3 strategy with the configured period length.
-func NewZ3(cfg Config) *Z3Strategy { return &Z3Strategy{cfg: cfg.withDefaults()} }
-
-// Name implements Strategy.
-func (s *Z3Strategy) Name() string { return "z3" }
-
-// Temporal implements Strategy.
-func (s *Z3Strategy) Temporal() bool { return true }
-
-// Period returns the configured period length.
-func (s *Z3Strategy) Period() time.Duration { return s.cfg.Period }
-
-// Key implements Strategy.
-func (s *Z3Strategy) Key(rec Record) ([]byte, error) {
-	if err := validateRecord(rec); err != nil {
-		return nil, err
-	}
-	p := recordPeriod(rec, s.cfg.Period)
-	frac := fracInPeriod(rec.Start, periodStart(p, s.cfg.Period), s.cfg.Period)
-	c := rec.Geom.MBR().Center()
 	key := make([]byte, 0, 1+4+8+len(rec.FID))
-	key = append(key, shardOf(rec.FID, s.cfg.Shards))
-	key = putU32(key, encodePeriod(p))
-	key = putU64(key, s.sfc.Index(c.Lng, c.Lat, frac))
+	key = append(key, shardOf(rec.FID, s.shards))
+	var t1, t2 float64
+	if s.periodic {
+		n := periodOf(rec.Start, s.plen)
+		key = binary.BigEndian.AppendUint32(key, encodePeriod(n))
+		if s.curve.timed {
+			t1 = fracInPeriod(rec.Start, n*s.plen, s.plen)
+			t2 = fracInPeriod(rec.End, n*s.plen, s.plen)
+		}
+	}
+	key = binary.BigEndian.AppendUint64(key, s.curve.index(rec.Geom.MBR(), t1, t2))
 	return append(key, rec.FID...), nil
 }
 
-// Plan implements Strategy.
-func (s *Z3Strategy) Plan(q Query) ([]kv.KeyRange, error) {
-	if !q.HasTime {
-		return nil, ErrNeedTime
+// Plan implements Strategy. A periodic layout visits the periods of the
+// query interval cut to the table's span — a one-sided predicate (an
+// open bound arrives as a huge value) plans no more periods than the
+// table has, and an interval with TMin > TMax plans none. A time-less
+// query asks for the whole span. Untimed curves decompose the window
+// once for all periods (step 2 of the paper's query algorithm).
+func (s *curveStrategy) Plan(q Query, span Span) Plan {
+	p := Plan{shards: s.shards, periodic: s.periodic, periods: 1}
+	tmin, tmax := span.Min, span.Max
+	if q.HasTime {
+		tmin, tmax = q.TMin, q.TMax
 	}
-	lo, hi := periodOf(q.TMin, s.cfg.Period), periodOf(q.TMax, s.cfg.Period)
-	var out []kv.KeyRange
-	for p := lo; p <= hi; p++ {
-		ps := periodStart(p, s.cfg.Period)
-		t1 := fracInPeriod(q.TMin, ps, s.cfg.Period)
-		t2 := fracInPeriod(q.TMax, ps, s.cfg.Period)
-		codeRanges := s.sfc.Ranges(q.Window, t1, t2, s.cfg.ExtraLevels)
-		for shard := 0; shard < s.cfg.Shards; shard++ {
-			prefix := putU32([]byte{byte(shard)}, encodePeriod(p))
-			for _, r := range codeRanges {
-				out = append(out, codeRangeToKeyRange(prefix, r))
-			}
+	if s.periodic {
+		lo := periodOf(max(tmin, span.Min), s.plen) - s.back
+		hi := periodOf(min(tmax, span.Max), s.plen)
+		if tmin > tmax || span.Min > span.Max || lo > hi {
+			return Plan{}
 		}
+		p.first, p.periods = lo, int(hi-lo+1)
 	}
-	return out, nil
-}
-
-// --- XZ3: GeoMesa's spatio-temporal index for extended data ---
-
-// XZ3Strategy is the octree XZ analogue of Z3 for non-point records.
-type XZ3Strategy struct {
-	cfg Config
-	sfc zorder.XZ3
-}
-
-// NewXZ3 creates an XZ3 strategy.
-func NewXZ3(cfg Config) *XZ3Strategy { return &XZ3Strategy{cfg: cfg.withDefaults()} }
-
-// Name implements Strategy.
-func (s *XZ3Strategy) Name() string { return "xz3" }
-
-// Temporal implements Strategy.
-func (s *XZ3Strategy) Temporal() bool { return true }
-
-// Key implements Strategy.
-func (s *XZ3Strategy) Key(rec Record) ([]byte, error) {
-	if err := validateRecord(rec); err != nil {
-		return nil, err
+	if !s.curve.timed {
+		p.codes = [][]zorder.Range{s.curve.ranges(q.Window, 0, 0)}
+		return p
 	}
-	p := recordPeriod(rec, s.cfg.Period)
-	ps := periodStart(p, s.cfg.Period)
-	t1 := fracInPeriod(rec.Start, ps, s.cfg.Period)
-	t2 := fracInPeriod(rec.End, ps, s.cfg.Period)
-	key := make([]byte, 0, 1+4+8+len(rec.FID))
-	key = append(key, shardOf(rec.FID, s.cfg.Shards))
-	key = putU32(key, encodePeriod(p))
-	key = putU64(key, s.sfc.Index(rec.Geom.MBR(), t1, t2))
-	return append(key, rec.FID...), nil
-}
-
-// Plan implements Strategy.
-func (s *XZ3Strategy) Plan(q Query) ([]kv.KeyRange, error) {
-	if !q.HasTime {
-		return nil, ErrNeedTime
+	p.codes = make([][]zorder.Range, p.periods)
+	for i := range p.codes {
+		start := (p.first + int64(i)) * s.plen
+		p.codes[i] = s.curve.ranges(q.Window, fracInPeriod(tmin, start, s.plen), fracInPeriod(tmax, start, s.plen))
 	}
-	lo, hi := queryPeriods(q, s.cfg.Period, s.cfg.MaxRecordPeriods)
-	var out []kv.KeyRange
-	for p := lo; p <= hi; p++ {
-		ps := periodStart(p, s.cfg.Period)
-		t1 := fracInPeriod(q.TMin, ps, s.cfg.Period)
-		t2 := fracInPeriod(q.TMax, ps, s.cfg.Period)
-		codeRanges := s.sfc.Ranges(q.Window, t1, t2)
-		for shard := 0; shard < s.cfg.Shards; shard++ {
-			prefix := putU32([]byte{byte(shard)}, encodePeriod(p))
-			for _, r := range codeRanges {
-				out = append(out, codeRangeToKeyRange(prefix, r))
-			}
-		}
-	}
-	return out, nil
+	return p
 }
-
-// --- Z2T: the paper's novel index for point data (Section IV-B) ---
-
-// Z2TStrategy partitions time into periods and builds an independent Z2
-// index inside each period — Equ. (2): Num(t) :: Z2(lng, lat). Unlike Z3
-// it never interleaves time bits with space bits, so spatial filtering
-// keeps full power regardless of the time-window/period ratio.
-type Z2TStrategy struct {
-	cfg Config
-	sfc zorder.Z2
-}
-
-// NewZ2T creates a Z2T strategy.
-func NewZ2T(cfg Config) *Z2TStrategy { return &Z2TStrategy{cfg: cfg.withDefaults()} }
-
-// Name implements Strategy.
-func (s *Z2TStrategy) Name() string { return "z2t" }
-
-// Temporal implements Strategy.
-func (s *Z2TStrategy) Temporal() bool { return true }
-
-// Period returns the configured period length.
-func (s *Z2TStrategy) Period() time.Duration { return s.cfg.Period }
-
-// Key implements Strategy.
-func (s *Z2TStrategy) Key(rec Record) ([]byte, error) {
-	if err := validateRecord(rec); err != nil {
-		return nil, err
-	}
-	p := recordPeriod(rec, s.cfg.Period)
-	c := rec.Geom.MBR().Center()
-	key := make([]byte, 0, 1+4+8+len(rec.FID))
-	key = append(key, shardOf(rec.FID, s.cfg.Shards))
-	key = putU32(key, encodePeriod(p))
-	key = putU64(key, s.sfc.Index(c.Lng, c.Lat))
-	return append(key, rec.FID...), nil
-}
-
-// Plan implements Strategy: one Z2 decomposition shared by every
-// qualified period (step 2 of the paper's query algorithm).
-func (s *Z2TStrategy) Plan(q Query) ([]kv.KeyRange, error) {
-	if !q.HasTime {
-		return nil, ErrNeedTime
-	}
-	lo, hi := periodOf(q.TMin, s.cfg.Period), periodOf(q.TMax, s.cfg.Period)
-	codeRanges := s.sfc.Ranges(q.Window, s.cfg.ExtraLevels)
-	out := make([]kv.KeyRange, 0, int(hi-lo+1)*s.cfg.Shards*len(codeRanges))
-	for p := lo; p <= hi; p++ {
-		for shard := 0; shard < s.cfg.Shards; shard++ {
-			prefix := putU32([]byte{byte(shard)}, encodePeriod(p))
-			for _, r := range codeRanges {
-				out = append(out, codeRangeToKeyRange(prefix, r))
-			}
-		}
-	}
-	return out, nil
-}
-
-// --- XZ2T: the paper's novel index for extended data (Section IV-C) ---
-
-// XZ2TStrategy is Z2T for non-point records — Equ. (3):
-// Num(tmin) :: XZ2(mbr). The record's period comes from its start time.
-type XZ2TStrategy struct {
-	cfg Config
-	sfc zorder.XZ2
-}
-
-// NewXZ2T creates an XZ2T strategy.
-func NewXZ2T(cfg Config) *XZ2TStrategy { return &XZ2TStrategy{cfg: cfg.withDefaults()} }
-
-// Name implements Strategy.
-func (s *XZ2TStrategy) Name() string { return "xz2t" }
-
-// Temporal implements Strategy.
-func (s *XZ2TStrategy) Temporal() bool { return true }
-
-// Period returns the configured period length.
-func (s *XZ2TStrategy) Period() time.Duration { return s.cfg.Period }
-
-// Key implements Strategy.
-func (s *XZ2TStrategy) Key(rec Record) ([]byte, error) {
-	if err := validateRecord(rec); err != nil {
-		return nil, err
-	}
-	p := recordPeriod(rec, s.cfg.Period)
-	key := make([]byte, 0, 1+4+8+len(rec.FID))
-	key = append(key, shardOf(rec.FID, s.cfg.Shards))
-	key = putU32(key, encodePeriod(p))
-	key = putU64(key, s.sfc.Index(rec.Geom.MBR()))
-	return append(key, rec.FID...), nil
-}
-
-// Plan implements Strategy. Periods extend MaxRecordPeriods back so a
-// record that starts before the time window but overlaps it (indexed
-// under its start period, Equ. 3) is still found.
-func (s *XZ2TStrategy) Plan(q Query) ([]kv.KeyRange, error) {
-	if !q.HasTime {
-		return nil, ErrNeedTime
-	}
-	lo, hi := queryPeriods(q, s.cfg.Period, s.cfg.MaxRecordPeriods)
-	codeRanges := s.sfc.Ranges(q.Window)
-	out := make([]kv.KeyRange, 0, int(hi-lo+1)*s.cfg.Shards*len(codeRanges))
-	for p := lo; p <= hi; p++ {
-		for shard := 0; shard < s.cfg.Shards; shard++ {
-			prefix := putU32([]byte{byte(shard)}, encodePeriod(p))
-			for _, r := range codeRanges {
-				out = append(out, codeRangeToKeyRange(prefix, r))
-			}
-		}
-	}
-	return out, nil
-}
-
-// --- Attribute index ---
 
 // AttrStrategy indexes records by their id for point lookups and id-range
 // scans ("attribute indexing" in Fig. 1; JUST uses it for primary keys).
@@ -343,14 +161,12 @@ func (s *AttrStrategy) Key(rec Record) ([]byte, error) {
 	if len(rec.FID) == 0 {
 		return nil, ErrNeedGeom
 	}
-	return append([]byte(nil), rec.FID...), nil
+	return s.KeyForFID(rec.FID), nil
 }
 
 // Plan implements Strategy: attribute indexes do not answer window
-// queries; the full keyspace is returned.
-func (s *AttrStrategy) Plan(q Query) ([]kv.KeyRange, error) {
-	return []kv.KeyRange{{}}, nil
-}
+// queries; the plan is the full keyspace.
+func (s *AttrStrategy) Plan(Query, Span) Plan { return Plan{whole: true} }
 
 // KeyForFID returns the attribute key for a raw id.
 func (s *AttrStrategy) KeyForFID(fid []byte) []byte {
@@ -360,37 +176,33 @@ func (s *AttrStrategy) KeyForFID(fid []byte) []byte {
 // New builds a strategy by name: z2, xz2, z3, xz3, z2t, xz2t or attr —
 // mirroring the `geomesa.indices.enabled` USERDATA hint.
 func New(name string, cfg Config) (Strategy, bool) {
-	switch name {
-	case "z2":
-		return NewZ2(cfg), true
-	case "xz2":
-		return NewXZ2(cfg), true
-	case "z3":
-		return NewZ3(cfg), true
-	case "xz3":
-		return NewXZ3(cfg), true
-	case "z2t":
-		return NewZ2T(cfg), true
-	case "xz2t":
-		return NewXZ2T(cfg), true
-	case "attr":
+	if name == "attr" {
 		return NewAttr(), true
-	default:
-		return nil, false
 	}
+	cfg = cfg.withDefaults()
+	for _, l := range layouts {
+		if l.name != name {
+			continue
+		}
+		s := &curveStrategy{layout: l, shards: cfg.Shards, plen: cfg.Period.Milliseconds()}
+		if l.lookBack {
+			s.back = int64(cfg.MaxRecordPeriods)
+		}
+		return s, true
+	}
+	return nil, false
 }
 
 // DefaultFor picks the paper's default strategy for a geometry class:
 // Z2+Z2T for point data, XZ2+XZ2T for non-point data (Section V-C).
 func DefaultFor(point bool, temporal bool, cfg Config) Strategy {
-	switch {
-	case point && temporal:
-		return NewZ2T(cfg)
-	case point:
-		return NewZ2(cfg)
-	case temporal:
-		return NewXZ2T(cfg)
-	default:
-		return NewXZ2(cfg)
+	name := "xz2"
+	if point {
+		name = "z2"
 	}
+	if temporal {
+		name += "t"
+	}
+	s, _ := New(name, cfg)
+	return s
 }

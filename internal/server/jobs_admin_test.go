@@ -70,8 +70,7 @@ func classStatus(t *testing.T, st jobs.Status, c jobs.Class) jobs.ClassStatus {
 func TestAdminJobsPanicQuarantineAndResume(t *testing.T) {
 	base := runtime.NumGoroutine()
 	eng, err := core.Open(core.Config{
-		Dir:     t.TempDir(),
-		Workers: 2,
+		Dir: t.TempDir(),
 		// Two strikes and an hour-long cooldown: quarantine must stick
 		// until the operator resumes it, not silently expire mid-test.
 		Jobs:    jobs.Options{QuarantineAfter: 2, QuarantineCooldown: time.Hour},

@@ -42,9 +42,8 @@ func startTCPRegionServers(t *testing.T, n int) []string {
 func newRouterModeServer(t *testing.T, peers []string, opts Options) *httptest.Server {
 	t.Helper()
 	eng, err := core.Open(core.Config{
-		Dir:     t.TempDir(),
-		Workers: 2,
-		Router:  &kv.RouterOptions{Peers: peers},
+		Dir:    t.TempDir(),
+		Router: &kv.RouterOptions{Peers: peers},
 	})
 	if err != nil {
 		t.Fatalf("open router-mode engine: %v", err)

@@ -23,7 +23,6 @@ func newTestServer(t *testing.T, opts Options) (*httptest.Server, *Server) {
 	t.Helper()
 	eng, err := core.Open(core.Config{
 		Dir:     t.TempDir(),
-		Workers: 2,
 		Cluster: kv.ClusterOptions{Options: kv.Options{DisableWAL: true}},
 	})
 	if err != nil {
@@ -251,7 +250,6 @@ func newReplicatedServer(t *testing.T, opts Options) (*httptest.Server, *Server)
 	t.Helper()
 	eng, err := core.Open(core.Config{
 		Dir:     t.TempDir(),
-		Workers: 2,
 		Cluster: kv.ClusterOptions{Servers: 3, Replication: 1},
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -930,9 +931,10 @@ func (ex *executor) runScan(v *ScanPlan) (*exec.DataFrame, error) {
 	return out, nil
 }
 
+// timeBounds closes a one-sided interval with the end of int64; the
+// access-path planner cuts it to the table's recorded time span.
 func timeBounds(tmin, tmax *int64) (int64, int64) {
-	lo := int64(0)
-	hi := int64(1) << 62
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
 	if tmin != nil {
 		lo = *tmin
 	}

@@ -175,9 +175,8 @@ func TestPointLookupDeadlinePropagates(t *testing.T) {
 	lb.Register("s1", node.Handler())
 	ft := kv.NewFaultTransport(lb, 1)
 	e, err := core.Open(core.Config{
-		Dir:     t.TempDir(),
-		Workers: 2,
-		Router:  &kv.RouterOptions{Peers: []string{"s1"}, Transport: ft},
+		Dir:    t.TempDir(),
+		Router: &kv.RouterOptions{Peers: []string{"s1"}, Transport: ft},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,6 @@ func newTestSession(t *testing.T) *Session {
 	t.Helper()
 	e, err := core.Open(core.Config{
 		Dir:     t.TempDir(),
-		Workers: 4,
 		Cluster: kv.ClusterOptions{Options: kv.Options{DisableWAL: true}},
 	})
 	if err != nil {
@@ -543,7 +542,7 @@ func TestEndToEndLoadGeoJSON(t *testing.T) {
 
 func TestUserNamespaces(t *testing.T) {
 	e, err := core.Open(core.Config{
-		Dir: t.TempDir(), Workers: 2,
+		Dir:     t.TempDir(),
 		Cluster: kv.ClusterOptions{Options: kv.Options{DisableWAL: true}},
 	})
 	if err != nil {

@@ -93,7 +93,6 @@ func codecBenchTable(b *testing.B, codec string) (*Table, int64) {
 	if err := cluster.Flush(); err != nil {
 		b.Fatal(err)
 	}
-	d.MinTimeMS, d.MaxTimeMS = 0, benchDayMS
 	codecBenchTables[codec] = tbl
 	codecBenchSizes[codec] = cluster.DiskSize()
 	return tbl, codecBenchSizes[codec]

@@ -153,7 +153,6 @@ func zoneBenchTable() (*Table, error) {
 			zoneBenchErr = err
 			return
 		}
-		d.MinTimeMS, d.MaxTimeMS = 0, benchDayMS
 		zoneBenchTbl = tbl
 	})
 	return zoneBenchTbl, zoneBenchErr
@@ -248,7 +247,6 @@ func TestZoneMapPruningFixture(t *testing.T) {
 	if err := cluster.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	d.MinTimeMS, d.MaxTimeMS = 0, day
 
 	q := index.Query{
 		Window:  geom.WorldMBR,

@@ -33,27 +33,12 @@ func benchClusterOptions() kv.ClusterOptions {
 // post-filter all on the single consumer goroutine. It is kept here as
 // the benchmark baseline for BenchmarkScanPipeline*.
 func seedScanQuery(t *Table, q index.Query, emit func(exec.Row) bool) error {
-	s, indexID, ok := t.chooseStrategy(q)
-	if !ok {
-		panic("bench table must have an index")
-	}
-	planQ := q
-	if s.Temporal() && !q.HasTime {
-		planQ.HasTime = true
-		planQ.TMin = t.Desc.MinTimeMS
-		planQ.TMax = t.Desc.MaxTimeMS
-	}
-	ranges, err := s.Plan(planQ)
+	path, err := t.PlanAccess(q)
 	if err != nil {
 		return err
 	}
-	prefix := t.keyPrefix(indexID)
-	full := make([]kv.KeyRange, len(ranges))
-	for i, r := range ranges {
-		full[i] = prefixRange(prefix, r)
-	}
 	var decodeErr error
-	err = kv.ScanRanges(context.Background(), t.cluster, full, func(k, v []byte) bool {
+	err = kv.ScanRanges(context.Background(), t.cluster, path.Ranges, func(k, v []byte) bool {
 		row, err := t.codec.Decode(v)
 		if err != nil {
 			decodeErr = err
@@ -143,7 +128,6 @@ func trajBenchTable() (*Table, error) {
 			trajBenchErr = err
 			return
 		}
-		d.MinTimeMS, d.MaxTimeMS = 0, benchDayMS
 		trajBenchTbl = tbl
 	})
 	return trajBenchTbl, trajBenchErr
@@ -280,7 +264,6 @@ func orderBenchTable() (*Table, error) {
 			orderBenchErr = err
 			return
 		}
-		d.MinTimeMS, d.MaxTimeMS = 0, benchDayMS
 		orderBenchTbl = tbl
 	})
 	return orderBenchTbl, orderBenchErr

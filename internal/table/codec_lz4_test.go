@@ -179,7 +179,6 @@ func newTrajTestTableCodec(t *testing.T, rng *rand.Rand, n int, method string) *
 	if err := cluster.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	d.MinTimeMS, d.MaxTimeMS = 0, day
 	return tbl
 }
 

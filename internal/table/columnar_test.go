@@ -72,7 +72,6 @@ func newOrderTestTable(t *testing.T, rng *rand.Rand, n, flushEvery int) *Table {
 	if err := insertRows(tbl, rows...); err != nil {
 		t.Fatal(err)
 	}
-	d.MinTimeMS, d.MaxTimeMS = 0, day
 	return tbl
 }
 
@@ -122,7 +121,6 @@ func newTrajTestTable(t *testing.T, rng *rand.Rand, n int) *Table {
 	if err := cluster.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	d.MinTimeMS, d.MaxTimeMS = 0, day
 	return tbl
 }
 

@@ -47,11 +47,10 @@ func rowMatches(tbl *Table, row exec.Row, q index.Query) bool {
 // window filter set are cleared, as ScanProjected leaves them.
 func scanOracle(t testing.TB, tbl *Table, q index.Query, needed []bool) []exec.Row {
 	t.Helper()
-	prefix := tbl.keyPrefix(tbl.attrID)
 	filter := tbl.filterCols()
 	var rows []exec.Row
 	var derr error
-	err := kv.ScanRange(bg, tbl.cluster, kv.KeyRange{Start: prefix, End: nextKeyPrefix(prefix)}, func(_, v []byte) bool {
+	err := kv.ScanRange(bg, tbl.cluster, index.KeysUnder(tbl.keyPrefix(tbl.attrID)), func(_, v []byte) bool {
 		row, err := tbl.codec.Decode(v)
 		if err != nil {
 			derr = err

@@ -146,7 +146,7 @@ func (t *Table) insertOne(ctx context.Context, row exec.Row) error {
 		if err != nil {
 			return err
 		}
-		newKeys[i] = append(t.keyPrefix(t.Desc.Indexes[indexSlot(t.Desc, i)].ID), key...)
+		newKeys[i] = append(t.keyPrefix(s.id), key...)
 	}
 	// Tombstone index entries of a previous version that landed on
 	// different keys (the record moved).
@@ -168,7 +168,7 @@ func (t *Table) insertOne(ctx context.Context, row exec.Row) error {
 			if err != nil {
 				return err
 			}
-			full := append(t.keyPrefix(t.Desc.Indexes[indexSlot(t.Desc, i)].ID), oldKey...)
+			full := append(t.keyPrefix(s.id), oldKey...)
 			if newKeys[i] == nil || !bytes.Equal(full, newKeys[i]) {
 				if err := t.cluster.DeleteCtx(ctx, full); err != nil {
 					return err
@@ -178,6 +178,7 @@ func (t *Table) insertOne(ctx context.Context, row exec.Row) error {
 	} else if err != kv.ErrNotFound {
 		return err
 	}
+	t.widenSpan(rec.Start, rec.Start)
 	if err := t.cluster.PutCtx(ctx, attrKey, value); err != nil {
 		return err
 	}

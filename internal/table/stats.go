@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"just/internal/exec"
@@ -28,7 +27,7 @@ const rangeSeekCost = 8.0
 
 // TableStats is the optimizer's view of a table's physical key
 // distribution, collected by CollectStats and persisted in the catalog
-// descriptor. Plans fall back to fixed heuristics when it is absent;
+// descriptor. PlanAccess costs by a fixed preference when it is absent;
 // it is advisory only and never affects result correctness.
 type TableStats struct {
 	CollectedAtMS int64 `json:"collected_at_ms"`
@@ -58,28 +57,29 @@ type IndexStats struct {
 	Sample [][]byte `json:"sample"`
 }
 
-// estimateKeys returns the expected number of index entries inside the
-// strategy-local key range [start, end).
-func (s *IndexStats) estimateKeys(start, end []byte) float64 {
-	if s.Keys == 0 || len(s.Sample) == 0 {
+// estimate returns the expected number of index entries inside the
+// strategy-local key ranges of plan: the share of the sample they hold,
+// scaled to the key count. An index the snapshot does not cover (nil)
+// estimates as empty.
+func (s *IndexStats) estimate(plan index.Plan) float64 {
+	if s == nil || s.Keys == 0 || len(s.Sample) == 0 {
 		return 0
 	}
-	lo := 0
-	if start != nil {
-		lo = sort.Search(len(s.Sample), func(i int) bool {
-			return bytes.Compare(s.Sample[i], start) >= 0
+	// rank is the number of sample keys below k.
+	rank := func(k []byte) int {
+		return sort.Search(len(s.Sample), func(i int) bool {
+			return bytes.Compare(s.Sample[i], k) >= 0
 		})
 	}
-	hi := len(s.Sample)
-	if end != nil {
-		hi = sort.Search(len(s.Sample), func(i int) bool {
-			return bytes.Compare(s.Sample[i], end) >= 0
-		})
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return float64(hi-lo) / float64(len(s.Sample)) * float64(s.Keys)
+	hits := 0
+	plan.Each(nil, func(start, end []byte) {
+		hi := len(s.Sample)
+		if end != nil {
+			hi = rank(end)
+		}
+		hits += max(hi-rank(start), 0)
+	})
+	return float64(hits) / float64(len(s.Sample)) * float64(s.Keys)
 }
 
 // CollectStats scans every index's key range (keys only — values are
@@ -97,7 +97,7 @@ func (t *Table) CollectStats(ctx context.Context) (*TableStats, error) {
 		rng := rand.New(rand.NewSource(1))
 		var sample [][]byte
 		err := kv.ScanRangesFunc(ctx, t.cluster,
-			[]kv.KeyRange{{Start: prefix, End: nextKeyPrefix(prefix)}},
+			[]kv.KeyRange{index.KeysUnder(prefix)},
 			func(k, _ []byte) ([]byte, bool, error) {
 				return append([]byte(nil), k[len(prefix):]...), true, nil
 			},
@@ -147,10 +147,9 @@ func (t *Table) sampleStringCardinality(ctx context.Context, st *TableStats) err
 	for i := range distinct {
 		distinct[i] = make(map[string]struct{})
 	}
-	prefix := t.keyPrefix(t.attrID)
 	var sampled int64
 	err := kv.ScanRangesFunc(ctx, t.cluster,
-		[]kv.KeyRange{{Start: prefix, End: nextKeyPrefix(prefix)}},
+		[]kv.KeyRange{index.KeysUnder(t.keyPrefix(t.attrID))},
 		func(_, v []byte) ([]byte, bool, error) {
 			return append([]byte(nil), v...), true, nil
 		},
@@ -242,110 +241,62 @@ type AccessPath struct {
 	IndexID  uint8
 	Ranges   []kv.KeyRange
 	// EstKeys is the estimated number of index entries the plan reads;
-	// -1 when the path was chosen heuristically (no statistics).
+	// -1 when the path was chosen without statistics.
 	EstKeys float64
 }
 
-// PlanAccess chooses the access path for q. With statistics installed
-// the choice is cost-based: every index strategy that can serve the
-// query — plus the attribute-index full scan — is planned, each plan
-// is costed as estimated entries read plus a per-range seek charge,
-// and the cheapest wins. Without statistics it falls back to the fixed
-// heuristic (temporal index when the query has time bounds, else
-// spatial), which is also the safety net when statistics exist but no
-// candidate plans cleanly.
+// PlanAccess chooses the access path for q: the one place a window
+// becomes key ranges. The candidates are the attribute-index full scan
+// and every curve index; the cheapest wins, the earlier one on a tie.
+//
+// With statistics installed each candidate is planned in factorised
+// form (index.Plan) and costed there: estimated entries read plus a
+// per-range seek charge. The attribute scan is a real contender — for
+// a window covering most of the data it beats thousands of curve
+// ranges. Without statistics the cost is the fixed preference: an index
+// that is temporal exactly when the query has time bounds, else any
+// curve index, else the attribute scan.
+//
+// Every plan is cut to the table's time span (TimeSpan), so neither an
+// open-ended time predicate nor a time-less query on a temporal index
+// plans a period the table does not have. Only the winner is expanded
+// into kv.KeyRanges, already under the table / index prefix.
 func (t *Table) PlanAccess(q index.Query) (AccessPath, error) {
-	if st := t.Stats(); st != nil {
-		if p, ok := t.planWithStats(st, q); ok {
-			return p, nil
-		}
+	st, span := t.Stats(), t.TimeSpan()
+	type candidate struct {
+		s    index.Strategy
+		id   uint8
+		plan index.Plan
+		est  float64
 	}
-	return t.planHeuristic(q)
-}
-
-func (t *Table) planWithStats(st *TableStats, q index.Query) (AccessPath, bool) {
-	var best AccessPath
-	bestCost := math.Inf(1)
-	found := false
-	// The attribute full scan is always a candidate: for a window
-	// covering most of the data it beats thousands of curve ranges.
-	if as, ok := st.Indexes[t.attrID]; ok {
-		prefix := t.keyPrefix(t.attrID)
-		best = AccessPath{
-			Strategy: "attr",
-			IndexID:  t.attrID,
-			Ranges:   []kv.KeyRange{{Start: prefix, End: nextKeyPrefix(prefix)}},
-			EstKeys:  float64(as.Keys),
+	best, bestCost := candidate{}, math.Inf(1)
+	consider := func(s index.Strategy, id uint8, preference float64) {
+		c, cost := candidate{s: s, id: id, est: -1}, preference
+		if st != nil {
+			c.plan = s.Plan(q, span)
+			c.est = st.Indexes[id].estimate(c.plan)
+			cost = c.est + float64(c.plan.Len())*rangeSeekCost
 		}
-		bestCost = float64(as.Keys) + rangeSeekCost
-		found = true
-	}
-	for i, s := range t.strategies {
-		id := t.Desc.Indexes[indexSlot(t.Desc, i)].ID
-		is, ok := st.Indexes[id]
-		if !ok {
-			continue
-		}
-		planQ := q
-		if s.Temporal() && !q.HasTime {
-			planQ.HasTime = true
-			planQ.TMin = t.Desc.MinTimeMS
-			planQ.TMax = t.Desc.MaxTimeMS
-		}
-		ranges, err := s.Plan(planQ)
-		if err != nil {
-			continue // this strategy cannot serve this query shape
-		}
-		var est float64
-		for _, r := range ranges {
-			est += is.estimateKeys(r.Start, r.End)
-		}
-		cost := est + float64(len(ranges))*rangeSeekCost
 		if cost < bestCost {
-			prefix := t.keyPrefix(id)
-			full := make([]kv.KeyRange, len(ranges))
-			for j, r := range ranges {
-				full[j] = prefixRange(prefix, r)
-			}
-			best = AccessPath{Strategy: s.Name(), IndexID: id, Ranges: full, EstKeys: est}
-			bestCost = cost
-			found = true
+			best, bestCost = c, cost
 		}
 	}
-	return best, found
+	consider(t.attr, t.attrID, 2)
+	for _, s := range t.strategies {
+		if s.Temporal() == q.HasTime {
+			consider(s.Strategy, s.id, 0)
+		} else {
+			consider(s.Strategy, s.id, 1)
+		}
+	}
+	if st == nil {
+		// The preference needs no plan, so only the winner gets one.
+		best.plan = best.s.Plan(q, span)
+	}
+	return AccessPath{
+		Strategy: best.s.Name(),
+		IndexID:  best.id,
+		Ranges:   best.plan.KeyRanges(t.keyPrefix(best.id)),
+		EstKeys:  best.est,
+	}, nil
 }
-
-// planHeuristic is the statistics-free path: the pre-statistics fixed
-// choice, kept as the fallback.
-func (t *Table) planHeuristic(q index.Query) (AccessPath, error) {
-	s, indexID, ok := t.chooseStrategy(q)
-	if !ok {
-		prefix := t.keyPrefix(t.attrID)
-		return AccessPath{
-			Strategy: "attr",
-			IndexID:  t.attrID,
-			Ranges:   []kv.KeyRange{{Start: prefix, End: nextKeyPrefix(prefix)}},
-			EstKeys:  -1,
-		}, nil
-	}
-	planQ := q
-	if s.Temporal() && !q.HasTime {
-		planQ.HasTime = true
-		planQ.TMin = t.Desc.MinTimeMS
-		planQ.TMax = t.Desc.MaxTimeMS
-	}
-	ranges, err := s.Plan(planQ)
-	if err != nil {
-		return AccessPath{}, err
-	}
-	prefix := t.keyPrefix(indexID)
-	full := make([]kv.KeyRange, len(ranges))
-	for i, r := range ranges {
-		full[i] = prefixRange(prefix, r)
-	}
-	return AccessPath{Strategy: s.Name(), IndexID: indexID, Ranges: full, EstKeys: -1}, nil
-}
-
-// statsPtr is the lock-free holder Table embeds (kept tiny so table.go
-// stays focused on the data path).
-type statsPtr = atomic.Pointer[TableStats]

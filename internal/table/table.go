@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"strconv"
 	"sync"
@@ -25,9 +26,16 @@ type Table struct {
 	codec   *Codec
 	cluster kv.Store
 
-	strategies []index.Strategy // parallel to Desc.Indexes
+	strategies []spatialIndex // Desc.Indexes without the attribute index, in order
 	attr       *index.AttrStrategy
 	attrID     uint8
+
+	// minT / maxT bound the start times of the rows the table holds
+	// (empty while minT > maxT). InsertBatchCtx widens them before the
+	// rows it writes become readable, so PlanAccess may cut any query
+	// interval to them; they only ever widen, so an unlocked reader
+	// sees a span at least as wide as the rows it can reach.
+	minT, maxT atomic.Int64
 
 	fidIdx  int
 	geomIdx int // -1 when the table has no geometry
@@ -36,11 +44,18 @@ type Table struct {
 
 	// stats holds the planner statistics snapshot (see stats.go); nil
 	// until the first collection, when PlanAccess goes cost-based.
-	stats statsPtr
+	stats atomic.Pointer[TableStats]
 	// internCols flags string columns whose sampled cardinality is low
 	// enough that the columnar decode path interns their values through
 	// a per-scan-task dictionary (see SetStats); nil disables interning.
 	internCols atomic.Pointer[[]bool]
+}
+
+// spatialIndex is one curve index of a table: the strategy and its
+// key-space discriminator.
+type spatialIndex struct {
+	index.Strategy
+	id uint8
 }
 
 // IndexConfig carries strategy tunables shared by a table's indexes.
@@ -85,10 +100,15 @@ func Open(d *Desc, cluster kv.Store, cfg IndexConfig) (*Table, error) {
 		if !ok {
 			return nil, fmt.Errorf("table: unknown index strategy %q", id.Strategy)
 		}
-		t.strategies = append(t.strategies, s)
+		t.strategies = append(t.strategies, spatialIndex{s, id.ID})
 	}
 	if t.attr == nil {
 		return nil, fmt.Errorf("%w: table %s missing attr index", ErrBadSchema, d.Name)
+	}
+	t.minT.Store(math.MaxInt64)
+	t.maxT.Store(math.MinInt64)
+	if d.RecordCount > 0 {
+		t.widenSpan(d.MinTimeMS, d.MaxTimeMS)
 	}
 	if d.Stats != nil {
 		// SetStats (not a bare store) so the persisted snapshot also
@@ -120,29 +140,17 @@ func (t *Table) keyPrefix(indexID uint8) []byte {
 	return []byte{byte(id >> 24), byte(id >> 16), byte(id >> 8), byte(id), indexID}
 }
 
-// prefixRange re-anchors a strategy-local key range under the table and
-// index key prefix.
-func prefixRange(prefix []byte, r kv.KeyRange) kv.KeyRange {
-	out := kv.KeyRange{
-		Start: append(append([]byte(nil), prefix...), r.Start...),
-	}
-	if r.End != nil {
-		out.End = append(append([]byte(nil), prefix...), r.End...)
-	} else {
-		out.End = nextKeyPrefix(prefix)
-	}
-	return out
+// TimeSpan returns the span of record start times the table holds.
+func (t *Table) TimeSpan() index.Span {
+	return index.Span{Min: t.minT.Load(), Max: t.maxT.Load()}
 }
 
-func nextKeyPrefix(p []byte) []byte {
-	out := append([]byte(nil), p...)
-	for i := len(out) - 1; i >= 0; i-- {
-		if out[i] != 0xFF {
-			out[i]++
-			return out[:i+1]
-		}
+// widenSpan grows the recorded time span to include [lo, hi].
+func (t *Table) widenSpan(lo, hi int64) {
+	for cur := t.minT.Load(); lo < cur && !t.minT.CompareAndSwap(cur, lo); cur = t.minT.Load() {
 	}
-	return nil
+	for cur := t.maxT.Load(); hi > cur && !t.maxT.CompareAndSwap(cur, hi); cur = t.maxT.Load() {
+	}
 }
 
 // FIDBytes canonicalizes a primary-key value. The common key types are
@@ -231,7 +239,7 @@ func (t *Table) InsertBatchCtx(ctx context.Context, rows []exec.Row) error {
 			if err != nil {
 				return err
 			}
-			p.newKeys[si] = append(t.keyPrefix(t.Desc.Indexes[indexSlot(t.Desc, si)].ID), key...)
+			p.newKeys[si] = append(t.keyPrefix(s.id), key...)
 		}
 		preps[i] = p
 		return nil
@@ -272,7 +280,7 @@ func (t *Table) InsertBatchCtx(ctx context.Context, rows []exec.Row) error {
 			if err != nil {
 				return err
 			}
-			keys[si] = append(t.keyPrefix(t.Desc.Indexes[indexSlot(t.Desc, si)].ID), key...)
+			keys[si] = append(t.keyPrefix(s.id), key...)
 		}
 		oldKeys[i] = keys
 		return nil
@@ -288,7 +296,9 @@ func (t *Table) InsertBatchCtx(ctx context.Context, rows []exec.Row) error {
 	var batch kv.WriteBatch
 	batch.Grow(len(rows) * (1 + len(t.strategies)))
 	lastByFID := make(map[string]int, len(rows))
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for i := range preps {
+		lo, hi = min(lo, preps[i].rec.Start), max(hi, preps[i].rec.Start)
 		prior := oldKeys[i]
 		if j, ok := lastByFID[string(preps[i].rec.FID)]; ok {
 			prior = preps[j].newKeys
@@ -309,6 +319,8 @@ func (t *Table) InsertBatchCtx(ctx context.Context, rows []exec.Row) error {
 		}
 		lastByFID[string(preps[i].rec.FID)] = i
 	}
+	// Before the apply: a row is never readable outside the span.
+	t.widenSpan(lo, hi)
 	return t.cluster.ApplyCtx(ctx, &batch)
 }
 
@@ -360,22 +372,6 @@ func parallelRows(n int, fn func(int) error) error {
 	return firstErr
 }
 
-// indexSlot maps the i-th non-attr strategy back to its Desc.Indexes
-// position.
-func indexSlot(d *Desc, i int) int {
-	n := 0
-	for j, id := range d.Indexes {
-		if id.Strategy == "attr" {
-			continue
-		}
-		if n == i {
-			return j
-		}
-		n++
-	}
-	return -1
-}
-
 // GetCtx fetches a row by primary key.
 func (t *Table) GetCtx(ctx context.Context, fid any) (exec.Row, error) {
 	key := append(t.keyPrefix(t.attrID), t.attr.KeyForFID(FIDBytes(fid))...)
@@ -396,7 +392,7 @@ func (t *Table) Delete(ctx context.Context, fid any) error {
 	if err != nil {
 		return err
 	}
-	for i, s := range t.strategies {
+	for _, s := range t.strategies {
 		if rec.Geom == nil {
 			continue
 		}
@@ -404,41 +400,13 @@ func (t *Table) Delete(ctx context.Context, fid any) error {
 		if err != nil {
 			return err
 		}
-		full := append(t.keyPrefix(t.Desc.Indexes[indexSlot(t.Desc, i)].ID), key...)
+		full := append(t.keyPrefix(s.id), key...)
 		if err := t.cluster.DeleteCtx(ctx, full); err != nil {
 			return err
 		}
 	}
 	attrKey := append(t.keyPrefix(t.attrID), t.attr.KeyForFID(rec.FID)...)
 	return t.cluster.DeleteCtx(ctx, attrKey)
-}
-
-// chooseStrategy picks the most selective index for a query: a temporal
-// strategy when the query has time bounds and one exists, otherwise a
-// spatial one.
-func (t *Table) chooseStrategy(q index.Query) (index.Strategy, uint8, bool) {
-	var spatial, temporal index.Strategy
-	var spatialID, temporalID uint8
-	for i, s := range t.strategies {
-		id := t.Desc.Indexes[indexSlot(t.Desc, i)].ID
-		if s.Temporal() {
-			if temporal == nil {
-				temporal, temporalID = s, id
-			}
-		} else if spatial == nil {
-			spatial, spatialID = s, id
-		}
-	}
-	if q.HasTime && temporal != nil {
-		return temporal, temporalID, true
-	}
-	if spatial != nil {
-		return spatial, spatialID, true
-	}
-	if temporal != nil {
-		return temporal, temporalID, true
-	}
-	return nil, 0, false
 }
 
 // ScanQuery streams rows matching the spatio-temporal window: it plans
@@ -636,8 +604,7 @@ func (t *Table) filterCols() []bool {
 // collector as ScanBatches with no window, so rows without a geometry
 // are returned too.
 func (t *Table) FullScan(ctx context.Context, emit func(exec.Row) bool) error {
-	prefix := t.keyPrefix(t.attrID)
-	ranges := []kv.KeyRange{{Start: prefix, End: nextKeyPrefix(prefix)}}
+	ranges := []kv.KeyRange{index.KeysUnder(t.keyPrefix(t.attrID))}
 	return t.collectBatches(ctx, ranges, nil, nil, rowsOf(emit))
 }
 
@@ -645,9 +612,7 @@ func (t *Table) FullScan(ctx context.Context, emit func(exec.Row) bool) error {
 // catalog entry and the stored data.) Keys are collected without
 // touching the values and deleted in one batch per region.
 func (t *Table) DropData(ctx context.Context) error {
-	id := t.Desc.TableID
-	prefix := []byte{byte(id >> 24), byte(id >> 16), byte(id >> 8), byte(id)}
-	ranges := []kv.KeyRange{{Start: prefix, End: nextKeyPrefix(prefix)}}
+	ranges := []kv.KeyRange{index.KeysUnder(t.keyPrefix(0)[:4])} // [tableID u32]: every index
 	var keys [][]byte
 	err := kv.ScanRangesFunc(ctx, t.cluster, ranges,
 		func(k, _ []byte) ([]byte, bool, error) {

@@ -544,7 +544,7 @@ func TestTrajectoryTableEndToEnd(t *testing.T) {
 }
 
 func TestViews(t *testing.T) {
-	ctx := exec.NewContext(2, 0)
+	ctx := exec.NewContext(0)
 	vs := NewViews(time.Hour)
 	now := time.Unix(0, 0)
 	vs.now = func() time.Time { return now }
@@ -572,7 +572,7 @@ func TestViews(t *testing.T) {
 }
 
 func TestViewDropReleasesMemory(t *testing.T) {
-	ctx := exec.NewContext(2, 0)
+	ctx := exec.NewContext(0)
 	vs := NewViews(0)
 	df, _ := exec.NewDataFrame(ctx, exec.NewSchema(exec.Field{Name: "v", Type: exec.TypeInt}), []exec.Row{{int64(1)}, {int64(2)}})
 	vs.Put("", "v", df)

@@ -72,8 +72,6 @@ func SquareAround(p Point, sideMeters float64) MBR { return geom.SquareAround(p,
 type Config struct {
 	// Dir is the storage root directory.
 	Dir string
-	// Workers sizes the shared execution pool (0 = NumCPU).
-	Workers int
 	// MemoryBudget caps in-memory DataFrame bytes (0 = unlimited).
 	MemoryBudget int64
 	// Shards is the index shard count (0 = 4).
@@ -108,7 +106,6 @@ type Engine struct {
 func Open(cfg Config) (*Engine, error) {
 	c, err := core.Open(core.Config{
 		Dir:          cfg.Dir,
-		Workers:      cfg.Workers,
 		MemoryBudget: cfg.MemoryBudget,
 		Shards:       cfg.Shards,
 		Period:       cfg.Period,

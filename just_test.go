@@ -7,7 +7,7 @@ import (
 
 func newEngine(t *testing.T) *Engine {
 	t.Helper()
-	e, err := Open(Config{Dir: t.TempDir(), Workers: 4, DisableWAL: true})
+	e, err := Open(Config{Dir: t.TempDir(), DisableWAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
