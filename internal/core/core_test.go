@@ -268,6 +268,45 @@ func TestKNNFewerThanK(t *testing.T) {
 	}
 }
 
+// TestKNNBesideInserts runs k-NN while another goroutine inserts: the
+// small-table shortcut reads the record count every INSERT updates.
+// Run under -race.
+func TestKNNBesideInserts(t *testing.T) {
+	e := newTestEngine(t)
+	if err := e.CreateTable(pointDesc("pts")); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 40; i++ {
+			row := exec.Row{int64(i), "a", int64(i) * hourMS, geom.Point{Lng: 116 + float64(i)*0.001, Lat: 39}}
+			if err := e.Insert("", "pts", []exec.Row{row}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	opts := KNNOptions{Root: geom.NewMBR(115.9, 38.9, 116.1, 39.1)}
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.KNN(context.Background(), "", "pts", geom.Point{Lng: 116, Lat: 39}, 5, opts)
+			if err != nil || len(got) != 5 {
+				t.Fatalf("k-NN after the inserts: %d neighbours, %v", len(got), err)
+			}
+			return
+		default:
+		}
+		if _, err := e.KNN(context.Background(), "", "pts", geom.Point{Lng: 116, Lat: 39}, 5, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestInsertUpdatesStats(t *testing.T) {
 	e := newTestEngine(t)
 	if err := e.CreateTable(pointDesc("pts")); err != nil {

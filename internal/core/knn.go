@@ -99,7 +99,7 @@ func (e *Engine) KNN(ctx context.Context, user, name string, q geom.Point, k int
 	// Meta-table shortcut (Section IV-D: meta tables aid query
 	// optimization): when the table holds at most k records, the answer
 	// is the whole table; area expansion would futilely exhaust the grid.
-	if t.Desc.RecordCount > 0 && t.Desc.RecordCount <= int64(k)*2 {
+	if n := e.catalog.RecordCount(t.Desc.User, t.Desc.Name); n > 0 && n <= int64(k)*2 {
 		return e.knnByFullScan(ctx, t, q, k, opts)
 	}
 

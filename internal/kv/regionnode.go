@@ -597,7 +597,6 @@ func (n *RegionNode) handleScan(ctx context.Context, payload []byte, w *rpc.Resp
 	// this region's store while the scan walks it, it queues behind the
 	// scan instead (writes keep flowing — they also use read locks).
 	defer sr.mu.RUnlock()
-	kr := KeyRange{Start: req.Start, End: req.End, Zoned: req.Zoned, ZMin: req.ZMin, ZMax: req.ZMax}
 	// emit flushes one batch, bailing out when the caller's propagated
 	// deadline expired (a terminal CodeDeadline ends the stream and
 	// errScanDone stops the walk) or the client canceled the stream —
@@ -618,26 +617,37 @@ func (n *RegionNode) handleScan(ctx context.Context, payload []byte, w *rpc.Resp
 		}
 		return nil
 	}
+	// The ranges are walked in order and a batch fills across their
+	// boundaries, so a run of ranges costs the frames of one range.
 	var batch rpc.ScanBatch
 	var size int
-	it := sr.r.Scan(kr)
-	defer it.Close()
-	for it.Next() {
-		batch.Keys = append(batch.Keys, append([]byte(nil), it.Key()...))
-		batch.Vals = append(batch.Vals, append([]byte(nil), it.Value()...))
-		size += len(it.Key()) + len(it.Value())
-		if len(batch.Keys) >= scanBatchSize || size >= reseedChunkBytes {
-			if err := emit(&batch); err != nil {
-				if errors.Is(err, errScanDone) {
-					return nil
+	kr := KeyRange{Start: req.Start, End: req.End, Zoned: req.Zoned, ZMin: req.ZMin, ZMax: req.ZMax}
+	for i := 0; ; i++ {
+		it := sr.r.Scan(kr)
+		for it.Next() {
+			batch.Keys = append(batch.Keys, append([]byte(nil), it.Key()...))
+			batch.Vals = append(batch.Vals, append([]byte(nil), it.Value()...))
+			size += len(it.Key()) + len(it.Value())
+			if len(batch.Keys) >= scanBatchSize || size >= reseedChunkBytes {
+				if err := emit(&batch); err != nil {
+					it.Close()
+					if errors.Is(err, errScanDone) {
+						return nil
+					}
+					return err
 				}
-				return err
+				batch.Keys, batch.Vals, size = batch.Keys[:0], batch.Vals[:0], 0
 			}
-			batch.Keys, batch.Vals, size = batch.Keys[:0], batch.Vals[:0], 0
 		}
-	}
-	if err := it.Err(); err != nil {
-		return sendKVErr(w, err)
+		err := it.Err()
+		it.Close()
+		if err != nil {
+			return sendKVErr(w, err)
+		}
+		if i == len(req.More) {
+			break
+		}
+		kr.Start, kr.End = req.More[i].Start, req.More[i].End
 	}
 	if len(batch.Keys) > 0 {
 		if err := emit(&batch); err != nil {

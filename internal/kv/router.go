@@ -833,59 +833,100 @@ func (r *Router) MultiGetCtx(ctx context.Context, keys [][]byte) ([][]byte, erro
 	return out, nil
 }
 
-// scanTasks implements Store: one task per (cached region × range).
-// Staleness is fine — runScanTask re-routes as it goes, so a task only
-// needs to name a sub-range, not a live region.
+// scanTasks implements Store: one task per run, the consecutive
+// ascending ranges that fall in one cached region. A range joins its
+// region's latest task when it starts at or after that task's last
+// range's end (and carries the same zone); otherwise it starts a new
+// task. Staleness is fine — runScanTask re-routes as it goes, so a task
+// only needs to name sub-ranges, not a live region.
 func (r *Router) scanTasks(ranges []KeyRange) []scanTask {
 	regs := r.snapshot()
 	var tasks []scanTask
+	latest := make([]int, len(regs)) // per cached region: its latest task + 1
 	for _, kr := range ranges {
 		matched := false
-		for _, reg := range regs {
-			if sub, ok := kr.Intersect(reg.kr); ok {
-				tasks = append(tasks, scanTask{kr: sub, id: reg.id})
-				matched = true
+		for i, reg := range regs {
+			sub, ok := kr.Intersect(reg.kr)
+			if !ok {
+				continue
 			}
+			matched = true
+			if j := latest[i] - 1; j >= 0 && extendsRun(tasks[j].run, sub) {
+				tasks[j].run = append(tasks[j].run, sub)
+				continue
+			}
+			tasks = append(tasks, scanTask{run: []KeyRange{sub}})
+			latest[i] = len(tasks)
 		}
 		if !matched {
 			// Empty or hole-covered map: one task for the whole range,
 			// resolved at run time.
-			tasks = append(tasks, scanTask{kr: kr})
+			tasks = append(tasks, scanTask{run: []KeyRange{kr}})
 		}
 	}
 	return tasks
 }
 
-// runScanTask streams one task's pairs in key order. Splits, merges and
-// moves can land mid-stream: on a stale or torn stream the task resumes
-// from just after the last delivered key against a refreshed map, so
-// the caller sees every key exactly once, in order, regardless of
-// topology changes underneath.
+// extendsRun reports whether kr may ride at the end of run: it starts
+// at or after the run's last end and shares the run's zone interval.
+func extendsRun(run []KeyRange, kr KeyRange) bool {
+	last := run[len(run)-1]
+	return last.End != nil && bytes.Compare(kr.Start, last.End) >= 0 &&
+		kr.Zoned == last.Zoned && kr.ZMin == last.ZMin && kr.ZMax == last.ZMax
+}
+
+// skipTo drops the part of run below key: ranges ending at or before it
+// go, and a range starting before it is cut to start at it. A nil key
+// is the end of the key space, so nothing remains.
+func skipTo(run []KeyRange, key []byte) []KeyRange {
+	if key == nil {
+		return nil
+	}
+	for len(run) > 0 && run[0].End != nil && bytes.Compare(run[0].End, key) <= 0 {
+		run = run[1:]
+	}
+	if len(run) > 0 && bytes.Compare(run[0].Start, key) < 0 {
+		run[0].Start = key
+	}
+	return run
+}
+
+// runScanTask streams one task's run in key order: one OpScan carries
+// the leading ranges of the run that lie in the routed region, and a
+// clean end of stream moves on to the rest. Splits, merges and moves
+// can land mid-stream: on a stale or torn stream the task resumes from
+// just after the last delivered key against a refreshed map, so the
+// caller sees every key exactly once, in order, regardless of topology
+// changes underneath.
 func (r *Router) runScanTask(ctx context.Context, t scanTask, emit func(key, value []byte) bool) error {
-	rem := t.kr
+	rem := t.run
 	var resume []byte // last delivered key; nil until the first batch
 	attempts := 0
-	for {
-		reg, err := r.route(ctx, rem.Start)
+	for len(rem) > 0 {
+		reg, err := r.route(ctx, rem[0].Start)
 		if err != nil {
 			return err
 		}
-		sub, ok := rem.Intersect(reg.kr)
-		if !ok {
-			// rem.Start sits past this region (resume key beyond a region
-			// boundary); step to the region's end and re-route.
-			if reg.kr.End == nil || (rem.End != nil && bytes.Compare(reg.kr.End, rem.End) >= 0) {
-				return nil
+		req := rpc.ScanReq{Region: reg.id, Epoch: reg.epoch, Zoned: rem[0].Zoned, ZMin: rem[0].ZMin, ZMax: rem[0].ZMax}
+		var servedTo []byte // end of the last range sent; nil = +inf
+		n := 0
+		for ; n < len(rem); n++ {
+			sub, ok := rem[n].Intersect(reg.kr)
+			if !ok {
+				break
 			}
-			rem.Start = reg.kr.End
+			if n == 0 {
+				req.Start, req.End = sub.Start, sub.End
+			} else {
+				req.More = append(req.More, rpc.Range{Start: sub.Start, End: sub.End})
+			}
+			servedTo = sub.End
+		}
+		if n == 0 {
+			rem = rem[1:] // an empty or inverted range: nothing to scan
 			continue
 		}
 		stopped := false
-		req := rpc.ScanReq{
-			Region: reg.id, Epoch: reg.epoch,
-			Start: sub.Start, End: sub.End,
-			Zoned: sub.Zoned, ZMin: sub.ZMin, ZMax: sub.ZMax,
-		}
 		err = r.doStream(ctx, reg.addr, rpc.OpScan, req.Append(nil), func(op byte, p []byte) (bool, error) {
 			if op != rpc.OpScanBatch {
 				return true, nil
@@ -910,10 +951,9 @@ func (r *Router) runScanTask(ctx context.Context, t scanTask, emit func(key, val
 		}
 		if err == nil {
 			attempts = 0
-			if reg.kr.End == nil || (t.kr.End != nil && bytes.Compare(reg.kr.End, t.kr.End) >= 0) {
-				return nil
-			}
-			rem.Start = reg.kr.End
+			// The region served every range sent: advance past them (and
+			// past the region's end, where the last one was cut there).
+			rem = skipTo(rem, servedTo)
 			continue
 		}
 		if isStale(err) || rpc.IsTransport(err) {
@@ -930,13 +970,14 @@ func (r *Router) runScanTask(ctx context.Context, t scanTask, emit func(key, val
 					// contract stays exact-once: re-delivered keys below
 					// resume are impossible because the restarted scan
 					// starts strictly after it.
-					rem.Start = append(append([]byte(nil), resume...), 0)
+					rem = skipTo(rem, append(append([]byte(nil), resume...), 0))
 				}
 				continue
 			}
 		}
 		return translateErr(err)
 	}
+	return nil
 }
 
 func (r *Router) metrics() *Metrics { return &r.met }

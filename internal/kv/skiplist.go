@@ -135,8 +135,10 @@ type memEntry struct {
 	kind       kind
 }
 
+// entries starts from a nil slice: most ranges of a selective plan
+// match nothing in a given memtable, and those must cost nothing.
 func (s *skiplist) entries(r KeyRange) []memEntry {
-	out := make([]memEntry, 0, 64)
+	var out []memEntry
 	s.iterate(r, func(key, value []byte, k kind) bool {
 		out = append(out, memEntry{key, value, k})
 		return true

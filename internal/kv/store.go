@@ -57,7 +57,7 @@ type Store interface {
 	// Close releases the store.
 	Close() error
 
-	// scanTasks splits ranges into one task per (region × range).
+	// scanTasks splits ranges into tasks of one region each.
 	scanTasks(ranges []KeyRange) []scanTask
 	// runScanTask streams one task's pairs in key order, handling node
 	// selection, retries and resume internally. The pairs passed to emit
@@ -71,11 +71,13 @@ type Store interface {
 	scanWidth() int
 }
 
-// scanTask is one schedulable unit of a parallel scan: a key sub-range
-// served by one region. Exactly one of the implementation fields is
-// set, matching the Store that produced it.
+// scanTask is one schedulable unit of a parallel scan: key sub-ranges
+// served by one region. The implementation fields match the Store that
+// produced the task.
 type scanTask struct {
-	kr KeyRange
+	kr KeyRange      // *Cluster: the one sub-range
 	h  *regionHandle // *Cluster: the serving replication group
-	id uint64        // *Router: region id hint (re-resolved on staleness)
+	// run is *Router's: ascending sub-ranges of one cached region, each
+	// starting at or after the previous one's end, shipped in one OpScan.
+	run []KeyRange
 }

@@ -39,6 +39,7 @@ func FuzzDecodeMessages(f *testing.F) {
 	f.Add((&PutBatchReq{Region: 1, Epoch: 2, Payload: []byte("p")}).Append(nil))
 	f.Add((&MultiGetReq{Region: 1, Keys: [][]byte{[]byte("k")}}).Append(nil))
 	f.Add((&ScanReq{Region: 3, End: []byte("z"), Zoned: true, ZMin: -1, ZMax: 9}).Append(nil))
+	f.Add((&ScanReq{Region: 3, Start: []byte("a"), End: []byte("b"), More: []Range{{Start: []byte("c"), End: []byte("d")}, {Start: []byte("e")}}}).Append(nil))
 	f.Add((&ScanBatch{Keys: [][]byte{[]byte("k")}, Vals: [][]byte{[]byte("v")}}).Append(nil))
 	f.Add((&ShipReq{Region: 1, Seq: 7, Payload: []byte("b")}).Append(nil))
 	f.Add((&ValuesResp{Vals: [][]byte{nil, {}}}).Append(nil))

@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -123,6 +126,67 @@ func TestMessageRoundTrips(t *testing.T) {
 	var sh2 ShipReq
 	if err := sh2.Decode(sh.Append(nil)); err != nil || sh2.Seq != 42 {
 		t.Fatalf("ship: %+v err %v", sh2, err)
+	}
+}
+
+// TestRouterScanRunReqOneRangeGolden pins a one-range ScanReq to the
+// bytes it encoded to before requests could carry further ranges: peers
+// that never send a run see the same wire format.
+func TestRouterScanRunReqOneRangeGolden(t *testing.T) {
+	for _, c := range []struct {
+		req  ScanReq
+		want string
+	}{
+		{ScanReq{Region: 4, Epoch: 2, End: []byte("zz"), Zoned: true, ZMin: -5, ZMax: 1 << 40}, "040200037a7a0109808080808040"},
+		{ScanReq{Region: 300, Epoch: 7, Start: []byte{}}, "ac0207010000"},
+	} {
+		if got := hex.EncodeToString(c.req.Append(nil)); got != c.want {
+			t.Errorf("%+v encodes to %s, want %s", c.req, got, c.want)
+		}
+	}
+}
+
+func TestRouterScanRunReqRoundTrip(t *testing.T) {
+	for _, zoned := range []bool{false, true} {
+		sr := ScanReq{
+			Region: 9, Epoch: 3, Start: []byte("a"), End: []byte("b"),
+			More: []Range{{Start: []byte("c"), End: []byte("d")}, {Start: []byte("e")}},
+		}
+		if zoned {
+			sr.Zoned, sr.ZMin, sr.ZMax = true, 1, 2
+		}
+		var sr2 ScanReq
+		if err := sr2.Decode(sr.Append(nil)); err != nil {
+			t.Fatalf("zoned=%v: %v", zoned, err)
+		}
+		if !reflect.DeepEqual(sr, sr2) {
+			t.Fatalf("zoned=%v: round trip\n got %+v\nwant %+v", zoned, sr2, sr)
+		}
+		// A decoded request forgets the ranges of the one decoded before.
+		one := ScanReq{Region: 9, Epoch: 3}
+		if err := sr2.Decode(one.Append(nil)); err != nil || sr2.More != nil {
+			t.Fatalf("zoned=%v: reused request keeps More %v (err %v)", zoned, sr2.More, err)
+		}
+	}
+}
+
+func TestRouterScanRunReqRejectsBadCount(t *testing.T) {
+	sr := ScanReq{Region: 1, Epoch: 1, More: []Range{{Start: []byte("k1"), End: []byte("k2")}, {Start: []byte("k3"), End: []byte("k4")}}}
+	full := sr.Append(nil)
+	head := len((&ScanReq{Region: 1, Epoch: 1}).Append(nil))
+	for cut := head + 1; cut < len(full); cut++ {
+		var got ScanReq
+		if err := got.Decode(full[:cut]); err == nil {
+			t.Fatalf("truncated to %d of %d bytes: decoded %+v", cut, len(full), got)
+		}
+	}
+	// A count far beyond what the remaining bytes can hold is refused
+	// before anything is allocated for it.
+	huge := binary.AppendUvarint(append([]byte(nil), full[:head]...), 1<<40)
+	huge = append(huge, 0, 0, 0, 0)
+	var got ScanReq
+	if err := got.Decode(huge); err == nil {
+		t.Fatalf("oversized count decoded: %d ranges", len(got.More))
 	}
 }
 

@@ -247,15 +247,25 @@ func (m *ValuesResp) Decode(p []byte) error {
 	return nil
 }
 
-// ScanReq streams a key subrange of one region in key order. Start/End
-// are nil-able bounds (nil = ±infinity); the optional zone interval is
-// a pruning hint forwarded to the region's SSTable zone maps.
+// Range is one [Start, End) key interval; nil bounds are ±infinity.
+type Range struct {
+	Start, End []byte
+}
+
+// ScanReq streams key subranges of one region in key order: [Start,
+// End), then each of More, which are ascending and start at or after
+// the previous range's end. Bounds are nil-able (nil = ±infinity); the
+// optional zone interval is a pruning hint forwarded to the region's
+// SSTable zone maps and applies to every range. More travels after the
+// zone section only when it is non-empty, so a one-range request
+// encodes exactly as it did before More existed.
 type ScanReq struct {
 	Region     uint64
 	Epoch      uint64
 	Start, End []byte
 	Zoned      bool
 	ZMin, ZMax int64
+	More       []Range
 }
 
 func (m *ScanReq) Append(dst []byte) []byte {
@@ -264,11 +274,21 @@ func (m *ScanReq) Append(dst []byte) []byte {
 	dst = appendOptBytes(dst, m.Start)
 	dst = appendOptBytes(dst, m.End)
 	if !m.Zoned {
-		return append(dst, 0)
+		dst = append(dst, 0)
+	} else {
+		dst = append(dst, 1)
+		dst = binary.AppendVarint(dst, m.ZMin)
+		dst = binary.AppendVarint(dst, m.ZMax)
 	}
-	dst = append(dst, 1)
-	dst = binary.AppendVarint(dst, m.ZMin)
-	return binary.AppendVarint(dst, m.ZMax)
+	if len(m.More) == 0 {
+		return dst
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(m.More)))
+	for _, r := range m.More {
+		dst = appendOptBytes(dst, r.Start)
+		dst = appendOptBytes(dst, r.End)
+	}
+	return dst
 }
 
 func (m *ScanReq) Decode(p []byte) error {
@@ -291,23 +311,43 @@ func (m *ScanReq) Decode(p []byte) error {
 	switch p[0] {
 	case 0:
 		m.Zoned = false
-		return nil
+		p = p[1:]
 	case 1:
 		m.Zoned = true
 		p = p[1:]
 		var n int
 		if m.ZMin, n = binary.Varint(p); n <= 0 {
 			return errShort
-		} else {
-			p = p[n:]
 		}
+		p = p[n:]
 		if m.ZMax, n = binary.Varint(p); n <= 0 {
 			return errShort
 		}
-		return nil
+		p = p[n:]
 	default:
 		return fmt.Errorf("rpc: bad zone tag %d", p[0])
 	}
+	m.More = nil
+	if len(p) == 0 {
+		return nil
+	}
+	n, p, err := readUvarint(p)
+	if err != nil {
+		return err
+	}
+	if n > uint64(len(p))/2 { // each range costs >= 2 bytes on the wire
+		return errShort
+	}
+	m.More = make([]Range, n)
+	for i := range m.More {
+		if m.More[i].Start, p, err = readOptBytes(p); err != nil {
+			return err
+		}
+		if m.More[i].End, p, err = readOptBytes(p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ScanBatch is one streamed chunk of scan results: pairs in key order.

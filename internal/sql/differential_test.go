@@ -182,6 +182,16 @@ func TestDifferentialPlanShapes(t *testing.T) {
 			ordered: true,
 		},
 		{
+			// Rows sit exactly on both bounds; a strict bound pushed into
+			// the scan as the inclusive one returned them.
+			name: "strict time bounds, rows on the bounds",
+			sql:  `SELECT fid FROM t WHERE time > 36000000 AND time < 360000000`,
+			want: pick(filter(T, func(r exec.Row) bool {
+				ts := r[tm].(int64)
+				return ts > 10*hourMS && ts < 100*hourMS
+			}), fid),
+		},
+		{
 			name: "residual + GROUP BY",
 			sql:  `SELECT name, count(*) AS n, sum(w) AS s, min(w) AS lo, max(w) AS hi FROM t WHERE v >= 5 GROUP BY name`,
 			want: group(filter(T, func(r exec.Row) bool { return cmp(r[v], int64(5)) >= 0 }), name, w),

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"math"
 	"sort"
 
 	"just/internal/exec"
@@ -353,11 +354,22 @@ func pushConjuncts(scan *ScanPlan, conjuncts []Expr) []Expr {
 				if id, ok := v.L.(*Ident); ok && id.Name == timeCol {
 					if lit, ok := v.R.(*Literal); ok {
 						if ms, err := toTimeMS(lit.Val); err == nil {
-							switch v.Op {
-							case ">=", ">":
+							// Times are integer milliseconds, so a strict bound
+							// is the inclusive one a millisecond inside it. At
+							// the int64 limits there is no such bound, and the
+							// predicate stays a residual.
+							op := v.Op
+							switch {
+							case op == ">" && ms < math.MaxInt64:
+								op, ms = ">=", ms+1
+							case op == "<" && ms > math.MinInt64:
+								op, ms = "<=", ms-1
+							}
+							switch op {
+							case ">=":
 								scan.TMin = maxTime(scan.TMin, ms)
 								continue
-							case "<=", "<":
+							case "<=":
 								scan.TMax = minTime(scan.TMax, ms)
 								continue
 							case "=":

@@ -279,6 +279,17 @@ func (c *Catalog) SetStats(user, name string, st *TableStats) error {
 	return c.persistLocked()
 }
 
+// RecordCount reads the table's ingest record count under the catalog
+// lock (UpdateStats writes it); 0 when the table is unknown.
+func (c *Catalog) RecordCount(user, name string) int64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if d, ok := c.tables[QualifiedName(user, name)]; ok {
+		return d.RecordCount
+	}
+	return 0
+}
+
 // UpdateStats folds ingest statistics into the descriptor.
 func (c *Catalog) UpdateStats(user, name string, added int64, minT, maxT int64) error {
 	c.mu.Lock()

@@ -489,24 +489,31 @@ func (t *Table) collectBatches(ctx context.Context, ranges []kv.KeyRange, q *ind
 		// memory budget, only ever pays for a small first batch, while a
 		// long scan reaches full-size batches within three flushes.
 		c := exec.BatchRows / 8
-		b := exec.NewColumnBatch(schema, c)
-		// Per-task string dictionaries for columns whose sampled
-		// cardinality marked them worth interning. A task decodes its
-		// rows sequentially, so an unshared Dict needs no locking, and
-		// its lifetime (one scan task) bounds the memory it can hold.
+		// The batch and the dictionaries are built on the task's first
+		// decoded row: most tasks of a selective plan never see one, and
+		// then they cost nothing.
+		var b *exec.ColumnBatch
 		var interns []*compress.Dict
-		if ic := t.internCols.Load(); ic != nil {
-			interns = make([]*compress.Dict, len(t.Desc.Columns))
-			for i, on := range *ic {
-				if on && (rest[i] || (filter != nil && filter[i])) {
-					interns[i] = new(compress.Dict)
-				}
-			}
-		}
 		add := func(_, v []byte) (*exec.ColumnBatch, bool, error) {
 			if timeCheck {
 				if tmin, tmax, ok := t.codec.DecodeTimeBounds(v, t.timeIdx, t.endIdx); ok && (tmin > q.TMax || tmax < q.TMin) {
 					return nil, false, nil
+				}
+			}
+			if b == nil {
+				b = exec.NewColumnBatch(schema, c)
+				// Per-task string dictionaries for columns whose sampled
+				// cardinality marked them worth interning. A task decodes
+				// its rows sequentially, so an unshared Dict needs no
+				// locking, and its lifetime (one scan task) bounds the
+				// memory it can hold.
+				if ic := t.internCols.Load(); ic != nil {
+					interns = make([]*compress.Dict, len(t.Desc.Columns))
+					for i, on := range *ic {
+						if on && (rest[i] || (filter != nil && filter[i])) {
+							interns[i] = new(compress.Dict)
+						}
+					}
 				}
 			}
 			ri := b.Grow()
@@ -533,7 +540,7 @@ func (t *Table) collectBatches(ctx context.Context, ranges []kv.KeyRange, q *ind
 			return out, true, nil
 		}
 		finish := func() (*exec.ColumnBatch, bool, error) {
-			if b.Rows() == 0 {
+			if b == nil || b.Rows() == 0 {
 				return nil, false, nil
 			}
 			return b, true, nil
