@@ -136,9 +136,11 @@ func TestDifferentialPlanShapes(t *testing.T) {
 
 	window := geom.NewMBR(116.05, 39.05, 116.15, 39.15)
 	center := geom.Point{Lng: 116.1, Lat: 39.1}
-	nearest := sorted(T, func(a, b exec.Row) bool {
-		return geom.EuclideanDistance(center, a[gm].(geom.Point)) < geom.EuclideanDistance(center, b[gm].(geom.Point))
-	})[:25]
+	nearest := func(rows []exec.Row, q geom.Point, k int) []exec.Row {
+		return sorted(rows, func(a, b exec.Row) bool {
+			return geom.EuclideanDistance(q, a[gm].(geom.Point)) < geom.EuclideanDistance(q, b[gm].(geom.Point))
+		})[:k]
+	}
 	plus1 := func(x any) any {
 		if x == nil {
 			return nil // arithmetic on NULL is NULL
@@ -243,7 +245,34 @@ func TestDifferentialPlanShapes(t *testing.T) {
 		{
 			name: "k-NN with a residual",
 			sql:  `SELECT fid, v FROM t WHERE geom IN st_KNN(st_makePoint(116.1, 39.1), 25) AND v > 10`,
-			want: pick(filter(nearest, func(r exec.Row) bool { return cmp(r[v], int64(10)) > 0 }), fid, v),
+			want: pick(filter(nearest(T, center, 25), func(r exec.Row) bool { return cmp(r[v], int64(10)) > 0 }), fid, v),
+		},
+		{
+			// The window bounds the search (KNNOptions.Root) and q lies
+			// outside it.
+			name: "k-NN inside a window",
+			sql: `SELECT fid FROM t WHERE geom WITHIN st_makeMBR(116.12, 39.12, 116.2, 39.2)
+				AND geom IN st_KNN(st_makePoint(116.1, 39.1), 15)`,
+			want: pick(nearest(filter(T, func(r exec.Row) bool {
+				return geom.IntersectsMBR(r[gm].(geom.Point), geom.NewMBR(116.12, 39.12, 116.2, 39.2))
+			}), center, 15), fid),
+		},
+		{
+			name: "k-NN in a time window",
+			sql:  `SELECT fid, time FROM t WHERE time BETWEEN 36000000 AND 720000000 AND geom IN st_KNN(st_makePoint(116.1, 39.1), 20)`,
+			want: pick(nearest(filter(T, func(r exec.Row) bool {
+				ts := r[tm].(int64)
+				return ts >= 10*hourMS && ts <= 200*hourMS
+			}), center, 20), fid, tm),
+		},
+		{
+			// w is read by the residual but not projected, so the k-NN
+			// scan must decode it.
+			name: "k-NN with a residual outside the projection",
+			sql:  `SELECT fid, name FROM t WHERE geom IN st_KNN(st_makePoint(116.05, 39.15), 30) AND w < 50`,
+			want: pick(filter(nearest(T, geom.Point{Lng: 116.05, Lat: 39.15}, 30), func(r exec.Row) bool {
+				return cmp(r[w], 50.0) < 0
+			}), fid, name),
 		},
 	}
 	canon := func(rows []exec.Row) []string {

@@ -903,7 +903,7 @@ func (ex *executor) runScan(v *ScanPlan) (*exec.DataFrame, error) {
 			err = nil
 		}
 	case v.KNN != nil:
-		opts := core.KNNOptions{}
+		opts := core.KNNOptions{Needed: needed}
 		if v.Window != nil {
 			opts.Root = *v.Window
 		}
