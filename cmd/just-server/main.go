@@ -4,7 +4,7 @@
 //
 // Three process roles compose a deployment:
 //
-//	standalone  (default) the in-process simulated cluster behind HTTP
+//	standalone  (default) the in-process single-copy store behind HTTP
 //	region      one networked region server: an rpc endpoint hosting
 //	            regions, shipping to replicas and splitting autonomously
 //	router      the HTTP front end routing storage to region servers
@@ -40,8 +40,7 @@ func main() {
 	addr := flag.String("addr", ":8045", "HTTP listen address (standalone/router)")
 	pageSize := flag.Int("page-size", 1000, "rows per result transmission")
 	viewTTL := flag.Duration("view-ttl", 30*time.Minute, "idle view eviction")
-	servers := flag.Int("servers", 0, "simulated region servers (0 = default 5; standalone only)")
-	replication := flag.Int("replication", 0, "replicas per region on distinct servers (0 = off)")
+	replication := flag.Int("replication", 0, "replicas per region on distinct region servers (router role; 0 = off)")
 	scrubInterval := flag.Duration("scrub-interval", 0, "background SSTable integrity scrub period (0 = off)")
 	codec := flag.String("codec", "", "SSTable block / WAL envelope codec: none, gzip or lz4 (\"\" = none)")
 	queryTimeout := flag.Duration("query-timeout", 0, "default per-query deadline (0 = none; X-JUST-Timeout may tighten it)")
@@ -93,7 +92,11 @@ func main() {
 	case "region":
 		runRegion(*dir, *rpcAddr, *nodeID, *codec, *splitBytes, *splitWriteBytes, jobOpts)
 		return
-	case "standalone", "router":
+	case "standalone":
+		if *replication > 0 {
+			log.Fatalf("just-server: -replication needs region servers to place replicas on; run them with -role=region and route with -role=router -peers ... -replication %d", *replication)
+		}
+	case "router":
 	default:
 		log.Fatalf("just-server: unknown -role=%s (want standalone, region or router)", *role)
 	}
@@ -104,8 +107,6 @@ func main() {
 		Jobs:    jobOpts,
 		Cluster: kv.ClusterOptions{
 			Options:       kv.Options{Codec: *codec},
-			Servers:       *servers,
-			Replication:   *replication,
 			ScrubInterval: *scrubInterval,
 		},
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // RunCluster reports the networked-deployment dimension: the same Order
-// workload served by the in-process simulated cluster (standalone), by
+// workload served by the in-process store (standalone), by
 // region servers behind the router over the in-process loopback
 // transport, and by region servers behind the router over real TCP
 // sockets. The loopback/TCP delta prices the wire protocol (framing,

@@ -49,7 +49,7 @@ func (r *Runner) RunCodecs() error {
 }
 
 // openJUSTCodec opens a JUST engine with the given block codec and the
-// same simulated-cluster knobs as openJUST.
+// same store knobs as openJUST.
 func (r *Runner) openJUSTCodec(tag, codec string) (*core.Engine, error) {
 	dir, err := r.scratch("just-codec-" + codec + "-" + tag)
 	if err != nil {

@@ -45,7 +45,7 @@ type Config struct {
 	// off globally (the JUSTnc variant in the evaluation).
 	DisableFieldCompression bool
 	// Jobs tunes the maintenance scheduler every background task
-	// (flush, compaction, scrub, repair, stats, rebalance) runs through:
+	// (flush, compaction, scrub, stats, rebalance) runs through:
 	// quarantine thresholds, per-class concurrency overrides, and the
 	// disk-pressure watchdog. Zero values take the scheduler defaults;
 	// Jobs.DiskPath defaults to Dir so the watchdog measures the volume
@@ -93,9 +93,6 @@ func Open(cfg Config) (*Engine, error) {
 		cluster, err = kv.OpenRouter(ropts)
 	} else {
 		copts := cfg.Cluster
-		if copts.SplitPoints == nil && copts.Servers == 0 {
-			copts.Servers = 5 // the paper's cluster size
-		}
 		copts.Options.Jobs = sched
 		cluster, err = kv.OpenCluster(filepath.Join(cfg.Dir, "data"), copts)
 	}
@@ -186,8 +183,7 @@ func (e *Engine) Store() kv.Store { return e.cluster }
 
 // Cluster exposes the in-process cluster behind the storage fabric, or
 // nil when the engine routes to networked region servers (router mode).
-// Callers needing cluster-only surfaces (failure injection, scrub,
-// replication state) must handle the nil.
+// Callers needing cluster-only surfaces (scrub) must handle the nil.
 func (e *Engine) Cluster() *kv.Cluster {
 	c, _ := e.cluster.(*kv.Cluster)
 	return c

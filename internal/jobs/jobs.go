@@ -1,6 +1,6 @@
 // Package jobs is the maintenance job orchestrator: every background
 // chore in the engine (memtable flush, compaction, integrity scrub,
-// replica repair, statistics refresh, cursor janitor, region rebalance)
+// statistics refresh, cursor janitor, region rebalance)
 // runs through one dependency-aware scheduler instead of an ad-hoc
 // goroutine loop per subsystem.
 //
@@ -16,11 +16,10 @@
 //     with a typed error and a metrics counter until an operator resumes
 //     it or a cooldown expires;
 //   - dependency edges: trigger-after (statistics refresh runs after a
-//     compaction completes) and key-scoped preemption (a repair of
-//     region R cancels an in-flight scrub of region R);
+//     compaction completes);
 //   - a disk-pressure watchdog: below a configurable free-space
 //     threshold, low-priority classes are shed and compaction output
-//     amplification pauses, while flush and repair keep running and the
+//     amplification pauses, while flush keeps running and the
 //     write path sees a typed ErrDiskPressure instead of a latched
 //     permanent failure.
 package jobs
@@ -47,7 +46,6 @@ const (
 	ClassFlush     Class = "flush"
 	ClassCompact   Class = "compact"
 	ClassScrub     Class = "scrub"
-	ClassRepair    Class = "repair"
 	ClassStats     Class = "stats"
 	ClassJanitor   Class = "janitor"
 	ClassRebalance Class = "rebalance"
@@ -141,14 +139,8 @@ func classDefault(c Class) ClassConfig {
 	case ClassCompact:
 		return ClassConfig{MaxConcurrent: 2, Priority: 50,
 			Retry: RetryPolicy{MaxAttempts: 3, Base: 10 * time.Millisecond, Cap: 500 * time.Millisecond}}
-	case ClassRepair:
-		return ClassConfig{MaxConcurrent: 2, Priority: 80,
-			Retry: RetryPolicy{MaxAttempts: 2, Base: 20 * time.Millisecond, Cap: time.Second}}
 	case ClassScrub:
-		// Cap 2, not 1: a scrub pass is a driver job (one slot) that
-		// issues per-region verify runs in the same class; those need a
-		// second slot or the nested acquire would deadlock.
-		return ClassConfig{MaxConcurrent: 2, Priority: 40}
+		return ClassConfig{MaxConcurrent: 1, Priority: 40}
 	case ClassStats:
 		return ClassConfig{MaxConcurrent: 1, Priority: 30}
 	case ClassRebalance:
@@ -171,13 +163,11 @@ const PressureMinPriority = 60
 type Spec struct {
 	Name         string                          // unique per scheduler
 	Class        Class                           // accounting/quarantine bucket
-	Key          string                          // preemption scope (default: Name)
 	Interval     time.Duration                   // periodic cadence (0 = manual/triggered only)
 	TriggerAfter []Class                         // run after a job of these classes succeeds
-	Preempts     []Class                         // cancel same-key runs of these classes on start
 	Retry        *RetryPolicy                    // override class retry policy
 	Deadline     time.Duration                   // override class per-attempt deadline
-	Fn           func(ctx context.Context) error // the work; ctx cancels on preempt/close
+	Fn           func(ctx context.Context) error // the work; ctx cancels on close
 }
 
 // Options configures a Scheduler.
@@ -192,8 +182,8 @@ type Options struct {
 	// DiskFreeLow, classes under PressureMinPriority are shed with
 	// ErrDiskPressure until space recovers.
 	DiskFreeLow       int64
-	DiskPath          string        // default "."
-	DiskCheckInterval time.Duration // default 2s
+	DiskPath          string                                    // default "."
+	DiskCheckInterval time.Duration                             // default 2s
 	DiskProbe         func(path string) (free int64, err error) // override (tests); default statfs
 
 	Logf func(format string, args ...any) // optional transition log
@@ -223,7 +213,7 @@ func (o Options) history() int {
 // counters is the per-class metrics block; all fields atomic.
 type counters struct {
 	ran, failed, retried, panics int64
-	shed, preempted, quarantined int64
+	shed, quarantined            int64
 	durationNanos                int64
 }
 
@@ -234,7 +224,6 @@ type Counters struct {
 	Retried       int64 `json:"retried"`
 	Panics        int64 `json:"panics"`
 	Shed          int64 `json:"shed"`
-	Preempted     int64 `json:"preempted"`
 	Quarantined   int64 `json:"quarantined"`
 	DurationNanos int64 `json:"duration_nanos"`
 }
@@ -250,11 +239,9 @@ type classState struct {
 	met         counters
 }
 
+// run is one admitted execution; Close cancels every running one.
 type run struct {
-	class     Class
-	key       string
-	cancel    context.CancelFunc
-	preempted atomic.Bool
+	cancel context.CancelFunc
 }
 
 type sharedCall struct {
@@ -431,9 +418,6 @@ func (s *Scheduler) Register(spec Spec) error {
 	if spec.Name == "" || spec.Fn == nil {
 		return errors.New("jobs: Register needs Name and Fn")
 	}
-	if spec.Key == "" {
-		spec.Key = spec.Name
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -538,10 +522,8 @@ func (j *job) runOnce() {
 	err := j.s.exec(execReq{
 		parent:   j.s.baseCtx,
 		class:    j.spec.Class,
-		key:      j.spec.Key,
 		retry:    j.spec.Retry,
 		deadline: j.spec.Deadline,
-		preempts: j.spec.Preempts,
 		attempts: &attempts,
 		fn:       j.spec.Fn,
 	})
@@ -630,34 +612,9 @@ func (s *Scheduler) Trigger(name string) error {
 
 // Do runs fn inline under the scheduler's discipline for class: subject
 // to quarantine, pause, disk-pressure shedding, the class concurrency
-// cap, panic isolation and the class retry policy. key scopes
-// preemption (a repair Submit with the same key cancels this run).
-func (s *Scheduler) Do(ctx context.Context, class Class, key string, fn func(context.Context) error) error {
-	return s.exec(execReq{parent: ctx, class: class, key: key, fn: fn})
-}
-
-// Run executes spec.Fn synchronously with the full spec discipline —
-// class admission and cap, spec-level retry/deadline overrides, and
-// preemption of same-key runs of the classes named in spec.Preempts.
-// Unlike Submit, the caller's goroutine carries the run, so resources
-// the caller holds (wait-group slots, locks) stay correctly scoped even
-// when admission rejects the run outright.
-func (s *Scheduler) Run(ctx context.Context, spec Spec) error {
-	if spec.Fn == nil {
-		return errors.New("jobs: Run needs Fn")
-	}
-	if spec.Key == "" {
-		spec.Key = spec.Name
-	}
-	return s.exec(execReq{
-		parent:   ctx,
-		class:    spec.Class,
-		key:      spec.Key,
-		retry:    spec.Retry,
-		deadline: spec.Deadline,
-		preempts: spec.Preempts,
-		fn:       spec.Fn,
-	})
+// cap, panic isolation and the class retry policy.
+func (s *Scheduler) Do(ctx context.Context, class Class, fn func(context.Context) error) error {
+	return s.exec(execReq{parent: ctx, class: class, fn: fn})
 }
 
 // Submit runs spec.Fn once, asynchronously, under class discipline.
@@ -665,9 +622,6 @@ func (s *Scheduler) Run(ctx context.Context, spec Spec) error {
 func (s *Scheduler) Submit(spec Spec) error {
 	if spec.Fn == nil {
 		return errors.New("jobs: Submit needs Fn")
-	}
-	if spec.Key == "" {
-		spec.Key = spec.Name
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -681,14 +635,12 @@ func (s *Scheduler) Submit(spec Spec) error {
 		err := s.exec(execReq{
 			parent:   s.baseCtx,
 			class:    spec.Class,
-			key:      spec.Key,
 			retry:    spec.Retry,
 			deadline: spec.Deadline,
-			preempts: spec.Preempts,
 			fn:       spec.Fn,
 		})
 		if err != nil && !errors.Is(err, context.Canceled) {
-			s.logf("jobs: %s %q: %v", spec.Class, spec.Key, err)
+			s.logf("jobs: %s %q: %v", spec.Class, spec.Name, err)
 		}
 	}()
 	return nil
@@ -720,7 +672,7 @@ func (s *Scheduler) DoShared(ctx context.Context, class Class, key string, fn fu
 
 	go func() {
 		defer s.wg.Done()
-		c.err = s.exec(execReq{parent: s.baseCtx, class: class, key: key, fn: fn})
+		c.err = s.exec(execReq{parent: s.baseCtx, class: class, fn: fn})
 		s.mu.Lock()
 		delete(s.shared, key)
 		s.mu.Unlock()
@@ -737,18 +689,16 @@ func (s *Scheduler) DoShared(ctx context.Context, class Class, key string, fn fu
 type execReq struct {
 	parent   context.Context
 	class    Class
-	key      string
 	retry    *RetryPolicy
 	deadline time.Duration
-	preempts []Class
 	attempts *int // optional out: attempts used
 	fn       func(ctx context.Context) error
 }
 
 // exec is the one code path every run takes: admission (closed, paused,
-// quarantined, pressure), the class semaphore, preemption of same-key
-// victims, then the attempt loop with panic recovery and jittered
-// backoff, and finally metrics + quarantine accounting.
+// quarantined, pressure), the class semaphore, then the attempt loop
+// with panic recovery and jittered backoff, and finally metrics +
+// quarantine accounting.
 func (s *Scheduler) exec(req execReq) error {
 	s.mu.Lock()
 	if s.closed {
@@ -803,30 +753,12 @@ func (s *Scheduler) exec(req execReq) error {
 
 	runCtx, cancelRun := context.WithCancel(parent)
 	defer cancelRun()
-	r := &run{class: req.class, key: req.key, cancel: cancelRun}
+	r := &run{cancel: cancelRun}
 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return ErrClosed
-	}
-	// Key-scoped preemption: cancel running victims of the declared
-	// classes that share this run's key.
-	if len(req.preempts) > 0 && req.key != "" {
-		for victim := range s.running {
-			if victim.key != req.key {
-				continue
-			}
-			for _, pc := range req.preempts {
-				if victim.class == pc {
-					victim.preempted.Store(true)
-					victim.cancel()
-					atomic.AddInt64(&s.class(pc).met.preempted, 1)
-					s.logf("jobs: %s %q preempts %s", req.class, req.key, pc)
-					break
-				}
-			}
-		}
 	}
 	s.running[r] = struct{}{}
 	s.mu.Unlock()
@@ -867,12 +799,9 @@ func (s *Scheduler) exec(req execReq) error {
 	atomic.AddInt64(&cs.met.ran, 1)
 	atomic.AddInt64(&cs.met.durationNanos, int64(time.Since(start)))
 
-	// A canceled run (preemption, shutdown, caller gone) is neutral: it
-	// neither clears nor advances the quarantine counter.
+	// A canceled run (shutdown, caller gone) is neutral: it neither
+	// clears nor advances the quarantine counter.
 	if err != nil && runCtx.Err() != nil && errors.Is(err, context.Canceled) {
-		if r.preempted.Load() {
-			return fmt.Errorf("jobs: %s %q preempted: %w", req.class, req.key, err)
-		}
 		return err
 	}
 
@@ -983,7 +912,6 @@ func (s *Scheduler) Metrics() map[string]Counters {
 			Retried:       atomic.LoadInt64(&cs.met.retried),
 			Panics:        atomic.LoadInt64(&cs.met.panics),
 			Shed:          atomic.LoadInt64(&cs.met.shed),
-			Preempted:     atomic.LoadInt64(&cs.met.preempted),
 			Quarantined:   atomic.LoadInt64(&cs.met.quarantined),
 			DurationNanos: atomic.LoadInt64(&cs.met.durationNanos),
 		}

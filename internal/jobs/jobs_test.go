@@ -30,7 +30,7 @@ func TestDoRetriesTransientFailure(t *testing.T) {
 	defer s.Close()
 
 	var calls int32
-	err := s.Do(context.Background(), ClassFlush, "r1", func(context.Context) error {
+	err := s.Do(context.Background(), ClassFlush, func(context.Context) error {
 		if atomic.AddInt32(&calls, 1) <= 2 {
 			return errors.New("transient")
 		}
@@ -60,7 +60,7 @@ func TestPanicIsolationAndQuarantine(t *testing.T) {
 
 	boom := func(context.Context) error { panic("maintenance bug") }
 	for i := 0; i < 3; i++ {
-		err := s.Do(context.Background(), ClassCompact, "r1", boom)
+		err := s.Do(context.Background(), ClassCompact, boom)
 		var pe *PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("run %d: err = %v, want PanicError", i, err)
@@ -69,7 +69,7 @@ func TestPanicIsolationAndQuarantine(t *testing.T) {
 	// Class is now quarantined: runs are refused with the typed error
 	// and the job function no longer executes.
 	var ran int32
-	err := s.Do(context.Background(), ClassCompact, "r1", func(context.Context) error {
+	err := s.Do(context.Background(), ClassCompact, func(context.Context) error {
 		atomic.AddInt32(&ran, 1)
 		return nil
 	})
@@ -96,7 +96,7 @@ func TestPanicIsolationAndQuarantine(t *testing.T) {
 
 	// Operator resume restores the class.
 	s.Resume(ClassCompact)
-	if err := s.Do(context.Background(), ClassCompact, "r1", func(context.Context) error { return nil }); err != nil {
+	if err := s.Do(context.Background(), ClassCompact, func(context.Context) error { return nil }); err != nil {
 		t.Fatalf("Do after Resume: %v", err)
 	}
 	if !s.Healthy() {
@@ -113,25 +113,25 @@ func TestQuarantineCooldownReadmitsHalfOpen(t *testing.T) {
 
 	fail := func(context.Context) error { return errors.New("bad sector") }
 	for i := 0; i < 2; i++ {
-		if err := s.Do(context.Background(), ClassScrub, "k", fail); err == nil {
+		if err := s.Do(context.Background(), ClassScrub, fail); err == nil {
 			t.Fatal("want error")
 		}
 	}
-	if err := s.Do(context.Background(), ClassScrub, "k", fail); !errors.Is(err, ErrQuarantined) {
+	if err := s.Do(context.Background(), ClassScrub, fail); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("err = %v, want ErrQuarantined", err)
 	}
 	time.Sleep(30 * time.Millisecond)
 	// Half-open after cooldown: one run is admitted; its failure
 	// re-quarantines immediately.
-	if err := s.Do(context.Background(), ClassScrub, "k", fail); errors.Is(err, ErrQuarantined) {
+	if err := s.Do(context.Background(), ClassScrub, fail); errors.Is(err, ErrQuarantined) {
 		t.Fatalf("cooldown did not re-admit: %v", err)
 	}
-	if err := s.Do(context.Background(), ClassScrub, "k", fail); !errors.Is(err, ErrQuarantined) {
+	if err := s.Do(context.Background(), ClassScrub, fail); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("half-open failure did not re-quarantine: %v", err)
 	}
 	// And a half-open success fully restores the class.
 	time.Sleep(30 * time.Millisecond)
-	if err := s.Do(context.Background(), ClassScrub, "k", func(context.Context) error { return nil }); err != nil {
+	if err := s.Do(context.Background(), ClassScrub, func(context.Context) error { return nil }); err != nil {
 		t.Fatalf("half-open success: %v", err)
 	}
 	if !s.Healthy() {
@@ -253,7 +253,7 @@ func TestTriggerAfterRunsDependentJob(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Do(context.Background(), ClassCompact, "r1", func(context.Context) error { return nil }); err != nil {
+	if err := s.Do(context.Background(), ClassCompact, func(context.Context) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -265,63 +265,10 @@ func TestTriggerAfterRunsDependentJob(t *testing.T) {
 	}
 	// A failed compaction must not trigger it again.
 	before := atomic.LoadInt32(&statsRuns)
-	_ = s.Do(context.Background(), ClassCompact, "r1", func(context.Context) error { return errors.New("nope") })
+	_ = s.Do(context.Background(), ClassCompact, func(context.Context) error { return errors.New("nope") })
 	time.Sleep(20 * time.Millisecond)
 	if after := atomic.LoadInt32(&statsRuns); after != before {
 		t.Fatalf("stats triggered by failed compaction: %d -> %d", before, after)
-	}
-}
-
-func TestRepairPreemptsScrubOnSameKey(t *testing.T) {
-	s := New(Options{})
-	defer s.Close()
-
-	scrubCanceled := make(chan error, 1)
-	scrubStarted := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = s.Do(context.Background(), ClassScrub, "region-3", func(ctx context.Context) error {
-			close(scrubStarted)
-			<-ctx.Done()
-			scrubCanceled <- ctx.Err()
-			return ctx.Err()
-		})
-	}()
-	<-scrubStarted
-
-	// Repair on a DIFFERENT key must not preempt.
-	if err := s.Submit(Spec{Class: ClassRepair, Key: "region-9", Preempts: []Class{ClassScrub},
-		Fn: func(context.Context) error { return nil }}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-scrubCanceled:
-		t.Fatal("scrub of region-3 preempted by repair of region-9")
-	case <-time.After(30 * time.Millisecond):
-	}
-
-	// Repair on the SAME key cancels the in-flight scrub.
-	if err := s.Submit(Spec{Class: ClassRepair, Key: "region-3", Preempts: []Class{ClassScrub},
-		Fn: func(context.Context) error { return nil }}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-scrubCanceled:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("scrub ctx err = %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("scrub of region-3 not preempted by same-key repair")
-	}
-	wg.Wait()
-	if m := s.Metrics()[string(ClassScrub)]; m.Preempted != 1 {
-		t.Fatalf("scrub Preempted = %d, want 1", m.Preempted)
-	}
-	// Preemption is neutral: it must not advance the quarantine counter.
-	if m := s.Metrics()[string(ClassScrub)]; m.Failed != 0 {
-		t.Fatalf("preempted scrub counted as failure: %+v", m)
 	}
 }
 
@@ -351,17 +298,15 @@ func TestDiskPressureShedsLowPriorityClasses(t *testing.T) {
 	waitPressure(true)
 
 	// Low-priority classes (compact, scrub, stats, janitor, rebalance)
-	// are shed with the typed error; flush and repair keep running.
+	// are shed with the typed error; flush keeps running.
 	for _, c := range []Class{ClassCompact, ClassScrub, ClassStats, ClassJanitor, ClassRebalance} {
-		err := s.Do(context.Background(), c, "k", func(context.Context) error { return nil })
+		err := s.Do(context.Background(), c, func(context.Context) error { return nil })
 		if !errors.Is(err, ErrDiskPressure) {
 			t.Fatalf("class %s under pressure: err = %v, want ErrDiskPressure", c, err)
 		}
 	}
-	for _, c := range []Class{ClassFlush, ClassRepair} {
-		if err := s.Do(context.Background(), c, "k", func(context.Context) error { return nil }); err != nil {
-			t.Fatalf("class %s under pressure: %v (must keep running)", c, err)
-		}
+	if err := s.Do(context.Background(), ClassFlush, func(context.Context) error { return nil }); err != nil {
+		t.Fatalf("flush under pressure: %v (must keep running)", err)
 	}
 	if m := s.Metrics()[string(ClassCompact)]; m.Shed != 1 {
 		t.Fatalf("compact Shed = %d, want 1", m.Shed)
@@ -369,7 +314,7 @@ func TestDiskPressureShedsLowPriorityClasses(t *testing.T) {
 
 	free.Store(100 << 20)
 	waitPressure(false)
-	if err := s.Do(context.Background(), ClassCompact, "k", func(context.Context) error { return nil }); err != nil {
+	if err := s.Do(context.Background(), ClassCompact, func(context.Context) error { return nil }); err != nil {
 		t.Fatalf("compact after pressure cleared: %v", err)
 	}
 }
@@ -385,7 +330,7 @@ func TestClassConcurrencyCap(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = s.Do(context.Background(), ClassCompact, "k", func(context.Context) error {
+			_ = s.Do(context.Background(), ClassCompact, func(context.Context) error {
 				n := atomic.AddInt32(&cur, 1)
 				mu.Lock()
 				if n > peak {
@@ -410,12 +355,12 @@ func TestPauseResume(t *testing.T) {
 	s := New(Options{})
 	defer s.Close()
 	s.Pause(ClassCompact)
-	err := s.Do(context.Background(), ClassCompact, "k", func(context.Context) error { return nil })
+	err := s.Do(context.Background(), ClassCompact, func(context.Context) error { return nil })
 	if !errors.Is(err, ErrPaused) {
 		t.Fatalf("err = %v, want ErrPaused", err)
 	}
 	s.Resume(ClassCompact)
-	if err := s.Do(context.Background(), ClassCompact, "k", func(context.Context) error { return nil }); err != nil {
+	if err := s.Do(context.Background(), ClassCompact, func(context.Context) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -437,7 +382,7 @@ func TestCloseCancelsRunsAndStopsLoops(t *testing.T) {
 		}
 	}
 	stuck := make(chan struct{})
-	if err := s.Submit(Spec{Class: ClassRepair, Key: "k", Fn: func(ctx context.Context) error {
+	if err := s.Submit(Spec{Class: ClassCompact, Fn: func(ctx context.Context) error {
 		close(stuck)
 		<-ctx.Done()
 		return ctx.Err()
@@ -448,7 +393,7 @@ func TestCloseCancelsRunsAndStopsLoops(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Do(context.Background(), ClassFlush, "k", func(context.Context) error { return nil }); !errors.Is(err, ErrClosed) {
+	if err := s.Do(context.Background(), ClassFlush, func(context.Context) error { return nil }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Do after Close: %v, want ErrClosed", err)
 	}
 	if s.Healthy() {

@@ -16,7 +16,6 @@ import (
 func testClusterOpts(o Options) ClusterOptions {
 	return ClusterOptions{
 		Options:     o,
-		Servers:     2,
 		SplitPoints: [][]byte{[]byte("g"), []byte("p")},
 	}
 }
@@ -226,6 +225,32 @@ func TestGetScanWithQueuedImmutableMemtable(t *testing.T) {
 	check("flushed")
 }
 
+// TestCloseDrainsFlusher: a region Close waits for frozen memtables to
+// reach disk instead of abandoning the flush queue.
+func TestCloseDrainsFlusher(t *testing.T) {
+	dir := t.TempDir()
+	r, err := openRegion(0, dir, Options{MemtableBytes: 4 << 10}.withDefaults(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := make([]byte, 512)
+	for i := 0; i < 64; i++ { // ~32 KiB: several 4 KiB memtable freezes
+		if err := r.Put([]byte(fmt.Sprintf("k-%03d", i)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(r.imm); got != 0 {
+		t.Fatalf("%d frozen memtables abandoned by Close", got)
+	}
+	ssts, _ := filepath.Glob(filepath.Join(dir, "sst-*.sst"))
+	if len(ssts) == 0 {
+		t.Fatal("Close flushed nothing to disk")
+	}
+}
+
 func TestBatchCrashRecoveryAcrossRegions(t *testing.T) {
 	dir := t.TempDir()
 	opts := testClusterOpts(Options{})
@@ -249,8 +274,8 @@ func TestBatchCrashRecoveryAcrossRegions(t *testing.T) {
 
 	// Pause every flusher so the batch stays memtable-only, then apply
 	// a batch spanning all regions: puts plus upsert-style tombstones.
-	for _, h := range c.regions {
-		pauseFlusher(h.nodes[0].r, true)
+	for _, r := range c.regions {
+		pauseFlusher(r.region, true)
 	}
 	var b WriteBatch
 	for i := 0; i < 30; i++ {
@@ -262,8 +287,7 @@ func TestBatchCrashRecoveryAcrossRegions(t *testing.T) {
 	}
 
 	// Simulate a crash: drop the WAL handles without flushing memtables.
-	for _, h := range c.regions {
-		r := h.nodes[0].r
+	for _, r := range c.regions {
 		r.mu.Lock()
 		r.log.close()
 		r.closed = true

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 )
@@ -154,40 +153,6 @@ func TestClusterConcurrentReadWrite(t *testing.T) {
 	}
 }
 
-func TestClusterAutoSplit(t *testing.T) {
-	c := newTestCluster(t, ClusterOptions{
-		Options:        Options{MemtableBytes: 8 << 10, DisableWAL: true},
-		MaxRegionBytes: 64 << 10,
-	})
-	before := c.Regions()
-	rng := rand.New(rand.NewSource(9))
-	val := bytes.Repeat([]byte("x"), 100)
-	for i := 0; i < 20000; i++ {
-		c.PutCtx(bg, []byte(fmt.Sprintf("k-%08d", rng.Intn(1e8))), val)
-	}
-	c.Flush()
-	if c.Regions() <= before {
-		t.Fatalf("regions = %d, want > %d after heavy load", c.Regions(), before)
-	}
-	// All data still reachable and ordered per scan.
-	n := 0
-	var prev []byte
-	err := ScanRange(bg, c, KeyRange{}, func(k, v []byte) bool {
-		if prev != nil && bytes.Compare(prev, k) >= 0 {
-			t.Fatalf("post-split scan unordered")
-		}
-		prev = append(prev[:0], k...)
-		n++
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("no data after split")
-	}
-}
-
 func TestClusterMetrics(t *testing.T) {
 	c := newTestCluster(t, ClusterOptions{})
 	for i := 0; i < 100; i++ {
@@ -210,10 +175,10 @@ func TestClusterMetrics(t *testing.T) {
 func TestClusterDiskSizeCompression(t *testing.T) {
 	// Highly compressible values should occupy much less disk with
 	// compression enabled — the substrate behaviour behind Fig. 10.
-	load := func(compress bool) int64 {
+	load := func(codec string) int64 {
 		dir := t.TempDir()
 		c, err := OpenCluster(dir, ClusterOptions{
-			Options: Options{Compress: compress, DisableWAL: true},
+			Options: Options{Codec: codec, DisableWAL: true},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -226,8 +191,8 @@ func TestClusterDiskSizeCompression(t *testing.T) {
 		c.Flush()
 		return c.DiskSize()
 	}
-	plain := load(false)
-	compressed := load(true)
+	plain := load("none")
+	compressed := load("gzip")
 	if compressed >= plain/2 {
 		t.Fatalf("compressed %d should be far below plain %d", compressed, plain)
 	}

@@ -34,15 +34,15 @@ func regionScanAll(t *testing.T, r *region) map[string]string {
 	return got
 }
 
-// TestMixedCodecRegion: a region written under the legacy gzip flag and
+// TestMixedCodecRegion: a region written under Codec "gzip" and
 // reopened with Codec "lz4" must serve Gets and Scans across tables of
 // both codecs, and a compaction must rewrite every block in the
 // configured codec.
 func TestMixedCodecRegion(t *testing.T) {
 	dir := t.TempDir()
 
-	// Era 1: gzip-compressed table via the legacy flag.
-	r, err := openRegion(0, dir, Options{Compress: true}.withDefaults(), newBlockCache(1<<20), &Metrics{})
+	// Era 1: gzip-compressed table.
+	r, err := openRegion(0, dir, Options{Codec: "gzip"}.withDefaults(), newBlockCache(1<<20), &Metrics{})
 	if err != nil {
 		t.Fatal(err)
 	}

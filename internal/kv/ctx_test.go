@@ -87,31 +87,25 @@ func TestScanRangesFuncCtxDeadline(t *testing.T) {
 }
 
 // TestScanRangesCtxCancelWithDownServer exercises cancellation racing a
-// region-server failure: queries canceled while a server is killed must
-// not wedge or leak workers, and the cluster keeps serving afterwards.
+// region-server failure: scans canceled while the primary's server is
+// partitioned must not wedge or leak workers, and the router keeps
+// serving every row afterwards from the promoted replica.
 func TestScanRangesCtxCancelWithDownServer(t *testing.T) {
-	c, err := OpenCluster(t.TempDir(), ClusterOptions{
-		Servers:     3,
-		Replication: 1,
-		SplitPoints: [][]byte{[]byte("3"), []byte("6")},
-	})
-	if err != nil {
+	lb, _, r := startRouterCluster(t, 3, NodeOptions{}, fastRetry(RouterOptions{Replicas: 1}))
+	var b WriteBatch
+	for i := 0; i < 3000; i++ {
+		b.Put([]byte(fmt.Sprintf("%d-%05d", i%10, i)), []byte("v"))
+	}
+	if err := r.ApplyCtx(bg, &b); err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	for i := 0; i < 3000; i++ {
-		c.PutCtx(bg, []byte(fmt.Sprintf("%d-%05d", i%10, i)), []byte("v"))
-	}
-	c.Flush()
 	base := runtime.NumGoroutine()
 	for round := 0; round < 5; round++ {
 		if round == 2 {
-			if err := c.KillServer(0); err != nil {
-				t.Fatal(err)
-			}
+			lb.SetDown("s1", true)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-		err := ScanRanges(ctx, c, []KeyRange{{}}, func(k, v []byte) bool {
+		err := ScanRanges(ctx, r, []KeyRange{{}}, func(k, v []byte) bool {
 			time.Sleep(50 * time.Microsecond)
 			return true
 		})
@@ -120,15 +114,16 @@ func TestScanRangesCtxCancelWithDownServer(t *testing.T) {
 			t.Fatalf("round %d: err = %v", round, err)
 		}
 	}
-	if err := c.ReviveServer(0); err != nil {
-		t.Fatal(err)
-	}
 	n := 0
-	if err := ScanRanges(context.Background(), c, []KeyRange{{}}, func(k, v []byte) bool { n++; return true }); err != nil {
+	if err := ScanRanges(context.Background(), r, []KeyRange{{}}, func(k, v []byte) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 3000 {
 		t.Fatalf("post-chaos scan = %d rows, want 3000", n)
 	}
+	if m := r.Metrics(); m.Failovers == 0 {
+		t.Fatal("Failovers = 0: the scans never met the partitioned primary")
+	}
+	lb.SetDown("s1", false)
 	waitGoroutines(t, base)
 }

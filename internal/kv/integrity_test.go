@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 )
 
 // Integrity tests: injectable disk faults (FaultFS), end-to-end checksum
-// verification, orphan cleanup, and the scrub/quarantine/repair path
-// that heals a damaged node from a replica.
+// verification, orphan cleanup, and the scrubber.
 
 // flipByte damages one byte of the file at path (offset counted from
 // the start when off >= 0, from the end when negative).
@@ -245,15 +243,14 @@ func TestTransientReadFaultRetried(t *testing.T) {
 	}
 }
 
-// TestBitFlipRF0TypedError: with no replicas, persistent on-disk damage
+// TestBitFlipRF0TypedError: persistent on-disk damage to the only copy
 // must surface as a typed ErrCorruptBlock — never as silently wrong
-// data — and the region is flagged corrupt but not quarantined (the
-// damaged table is the only copy).
+// data — and the region is flagged corrupt with the damaged table left
+// in place.
 func TestBitFlipRF0TypedError(t *testing.T) {
 	dir := t.TempDir()
 	c, err := OpenCluster(dir, ClusterOptions{
 		Options:     Options{BlockCacheBytes: -1},
-		Servers:     2,
 		SplitPoints: [][]byte{[]byte("g"), []byte("p")},
 	})
 	if err != nil {
@@ -293,8 +290,8 @@ func TestBitFlipRF0TypedError(t *testing.T) {
 		t.Fatalf("healthy region after corruption elsewhere: %q, %v", v, err)
 	}
 
-	// Scrub finds it too, reports it (nothing to repair from), and the
-	// admin state shows the corrupt node; the table is NOT quarantined.
+	// Scrub finds it too and reports it, and the admin state shows the
+	// corrupt region; the damaged table stays where it was.
 	if err := c.Scrub(context.Background()); !errors.As(err, &cb) {
 		t.Fatalf("Scrub at RF=0 = %v, want *ErrCorruptBlock", err)
 	}
@@ -302,197 +299,26 @@ func TestBitFlipRF0TypedError(t *testing.T) {
 	if st.CorruptNodes != 1 || st.Runs != 1 || st.BlocksScrubbed == 0 {
 		t.Fatalf("scrub state = %+v", st)
 	}
-	m := c.Metrics()
-	if m.CorruptionsDetected == 0 {
+	if m := c.Metrics(); m.CorruptionsDetected == 0 {
 		t.Fatal("CorruptionsDetected not counted")
 	}
-	if m.TablesQuarantined != 0 || m.RepairsCompleted != 0 {
-		t.Fatalf("RF=0 must not quarantine/repair: %+v", m)
-	}
-}
-
-// TestBitFlipFailoverAndRepair: at RF=1 a damaged leader block is (1)
-// detected — the read fails over to the replica and still succeeds,
-// (2) quarantined for post-mortem, and (3) healed — the node is rebuilt
-// from the healthy copy so local reads work again.
-func TestBitFlipFailoverAndRepair(t *testing.T) {
-	dir := t.TempDir()
-	opts := replOpts(3, 1)
-	opts.BlockCacheBytes = -1
-	c, err := OpenCluster(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	const n = 300
-	var b WriteBatch
-	for i := 0; i < n; i++ {
-		b.Put(spreadKey(i), []byte(fmt.Sprintf("v-%d", i)))
-	}
-	if err := c.ApplyCtx(bg, &b); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SyncReplicas(); err != nil {
-		t.Fatal(err)
-	}
-
-	flipByte(t, firstSST(t, filepath.Join(dir, "region-0000")), 10)
-
-	// Every key must still read correctly: keys on the damaged leader
-	// fail over to the replica.
-	for i := 0; i < n; i++ {
-		v, err := c.GetCtx(bg, spreadKey(i))
-		if err != nil || string(v) != fmt.Sprintf("v-%d", i) {
-			t.Fatalf("key %d with damaged leader: %q, %v", i, v, err)
-		}
-	}
-	m := c.Metrics()
-	if m.CorruptionsDetected == 0 {
-		t.Fatal("damage not detected")
-	}
-	if m.FailoverReads == 0 {
-		t.Fatal("no failover reads despite corrupt leader")
-	}
-
-	// Scrub waits out the repair scheduled by the failed read; with a
-	// replica to heal from it must return nil.
-	if err := c.Scrub(context.Background()); err != nil {
-		t.Fatalf("Scrub with RF=1 = %v, want healed", err)
-	}
-	m = c.Metrics()
-	if m.TablesQuarantined == 0 {
-		t.Fatal("damaged table not quarantined")
-	}
-	if m.RepairsCompleted == 0 {
-		t.Fatal("no repair completed")
-	}
-	if q, _ := filepath.Glob(filepath.Join(dir, "quarantine", "*")); len(q) == 0 {
-		t.Fatal("quarantine directory empty")
-	}
-	if st := c.ScrubState(); st.CorruptNodes != 0 {
-		t.Fatalf("corrupt nodes after repair: %+v", st)
-	}
-
-	// All data is intact post-repair, on every node.
-	for i := 0; i < n; i++ {
-		v, err := c.GetCtx(bg, spreadKey(i))
-		if err != nil || string(v) != fmt.Sprintf("v-%d", i) {
-			t.Fatalf("key %d after repair: %q, %v", i, v, err)
-		}
-	}
-	if err := c.SyncReplicas(); err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range c.ReplicationState() {
-		for _, nd := range st.Nodes {
-			if nd.Lag != 0 {
-				t.Fatalf("region %d server %d: lag %d after repair", st.Region, nd.Server, nd.Lag)
-			}
-		}
-	}
-}
-
-// TestScrubRepairUnderConcurrentScans: scans running while the scrubber
-// detects and repairs a damaged leader must return complete, correct
-// results — each scan resumes on a healthy node from where the
-// corruption interrupted it, with no missing and no duplicate rows.
-func TestScrubRepairUnderConcurrentScans(t *testing.T) {
-	dir := t.TempDir()
-	opts := replOpts(3, 1)
-	opts.BlockCacheBytes = -1
-	c, err := OpenCluster(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	const n = 900
-	var b WriteBatch
-	for i := 0; i < n; i++ {
-		k := spreadKey(i)
-		b.Put(k, append([]byte("val-"), k...))
-		if b.Len() >= 128 {
-			if err := c.ApplyCtx(bg, &b); err != nil {
-				t.Fatal(err)
-			}
-			b.Reset()
-		}
-	}
-	if err := c.ApplyCtx(bg, &b); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SyncReplicas(); err != nil {
-		t.Fatal(err)
-	}
-
-	flipByte(t, firstSST(t, filepath.Join(dir, "region-0000")), 10)
-
-	var wg sync.WaitGroup
-	errc := make(chan error, 16)
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for iter := 0; iter < 3; iter++ {
-				seen := make(map[string]bool, n)
-				err := ScanRange(bg, c, KeyRange{}, func(k, v []byte) bool {
-					if string(v) != "val-"+string(k) {
-						errc <- fmt.Errorf("wrong value for %q: %q", k, v)
-						return false
-					}
-					if seen[string(k)] {
-						errc <- fmt.Errorf("duplicate key %q", k)
-						return false
-					}
-					seen[string(k)] = true
-					return true
-				})
-				if err != nil {
-					errc <- fmt.Errorf("scan: %w", err)
-					return
-				}
-				if len(seen) != n {
-					errc <- fmt.Errorf("scan saw %d keys, want %d", len(seen), n)
-					return
-				}
-			}
-		}()
-	}
-	if err := c.Scrub(context.Background()); err != nil {
-		t.Fatalf("Scrub = %v", err)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Error(err)
-	}
-	m := c.Metrics()
-	if m.CorruptionsDetected == 0 || m.RepairsCompleted == 0 {
-		t.Fatalf("scrub did not detect/repair: %+v", m)
-	}
-	if st := c.ScrubState(); st.CorruptNodes != 0 {
-		t.Fatalf("corrupt nodes remain: %+v", st)
+	if _, err := os.Stat(cb.Path); err != nil {
+		t.Fatalf("damaged table moved out of the region: %v", err)
 	}
 }
 
 // TestScrubLoopBackground: a cluster opened with ScrubInterval runs
 // scrub passes on its own and shuts down cleanly.
 func TestScrubLoopBackground(t *testing.T) {
-	opts := replOpts(3, 1)
-	opts.ScrubInterval = 10 * time.Millisecond
-	c, err := OpenCluster(t.TempDir(), opts)
+	c, err := OpenCluster(t.TempDir(), ClusterOptions{
+		SplitPoints:   [][]byte{[]byte("g"), []byte("p")},
+		ScrubInterval: 10 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		c.PutCtx(bg, spreadKey(i), []byte("v"))
+		c.PutCtx(bg, []byte(fmt.Sprintf("%c-key-%05d", "ahq"[i%3], i)), []byte("v"))
 	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)

@@ -81,7 +81,6 @@ func TestDiskPressureDegradesWritePathAndRecovers(t *testing.T) {
 	})
 	ffs := NewFaultFS(OSFS{}, 11)
 	c, err := OpenCluster(t.TempDir(), ClusterOptions{
-		Servers: 1,
 		Options: Options{
 			Jobs:          sched,
 			FS:            ffs,
@@ -181,7 +180,7 @@ func TestDiskPressureDegradesWritePathAndRecovers(t *testing.T) {
 // storm shape — collapse onto in-flight passes through the scheduler's
 // scrub job instead of each running its own sweep.
 func TestScrubRequestsDedupe(t *testing.T) {
-	c, err := OpenCluster(t.TempDir(), ClusterOptions{Servers: 1})
+	c, err := OpenCluster(t.TempDir(), ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +239,6 @@ func TestScrubRequestsDedupe(t *testing.T) {
 // compact classes are what keeps the storm from starving reads.
 func TestCompactionStormBoundsForegroundLatency(t *testing.T) {
 	c, err := OpenCluster(t.TempDir(), ClusterOptions{
-		Servers: 1,
 		Options: Options{
 			MemtableBytes: 8 << 10,
 			MaxTables:     2,

@@ -11,9 +11,9 @@
 //   - size-tiered compaction,
 //   - an LRU block cache (HBase's block cache, which the paper works
 //     around in its evaluation methodology),
-//   - range-partitioned regions hosted by region servers with parallel
-//     multi-range scans (the paper's "trigger SCAN operations ... in
-//     parallel").
+//   - range-partitioned regions with parallel multi-range scans (the
+//     paper's "trigger SCAN operations ... in parallel"), in one process
+//     (Cluster) or on networked region servers behind a Router.
 package kv
 
 import (
@@ -33,9 +33,8 @@ var (
 	ErrClosed = errors.New("kv: store closed")
 	// ErrCorrupt reports an unreadable on-disk structure.
 	ErrCorrupt = errors.New("kv: corrupt data")
-	// ErrUnavailable reports that every server hosting a copy of the
-	// requested region is down — with replication factor 0, any single
-	// server failure; with replication, only a failure of all hosts.
+	// ErrUnavailable reports that every region server hosting a copy of
+	// the requested region is down.
 	ErrUnavailable = errors.New("kv: region unavailable: all hosting servers down")
 	// ErrStaleRegion reports an operation routed with an outdated region
 	// map: the target node no longer serves the region at the expected
@@ -194,55 +193,30 @@ type Metrics struct {
 	WriteStallNanos    int64 `json:"write_stall_nanos"`
 	FlushQueueDepth    int64 `json:"flush_queue_depth"`
 
-	// Replication counters (WAL shipping and failover, Replication > 0):
-	// ShippedBatches sealed batch envelopes published to replica
-	// appliers, totalling ShippedBytes of payload; ReplicaApplies
-	// envelope deliveries applied into replica stores; ReplicaRejects
-	// deliveries rejected (CRC mismatch or injected drop) and
-	// re-requested from the retained log. Failovers counts leader
-	// promotions (a write found the leader's server down and a replica
-	// took over after catching up); FailoverReads counts reads served by
-	// a replica because the leader's server was down; StaleReads counts
-	// failover reads that found the replica lagging the committed
-	// sequence and had to drain the shipped log before serving (their
-	// staleness bound). ReplicaLagMax is a gauge: the largest
-	// committed-minus-applied envelope lag across all regions and
-	// replicas at snapshot time.
-	ShippedBatches int64 `json:"shipped_batches"`
-	ShippedBytes   int64 `json:"shipped_bytes"`
-	ReplicaApplies int64 `json:"replica_applies"`
-	ReplicaRejects int64 `json:"replica_rejects"`
-	Failovers      int64 `json:"failovers"`
-	FailoverReads  int64 `json:"failover_reads"`
-	StaleReads     int64 `json:"stale_reads"`
-	ReplicaLagMax  int64 `json:"replica_lag_max"`
-
-	// Integrity counters (SSTable checksums, scrub & repair):
+	// Integrity counters (SSTable checksums and scrub):
 	// CorruptionsDetected persistent checksum mismatches (or undecodable
 	// blocks) found at read or scrub time; ReadRetries checksum-failed
 	// reads that were re-read (a retry that then passes was a transient
 	// fault, not corruption); BlocksScrubbed data blocks verified by the
 	// scrubber; ScrubRuns completed full-cluster scrub passes;
-	// TablesQuarantined corrupt SSTables moved aside out of the live
-	// set; RepairsCompleted region stores rebuilt from a replica after
-	// corruption; OrphansRemoved leftover temp/unreferenced SSTable
-	// files deleted at region open.
+	// OrphansRemoved leftover temp/unreferenced SSTable files deleted at
+	// region open.
 	CorruptionsDetected int64 `json:"corruptions_detected"`
 	ReadRetries         int64 `json:"read_retries"`
 	BlocksScrubbed      int64 `json:"blocks_scrubbed"`
 	ScrubRuns           int64 `json:"scrub_runs"`
-	TablesQuarantined   int64 `json:"tables_quarantined"`
-	RepairsCompleted    int64 `json:"repairs_completed"`
 	OrphansRemoved      int64 `json:"orphans_removed"`
 
-	// Topology counters (networked cluster; the in-process Cluster only
-	// counts RegionSplits): RegionSplits completed region splits (size or
+	// Topology counters (networked cluster): Failovers region primaries
+	// replaced by a promoted replica after the primary's server stopped
+	// answering; RegionSplits completed region splits (size or
 	// write-rate triggered), RegionMerges adjacent cold regions merged,
 	// RegionMoves region leaderships moved by the rebalancer
 	// (replicate → promote → retire); StaleMapRefreshes region-map
 	// refreshes forced by ErrStaleRegion responses; RPCRetries operations
 	// re-sent after a stale map or transport failure; RPCBytesIn /
 	// RPCBytesOut wire traffic through the rpc client and server.
+	Failovers         int64 `json:"failovers"`
 	RegionSplits      int64 `json:"region_splits"`
 	RegionMerges      int64 `json:"region_merges"`
 	RegionMoves       int64 `json:"region_moves"`

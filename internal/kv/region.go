@@ -32,13 +32,9 @@ type Options struct {
 	// BlockCacheBytes sizes the shared LRU block cache; 0 means the
 	// default 32 MiB, a negative value disables the cache entirely.
 	BlockCacheBytes int64
-	// Compress enables per-block compression of SSTables under the
-	// default codec (gzip). Kept for compatibility; Codec supersedes it.
-	Compress bool
 	// Codec selects the block/WAL compression codec: "none", "gzip" or
-	// "lz4". Empty defers to the legacy Compress flag ("gzip" when set,
-	// "none" otherwise). The codec applies to SSTable blocks written
-	// from now on — flushes and compactions — and to WAL batch
+	// "lz4"; empty means "none". The codec applies to SSTable blocks
+	// written from now on — flushes and compactions — and to WAL batch
 	// envelopes; existing tables keep their per-block codec and remain
 	// readable, so a store can change codec between restarts and
 	// converge through compaction.
@@ -66,7 +62,7 @@ type Options struct {
 	// install a FaultFS to make disk failures reproducible.
 	FS VFS
 	// Jobs is the maintenance scheduler all background work (flush,
-	// compaction, scrub, repair) runs through: it provides per-class
+	// compaction, scrub) runs through: it provides per-class
 	// concurrency caps, bounded jittered retries, panic isolation,
 	// failure quarantine and disk-pressure shedding. nil means
 	// OpenCluster creates an owned scheduler; a region opened outside a
@@ -83,11 +79,6 @@ func (o Options) blockCodec() uint8 {
 		return blockCodecGzip
 	case "lz4":
 		return blockCodecLZ4
-	case "", "none":
-		if o.Codec == "" && o.Compress {
-			return blockCodecGzip
-		}
-		return blockCodecNone
 	default:
 		return blockCodecNone
 	}
@@ -139,9 +130,8 @@ type region struct {
 
 	// corrupt latches once a persistent checksum failure is detected in
 	// one of the region's tables (read- or scrub-time). A corrupt
-	// region keeps serving what it can — at RF=0 there is nowhere else
-	// to read from — but the cluster layer routes reads to healthy
-	// replicas and schedules a rebuild while it is set.
+	// region keeps serving what it can; the flag is reported by
+	// Cluster.ScrubState.
 	corrupt atomic.Bool
 
 	mu          sync.RWMutex
@@ -157,23 +147,13 @@ type region struct {
 	flushErr    error // first background flush failure; poisons writes
 	degraded    bool  // flush parked by disk pressure; writes see ErrDiskPressure when the queue is full
 	flushPaused bool  // test hook: parks the flusher while set
-	// ship, when set, publishes every committed batch payload to the
-	// region's replication group. It is called under mu, after the WAL
-	// append and memtable insert, so the shipped sequence matches the
-	// primary's apply order exactly (two racing batches ship in the
-	// same order they committed locally).
-	ship    func(payload []byte)
-	dataSz  int64 // on-disk bytes across tables
-	entries int64 // approximate live entry count
+	dataSz      int64 // on-disk bytes across tables
+	entries     int64 // approximate live entry count
 
 	ioMu        sync.Mutex // serializes SSTable builds (flush vs compact)
 	flusherDone chan struct{}
 	sched       *jobs.Scheduler
 }
-
-// jobKey scopes the region's scheduler runs (flush, compact, scrub,
-// repair) so key-matched preemption lines up across subsystems.
-func (r *region) jobKey() string { return fmt.Sprintf("region-%d", r.id) }
 
 // immMem is a frozen memtable queued for background flush, together with
 // the WAL files whose records it holds (deleted once the flush lands).
@@ -327,65 +307,19 @@ func (r *region) removeOrphans(m manifest) error {
 	return nil
 }
 
-// markCorrupt latches the region's corruption flag; it reports whether
-// this call was the first to detect it.
-func (r *region) markCorrupt() bool { return r.corrupt.CompareAndSwap(false, true) }
-
-func (r *region) isCorrupt() bool { return r.corrupt.Load() }
-
-// quarantineTable moves the named table out of the live set into
-// quarantineDir (for post-mortem) and rewrites the manifest without it.
-// The data the table held is NOT recovered here — that is the repair
-// path's job (rebuild from a replica); at RF=0 the caller must leave
-// the table in place instead, since a quarantine would turn detected
-// corruption into silent data loss.
-func (r *region) quarantineTable(path string, quarantineDir string) error {
-	r.mu.Lock()
-	var victim *table
-	kept := r.tables[:0]
-	for _, t := range r.tables {
-		if t.path == path && victim == nil {
-			victim = t
-		} else {
-			kept = append(kept, t)
-		}
+// noteCorruption latches the region's corrupt flag when err is a
+// persistent checksum failure; any other error (or nil) is ignored.
+func (r *region) noteCorruption(err error) {
+	var cb *ErrCorruptBlock
+	if err != nil && errors.As(err, &cb) {
+		r.corrupt.Store(true)
 	}
-	if victim == nil {
-		r.mu.Unlock()
-		return nil // already gone (compacted away or quarantined twice)
-	}
-	r.tables = kept
-	r.dataSz -= victim.size
-	r.entries -= int64(victim.count)
-	r.mu.Unlock()
-
-	if err := r.fs.MkdirAll(quarantineDir, 0o755); err != nil {
-		return err
-	}
-	dst := filepath.Join(quarantineDir, fmt.Sprintf("region-%04d-%s", r.id, filepath.Base(path)))
-	if err := r.fs.Rename(path, dst); err != nil {
-		return err
-	}
-	if err := r.writeManifest(); err != nil {
-		return err
-	}
-	// The table object may still be pinned by in-flight reads; release
-	// the region's reference without unlinking (the file now lives in
-	// quarantine).
-	r.mu.Lock()
-	victim.decRef()
-	r.mu.Unlock()
-	if r.met != nil {
-		atomic.AddInt64(&r.met.TablesQuarantined, 1)
-	}
-	return nil
 }
 
 // verifyTables re-reads every data block of every live table and checks
 // its checksum against disk (the scrub pass). It returns the number of
 // blocks verified and the first corruption found, if any. A ctx cancel
-// (scrub preempted by a repair of this region, or shutdown) stops the
-// walk between tables and returns the ctx error.
+// (shutdown) stops the walk between tables and returns the ctx error.
 func (r *region) verifyTables(ctx context.Context) (int64, error) {
 	r.mu.RLock()
 	if r.closed {
@@ -413,13 +347,6 @@ func (r *region) walPath() string {
 	return filepath.Join(r.dir, fmt.Sprintf("wal-%06d.log", r.walSeq))
 }
 
-// setShip installs (or clears) the replication publish hook.
-func (r *region) setShip(fn func(payload []byte)) {
-	r.mu.Lock()
-	r.ship = fn
-	r.mu.Unlock()
-}
-
 func (r *region) put(key, value []byte, k kind) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -441,9 +368,6 @@ func (r *region) put(key, value []byte, k kind) error {
 		}
 	}
 	r.mem.put(append([]byte(nil), key...), append([]byte(nil), value...), k)
-	if r.ship != nil {
-		r.ship(encodeBatchPayload(nil, []mutation{{k: k, key: key, value: value}}))
-	}
 	return r.maybeFreezeLocked()
 }
 
@@ -468,23 +392,8 @@ func (r *region) applyBatch(muts []mutation) error {
 	if r.degraded && len(r.imm) > r.opts.FlushQueue {
 		return ErrDiskPressure
 	}
-	// A replicated region encodes the batch payload once and hands the
-	// same sealed bytes to the local WAL and (after the memtable insert)
-	// to the shipping channel; the replication group retains the slice,
-	// so it is freshly allocated rather than drawn from the WAL's
-	// reusable buffer.
-	var payload []byte
-	if r.ship != nil {
-		payload = encodeBatchPayload(nil, muts)
-	}
 	if r.log != nil {
-		var n int64
-		var err error
-		if payload != nil {
-			n, err = r.log.appendPayload(payload)
-		} else {
-			n, err = r.log.appendBatch(muts)
-		}
+		n, err := r.log.appendBatch(muts)
 		if err != nil {
 			return err
 		}
@@ -534,9 +443,6 @@ func (r *region) applyBatch(muts []mutation) error {
 	if r.met != nil {
 		atomic.AddInt64(&r.met.GroupCommits, 1)
 		atomic.AddInt64(&r.met.GroupCommitRecords, int64(len(muts)))
-	}
-	if r.ship != nil {
-		r.ship(payload)
 	}
 	return r.maybeFreezeLocked()
 }
@@ -745,7 +651,7 @@ func (r *region) flusher() {
 		im := r.imm[0]
 		r.mu.Unlock()
 
-		err := r.sched.Do(context.Background(), jobs.ClassFlush, r.jobKey(), func(context.Context) error {
+		err := r.sched.Do(context.Background(), jobs.ClassFlush, func(context.Context) error {
 			return r.flushImm(im)
 		})
 
@@ -782,7 +688,7 @@ func (r *region) flusher() {
 			// the admin API) while the region keeps serving; under disk
 			// pressure the scheduler sheds the run entirely, pausing
 			// compaction's output amplification.
-			cerr := r.sched.Do(context.Background(), jobs.ClassCompact, r.jobKey(), func(context.Context) error {
+			cerr := r.sched.Do(context.Background(), jobs.ClassCompact, func(context.Context) error {
 				return r.compact()
 			})
 			r.mu.Lock()

@@ -914,6 +914,23 @@ func (n *RegionNode) maybeSplit(sr *servedRegion) {
 	atomic.AddInt64(&n.met.RegionSplits, 1)
 }
 
+// middleKey returns an approximate median key of the region, used as a
+// split point: the first key of the middle block of the largest SSTable.
+func (r *region) middleKey() []byte {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	var biggest *table
+	for _, t := range r.tables {
+		if biggest == nil || t.size > biggest.size {
+			biggest = t
+		}
+	}
+	if biggest == nil || len(biggest.index) < 2 {
+		return nil
+	}
+	return biggest.index[len(biggest.index)/2].firstKey
+}
+
 // splitLocked bisects sr at mid into two fresh regions (caller holds
 // sr.mu write lock and, on the primary path, splitMu). The daughters
 // inherit sr's role and replica set at epoch+1; the parent is retired

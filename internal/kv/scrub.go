@@ -3,222 +3,27 @@ package kv
 import (
 	"context"
 	"errors"
-	"fmt"
-	"path/filepath"
 	"sync/atomic"
 	"time"
 
 	"just/internal/jobs"
-	"just/internal/replica"
 )
 
-// This file is the integrity half of the cluster: corruption reporting
-// (quarantine + repair scheduling), the repair state machine that
-// rebuilds a damaged node from a healthy replica, and the background
-// scrubber that proactively verifies every SSTable block.
+// This file is the integrity half of the cluster: the scrubber that
+// proactively verifies every SSTable block, and the admin view of it.
 //
 // Detection happens in the table layer (per-block CRC32C, see
 // sstable.go): any read or scrub that hits a persistently damaged block
-// gets an *ErrCorruptBlock. The cluster layer's job is routing around
-// the damage and healing it:
-//
-//	read/scrub error ──► reportCorruption
-//	    ├─ latch region.corrupt       (readNode stops picking this node)
-//	    ├─ quarantine the bad table   (RF ≥ 1 only; file kept for post-mortem)
-//	    └─ schedule repairHandle      (RF ≥ 1 only)
-//	repairHandle
-//	    ├─ corrupt leader?  promote a healthy replica first
-//	    └─ corrupt replica: unsubscribe → wipe → reopen → subscribe
-//	       (paused, from the pre-wipe committed seq) → reseed from the
-//	       leader → resume → swap into the group
-//
-// At RF=0 there is no redundancy to heal from: the region stays marked
-// corrupt (visible in ScrubStatus), the damaged table is left in place
-// — quarantining it would turn detected corruption into silent data
-// loss — and reads keep being served with the typed error surfacing
+// gets an *ErrCorruptBlock and latches the region's corrupt flag. A
+// Cluster keeps one copy of each region, so there is nothing to heal
+// from: the damaged table stays in place — dropping it would turn
+// detected corruption into silent data loss — the flag shows in
+// ScrubState, and reads keep being served, the typed error surfacing
 // wherever the damaged blocks are touched.
 
-// maxCorruptRetries bounds how many times a read retries on another
-// node after hitting a corrupt block.
-const maxCorruptRetries = 2
-
-func (c *Cluster) quarantineDir() string { return filepath.Join(c.dir, "quarantine") }
-
-// reportCorruption handles a corrupt-block error from a read or scrub
-// of r: it latches the region's corrupt flag, quarantines the damaged
-// table and schedules a repair when replicas exist. It returns true
-// when retrying the operation on another node can succeed (RF ≥ 1);
-// the caller then re-picks via readNode, which now skips r.
-func (c *Cluster) reportCorruption(h *regionHandle, r *region, err error) bool {
-	var cb *ErrCorruptBlock
-	if !errors.As(err, &cb) {
-		return false
-	}
-	r.markCorrupt()
-	if c.opts.Replication == 0 {
-		return false
-	}
-	// Quarantine keeps the damaged file for post-mortem and drops it
-	// from the live set; the repair below rebuilds the whole store from
-	// a replica, so no data is lost. Failure to quarantine (e.g. the
-	// table was already compacted away) is not fatal — the wipe-and-
-	// reseed repair heals the region regardless.
-	r.quarantineTable(cb.Path, c.quarantineDir())
-	// Scheduled even when the corrupt flag was already latched: a
-	// previous repair attempt may have finished (or failed) just before
-	// this detection, and repairHandle collapses concurrent runs.
-	c.scheduleRepair(h)
-	return true
-}
-
-// scheduleRepair launches repairHandle for h in the background unless
-// the cluster is shutting down. Every launch registers with repairWG so
-// Scrub (and Close) can wait for quiescence. The repair runs through
-// the maintenance scheduler under the repair class — and preempts any
-// in-flight scrub verify of the same region, since the repair is about
-// to wipe and rebuild the very store the scrub is reading.
-func (c *Cluster) scheduleRepair(h *regionHandle) {
-	c.mu.RLock()
-	closed := c.closed
-	c.mu.RUnlock()
-	if closed {
-		return
-	}
-	c.repairWG.Add(1)
-	go func() {
-		defer c.repairWG.Done()
-		// Run, not Submit: the wait-group slot must be released even
-		// when admission rejects the run (class quarantined, scheduler
-		// closing), which only the caller's own goroutine can guarantee.
-		_ = c.jobs.Run(context.Background(), jobs.Spec{
-			Class:    jobs.ClassRepair,
-			Key:      h.jobKey(),
-			Preempts: []jobs.Class{jobs.ClassScrub},
-			Fn: func(context.Context) error {
-				c.repairHandle(h)
-				return nil
-			},
-		})
-	}()
-}
-
-// repairHandle heals every corrupt node of one region group. Concurrent
-// calls for the same handle collapse onto the running one (h.repairing);
-// the running repair re-scans for corrupt nodes until none remain, so a
-// corruption detected while a repair is in flight is usually picked up
-// by the same run. (A detection that lands exactly between the final
-// scan and the flag release can be missed — the next corrupt read or
-// scrub simply schedules again.)
-func (c *Cluster) repairHandle(h *regionHandle) {
-	if !h.repairing.CompareAndSwap(false, true) {
-		return
-	}
-	defer h.repairing.Store(false)
-	for {
-		c.mu.RLock()
-		closed := c.closed
-		c.mu.RUnlock()
-		if closed {
-			return
-		}
-		h.mu.RLock()
-		idx := -1
-		for i, n := range h.nodes {
-			if n.r.isCorrupt() {
-				idx = i
-				break
-			}
-		}
-		h.mu.RUnlock()
-		if idx < 0 {
-			return
-		}
-		if idx == 0 {
-			// A corrupt leader cannot be wiped while it is the write
-			// target: hand leadership to a healthy caught-up replica
-			// first, then the next iteration rebuilds it as a replica.
-			if err := h.promote(c); err != nil {
-				return // no healthy candidate; stay corrupt until one appears
-			}
-			continue
-		}
-		if err := c.rebuildReplica(h, idx); err != nil {
-			return
-		}
-		atomic.AddInt64(&c.met.RepairsCompleted, 1)
-	}
-}
-
-// rebuildReplica replaces the corrupt replica at h.nodes[idx] with a
-// fresh store rebuilt from the current leader.
-//
-// Ordering is what makes this safe under concurrent writes: the
-// committed sequence C and the leader are captured under the membership
-// lock while the leader demonstrably contains every write ≤ C (a write
-// is published to the group only after the leader's memtable insert,
-// under the region lock). The fresh store then subscribes *paused* from
-// C before the reseed scan starts — so writes > C replay through the
-// subscription even if leadership moves mid-reseed, writes ≤ C arrive
-// via the scan, and the overlap is harmless because put/delete replay
-// is idempotent and ordered.
-func (c *Cluster) rebuildReplica(h *regionHandle, idx int) error {
-	h.mu.RLock()
-	if idx >= len(h.nodes) || idx == 0 {
-		h.mu.RUnlock()
-		return nil
-	}
-	n := h.nodes[idx]
-	leader := h.nodes[0].r
-	var from uint64
-	if h.group != nil {
-		from = h.group.Committed()
-	}
-	old, oldSub, srv := n.r, n.sub, n.server
-	h.mu.RUnlock()
-
-	if oldSub != nil {
-		oldSub.Unsubscribe() // waits out any in-flight apply
-	}
-	old.Close()
-	dir, fs := old.dir, old.fs
-	if err := fs.RemoveAll(dir); err != nil {
-		return err
-	}
-	fresh, err := openRegion(old.id, dir, c.opts.Options, c.cache, &c.met)
-	if err != nil {
-		return err
-	}
-	var sub *replica.Sub
-	if h.group != nil {
-		sub = h.group.Subscribe(fmt.Sprintf("server-%02d", srv.id), from, applyShipped(fresh), true)
-	}
-	if err := reseedReplica(leader, fresh); err != nil {
-		if sub != nil {
-			sub.Unsubscribe()
-		}
-		fresh.Close()
-		return err
-	}
-	if sub != nil {
-		sub.Resume()
-	}
-	// The node struct is mutated in place (its slot in h.nodes may have
-	// moved since idx was computed — promotions swap entries — but the
-	// struct identity is stable). Reads snapshot nodes under this lock
-	// (nodeView), so no reader can observe a half-swapped node.
-	h.mu.Lock()
-	n.r = fresh
-	n.sub = sub
-	h.mu.Unlock()
-	return nil
-}
-
-// Scrub verifies every data block of every SSTable on every node
-// (cache bypassed — the bytes are re-read from disk and checked against
-// their CRCs), schedules repairs for any corruption found, and waits
-// for those repairs to complete. It returns the first corruption error
-// only when no repair is possible (RF=0); with replicas, detected
-// corruption is healed and Scrub returns nil.
+// Scrub verifies every data block of every SSTable (cache bypassed —
+// the bytes are re-read from disk and checked against their CRCs) and
+// returns the first corruption error the pass found, or nil.
 //
 // The call enqueues through the maintenance scheduler's scrub job:
 // concurrent Scrub calls — manual, admin-endpoint and periodic alike —
@@ -226,10 +31,7 @@ func (c *Cluster) rebuildReplica(h *regionHandle, idx int) error {
 // result. Under disk pressure the scrub class is shed and Scrub returns
 // a typed ErrDiskPressure.
 func (c *Cluster) Scrub(ctx context.Context) error {
-	c.mu.RLock()
-	closed := c.closed
-	c.mu.RUnlock()
-	if closed {
+	if c.closed.Load() {
 		return ErrClosed
 	}
 	if err := c.jobs.RunNow(ctx, c.scrubJob); err != nil {
@@ -244,22 +46,16 @@ func (c *Cluster) Scrub(ctx context.Context) error {
 }
 
 // scrubPass is one full verification sweep; it runs only inside the
-// registered scrub job. Corruption found on a node is a detection, not
-// a job failure — it is reported (quarantine + repair) and recorded in
-// scrubLastErr for Scrub's callers, while the job itself succeeds so
-// the scrub class is not driven into quarantine by damage it is doing
-// its job finding.
+// registered scrub job. Corruption found in a region is a detection,
+// not a job failure — it is recorded in scrubLastErr for Scrub's
+// callers, while the job itself succeeds so the scrub class is not
+// driven into quarantine by damage it is doing its job finding.
 func (c *Cluster) scrubPass(ctx context.Context) error {
 	c.scrubMu.Lock()
 	defer c.scrubMu.Unlock()
-	c.mu.RLock()
-	if c.closed {
-		c.mu.RUnlock()
+	if c.closed.Load() {
 		return ErrClosed
 	}
-	hs := append([]*regionHandle(nil), c.regions...)
-	c.mu.RUnlock()
-
 	start := time.Now()
 	c.scrubRunning.Store(true)
 	c.scrubLastStart.Store(start.UnixMilli())
@@ -270,78 +66,35 @@ func (c *Cluster) scrubPass(ctx context.Context) error {
 
 	var blocks int64
 	var firstErr error
-	for _, h := range hs {
+	for _, r := range c.regions {
+		nb, err := r.verifyTables(ctx)
+		blocks += nb
+		atomic.AddInt64(&c.met.BlocksScrubbed, nb)
 		if ctx.Err() != nil {
-			return ErrClosed
+			return ErrClosed // pass canceled (shutdown)
 		}
-		anyCorrupt := false
-		for _, n := range h.nodeViews() {
-			nr := n.r
-			var nb int64
-			var verr error
-			// Each node's verify is its own scrub-class run keyed by the
-			// region, so a repair of that region preempts it mid-walk
-			// (the repair is about to wipe the store being read).
-			jerr := c.jobs.Do(ctx, jobs.ClassScrub, h.jobKey(), func(jctx context.Context) error {
-				nb, verr = nr.verifyTables(jctx)
-				if verr != nil && jctx.Err() != nil && errors.Is(verr, jctx.Err()) {
-					return verr // canceled mid-walk: neutral, not a class failure
-				}
-				return nil // corruption is a detection, not a job failure
-			})
-			blocks += nb
-			atomic.AddInt64(&c.met.BlocksScrubbed, nb)
-			if jerr != nil {
-				if ctx.Err() != nil {
-					return ErrClosed // pass itself canceled (shutdown)
-				}
-				// Preempted by a repair of this region, or shed under
-				// disk pressure: skip the handle, the next pass (or the
-				// repair itself) covers it.
-				break
+		if err != nil {
+			r.noteCorruption(err)
+			if firstErr == nil {
+				firstErr = err
 			}
-			switch {
-			case verr == nil:
-			case errors.Is(verr, ErrClosed):
-				// A repair wiped this node between the snapshot and the
-				// walk; the fresh store is verified by the next run.
-			case errors.Is(verr, context.Canceled):
-				// Verify preempted but the pass is live: skip the node.
-			default:
-				if !c.reportCorruption(h, nr, verr) && firstErr == nil {
-					firstErr = verr
-				}
-			}
-			if nr.isCorrupt() {
-				anyCorrupt = true
-			}
-		}
-		// A node can be corrupt without this pass having tripped on it —
-		// read-time detection whose repair failed (e.g. no live healthy
-		// replica at the time), or a wipe that died half-way. Scrub is
-		// the retry driver for those.
-		if anyCorrupt && c.opts.Replication > 0 {
-			c.scheduleRepair(h)
 		}
 	}
-	c.repairWG.Wait()
 	c.scrubLastBlocks.Store(blocks)
 	c.scrubLastErr = firstErr
 	atomic.AddInt64(&c.met.ScrubRuns, 1)
 	return nil
 }
 
-// RegionIntegrityState describes one node's store in ScrubStatus.
+// RegionIntegrityState describes one region's store in ScrubStatus.
 type RegionIntegrityState struct {
-	Region  int    `json:"region"`
-	Server  int    `json:"server"`
-	Role    string `json:"role"` // "leader" or "replica"
-	Tables  int    `json:"tables"`
-	Corrupt bool   `json:"corrupt"`
+	Region  int  `json:"region"`
+	Tables  int  `json:"tables"`
+	Corrupt bool `json:"corrupt"`
 }
 
 // ScrubStatus is the admin view of the integrity subsystem: scrub
-// progress, cumulative counters and the per-node corruption flags.
+// progress, cumulative counters and the per-region corruption flags.
 type ScrubStatus struct {
 	Running             bool                   `json:"running"`
 	Runs                int64                  `json:"runs"`
@@ -350,17 +103,12 @@ type ScrubStatus struct {
 	LastBlocks          int64                  `json:"last_blocks"`
 	BlocksScrubbed      int64                  `json:"blocks_scrubbed"`
 	CorruptionsDetected int64                  `json:"corruptions_detected"`
-	TablesQuarantined   int64                  `json:"tables_quarantined"`
-	RepairsCompleted    int64                  `json:"repairs_completed"`
 	CorruptNodes        int64                  `json:"corrupt_nodes"`
 	Nodes               []RegionIntegrityState `json:"nodes,omitempty"`
 }
 
 // ScrubState snapshots the integrity subsystem for the admin endpoints.
 func (c *Cluster) ScrubState() ScrubStatus {
-	c.mu.RLock()
-	hs := append([]*regionHandle(nil), c.regions...)
-	c.mu.RUnlock()
 	st := ScrubStatus{
 		Running:             c.scrubRunning.Load(),
 		Runs:                atomic.LoadInt64(&c.met.ScrubRuns),
@@ -369,27 +117,16 @@ func (c *Cluster) ScrubState() ScrubStatus {
 		LastBlocks:          c.scrubLastBlocks.Load(),
 		BlocksScrubbed:      atomic.LoadInt64(&c.met.BlocksScrubbed),
 		CorruptionsDetected: atomic.LoadInt64(&c.met.CorruptionsDetected),
-		TablesQuarantined:   atomic.LoadInt64(&c.met.TablesQuarantined),
-		RepairsCompleted:    atomic.LoadInt64(&c.met.RepairsCompleted),
 	}
-	for _, h := range hs {
-		for i, n := range h.nodeViews() {
-			role := "replica"
-			if i == 0 {
-				role = "leader"
-			}
-			n.r.mu.RLock()
-			tables := len(n.r.tables)
-			n.r.mu.RUnlock()
-			corrupt := n.r.isCorrupt()
-			if corrupt {
-				st.CorruptNodes++
-			}
-			st.Nodes = append(st.Nodes, RegionIntegrityState{
-				Region: n.r.id, Server: n.server.id, Role: role,
-				Tables: tables, Corrupt: corrupt,
-			})
+	for _, r := range c.regions {
+		r.mu.RLock()
+		tables := len(r.tables)
+		r.mu.RUnlock()
+		corrupt := r.corrupt.Load()
+		if corrupt {
+			st.CorruptNodes++
 		}
+		st.Nodes = append(st.Nodes, RegionIntegrityState{Region: r.id, Tables: tables, Corrupt: corrupt})
 	}
 	return st
 }

@@ -5,9 +5,8 @@ import "context"
 // Store is the storage-fabric surface the table and query layers build
 // on. Two implementations exist:
 //
-//   - *Cluster: the in-process simulated cluster (standalone deployments
-//     and tests) — regions, replication and region servers all live in
-//     one process.
+//   - *Cluster: the standalone store — single-copy regions at fixed
+//     split points, all in one process.
 //   - *Router: the networked deployment — a cached region map routing
 //     every operation to TCP region servers (see router.go).
 //
@@ -22,8 +21,8 @@ import "context"
 //
 // The unexported methods deliberately restrict implementations to this
 // package: the scan engine (scanCollect) is built on their contracts,
-// which are too easy to get subtly wrong (resume semantics, corruption
-// failover, slot accounting) to leave open.
+// which are too easy to get subtly wrong (resume semantics, slot
+// accounting) to leave open.
 type Store interface {
 	// PutCtx stores key → value.
 	PutCtx(ctx context.Context, key, value []byte) error
@@ -59,8 +58,8 @@ type Store interface {
 
 	// scanTasks splits ranges into tasks of one region each.
 	scanTasks(ranges []KeyRange) []scanTask
-	// runScanTask streams one task's pairs in key order, handling node
-	// selection, retries and resume internally. The pairs passed to emit
+	// runScanTask streams one task's pairs in key order, handling slots,
+	// routing, retries and resume internally. The pairs passed to emit
 	// are valid only during the call; emit returning false stops the
 	// task without error.
 	runScanTask(ctx context.Context, t scanTask, emit func(key, value []byte) bool) error
@@ -75,8 +74,8 @@ type Store interface {
 // served by one region. The implementation fields match the Store that
 // produced the task.
 type scanTask struct {
-	kr KeyRange      // *Cluster: the one sub-range
-	h  *regionHandle // *Cluster: the serving replication group
+	kr KeyRange       // *Cluster: the one sub-range
+	r  *clusterRegion // *Cluster: the region serving it
 	// run is *Router's: ascending sub-ranges of one cached region, each
 	// starting at or after the previous one's end, shipped in one OpScan.
 	run []KeyRange

@@ -11,8 +11,7 @@ import (
 // operation the LSM performs — WAL appends, SSTable builds and reads,
 // manifest renames, directory fsyncs — goes through this interface, so
 // tests (and the CI fault-matrix job) can slide a fault-injecting
-// implementation underneath and make disk failures as reproducible as
-// the cluster's KillServer chaos hooks.
+// implementation underneath and make disk failures reproducible.
 type VFS interface {
 	// Create opens path for writing, truncating any existing file.
 	Create(path string) (File, error)

@@ -148,16 +148,8 @@ func decodeBatchPayload(p []byte) ([]mutation, error) {
 // batch atomic (all mutations or none).
 func (l *wal) appendBatch(muts []mutation) (int64, error) {
 	l.buf = encodeBatchPayload(l.buf[:0], muts)
-	return l.appendPayload(l.buf)
-}
-
-// appendPayload frames a pre-encoded payload as one record, flushes the
-// buffer and fsyncs — appendBatch's group-commit boundary for callers
-// that already hold the sealed payload (the replicated write path, which
-// ships the same bytes to replicas).
-func (l *wal) appendPayload(p []byte) (int64, error) {
 	start := l.n
-	if err := l.appendRecord(p); err != nil {
+	if err := l.appendRecord(l.buf); err != nil {
 		return l.n - start, err
 	}
 	if err := l.w.Flush(); err != nil {

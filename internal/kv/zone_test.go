@@ -264,7 +264,7 @@ func TestZoneScanRandomizedEquivalence(t *testing.T) {
 // decompressed size — not the (much smaller) on-disk compressed size —
 // or a cache sized for memory would silently overcommit.
 func TestBlockCacheChargesDecompressedSize(t *testing.T) {
-	opts := Options{Compress: true}.withDefaults()
+	opts := Options{Codec: "gzip"}.withDefaults()
 	r, err := openRegion(0, t.TempDir(), opts, newBlockCache(1<<20), &Metrics{})
 	if err != nil {
 		t.Fatal(err)

@@ -82,13 +82,13 @@ func TestAdminJobsPanicQuarantineAndResume(t *testing.T) {
 	s := New(eng, Options{})
 	ts := httptest.NewServer(s.Handler())
 
-	// The repair class has no periodic jobs in a standalone engine, so
+	// The rebalance class has no jobs in a standalone engine, so
 	// quarantining it cannot interfere with the built-in maintenance.
 	var broken atomic.Bool
 	broken.Store(true)
 	err = eng.Jobs().Register(jobs.Spec{
 		Name:  "test-flaky",
-		Class: jobs.ClassRepair,
+		Class: jobs.ClassRebalance,
 		Retry: &jobs.RetryPolicy{MaxAttempts: 1},
 		Fn: func(ctx context.Context) error {
 			if broken.Load() {
@@ -116,9 +116,9 @@ func TestAdminJobsPanicQuarantineAndResume(t *testing.T) {
 	}
 
 	st := getJobsStatus(t, ts.URL)
-	cs := classStatus(t, st, jobs.ClassRepair)
+	cs := classStatus(t, st, jobs.ClassRebalance)
 	if !cs.Quarantined {
-		t.Fatalf("repair class not quarantined after %d panics: %+v", 2, cs)
+		t.Fatalf("rebalance class not quarantined after %d panics: %+v", 2, cs)
 	}
 	if cs.Counters.Panics < 2 {
 		t.Fatalf("panic counter = %d, want >= 2", cs.Counters.Panics)
@@ -148,11 +148,11 @@ func TestAdminJobsPanicQuarantineAndResume(t *testing.T) {
 	// Operator fixes the underlying fault and resumes the class.
 	broken.Store(false)
 	var after jobs.Status
-	if code := postJobAction(t, ts.URL, "resume", map[string]string{"class": string(jobs.ClassRepair)}, &after); code != http.StatusOK {
+	if code := postJobAction(t, ts.URL, "resume", map[string]string{"class": string(jobs.ClassRebalance)}, &after); code != http.StatusOK {
 		t.Fatalf("resume status = %d", code)
 	}
-	if cs := classStatus(t, after, jobs.ClassRepair); cs.Quarantined {
-		t.Fatalf("repair class still quarantined after resume: %+v", cs)
+	if cs := classStatus(t, after, jobs.ClassRebalance); cs.Quarantined {
+		t.Fatalf("rebalance class still quarantined after resume: %+v", cs)
 	}
 
 	var fixed struct {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"just/internal/core"
 	"just/internal/exec"
 	"just/internal/geom"
+	"just/internal/kv"
 	"just/internal/sql"
 )
 
@@ -402,29 +404,51 @@ func TestCursorJanitor(t *testing.T) {
 }
 
 // TestChaosCancelDuringFailover cancels queries with tight deadlines
-// while a region server is killed and revived underneath them: no
-// wedged requests, no goroutine leaks, and the server still answers.
+// while the primary region server is partitioned and healed underneath
+// them (a router over three loopback region servers, one replica per
+// region): no wedged requests, no goroutine leaks, and the server
+// still answers.
 func TestChaosCancelDuringFailover(t *testing.T) {
+	lb := kv.NewLoopback()
+	peers := []string{"s1", "s2", "s3"}
+	for i, addr := range peers {
+		node, err := kv.OpenRegionNode(t.TempDir(), kv.NodeOptions{NodeID: i + 1, Transport: lb})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { node.Close() })
+		lb.Register(addr, node.Handler())
+	}
+	eng, err := core.Open(core.Config{
+		Dir:    t.TempDir(),
+		Router: &kv.RouterOptions{Peers: peers, Transport: lb, Replicas: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	s := New(eng, Options{})
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
 	// Enough rows that the residual-predicate scan can never finish
 	// inside the 5 ms deadline, even on an idle machine.
-	ts, s := newReplicatedServer(t, Options{})
-	loadPoints(t, s.engine, "u1", 100000)
+	loadPoints(t, eng, "u1", 100000)
 	base := runtime.NumGoroutine()
 	for round := 0; round < 6; round++ {
 		if round == 2 {
-			if err := s.engine.Cluster().KillServer(1); err != nil {
-				t.Fatal(err)
-			}
+			lb.SetDown("s1", true)
 		}
 		if round == 4 {
-			if err := s.engine.Cluster().ReviveServer(1); err != nil {
-				t.Fatal(err)
-			}
+			lb.SetDown("s1", false)
 		}
 		status, res, _ := postSQL(t, ts.URL, "u1", slowSQL, map[string]string{"X-JUST-Timeout": "5ms"})
 		if status != http.StatusUnprocessableEntity || res.Code != "deadline_exceeded" {
 			t.Fatalf("round %d: %d %+v", round, status, res)
 		}
+	}
+	if eng.Store().Metrics().Failovers == 0 {
+		t.Fatal("Failovers = 0: the queries never met the partitioned primary")
 	}
 	// Recovery: an undeadlined query completes.
 	status, res, _ := postSQL(t, ts.URL, "u1", `SELECT fid FROM big LIMIT 7`, nil)

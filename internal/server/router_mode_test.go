@@ -132,16 +132,14 @@ func TestServerRouterModeOverTCP(t *testing.T) {
 }
 
 // TestRouterModeClusterOnlyEndpointsDegrade pins the contract that the
-// simulated-cluster admin surfaces answer a typed 501 in router mode
+// standalone-only admin surfaces answer a typed 501 in router mode
 // instead of panicking on the nil cluster.
 func TestRouterModeClusterOnlyEndpointsDegrade(t *testing.T) {
 	peers := startTCPRegionServers(t, 1)
 	ts := newRouterModeServer(t, peers, Options{})
 
 	for _, ep := range []string{
-		"/api/v1/admin/replication",
 		"/api/v1/admin/scrub",
-		"/api/v1/admin/servers",
 	} {
 		resp, err := http.Get(ts.URL + ep)
 		if err != nil {

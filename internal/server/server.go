@@ -187,9 +187,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/api/v1/metrics", s.handleMetrics)
 	mux.HandleFunc("/api/v1/admin/queries", s.handleQueries)
 	mux.HandleFunc("/api/v1/admin/queries/kill", s.handleQueryKill)
-	mux.HandleFunc("/api/v1/admin/replication", s.handleReplication)
 	mux.HandleFunc("/api/v1/admin/topology", s.handleTopology)
-	mux.HandleFunc("/api/v1/admin/servers", s.handleServers)
 	mux.HandleFunc("/api/v1/admin/scrub", s.handleScrub)
 	mux.HandleFunc("/api/v1/admin/scrub/run", s.handleScrubRun)
 	mux.HandleFunc("/api/v1/admin/stats/refresh", s.handleStatsRefresh)
@@ -532,10 +530,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// cluster returns the in-process simulated cluster, or writes a typed
-// 501 and returns nil when the engine routes to networked region
-// servers — chaos injection, scrub and replication introspection live
-// on the region servers themselves in that deployment.
+// cluster returns the in-process cluster, or writes a typed 501 and
+// returns nil when the engine routes to networked region servers:
+// scrub exists only on the standalone store.
 func (s *Server) cluster(w http.ResponseWriter) *kv.Cluster {
 	c := s.engine.Cluster()
 	if c == nil {
@@ -548,8 +545,8 @@ func (s *Server) cluster(w http.ResponseWriter) *kv.Cluster {
 }
 
 // handleTopology reports the storage topology: in router mode the
-// cached region map (range, epoch, primary, replicas per region); in
-// standalone mode the simulated cluster's replication state.
+// cached region map (range, epoch, primary, replicas per region) and
+// peer health; in standalone mode the region count.
 func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
@@ -565,14 +562,14 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"mode":    "standalone",
-		"regions": s.engine.Cluster().ReplicationState(),
+		"regions": s.engine.Store().Regions(),
 	})
 }
 
 // handleMetrics exposes the storage counters: the scan pipeline's
 // pairs-scanned / rows-kept stage counters, the write path's
 // group-commit, WAL-sync, flush-queue and write-stall counters, the
-// replication shipping/failover counters and the cursor-cache gauges.
+// networked routing and failover counters and the cursor-cache gauges.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := s.engine.Store().Metrics()
 	s.mu.Lock()
@@ -613,23 +610,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleReplication exposes per-region replication topology and apply
-// lag, plus scrub progress: GET /api/v1/admin/replication.
-func (s *Server) handleReplication(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	c := s.cluster(w)
-	if c == nil {
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"regions": c.ReplicationState(),
-		"scrub":   c.ScrubState(),
-	})
-}
-
 // handleScrub reports integrity/scrub status: GET /api/v1/admin/scrub.
 func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -645,10 +625,9 @@ func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleScrubRun runs a synchronous scrub-and-repair pass over every
-// SSTable block on every node: POST /api/v1/admin/scrub/run. The
-// response reports the pass's outcome; an error field means corruption
-// was found that could not be repaired (no replicas).
+// handleScrubRun runs a synchronous scrub pass over every SSTable block
+// of every region: POST /api/v1/admin/scrub/run. The response reports
+// the pass's outcome; an error field means corruption was found.
 func (s *Server) handleScrubRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -707,53 +686,6 @@ func (s *Server) handleStatsRefresh(w http.ResponseWriter, r *http.Request) {
 		"collected_at_ms": st.CollectedAtMS,
 		"indexes":         indexes,
 	})
-}
-
-// serverActionRequest is the body of POST /api/v1/admin/servers: a
-// failure-injection action against one simulated region server.
-type serverActionRequest struct {
-	ID     int    `json:"id"`
-	Action string `json:"action"` // "kill" or "revive"
-}
-
-// handleServers lists region servers (GET) or kills/revives one (POST)
-// for chaos drills: POST {"id": 2, "action": "kill"}.
-func (s *Server) handleServers(w http.ResponseWriter, r *http.Request) {
-	c := s.cluster(w)
-	if c == nil {
-		return
-	}
-	switch r.Method {
-	case http.MethodGet:
-		writeJSON(w, http.StatusOK, map[string]any{
-			"servers": c.ServerStates(),
-		})
-	case http.MethodPost:
-		var req serverActionRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": "bad request: " + err.Error()})
-			return
-		}
-		var err error
-		switch req.Action {
-		case "kill":
-			err = c.KillServer(req.ID)
-		case "revive":
-			err = c.ReviveServer(req.ID)
-		default:
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": fmt.Sprintf("unknown action %q", req.Action)})
-			return
-		}
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"servers": c.ServerStates(),
-		})
-	default:
-		http.Error(w, "GET or POST only", http.StatusMethodNotAllowed)
-	}
 }
 
 // truncateSQL bounds statements for the slow-query log.

@@ -244,25 +244,6 @@ func TestServerMetrics(t *testing.T) {
 	}
 }
 
-// newReplicatedServer starts a server over a replicated cluster so the
-// admin/replication endpoints have a real topology behind them.
-func newReplicatedServer(t *testing.T, opts Options) (*httptest.Server, *Server) {
-	t.Helper()
-	eng, err := core.Open(core.Config{
-		Dir:     t.TempDir(),
-		Cluster: kv.ClusterOptions{Servers: 3, Replication: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { eng.Close() })
-	s := New(eng, opts)
-	t.Cleanup(s.Close)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return ts, s
-}
-
 func getJSON(t *testing.T, url string) map[string]any {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -278,87 +259,6 @@ func getJSON(t *testing.T, url string) map[string]any {
 		t.Fatal(err)
 	}
 	return m
-}
-
-func TestAdminReplicationEndpoint(t *testing.T) {
-	ts, s := newReplicatedServer(t, Options{})
-	if err := s.engine.Cluster().PutCtx(context.Background(), []byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	m := getJSON(t, ts.URL+"/api/v1/admin/replication")
-	regions, ok := m["regions"].([]any)
-	if !ok || len(regions) == 0 {
-		t.Fatalf("replication state = %v", m)
-	}
-	nodes := regions[0].(map[string]any)["nodes"].([]any)
-	if len(nodes) != 2 {
-		t.Fatalf("nodes = %v, want leader+replica", nodes)
-	}
-	if nodes[0].(map[string]any)["role"] != "leader" {
-		t.Fatalf("first node = %v, want leader", nodes[0])
-	}
-}
-
-func TestAdminServersKillRevive(t *testing.T) {
-	ts, s := newReplicatedServer(t, Options{})
-	m := getJSON(t, ts.URL+"/api/v1/admin/servers")
-	if servers := m["servers"].([]any); len(servers) != 3 {
-		t.Fatalf("servers = %v", m)
-	}
-	kill := func(action string, id int, wantStatus int) map[string]any {
-		t.Helper()
-		body, _ := json.Marshal(serverActionRequest{ID: id, Action: action})
-		resp, err := http.Post(ts.URL+"/api/v1/admin/servers", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != wantStatus {
-			t.Fatalf("%s(%d) status = %d, want %d", action, id, resp.StatusCode, wantStatus)
-		}
-		var out map[string]any
-		json.NewDecoder(resp.Body).Decode(&out)
-		return out
-	}
-	out := kill("kill", 1, http.StatusOK)
-	if down := out["servers"].([]any)[1].(map[string]any)["down"]; down != true {
-		t.Fatalf("server 1 not reported down: %v", out)
-	}
-	if !s.engine.Cluster().ServerStates()[1].Down {
-		t.Fatal("kill did not reach the cluster")
-	}
-	kill("revive", 1, http.StatusOK)
-	if s.engine.Cluster().ServerStates()[1].Down {
-		t.Fatal("revive did not reach the cluster")
-	}
-	kill("explode", 1, http.StatusBadRequest)
-	kill("kill", 99, http.StatusBadRequest)
-}
-
-func TestReplicationMetricsKeys(t *testing.T) {
-	ts, s := newReplicatedServer(t, Options{})
-	if err := s.engine.Cluster().PutCtx(context.Background(), []byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.engine.Cluster().SyncReplicas(); err != nil {
-		t.Fatal(err)
-	}
-	m := getJSON(t, ts.URL+"/api/v1/metrics")
-	for _, key := range []string{
-		"shipped_batches", "shipped_bytes", "replica_applies", "replica_rejects",
-		"replica_lag_max", "failovers", "failover_reads", "stale_reads",
-		"cursors_open", "cursor_bytes", "cursors_evicted", "cursors_expired",
-	} {
-		if _, ok := m[key]; !ok {
-			t.Errorf("metrics missing %q", key)
-		}
-	}
-	if m["shipped_batches"].(float64) <= 0 {
-		t.Errorf("shipped_batches = %v, want > 0", m["shipped_batches"])
-	}
-	if m["replica_applies"].(float64) <= 0 {
-		t.Errorf("replica_applies = %v, want > 0", m["replica_applies"])
-	}
 }
 
 // TestCursorLRUBounds checks the cursor cache evicts least-recently-
@@ -443,7 +343,7 @@ func TestCursorByteBound(t *testing.T) {
 // TestAdminScrubEndpoints: GET reports integrity state, POST runs a
 // synchronous scrub pass, and the integrity counters are on /metrics.
 func TestAdminScrubEndpoints(t *testing.T) {
-	ts, s := newReplicatedServer(t, Options{})
+	ts, s := newTestServer(t, Options{})
 	if err := s.engine.Cluster().PutCtx(context.Background(), []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -494,8 +394,7 @@ func TestAdminScrubEndpoints(t *testing.T) {
 	mm := getJSON(t, ts.URL+"/api/v1/metrics")
 	for _, key := range []string{
 		"corruptions_detected", "read_retries", "blocks_scrubbed",
-		"scrub_runs", "tables_quarantined", "repairs_completed",
-		"orphans_removed",
+		"scrub_runs", "orphans_removed",
 	} {
 		if _, ok := mm[key]; !ok {
 			t.Errorf("metrics missing %q", key)
@@ -517,19 +416,18 @@ func TestMetricsKeySetGolden(t *testing.T) {
 		"breaker_fast_fails", "breaker_opens", "bytes_read", "bytes_written",
 		"codecs", "compactions", "compactions_deferred", "corruptions_detected",
 		"cursor_bytes", "cursors_evicted", "cursors_expired", "cursors_open",
-		"deadline_aborts", "disk_free_bytes", "disk_pressure", "failover_reads",
+		"deadline_aborts", "disk_free_bytes", "disk_pressure",
 		"failovers", "flush_queue_depth", "flushes", "group_commit_records",
 		"group_commits", "jobs", "jobs_healthy", "orphans_removed",
 		"peak_query_bytes", "queries_active", "queries_admitted",
 		"queries_canceled", "queries_deadline_exceeded", "queries_killed",
 		"queries_mem_budget_kills", "queries_queued", "queries_shed",
 		"read_retries", "region_merges", "region_moves", "region_splits",
-		"regions", "repairs_completed", "replica_applies", "replica_lag_max",
-		"replica_rejects", "rpc_bytes_in", "rpc_bytes_out", "rpc_hedge_wins",
+		"regions", "rpc_bytes_in", "rpc_bytes_out", "rpc_hedge_wins",
 		"rpc_hedges", "rpc_redials", "rpc_retries", "scan_batches", "scan_cancels",
-		"scan_kept", "scan_pairs", "scan_tasks", "scrub_runs", "shipped_batches",
-		"shipped_bytes", "slow_queries", "stale_map_refreshes", "stale_reads",
-		"stats_refreshes", "tables_quarantined", "wal_sync_bytes", "wal_syncs",
+		"scan_kept", "scan_pairs", "scan_tasks", "scrub_runs",
+		"slow_queries", "stale_map_refreshes",
+		"stats_refreshes", "wal_sync_bytes", "wal_syncs",
 		"write_stall_nanos", "write_stalls",
 	}
 	ts, _ := newTestServer(t, Options{})

@@ -85,15 +85,9 @@ type Config struct {
 	// DisableFieldCompression turns off the paper's compression
 	// mechanism (the JUSTnc variant).
 	DisableFieldCompression bool
-	// RegionServers simulates an HBase cluster size (0 = 5, the paper's).
-	RegionServers int
-	// BlockCompression gzip-compresses SSTable blocks (legacy switch;
-	// prefer Codec).
-	BlockCompression bool
 	// Codec picks the SSTable block and WAL envelope codec: "none",
-	// "gzip" or "lz4" ("" defers to BlockCompression). Existing tables
-	// keep their per-block codec; future flushes and compactions use
-	// this one.
+	// "gzip" or "lz4" ("" = none). Existing tables keep their per-block
+	// codec; future flushes and compactions use this one.
 	Codec string
 }
 
@@ -113,10 +107,8 @@ func Open(cfg Config) (*Engine, error) {
 		Cluster: kv.ClusterOptions{
 			Options: kv.Options{
 				DisableWAL: cfg.DisableWAL,
-				Compress:   cfg.BlockCompression,
 				Codec:      cfg.Codec,
 			},
-			Servers: cfg.RegionServers,
 		},
 		DisableFieldCompression: cfg.DisableFieldCompression,
 	})

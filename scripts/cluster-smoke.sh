@@ -137,7 +137,7 @@ TOTAL=$(sql "SELECT fid FROM p" | sed 's/.*"total"://; s/[,}].*//')
 # snapshot with the always-registered scrub job, and an on-demand run
 # of it succeeds through the admin API.
 SA_PORT=$((HTTP_PORT + 1))
-"$BIN" -dir "$WORK/standalone" -addr "127.0.0.1:$SA_PORT" -servers 1 \
+"$BIN" -dir "$WORK/standalone" -addr "127.0.0.1:$SA_PORT" \
     >"$WORK/standalone.log" 2>&1 &
 PIDS+=($!)
 disown $!
