@@ -428,3 +428,55 @@ func TestReadersNeverMaterialize(t *testing.T) {
 		t.Fatal("an operator materialized a column of its input batch")
 	}
 }
+
+// TestAggregatorAddAllocatesNothingPerRow: once a batch's groups exist,
+// folding it again boxes no key cell and reuses the per-batch scratch,
+// whether the keys are strings, ints or NULLs.
+func TestAggregatorAddAllocatesNothingPerRow(t *testing.T) {
+	schema := NewSchema(Field{"s", TypeString}, Field{"i", TypeInt}, Field{"x", TypeFloat})
+	rows := make([]Row, BatchRows)
+	for i := range rows {
+		rows[i] = Row{fmt.Sprintf("district-%d", i%7), int64(1000 + i%3), float64(i)}
+		if i%11 == 0 {
+			rows[i][0], rows[i][1] = nil, nil
+		}
+	}
+	b := BatchOf(schema, rows)
+	a := NewAggregator(schema, []int{0, 1}, []Agg{{Kind: AggCount, Col: "*"}, {Kind: AggSum, Col: "x"}}, []int{-1, 2})
+	a.Add(b)
+	if allocs := testing.AllocsPerRun(20, func() { a.Add(b) }); allocs != 0 {
+		t.Fatalf("%.1f allocations per Add of %d rows, want 0", allocs, b.Len())
+	}
+	_, got, err := a.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, r := range got {
+		n += r[2].(int64)
+	}
+	if want := int64(22 * BatchRows); n != want {
+		t.Fatalf("counts sum to %d, want %d", n, want)
+	}
+}
+
+// TestRecycleReclaim: a batch is kept unless its consumer hands it
+// back, and a reclaimed batch is empty and all-NULL again.
+func TestRecycleReclaim(t *testing.T) {
+	schema := NewSchema(Field{"a", TypeInt})
+	b := NewColumnBatch(schema, 4)
+	b.Col(0).Set(b.Grow(), int64(7))
+	if b.Reclaim() {
+		t.Fatal("reclaimed a batch its consumer did not hand back")
+	}
+	b.Recycle()
+	if !b.Reclaim() || b.Rows() != 0 || b.Sel != nil {
+		t.Fatalf("after Reclaim: %d rows, sel %v", b.Rows(), b.Sel)
+	}
+	if got := b.Col(0).Value(b.Grow()); got != nil {
+		t.Fatalf("refilled row reads %v, want NULL", got)
+	}
+	if b.Reclaim() {
+		t.Fatal("one Recycle reclaimed twice")
+	}
+}

@@ -379,7 +379,7 @@ func ScanRange(ctx context.Context, s Store, kr KeyRange, emit func(key, value [
 
 // scanTasks splits ranges into one task per (region × range).
 func (c *Cluster) scanTasks(ranges []KeyRange) []scanTask {
-	var tasks []scanTask
+	tasks := make([]scanTask, 0, len(ranges))
 	for _, kr := range ranges {
 		for _, r := range c.regions {
 			if sub, ok := r.kr.Intersect(kr); ok {

@@ -951,13 +951,16 @@ func (r *region) Close() error {
 }
 
 // mergeIter merges the memtable snapshot and the SSTables, newest source
-// wins for duplicate keys, tombstones suppressed (unless raw).
+// wins for duplicate keys, tombstones suppressed (unless raw). Pairs are
+// the sources' own slices: arenas and blocks are never rewritten.
 type mergeIter struct {
-	h       srcHeap
-	current mergeSrc
-	err     error
-	raw     bool     // emit tombstones and shadowed versions' winners too
-	pinned  []*table // tables pinned by region.Scan, released on Close
+	h      srcHeap
+	key    []byte
+	value  []byte
+	knd    kind
+	err    error
+	raw    bool     // emit tombstones and shadowed versions' winners too
+	pinned []*table // tables pinned by region.Scan, released on Close
 }
 
 type mergeSrc interface {
@@ -1078,20 +1081,16 @@ func (m *mergeIter) nextRaw() bool {
 	if m.err != nil {
 		return false
 	}
-	for len(m.h) > 0 {
-		src := m.h[0]
-		k := append([]byte(nil), src.key()...)
-		v := append([]byte(nil), src.value()...)
-		knd := src.entryKind()
-		// Advance the winner and every lower-priority duplicate.
-		m.advanceAll(k)
-		if m.err != nil {
-			return false
-		}
-		m.current = &memSrc{entries: []memEntry{{k, v, knd}}, i: 0}
-		return true
+	if len(m.h) == 0 {
+		return false
 	}
-	return false
+	src := m.h[0]
+	// Capped, so a caller's append copies instead of overwriting the next entry.
+	k, v := src.key(), src.value()
+	m.key, m.value, m.knd = k[:len(k):len(k)], v[:len(v):len(v)], src.entryKind()
+	// Advance the winner and every lower-priority duplicate.
+	m.advanceAll(m.key)
+	return m.err == nil
 }
 
 // advanceAll pops/advances every source currently positioned at key.
@@ -1113,16 +1112,16 @@ func (m *mergeIter) advanceAll(key []byte) {
 // Next implements Iterator, skipping tombstones.
 func (m *mergeIter) Next() bool {
 	for m.nextRaw() {
-		if m.raw || m.current.entryKind() != kindDelete {
+		if m.raw || m.knd != kindDelete {
 			return true
 		}
 	}
 	return false
 }
 
-func (m *mergeIter) Key() []byte   { return m.current.key() }
-func (m *mergeIter) Value() []byte { return m.current.value() }
-func (m *mergeIter) kind() kind    { return m.current.entryKind() }
+func (m *mergeIter) Key() []byte   { return m.key }
+func (m *mergeIter) Value() []byte { return m.value }
+func (m *mergeIter) kind() kind    { return m.knd }
 func (m *mergeIter) Err() error    { return m.err }
 
 // Close releases the iterator's table pins; it is idempotent.

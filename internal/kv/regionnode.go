@@ -618,15 +618,16 @@ func (n *RegionNode) handleScan(ctx context.Context, payload []byte, w *rpc.Resp
 		return nil
 	}
 	// The ranges are walked in order and a batch fills across their
-	// boundaries, so a run of ranges costs the frames of one range.
+	// boundaries, so a run of ranges costs the frames of one range. The
+	// batch holds the iterator's views until emit encodes them.
 	var batch rpc.ScanBatch
 	var size int
 	kr := KeyRange{Start: req.Start, End: req.End, Zoned: req.Zoned, ZMin: req.ZMin, ZMax: req.ZMax}
 	for i := 0; ; i++ {
 		it := sr.r.Scan(kr)
 		for it.Next() {
-			batch.Keys = append(batch.Keys, append([]byte(nil), it.Key()...))
-			batch.Vals = append(batch.Vals, append([]byte(nil), it.Value()...))
+			batch.Keys = append(batch.Keys, it.Key())
+			batch.Vals = append(batch.Vals, it.Value())
 			size += len(it.Key()) + len(it.Value())
 			if len(batch.Keys) >= scanBatchSize || size >= reseedChunkBytes {
 				if err := emit(&batch); err != nil {

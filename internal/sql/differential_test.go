@@ -89,18 +89,22 @@ func TestDifferentialPlanShapes(t *testing.T) {
 		return out
 	}
 	// group is the reference GROUP BY: count(*), sum, min and max of one
-	// column per key value.
+	// column per key value (key < 0: one group of every row).
 	group := func(rows []exec.Row, key, col int) []exec.Row {
 		var out []exec.Row
 		for _, r := range rows {
+			var kv any
+			if key >= 0 {
+				kv = r[key]
+			}
 			var g exec.Row
 			for _, cand := range out {
-				if eq(cand[0], r[key]) {
+				if eq(cand[0], kv) {
 					g = cand
 				}
 			}
 			if g == nil {
-				g = exec.Row{r[key], int64(0), float64(0), nil, nil}
+				g = exec.Row{kv, int64(0), float64(0), nil, nil}
 				out = append(out, g)
 			}
 			g[1] = g[1].(int64) + 1
@@ -116,6 +120,17 @@ func TestDifferentialPlanShapes(t *testing.T) {
 			}
 		}
 		return out
+	}
+	// withAvg puts avg(fid) after each group's sum. fid is never NULL,
+	// so the reference does not depend on how AVG treats a NULL input.
+	// byFid is group over the same rows and key with col fid; its
+	// groups come in the same order.
+	withAvg := func(groups, byFid []exec.Row) []exec.Row {
+		for i, g := range groups {
+			f := byFid[i]
+			groups[i] = exec.Row{g[0], g[1], g[2], f[2].(float64) / float64(f[1].(int64)), g[3], g[4]}
+		}
+		return groups
 	}
 	join := func(outer bool) []exec.Row {
 		var out []exec.Row
@@ -198,6 +213,40 @@ func TestDifferentialPlanShapes(t *testing.T) {
 			sql:  `SELECT name, count(*) AS n, sum(w) AS s, min(w) AS lo, max(w) AS hi FROM t WHERE v >= 5 GROUP BY name`,
 			want: group(filter(T, func(r exec.Row) bool { return cmp(r[v], int64(5)) >= 0 }), name, w),
 		},
+		{
+			// The shape of the benchmark's aggregate: the aggregator is the
+			// scan's sink, fed by many parallel scan tasks.
+			name: "window + time + residual, GROUP BY an int key, AVG",
+			sql: `SELECT v, count(*) AS n, sum(w) AS s, avg(fid) AS a, min(w) AS lo, max(w) AS hi FROM t
+				WHERE geom WITHIN st_makeMBR(116.05, 39.05, 116.15, 39.15) AND time BETWEEN 36000000 AND 1080000000
+				AND name != 'n2' GROUP BY v`,
+			want: func() []exec.Row {
+				rows := filter(T, func(r exec.Row) bool {
+					ts := r[tm].(int64)
+					return geom.IntersectsMBR(r[gm].(geom.Point), window) && ts >= 10*hourMS && ts <= 300*hourMS && cmp(r[name], "n2") != 0
+				})
+				return withAvg(group(rows, v, w), group(rows, v, fid))
+			}(),
+		},
+		{
+			name: "MIN and MAX of a string column, GROUP BY a float key",
+			sql:  `SELECT w, count(*) AS n, min(name) AS lo, max(name) AS hi FROM t WHERE v < 15 GROUP BY w`,
+			want: pick(group(filter(T, func(r exec.Row) bool { return cmp(r[v], int64(15)) < 0 }), w, name), 0, 1, 3, 4),
+		},
+		{
+			name: "global aggregate",
+			sql:  `SELECT count(*) AS n, sum(v) AS s, avg(fid) AS a, min(v) AS lo, max(v) AS hi FROM t WHERE w > 30`,
+			want: func() []exec.Row {
+				rows := filter(T, func(r exec.Row) bool { return cmp(r[w], 30.0) > 0 })
+				return pick(withAvg(group(rows, -1, v), group(rows, -1, fid)), 1, 2, 3, 4, 5)
+			}(),
+		},
+		{
+			name: "global aggregate over no rows",
+			sql:  `SELECT count(*) AS n, sum(w) AS s, avg(w) AS a, min(w) AS lo, max(w) AS hi FROM t WHERE v > 1000`,
+			want: []exec.Row{{int64(0), nil, nil, nil, nil}},
+		},
+		{name: "grouped aggregate over no rows", sql: `SELECT name, count(*) AS n FROM t WHERE v > 1000 GROUP BY name`},
 		{
 			name: "multi-key ORDER BY DESC with NULL keys",
 			sql:  `SELECT fid, name, v FROM t ORDER BY name DESC, v, fid DESC`,

@@ -472,7 +472,7 @@ func (ex *executor) run(p Plan) (*exec.DataFrame, error) {
 	}
 	switch v := p.(type) {
 	case *ScanPlan:
-		return ex.runScan(v)
+		return ex.runScan(v, nil)
 	case *ViewPlan:
 		// Borrowed, never released here: the alias rebinds the cached
 		// batches to this query's cancellation and budget (the frame was
@@ -490,11 +490,13 @@ func (ex *executor) run(p Plan) (*exec.DataFrame, error) {
 		where := filter{preds: []predicate{{fn, v.Cond}}}
 		return ex.mapBatches(child, child.Schema(), where.apply)
 	case *AggregatePlan:
-		child, err := ex.run(v.Child)
-		if err != nil {
-			return nil, err
+		// Over a scan, the aggregator is the scan's sink and sees its
+		// batches before they are narrowed to the scan's projection.
+		in := v.Child.Schema()
+		scan, isScan := v.Child.(*ScanPlan)
+		if isScan {
+			in = scan.Table.Schema()
 		}
-		in := child.Schema()
 		keyIdx := make([]int, len(v.Keys))
 		for i, k := range v.Keys {
 			if keyIdx[i] = in.Index(k); keyIdx[i] < 0 {
@@ -509,7 +511,21 @@ func (ex *executor) run(p Plan) (*exec.DataFrame, error) {
 				return nil, fmt.Errorf("sql: unknown aggregate column %q", a.Col)
 			}
 		}
-		schema, rows, err := exec.AggregateBatches(in, child.Batches(), keyIdx, v.Aggs, aggIdx, aggSizeHint(v.Child))
+		agg := exec.NewAggregator(in, keyIdx, v.Aggs, aggIdx)
+		if isScan {
+			if _, err := ex.runScan(scan, agg); err != nil {
+				return nil, err
+			}
+		} else {
+			child, err := ex.run(v.Child)
+			if err != nil {
+				return nil, err
+			}
+			for _, b := range child.Batches() {
+				agg.Add(b)
+			}
+		}
+		schema, rows, err := agg.Result()
 		if err != nil {
 			return nil, err
 		}
@@ -567,31 +583,6 @@ func (ex *executor) run(p Plan) (*exec.DataFrame, error) {
 	default:
 		return nil, fmt.Errorf("sql: cannot execute %T", p)
 	}
-}
-
-// aggSizeHint estimates an aggregation input's cardinality from table
-// statistics, so the hash-aggregation tables are sized up front instead
-// of rehashing as groups accumulate. 0 (no hint) when the aggregate is
-// not fed by a scan of a table with collected statistics.
-func aggSizeHint(p Plan) int {
-	const maxHint = 1 << 20 // cap what a stale RowCount can preallocate
-	switch v := p.(type) {
-	case *ScanPlan:
-		if st := v.Table.Stats(); st != nil {
-			n := st.RowCount
-			if n > maxHint {
-				n = maxHint
-			}
-			return int(n)
-		}
-	case *FilterPlan:
-		return aggSizeHint(v.Child)
-	case *ProjectPlan:
-		return aggSizeHint(v.Child)
-	case *LimitPlan:
-		return aggSizeHint(v.Child)
-	}
-	return 0
 }
 
 // predicate is a bound boolean expression; src names it in errors.
@@ -816,7 +807,10 @@ func scanIndexQuery(v *ScanPlan) index.Query {
 // charged to the query's memory budget, as they arrive, so an
 // oversized result set kills the query with exec.ErrMemoryBudget
 // mid-scan instead of OOMing the process.
-func (ex *executor) runScan(v *ScanPlan) (*exec.DataFrame, error) {
+//
+// With agg non-nil no frame is built: agg folds each batch (over the
+// table's schema) and hands it back to the scan to be refilled.
+func (ex *executor) runScan(v *ScanPlan, agg *exec.Aggregator) (*exec.DataFrame, error) {
 	t := v.Table
 	full, schema := t.Schema(), v.Schema()
 	var where filter
@@ -870,11 +864,15 @@ func (ex *executor) runScan(v *ScanPlan) (*exec.DataFrame, error) {
 		}
 	}
 
-	out := ex.newFrame(schema)
+	var out *exec.DataFrame
+	if agg == nil {
+		out = ex.newFrame(schema)
+	}
 	remaining := v.Limit
 	var emitErr error
-	emit := func(b *exec.ColumnBatch) bool {
-		if b, emitErr = where.apply(b); emitErr != nil {
+	emit := func(scanned *exec.ColumnBatch) bool {
+		b, err := where.apply(scanned)
+		if emitErr = err; err != nil {
 			return false
 		}
 		// A pushed-down LIMIT stops the scan (cancelling region
@@ -883,12 +881,17 @@ func (ex *executor) runScan(v *ScanPlan) (*exec.DataFrame, error) {
 			b = b.Head(remaining)
 			remaining -= b.Len()
 		}
-		if keep != nil {
-			// The batch is this scan's alone until a frame holds it.
-			b.Narrow(schema, keep)
-		}
-		if emitErr = out.Append(b); emitErr != nil {
-			return false
+		if agg != nil {
+			agg.Add(b)
+			scanned.Recycle()
+		} else {
+			if keep != nil {
+				// The batch is this scan's alone until a frame holds it.
+				b.Narrow(schema, keep)
+			}
+			if emitErr = out.Append(b); emitErr != nil {
+				return false
+			}
 		}
 		return v.Limit <= 0 || remaining > 0
 	}

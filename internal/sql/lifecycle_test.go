@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"just/internal/core"
 	"just/internal/exec"
+	"just/internal/geom"
 	"just/internal/kv"
 	"just/internal/rpc"
 )
@@ -82,6 +84,95 @@ func TestQueryMemBudgetTyped(t *testing.T) {
 	if q.MemPeak() == 0 {
 		t.Fatal("query peak memory not tracked")
 	}
+}
+
+// TestGroupByOverMemBudget: a GROUP BY folds its scan's batches as they
+// arrive, so it succeeds over more rows than the per-query budget holds
+// as long as its groups fit — while the same rows as a result set hit
+// the budget.
+func TestGroupByOverMemBudget(t *testing.T) {
+	s := newTestSession(t)
+	mustExec(t, s, `CREATE TABLE g (fid integer:primary key, geom point, k integer, name string)`)
+	var vals []string
+	for i := 0; i < 4000; i++ {
+		vals = append(vals, fmt.Sprintf("(%d, st_makePoint(%f, 39.9), %d, 'name-%d')", i, 116.0+float64(i)*0.0001, i%5, i))
+	}
+	mustExec(t, s, "INSERT INTO g VALUES "+strings.Join(vals, ", "))
+	const budget = 64 << 10
+	_, err := s.ExecuteContext(exec.WithQuery(context.Background(), exec.NewQuery(budget)), `SELECT k, name FROM g`)
+	if !errors.Is(err, exec.ErrMemoryBudget) {
+		t.Fatalf("rows as a result set: err = %v, want ErrMemoryBudget", err)
+	}
+	for _, where := range []string{"", " WHERE geom WITHIN st_makeMBR(115, 39, 117, 41)"} {
+		res, err := s.ExecuteContext(exec.WithQuery(context.Background(), exec.NewQuery(budget)),
+			`SELECT k, count(*) AS n, max(name) AS hi FROM g`+where+` GROUP BY k`)
+		if err != nil {
+			t.Fatalf("GROUP BY%s: %v", where, err)
+		}
+		rows := res.Frame.Collect()
+		res.Frame.Release()
+		if len(rows) != 5 {
+			t.Fatalf("GROUP BY%s: %d groups, want 5", where, len(rows))
+		}
+		for _, r := range rows {
+			if r[1] != int64(800) {
+				t.Fatalf("GROUP BY%s: group %v has %v rows, want 800", where, r[0], r[1])
+			}
+		}
+	}
+}
+
+// TestAggregateSinkScansWhatASelectScans: folding a GROUP BY into the
+// scan's emit changes what is allocated, not what is scanned. The
+// aggregate and a SELECT of the same rows run the same scan tasks over
+// the same pairs and touch the same blocks (read from disk or hit in the
+// cache; how a touch splits between the two depends on which parallel
+// tasks miss on a block at the same moment).
+func TestAggregateSinkScansWhatASelectScans(t *testing.T) {
+	e, err := core.Open(core.Config{Dir: t.TempDir(), Cluster: kv.ClusterOptions{Options: kv.Options{
+		DisableWAL: true, Codec: "lz4", BlockCacheBytes: 256 << 10, MemtableBytes: 1 << 20}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	s := NewSession(e, "")
+	mustExec(t, s, `CREATE TABLE orders (fid integer:primary key, time date, geom point:srid=4326, district string, amount double)`)
+	rng := rand.New(rand.NewSource(1))
+	rows := make([]exec.Row, 20000)
+	for i := range rows {
+		rows[i] = exec.Row{int64(i), rng.Int63n(30 * 24 * hourMS), geom.Point{Lng: 116 + rng.Float64()*0.6, Lat: 39.7 + rng.Float64()*0.5},
+			fmt.Sprintf("d%d", rng.Intn(200)), rng.Float64() * 100}
+	}
+	if err := e.BulkInsert("", "orders", rows); err != nil {
+		t.Fatal(err)
+	}
+	e.Cluster().Flush()
+	e.Cluster().Compact()
+
+	type counts struct{ tasks, pairs, touched, read int64 }
+	measure := func(sql string) counts {
+		m0 := e.Cluster().Metrics()
+		mustExec(t, s, sql).Frame.Release()
+		m1 := e.Cluster().Metrics()
+		return counts{m1.ScanTasks - m0.ScanTasks, m1.ScanPairs - m0.ScanPairs,
+			m1.BlocksRead + m1.BlockCacheHits - m0.BlocksRead - m0.BlockCacheHits, m1.BlocksRead - m0.BlocksRead}
+	}
+	var total counts
+	for i := 0; i < 40; i++ {
+		lng, lat, t0 := 116+rng.Float64()*0.5, 39.7+rng.Float64()*0.4, rng.Int63n(23*24*hourMS)
+		where := fmt.Sprintf(" WHERE geom WITHIN st_makeMBR(%f, %f, %f, %f) AND time BETWEEN %d AND %d",
+			lng, lat, lng+0.1, lat+0.09, t0, t0+7*24*hourMS)
+		agg := measure(`SELECT district, count(*) AS n, sum(amount) AS total FROM orders` + where + ` GROUP BY district`)
+		sel := measure(`SELECT district, amount FROM orders` + where)
+		if agg.tasks != sel.tasks || agg.pairs != sel.pairs || agg.touched != sel.touched {
+			t.Fatalf("statement %d: aggregate scanned %+v, select %+v", i, agg, sel)
+		}
+		total.tasks, total.pairs, total.touched, total.read = total.tasks+agg.tasks, total.pairs+agg.pairs, total.touched+agg.touched, total.read+agg.read
+	}
+	if total.pairs == 0 || total.read == 0 {
+		t.Fatalf("the windows scanned too little to compare: %+v", total)
+	}
+	t.Logf("40 aggregates: %d scan tasks, %d pairs, %d blocks touched, %d read from disk", total.tasks, total.pairs, total.touched, total.read)
 }
 
 // TestLimitPushdownPlan asserts LIMIT reaches the scan node so early
