@@ -56,7 +56,6 @@ func main() {
 	nodeID := flag.Int("node-id", 1, "region server node id, unique per cluster (region role)")
 	peers := flag.String("peers", "", "comma-separated region server addresses (router role)")
 	splitBytes := flag.Int64("split-bytes", 256<<20, "region size split threshold in bytes (region role; 0 = off)")
-	splitWriteBytes := flag.Int64("split-write-bytes", 0, "write-rate split threshold in bytes per 10s window (region role; 0 = off)")
 	rebalanceInterval := flag.Duration("rebalance-interval", 0, "router rebalance / cold-merge period (0 = off)")
 	mergeBytes := flag.Int64("merge-bytes", 0, "merge adjacent regions below this size (router role; 0 = off)")
 
@@ -90,7 +89,7 @@ func main() {
 
 	switch *role {
 	case "region":
-		runRegion(*dir, *rpcAddr, *nodeID, *codec, *splitBytes, *splitWriteBytes, jobOpts)
+		runRegion(*dir, *rpcAddr, *nodeID, *codec, *splitBytes, jobOpts)
 		return
 	case "standalone":
 		if *replication > 0 {
@@ -178,7 +177,7 @@ func main() {
 }
 
 // runRegion hosts one networked region server until SIGINT/SIGTERM.
-func runRegion(dir, rpcAddr string, nodeID int, codec string, splitBytes, splitWriteBytes int64, jobOpts jobs.Options) {
+func runRegion(dir, rpcAddr string, nodeID int, codec string, splitBytes int64, jobOpts jobs.Options) {
 	// One maintenance scheduler per region-server process: every region
 	// the node hosts (including ones created by splits) flushes and
 	// compacts through it, so the -job-* caps and the disk-pressure
@@ -189,11 +188,10 @@ func runRegion(dir, rpcAddr string, nodeID int, codec string, splitBytes, splitW
 	sched := jobs.New(jobOpts)
 	defer sched.Close()
 	node, err := kv.OpenRegionNode(dir, kv.NodeOptions{
-		Options:         kv.Options{Codec: codec, Jobs: sched},
-		NodeID:          nodeID,
-		SplitBytes:      splitBytes,
-		SplitWriteBytes: splitWriteBytes,
-		Transport:       rpc.NewClient(rpc.ClientOptions{}),
+		Options:    kv.Options{Codec: codec, Jobs: sched},
+		NodeID:     nodeID,
+		SplitBytes: splitBytes,
+		Transport:  rpc.NewClient(rpc.ClientOptions{}),
 	})
 	if err != nil {
 		log.Fatalf("just-server: open region node: %v", err)

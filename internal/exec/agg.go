@@ -47,11 +47,10 @@ type accumulator struct {
 	hasNF bool // saw a non-numeric value: SUM/AVG are errors
 }
 
-// addNull counts a NULL input: COUNT includes it, extrema ignore it.
-func (a *accumulator) addNull() { a.count++ }
-
 // addInt, addFloat and addStr feed one value from a typed vector. They
-// box for min/max only when the extremum moves.
+// box for min/max only when the extremum moves. NULL inputs are never
+// fed: SQL aggregates over a column skip them, so COUNT(col) and AVG's
+// divisor count non-NULL values only.
 func (a *accumulator) addInt(x int64) {
 	a.count++
 	a.sum += float64(x)
@@ -70,11 +69,11 @@ func (a *accumulator) addStr(x string) {
 	extrema(a, x)
 }
 
-// addValue feeds one value of an any-backed or dynamic vector.
+// addValue feeds one value of an any-backed or dynamic vector; a NULL
+// is skipped.
 func (a *accumulator) addValue(x any) {
 	switch v := x.(type) {
 	case nil:
-		a.addNull()
 	case int64:
 		a.addInt(v)
 	case float64:

@@ -137,10 +137,14 @@ func refAgg(rows []Row, keyIdx []int, aggs []Agg, aggIdx []int) []Row {
 			order = append(order, ks)
 		}
 		for k, c := range aggIdx {
-			g.count[k]++ // COUNT counts NULL inputs too
-			if c < 0 || r[c] == nil {
+			if c < 0 { // COUNT(*) counts every row
+				g.count[k]++
 				continue
 			}
+			if r[c] == nil { // every other aggregate skips NULL inputs
+				continue
+			}
+			g.count[k]++
 			v := r[c]
 			switch x := v.(type) {
 			case int64:
@@ -166,8 +170,12 @@ func refAgg(rows []Row, keyIdx []int, aggs []Agg, aggIdx []int) []Row {
 				row = append(row, g.count[k])
 			case AggSum:
 				row = append(row, g.sum[k])
-			case AggAvg: // over every input row, NULLs included, like COUNT
-				row = append(row, g.sum[k]/float64(g.count[k]))
+			case AggAvg: // over the non-NULL inputs; NULL when there are none
+				if g.count[k] == 0 {
+					row = append(row, nil)
+				} else {
+					row = append(row, g.sum[k]/float64(g.count[k]))
+				}
 			case AggMin:
 				row = append(row, g.min[k])
 			case AggMax:
@@ -420,7 +428,7 @@ func TestReadersNeverMaterialize(t *testing.T) {
 	if got, want := liveRows(sorted), []Row{{int64(1), nil}, {int64(2), nil}}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("sort by undecoded column = %v, want %v", got, want)
 	}
-	if _, rows, err := AggregateBatches(schema, batches, []int{1}, []Agg{{Kind: AggCount, Col: "b", Name: "n"}}, []int{1}, 0); err != nil || !reflect.DeepEqual(rows, []Row{{nil, int64(2)}}) {
+	if _, rows, err := AggregateBatches(schema, batches, []int{1}, []Agg{{Kind: AggCount, Col: "b", Name: "n"}}, []int{1}, 0); err != nil || !reflect.DeepEqual(rows, []Row{{nil, int64(0)}}) {
 		t.Fatalf("aggregate by undecoded column = %v, %v", rows, err)
 	}
 	JoinBatches(NewSchema(append(append([]Field{}, schema.Fields...), schema.Fields...)...), 2, batches, 1, batches, 1, true)

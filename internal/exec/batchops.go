@@ -148,7 +148,7 @@ func (a *Aggregator) Add(b *ColumnBatch) {
 			p := b.Live(i)
 			switch {
 			case v.null(p):
-				g.accs[k].addNull()
+				// SQL aggregates skip NULL inputs.
 			case intBacked(v.Type):
 				g.accs[k].addInt(v.Ints[p])
 			case v.Type == TypeFloat:

@@ -1,12 +1,11 @@
 package kv
 
-// WriteBatch collects mutations for a single group-committed
-// Cluster.ApplyCtx. The batch is the unit of amortization on the write
-// path: ApplyCtx groups its mutations by owning region, and each region
-// takes its lock once, appends every record to the WAL in one buffered
-// sequence with a single sync, and inserts into the memtable under that
-// one acquisition — instead of paying lock, WAL append and flush check
-// per mutation as PutCtx does.
+// WriteBatch collects the puts and deletes of one group-committed
+// Store.ApplyCtx, the store's only write. The batch is the unit of
+// amortization on the write path: each region it touches takes its
+// lock once, appends every record to the WAL in one buffered sequence
+// with a single sync, and inserts into the memtable under that one
+// acquisition.
 //
 // Mutations within a batch are applied in the order they were added
 // (later entries win on duplicate keys). A WriteBatch is not safe for

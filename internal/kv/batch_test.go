@@ -13,15 +13,8 @@ import (
 // the background flusher with frozen memtables, multi-WAL crash
 // recovery, and the BlockCacheBytes sentinel.
 
-func testClusterOpts(o Options) ClusterOptions {
-	return ClusterOptions{
-		Options:     o,
-		SplitPoints: [][]byte{[]byte("g"), []byte("p")},
-	}
-}
-
 func TestWriteBatchApplyAndGet(t *testing.T) {
-	c, err := OpenCluster(t.TempDir(), testClusterOpts(Options{}))
+	c, err := OpenCluster(t.TempDir(), ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +22,6 @@ func TestWriteBatchApplyAndGet(t *testing.T) {
 
 	var b WriteBatch
 	for i := 0; i < 300; i++ {
-		// Keys spread across all three regions (a…z prefixes).
 		b.Put([]byte(fmt.Sprintf("%c-key-%03d", 'a'+i%26, i)), []byte(fmt.Sprintf("v-%d", i)))
 	}
 	if b.Len() != 300 {
@@ -83,7 +75,7 @@ func TestWriteBatchApplyAndGet(t *testing.T) {
 }
 
 func TestApplyGroupCommitMetrics(t *testing.T) {
-	c, err := OpenCluster(t.TempDir(), testClusterOpts(Options{}))
+	c, err := OpenCluster(t.TempDir(), ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +101,7 @@ func TestApplyGroupCommitMetrics(t *testing.T) {
 }
 
 func TestMultiGet(t *testing.T) {
-	c, err := OpenCluster(t.TempDir(), testClusterOpts(Options{}))
+	c, err := OpenCluster(t.TempDir(), ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +245,7 @@ func TestCloseDrainsFlusher(t *testing.T) {
 
 func TestBatchCrashRecoveryAcrossRegions(t *testing.T) {
 	dir := t.TempDir()
-	opts := testClusterOpts(Options{})
+	opts := ClusterOptions{}
 	c, err := OpenCluster(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -272,11 +264,9 @@ func TestBatchCrashRecoveryAcrossRegions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Pause every flusher so the batch stays memtable-only, then apply
-	// a batch spanning all regions: puts plus upsert-style tombstones.
-	for _, r := range c.regions {
-		pauseFlusher(r.region, true)
-	}
+	// Pause the flusher so the batch stays memtable-only, then apply a
+	// batch of puts plus upsert-style tombstones.
+	pauseFlusher(c.r, true)
 	var b WriteBatch
 	for i := 0; i < 30; i++ {
 		b.Delete([]byte(fmt.Sprintf("%c-old-%03d", 'a'+i%26, i)))
@@ -286,14 +276,12 @@ func TestBatchCrashRecoveryAcrossRegions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Simulate a crash: drop the WAL handles without flushing memtables.
-	for _, r := range c.regions {
-		r.mu.Lock()
-		r.log.close()
-		r.closed = true
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	}
+	// Simulate a crash: drop the WAL handle without flushing memtables.
+	c.r.mu.Lock()
+	c.r.log.close()
+	c.r.closed = true
+	c.r.cond.Broadcast()
+	c.r.mu.Unlock()
 
 	c2, err := OpenCluster(dir, opts)
 	if err != nil {
@@ -619,11 +607,11 @@ func TestBlockCacheDisableSentinel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.cache != nil {
+	if c.r.cache != nil {
 		t.Fatal("cache not disabled by negative BlockCacheBytes")
 	}
 	// Reads still work without a cache, and never count cache traffic.
-	c.PutCtx(bg, []byte("k"), []byte("v"))
+	put(c, []byte("k"), []byte("v"))
 	c.Flush()
 	if v, err := c.GetCtx(bg, []byte("k")); err != nil || string(v) != "v" {
 		t.Fatalf("Get without cache = %q, %v", v, err)
@@ -637,7 +625,7 @@ func TestConcurrentApplyAndScan(t *testing.T) {
 	// Race coverage for the background flusher: writers group-committing
 	// while readers Get and Scan, with memtables small enough that
 	// freezes, flushes and compactions all happen mid-flight.
-	c, err := OpenCluster(t.TempDir(), testClusterOpts(Options{MemtableBytes: 4 << 10}))
+	c, err := OpenCluster(t.TempDir(), ClusterOptions{Options: Options{MemtableBytes: 4 << 10}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,14 +16,8 @@ import (
 
 // ClusterOptions configure a Cluster.
 type ClusterOptions struct {
-	// Store-level options applied to every region.
+	// Store-level options applied to the region.
 	Options
-	// SplitPoints pre-splits the key space, mirroring how GeoMesa's
-	// shard prefixes spread writes across HBase regions. Points must be
-	// sorted ascending; n points create n+1 regions. The regions are
-	// fixed: reopen a directory with the split points it was created
-	// with.
-	SplitPoints [][]byte
 	// ScrubInterval enables the background integrity scrubber: every
 	// interval, all SSTable blocks are re-read and checksum-verified
 	// (see Scrub). 0 (the default) disables the loop; Scrub can still
@@ -32,20 +25,19 @@ type ClusterOptions struct {
 	ScrubInterval time.Duration
 }
 
-// Cluster is the standalone storage fabric: a sorted key space cut at
-// fixed split points into regions, each a single-copy LSM store. It
-// stands in for the HBase cluster under GeoMesa in the paper's
-// deployment; replication, failover and region splits run in the
-// networked deployment (RegionNode behind Router).
+// Cluster is the standalone storage fabric: one single-copy LSM region
+// over the whole key space, in process. It stands in for the HBase
+// cluster under GeoMesa in the paper's deployment; replication,
+// failover and region splits run in the networked deployment
+// (RegionNode behind Router).
 type Cluster struct {
-	dir   string
-	opts  ClusterOptions
-	cache *blockCache
-	met   Metrics
+	met Metrics
 
-	// regions is sorted by key range and never changes after open.
-	regions []*clusterRegion
-	closed  atomic.Bool
+	// r is the one region; slots bound how many scan tasks run on it at
+	// once.
+	r      *region
+	slots  chan struct{}
+	closed atomic.Bool
 
 	// Zone-extractor registry: the table layer registers one extractor
 	// per key prefix (table × index); flushes and compactions dispatch
@@ -69,17 +61,9 @@ type Cluster struct {
 	scrubJob string // registered scrub job name
 }
 
-// clusterRegion is one region of a Cluster: its key range, its store,
-// and the slots bounding how many scan tasks run on it at once.
-type clusterRegion struct {
-	kr KeyRange
-	*region
-	slots chan struct{}
-}
-
 // paperServers is the region-server count of the paper's evaluation
 // cluster. A Cluster shares the host's CPUs out as if among that many
-// servers: each region gets max(2, NumCPU/paperServers) scan slots, and
+// servers: its region gets max(2, NumCPU/paperServers) scan slots, and
 // the scan engine's worker → consumer channel holds two batches per
 // server.
 const paperServers = 5
@@ -87,44 +71,31 @@ const paperServers = 5
 // Jobs exposes the cluster's maintenance scheduler (admin API, tests).
 func (c *Cluster) Jobs() *jobs.Scheduler { return c.jobs }
 
-// OpenCluster opens (or creates) a cluster rooted at dir.
+// OpenCluster opens (or creates) a cluster rooted at dir. The region
+// lives in dir/region-0000.
 func OpenCluster(dir string, opts ClusterOptions) (*Cluster, error) {
 	if !ValidCodec(opts.Options.Codec) {
 		return nil, fmt.Errorf("kv: unknown block codec %q (want none, gzip or lz4)", opts.Options.Codec)
 	}
-	// Region boundaries: (-inf, p0), [p0, p1), ... [pn, +inf).
-	bounds := make([]KeyRange, 0, len(opts.SplitPoints)+1)
-	var prev []byte
-	for _, p := range opts.SplitPoints {
-		if prev != nil && bytes.Compare(p, prev) <= 0 {
-			return nil, fmt.Errorf("kv: split points not ascending")
-		}
-		bounds = append(bounds, KeyRange{Start: prev, End: p})
-		prev = p
-	}
-	bounds = append(bounds, KeyRange{Start: prev})
-	opts.Options = opts.Options.withDefaults()
-	c := &Cluster{dir: dir, opts: opts, cache: newBlockCache(opts.BlockCacheBytes)}
-	// Every region writes SSTables through the cluster's prefix
+	ropts := opts.Options.withDefaults()
+	c := &Cluster{slots: make(chan struct{}, max(2, runtime.NumCPU()/paperServers))}
+	// The region writes SSTables through the cluster's prefix
 	// dispatcher, so extractors registered after open still cover data
 	// flushed later (zone maps are stamped at flush/compaction time).
-	c.opts.Options.ZoneExtractor = c.zoneFor
-	// All maintenance runs through one scheduler; the regions opened
-	// below inherit it through c.opts.Options.
-	if c.jobs = opts.Options.Jobs; c.jobs == nil {
+	ropts.ZoneExtractor = c.zoneFor
+	// All maintenance runs through one scheduler; the region opened
+	// below inherits it through ropts.
+	if c.jobs = ropts.Jobs; c.jobs == nil {
 		c.jobs = jobs.New(jobs.Options{})
 		c.ownJobs = true
-		c.opts.Options.Jobs = c.jobs
+		ropts.Jobs = c.jobs
 	}
-	slots := max(2, runtime.NumCPU()/paperServers)
-	for i, kr := range bounds {
-		r, err := openRegion(i, filepath.Join(dir, fmt.Sprintf("region-%04d", i)), c.opts.Options, c.cache, &c.met)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.regions = append(c.regions, &clusterRegion{kr: kr, region: r, slots: make(chan struct{}, slots)})
+	r, err := openRegion(0, filepath.Join(dir, "region-0000"), ropts, newBlockCache(ropts.BlockCacheBytes), &c.met)
+	if err != nil {
+		c.Close()
+		return nil, err
 	}
+	c.r = r
 	// The scrub job is always registered — with ScrubInterval 0 it has
 	// no ticker and fires only on demand (Scrub → RunNow), which is how
 	// concurrent scrub requests dedupe onto one pass.
@@ -191,16 +162,6 @@ func (c *Cluster) zoneFor(key, value []byte) (int64, int64, bool) {
 	return 0, 0, false
 }
 
-// regionFor locates the region owning key (regions are sorted by range).
-func (c *Cluster) regionFor(key []byte) *clusterRegion {
-	// The first region whose End is nil or > key.
-	i := sort.Search(len(c.regions), func(i int) bool {
-		end := c.regions[i].kr.End
-		return end == nil || bytes.Compare(key, end) < 0
-	})
-	return c.regions[i]
-}
-
 // ready is the prologue of every operation: an expired context or a
 // closed cluster fails before any region is touched. The in-process
 // cluster has no wire to propagate a deadline over; honoring
@@ -217,22 +178,6 @@ func (c *Cluster) ready(ctx context.Context) error {
 	return nil
 }
 
-// PutCtx stores key → value in the owning region.
-func (c *Cluster) PutCtx(ctx context.Context, key, value []byte) error {
-	if err := c.ready(ctx); err != nil {
-		return err
-	}
-	return c.regionFor(key).Put(key, value)
-}
-
-// DeleteCtx removes key.
-func (c *Cluster) DeleteCtx(ctx context.Context, key []byte) error {
-	if err := c.ready(ctx); err != nil {
-		return err
-	}
-	return c.regionFor(key).Delete(key)
-}
-
 // GetCtx fetches the value for key or ErrNotFound. A read that trips on
 // a corrupt SSTable block latches the region's corrupt flag and returns
 // the typed *ErrCorruptBlock.
@@ -240,59 +185,27 @@ func (c *Cluster) GetCtx(ctx context.Context, key []byte) ([]byte, error) {
 	if err := c.ready(ctx); err != nil {
 		return nil, err
 	}
-	r := c.regionFor(key)
-	v, err := r.Get(key)
-	r.noteCorruption(err)
+	v, err := c.r.Get(key)
+	c.r.noteCorruption(err)
 	return v, err
 }
 
-// Flush persists all memtables; call after bulk loads and before
-// measuring on-disk size. Regions flush in parallel (their SSTables are
-// independent files).
-func (c *Cluster) Flush() error {
-	return eachRegion(c.regions, func(r *clusterRegion) error { return r.flush() })
-}
+// Flush persists the region's memtables; call after bulk loads and
+// before measuring on-disk size.
+func (c *Cluster) Flush() error { return c.r.flush() }
 
-// Compact fully compacts every region, in parallel across regions.
+// Compact fully compacts the region.
 func (c *Cluster) Compact() error {
-	return eachRegion(c.regions, func(r *clusterRegion) error {
-		err := r.compact()
-		r.noteCorruption(err)
-		return err
-	})
+	err := c.r.compact()
+	c.r.noteCorruption(err)
+	return err
 }
 
-// eachRegion runs fn over every region concurrently and returns the
-// first error (by region order, for determinism).
-func eachRegion(rs []*clusterRegion, fn func(*clusterRegion) error) error {
-	if len(rs) == 1 {
-		return fn(rs[0])
-	}
-	errs := make([]error, len(rs))
-	var wg sync.WaitGroup
-	for i, r := range rs {
-		wg.Add(1)
-		go func(i int, r *clusterRegion) {
-			defer wg.Done()
-			errs[i] = fn(r)
-		}(i, r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ApplyCtx group-commits a WriteBatch: mutations are grouped by owning
-// region and each region applies its group under one lock acquisition —
-// all WAL records appended in one buffered sequence with a single sync,
-// all memtable inserts under that acquisition — with regions running in
-// parallel. Mutations keep their batch order within each region (later
-// entries win on duplicate keys). It is the bulk write path behind
-// Table.InsertBatchCtx.
+// ApplyCtx group-commits a WriteBatch, the store's one write: the
+// region takes its lock once, appends every record to the WAL in one
+// buffered sequence with a single sync, and inserts into the memtable
+// under that acquisition. Mutations keep their batch order (later
+// entries win on duplicate keys).
 func (c *Cluster) ApplyCtx(ctx context.Context, b *WriteBatch) error {
 	if err := c.ready(ctx); err != nil {
 		return err
@@ -300,27 +213,12 @@ func (c *Cluster) ApplyCtx(ctx context.Context, b *WriteBatch) error {
 	if b == nil || len(b.muts) == 0 {
 		return nil
 	}
-	// Fast path: a one-region cluster applies the batch as-is with no
-	// grouping allocation.
-	if len(c.regions) == 1 {
-		return c.regions[0].applyBatch(b.muts)
-	}
-	groups := make(map[*clusterRegion][]mutation)
-	var order []*clusterRegion
-	for _, m := range b.muts {
-		r := c.regionFor(m.key)
-		if _, ok := groups[r]; !ok {
-			order = append(order, r)
-		}
-		groups[r] = append(groups[r], m)
-	}
-	return eachRegion(order, func(r *clusterRegion) error { return r.applyBatch(groups[r]) })
+	return c.r.applyBatch(b.muts)
 }
 
-// MultiGetCtx fetches many keys at once: keys are grouped by owning
-// region and each region probes its group against one consistent
-// snapshot (single lock acquisition), with regions running in parallel.
-// The result is parallel to keys; missing keys yield nil entries.
+// MultiGetCtx fetches many keys against one consistent snapshot of the
+// region (single lock acquisition). The result is parallel to keys;
+// missing keys yield nil entries.
 func (c *Cluster) MultiGetCtx(ctx context.Context, keys [][]byte) ([][]byte, error) {
 	if err := c.ready(ctx); err != nil {
 		return nil, err
@@ -329,79 +227,75 @@ func (c *Cluster) MultiGetCtx(ctx context.Context, keys [][]byte) ([][]byte, err
 	if len(keys) == 0 {
 		return out, nil
 	}
-	groups := make(map[*clusterRegion][]int)
-	var order []*clusterRegion
-	for i, k := range keys {
-		r := c.regionFor(k)
-		if _, ok := groups[r]; !ok {
-			order = append(order, r)
-		}
-		groups[r] = append(groups[r], i)
-	}
-	err := eachRegion(order, func(r *clusterRegion) error {
-		err := r.getBatch(groups[r], keys, out)
-		r.noteCorruption(err)
-		return err
-	})
+	err := c.r.getBatch(keys, out)
+	c.r.noteCorruption(err)
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// DeleteBatchCtx removes many keys at once via the group-commit path:
-// one lock acquisition and one WAL sync per region, regions in parallel.
-// It is the bulk path behind DROP TABLE's data purge.
-func (c *Cluster) DeleteBatchCtx(ctx context.Context, keys [][]byte) error {
-	var b WriteBatch
-	for _, k := range keys {
-		b.Delete(k)
-	}
-	return c.ApplyCtx(ctx, &b)
-}
-
-// ScanRange streams the pairs of one range in key order; emit returning
-// false stops the scan early. Tasks are visited serially in region
-// (= key) order, which is what keeps the stream sorted.
+// ScanRange is the serial face of the scan engine: it streams the pairs
+// of one range in key order, visiting the range's tasks one after the
+// other in region (= key) order, which is what keeps the stream sorted.
+// The pairs passed to emit are views, valid only during the call; emit
+// returning false stops the scan early. Canceling ctx stops the scan at
+// the next pair and returns the context error. Tasks and pairs count
+// into ScanTasks and ScanPairs as on the parallel face.
 func ScanRange(ctx context.Context, s Store, kr KeyRange, emit func(key, value []byte) bool) error {
-	for _, t := range s.scanTasks([]KeyRange{kr}) {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	var cancelled atomic.Bool
+	defer context.AfterFunc(ctx, func() { cancelled.Store(true) })()
+	met := s.metrics()
+	tasks := s.scanTasks([]KeyRange{kr})
+	atomic.AddInt64(&met.ScanTasks, int64(len(tasks)))
+	var scanned int64
+	defer func() { atomic.AddInt64(&met.ScanPairs, scanned) }()
+	for _, t := range tasks {
 		stop := false
 		err := s.runScanTask(ctx, t, func(k, v []byte) bool {
+			if cancelled.Load() {
+				return false
+			}
+			scanned++
 			stop = !emit(k, v)
 			return !stop
 		})
-		if err != nil || stop {
+		switch {
+		case err != nil:
 			return err
+		case cancelled.Load():
+			return ctx.Err()
+		case stop:
+			return nil
 		}
 	}
 	return nil
 }
 
-// scanTasks splits ranges into one task per (region × range).
+// scanTasks makes one task per range: the one region serves them all.
 func (c *Cluster) scanTasks(ranges []KeyRange) []scanTask {
-	tasks := make([]scanTask, 0, len(ranges))
-	for _, kr := range ranges {
-		for _, r := range c.regions {
-			if sub, ok := r.kr.Intersect(kr); ok {
-				tasks = append(tasks, scanTask{kr: sub, r: r})
-			}
-		}
+	tasks := make([]scanTask, len(ranges))
+	for i, kr := range ranges {
+		tasks[i] = scanTask{kr: kr}
 	}
 	return tasks
 }
 
-// runScanTask streams one task's pairs once a scan slot of its region is
-// free. A task still queued for a slot when ctx is canceled never
-// starts, so a canceled query does not hold the region's scan
-// concurrency hostage behind slow neighbors.
+// runScanTask streams one task's pairs once a scan slot is free. A task
+// still queued for a slot when ctx is canceled never starts, so a
+// canceled query does not hold the region's scan concurrency hostage
+// behind slow neighbors.
 func (c *Cluster) runScanTask(ctx context.Context, t scanTask, emit func(key, value []byte) bool) error {
 	select {
-	case t.r.slots <- struct{}{}:
+	case c.slots <- struct{}{}:
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	defer func() { <-t.r.slots }()
-	it := t.r.Scan(t.kr)
+	defer func() { <-c.slots }()
+	it := c.r.Scan(t.kr)
 	defer it.Close()
 	for it.Next() {
 		if !emit(it.Key(), it.Value()) {
@@ -409,7 +303,7 @@ func (c *Cluster) runScanTask(ctx context.Context, t scanTask, emit func(key, va
 		}
 	}
 	err := it.Err()
-	t.r.noteCorruption(err)
+	c.r.noteCorruption(err)
 	return err
 }
 
@@ -417,86 +311,9 @@ func (c *Cluster) metrics() *Metrics { return &c.met }
 
 func (c *Cluster) scanWidth() int { return paperServers }
 
-// ScanRanges runs one scan task per (region × range) in parallel across
-// regions — the paper's "trigger SCAN operations over the
-// underlying key-value data store in parallel". Results are delivered to
-// emit serially, in arbitrary inter-range order; emit returning false
-// cancels outstanding tasks. Pairs passed to emit are valid only during
-// the call.
-//
-// ScanRanges ships whole pairs to the consumer and therefore copies
-// every key and value; callers that can decode or filter per pair
-// should use ScanRangesFunc or ScanCollect, which run that stage inside
-// the scan workers and skip the copies entirely.
-func ScanRanges(ctx context.Context, s Store, ranges []KeyRange, emit func(key, value []byte) bool) error {
-	return ScanRangesFunc(ctx, s, ranges, func(k, v []byte) (Pair, bool, error) {
-		return Pair{
-			Key:   append([]byte(nil), k...),
-			Value: append([]byte(nil), v...),
-		}, true, nil
-	}, func(p Pair) bool { return emit(p.Key, p.Value) })
-}
-
-// scanBatchSize is ScanRangesFunc's worker→consumer hand-off granularity.
-const scanBatchSize = 512
-
 // maxSerialScanTasks bounds the plan size below which goroutine fan-out
 // costs more than it saves.
 const maxSerialScanTasks = 4
-
-// ScanRangesFunc is the per-pair face of the scan engine (scanCollect):
-// each task applies process to every pair *inside the worker*, and only
-// the values process keeps are batched (scanBatchSize at a time) and
-// delivered to emit — serially, in arbitrary inter-range order — so
-// filtered-out pairs are never copied out of the storage layer.
-// ScanKept counts the values delivered, ScanBatches the batches they
-// crossed the worker → consumer boundary in.
-//
-// The key/value slices passed to process are valid only during the
-// call; process must copy anything it retains. Errors, emit returning
-// false and ctx cancellation behave as documented on scanCollect.
-func ScanRangesFunc[T any](ctx context.Context, s Store, ranges []KeyRange, process func(key, value []byte) (T, bool, error), emit func(T) bool) error {
-	met := s.metrics()
-	// Batch slices are pooled: the consumer returns each batch after
-	// draining it, so a steady scan recycles ~one batch per in-flight
-	// task instead of allocating one per scanBatchSize pairs.
-	pool := &sync.Pool{New: func() any {
-		s := make([]T, 0, scanBatchSize)
-		return &s
-	}}
-	newTask := func() TaskCollector[[]T] {
-		batch := *pool.Get().(*[]T)
-		return TaskCollector[[]T]{
-			Add: func(k, v []byte) ([]T, bool, error) {
-				out, keep, err := process(k, v)
-				if err != nil || !keep {
-					return nil, false, err
-				}
-				batch = append(batch, out)
-				if len(batch) < scanBatchSize {
-					return nil, false, nil
-				}
-				full := batch
-				batch = *pool.Get().(*[]T)
-				return full, true, nil
-			},
-			Finish: func() ([]T, bool, error) { return batch, len(batch) > 0, nil },
-		}
-	}
-	return scanCollect(ctx, s, ranges, newTask, func(batch []T) bool {
-		atomic.AddInt64(&met.ScanKept, int64(len(batch)))
-		keep := true
-		for _, x := range batch {
-			if keep = emit(x); !keep {
-				break
-			}
-		}
-		clear(batch) // drop references so pooled slices don't pin rows
-		batch = batch[:0]
-		pool.Put(&batch)
-		return keep
-	}, &met.ScanBatches)
-}
 
 // TaskCollector accumulates the pairs of one scan task into batches.
 // ScanCollect builds one per task, so a collector can keep mutable
@@ -511,20 +328,14 @@ type TaskCollector[B any] struct {
 	Finish func() (B, bool, error)
 }
 
-// ScanCollect is the batch face of the scan engine (scanCollect): each
-// (region × range) task owns a TaskCollector that folds pairs into
-// batches inside the scan worker, and whole batches (not pairs) cross
-// the worker → consumer boundary. Every batch delivered increments the
-// BatchesDecoded metric.
-func ScanCollect[B any](ctx context.Context, s Store, ranges []KeyRange, newTask func() TaskCollector[B], emit func(B) bool) error {
-	return scanCollect(ctx, s, ranges, newTask, emit, &s.metrics().BatchesDecoded)
-}
-
-// scanCollect is the one scan engine. One task per (region × range)
-// runs in a scan slot of its region and feeds its own collector, so
-// decode and filter work parallelizes across regions and slots instead
-// of serializing on the consumer. Batches are delivered to emit
-// serially, in arbitrary inter-task order, and counted into *batches.
+// ScanCollect is the parallel face of the scan engine: it scans many
+// ranges, and each task (a range, or a run of ranges, served by one
+// region) runs in a scan slot of its region and owns a TaskCollector
+// that folds pairs into batches inside the scan worker. Decode and
+// filter work therefore parallelizes across slots, and whole batches
+// (not pairs) cross the worker → consumer boundary. Batches reach emit
+// serially, in arbitrary inter-task order, and count into
+// BatchesDecoded.
 //
 // Plans of at most maxSerialScanTasks tasks run inline, one task after
 // the other; larger plans fan out one goroutine per task (queued tasks
@@ -535,7 +346,7 @@ func ScanCollect[B any](ctx context.Context, s Store, ranges []KeyRange, newTask
 // take a slot — and the raw context error is returned (callers lift it
 // into the typed lifecycle errors). The first collector or iterator
 // error wins, even when emit cancelled the scan concurrently.
-func scanCollect[B any](ctx context.Context, s Store, ranges []KeyRange, newTask func() TaskCollector[B], emit func(B) bool, batches *int64) error {
+func ScanCollect[B any](ctx context.Context, s Store, ranges []KeyRange, newTask func() TaskCollector[B], emit func(B) bool) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -650,7 +461,7 @@ func scanCollect[B any](ctx context.Context, s Store, ranges []KeyRange, newTask
 			deliver(b)
 		}
 	}
-	atomic.AddInt64(batches, delivered)
+	atomic.AddInt64(&met.BatchesDecoded, delivered)
 	// Every worker has finished (the channel closes only after wg.Wait),
 	// so all fail() calls happened-before this point: the first worker
 	// error is reported deterministically, even when emit cancelled.
@@ -659,32 +470,24 @@ func scanCollect[B any](ctx context.Context, s Store, ranges []KeyRange, newTask
 	return firstErr
 }
 
-// DiskSize returns the total on-disk bytes across all regions.
-func (c *Cluster) DiskSize() int64 {
-	var total int64
-	for _, r := range c.regions {
-		total += r.DiskSize()
-	}
-	return total
-}
+// DiskSize returns the region's on-disk bytes.
+func (c *Cluster) DiskSize() int64 { return c.r.DiskSize() }
 
-// Regions returns the number of regions (fixed at open).
-func (c *Cluster) Regions() int { return len(c.regions) }
+// Regions returns the region count: always 1.
+func (c *Cluster) Regions() int { return 1 }
 
 // Metrics returns a snapshot of cumulative storage metrics (plus the
 // instantaneous flush-queue depth gauge).
 func (c *Cluster) Metrics() Metrics {
 	m := c.met.snapshot()
-	for _, r := range c.regions {
-		m.FlushQueueDepth += int64(r.immCount())
-	}
+	m.FlushQueueDepth = int64(c.r.immCount())
 	return m
 }
 
-// Close shuts the cluster down: the scrub job first (a pass reads every
-// store), then each region, which drains its background flusher and
-// closes its WAL and SSTables — so a shutdown mid-ingest can never race
-// an in-flight flush.
+// Close shuts the cluster down: the scrub job first (a pass reads the
+// whole store), then the region, which drains its background flusher
+// and closes its WAL and SSTables — so a shutdown mid-ingest can never
+// race an in-flight flush.
 func (c *Cluster) Close() error {
 	if c.closed.Swap(true) {
 		return nil
@@ -692,16 +495,14 @@ func (c *Cluster) Close() error {
 	if c.scrubJob != "" {
 		c.jobs.Deregister(c.scrubJob)
 	}
-	var first error
-	for _, r := range c.regions {
-		if err := r.Close(); err != nil && first == nil {
-			first = err
-		}
+	var err error
+	if c.r != nil {
+		err = c.r.Close()
 	}
-	// The scheduler goes last: region Close drains flushers, which still
-	// route their final flushes through it.
+	// The scheduler goes last: region Close drains the flusher, which
+	// still routes its final flushes through it.
 	if c.ownJobs {
 		c.jobs.Close()
 	}
-	return first
+	return err
 }

@@ -2,8 +2,8 @@ package kv
 
 import (
 	"bytes"
-	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -18,38 +18,10 @@ func newTestCluster(t *testing.T, opts ClusterOptions) *Cluster {
 	return c
 }
 
-func TestClusterRouting(t *testing.T) {
-	c := newTestCluster(t, ClusterOptions{
-		SplitPoints: [][]byte{{0x40}, {0x80}, {0xC0}},
-	})
-	if got := c.Regions(); got != 4 {
-		t.Fatalf("regions = %d, want 4", got)
-	}
-	keys := [][]byte{{0x00, 1}, {0x40, 1}, {0x7F}, {0x80}, {0xFF, 9}}
-	for i, k := range keys {
-		if err := c.PutCtx(bg, k, []byte(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, k := range keys {
-		v, err := c.GetCtx(bg, k)
-		if err != nil || string(v) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("Get(%x) = %q, %v", k, v, err)
-		}
-	}
-	// Each key must be routed to the region whose range contains it.
-	for _, k := range keys {
-		h := c.regionFor(k)
-		if !h.kr.Contains(k) {
-			t.Fatalf("key %x routed to region %v", k, h.kr)
-		}
-	}
-}
-
 func TestClusterScanRangeOrdered(t *testing.T) {
-	c := newTestCluster(t, ClusterOptions{SplitPoints: [][]byte{[]byte("m")}})
+	c := newTestCluster(t, ClusterOptions{})
 	for i := 0; i < 1000; i++ {
-		c.PutCtx(bg, []byte(fmt.Sprintf("%c%04d", 'a'+i%26, i)), []byte("v"))
+		put(c, []byte(fmt.Sprintf("%c%04d", 'a'+i%26, i)), []byte("v"))
 	}
 	c.Flush()
 	var prev []byte
@@ -70,25 +42,28 @@ func TestClusterScanRangeOrdered(t *testing.T) {
 	}
 }
 
+// TestClusterScanRangesParallel scans more ranges than run inline, so
+// the tasks fan out over the region's scan slots.
 func TestClusterScanRangesParallel(t *testing.T) {
-	c := newTestCluster(t, ClusterOptions{
-		SplitPoints: [][]byte{[]byte("3"), []byte("6")},
-	})
+	c := newTestCluster(t, ClusterOptions{})
 	want := map[string]bool{}
 	for i := 0; i < 2000; i++ {
 		k := fmt.Sprintf("%d-%04d", i%10, i)
-		c.PutCtx(bg, []byte(k), []byte("v"))
-		if k[0] == '2' || k[0] == '7' {
+		put(c, []byte(k), []byte("v"))
+		if strings.Contains("02479", k[:1]) {
 			want[k] = true
 		}
 	}
 	c.Flush()
-	ranges := []KeyRange{
-		{Start: []byte("2"), End: []byte("3")},
-		{Start: []byte("7"), End: []byte("8")},
+	var ranges []KeyRange
+	for _, d := range "02479" {
+		ranges = append(ranges, KeyRange{Start: []byte{byte(d)}, End: []byte{byte(d) + 1}})
+	}
+	if len(ranges) <= maxSerialScanTasks {
+		t.Fatal("plan no longer exceeds maxSerialScanTasks")
 	}
 	got := map[string]bool{}
-	err := ScanRanges(context.Background(), c, ranges, func(k, v []byte) bool {
+	err := scanPairs(bg, c, ranges, func(k, v []byte) bool {
 		got[string(k)] = true
 		return true
 	})
@@ -108,11 +83,11 @@ func TestClusterScanRangesParallel(t *testing.T) {
 func TestClusterScanEarlyStop(t *testing.T) {
 	c := newTestCluster(t, ClusterOptions{})
 	for i := 0; i < 5000; i++ {
-		c.PutCtx(bg, []byte(fmt.Sprintf("k-%05d", i)), []byte("v"))
+		put(c, []byte(fmt.Sprintf("k-%05d", i)), []byte("v"))
 	}
 	c.Flush()
 	n := 0
-	err := ScanRanges(context.Background(), c, []KeyRange{{}}, func(k, v []byte) bool {
+	err := scanPairs(bg, c, []KeyRange{{}}, func(k, v []byte) bool {
 		n++
 		return n < 10
 	})
@@ -134,7 +109,7 @@ func TestClusterConcurrentReadWrite(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				c.PutCtx(bg, []byte(fmt.Sprintf("w%d-%04d", w, i)), []byte("v"))
+				put(c, []byte(fmt.Sprintf("w%d-%04d", w, i)), []byte("v"))
 			}
 		}(w)
 	}
@@ -156,7 +131,7 @@ func TestClusterConcurrentReadWrite(t *testing.T) {
 func TestClusterMetrics(t *testing.T) {
 	c := newTestCluster(t, ClusterOptions{})
 	for i := 0; i < 100; i++ {
-		c.PutCtx(bg, []byte(fmt.Sprintf("k-%03d", i)), bytes.Repeat([]byte("v"), 100))
+		put(c, []byte(fmt.Sprintf("k-%03d", i)), bytes.Repeat([]byte("v"), 100))
 	}
 	c.Flush()
 	ScanRange(bg, c, KeyRange{}, func(k, v []byte) bool { return true })
@@ -186,7 +161,7 @@ func TestClusterDiskSizeCompression(t *testing.T) {
 		defer c.Close()
 		val := bytes.Repeat([]byte("abcdefgh"), 128) // 1 KiB compressible
 		for i := 0; i < 2000; i++ {
-			c.PutCtx(bg, []byte(fmt.Sprintf("k-%06d", i)), val)
+			put(c, []byte(fmt.Sprintf("k-%06d", i)), val)
 		}
 		c.Flush()
 		return c.DiskSize()
@@ -207,7 +182,7 @@ func BenchmarkClusterPut(b *testing.B) {
 	val := bytes.Repeat([]byte("v"), 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.PutCtx(bg, []byte(fmt.Sprintf("k-%09d", i)), val)
+		put(c, []byte(fmt.Sprintf("k-%09d", i)), val)
 	}
 }
 
@@ -219,7 +194,7 @@ func BenchmarkClusterScan(b *testing.B) {
 	defer c.Close()
 	val := bytes.Repeat([]byte("v"), 100)
 	for i := 0; i < 100000; i++ {
-		c.PutCtx(bg, []byte(fmt.Sprintf("k-%09d", i)), val)
+		put(c, []byte(fmt.Sprintf("k-%09d", i)), val)
 	}
 	c.Flush()
 	b.ResetTimer()

@@ -1,7 +1,66 @@
 package kv
 
-import "context"
+import (
+	"bytes"
+	"context"
+)
 
 // bg is the context of tests that exercise no deadline or cancellation:
 // every Store operation takes one, and most tests have none to give.
 var bg = context.Background()
+
+// put writes one pair through ApplyCtx, the store's one write.
+func put(s Store, key, value []byte) error {
+	var b WriteBatch
+	b.Put(key, value)
+	return s.ApplyCtx(bg, &b)
+}
+
+// collectEach builds ScanCollect tasks that map every pair through
+// process inside the worker and hand the values process keeps to the
+// consumer in batches of up to 512.
+func collectEach[T any](process func(key, value []byte) (T, bool, error)) func() TaskCollector[[]T] {
+	return func() TaskCollector[[]T] {
+		var batch []T
+		return TaskCollector[[]T]{
+			Add: func(k, v []byte) ([]T, bool, error) {
+				x, keep, err := process(k, v)
+				if err != nil || !keep {
+					return nil, false, err
+				}
+				batch = append(batch, x)
+				if len(batch) < 512 {
+					return nil, false, nil
+				}
+				full := batch
+				batch = nil
+				return full, true, nil
+			},
+			Finish: func() ([]T, bool, error) { return batch, len(batch) > 0, nil },
+		}
+	}
+}
+
+// scanEach scans ranges through ScanCollect with collectEach tasks and
+// hands the kept values to emit one at a time; emit returning false
+// stops the scan.
+func scanEach[T any](ctx context.Context, s Store, ranges []KeyRange, process func(key, value []byte) (T, bool, error), emit func(T) bool) error {
+	return ScanCollect(ctx, s, ranges, collectEach(process), func(batch []T) bool {
+		for _, x := range batch {
+			if !emit(x) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// pair is one scanned key/value, copied out of the store.
+type pair struct{ key, value []byte }
+
+// scanPairs is scanEach with copies of whole pairs.
+func scanPairs(ctx context.Context, s Store, ranges []KeyRange, emit func(key, value []byte) bool) error {
+	return scanEach(ctx, s, ranges, func(k, v []byte) (pair, bool, error) {
+		return pair{bytes.Clone(k), bytes.Clone(v)}, true, nil
+	}, func(p pair) bool { return emit(p.key, p.value) })
+}

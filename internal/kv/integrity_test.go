@@ -246,30 +246,38 @@ func TestTransientReadFaultRetried(t *testing.T) {
 // TestBitFlipRF0TypedError: persistent on-disk damage to the only copy
 // must surface as a typed ErrCorruptBlock — never as silently wrong
 // data — and the region is flagged corrupt with the damaged table left
-// in place.
+// in place, while its undamaged tables keep serving.
 func TestBitFlipRF0TypedError(t *testing.T) {
 	dir := t.TempDir()
 	c, err := OpenCluster(dir, ClusterOptions{
-		Options:     Options{BlockCacheBytes: -1},
-		SplitPoints: [][]byte{[]byte("g"), []byte("p")},
+		Options: Options{BlockCacheBytes: -1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// Two flushes, two tables: the first (h-keys) stays healthy, the
+	// second (a-keys) is damaged below.
+	for i := 0; i < 30; i++ {
+		put(c, []byte(fmt.Sprintf("h-key-%05d", i)), []byte("v"))
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 300; i++ {
-		if err := c.PutCtx(bg, []byte(fmt.Sprintf("a-key-%05d", i)), []byte("v")); err != nil {
+		if err := put(c, []byte(fmt.Sprintf("a-key-%05d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := 0; i < 30; i++ {
-		c.PutCtx(bg, []byte(fmt.Sprintf("h-key-%05d", i)), []byte("v"))
 	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
-	flipByte(t, firstSST(t, filepath.Join(dir, "region-0000")), 10)
+	ssts, err := filepath.Glob(filepath.Join(dir, "region-0000", "sst-*.sst"))
+	if err != nil || len(ssts) != 2 {
+		t.Fatalf("tables = %v (err %v), want 2", ssts, err)
+	}
+	flipByte(t, ssts[1], 10)
 
 	scanErr := ScanRange(bg, c, KeyRange{}, func(k, v []byte) bool {
 		if string(v) != "v" {
@@ -285,9 +293,9 @@ func TestBitFlipRF0TypedError(t *testing.T) {
 		t.Fatalf("corrupt error not typed/located: %v", scanErr)
 	}
 
-	// The undamaged region still serves.
+	// The undamaged table still serves.
 	if v, err := c.GetCtx(bg, []byte("h-key-00000")); err != nil || string(v) != "v" {
-		t.Fatalf("healthy region after corruption elsewhere: %q, %v", v, err)
+		t.Fatalf("healthy table after corruption elsewhere: %q, %v", v, err)
 	}
 
 	// Scrub finds it too and reports it, and the admin state shows the
@@ -311,14 +319,13 @@ func TestBitFlipRF0TypedError(t *testing.T) {
 // scrub passes on its own and shuts down cleanly.
 func TestScrubLoopBackground(t *testing.T) {
 	c, err := OpenCluster(t.TempDir(), ClusterOptions{
-		SplitPoints:   [][]byte{[]byte("g"), []byte("p")},
 		ScrubInterval: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		c.PutCtx(bg, []byte(fmt.Sprintf("%c-key-%05d", "ahq"[i%3], i)), []byte("v"))
+		put(c, []byte(fmt.Sprintf("%c-key-%05d", "ahq"[i%3], i)), []byte("v"))
 	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)

@@ -93,7 +93,7 @@ func TestDiskPressureDegradesWritePathAndRecovers(t *testing.T) {
 	}
 	val := make([]byte, 256)
 	put := func(i int) error {
-		return c.PutCtx(bg, []byte(fmt.Sprintf("k-%06d", i)), val)
+		return put(c, []byte(fmt.Sprintf("k-%06d", i)), val)
 	}
 	for i := 0; i < 50; i++ {
 		if err := put(i); err != nil {
@@ -193,7 +193,7 @@ func TestScrubRequestsDedupe(t *testing.T) {
 	// into one pass each and proving nothing about dedupe.
 	payload := make([]byte, 512)
 	for i := 0; i < 48000; i++ {
-		if err := c.PutCtx(bg, []byte(fmt.Sprintf("k-%06d", i)), payload); err != nil {
+		if err := put(c, []byte(fmt.Sprintf("k-%06d", i)), payload); err != nil {
 			t.Fatal(err)
 		}
 		if i%6000 == 0 {
@@ -253,7 +253,7 @@ func TestCompactionStormBoundsForegroundLatency(t *testing.T) {
 
 	val := make([]byte, 128)
 	for i := 0; i < 2000; i++ {
-		if err := c.PutCtx(bg, []byte(fmt.Sprintf("base-%06d", i)), val); err != nil {
+		if err := put(c, []byte(fmt.Sprintf("base-%06d", i)), val); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -300,7 +300,7 @@ func TestCompactionStormBoundsForegroundLatency(t *testing.T) {
 				default:
 				}
 				k := []byte(fmt.Sprintf("storm-%d-%08d", w, i))
-				if err := c.PutCtx(bg, k, val); err != nil && !errors.Is(err, ErrClosed) {
+				if err := put(c, k, val); err != nil && !errors.Is(err, ErrClosed) {
 					return
 				}
 			}

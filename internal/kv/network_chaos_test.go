@@ -83,7 +83,7 @@ func TestChaosPartitionMidIngestNoLoss(t *testing.T) {
 
 	const rows = 2000
 	for i := 0; i < rows; i++ {
-		if err := r.PutCtx(bg, []byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
+		if err := put(r, []byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
@@ -105,7 +105,7 @@ func TestChaosKillPrimaryNoAcknowledgedWriteLost(t *testing.T) {
 
 	const before = 500
 	for i := 0; i < before; i++ {
-		if err := r.PutCtx(bg, []byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
+		if err := put(r, []byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
@@ -114,7 +114,7 @@ func TestChaosKillPrimaryNoAcknowledgedWriteLost(t *testing.T) {
 	// replica — none may be lost.
 	lb.SetDown("s1", true)
 	for i := before; i < before+100; i++ {
-		if err := r.PutCtx(bg, []byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
+		if err := put(r, []byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
 			t.Fatalf("put after kill %d: %v", i, err)
 		}
 	}
@@ -154,7 +154,7 @@ func TestChaosSplitUnderConcurrentIngest(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				k := fmt.Sprintf("w%d-%05d", w, i)
-				if err := r.PutCtx(bg, []byte(k), val); err != nil {
+				if err := put(r, []byte(k), val); err != nil {
 					errs <- fmt.Errorf("put %s: %w", k, err)
 					return
 				}
@@ -189,7 +189,7 @@ func TestChaosRefreshWithPrimaryDownKeepsRegion(t *testing.T) {
 	lb, _, r := startChaosCluster(t, 3, 5, NodeOptions{}, RouterOptions{Replicas: 1})
 	const before = 200
 	for i := 0; i < before; i++ {
-		if err := r.PutCtx(bg, []byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
+		if err := put(r, []byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
@@ -206,7 +206,7 @@ func TestChaosRefreshWithPrimaryDownKeepsRegion(t *testing.T) {
 		t.Fatal("region map emptied by refresh while primary down")
 	}
 	for i := before; i < before+50; i++ {
-		if err := r.PutCtx(bg, []byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
+		if err := put(r, []byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
 			t.Fatalf("put after refresh %d: %v", i, err)
 		}
 	}
@@ -226,7 +226,7 @@ func TestChaosRouterRestartWhilePrimaryDown(t *testing.T) {
 	lb, ft, r := startChaosCluster(t, 3, 9, NodeOptions{}, RouterOptions{Replicas: 1})
 	const rows = 300
 	for i := 0; i < rows; i++ {
-		if err := r.PutCtx(bg, []byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
+		if err := put(r, []byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
@@ -250,7 +250,7 @@ func TestChaosRouterRestartWhilePrimaryDown(t *testing.T) {
 	if got != rows {
 		t.Fatalf("scan sees %d rows, want %d", got, rows)
 	}
-	if err := r2.PutCtx(bg, []byte("k-after-restart"), []byte("v")); err != nil {
+	if err := put(r2, []byte("k-after-restart"), []byte("v")); err != nil {
 		t.Fatalf("put via restarted router: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package kv
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -12,19 +11,28 @@ import (
 	"time"
 )
 
-// pipelineCluster builds a pre-split cluster whose single full-range
-// scan fans out into five tasks — enough to exercise the parallel path
-// (plans of ≤ maxSerialScanTasks tasks run inline).
+// pipelineRanges cover the whole key space in five ranges, so a scan
+// of them fans out into five tasks — enough to exercise the parallel
+// path (plans of ≤ maxSerialScanTasks tasks run inline).
+var pipelineRanges = []KeyRange{
+	{End: []byte("2")},
+	{Start: []byte("2"), End: []byte("4")},
+	{Start: []byte("4"), End: []byte("6")},
+	{Start: []byte("6"), End: []byte("8")},
+	{Start: []byte("8")},
+}
+
+// pipelineCluster builds a cluster holding n keys "d-iiiii" (d = i%10)
+// valued i, spread over pipelineRanges.
 func pipelineCluster(t *testing.T, n int) *Cluster {
 	t.Helper()
-	c := newTestCluster(t, ClusterOptions{
-		SplitPoints: [][]byte{[]byte("2"), []byte("4"), []byte("6"), []byte("8")},
-	})
+	c := newTestCluster(t, ClusterOptions{})
+	var b WriteBatch
 	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("%d-%05d", i%10, i)
-		if err := c.PutCtx(bg, []byte(k), []byte(strconv.Itoa(i))); err != nil {
-			t.Fatal(err)
-		}
+		b.Put([]byte(fmt.Sprintf("%d-%05d", i%10, i)), []byte(strconv.Itoa(i)))
+	}
+	if err := c.ApplyCtx(bg, &b); err != nil {
+		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
@@ -37,7 +45,7 @@ func TestScanRangesFuncProcessAndFilter(t *testing.T) {
 	c := pipelineCluster(t, n)
 	var mu sync.Mutex
 	var got []int
-	err := ScanRangesFunc(context.Background(), c, []KeyRange{{}},
+	err := scanEach(bg, c, pipelineRanges,
 		func(k, v []byte) (int, bool, error) {
 			i, err := strconv.Atoi(string(v))
 			if err != nil {
@@ -64,16 +72,13 @@ func TestScanRangesFuncProcessAndFilter(t *testing.T) {
 	}
 	m := c.Metrics()
 	if m.ScanTasks != 5 {
-		t.Errorf("ScanTasks = %d, want 5 (one per region)", m.ScanTasks)
+		t.Errorf("ScanTasks = %d, want 5 (one per range)", m.ScanTasks)
 	}
 	if m.ScanPairs != n {
 		t.Errorf("ScanPairs = %d, want %d", m.ScanPairs, n)
 	}
-	if m.ScanKept != n/2 {
-		t.Errorf("ScanKept = %d, want %d", m.ScanKept, n/2)
-	}
-	if m.ScanBatches == 0 {
-		t.Error("ScanBatches = 0, want > 0")
+	if m.BatchesDecoded == 0 {
+		t.Error("BatchesDecoded = 0, want > 0")
 	}
 }
 
@@ -88,20 +93,20 @@ func TestScanRangesFuncProcessErrorPropagates(t *testing.T) {
 
 	t.Run("parallel", func(t *testing.T) {
 		c := pipelineCluster(t, 2000)
-		err := ScanRangesFunc(context.Background(), c, []KeyRange{{}}, process, func([]byte) bool { return true })
+		err := scanEach(bg, c, pipelineRanges, process, func([]byte) bool { return true })
 		if !errors.Is(err, boom) {
 			t.Fatalf("err = %v, want %v", err, boom)
 		}
 	})
 
 	t.Run("serial", func(t *testing.T) {
-		// Single region, single range: the inline path.
+		// Single range: the inline path.
 		c := newTestCluster(t, ClusterOptions{})
 		for i := 0; i < 1000; i++ {
-			c.PutCtx(bg, []byte(fmt.Sprintf("k-%05d", i)), []byte("v"))
+			put(c, []byte(fmt.Sprintf("k-%05d", i)), []byte("v"))
 		}
 		c.Flush()
-		err := ScanRangesFunc(context.Background(), c, []KeyRange{{}}, process, func([]byte) bool { return true })
+		err := scanEach(bg, c, []KeyRange{{}}, process, func([]byte) bool { return true })
 		if !errors.Is(err, boom) {
 			t.Fatalf("err = %v, want %v", err, boom)
 		}
@@ -119,7 +124,7 @@ func TestScanRangesFuncErrorBeatsCancel(t *testing.T) {
 	entered := make(chan struct{}) // poison pair reached process
 	gate := make(chan struct{})    // holds the poison failure until cancel
 	var enterOnce, gateOnce sync.Once
-	err := ScanRangesFunc(context.Background(), c, []KeyRange{{}},
+	err := scanEach(bg, c, pipelineRanges,
 		func(k, v []byte) ([]byte, bool, error) {
 			if strings.HasPrefix(string(k), "9-") {
 				enterOnce.Do(func() { close(entered) })
@@ -143,7 +148,7 @@ func TestScanRangesFuncEarlyStopReleasesWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for round := 0; round < 3; round++ {
 		n := 0
-		err := ScanRangesFunc(context.Background(), c, []KeyRange{{}},
+		err := scanEach(bg, c, pipelineRanges,
 			func(k, v []byte) ([]byte, bool, error) {
 				return append([]byte(nil), v...), true, nil
 			},
@@ -174,7 +179,11 @@ func TestDeleteBatch(t *testing.T) {
 	for i := 0; i < 1000; i += 2 {
 		doomed = append(doomed, []byte(fmt.Sprintf("%d-%05d", i%10, i)))
 	}
-	if err := c.DeleteBatchCtx(bg, doomed); err != nil {
+	var b WriteBatch
+	for _, k := range doomed {
+		b.Delete(k)
+	}
+	if err := c.ApplyCtx(bg, &b); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range doomed {
@@ -192,17 +201,17 @@ func TestDeleteBatch(t *testing.T) {
 	}
 }
 
+// TestFlushCompactParallel overwrites every flushed key, then flushes
+// and compacts: every key reads its newest version afterwards.
 func TestFlushCompactParallel(t *testing.T) {
 	c := pipelineCluster(t, 2000)
-	m := c.Metrics()
-	if m.Flushes < 5 {
-		t.Errorf("Flushes = %d, want >= 5 (one per region)", m.Flushes)
+	if m := c.Metrics(); m.Flushes == 0 {
+		t.Error("Flushes = 0, want > 0")
 	}
-	// Overwrite everything so compaction has garbage to drop, then
-	// compact all regions concurrently.
+	// Overwrite everything so compaction has garbage to drop.
 	for i := 0; i < 2000; i++ {
 		k := fmt.Sprintf("%d-%05d", i%10, i)
-		if err := c.PutCtx(bg, []byte(k), []byte("v2")); err != nil {
+		if err := put(c, []byte(k), []byte("v2")); err != nil {
 			t.Fatal(err)
 		}
 	}

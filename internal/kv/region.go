@@ -545,8 +545,8 @@ func (r *region) Get(key []byte) ([]byte, error) {
 
 // getBatch probes many keys against one consistent snapshot of the
 // region (single lock acquisition); missing keys yield nil entries in
-// out. idxs selects which positions of keys/out belong to this region.
-func (r *region) getBatch(idxs []int, keys, out [][]byte) error {
+// out, which is parallel to keys.
+func (r *region) getBatch(keys, out [][]byte) error {
 	r.mu.RLock()
 	if r.closed {
 		r.mu.RUnlock()
@@ -557,8 +557,8 @@ func (r *region) getBatch(idxs []int, keys, out [][]byte) error {
 	tables := pinTables(r.tables)
 	r.mu.RUnlock()
 	defer releaseTables(tables)
-	for _, i := range idxs {
-		v, err := getFrom(mem, imms, tables, keys[i])
+	for i, k := range keys {
+		v, err := getFrom(mem, imms, tables, k)
 		if err == ErrNotFound {
 			continue
 		}

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"just/internal/rpc"
 )
@@ -27,10 +26,6 @@ type NodeOptions struct {
 	// SplitBytes triggers an autonomous region split when a primary
 	// region's on-disk size exceeds it; 0 disables size splits.
 	SplitBytes int64
-	// SplitWriteBytes triggers a split when a primary region ingests
-	// more than this many bytes within one rate window (10s) — a
-	// write-hotspot split, independent of total size; 0 disables.
-	SplitWriteBytes int64
 	// Transport carries WAL shipping and split forwarding to replica
 	// peers. Required when any region has replicas.
 	Transport Transport
@@ -39,8 +34,8 @@ type NodeOptions struct {
 // splitIDSpace partitions the region-ID space per node (see NodeID).
 const splitIDSpace = 1_000_000
 
-// splitRateWindow is the write-rate measurement window.
-const splitRateWindow = 10 * time.Second
+// scanBatchSize caps the pairs of one scan reply frame.
+const scanBatchSize = 512
 
 // reseed chunking: mutations and bytes per shipped catch-up batch.
 const (
@@ -103,12 +98,6 @@ type servedRegion struct {
 	replicas []string          // primary: replica peer addresses
 	repSeq   map[string]uint64 // primary: last acked ship seq per replica
 	seq      uint64            // replica: last applied ship seq
-
-	// Ingest-rate window. Written under wmu, read by the region-map
-	// report and the split check without it: atomics are the one
-	// discipline.
-	rateBytes atomic.Int64 // bytes ingested in the current rate window
-	rateStart atomic.Int64 // window start, unix nanos
 }
 
 // nodeMeta is the persisted topology (nodemeta.json).
@@ -390,9 +379,6 @@ func (n *RegionNode) handlePutBatch(ctx context.Context, payload []byte, w *rpc.
 	if err == nil && len(sr.replicas) > 0 {
 		err = n.shipLocked(ctx, sr, req.Payload)
 	}
-	if err == nil {
-		n.noteWriteLocked(sr, int64(len(req.Payload)))
-	}
 	sr.wmu.Unlock()
 	sr.mu.RUnlock()
 	if err != nil {
@@ -403,16 +389,6 @@ func (n *RegionNode) handlePutBatch(ctx context.Context, payload []byte, w *rpc.
 	}
 	n.maybeSplit(sr)
 	return nil
-}
-
-// noteWriteLocked tracks the region's ingest rate (caller holds wmu).
-func (n *RegionNode) noteWriteLocked(sr *servedRegion, bytes int64) {
-	now := time.Now().UnixNano()
-	if now-sr.rateStart.Load() > int64(splitRateWindow) {
-		sr.rateStart.Store(now)
-		sr.rateBytes.Store(0)
-	}
-	sr.rateBytes.Add(bytes)
 }
 
 // shipLocked synchronously replicates one sealed batch payload to every
@@ -567,12 +543,8 @@ func (n *RegionNode) handleMultiGet(ctx context.Context, payload []byte, w *rpc.
 	if err != nil {
 		return sendKVErr(w, err)
 	}
-	idxs := make([]int, len(req.Keys))
-	for i := range idxs {
-		idxs[i] = i
-	}
 	out := make([][]byte, len(req.Keys))
-	err = sr.r.getBatch(idxs, req.Keys, out)
+	err = sr.r.getBatch(req.Keys, out)
 	sr.mu.RUnlock()
 	if err != nil {
 		return sendKVErr(w, err)
@@ -712,7 +684,6 @@ func (n *RegionNode) handleRegionMap(w *rpc.ResponseWriter) error {
 			Role: sr.role, Replicas: append([]string(nil), sr.replicas...),
 			Bytes: sr.r.DiskSize(), LastSeq: sr.seq,
 		}
-		info.WriteBps = sr.rateBytes.Load() * int64(time.Second) / int64(splitRateWindow)
 		sr.mu.RUnlock()
 		resp.Regions = append(resp.Regions, info)
 	}
@@ -868,15 +839,12 @@ func (n *RegionNode) handleMaintenance(w *rpc.ResponseWriter, fn func(*region) e
 	return w.Send(rpc.OpResp, nil)
 }
 
-// maybeSplit splits sr when it outgrew the size threshold or sustained
-// a hotspot write rate. Only primaries split autonomously; the split is
-// forwarded to the replicas so their copies bisect deterministically at
-// the same key into the same daughter IDs.
+// maybeSplit splits sr when it outgrew the size threshold. Only
+// primaries split autonomously; the split is forwarded to the replicas
+// so their copies bisect deterministically at the same key into the
+// same daughter IDs.
 func (n *RegionNode) maybeSplit(sr *servedRegion) {
-	sizeHot := n.opts.SplitBytes > 0 && sr.r.DiskSize() > n.opts.SplitBytes
-	rateHot := n.opts.SplitWriteBytes > 0 && sr.rateBytes.Load() > n.opts.SplitWriteBytes &&
-		sr.r.DiskSize() > n.opts.SplitWriteBytes/4
-	if !sizeHot && !rateHot {
+	if n.opts.SplitBytes <= 0 || sr.r.DiskSize() <= n.opts.SplitBytes {
 		return
 	}
 	n.splitMu.Lock()
@@ -886,7 +854,7 @@ func (n *RegionNode) maybeSplit(sr *servedRegion) {
 	if sr.retired || sr.role != rpc.RolePrimary {
 		return
 	}
-	if sizeHot && sr.r.DiskSize() <= n.opts.SplitBytes { // re-check under the lock
+	if sr.r.DiskSize() <= n.opts.SplitBytes { // re-check under the lock
 		return
 	}
 	// middleKey reads SSTable indexes, so recent memtable writes must

@@ -73,7 +73,7 @@ func TestBreakerOpensOnDeadPeerAndProberReadmits(t *testing.T) {
 		BreakerFailures: 2,
 		ProbeInterval:   25 * time.Millisecond,
 	}))
-	if err := r.PutCtx(bg, []byte("k1"), []byte("v1")); err != nil {
+	if err := put(r, []byte("k1"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
 	lb.SetDown("s1", true)
@@ -120,7 +120,7 @@ func TestBreakerBoundsDialsToDeadPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := r.PutCtx(bg, []byte("k1"), []byte("v1")); err != nil {
+	if err := put(r, []byte("k1"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
 	lb.SetDown("s1", true)
@@ -153,7 +153,7 @@ func TestHedgedReadBeatsSlowPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := r.PutCtx(bg, []byte("k1"), []byte("v1")); err != nil {
+	if err := put(r, []byte("k1"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
 	// The primary develops a 300ms stall on point reads; the replica
@@ -251,7 +251,7 @@ func TestDeadlineAbortsScanServerSide(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
 	defer cancel()
 	rows := 0
-	err = ScanRanges(ctx, r, []KeyRange{{}}, func(k, v []byte) bool {
+	err = ScanRange(ctx, r, KeyRange{}, func(k, v []byte) bool {
 		rows++
 		if rows%scanBatchSize == 0 {
 			<-ctx.Done()
@@ -335,7 +335,7 @@ func TestDeadlineScanAbortOverTCP(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
 	defer cancel()
 	rows := 0
-	err := ScanRanges(ctx, r, []KeyRange{{}}, func(k, v []byte) bool {
+	err := ScanRange(ctx, r, KeyRange{}, func(k, v []byte) bool {
 		rows++
 		if rows%scanBatchSize == 0 {
 			time.Sleep(8 * time.Millisecond)
@@ -468,7 +468,7 @@ func TestChaosKilledPeerBoundedWork(t *testing.T) {
 
 	const rows = 100
 	for i := 0; i < rows; i++ {
-		if err := r.PutCtx(bg, []byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
+		if err := put(r, []byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}

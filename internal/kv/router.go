@@ -566,33 +566,15 @@ func (r *Router) failover(ctx context.Context, reg routedRegion) {
 	r.mu.Unlock()
 }
 
-// PutCtx stores key → value; the remaining budget of ctx travels to the
-// region server in the request frame's deadline envelope.
-func (r *Router) PutCtx(ctx context.Context, key, value []byte) error {
-	return r.applyMuts(ctx, []mutation{{kindPut, key, value}})
-}
-
-// DeleteCtx removes key.
-func (r *Router) DeleteCtx(ctx context.Context, key []byte) error {
-	return r.applyMuts(ctx, []mutation{{kindDelete, key, nil}})
-}
-
 // ApplyCtx group-commits a WriteBatch, split across the regions its
-// keys land in; batch order is preserved within each region.
+// keys land in; batch order is preserved within each region. The
+// remaining budget of ctx travels to the region servers in the request
+// frames' deadline envelope.
 func (r *Router) ApplyCtx(ctx context.Context, b *WriteBatch) error {
 	if len(b.muts) == 0 {
 		return nil
 	}
 	return r.applyMuts(ctx, b.muts)
-}
-
-// DeleteBatchCtx removes many keys via the group-commit path.
-func (r *Router) DeleteBatchCtx(ctx context.Context, keys [][]byte) error {
-	muts := make([]mutation, len(keys))
-	for i, k := range keys {
-		muts[i] = mutation{kindDelete, k, nil}
-	}
-	return r.applyMuts(ctx, muts)
 }
 
 type mutGroup struct {

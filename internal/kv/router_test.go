@@ -35,7 +35,7 @@ func startRouterCluster(t *testing.T, n int, nopts NodeOptions, ropts RouterOpti
 func TestRouterBasicOps(t *testing.T) {
 	_, _, r := startRouterCluster(t, 3, NodeOptions{}, RouterOptions{})
 
-	if err := r.PutCtx(bg, []byte("alpha"), []byte("1")); err != nil {
+	if err := put(r, []byte("alpha"), []byte("1")); err != nil {
 		t.Fatalf("put: %v", err)
 	}
 	if v, err := r.GetCtx(bg, []byte("alpha")); err != nil || string(v) != "1" {
@@ -44,7 +44,9 @@ func TestRouterBasicOps(t *testing.T) {
 	if _, err := r.GetCtx(bg, []byte("nope")); err != ErrNotFound {
 		t.Fatalf("get missing = %v, want ErrNotFound", err)
 	}
-	if err := r.DeleteCtx(bg, []byte("alpha")); err != nil {
+	var del WriteBatch
+	del.Delete([]byte("alpha"))
+	if err := r.ApplyCtx(bg, &del); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
 	if _, err := r.GetCtx(bg, []byte("alpha")); err != ErrNotFound {
@@ -79,7 +81,7 @@ func TestRouterBasicOps(t *testing.T) {
 	}
 
 	count := 0
-	err = ScanRanges(context.Background(), r, []KeyRange{
+	err = scanPairs(bg, r, []KeyRange{
 		{Start: []byte("k000"), End: []byte("k050")},
 		{Start: []byte("k150"), End: []byte("k200")},
 	}, func(k, v []byte) bool { count++; return true })
@@ -89,11 +91,14 @@ func TestRouterBasicOps(t *testing.T) {
 	if count != 100 {
 		t.Fatalf("scanranges count = %d, want 100", count)
 	}
-	if err := r.DeleteBatchCtx(bg, [][]byte{[]byte("k000"), []byte("k001")}); err != nil {
-		t.Fatalf("deletebatch: %v", err)
+	var dels WriteBatch
+	dels.Delete([]byte("k000"))
+	dels.Delete([]byte("k001"))
+	if err := r.ApplyCtx(bg, &dels); err != nil {
+		t.Fatalf("delete batch: %v", err)
 	}
 	if _, err := r.GetCtx(bg, []byte("k000")); err != ErrNotFound {
-		t.Fatalf("get after deletebatch = %v", err)
+		t.Fatalf("get after delete batch = %v", err)
 	}
 }
 
@@ -108,7 +113,7 @@ func TestRouterSplitKeepsScanExact(t *testing.T) {
 	want := map[string]string{}
 	for i := 0; i < 1500; i++ {
 		k := fmt.Sprintf("row-%05d", i)
-		if err := r.PutCtx(bg, []byte(k), val); err != nil {
+		if err := put(r, []byte(k), val); err != nil {
 			t.Fatalf("put %s: %v", k, err)
 		}
 		want[k] = string(val)
@@ -153,7 +158,7 @@ func TestRouterRebalanceMovesRegions(t *testing.T) {
 	// several regions; the rebalancer should spread the primaries out.
 	val := bytes.Repeat([]byte("v"), 200)
 	for i := 0; i < 2000; i++ {
-		if err := r.PutCtx(bg, []byte(fmt.Sprintf("row-%05d", i)), val); err != nil {
+		if err := put(r, []byte(fmt.Sprintf("row-%05d", i)), val); err != nil {
 			t.Fatalf("put: %v", err)
 		}
 	}
@@ -190,7 +195,7 @@ func TestRouterColdMergeShrinksMap(t *testing.T) {
 
 	val := bytes.Repeat([]byte("v"), 200)
 	for i := 0; i < 1200; i++ {
-		if err := r.PutCtx(bg, []byte(fmt.Sprintf("row-%05d", i)), val); err != nil {
+		if err := put(r, []byte(fmt.Sprintf("row-%05d", i)), val); err != nil {
 			t.Fatalf("put: %v", err)
 		}
 	}
@@ -221,7 +226,7 @@ func TestRouterRestartsFromPersistedTopology(t *testing.T) {
 	// A second router over the same fabric adopts the existing regions
 	// instead of re-bootstrapping.
 	lb, _, r := startRouterCluster(t, 2, NodeOptions{}, RouterOptions{Replicas: 1})
-	if err := r.PutCtx(bg, []byte("x"), []byte("1")); err != nil {
+	if err := put(r, []byte("x"), []byte("1")); err != nil {
 		t.Fatalf("put: %v", err)
 	}
 	r2, err := OpenRouter(RouterOptions{Peers: []string{"s1", "s2"}, Transport: lb})

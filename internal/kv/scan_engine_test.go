@@ -18,18 +18,30 @@ import (
 // scan). It returns the pairs delivered.
 type scanFace func(ctx context.Context, s Store, ranges []KeyRange, on func(key []byte) error, deliver func() bool) ([]string, error)
 
-// viaRangesFunc scans through the per-pair adapter.
-func viaRangesFunc(ctx context.Context, s Store, ranges []KeyRange, on func([]byte) error, deliver func() bool) ([]string, error) {
+// viaRange scans the ranges one after the other through ScanRange, the
+// serial face: every pair is a hand-off of its own, and an error from
+// on stops the scan.
+func viaRange(ctx context.Context, s Store, ranges []KeyRange, on func([]byte) error, deliver func() bool) ([]string, error) {
 	var got []string
-	err := ScanRangesFunc(ctx, s, ranges,
-		func(k, v []byte) (string, bool, error) {
-			return string(k) + "=" + string(v), true, on(k)
-		},
-		func(p string) bool {
-			got = append(got, p)
-			return deliver()
+	for _, kr := range ranges {
+		var onErr error
+		stop := false
+		err := ScanRange(ctx, s, kr, func(k, v []byte) bool {
+			if onErr = on(k); onErr != nil {
+				return false
+			}
+			got = append(got, string(k)+"="+string(v))
+			stop = !deliver()
+			return !stop
 		})
-	return got, err
+		if onErr != nil {
+			return got, onErr
+		}
+		if err != nil || stop {
+			return got, err
+		}
+	}
+	return got, nil
 }
 
 // viaCollect scans through ScanCollect with a small batching collector.
@@ -60,11 +72,12 @@ func viaCollect(ctx context.Context, s Store, ranges []KeyRange, on func([]byte)
 	return got, err
 }
 
-// TestScanEngineFaces runs both faces of the one scan engine over the
-// same ranges on both Store implementations, through the serial
-// (≤ maxSerialScanTasks tasks) and the fanned-out path, and asserts
-// they agree: the same pair set, the same first error, early stop and
-// cancellation honored, no goroutine left behind.
+// TestScanEngineFaces runs both faces of the scan engine over the same
+// ranges on both Store implementations — ScanCollect through its serial
+// (≤ maxSerialScanTasks tasks) and its fanned-out path, ScanRange one
+// range after the other — and asserts they agree: the same pair set,
+// the same first error, early stop and cancellation honored, no
+// goroutine left behind.
 func TestScanEngineFaces(t *testing.T) {
 	const n = 3000
 	key := func(i int) string { return fmt.Sprintf("%d-%05d", i%10, i) }
@@ -106,7 +119,7 @@ func TestScanEngineFaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	stores := map[string]Store{"cluster": pipelineCluster(t, n), "router": router}
-	faces := map[string]scanFace{"ScanRangesFunc": viaRangesFunc, "ScanCollect": viaCollect}
+	faces := map[string]scanFace{"ScanRange": viaRange, "ScanCollect": viaCollect}
 
 	boom := errors.New("poison pair")
 	ok := func([]byte) error { return nil }

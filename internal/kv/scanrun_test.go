@@ -118,7 +118,7 @@ func checkRun(t *testing.T, r *Router, ranges []KeyRange) {
 			}
 		}
 	}
-	err := ScanRanges(bg, r, ranges, func(k, v []byte) bool {
+	err := scanPairs(bg, r, ranges, func(k, v []byte) bool {
 		got = append(got, string(k))
 		return len(got) <= len(want) // a run re-delivering keys stops here
 	})
@@ -289,7 +289,7 @@ func TestRouterScanRunEarlyStopCancelsStream(t *testing.T) {
 	}
 	base := runtime.NumGoroutine()
 	rows := 0
-	err = ScanRanges(bg, r, ranges, func(k, v []byte) bool {
+	err = scanPairs(bg, r, ranges, func(k, v []byte) bool {
 		rows++
 		return rows < 10
 	})

@@ -15,7 +15,7 @@ import (
 // Detection happens in the table layer (per-block CRC32C, see
 // sstable.go): any read or scrub that hits a persistently damaged block
 // gets an *ErrCorruptBlock and latches the region's corrupt flag. A
-// Cluster keeps one copy of each region, so there is nothing to heal
+// Cluster keeps one copy of its region, so there is nothing to heal
 // from: the damaged table stays in place — dropping it would turn
 // detected corruption into silent data loss — the flag shows in
 // ScrubState, and reads keep being served, the typed error surfacing
@@ -64,24 +64,14 @@ func (c *Cluster) scrubPass(ctx context.Context) error {
 		c.scrubRunning.Store(false)
 	}()
 
-	var blocks int64
-	var firstErr error
-	for _, r := range c.regions {
-		nb, err := r.verifyTables(ctx)
-		blocks += nb
-		atomic.AddInt64(&c.met.BlocksScrubbed, nb)
-		if ctx.Err() != nil {
-			return ErrClosed // pass canceled (shutdown)
-		}
-		if err != nil {
-			r.noteCorruption(err)
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
+	blocks, err := c.r.verifyTables(ctx)
+	atomic.AddInt64(&c.met.BlocksScrubbed, blocks)
+	if ctx.Err() != nil {
+		return ErrClosed // pass canceled (shutdown)
 	}
+	c.r.noteCorruption(err)
 	c.scrubLastBlocks.Store(blocks)
-	c.scrubLastErr = firstErr
+	c.scrubLastErr = err
 	atomic.AddInt64(&c.met.ScrubRuns, 1)
 	return nil
 }
@@ -118,15 +108,13 @@ func (c *Cluster) ScrubState() ScrubStatus {
 		BlocksScrubbed:      atomic.LoadInt64(&c.met.BlocksScrubbed),
 		CorruptionsDetected: atomic.LoadInt64(&c.met.CorruptionsDetected),
 	}
-	for _, r := range c.regions {
-		r.mu.RLock()
-		tables := len(r.tables)
-		r.mu.RUnlock()
-		corrupt := r.corrupt.Load()
-		if corrupt {
-			st.CorruptNodes++
-		}
-		st.Nodes = append(st.Nodes, RegionIntegrityState{Region: r.id, Tables: tables, Corrupt: corrupt})
+	c.r.mu.RLock()
+	tables := len(c.r.tables)
+	c.r.mu.RUnlock()
+	corrupt := c.r.corrupt.Load()
+	if corrupt {
+		st.CorruptNodes = 1
 	}
+	st.Nodes = []RegionIntegrityState{{Region: c.r.id, Tables: tables, Corrupt: corrupt}}
 	return st
 }

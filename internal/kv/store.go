@@ -5,8 +5,8 @@ import "context"
 // Store is the storage-fabric surface the table and query layers build
 // on. Two implementations exist:
 //
-//   - *Cluster: the standalone store — single-copy regions at fixed
-//     split points, all in one process.
+//   - *Cluster: the standalone store — one single-copy region, in
+//     process.
 //   - *Router: the networked deployment — a cached region map routing
 //     every operation to TCP region servers (see router.go).
 //
@@ -14,30 +14,24 @@ import "context"
 // to reach storage without one. The networked Router propagates the
 // remaining budget to the region servers in the request frames (so
 // abandoned work aborts server-side); the in-process Cluster honors
-// cancellation at the operation boundary. Scans are package-level
-// functions over any Store: ScanCollect and ScanRangesFunc (parallel,
-// in-worker decode/filter), ScanRanges (parallel, whole pairs) and
-// ScanRange (one range, key order).
+// cancellation at the operation boundary. ApplyCtx is the one write.
+// Scans are the two package-level faces of the scan engine over any
+// Store: ScanCollect (many ranges, in-worker collectors, parallel) and
+// ScanRange (one range, key order, serial views).
 //
 // The unexported methods deliberately restrict implementations to this
-// package: the scan engine (scanCollect) is built on their contracts,
+// package: the scan engine is built on their contracts,
 // which are too easy to get subtly wrong (resume semantics, slot
 // accounting) to leave open.
 type Store interface {
-	// PutCtx stores key → value.
-	PutCtx(ctx context.Context, key, value []byte) error
-	// DeleteCtx removes key.
-	DeleteCtx(ctx context.Context, key []byte) error
 	// GetCtx fetches the value for key or ErrNotFound.
 	GetCtx(ctx context.Context, key []byte) ([]byte, error)
-	// ApplyCtx group-commits a WriteBatch (regions in parallel, batch
+	// ApplyCtx group-commits a WriteBatch of puts and deletes (batch
 	// order kept within each region).
 	ApplyCtx(ctx context.Context, b *WriteBatch) error
 	// MultiGetCtx fetches many keys; the result is parallel to keys,
 	// with nil entries for missing keys.
 	MultiGetCtx(ctx context.Context, keys [][]byte) ([][]byte, error)
-	// DeleteBatchCtx removes many keys via the group-commit path.
-	DeleteBatchCtx(ctx context.Context, keys [][]byte) error
 	// Flush persists all memtables.
 	Flush() error
 	// Compact fully compacts every region.
@@ -74,8 +68,7 @@ type Store interface {
 // served by one region. The implementation fields match the Store that
 // produced the task.
 type scanTask struct {
-	kr KeyRange       // *Cluster: the one sub-range
-	r  *clusterRegion // *Cluster: the region serving it
+	kr KeyRange // *Cluster: the one range
 	// run is *Router's: ascending sub-ranges of one cached region, each
 	// starting at or after the previous one's end, shipped in one OpScan.
 	run []KeyRange

@@ -435,7 +435,6 @@ type RegionInfo struct {
 	Role     byte     `json:"role"`
 	Replicas []string `json:"replicas,omitempty"` // primary only
 	Bytes    int64    `json:"bytes"`
-	WriteBps int64    `json:"write_bps"` // recent write rate, bytes/sec
 	LastSeq  uint64   `json:"last_seq"`
 }
 

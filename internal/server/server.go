@@ -626,7 +626,7 @@ func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleScrubRun runs a synchronous scrub pass over every SSTable block
-// of every region: POST /api/v1/admin/scrub/run. The response reports
+// of the store: POST /api/v1/admin/scrub/run. The response reports
 // the pass's outcome; an error field means corruption was found.
 func (s *Server) handleScrubRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {

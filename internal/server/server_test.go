@@ -234,7 +234,7 @@ func TestServerMetrics(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"regions", "scan_tasks", "scan_pairs", "scan_kept"} {
+	for _, key := range []string{"regions", "scan_tasks", "scan_pairs"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("metrics missing %q: %v", key, m)
 		}
@@ -344,7 +344,9 @@ func TestCursorByteBound(t *testing.T) {
 // synchronous scrub pass, and the integrity counters are on /metrics.
 func TestAdminScrubEndpoints(t *testing.T) {
 	ts, s := newTestServer(t, Options{})
-	if err := s.engine.Cluster().PutCtx(context.Background(), []byte("k"), []byte("v")); err != nil {
+	var b kv.WriteBatch
+	b.Put([]byte("k"), []byte("v"))
+	if err := s.engine.Cluster().ApplyCtx(context.Background(), &b); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.engine.Cluster().Flush(); err != nil {
@@ -424,8 +426,8 @@ func TestMetricsKeySetGolden(t *testing.T) {
 		"queries_mem_budget_kills", "queries_queued", "queries_shed",
 		"read_retries", "region_merges", "region_moves", "region_splits",
 		"regions", "rpc_bytes_in", "rpc_bytes_out", "rpc_hedge_wins",
-		"rpc_hedges", "rpc_redials", "rpc_retries", "scan_batches", "scan_cancels",
-		"scan_kept", "scan_pairs", "scan_tasks", "scrub_runs",
+		"rpc_hedges", "rpc_redials", "rpc_retries", "scan_cancels",
+		"scan_pairs", "scan_tasks", "scrub_runs",
 		"slow_queries", "stale_map_refreshes",
 		"stats_refreshes", "wal_sync_bytes", "wal_syncs",
 		"write_stall_nanos", "write_stalls",

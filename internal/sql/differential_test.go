@@ -88,8 +88,9 @@ func TestDifferentialPlanShapes(t *testing.T) {
 		sort.SliceStable(out, func(i, j int) bool { return less(out[i], out[j]) })
 		return out
 	}
-	// group is the reference GROUP BY: count(*), sum, min and max of one
-	// column per key value (key < 0: one group of every row).
+	// group is the reference GROUP BY: count(*), sum, min, max and
+	// count of one column per key value (key < 0: one group of every
+	// row). Like SQL, sum, min, max and count(col) skip NULL inputs.
 	group := func(rows []exec.Row, key, col int) []exec.Row {
 		var out []exec.Row
 		for _, r := range rows {
@@ -104,7 +105,7 @@ func TestDifferentialPlanShapes(t *testing.T) {
 				}
 			}
 			if g == nil {
-				g = exec.Row{kv, int64(0), float64(0), nil, nil}
+				g = exec.Row{kv, int64(0), float64(0), nil, nil, int64(0)}
 				out = append(out, g)
 			}
 			g[1] = g[1].(int64) + 1
@@ -117,18 +118,25 @@ func TestDifferentialPlanShapes(t *testing.T) {
 				if g[4] == nil || cmp(x, g[4]) > 0 {
 					g[4] = x
 				}
+				g[5] = g[5].(int64) + 1
 			}
 		}
 		return out
 	}
-	// withAvg puts avg(fid) after each group's sum. fid is never NULL,
-	// so the reference does not depend on how AVG treats a NULL input.
-	// byFid is group over the same rows and key with col fid; its
-	// groups come in the same order.
+	// avg is the reference AVG of a group's column: its sum over its
+	// non-NULL count, NULL when every input is NULL.
+	avg := func(g exec.Row) any {
+		if n := g[5].(int64); n > 0 {
+			return g[2].(float64) / float64(n)
+		}
+		return nil
+	}
+	// withAvg puts avg(fid) after each group's sum. byFid is group over
+	// the same rows and key with col fid; its groups come in the same
+	// order.
 	withAvg := func(groups, byFid []exec.Row) []exec.Row {
 		for i, g := range groups {
-			f := byFid[i]
-			groups[i] = exec.Row{g[0], g[1], g[2], f[2].(float64) / float64(f[1].(int64)), g[3], g[4]}
+			groups[i] = exec.Row{g[0], g[1], g[2], avg(byFid[i]), g[3], g[4]}
 		}
 		return groups
 	}
@@ -211,7 +219,7 @@ func TestDifferentialPlanShapes(t *testing.T) {
 		{
 			name: "residual + GROUP BY",
 			sql:  `SELECT name, count(*) AS n, sum(w) AS s, min(w) AS lo, max(w) AS hi FROM t WHERE v >= 5 GROUP BY name`,
-			want: group(filter(T, func(r exec.Row) bool { return cmp(r[v], int64(5)) >= 0 }), name, w),
+			want: pick(group(filter(T, func(r exec.Row) bool { return cmp(r[v], int64(5)) >= 0 }), name, w), 0, 1, 2, 3, 4),
 		},
 		{
 			// The shape of the benchmark's aggregate: the aggregator is the
@@ -239,6 +247,18 @@ func TestDifferentialPlanShapes(t *testing.T) {
 			want: func() []exec.Row {
 				rows := filter(T, func(r exec.Row) bool { return cmp(r[w], 30.0) > 0 })
 				return pick(withAvg(group(rows, -1, v), group(rows, -1, fid)), 1, 2, 3, 4, 5)
+			}(),
+		},
+		{
+			// w holds NULLs: COUNT(w) and AVG(w) skip them, COUNT(*) not.
+			name: "COUNT and AVG of a column with NULLs, GROUP BY a string key",
+			sql:  `SELECT name, count(*) AS n, count(w) AS nw, avg(w) AS a FROM t GROUP BY name`,
+			want: func() []exec.Row {
+				var out []exec.Row
+				for _, g := range group(T, name, w) {
+					out = append(out, exec.Row{g[0], g[1], g[5], avg(g)})
+				}
+				return out
 			}(),
 		},
 		{
@@ -281,9 +301,9 @@ func TestDifferentialPlanShapes(t *testing.T) {
 				`CREATE VIEW b AS SELECT name, w FROM a WHERE name != 'n1'`,
 			},
 			sql: `SELECT name, count(*) AS n, sum(w) AS s, min(w) AS lo, max(w) AS hi FROM b GROUP BY name`,
-			want: group(filter(T, func(r exec.Row) bool {
+			want: pick(group(filter(T, func(r exec.Row) bool {
 				return cmp(r[v], int64(3)) > 0 && cmp(r[name], "n1") != 0
-			}), name, w),
+			}), name, w), 0, 1, 2, 3, 4),
 		},
 		{
 			name: "point lookup with a residual",

@@ -37,17 +37,34 @@ func seedScanQuery(t *Table, q index.Query, emit func(exec.Row) bool) error {
 	if err != nil {
 		return err
 	}
+	newTask := func() kv.TaskCollector[[][]byte] {
+		var batch [][]byte
+		return kv.TaskCollector[[][]byte]{
+			Add: func(_, v []byte) ([][]byte, bool, error) {
+				batch = append(batch, append([]byte(nil), v...))
+				if len(batch) < 512 {
+					return nil, false, nil
+				}
+				full := batch
+				batch = nil
+				return full, true, nil
+			},
+			Finish: func() ([][]byte, bool, error) { return batch, len(batch) > 0, nil },
+		}
+	}
 	var decodeErr error
-	err = kv.ScanRanges(context.Background(), t.cluster, path.Ranges, func(k, v []byte) bool {
-		row, err := t.codec.Decode(v)
-		if err != nil {
-			decodeErr = err
-			return false
+	err = kv.ScanCollect(context.Background(), t.cluster, path.Ranges, newTask, func(vals [][]byte) bool {
+		for _, v := range vals {
+			row, err := t.codec.Decode(v)
+			if err != nil {
+				decodeErr = err
+				return false
+			}
+			if rowMatches(t, row, q) && !emit(row) {
+				return false
+			}
 		}
-		if !rowMatches(t, row, q) {
-			return true
-		}
-		return emit(row)
+		return true
 	})
 	if decodeErr != nil {
 		return decodeErr

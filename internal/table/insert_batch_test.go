@@ -125,9 +125,10 @@ func TestInsertBatchMatchesInsert(t *testing.T) {
 }
 
 // insertOne is the single-row write path: one GetCtx for the previous
-// version, a DeleteCtx per moved index entry, a PutCtx per copy. No
-// production caller is left (every insert is a batch); it stays here as
-// the oracle InsertBatchCtx is checked against.
+// version, then one WriteBatch with a delete per moved index entry and
+// a put per copy. No production caller is left (every insert is a
+// batch of rows); it stays here as the oracle InsertBatchCtx is checked
+// against.
 func (t *Table) insertOne(ctx context.Context, row exec.Row) error {
 	rec, err := t.record(row)
 	if err != nil {
@@ -151,6 +152,7 @@ func (t *Table) insertOne(ctx context.Context, row exec.Row) error {
 	// Tombstone index entries of a previous version that landed on
 	// different keys (the record moved).
 	attrKey := append(t.keyPrefix(t.attrID), t.attr.KeyForFID(rec.FID)...)
+	var b kv.WriteBatch
 	if oldValue, err := t.cluster.GetCtx(ctx, attrKey); err == nil {
 		oldRow, err := t.codec.Decode(oldValue)
 		if err != nil {
@@ -170,27 +172,20 @@ func (t *Table) insertOne(ctx context.Context, row exec.Row) error {
 			}
 			full := append(t.keyPrefix(s.id), oldKey...)
 			if newKeys[i] == nil || !bytes.Equal(full, newKeys[i]) {
-				if err := t.cluster.DeleteCtx(ctx, full); err != nil {
-					return err
-				}
+				b.Delete(full)
 			}
 		}
 	} else if err != kv.ErrNotFound {
 		return err
 	}
 	t.widenSpan(rec.Start, rec.Start)
-	if err := t.cluster.PutCtx(ctx, attrKey, value); err != nil {
-		return err
-	}
+	b.Put(attrKey, value)
 	for _, key := range newKeys {
-		if key == nil {
-			continue
-		}
-		if err := t.cluster.PutCtx(ctx, key, value); err != nil {
-			return err
+		if key != nil {
+			b.Put(key, value)
 		}
 	}
-	return nil
+	return t.cluster.ApplyCtx(ctx, &b)
 }
 
 func TestInsertBatchEmpty(t *testing.T) {

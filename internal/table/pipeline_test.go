@@ -157,10 +157,12 @@ func TestScanDecodeErrorPropagates(t *testing.T) {
 	if len(victims) == 0 {
 		t.Fatal("no stored keys")
 	}
+	var b kv.WriteBatch
 	for _, k := range victims {
-		if err := cluster.PutCtx(bg, k, []byte{0x00}); err != nil {
-			t.Fatal(err)
-		}
+		b.Put(k, []byte{0x00})
+	}
+	if err := cluster.ApplyCtx(bg, &b); err != nil {
+		t.Fatal(err)
 	}
 	err := tbl.FullScan(context.Background(), func(exec.Row) bool { return true })
 	if !errors.Is(err, ErrBadRow) {

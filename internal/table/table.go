@@ -382,33 +382,6 @@ func (t *Table) GetCtx(ctx context.Context, fid any) (exec.Row, error) {
 	return t.codec.Decode(v)
 }
 
-// Delete removes a row (all index copies) by primary key.
-func (t *Table) Delete(ctx context.Context, fid any) error {
-	row, err := t.GetCtx(ctx, fid)
-	if err != nil {
-		return err
-	}
-	rec, err := t.record(row)
-	if err != nil {
-		return err
-	}
-	for _, s := range t.strategies {
-		if rec.Geom == nil {
-			continue
-		}
-		key, err := s.Key(rec)
-		if err != nil {
-			return err
-		}
-		full := append(t.keyPrefix(s.id), key...)
-		if err := t.cluster.DeleteCtx(ctx, full); err != nil {
-			return err
-		}
-	}
-	attrKey := append(t.keyPrefix(t.attrID), t.attr.KeyForFID(rec.FID)...)
-	return t.cluster.DeleteCtx(ctx, attrKey)
-}
-
 // ScanQuery streams rows matching the spatio-temporal window: it plans
 // key ranges on the best index, SCANs them in parallel, decodes, and
 // post-filters on the record's MBR and time span (the curve-level
@@ -636,22 +609,18 @@ func (t *Table) FullScan(ctx context.Context, emit func(exec.Row) bool) error {
 
 // DropData deletes every key owned by the table. (DROP TABLE deletes the
 // catalog entry and the stored data.) Keys are collected without
-// touching the values and deleted in one batch per region.
+// touching the values and deleted in one WriteBatch.
 func (t *Table) DropData(ctx context.Context) error {
-	ranges := []kv.KeyRange{index.KeysUnder(t.keyPrefix(0)[:4])} // [tableID u32]: every index
-	var keys [][]byte
-	err := kv.ScanRangesFunc(ctx, t.cluster, ranges,
-		func(k, _ []byte) ([]byte, bool, error) {
-			return append([]byte(nil), k...), true, nil
-		},
-		func(k []byte) bool {
-			keys = append(keys, k)
+	var b kv.WriteBatch
+	err := kv.ScanRange(ctx, t.cluster, index.KeysUnder(t.keyPrefix(0)[:4]), // [tableID u32]: every index
+		func(k, _ []byte) bool {
+			b.Delete(append([]byte(nil), k...))
 			return true
 		})
 	if err != nil {
 		return exec.MapCtxErr(err)
 	}
-	return exec.MapCtxErr(t.cluster.DeleteBatchCtx(ctx, keys))
+	return exec.MapCtxErr(t.cluster.ApplyCtx(ctx, &b))
 }
 
 // GeomIndex returns the geometry column position or -1.

@@ -302,7 +302,7 @@ func newTestTable(t *testing.T) (*Table, *kv.Cluster) {
 const hourMS = int64(3600 * 1000)
 
 func TestTableInsertGetDelete(t *testing.T) {
-	tbl, _ := newTestTable(t)
+	tbl, cluster := newTestTable(t)
 	row := exec.Row{int64(1), int64(5 * hourMS), geom.Point{Lng: 116.4, Lat: 39.9}, "bj"}
 	if err := insertRows(tbl, row); err != nil {
 		t.Fatal(err)
@@ -314,11 +314,16 @@ func TestTableInsertGetDelete(t *testing.T) {
 	if got[3] != "bj" {
 		t.Fatalf("got = %v", got)
 	}
-	if err := tbl.Delete(bg, int64(1)); err != nil {
+	// DropData deletes every index copy of every row in one WriteBatch.
+	if err := tbl.DropData(bg); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tbl.GetCtx(bg, int64(1)); err == nil {
 		t.Fatal("deleted row still readable")
+	}
+	n := 0
+	if err := kv.ScanRange(bg, cluster, kv.KeyRange{}, func(k, v []byte) bool { n++; return true }); err != nil || n != 0 {
+		t.Fatalf("%d keys left after DropData (err %v)", n, err)
 	}
 }
 
