@@ -22,7 +22,7 @@ func waitGoroutines(t *testing.T, base int) {
 	t.Fatalf("goroutines leaked: base=%d now=%d", base, runtime.NumGoroutine())
 }
 
-func TestScanRangesCtxPreCanceled(t *testing.T) {
+func TestScanCollectCtxPreCanceled(t *testing.T) {
 	c := pipelineCluster(t, 100)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -32,10 +32,10 @@ func TestScanRangesCtxPreCanceled(t *testing.T) {
 	}
 }
 
-// TestScanRangesCtxCancelMidScan cancels the context from inside the
+// TestScanCollectCtxCancelMidScan cancels the context from inside the
 // emit callback and verifies the scan aborts with context.Canceled and
 // every worker goroutine drains.
-func TestScanRangesCtxCancelMidScan(t *testing.T) {
+func TestScanCollectCtxCancelMidScan(t *testing.T) {
 	c := pipelineCluster(t, 5000)
 	base := runtime.NumGoroutine()
 	for round := 0; round < 3; round++ {
@@ -88,10 +88,10 @@ func TestScanRangeCtxCancelMidRange(t *testing.T) {
 	}
 }
 
-// TestScanRangesFuncCtxDeadline gives a pipelined scan a deadline far
+// TestScanCollectCtxDeadline gives a pipelined scan a deadline far
 // shorter than the scan needs (the process stage is artificially slow)
 // and verifies the workers abort with DeadlineExceeded and drain.
-func TestScanRangesFuncCtxDeadline(t *testing.T) {
+func TestScanCollectCtxDeadline(t *testing.T) {
 	c := pipelineCluster(t, 5000)
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -112,11 +112,11 @@ func TestScanRangesFuncCtxDeadline(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestScanRangesCtxCancelWithDownServer exercises cancellation racing a
+// TestScanCollectCtxCancelWithDownServer exercises cancellation racing a
 // region-server failure: scans canceled while the primary's server is
 // partitioned must not wedge or leak workers, and the router keeps
 // serving every row afterwards from the promoted replica.
-func TestScanRangesCtxCancelWithDownServer(t *testing.T) {
+func TestScanCollectCtxCancelWithDownServer(t *testing.T) {
 	lb, _, r := startRouterCluster(t, 3, NodeOptions{}, fastRetry(RouterOptions{Replicas: 1}))
 	var b WriteBatch
 	for i := 0; i < 3000; i++ {

@@ -40,7 +40,7 @@ func pipelineCluster(t *testing.T, n int) *Cluster {
 	return c
 }
 
-func TestScanRangesFuncProcessAndFilter(t *testing.T) {
+func TestScanCollectProcessAndFilter(t *testing.T) {
 	const n = 3000
 	c := pipelineCluster(t, n)
 	var mu sync.Mutex
@@ -82,7 +82,7 @@ func TestScanRangesFuncProcessAndFilter(t *testing.T) {
 	}
 }
 
-func TestScanRangesFuncProcessErrorPropagates(t *testing.T) {
+func TestScanCollectProcessErrorPropagates(t *testing.T) {
 	boom := errors.New("decode failed")
 	process := func(k, v []byte) ([]byte, bool, error) {
 		if strings.HasSuffix(string(k), "00777") {
@@ -113,12 +113,12 @@ func TestScanRangesFuncProcessErrorPropagates(t *testing.T) {
 	})
 }
 
-// TestScanRangesFuncErrorBeatsCancel pins the deterministic error
+// TestScanCollectErrorBeatsCancel pins the deterministic error
 // contract: a worker error must be reported even when the consumer
 // cancels the scan concurrently. A poison pair blocks inside process
 // until after emit has cancelled, then fails — the old non-blocking
 // error pickup would have dropped it.
-func TestScanRangesFuncErrorBeatsCancel(t *testing.T) {
+func TestScanCollectErrorBeatsCancel(t *testing.T) {
 	c := pipelineCluster(t, 2000)
 	boom := errors.New("late worker error")
 	entered := make(chan struct{}) // poison pair reached process
@@ -143,7 +143,7 @@ func TestScanRangesFuncErrorBeatsCancel(t *testing.T) {
 	}
 }
 
-func TestScanRangesFuncEarlyStopReleasesWorkers(t *testing.T) {
+func TestScanCollectEarlyStopReleasesWorkers(t *testing.T) {
 	c := pipelineCluster(t, 5000)
 	before := runtime.NumGoroutine()
 	for round := 0; round < 3; round++ {

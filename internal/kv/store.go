@@ -59,8 +59,9 @@ type Store interface {
 	runScanTask(ctx context.Context, t scanTask, emit func(key, value []byte) bool) error
 	// metrics exposes the live counter block for the scan pipeline.
 	metrics() *Metrics
-	// scanWidth sizes the worker → consumer batch channel (roughly the
-	// useful scan parallelism).
+	// scanWidth is the useful scan parallelism: ScanCollect runs up to
+	// that many workers and queues two batches per worker for the
+	// consumer.
 	scanWidth() int
 }
 

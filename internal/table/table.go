@@ -459,19 +459,22 @@ func (t *Table) collectBatches(ctx context.Context, ranges []kv.KeyRange, q *ind
 	}
 	timeCheck := filter != nil && q.HasTime && t.timeIdx >= 0
 	qry := exec.QueryFromContext(ctx)
-	// Batches emit handed back, refilled by whichever task next needs
-	// one. 16 holds all a scan can have in flight (one per running task
-	// plus kv's worker → consumer queue of 10), so none is dropped.
+	// Batches emit handed back, refilled by whichever worker next needs
+	// one. 16 holds all a scan can have in flight on the standalone store
+	// (one per scan worker, at most 5, plus kv's worker → consumer queue
+	// of 10), so none is dropped.
 	spare := make(chan *exec.ColumnBatch, 16)
+	// One collector serves all of a scan worker's tasks, so a partly
+	// filled batch carries over from one task to the next.
 	newTask := func() kv.TaskCollector[*exec.ColumnBatch] {
 		// Batch capacity ramps up (32 → BatchRows): a LIMIT-style query
 		// that stops after a few rows, or one running under a tight
 		// memory budget, only ever pays for a small first batch, while a
 		// long scan reaches full-size batches within three flushes.
 		c := exec.BatchRows / 8
-		// The batch and the dictionaries are taken on the task's first
-		// decoded row: most tasks of a selective plan never see one, and
-		// then they cost nothing.
+		// The batch and the dictionaries are taken on the first decoded
+		// row after the previous batch left: most tasks of a selective
+		// plan never see a row, and then they cost nothing.
 		var b *exec.ColumnBatch
 		var interns []*compress.Dict
 		add := func(_, v []byte) (*exec.ColumnBatch, bool, error) {
@@ -486,18 +489,17 @@ func (t *Table) collectBatches(ctx context.Context, ranges []kv.KeyRange, q *ind
 				default:
 					b = exec.NewColumnBatch(schema, c)
 				}
-				if interns == nil {
-					// Per-task string dictionaries for columns whose sampled
-					// cardinality marked them worth interning. A task decodes
-					// its rows sequentially, so an unshared Dict needs no
-					// locking, and its lifetime (one scan task) bounds the
-					// memory it can hold.
-					if ic := t.internCols.Load(); ic != nil {
-						interns = make([]*compress.Dict, len(t.Desc.Columns))
-						for i, on := range *ic {
-							if on && (rest[i] || (filter != nil && filter[i])) {
-								interns[i] = new(compress.Dict)
-							}
+				// Per-batch string dictionaries for columns whose sampled
+				// cardinality marked them worth interning. A worker decodes
+				// its rows sequentially, so an unshared Dict needs no
+				// locking, and its lifetime (the batch it fills) bounds the
+				// memory it can hold to strings the batch itself keeps.
+				interns = nil
+				if ic := t.internCols.Load(); ic != nil {
+					interns = make([]*compress.Dict, len(t.Desc.Columns))
+					for i, on := range *ic {
+						if on && (rest[i] || (filter != nil && filter[i])) {
+							interns[i] = new(compress.Dict)
 						}
 					}
 				}
