@@ -256,9 +256,9 @@ func TestRouterScanRunMergeMidRun(t *testing.T) {
 }
 
 // TestRouterScanRunEarlyStopCancelsStream stops consuming a scan of six
-// runs (one per region, so the engine fans out) after a few rows, the
-// LIMIT shape: the region node sees its streams canceled and no scan
-// goroutine outlives the call.
+// runs (one per region; the one-peer router serves them with one worker,
+// inline) after a few rows, the LIMIT shape: the region node sees its
+// stream canceled and no scan goroutine outlives the call.
 func TestRouterScanRunEarlyStopCancelsStream(t *testing.T) {
 	lb := NewLoopback()
 	node := testNode(t, lb, "s1", 1, NodeOptions{})
