@@ -1,5 +1,5 @@
 // Command just-server runs JUST as a PaaS: one shared engine behind the
-// HTTP service layer, multi-user namespaces, cursor-paged results
+// HTTP service layer, multi-user namespaces, streamed results
 // (Section VII of the paper).
 //
 // Three process roles compose a deployment:
@@ -38,7 +38,7 @@ func main() {
 	role := flag.String("role", "standalone", "process role: standalone, region or router")
 	dir := flag.String("dir", "./just-data", "storage directory")
 	addr := flag.String("addr", ":8045", "HTTP listen address (standalone/router)")
-	pageSize := flag.Int("page-size", 1000, "rows per result transmission")
+	pageSize := flag.Int("page-size", 1000, "rows per result transmission (the result stream is flushed every page-size rows)")
 	viewTTL := flag.Duration("view-ttl", 30*time.Minute, "idle view eviction")
 	replication := flag.Int("replication", 0, "replicas per region on distinct region servers (router role; 0 = off)")
 	scrubInterval := flag.Duration("scrub-interval", 0, "background SSTable integrity scrub period (0 = off)")

@@ -1,6 +1,6 @@
 // Package jobs is the maintenance job orchestrator: every background
 // chore in the engine (memtable flush, compaction, integrity scrub,
-// statistics refresh, cursor janitor, region rebalance)
+// statistics refresh, region rebalance)
 // runs through one dependency-aware scheduler instead of an ad-hoc
 // goroutine loop per subsystem.
 //
@@ -47,7 +47,6 @@ const (
 	ClassCompact   Class = "compact"
 	ClassScrub     Class = "scrub"
 	ClassStats     Class = "stats"
-	ClassJanitor   Class = "janitor"
 	ClassRebalance Class = "rebalance"
 )
 
@@ -145,8 +144,6 @@ func classDefault(c Class) ClassConfig {
 		return ClassConfig{MaxConcurrent: 1, Priority: 30}
 	case ClassRebalance:
 		return ClassConfig{MaxConcurrent: 1, Priority: 30}
-	case ClassJanitor:
-		return ClassConfig{MaxConcurrent: 1, Priority: 20}
 	default:
 		return ClassConfig{MaxConcurrent: 1, Priority: 50}
 	}
@@ -175,7 +172,6 @@ type Options struct {
 	Classes            map[Class]ClassConfig // per-class overrides
 	QuarantineAfter    int                   // consecutive class failures before quarantine (0 = 5, <0 = off)
 	QuarantineCooldown time.Duration         // auto re-admit delay (0 = 30s)
-	HistoryDepth       int                   // run records kept per registered job (0 = 8)
 
 	// Disk-pressure watchdog: enabled when DiskFreeLow > 0. DiskPath is
 	// probed every DiskCheckInterval; when free bytes drop below
@@ -201,13 +197,6 @@ func (o Options) cooldown() time.Duration {
 		return 30 * time.Second
 	}
 	return o.QuarantineCooldown
-}
-
-func (o Options) history() int {
-	if o.HistoryDepth <= 0 {
-		return 8
-	}
-	return o.HistoryDepth
 }
 
 // counters is the per-class metrics block; all fields atomic.
@@ -307,7 +296,7 @@ type Scheduler struct {
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
-	wg      sync.WaitGroup // watchdog + Submit goroutines
+	wg      sync.WaitGroup // watchdog + DoShared goroutines
 
 	pressure atomic.Bool
 	diskFree atomic.Int64
@@ -412,6 +401,9 @@ type job struct {
 	lastRun  time.Time
 	history  []RunRecord
 }
+
+// historyDepth is the number of run records kept per registered job.
+const historyDepth = 8
 
 // Register adds a named job and starts its loop goroutine.
 func (s *Scheduler) Register(spec Spec) error {
@@ -542,8 +534,8 @@ func (j *job) runOnce() {
 		j.lastErr = ""
 	}
 	j.history = append(j.history, rec)
-	if max := j.s.opts.history(); len(j.history) > max {
-		j.history = j.history[len(j.history)-max:]
+	if len(j.history) > historyDepth {
+		j.history = j.history[len(j.history)-historyDepth:]
 	}
 	ws := j.waiters
 	j.waiters = nil
@@ -593,21 +585,6 @@ func (s *Scheduler) RunNow(ctx context.Context, name string) error {
 	}
 }
 
-// Trigger marks the named job due without waiting.
-func (s *Scheduler) Trigger(name string) error {
-	s.mu.Lock()
-	j, ok := s.jobs[name]
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownJob, name)
-	}
-	select {
-	case j.kick <- struct{}{}:
-	default:
-	}
-	return nil
-}
-
 // --- ad-hoc execution ------------------------------------------------
 
 // Do runs fn inline under the scheduler's discipline for class: subject
@@ -615,35 +592,6 @@ func (s *Scheduler) Trigger(name string) error {
 // cap, panic isolation and the class retry policy.
 func (s *Scheduler) Do(ctx context.Context, class Class, fn func(context.Context) error) error {
 	return s.exec(execReq{parent: ctx, class: class, fn: fn})
-}
-
-// Submit runs spec.Fn once, asynchronously, under class discipline.
-// The goroutine is owned by the scheduler and drained by Close.
-func (s *Scheduler) Submit(spec Spec) error {
-	if spec.Fn == nil {
-		return errors.New("jobs: Submit needs Fn")
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	s.wg.Add(1)
-	s.mu.Unlock()
-	go func() {
-		defer s.wg.Done()
-		err := s.exec(execReq{
-			parent:   s.baseCtx,
-			class:    spec.Class,
-			retry:    spec.Retry,
-			deadline: spec.Deadline,
-			fn:       spec.Fn,
-		})
-		if err != nil && !errors.Is(err, context.Canceled) {
-			s.logf("jobs: %s %q: %v", spec.Class, spec.Name, err)
-		}
-	}()
-	return nil
 }
 
 // DoShared collapses concurrent callers with the same key onto a single
@@ -862,21 +810,6 @@ func (s *Scheduler) Resume(class Class) {
 	cs.quarantined = false
 	cs.consecFails = 0
 	s.mu.Unlock()
-}
-
-// Quarantined lists currently quarantined classes (cooldown not yet
-// expired or operator-resume pending).
-func (s *Scheduler) Quarantined() []Class {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Class
-	for c, cs := range s.classes {
-		if cs.quarantined && time.Now().Before(cs.until) {
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i] < out[k] })
-	return out
 }
 
 // Healthy reports an open scheduler with no quarantined class.

@@ -90,8 +90,14 @@ func TestPanicIsolationAndQuarantine(t *testing.T) {
 	if s.Healthy() {
 		t.Fatal("scheduler healthy with a quarantined class")
 	}
-	if got := s.Quarantined(); len(got) != 1 || got[0] != ClassCompact {
-		t.Fatalf("Quarantined() = %v", got)
+	var quarantined []Class
+	for _, cs := range s.Snapshot().Classes {
+		if cs.Quarantined {
+			quarantined = append(quarantined, cs.Class)
+		}
+	}
+	if len(quarantined) != 1 || quarantined[0] != ClassCompact {
+		t.Fatalf("quarantined classes = %v, want [compact]", quarantined)
 	}
 
 	// Operator resume restores the class.
@@ -145,7 +151,7 @@ func TestPeriodicJobRunsAndDeregisterStops(t *testing.T) {
 	var runs int32
 	if err := s.Register(Spec{
 		Name:     "tick",
-		Class:    ClassJanitor,
+		Class:    ClassStats,
 		Interval: 5 * time.Millisecond,
 		Fn:       func(context.Context) error { atomic.AddInt32(&runs, 1); return nil },
 	}); err != nil {
@@ -297,9 +303,9 @@ func TestDiskPressureShedsLowPriorityClasses(t *testing.T) {
 	free.Store(1 << 20) // below threshold
 	waitPressure(true)
 
-	// Low-priority classes (compact, scrub, stats, janitor, rebalance)
-	// are shed with the typed error; flush keeps running.
-	for _, c := range []Class{ClassCompact, ClassScrub, ClassStats, ClassJanitor, ClassRebalance} {
+	// Low-priority classes (compact, scrub, stats, rebalance) are shed
+	// with the typed error; flush keeps running.
+	for _, c := range []Class{ClassCompact, ClassScrub, ClassStats, ClassRebalance} {
 		err := s.Do(context.Background(), c, func(context.Context) error { return nil })
 		if !errors.Is(err, ErrDiskPressure) {
 			t.Fatalf("class %s under pressure: err = %v, want ErrDiskPressure", c, err)
@@ -376,22 +382,27 @@ func TestCloseCancelsRunsAndStopsLoops(t *testing.T) {
 	})
 	for i := 0; i < 3; i++ {
 		name := []string{"a", "b", "c"}[i]
-		if err := s.Register(Spec{Name: name, Class: ClassJanitor, Interval: time.Millisecond,
+		if err := s.Register(Spec{Name: name, Class: ClassStats, Interval: time.Millisecond,
 			Fn: func(context.Context) error { return nil }}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// A run blocked until its context ends: Close must cancel it.
 	stuck := make(chan struct{})
-	if err := s.Submit(Spec{Class: ClassCompact, Fn: func(ctx context.Context) error {
-		close(stuck)
-		<-ctx.Done()
-		return ctx.Err()
-	}}); err != nil {
-		t.Fatal(err)
-	}
+	ran := make(chan error, 1)
+	go func() {
+		ran <- s.Do(context.Background(), ClassCompact, func(ctx context.Context) error {
+			close(stuck)
+			<-ctx.Done()
+			return ctx.Err()
+		})
+	}()
 	<-stuck
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if err := <-ran; !errors.Is(err, context.Canceled) {
+		t.Fatalf("running Do after Close: %v, want context.Canceled", err)
 	}
 	if err := s.Do(context.Background(), ClassFlush, func(context.Context) error { return nil }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Do after Close: %v, want ErrClosed", err)
@@ -403,7 +414,7 @@ func TestCloseCancelsRunsAndStopsLoops(t *testing.T) {
 }
 
 func TestSnapshotReportsJobHistory(t *testing.T) {
-	s := New(Options{HistoryDepth: 2})
+	s := New(Options{})
 	defer s.Close()
 	var n int32
 	if err := s.Register(Spec{Name: "j", Class: ClassStats, Fn: func(context.Context) error {
@@ -414,7 +425,8 @@ func TestSnapshotReportsJobHistory(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
+	const runs = historyDepth + 2
+	for i := 0; i < runs; i++ {
 		_ = s.RunNow(context.Background(), "j")
 	}
 	st := s.Snapshot()
@@ -422,11 +434,16 @@ func TestSnapshotReportsJobHistory(t *testing.T) {
 		t.Fatalf("snapshot jobs = %+v", st.Jobs)
 	}
 	js := st.Jobs[0]
-	if js.Runs != 3 || js.Fails != 1 {
-		t.Fatalf("runs=%d fails=%d, want 3/1", js.Runs, js.Fails)
+	if js.Runs != runs || js.Fails != 1 {
+		t.Fatalf("runs=%d fails=%d, want %d/1", js.Runs, js.Fails, runs)
 	}
-	if len(js.History) != 2 {
-		t.Fatalf("history depth = %d, want 2 (trimmed)", len(js.History))
+	if len(js.History) != historyDepth {
+		t.Fatalf("history depth = %d, want %d (trimmed)", len(js.History), historyDepth)
+	}
+	for _, rec := range js.History {
+		if rec.Err != "" {
+			t.Fatalf("history kept the failed second run: %+v", js.History)
+		}
 	}
 	if !st.Healthy {
 		t.Fatal("snapshot unhealthy")

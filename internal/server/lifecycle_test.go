@@ -54,9 +54,9 @@ func loadPoints(t *testing.T, eng *core.Engine, user string, n int) {
 // rows.
 const slowSQL = `SELECT fid FROM big WHERE st_distance(geom, st_makePoint(116.0, 39.0)) < -1.0`
 
-// postSQL issues a query and returns the HTTP status, decoded body and
-// response headers.
-func postSQL(t *testing.T, url, user, sqlText string, hdr map[string]string) (int, sqlResponse, http.Header) {
+// postSQL issues a query and returns the HTTP status, the folded
+// response body and the response headers.
+func postSQL(t *testing.T, url, user, sqlText string, hdr map[string]string) (int, streamResult, http.Header) {
 	t.Helper()
 	body, _ := json.Marshal(sqlRequest{User: user, SQL: sqlText})
 	req, err := http.NewRequest(http.MethodPost, url+"/api/v1/sql", bytes.NewReader(body))
@@ -72,11 +72,7 @@ func postSQL(t *testing.T, url, user, sqlText string, hdr map[string]string) (in
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out sqlResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, out, resp.Header
+	return resp.StatusCode, readStream(t, resp.Body), resp.Header
 }
 
 func metricInt(t *testing.T, url, name string) int64 {
@@ -208,7 +204,7 @@ func TestQueryLifecycle(t *testing.T) {
 	t.Run("Kill", func(t *testing.T) {
 		type result struct {
 			status int
-			res    sqlResponse
+			res    streamResult
 		}
 		done := make(chan result, 1)
 		go func() {
@@ -338,11 +334,13 @@ func TestSQLBodyLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out sqlResponse
-	json.NewDecoder(resp.Body).Decode(&out)
+	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge || out.Code != "body_too_large" {
-		t.Fatalf("got %d %+v, want 413 body_too_large", resp.StatusCode, out)
+	// A failure before a stream starts is one JSON object, byte for
+	// byte the shape clients have always parsed.
+	const want = `{"total":0,"error":"request body exceeds 256 bytes","code":"body_too_large"}` + "\n"
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || string(raw) != want {
+		t.Fatalf("got %d %s, want 413 %s", resp.StatusCode, raw, want)
 	}
 
 	// Wrong content type: 415.
@@ -365,41 +363,6 @@ func TestSQLBodyLimits(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("charset variant status = %d, want 200", resp.StatusCode)
-	}
-}
-
-// TestCursorJanitor proves TTL'd cursors are reaped by the background
-// janitor even when no request arrives to trigger the lazy sweep.
-func TestCursorJanitor(t *testing.T) {
-	ts, s := newTestServer(t, Options{PageSize: 10, CursorTTL: 50 * time.Millisecond})
-	loadPoints(t, s.engine, "u1", 100)
-	status, res, _ := postSQL(t, ts.URL, "u1", `SELECT fid FROM big`, nil)
-	if status != http.StatusOK || res.Cursor == "" {
-		t.Fatalf("paged query = %d %+v", status, res)
-	}
-	// No requests at all: only the janitor can reap it.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.mu.Lock()
-		open := len(s.cursors)
-		expired := s.expired
-		s.mu.Unlock()
-		if open == 0 && expired >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("janitor never expired the cursor (open=%d expired=%d)", open, expired)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	// And a later fetch reports it gone.
-	resp, err := http.Get(ts.URL + "/api/v1/fetch?cursor=" + res.Cursor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("fetch after TTL = %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"just/internal/core"
@@ -162,62 +161,5 @@ func TestRouterModeClusterOnlyEndpointsDegrade(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("health in router mode = %d", resp.StatusCode)
-	}
-}
-
-// TestFetchDeleteClosesCursor pins the server half of ResultSet.Close:
-// DELETE on the fetch endpoint frees the cursor immediately.
-func TestFetchDeleteClosesCursor(t *testing.T) {
-	ts, s := newTestServer(t, Options{PageSize: 5})
-	post(t, ts.URL, "u1", `CREATE TABLE p (fid integer:primary key, name string)`)
-	for i := 0; i < 20; i++ {
-		post(t, ts.URL, "u1", fmt.Sprintf(`INSERT INTO p VALUES (%d, 'x')`, i))
-	}
-	res := post(t, ts.URL, "u1", `SELECT fid FROM p`)
-	if res.Cursor == "" {
-		t.Fatalf("expected a cursor for %d rows at page size 5", res.Total)
-	}
-
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/fetch?cursor="+res.Cursor, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if out["closed"] != true {
-		t.Fatalf("delete = %v", out)
-	}
-	s.mu.Lock()
-	open := len(s.cursors)
-	s.mu.Unlock()
-	if open != 0 {
-		t.Fatalf("%d cursors still open after DELETE", open)
-	}
-	// A fetch on the closed cursor now misses.
-	resp, err = http.Get(ts.URL + "/api/v1/fetch?cursor=" + res.Cursor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("fetch after close = %d, want 404", resp.StatusCode)
-	}
-	// Deleting it again reports closed=false, not an error.
-	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/fetch?cursor="+res.Cursor, nil)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	json.NewDecoder(resp.Body).Decode(&out)
-	resp.Body.Close()
-	if out["closed"] != false {
-		t.Fatalf("double delete = %v", out)
-	}
-	if !strings.Contains(fmt.Sprint(out), "false") {
-		t.Fatalf("double delete body = %v", out)
 	}
 }

@@ -1,13 +1,12 @@
 // Package server implements JUST's service layer (Section VII): an HTTP
 // PaaS front end over one shared engine. All users share the engine's
 // execution context (the paper's shared Spark context); each user gets a
-// private table/view namespace; large results are returned in multiple
-// transmissions through cursors, which the SDKs page through
-// transparently (Fig. 2).
+// private table/view namespace; a result streams back as JSON lines,
+// flushed every PageSize rows, and the SDK's ResultSet reads it one
+// row at a time (Fig. 2).
 package server
 
 import (
-	"container/list"
 	"context"
 	"encoding/base64"
 	"encoding/json"
@@ -18,7 +17,6 @@ import (
 	"net/http"
 	"reflect"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,19 +31,10 @@ import (
 
 // Options tune the server.
 type Options struct {
-	// PageSize bounds rows per transmission; default 1000 (the paper's
-	// configurable split threshold).
+	// PageSize is the rows per transmission of a result stream: the
+	// server flushes the response after every PageSize rows; default
+	// 1000 (the paper's configurable split threshold).
 	PageSize int
-	// CursorTTL expires abandoned cursors; default 5 minutes.
-	CursorTTL time.Duration
-	// MaxCursors bounds how many open cursors the server retains;
-	// default 256. When exceeded, the least recently used cursor is
-	// evicted (a later fetch on it reports "unknown or expired").
-	MaxCursors int
-	// MaxCursorBytes bounds the estimated memory held by open cursors;
-	// default 64 MiB. LRU eviction applies, but the most recently
-	// stored cursor is always kept even if it alone exceeds the bound.
-	MaxCursorBytes int64
 	// QueryTimeout is the default per-query deadline; 0 means none. A
 	// request may tighten it (never widen it) with an X-JUST-Timeout
 	// header holding a Go duration.
@@ -72,15 +61,6 @@ func (o Options) withDefaults() Options {
 	if o.PageSize <= 0 {
 		o.PageSize = 1000
 	}
-	if o.CursorTTL <= 0 {
-		o.CursorTTL = 5 * time.Minute
-	}
-	if o.MaxCursors <= 0 {
-		o.MaxCursors = 256
-	}
-	if o.MaxCursorBytes <= 0 {
-		o.MaxCursorBytes = 64 << 20
-	}
 	if o.MaxQueuedQueries <= 0 {
 		o.MaxQueuedQueries = 2 * o.MaxConcurrentQueries
 	}
@@ -106,83 +86,28 @@ type Server struct {
 	memBudgetKills   atomic.Int64 // queries ended by the per-query memory budget
 	slowQueries      atomic.Int64 // queries past SlowQueryThreshold
 	peakQueryBytes   atomic.Int64 // high-water mark of any single query's memory
-
-	janitorJob string // cursor janitor, registered on the engine's scheduler
-	closeOnce  sync.Once
-
-	mu          sync.Mutex
-	cursors     map[string]*cursor
-	lru         *list.List // front = most recently used; values are *cursor
-	cursorBytes int64      // estimated memory held by open cursors
-	evicted     int64      // cursors dropped by the LRU bound
-	expired     int64      // cursors dropped by the TTL
-	nextID      int64
-	now         func() time.Time
 }
-
-type cursor struct {
-	id      string
-	rows    [][]any
-	columns []string
-	bytes   int64 // estimated memory footprint
-	expires time.Time
-	elem    *list.Element
-}
-
-// serverSeq disambiguates janitor job names when several servers share
-// one engine (tests do).
-var serverSeq atomic.Int64
 
 // New creates a server over an engine.
 func New(engine *core.Engine, opts Options) *Server {
 	opts = opts.withDefaults()
-	s := &Server{
+	return &Server{
 		engine:   engine,
 		opts:     opts,
 		adm:      newAdmissionController(opts.MaxConcurrentQueries, opts.MaxQueuedQueries),
 		registry: newQueryRegistry(),
-		cursors:  map[string]*cursor{},
-		lru:      list.New(),
-		now:      time.Now,
 	}
-	// The cursor janitor expires abandoned cursors on a timer, so TTL'd
-	// pages release their memory even when no request arrives to trigger
-	// the lazy sweep. It runs as a scheduled janitor-class job: lowest
-	// priority, shed first under disk pressure (requests still sweep
-	// lazily), visible and pausable through /api/v1/admin/jobs.
-	interval := opts.CursorTTL / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	if interval > 30*time.Second {
-		interval = 30 * time.Second
-	}
-	s.janitorJob = fmt.Sprintf("cursor-janitor-%d", serverSeq.Add(1))
-	engine.Jobs().Register(jobs.Spec{
-		Name:     s.janitorJob,
-		Class:    jobs.ClassJanitor,
-		Interval: interval,
-		Fn: func(context.Context) error {
-			s.mu.Lock()
-			s.gcLocked()
-			s.mu.Unlock()
-			return nil
-		},
-	})
-	return s
 }
 
-// Close stops the background cursor janitor. It does not close the
-// engine. Safe to call more than once.
-func (s *Server) Close() {
-	s.closeOnce.Do(func() { s.engine.Jobs().Deregister(s.janitorJob) })
-}
+// Close does nothing: the server keeps no state beyond its requests,
+// and each request releases its own when its response ends. It does
+// not close the engine.
+func (s *Server) Close() {}
 
 // Handler returns the HTTP routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/v1/sql", s.handleSQL)
-	mux.HandleFunc("/api/v1/fetch", s.handleFetch)
 	mux.HandleFunc("/api/v1/health", s.handleHealth)
 	mux.HandleFunc("/api/v1/metrics", s.handleMetrics)
 	mux.HandleFunc("/api/v1/admin/queries", s.handleQueries)
@@ -273,18 +198,21 @@ type sqlRequest struct {
 	SQL  string `json:"sql"`
 }
 
-// sqlResponse carries the first page of a result. Code classifies
-// lifecycle failures ("deadline_exceeded", "canceled", "killed",
-// "memory_budget", "body_too_large", "queue_full", "queue_timeout") so
-// clients can branch without parsing the message.
+// sqlResponse is the one JSON object a statement that fails before
+// its stream starts gets, and the terminal line of a stream. Code
+// classifies lifecycle failures ("deadline_exceeded", "canceled",
+// "killed", "memory_budget", "body_too_large", "queue_full",
+// "queue_timeout") so clients can branch without parsing the message.
 type sqlResponse struct {
+	Total int    `json:"total"`
+	Error string `json:"error,omitempty"`
+	Code  string `json:"code,omitempty"`
+}
+
+// streamHeader is the first line of a successful statement's stream.
+type streamHeader struct {
 	Message string   `json:"message,omitempty"`
 	Columns []string `json:"columns,omitempty"`
-	Rows    [][]any  `json:"rows,omitempty"`
-	Cursor  string   `json:"cursor,omitempty"`
-	Total   int      `json:"total"`
-	Error   string   `json:"error,omitempty"`
-	Code    string   `json:"code,omitempty"`
 }
 
 func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
@@ -353,7 +281,7 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 	q := exec.NewQuery(s.opts.QueryMemBudget)
 	qctx, cancelQ := context.WithCancel(exec.WithQuery(ctx, q))
 	defer cancelQ()
-	start := s.now()
+	start := time.Now()
 	entry := s.registry.register(req.User, req.SQL, start, cancelQ, q)
 	defer s.registry.unregister(entry.id)
 
@@ -375,152 +303,75 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if err != nil {
-		code := ""
-		switch {
-		case errors.Is(err, exec.ErrDeadlineExceeded):
-			s.deadlineExceeded.Add(1)
-			code = "deadline_exceeded"
-		case errors.Is(err, exec.ErrQueryCanceled):
-			s.canceled.Add(1)
-			code = "canceled"
-			if entry.killed.Load() {
-				code = "killed"
-			}
-		case errors.Is(err, exec.ErrMemoryBudget):
-			s.memBudgetKills.Add(1)
-			code = "memory_budget"
-		}
-		writeJSON(w, http.StatusUnprocessableEntity, sqlResponse{Error: err.Error(), Code: code})
+		writeJSON(w, http.StatusUnprocessableEntity, sqlResponse{Error: err.Error(), Code: s.classify(err, entry)})
 		return
 	}
-	resp := sqlResponse{Message: res.Message}
+	s.stream(qctx, w, entry, res)
+}
+
+// classify maps a statement's error to its lifecycle code and counts
+// it; an error that is not a lifecycle failure gets no code.
+func (s *Server) classify(err error, entry *queryEntry) string {
+	switch {
+	case errors.Is(err, exec.ErrDeadlineExceeded):
+		s.deadlineExceeded.Add(1)
+		return "deadline_exceeded"
+	case errors.Is(err, exec.ErrQueryCanceled):
+		s.canceled.Add(1)
+		if entry.killed.Load() {
+			return "killed"
+		}
+		return "canceled"
+	case errors.Is(err, exec.ErrMemoryBudget):
+		s.memBudgetKills.Add(1)
+		return "memory_budget"
+	}
+	return ""
+}
+
+// stream writes a successful statement as JSON lines: the header, one
+// array per row encoded from the frame's batches as they are walked,
+// and a terminal sqlResponse with the row count. The query context is
+// checked before each batch; once it is done the terminal line carries
+// the error instead. A failed write ends the stream, since the client
+// is gone.
+func (s *Server) stream(ctx context.Context, w http.ResponseWriter, entry *queryEntry, res *sql.Result) {
+	hdr := streamHeader{Message: res.Message}
+	var batches []*exec.ColumnBatch
 	if res.Frame != nil {
-		resp.Columns = res.Frame.Schema().Names()
-		all := res.Frame.Collect()
-		resp.Total = len(all)
-		encoded := make([][]any, len(all))
-		for i, row := range all {
-			encoded[i] = encodeRow(row)
+		defer res.Frame.Release()
+		hdr.Columns = res.Frame.Schema().Names()
+		batches = res.Frame.Batches()
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	enc := json.NewEncoder(w)
+	if enc.Encode(hdr) != nil {
+		return
+	}
+	rc := http.NewResponseController(w)
+	var end sqlResponse
+	for _, b := range batches {
+		if err := exec.MapCtxErr(ctx.Err()); err != nil {
+			end.Error, end.Code = err.Error(), s.classify(err, entry)
+			break
 		}
-		res.Frame.Release()
-		if len(encoded) > s.opts.PageSize {
-			resp.Rows = encoded[:s.opts.PageSize]
-			resp.Cursor = s.storeCursor(resp.Columns, encoded[s.opts.PageSize:])
-		} else {
-			resp.Rows = encoded
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) storeCursor(columns []string, rest [][]any) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gcLocked()
-	s.nextID++
-	c := &cursor{
-		id:      fmt.Sprintf("cur-%d", s.nextID),
-		rows:    rest,
-		columns: columns,
-		bytes:   estimateRows(rest),
-		expires: s.now().Add(s.opts.CursorTTL),
-	}
-	s.cursors[c.id] = c
-	c.elem = s.lru.PushFront(c)
-	s.cursorBytes += c.bytes
-	// Evict least-recently-used cursors past the count/byte bounds. The
-	// newest cursor survives even when oversized on its own: its id was
-	// (or is about to be) handed to a client.
-	for s.lru.Len() > 1 && (s.lru.Len() > s.opts.MaxCursors || s.cursorBytes > s.opts.MaxCursorBytes) {
-		s.removeLocked(s.lru.Back().Value.(*cursor))
-		s.evicted++
-	}
-	return c.id
-}
-
-// removeLocked detaches a cursor from the map, the LRU list and the
-// byte accounting.
-func (s *Server) removeLocked(c *cursor) {
-	delete(s.cursors, c.id)
-	s.lru.Remove(c.elem)
-	s.cursorBytes -= c.bytes
-}
-
-func (s *Server) gcLocked() {
-	now := s.now()
-	for _, c := range s.cursors {
-		if c.expires.Before(now) {
-			s.removeLocked(c)
-			s.expired++
-		}
-	}
-}
-
-// estimateRows approximates the memory a cursor's buffered rows hold —
-// value payloads plus slice/interface overhead — for the cursor-cache
-// byte bound. It is an estimate, not an exact accounting.
-func estimateRows(rows [][]any) int64 {
-	var n int64
-	for _, row := range rows {
-		n += 24 // row slice header
-		for _, v := range row {
-			n += 16 // interface header
-			switch x := v.(type) {
-			case string:
-				n += int64(len(x))
-			case map[string]any:
-				for k, mv := range x {
-					n += int64(len(k)) + 16
-					switch y := mv.(type) {
-					case string:
-						n += int64(len(y))
-					case [][3]float64:
-						n += int64(len(y)) * 24
-					default:
-						n += 8
-					}
-				}
-			default:
-				n += 8
+		for i := range b.Len() {
+			row := b.RowAt(i)
+			for c, v := range row {
+				row[c] = encodeValue(v)
+			}
+			if enc.Encode(row) != nil {
+				return
+			}
+			if end.Total++; end.Total%s.opts.PageSize == 0 {
+				// A writer without Flush (ErrNotSupported) still sends
+				// the rows as its buffer fills.
+				rc.Flush()
 			}
 		}
 	}
-	return n
-}
-
-func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("cursor")
-	if r.Method == http.MethodDelete {
-		// Explicit cursor close (ResultSet.Close in the SDKs): release
-		// the buffered pages now instead of waiting out the TTL.
-		s.mu.Lock()
-		c, ok := s.cursors[id]
-		if ok {
-			s.removeLocked(c)
-		}
-		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]any{"closed": ok})
-		return
-	}
-	s.mu.Lock()
-	s.gcLocked()
-	c, ok := s.cursors[id]
-	if ok {
-		s.removeLocked(c)
-	}
-	s.mu.Unlock()
-	if !ok {
-		writeJSON(w, http.StatusNotFound, sqlResponse{Error: "unknown or expired cursor"})
-		return
-	}
-	resp := sqlResponse{Columns: c.columns, Total: len(c.rows)}
-	if len(c.rows) > s.opts.PageSize {
-		resp.Rows = c.rows[:s.opts.PageSize]
-		resp.Cursor = s.storeCursor(c.columns, c.rows[s.opts.PageSize:])
-	} else {
-		resp.Rows = c.rows
-	}
-	writeJSON(w, http.StatusOK, resp)
+	enc.Encode(end)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -569,24 +420,15 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 // handleMetrics exposes the storage counters: the scan pipeline's
 // pairs-scanned / rows-kept stage counters, the write path's
 // group-commit, WAL-sync, flush-queue and write-stall counters, the
-// networked routing and failover counters and the cursor-cache gauges.
+// networked routing and failover counters and the query lifecycle
+// counters.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := s.engine.Store().Metrics()
-	s.mu.Lock()
-	s.gcLocked()
-	openCursors := len(s.cursors)
-	cursorBytes := s.cursorBytes
-	evicted, expired := s.evicted, s.expired
-	s.mu.Unlock()
 	// Server-side gauges; every kv.Metrics counter joins them below under
 	// its json tag, so a new storage counter needs no line here.
 	out := map[string]any{
 		"regions":                   s.engine.Store().Regions(),
 		"stats_refreshes":           s.engine.StatsRefreshes(),
-		"cursors_open":              openCursors,
-		"cursor_bytes":              cursorBytes,
-		"cursors_evicted":           evicted,
-		"cursors_expired":           expired,
 		"queries_admitted":          s.adm.admitted.Load(),
 		"queries_queued":            s.adm.queued.Load(),
 		"queries_shed":              s.adm.shed.Load(),
@@ -704,7 +546,7 @@ func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"queries": s.registry.snapshot(s.now()),
+		"queries": s.registry.snapshot(time.Now()),
 	})
 }
 
@@ -738,16 +580,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// encodeRow converts engine values into JSON-friendly forms: geometry to
-// WKT, st_series to [[lng,lat,t]...], bytes to base64.
-func encodeRow(row exec.Row) []any {
-	out := make([]any, len(row))
-	for i, v := range row {
-		out[i] = encodeValue(v)
-	}
-	return out
-}
-
+// encodeValue converts an engine value into a JSON-friendly form:
+// geometry to WKT, st_series to [[lng,lat,t]...], bytes to base64.
 func encodeValue(v any) any {
 	switch x := v.(type) {
 	case geom.Geometry:

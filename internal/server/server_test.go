@@ -1,17 +1,16 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"just/internal/core"
 	"just/internal/geom"
@@ -36,19 +35,65 @@ func newTestServer(t *testing.T, opts Options) (*httptest.Server, *Server) {
 	return ts, s
 }
 
-func post(t *testing.T, url, user, sqlText string) sqlResponse {
+// streamResult is a statement's whole response folded into one value:
+// the header, the rows and the terminal line of a stream, or only the
+// error object of a statement that failed before its stream started.
+type streamResult struct {
+	streamHeader
+	Rows [][]any
+	sqlResponse
+}
+
+// readStream folds a response body into a streamResult. It fails the
+// test on a stream without its terminal line, on anything after that
+// line, and on a row count that disagrees with the terminal total.
+func readStream(t *testing.T, r io.Reader) streamResult {
 	t.Helper()
-	body, _ := json.Marshal(sqlRequest{User: user, SQL: sqlText})
-	resp, err := http.Post(url+"/api/v1/sql", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	dec := json.NewDecoder(r)
+	var out streamResult
+	var first json.RawMessage
+	if err := dec.Decode(&first); err != nil {
+		t.Fatalf("response without a first line: %v", err)
 	}
-	defer resp.Body.Close()
-	var out sqlResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
+	if err := json.Unmarshal(first, &out.sqlResponse); err != nil {
+		t.Fatalf("first line %s: %v", first, err)
+	}
+	if out.Error != "" {
+		return out
+	}
+	if err := json.Unmarshal(first, &out.streamHeader); err != nil {
+		t.Fatalf("header %s: %v", first, err)
+	}
+	for {
+		var line json.RawMessage
+		if err := dec.Decode(&line); err != nil {
+			t.Fatalf("stream ended without its terminal line: %v", err)
+		}
+		if line[0] == '{' {
+			if err := json.Unmarshal(line, &out.sqlResponse); err != nil {
+				t.Fatalf("terminal line %s: %v", line, err)
+			}
+			break
+		}
+		var row []any
+		if err := json.Unmarshal(line, &row); err != nil {
+			t.Fatalf("row %s: %v", line, err)
+		}
+		out.Rows = append(out.Rows, row)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		t.Fatalf("data after the terminal line (%v)", err)
+	}
+	if out.Total != len(out.Rows) {
+		t.Fatalf("terminal total %d, %d rows streamed", out.Total, len(out.Rows))
 	}
 	return out
+}
+
+func post(t *testing.T, url, user, sqlText string) streamResult {
+	t.Helper()
+	_, res, _ := postSQL(t, url, user, sqlText, nil)
+	return res
 }
 
 func TestServerDDLAndQuery(t *testing.T) {
@@ -88,13 +133,14 @@ func TestServerErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET status = %d", resp.StatusCode)
 	}
+	// Results stream in one response: there is no fetch endpoint.
 	resp, err = http.Get(ts.URL + "/api/v1/fetch?cursor=bogus")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("bogus cursor status = %d", resp.StatusCode)
+		t.Fatalf("fetch status = %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -110,7 +156,7 @@ func TestServerHealth(t *testing.T) {
 	}
 }
 
-func TestCursorPagingWithSDK(t *testing.T) {
+func TestStreamWithSDK(t *testing.T) {
 	ts, _ := newTestServer(t, Options{PageSize: 10})
 	c := client.Connect(ts.URL, "u1")
 	if err := c.Health(); err != nil {
@@ -147,37 +193,6 @@ func TestCursorPagingWithSDK(t *testing.T) {
 	}
 	if n != 35 {
 		t.Fatalf("paged through %d rows, want 35", n)
-	}
-}
-
-func TestCursorExpiry(t *testing.T) {
-	ts, s := newTestServer(t, Options{PageSize: 5, CursorTTL: time.Minute})
-	now := time.Unix(0, 0)
-	s.now = func() time.Time { return now }
-	c := client.Connect(ts.URL, "u1")
-	c.Execute(`CREATE TABLE p (fid integer:primary key, geom point)`)
-	var values []string
-	for i := 0; i < 20; i++ {
-		values = append(values, fmt.Sprintf("(%d, st_makePoint(116.0, 39.9))", i))
-	}
-	c.Execute(`INSERT INTO p VALUES ` + strings.Join(values, ","))
-	rs, err := c.ExecuteQuery(`SELECT fid FROM p WHERE geom WITHIN st_makeMBR(115,39,117,40)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drain the first page, then let the cursor expire.
-	for i := 0; i < 5; i++ {
-		if !rs.HasNext() {
-			t.Fatal("first page short")
-		}
-		rs.Next()
-	}
-	now = now.Add(2 * time.Minute)
-	if rs.HasNext() {
-		t.Fatal("expired cursor should stop paging")
-	}
-	if rs.Err() == nil {
-		t.Fatal("expiry should surface as an error")
 	}
 }
 
@@ -261,85 +276,6 @@ func getJSON(t *testing.T, url string) map[string]any {
 	return m
 }
 
-// TestCursorLRUBounds checks the cursor cache evicts least-recently-
-// used cursors past the configured count bound, and that byte
-// accounting tracks stores and fetches.
-func TestCursorLRUBounds(t *testing.T) {
-	ts, s := newTestServer(t, Options{PageSize: 2, MaxCursors: 3})
-	c := client.Connect(ts.URL, "u1")
-	c.Execute(`CREATE TABLE p (fid integer:primary key, geom point)`)
-	var values []string
-	for i := 0; i < 10; i++ {
-		values = append(values, fmt.Sprintf("(%d, st_makePoint(116.0, 39.9))", i))
-	}
-	c.Execute(`INSERT INTO p VALUES ` + strings.Join(values, ","))
-
-	// Each query leaves one open cursor (10 rows, page size 2).
-	var ids []string
-	for i := 0; i < 5; i++ {
-		res := post(t, ts.URL, "u1", `SELECT fid FROM p WHERE geom WITHIN st_makeMBR(115,39,117,40)`)
-		if res.Cursor == "" {
-			t.Fatalf("query %d left no cursor", i)
-		}
-		ids = append(ids, res.Cursor)
-	}
-	s.mu.Lock()
-	open, bytes, evicted := len(s.cursors), s.cursorBytes, s.evicted
-	s.mu.Unlock()
-	if open != 3 {
-		t.Fatalf("open cursors = %d, want 3 (MaxCursors)", open)
-	}
-	if evicted != 2 {
-		t.Fatalf("evicted = %d, want 2", evicted)
-	}
-	if bytes <= 0 {
-		t.Fatalf("cursorBytes = %d, want > 0", bytes)
-	}
-
-	// The two oldest cursors were evicted; the newest still pages.
-	for _, id := range ids[:2] {
-		resp, err := http.Get(ts.URL + "/api/v1/fetch?cursor=" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("evicted cursor %s fetch = %d, want 404", id, resp.StatusCode)
-		}
-	}
-	resp, err := http.Get(ts.URL + "/api/v1/fetch?cursor=" + ids[4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("live cursor fetch = %d", resp.StatusCode)
-	}
-}
-
-// TestCursorByteBound: a tiny byte budget keeps only the newest cursor.
-func TestCursorByteBound(t *testing.T) {
-	ts, s := newTestServer(t, Options{PageSize: 2, MaxCursorBytes: 1})
-	c := client.Connect(ts.URL, "u1")
-	c.Execute(`CREATE TABLE p (fid integer:primary key, geom point)`)
-	var values []string
-	for i := 0; i < 10; i++ {
-		values = append(values, fmt.Sprintf("(%d, st_makePoint(116.0, 39.9))", i))
-	}
-	c.Execute(`INSERT INTO p VALUES ` + strings.Join(values, ","))
-	for i := 0; i < 3; i++ {
-		if res := post(t, ts.URL, "u1", `SELECT fid FROM p WHERE geom WITHIN st_makeMBR(115,39,117,40)`); res.Cursor == "" {
-			t.Fatalf("query %d left no cursor", i)
-		}
-	}
-	s.mu.Lock()
-	open := len(s.cursors)
-	s.mu.Unlock()
-	if open != 1 {
-		t.Fatalf("open cursors = %d, want 1 (newest survives a 1-byte budget)", open)
-	}
-}
-
 // TestAdminScrubEndpoints: GET reports integrity state, POST runs a
 // synchronous scrub pass, and the integrity counters are on /metrics.
 func TestAdminScrubEndpoints(t *testing.T) {
@@ -417,7 +353,6 @@ func TestMetricsKeySetGolden(t *testing.T) {
 		"blocks_scrubbed", "blocks_skipped", "bloom_negatives",
 		"breaker_fast_fails", "breaker_opens", "bytes_read", "bytes_written",
 		"codecs", "compactions", "compactions_deferred", "corruptions_detected",
-		"cursor_bytes", "cursors_evicted", "cursors_expired", "cursors_open",
 		"deadline_aborts", "disk_free_bytes", "disk_pressure",
 		"failovers", "flush_queue_depth", "flushes", "group_commit_records",
 		"group_commits", "jobs", "jobs_healthy", "orphans_removed",

@@ -9,10 +9,11 @@
 //	}
 //	rs.Close()
 //
-// Large results arrive in multiple transmissions; the ResultSet fetches
-// follow-up pages transparently. Close releases the server-side cursor
-// early when a caller abandons a result mid-page (otherwise the server
-// TTL reclaims it).
+// A result arrives as one stream of JSON lines (a header, one array per
+// row, a terminal line with the row count), sent in transmissions of
+// the server's page size; HasNext reads the next line. Close on a result
+// not read to its end closes the response, which cancels the query on
+// the server.
 package client
 
 import (
@@ -20,6 +21,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 )
@@ -45,16 +47,15 @@ type sqlRequest struct {
 	SQL  string `json:"sql"`
 }
 
-type sqlResponse struct {
+// streamLine is the header of a stream, or the one object of a
+// statement that failed before its stream started.
+type streamLine struct {
 	Message string   `json:"message"`
 	Columns []string `json:"columns"`
-	Rows    [][]any  `json:"rows"`
-	Cursor  string   `json:"cursor"`
-	Total   int      `json:"total"`
 	Error   string   `json:"error"`
 }
 
-// ExecuteQuery runs a JustQL statement and returns a paging cursor.
+// ExecuteQuery runs a JustQL statement and returns its result stream.
 func (c *Client) ExecuteQuery(justql string) (*ResultSet, error) {
 	return c.ExecuteQueryContext(context.Background(), justql)
 }
@@ -76,22 +77,22 @@ func (c *Client) ExecuteQueryContext(ctx context.Context, justql string) (*Resul
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	defer resp.Body.Close()
-	var out sqlResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	rs := &ResultSet{body: resp.Body, dec: json.NewDecoder(resp.Body)}
+	var hdr streamLine
+	if err := rs.dec.Decode(&hdr); err != nil {
+		rs.finish()
 		return nil, fmt.Errorf("client: bad response: %w", err)
 	}
-	if out.Error != "" {
-		return nil, fmt.Errorf("client: server error: %s", out.Error)
+	if hdr.Error != "" {
+		rs.finish()
+		return nil, fmt.Errorf("client: server error: %s", hdr.Error)
 	}
-	return &ResultSet{
-		client:  c,
-		ctx:     ctx,
-		message: out.Message,
-		columns: out.Columns,
-		rows:    out.Rows,
-		cursor:  out.Cursor,
-	}, nil
+	rs.message, rs.columns = hdr.Message, hdr.Columns
+	// Read ahead one line: a statement without rows (DDL, DML, an
+	// empty result) ends here and frees its connection at once, even
+	// if the caller never iterates or closes it.
+	rs.HasNext()
+	return rs, nil
 }
 
 // Execute is an alias of ExecuteQuery for DDL/DML readability.
@@ -116,51 +117,15 @@ func (c *Client) Health() error {
 	return nil
 }
 
-// fetch retrieves the next page of a cursor.
-func (c *Client) fetch(ctx context.Context, cursor string) (*sqlResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+"/api/v1/fetch?cursor="+cursor, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var out sqlResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	if out.Error != "" {
-		return nil, fmt.Errorf("client: server error: %s", out.Error)
-	}
-	return &out, nil
-}
-
-// closeCursor deletes a server-side cursor.
-func (c *Client) closeCursor(cursor string) error {
-	req, err := http.NewRequest(http.MethodDelete, c.baseURL+"/api/v1/fetch?cursor="+cursor, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	return nil
-}
-
-// ResultSet is the client-side cursor. Rows are []any with JSON-decoded
-// values (numbers arrive as float64; geometries as {"wkt": ...} maps).
+// ResultSet is the client-side cursor over a result stream. Rows are
+// []any with JSON-decoded values (numbers arrive as float64; geometries
+// as {"wkt": ...} maps).
 type ResultSet struct {
-	client  *Client
-	ctx     context.Context
 	message string
 	columns []string
-	rows    [][]any
-	pos     int
-	cursor  string
+	body    io.ReadCloser // nil once the stream has ended or was closed
+	dec     *json.Decoder
+	row     []any // the row HasNext read ahead, nil if none
 	err     error
 	closed  bool
 }
@@ -171,66 +136,78 @@ func (rs *ResultSet) Message() string { return rs.message }
 // Columns returns the result column names.
 func (rs *ResultSet) Columns() []string { return rs.columns }
 
-// HasNext reports whether another row is available, fetching the next
-// transmission when the local page is exhausted.
+// HasNext reports whether another row is available, reading the next
+// line of the stream. The terminal line ends the stream; its error, or
+// a stream cut before it, is reported by Err.
 func (rs *ResultSet) HasNext() bool {
-	if rs.err != nil || rs.closed {
-		return false
-	}
-	if rs.pos < len(rs.rows) {
+	if rs.row != nil {
 		return true
 	}
-	if rs.cursor == "" {
+	if rs.body == nil {
 		return false
 	}
-	ctx := rs.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	page, err := rs.client.fetch(ctx, rs.cursor)
-	if err != nil {
-		rs.err = err
+	var line any
+	if err := rs.dec.Decode(&line); err != nil {
+		rs.err = fmt.Errorf("client: result stream ended without its terminal line: %w", err)
+		rs.finish()
 		return false
 	}
-	rs.rows = page.Rows
-	rs.cursor = page.Cursor
-	rs.pos = 0
-	return len(rs.rows) > 0
+	switch x := line.(type) {
+	case []any:
+		rs.row = x
+		return true
+	case map[string]any:
+		if msg, ok := x["error"].(string); ok {
+			rs.err = fmt.Errorf("client: server error: %s", msg)
+		}
+	default:
+		rs.err = fmt.Errorf("client: bad result line %v", line)
+	}
+	rs.finish()
+	return false
 }
 
-// Next returns the next row; call HasNext first.
+// finish reads the response to its end, so the connection can serve the
+// next request, and closes it.
+func (rs *ResultSet) finish() {
+	io.Copy(io.Discard, rs.body)
+	rs.body.Close()
+	rs.body = nil
+}
+
+// Next returns the next row.
 func (rs *ResultSet) Next() ([]any, error) {
-	if rs.err != nil {
-		return nil, rs.err
-	}
 	if rs.closed {
 		return nil, fmt.Errorf("client: result set closed")
 	}
-	if rs.pos >= len(rs.rows) {
+	if !rs.HasNext() {
+		if rs.err != nil {
+			return nil, rs.err
+		}
 		return nil, fmt.Errorf("client: past end of result set")
 	}
-	row := rs.rows[rs.pos]
-	rs.pos++
+	row := rs.row
+	rs.row = nil
 	return row, nil
 }
 
-// Close releases the result set. If pages remain unfetched on the
-// server it deletes the server-side cursor, freeing its memory without
-// waiting for the TTL. Closing an exhausted or already-closed result
-// set is a no-op. Safe to defer immediately after ExecuteQuery.
+// Close releases the result set. Before the stream's end it closes the
+// response, which ends the request and cancels the query on the server.
+// Closing an exhausted or already-closed result set is a no-op. Safe to
+// defer immediately after ExecuteQuery.
 func (rs *ResultSet) Close() error {
 	if rs.closed {
 		return nil
 	}
 	rs.closed = true
-	rs.rows = nil
-	if rs.cursor == "" {
-		return nil
+	rs.row = nil
+	if rs.body != nil {
+		rs.body.Close()
+		rs.body = nil
 	}
-	cur := rs.cursor
-	rs.cursor = ""
-	return rs.client.closeCursor(cur)
+	return nil
 }
 
-// Err returns any paging error encountered by HasNext.
+// Err returns the error that ended the stream: the server's, from the
+// terminal line, or a stream cut before its terminal line.
 func (rs *ResultSet) Err() error { return rs.err }

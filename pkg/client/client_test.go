@@ -3,12 +3,14 @@ package client
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 )
 
-// The happy paths (paging, DDL, isolation) are covered end-to-end in
+// The happy paths (streaming, DDL, isolation) are covered end-to-end in
 // internal/server; these tests pin the SDK's error behaviour against a
 // scripted server.
 
@@ -46,11 +48,7 @@ func TestClientUnreachable(t *testing.T) {
 
 func TestResultSetPastEnd(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(sqlResponse{
-			Columns: []string{"a"},
-			Rows:    [][]any{{1.0}},
-			Total:   1,
-		})
+		io.WriteString(w, "{\"columns\":[\"a\"]}\n[1]\n{\"total\":1}\n")
 	}))
 	defer ts.Close()
 	c := Connect(ts.URL, "u")
@@ -70,6 +68,9 @@ func TestResultSetPastEnd(t *testing.T) {
 	if _, err := rs.Next(); err == nil {
 		t.Fatal("Next past end should error")
 	}
+	if rs.Err() != nil {
+		t.Fatalf("complete stream: Err = %v", rs.Err())
+	}
 }
 
 func TestExecuteQueryContextCanceled(t *testing.T) {
@@ -85,36 +86,64 @@ func TestExecuteQueryContextCanceled(t *testing.T) {
 	}
 }
 
-func TestResultSetCloseDeletesCursor(t *testing.T) {
-	var deleted string
+// TestStreamTruncatedIsError: a stream that ends without its terminal
+// line, cleanly or on a cut connection, is an error, not a short result.
+func TestStreamTruncatedIsError(t *testing.T) {
+	for name, cut := range map[string]func(w http.ResponseWriter){
+		"clean end": func(http.ResponseWriter) {},
+		"cut connection": func(w http.ResponseWriter) {
+			conn, _, err := http.NewResponseController(w).Hijack()
+			if err == nil {
+				conn.Close()
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				io.WriteString(w, "{\"columns\":[\"a\"]}\n[1]\n")
+				http.NewResponseController(w).Flush()
+				cut(w)
+			}))
+			defer ts.Close()
+			rs, err := Connect(ts.URL, "u").ExecuteQuery("SELECT 1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rs.Next(); err != nil {
+				t.Fatalf("first row: %v", err)
+			}
+			if rs.HasNext() {
+				t.Fatal("row past the cut")
+			}
+			if rs.Err() == nil {
+				t.Fatal("truncated stream read as a complete result")
+			}
+		})
+	}
+}
+
+// TestResultSetCloseEndsRequest: Close before the terminal line closes
+// the response, which ends the request on the server.
+func TestResultSetCloseEndsRequest(t *testing.T) {
+	ended := make(chan struct{})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/api/v1/sql" {
-			json.NewEncoder(w).Encode(sqlResponse{
-				Columns: []string{"a"},
-				Rows:    [][]any{{1.0}},
-				Cursor:  "cur-7",
-				Total:   2,
-			})
-			return
-		}
-		if r.Method == http.MethodDelete {
-			deleted = r.URL.Query().Get("cursor")
-			json.NewEncoder(w).Encode(map[string]bool{"closed": true})
-			return
-		}
-		t.Errorf("unexpected %s %s after Close", r.Method, r.URL.Path)
+		io.WriteString(w, "{\"columns\":[\"a\"]}\n[1]\n")
+		http.NewResponseController(w).Flush()
+		<-r.Context().Done()
+		close(ended)
 	}))
 	defer ts.Close()
-	c := Connect(ts.URL, "u")
-	rs, err := c.ExecuteQuery("SELECT 1")
+	rs, err := Connect(ts.URL, "u").ExecuteQuery("SELECT 1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := rs.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if deleted != "cur-7" {
-		t.Fatalf("server-side cursor not deleted; got %q", deleted)
+	select {
+	case <-ended:
+	case <-time.After(5 * time.Second):
+		t.Fatal("request still open after Close")
 	}
 	if rs.HasNext() {
 		t.Fatal("closed result set must not iterate")
@@ -124,56 +153,5 @@ func TestResultSetCloseDeletesCursor(t *testing.T) {
 	}
 	if err := rs.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
-	}
-}
-
-func TestResultSetCloseWithoutCursorIsLocal(t *testing.T) {
-	calls := 0
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls++
-		json.NewEncoder(w).Encode(sqlResponse{Columns: []string{"a"}, Rows: [][]any{{1.0}}, Total: 1})
-	}))
-	defer ts.Close()
-	c := Connect(ts.URL, "u")
-	rs, err := c.ExecuteQuery("SELECT 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rs.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if calls != 1 {
-		t.Fatalf("close of cursorless result made %d extra requests", calls-1)
-	}
-}
-
-func TestClientPagingFetchFailure(t *testing.T) {
-	calls := 0
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls++
-		if r.URL.Path == "/api/v1/sql" {
-			json.NewEncoder(w).Encode(sqlResponse{
-				Columns: []string{"a"},
-				Rows:    [][]any{{1.0}},
-				Cursor:  "cur-1",
-				Total:   2,
-			})
-			return
-		}
-		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(sqlResponse{Error: "unknown cursor"})
-	}))
-	defer ts.Close()
-	c := Connect(ts.URL, "u")
-	rs, err := c.ExecuteQuery("SELECT 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs.Next() // consume the first page (HasNext true by position)
-	if rs.HasNext() {
-		t.Fatal("failed fetch should end iteration")
-	}
-	if rs.Err() == nil {
-		t.Fatal("fetch failure should be recorded")
 	}
 }

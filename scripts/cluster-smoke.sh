@@ -62,7 +62,7 @@ for i in $(seq 1 $ROWS); do
     sql "INSERT INTO p VALUES ($i, 'poi-$i', st_makePoint(116.$((i % 10)), 39.$((i % 10))))" >/dev/null
 done
 
-TOTAL=$(sql "SELECT fid FROM p" | sed 's/.*"total"://; s/[,}].*//')
+TOTAL=$(sql "SELECT fid FROM p" | sed -n 's/.*"total":\([0-9]*\).*/\1/p')
 [ "$TOTAL" = "$ROWS" ] || { echo "FAIL: scan over TCP saw $TOTAL rows, want $ROWS"; exit 1; }
 
 # Kill region server 1 (the bootstrap primary) mid-workload. Every write
@@ -74,7 +74,7 @@ for i in $(seq $((ROWS + 1)) $((ROWS + 10))); do
     sql "INSERT INTO p VALUES ($i, 'poi-$i', st_makePoint(116.5, 39.5))" >/dev/null
 done
 
-TOTAL=$(sql "SELECT fid FROM p" | sed 's/.*"total"://; s/[,}].*//')
+TOTAL=$(sql "SELECT fid FROM p" | sed -n 's/.*"total":\([0-9]*\).*/\1/p')
 [ "$TOTAL" = "$((ROWS + 10))" ] || {
     echo "FAIL: after killing a region server, scan saw $TOTAL rows, want $((ROWS + 10))"
     exit 1
@@ -127,7 +127,7 @@ done
     exit 1
 }
 
-TOTAL=$(sql "SELECT fid FROM p" | sed 's/.*"total"://; s/[,}].*//')
+TOTAL=$(sql "SELECT fid FROM p" | sed -n 's/.*"total":\([0-9]*\).*/\1/p')
 [ "$TOTAL" = "$((ROWS + 10))" ] || {
     echo "FAIL: after reviving the region server, scan saw $TOTAL rows, want $((ROWS + 10))"
     exit 1
