@@ -73,6 +73,23 @@ func (c *blockCache) put(table uint64, block int, data []byte) {
 	}
 }
 
+// dropTable evicts every cached block of a retired table. The last
+// decRef calls it, when no reader can ask for those blocks again, so
+// dead blocks stop holding capacity until LRU eviction reaches them.
+func (c *blockCache) dropTable(id uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for e := c.ll.Front(); e != nil; {
+		next := e.Next()
+		if entry := e.Value.(*cacheEntry); entry.key.table == id {
+			c.ll.Remove(e)
+			delete(c.items, entry.key)
+			c.used -= int64(len(entry.data))
+		}
+		e = next
+	}
+}
+
 // len returns the number of cached blocks (for tests).
 func (c *blockCache) len() int {
 	c.mu.Lock()

@@ -582,7 +582,8 @@ func decodeIndex(b []byte) ([]blockHandle, []byte, error) {
 func (t *table) incRef() { t.refs.Add(1) }
 
 // decRef releases one reference; the last release closes the file and,
-// if the table was retired by a compaction, unlinks it.
+// if the table was retired by a compaction, unlinks it and evicts its
+// cached blocks.
 func (t *table) decRef() error {
 	if t.refs.Add(-1) > 0 {
 		return nil
@@ -590,6 +591,9 @@ func (t *table) decRef() error {
 	err := t.f.Close()
 	if t.drop.Load() {
 		t.fs.Remove(t.path)
+		if t.cache != nil {
+			t.cache.dropTable(t.id)
+		}
 	}
 	return err
 }
