@@ -5,7 +5,8 @@ package exec
 // vectors plus a selection vector, so decode, filter, project, join,
 // sort and aggregate run without boxing every value into a Row. Rows
 // exist only at the edges: BatchOf where a row source enters, RowAt
-// where a result leaves.
+// where a row-at-a-time consumer reads one. The server's result stream
+// reads the vectors themselves.
 
 // BatchRows is the default number of rows per ColumnBatch. Small enough
 // that a batch of wide rows stays cache-resident, large enough to

@@ -199,10 +199,18 @@ func TestWKTRoundTrip(t *testing.T) {
 		Point{116.5, 39.25},
 		&LineString{Points: []Point{{0, 0}, {1, 1}, {2, 0.5}}},
 		&Polygon{Outer: []Point{{0, 0}, {4, 0}, {4, 4}, {0, 4}}},
+		&Polygon{Outer: []Point{{0, 0}, {4, 0}, {4, 4}, {0, 4}, {0, 0}},
+			Holes: [][]Point{{{1, 1}, {2, 1}, {2, 2}}}},
 		&MultiPoint{Points: []Point{{1, 2}, {3, 4}}},
 	}
 	for _, g := range geoms {
 		s := g.WKT()
+		if a := string(g.AppendWKT(nil)); a != s {
+			t.Errorf("AppendWKT(nil) = %q, WKT() = %q", a, s)
+		}
+		if a := string(g.AppendWKT([]byte("x="))); a != "x="+s {
+			t.Errorf("AppendWKT(prefix) = %q", a)
+		}
 		back, err := ParseWKT(s)
 		if err != nil {
 			t.Fatalf("ParseWKT(%q): %v", s, err)

@@ -43,6 +43,8 @@ type Geometry interface {
 	MBR() MBR
 	// WKT returns the well-known-text representation.
 	WKT() string
+	// AppendWKT appends WKT() to dst and returns the extended buffer.
+	AppendWKT(dst []byte) []byte
 	// IsPoint reports whether the geometry is point-based; point-based
 	// data is indexed with Z2/Z2T, non-point data with XZ2/XZT2.
 	IsPoint() bool
@@ -58,8 +60,12 @@ func (p Point) MBR() MBR { return MBR{p.Lng, p.Lat, p.Lng, p.Lat} }
 func (p Point) IsPoint() bool { return true }
 
 // WKT implements Geometry.
-func (p Point) WKT() string {
-	return fmt.Sprintf("POINT (%s %s)", fmtCoord(p.Lng), fmtCoord(p.Lat))
+func (p Point) WKT() string { return string(p.AppendWKT(nil)) }
+
+// AppendWKT implements Geometry.
+func (p Point) AppendWKT(dst []byte) []byte {
+	dst = append(dst, "POINT ("...)
+	return append(appendCoord(dst, p), ')')
 }
 
 // LineString is an ordered sequence of at least two points.
@@ -86,12 +92,12 @@ func (l *LineString) MBR() MBR {
 }
 
 // WKT implements Geometry.
-func (l *LineString) WKT() string {
-	var b strings.Builder
-	b.WriteString("LINESTRING (")
-	writeCoordSeq(&b, l.Points)
-	b.WriteByte(')')
-	return b.String()
+func (l *LineString) WKT() string { return string(l.AppendWKT(nil)) }
+
+// AppendWKT implements Geometry.
+func (l *LineString) AppendWKT(dst []byte) []byte {
+	dst = append(dst, "LINESTRING ("...)
+	return append(appendCoordSeq(dst, l.Points), ')')
 }
 
 // Length returns the Euclidean length of the line in degrees.
@@ -129,18 +135,17 @@ func (p *Polygon) MBR() MBR {
 }
 
 // WKT implements Geometry.
-func (p *Polygon) WKT() string {
-	var b strings.Builder
-	b.WriteString("POLYGON ((")
-	writeRing(&b, p.Outer)
-	b.WriteString(")")
+func (p *Polygon) WKT() string { return string(p.AppendWKT(nil)) }
+
+// AppendWKT implements Geometry.
+func (p *Polygon) AppendWKT(dst []byte) []byte {
+	dst = append(dst, "POLYGON (("...)
+	dst = append(appendRing(dst, p.Outer), ')')
 	for _, h := range p.Holes {
-		b.WriteString(", (")
-		writeRing(&b, h)
-		b.WriteString(")")
+		dst = append(dst, ", ("...)
+		dst = append(appendRing(dst, h), ')')
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(dst, ')')
 }
 
 // ContainsPoint reports whether pt lies inside the polygon (ray casting;
@@ -181,12 +186,12 @@ func (m *MultiPoint) MBR() MBR {
 }
 
 // WKT implements Geometry.
-func (m *MultiPoint) WKT() string {
-	var b strings.Builder
-	b.WriteString("MULTIPOINT (")
-	writeCoordSeq(&b, m.Points)
-	b.WriteByte(')')
-	return b.String()
+func (m *MultiPoint) WKT() string { return string(m.AppendWKT(nil)) }
+
+// AppendWKT implements Geometry.
+func (m *MultiPoint) AppendWKT(dst []byte) []byte {
+	dst = append(dst, "MULTIPOINT ("...)
+	return append(appendCoordSeq(dst, m.Points), ')')
 }
 
 // PolygonFromMBR converts an MBR to a closed rectangular polygon.
@@ -372,29 +377,30 @@ func onSegment(a, b, p Point) bool {
 		math.Min(a.Lat, b.Lat) <= p.Lat && p.Lat <= math.Max(a.Lat, b.Lat)
 }
 
-func fmtCoord(v float64) string {
-	return strconv.FormatFloat(v, 'f', -1, 64)
+// appendCoord appends "lng lat", each in the shortest 'f' form.
+func appendCoord(dst []byte, p Point) []byte {
+	dst = strconv.AppendFloat(dst, p.Lng, 'f', -1, 64)
+	dst = append(dst, ' ')
+	return strconv.AppendFloat(dst, p.Lat, 'f', -1, 64)
 }
 
-func writeCoordSeq(b *strings.Builder, pts []Point) {
+func appendCoordSeq(dst []byte, pts []Point) []byte {
 	for i, p := range pts {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		b.WriteString(fmtCoord(p.Lng))
-		b.WriteByte(' ')
-		b.WriteString(fmtCoord(p.Lat))
+		dst = appendCoord(dst, p)
 	}
+	return dst
 }
 
-func writeRing(b *strings.Builder, pts []Point) {
-	writeCoordSeq(b, pts)
+// appendRing appends a ring's coordinates, closing it if it is open.
+func appendRing(dst []byte, pts []Point) []byte {
+	dst = appendCoordSeq(dst, pts)
 	if len(pts) > 0 && pts[0] != pts[len(pts)-1] {
-		b.WriteString(", ")
-		b.WriteString(fmtCoord(pts[0].Lng))
-		b.WriteByte(' ')
-		b.WriteString(fmtCoord(pts[0].Lat))
+		dst = appendCoord(append(dst, ", "...), pts[0])
 	}
+	return dst
 }
 
 // ErrBadWKT reports an unparsable well-known-text string.

@@ -8,7 +8,6 @@ package server
 
 import (
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,7 +22,6 @@ import (
 	"just/internal/compress"
 	"just/internal/core"
 	"just/internal/exec"
-	"just/internal/geom"
 	"just/internal/jobs"
 	"just/internal/kv"
 	"just/internal/sql"
@@ -330,11 +328,12 @@ func (s *Server) classify(err error, entry *queryEntry) string {
 }
 
 // stream writes a successful statement as JSON lines: the header, one
-// array per row encoded from the frame's batches as they are walked,
-// and a terminal sqlResponse with the row count. The query context is
-// checked before each batch; once it is done the terminal line carries
-// the error instead. A failed write ends the stream, since the client
-// is gone.
+// array per row appended from the frame's batches as they are walked
+// (appendRow), and a terminal sqlResponse with the row count. The query
+// context is checked before each batch; once it is done, or a value
+// has no JSON form (NaN, ±Inf), the terminal line carries the error
+// instead, after the last whole row. A failed write ends the stream,
+// since the client is gone.
 func (s *Server) stream(ctx context.Context, w http.ResponseWriter, entry *queryEntry, res *sql.Result) {
 	hdr := streamHeader{Message: res.Message}
 	var batches []*exec.ColumnBatch
@@ -351,17 +350,20 @@ func (s *Server) stream(ctx context.Context, w http.ResponseWriter, entry *query
 	}
 	rc := http.NewResponseController(w)
 	var end sqlResponse
+	var line []byte
+rows:
 	for _, b := range batches {
 		if err := exec.MapCtxErr(ctx.Err()); err != nil {
 			end.Error, end.Code = err.Error(), s.classify(err, entry)
 			break
 		}
 		for i := range b.Len() {
-			row := b.RowAt(i)
-			for c, v := range row {
-				row[c] = encodeValue(v)
+			var err error
+			if line, err = appendRow(line[:0], b, i); err != nil {
+				end.Error = err.Error()
+				break rows
 			}
-			if enc.Encode(row) != nil {
+			if _, err := w.Write(line); err != nil {
 				return
 			}
 			if end.Total++; end.Total%s.opts.PageSize == 0 {
@@ -578,23 +580,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
-}
-
-// encodeValue converts an engine value into a JSON-friendly form:
-// geometry to WKT, st_series to [[lng,lat,t]...], bytes to base64.
-func encodeValue(v any) any {
-	switch x := v.(type) {
-	case geom.Geometry:
-		return map[string]any{"wkt": x.WKT()}
-	case []geom.TPoint:
-		pts := make([][3]float64, len(x))
-		for i, p := range x {
-			pts[i] = [3]float64{p.Lng, p.Lat, float64(p.T)}
-		}
-		return map[string]any{"st_series": pts}
-	case []byte:
-		return map[string]any{"bytes": base64.StdEncoding.EncodeToString(x)}
-	default:
-		return v
-	}
 }

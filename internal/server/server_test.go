@@ -196,26 +196,22 @@ func TestStreamWithSDK(t *testing.T) {
 	}
 }
 
+// TestEncodeValueForms: the wire forms of the values JSON has no type
+// for, and a scalar, as the row appender writes them.
 func TestEncodeValueForms(t *testing.T) {
-	got := encodeValue([]geom.TPoint{{Point: geom.Point{Lng: 1, Lat: 2}, T: 3}})
-	m, ok := got.(map[string]any)
-	if !ok {
-		t.Fatalf("st_series encoded as %T", got)
-	}
-	pts := m["st_series"].([][3]float64)
-	if len(pts) != 1 || pts[0] != [3]float64{1, 2, 3} {
-		t.Fatalf("st_series = %v", pts)
-	}
-	b := encodeValue([]byte{1, 2, 3}).(map[string]any)
-	if b["bytes"] != "AQID" {
-		t.Fatalf("bytes = %v", b)
-	}
-	if encodeValue(int64(5)) != int64(5) {
-		t.Fatal("scalars pass through")
-	}
-	g := encodeValue(geom.Point{Lng: 1, Lat: 2}).(map[string]any)
-	if g["wkt"] != "POINT (1 2)" {
-		t.Fatalf("wkt = %v", g)
+	for _, c := range []struct {
+		v    any
+		want string
+	}{
+		{[]geom.TPoint{{Point: geom.Point{Lng: 1, Lat: 2}, T: 3}}, `{"st_series":[[1,2,3]]}`},
+		{[]byte{1, 2, 3}, `{"bytes":"AQID"}`},
+		{int64(5), `5`},
+		{geom.Point{Lng: 1, Lat: 2}, `{"wkt":"POINT (1 2)"}`},
+	} {
+		got, err := appendValue(nil, c.v)
+		if err != nil || string(got) != c.want {
+			t.Errorf("%T encoded as %s (%v), want %s", c.v, got, err, c.want)
+		}
 	}
 }
 

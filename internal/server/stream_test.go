@@ -198,3 +198,44 @@ func TestStreamManyPagesOneRequest(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamUnencodableValue: a value JSON cannot carry (here a NaN)
+// ends the stream after the last whole row with an error terminal
+// line, and the SDK's Err returns that error.
+func TestStreamUnencodableValue(t *testing.T) {
+	ts, _ := newTestServer(t, Options{PageSize: 2})
+	c := client.Connect(ts.URL, "u1")
+	if _, err := c.Execute(`CREATE TABLE p (fid integer:primary key, x double, geom point)`); err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range []int{4, 9, 16, -1, 25} {
+		if _, err := c.Execute(fmt.Sprintf(`INSERT INTO p VALUES (%d, %d, st_makePoint(116.4, 39.9))`, i+1, x)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const stmt = `SELECT fid, sqrt(x) FROM p ORDER BY fid`
+	status, res, _ := postSQL(t, ts.URL, "u1", stmt, nil)
+	if status != http.StatusOK || len(res.Columns) != 2 {
+		t.Fatalf("got %d %+v, want a 200 stream with its header", status, res)
+	}
+	if res.Total != 3 || !strings.Contains(res.Error, "unsupported value: NaN") {
+		t.Fatalf("terminal line = %+v, want the NaN error after 3 rows", res.sqlResponse)
+	}
+	for i, row := range res.Rows {
+		if row[0].(float64) != float64(i+1) || row[1].(float64) != float64(i+2) {
+			t.Fatalf("row %d = %v, want [%d %d]", i, row, i+1, i+2)
+		}
+	}
+	rs, err := c.ExecuteQuery(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for rs.HasNext() {
+		rs.Next()
+		n++
+	}
+	if n != 3 || rs.Err() == nil || !strings.Contains(rs.Err().Error(), "unsupported value: NaN") {
+		t.Fatalf("SDK read %d rows, Err %v; want 3 rows and the NaN error", n, rs.Err())
+	}
+}

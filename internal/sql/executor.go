@@ -375,6 +375,9 @@ func coerceValue(col table.Column, v any) (any, error) {
 	case exec.TypeFloat:
 		return toFloat(v)
 	case exec.TypeInt:
+		if n, ok := v.(int64); ok {
+			return n, nil // all 64 bits; float64 would round past 2^53
+		}
 		f, err := toFloat(v)
 		if err != nil {
 			return nil, fmt.Errorf("sql: column %q: %w", col.Name, err)

@@ -268,6 +268,22 @@ func TestEndToEndSTQuery(t *testing.T) {
 	}
 }
 
+// TestInsertKeepsInt64Literal: an integer literal reaches an integer
+// column with all 64 bits; a float literal is still truncated.
+func TestInsertKeepsInt64Literal(t *testing.T) {
+	s := newTestSession(t)
+	mustExec(t, s, `CREATE TABLE big (fid integer:primary key, n integer, geom point)`)
+	mustExec(t, s, `INSERT INTO big VALUES
+		(1, 9007199254740993, st_makePoint(1,1)),
+		(2, 9223372036854775807, st_makePoint(1,1)),
+		(3, 2.9, st_makePoint(1,1))`)
+	got := mustExec(t, s, `SELECT fid, n FROM big ORDER BY fid`).Frame.Collect()
+	want := []exec.Row{{int64(1), int64(1<<53 + 1)}, {int64(2), int64(1<<63 - 1)}, {int64(3), int64(2)}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("read back %v, want %v", got, want)
+	}
+}
+
 func TestEndToEndTimeStrings(t *testing.T) {
 	s := newTestSession(t)
 	mustExec(t, s, `CREATE TABLE ev (fid integer:primary key, time date, geom point)`)
