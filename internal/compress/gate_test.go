@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"testing"
 	"time"
 )
@@ -78,20 +80,56 @@ func TestGateLZ4BeatsGzip(t *testing.T) {
 		t.Fatalf("codec stack ratio gate: typed+lz4=%d vs gzip=%d (>15%% worse)", len(lzTyped), gz.Len())
 	}
 
-	const iters = 300
+	// The codecs alternate over short rounds and each is judged by its
+	// fastest round. A host loaded by the rest of the suite then slows
+	// some rounds of both codecs, not the whole of one codec's timing,
+	// which back-to-back loops let it do.
+	const rounds, iters = 10, 30
 	dst := make([]byte, len(raw))
-	gzNanos := benchNanos(t, iters, func() {
-		if err := DecompressGzipLen(dst, gz.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-	})
-	lzNanos := benchNanos(t, iters, func() {
-		if err := DecompressLZ4(dst, lzRaw); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("decompress ns/op: gzip=%d lz4=%d (%.1fx)", gzNanos, lzNanos, float64(gzNanos)/float64(lzNanos))
+	gzNanos, lzNanos := int64(math.MaxInt64), int64(math.MaxInt64)
+	for r := 0; r < rounds; r++ {
+		gzNanos = min(gzNanos, benchNanos(t, iters, func() {
+			if err := DecompressGzipLen(dst, gz.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+		}))
+		lzNanos = min(lzNanos, benchNanos(t, iters, func() {
+			if err := DecompressLZ4(dst, lzRaw); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	t.Logf("fastest-round decompress ns/op: gzip=%d lz4=%d (%.1fx)", gzNanos, lzNanos, float64(gzNanos)/float64(lzNanos))
 	if lzNanos*2 > gzNanos {
 		t.Fatalf("throughput gate: lz4=%dns/op not >= 2x faster than gzip=%dns/op", lzNanos, gzNanos)
+	}
+}
+
+// TestLZ4OutputPinned pins the block encoder's output on the gate
+// fixture, raw and under the typed encodings: a change to match finding
+// or extension that alters the bytes, and with them the benchmark's
+// disk_bytes_per_row, fails here rather than drifting unnoticed. The
+// encoder gets a fresh match table, since a pooled one keeps positions
+// from earlier inputs that can turn into different (valid) matches.
+func TestLZ4OutputPinned(t *testing.T) {
+	raw, ts, lat, lon, riders := zonePruningFixture(4000)
+	var typed []byte
+	typed = AppendDeltaOfDelta(typed, ts)
+	typed = AppendDelta(typed, lat)
+	typed = AppendDelta(typed, lon)
+	typed = EncodeStrings(typed, riders)
+	for _, c := range []struct {
+		name string
+		src  []byte
+		n    int
+		crc  uint32
+	}{
+		{"raw", raw, 38399, 0xc0c53ee4},
+		{"typed", typed, 3123, 0x7ef73713},
+	} {
+		out := appendLZ4(nil, c.src, new(matchTable))
+		if len(out) != c.n || crc32.ChecksumIEEE(out) != c.crc {
+			t.Errorf("%s: lz4 output len=%d crc=%#08x, pinned len=%d crc=%#08x", c.name, len(out), crc32.ChecksumIEEE(out), c.n, c.crc)
+		}
 	}
 }

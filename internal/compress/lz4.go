@@ -9,7 +9,9 @@
 package compress
 
 import (
+	"encoding/binary"
 	"errors"
+	"math/bits"
 	"sync"
 	"time"
 )
@@ -98,10 +100,7 @@ func appendLZ4(dst, src []byte, ht *matchTable) []byte {
 				i++
 				continue
 			}
-			mlen := minMatch
-			for i+mlen < matchLimit && src[cand+mlen] == src[i+mlen] {
-				mlen++
-			}
+			mlen := minMatch + matchLen(src, cand+minMatch, i+minMatch, matchLimit)
 			dst = appendSequence(dst, src[anchor:i], i-cand, mlen)
 			// Seed positions inside the match so nearby repeats remain
 			// findable after the jump.
@@ -116,6 +115,23 @@ func appendLZ4(dst, src []byte, ht *matchTable) []byte {
 	// Final literals-only sequence (always present, even when empty, so
 	// a non-empty block never ends on a match).
 	return appendSequence(dst, src[anchor:], 0, 0)
+}
+
+// matchLen counts the bytes at src[b:] that equal those at src[a:]
+// (a < b), stopping at limit: eight at a time, where the XOR's trailing
+// zero bits locate the first difference, then byte by byte for the tail.
+func matchLen(src []byte, a, b, limit int) int {
+	n := 0
+	for b+n+8 <= limit {
+		if x := binary.LittleEndian.Uint64(src[b+n:]) ^ binary.LittleEndian.Uint64(src[a+n:]); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+		n += 8
+	}
+	for b+n < limit && src[a+n] == src[b+n] {
+		n++
+	}
+	return n
 }
 
 // appendSequence emits one [token][literals][offset][matchlen] sequence;

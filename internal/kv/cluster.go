@@ -202,10 +202,10 @@ func (c *Cluster) Compact() error {
 }
 
 // ApplyCtx group-commits a WriteBatch, the store's one write: the
-// region takes its lock once, appends every record to the WAL in one
-// buffered sequence with a single sync, and inserts into the memtable
-// under that acquisition. Mutations keep their batch order (later
-// entries win on duplicate keys).
+// region appends every record to the WAL with a single sync, then
+// inserts the whole batch into the memtable at once (see
+// region.applyBatch). Mutations keep their batch order (later entries
+// win on duplicate keys).
 func (c *Cluster) ApplyCtx(ctx context.Context, b *WriteBatch) error {
 	if err := c.ready(ctx); err != nil {
 		return err
@@ -217,8 +217,8 @@ func (c *Cluster) ApplyCtx(ctx context.Context, b *WriteBatch) error {
 }
 
 // MultiGetCtx fetches many keys against one consistent snapshot of the
-// region (single lock acquisition). The result is parallel to keys;
-// missing keys yield nil entries.
+// region, in which a concurrent batch is whole or absent. The result is
+// parallel to keys; missing keys yield nil entries.
 func (c *Cluster) MultiGetCtx(ctx context.Context, keys [][]byte) ([][]byte, error) {
 	if err := c.ready(ctx); err != nil {
 		return nil, err

@@ -135,6 +135,13 @@ type region struct {
 	// Cluster.ScrubState.
 	corrupt atomic.Bool
 
+	// walMu orders the writers: commits (applyBatch, put), a freeze's
+	// WAL rotation and Close's log close. A commit's WAL sync and memtable
+	// insert hold it and not mu, so reads never wait on the disk. Lock
+	// order: walMu, mu, skiplist. mem and log change only under both.
+	walMu  sync.Mutex
+	staged []memEntry // applyBatch's scratch, guarded by walMu
+
 	mu          sync.RWMutex
 	cond        *sync.Cond // broadcast on imm / closed / flushErr transitions
 	mem         *skiplist
@@ -349,16 +356,10 @@ func (r *region) walPath() string {
 }
 
 func (r *region) put(key, value []byte, k kind) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return ErrClosed
-	}
-	if r.flushErr != nil {
-		return r.flushErr
-	}
-	if r.degraded && len(r.imm) > r.opts.FlushQueue {
-		return ErrDiskPressure
+	r.walMu.Lock()
+	defer r.walMu.Unlock()
+	if err := r.writable(); err != nil {
+		return err
 	}
 	if r.log != nil {
 		if err := r.log.append(k, key, value); err != nil {
@@ -369,7 +370,7 @@ func (r *region) put(key, value []byte, k kind) error {
 		}
 	}
 	r.mem.put(append([]byte(nil), key...), append([]byte(nil), value...), k)
-	return r.maybeFreezeLocked()
+	return r.maybeFreeze()
 }
 
 // Put inserts or overwrites key.
@@ -378,20 +379,32 @@ func (r *region) Put(key, value []byte) error { return r.put(key, value, kindPut
 // Delete writes a tombstone for key.
 func (r *region) Delete(key []byte) error { return r.put(key, nil, kindDelete) }
 
-// applyBatch is the region half of Cluster.ApplyCtx: one lock acquisition,
-// one buffered WAL sequence with a single sync (the group commit), all
-// memtable inserts under that acquisition, and at most one freeze check.
-func (r *region) applyBatch(muts []mutation) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
+// writable reports why the region refuses a write, if it does.
+func (r *region) writable() error {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	switch {
+	case r.closed:
 		return ErrClosed
-	}
-	if r.flushErr != nil {
+	case r.flushErr != nil:
 		return r.flushErr
-	}
-	if r.degraded && len(r.imm) > r.opts.FlushQueue {
+	case r.degraded && len(r.imm) > r.opts.FlushQueue:
 		return ErrDiskPressure
+	}
+	return nil
+}
+
+// applyBatch is the region half of Cluster.ApplyCtx, the group commit.
+// Holding walMu but not mu, it appends the batch to the WAL as one
+// record with a single sync, copies it into one arena and inserts it
+// into the memtable under one skiplist lock. A reader thus sees the
+// batch whole, after its sync, or not at all, and never waits on the
+// disk. mu is taken for writing only for the freeze check.
+func (r *region) applyBatch(muts []mutation) error {
+	r.walMu.Lock()
+	defer r.walMu.Unlock()
+	if err := r.writable(); err != nil {
+		return err
 	}
 	if r.log != nil {
 		n, err := r.log.appendBatch(muts)
@@ -425,6 +438,7 @@ func (r *region) applyBatch(muts []mutation) error {
 		}
 	}
 	arena := make([]byte, 0, total)
+	staged := r.staged[:0]
 	var prevSrc, prevCopy []byte
 	for _, m := range muts {
 		arena = append(arena, m.key...)
@@ -439,20 +453,31 @@ func (r *region) applyBatch(muts []mutation) error {
 			}
 			prevSrc, prevCopy = m.value, v
 		}
-		r.mem.put(key, v, m.k)
+		staged = append(staged, memEntry{key, v, m.k})
 	}
+	r.mem.putBatch(staged)
+	clear(staged) // the scratch must not pin this arena past its flush
+	r.staged = staged
 	if r.met != nil {
 		atomic.AddInt64(&r.met.GroupCommits, 1)
 		atomic.AddInt64(&r.met.GroupCommitRecords, int64(len(muts)))
 	}
+	return r.maybeFreeze()
+}
+
+// maybeFreeze runs maybeFreezeLocked under mu. Called with walMu held.
+func (r *region) maybeFreeze() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.maybeFreezeLocked()
 }
 
 // maybeFreezeLocked freezes the active memtable once it crosses the
 // threshold and applies backpressure when the flush queue is full.
-// Called with mu held.
+// Called with walMu and mu held. A region closed while the commit ran
+// is not frozen: the batch is durable, and its WAL replays on reopen.
 func (r *region) maybeFreezeLocked() error {
-	if r.mem.size < r.opts.MemtableBytes {
+	if r.closed || r.mem.size < r.opts.MemtableBytes {
 		return nil
 	}
 	if err := r.freezeLocked(); err != nil {
@@ -480,7 +505,7 @@ func (r *region) maybeFreezeLocked() error {
 
 // freezeLocked moves the active memtable onto the imm queue (where Get
 // and Scan still see it), rotates the WAL, and wakes the flusher.
-// Called with mu held; the memtable must be non-empty.
+// Called with walMu and mu held.
 func (r *region) freezeLocked() error {
 	if r.mem.count == 0 {
 		return nil
@@ -541,12 +566,14 @@ func (r *region) Get(key []byte) ([]byte, error) {
 	tables := pinTables(r.tables)
 	r.mu.RUnlock()
 	defer releaseTables(tables)
-	return getFrom(mem, imms, tables, key)
+	v, k, _ := mem.get(key)
+	return getFrom(memEntry{value: v, kind: k}, imms, tables, key)
 }
 
 // getBatch probes many keys against one consistent snapshot of the
-// region (single lock acquisition); missing keys yield nil entries in
-// out, which is parallel to keys.
+// region: the table stack and frozen memtables as of one acquisition
+// of mu, and the active memtable as of one acquisition of its own lock.
+// Missing keys yield nil entries in out, which is parallel to keys.
 func (r *region) getBatch(keys, out [][]byte) error {
 	r.mu.RLock()
 	if r.closed {
@@ -558,8 +585,10 @@ func (r *region) getBatch(keys, out [][]byte) error {
 	tables := pinTables(r.tables)
 	r.mu.RUnlock()
 	defer releaseTables(tables)
+	hits := make([]memEntry, len(keys))
+	mem.getBatch(keys, hits)
 	for i, k := range keys {
-		v, err := getFrom(mem, imms, tables, k)
+		v, err := getFrom(hits[i], imms, tables, k)
 		if err == ErrNotFound {
 			continue
 		}
@@ -571,14 +600,15 @@ func (r *region) getBatch(keys, out [][]byte) error {
 	return nil
 }
 
-// getFrom searches a snapshot newest-first: active memtable, frozen
-// memtables (newest first), then SSTables (newest first).
-func getFrom(mem *skiplist, imms []*immMem, tables []*table, key []byte) ([]byte, error) {
-	if v, k, ok := mem.get(key); ok {
-		if k == kindDelete {
-			return nil, ErrNotFound
-		}
-		return v, nil
+// getFrom searches a snapshot newest-first: e, the active memtable's
+// entry for key (kind 0 if it has none), then frozen memtables (newest
+// first), then SSTables (newest first).
+func getFrom(e memEntry, imms []*immMem, tables []*table, key []byte) ([]byte, error) {
+	switch e.kind {
+	case kindDelete:
+		return nil, ErrNotFound
+	case kindPut:
+		return e.value, nil
 	}
 	for i := len(imms) - 1; i >= 0; i-- {
 		if v, k, ok := imms[i].mem.get(key); ok {
@@ -608,15 +638,18 @@ func getFrom(mem *skiplist, imms []*immMem, tables []*table, key []byte) ([]byte
 // every frozen memtable to SSTables. Call after bulk loads and before
 // measuring on-disk size.
 func (r *region) flush() error {
+	r.walMu.Lock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	err := r.flushErr
 	if r.closed {
-		return ErrClosed
+		err = ErrClosed
 	}
-	if r.flushErr != nil {
-		return r.flushErr
+	if err == nil {
+		err = r.freezeLocked()
 	}
-	if err := r.freezeLocked(); err != nil {
+	r.walMu.Unlock() // commits may go on while the flusher drains
+	if err != nil {
 		return err
 	}
 	for len(r.imm) > 0 && r.flushErr == nil && !r.closed && !r.flushPaused && !r.degraded {
@@ -973,6 +1006,8 @@ func (r *region) Close() error {
 	r.mu.Unlock()
 	<-r.flusherDone // an in-flight flush finishes installing first
 
+	r.walMu.Lock() // and an in-flight commit finishes its insert
+	defer r.walMu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var first error

@@ -9,8 +9,9 @@ import (
 const skiplistMaxHeight = 12
 
 // skiplist is the memtable: a sorted in-memory map from key to the most
-// recent entry (put or tombstone). Writers take the mutex; readers use
-// RLock, so concurrent scans during ingestion are safe.
+// recent entry (put or tombstone). The region's walMu admits one writer
+// at a time; the mutex makes each put, and each whole putBatch, atomic
+// to readers, who take RLock, so scans during ingestion are safe.
 type skiplist struct {
 	mu     sync.RWMutex
 	head   *skipnode
@@ -44,10 +45,21 @@ func (s *skiplist) randomHeight() int {
 }
 
 // put inserts or overwrites the entry for key.
-func (s *skiplist) put(key, value []byte, k kind) {
+func (s *skiplist) put(key, value []byte, k kind) { s.putBatch([]memEntry{{key, value, k}}) }
+
+// putBatch inserts or overwrites es in order (later entries win on
+// duplicate keys) under one acquisition of the lock: a reader sees all
+// of them or none.
+func (s *skiplist) putBatch(es []memEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for _, e := range es {
+		s.insert(e.key, e.value, e.kind)
+	}
+}
 
+// insert is putBatch's step, with the lock held.
+func (s *skiplist) insert(key, value []byte, k kind) {
 	var prev [skiplistMaxHeight]*skipnode
 	n := s.head
 	for level := s.height - 1; level >= 0; level-- {
@@ -80,18 +92,22 @@ func (s *skiplist) put(key, value []byte, k kind) {
 
 // get returns the entry for key, if present.
 func (s *skiplist) get(key []byte) (value []byte, k kind, ok bool) {
+	var e [1]memEntry
+	s.getBatch([][]byte{key}, e[:])
+	return e[0].value, e[0].kind, e[0].kind != 0
+}
+
+// getBatch sets out[i] to the entry for keys[i], leaving a miss's kind
+// 0. It holds the read lock once, so a concurrent putBatch is seen whole
+// or not at all.
+func (s *skiplist) getBatch(keys [][]byte, out []memEntry) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := s.head
-	for level := s.height - 1; level >= 0; level-- {
-		for n.next[level] != nil && bytes.Compare(n.next[level].key, key) < 0 {
-			n = n.next[level]
+	for i, key := range keys {
+		if n := s.seek(key); n != nil && bytes.Equal(n.key, key) {
+			out[i] = memEntry{n.key, n.value, n.kind}
 		}
 	}
-	if target := n.next[0]; target != nil && bytes.Equal(target.key, key) {
-		return target.value, target.kind, true
-	}
-	return nil, 0, false
 }
 
 // seek returns the first node with key >= target.

@@ -130,6 +130,7 @@ type tableWriter struct {
 	zoneFn ZoneExtractor
 
 	block     bytes.Buffer
+	cblock    []byte // the compressed block, reused: it is only written and checksummed
 	blockKey  []byte // first key of the current block
 	index     []blockHandle
 	bloomKeys [][]byte
@@ -219,9 +220,9 @@ func (t *tableWriter) flushBlock() error {
 			codec = blockCodecGzip
 		}
 	case blockCodecLZ4:
-		cb := compress.CompressLZ4(nil, raw)
-		if len(cb) < len(raw) {
-			out = cb
+		t.cblock = compress.CompressLZ4(t.cblock[:0], raw)
+		if len(t.cblock) < len(raw) {
+			out = t.cblock
 			codec = blockCodecLZ4
 		}
 	}
