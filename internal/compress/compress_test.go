@@ -336,3 +336,20 @@ func blockFixture(n int) []byte {
 	}
 	return b[:n]
 }
+
+// TestLZ4PooledMatchesFresh: the pooled match table, reused across
+// inputs, must encode every block exactly as a fresh table does. Blocks
+// over a 5-letter alphabet repeat 4-byte sequences across inputs, so a
+// position left by an earlier input would land on a real match here.
+func TestLZ4PooledMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for i := 0; i < 2000; i++ {
+		src := make([]byte, rng.Intn(4096))
+		for j := range src {
+			src[j] = "abcde"[rng.Intn(5)]
+		}
+		if pooled, fresh := CompressLZ4(nil, src), appendLZ4(nil, src, new(matchTable)); !bytes.Equal(pooled, fresh) {
+			t.Fatalf("block %d (%d bytes): pooled table encodes %d bytes, fresh table %d", i, len(src), len(pooled), len(fresh))
+		}
+	}
+}

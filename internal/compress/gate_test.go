@@ -109,8 +109,8 @@ func TestGateLZ4BeatsGzip(t *testing.T) {
 // fixture, raw and under the typed encodings: a change to match finding
 // or extension that alters the bytes, and with them the benchmark's
 // disk_bytes_per_row, fails here rather than drifting unnoticed. The
-// encoder gets a fresh match table, since a pooled one keeps positions
-// from earlier inputs that can turn into different (valid) matches.
+// encoder gets a fresh match table; TestLZ4PooledMatchesFresh holds the
+// pooled tables to the same output.
 func TestLZ4OutputPinned(t *testing.T) {
 	raw, ts, lat, lon, riders := zonePruningFixture(4000)
 	var typed []byte

@@ -11,6 +11,7 @@ package compress
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/bits"
 	"sync"
 	"time"
@@ -52,11 +53,16 @@ const (
 	maxBlockLen = 1 << 30
 )
 
-// matchTable is the encoder's hash table of candidate positions. Entries
-// are never cleared between uses: a stale or garbage position is
-// rejected by the bounds check and byte comparison at probe time, so a
-// pooled table costs nothing to reuse.
-type matchTable [hashSize]int32
+// matchTable is the encoder's hash table of candidate positions. A pooled
+// table is reused without clearing: it stores base+i for position i, and
+// base advances past each input, so an entry below base — left by an
+// earlier input — reads as position 0, what a zeroed table holds. Output
+// thus depends on the input alone, and a reuse costs nothing until base
+// would overflow.
+type matchTable struct {
+	pos  [hashSize]int32
+	base int32
+}
 
 var matchTablePool = sync.Pool{New: func() any { return new(matchTable) }}
 
@@ -83,6 +89,11 @@ func CompressLZ4(dst, src []byte) []byte {
 
 func appendLZ4(dst, src []byte, ht *matchTable) []byte {
 	n := len(src)
+	if int64(ht.base)+int64(n) > math.MaxInt32 {
+		*ht = matchTable{}
+	}
+	base := ht.base
+	ht.base += int32(n)
 	anchor := 0
 	if n >= matchStartFloor {
 		limit := n - matchStartFloor // last position a match may start at
@@ -91,12 +102,9 @@ func appendLZ4(dst, src []byte, ht *matchTable) []byte {
 		for i <= limit {
 			u := le32(src[i:])
 			h := lz4Hash(u)
-			cand := int(ht[h])
-			ht[h] = int32(i)
-			// The table may hold garbage from another buffer; the
-			// position and byte checks reject anything not a real match
-			// in *this* input.
-			if cand < 0 || cand >= i || i-cand > maxOffset || le32(src[cand:]) != u {
+			cand := max(int(ht.pos[h]-base), 0)
+			ht.pos[h] = base + int32(i)
+			if cand >= i || i-cand > maxOffset || le32(src[cand:]) != u {
 				i++
 				continue
 			}
@@ -105,8 +113,8 @@ func appendLZ4(dst, src []byte, ht *matchTable) []byte {
 			// Seed positions inside the match so nearby repeats remain
 			// findable after the jump.
 			if i+2 <= limit {
-				ht[lz4Hash(le32(src[i+1:]))] = int32(i + 1)
-				ht[lz4Hash(le32(src[i+2:]))] = int32(i + 2)
+				ht.pos[lz4Hash(le32(src[i+1:]))] = base + int32(i+1)
+				ht.pos[lz4Hash(le32(src[i+2:]))] = base + int32(i+2)
 			}
 			i += mlen
 			anchor = i

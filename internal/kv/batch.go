@@ -3,11 +3,12 @@ package kv
 // WriteBatch collects the puts and deletes of one group-committed
 // Store.ApplyCtx, the store's only write. The batch is the unit of
 // amortization on the write path: each region it touches appends every
-// record to the WAL as one record with a single sync, then inserts the
-// whole batch into the memtable under one acquisition of the
-// memtable's lock, so a reader sees the batch whole, after its sync, or
-// not at all. The commit holds the region's commit lock, not the lock
-// readers take, so reads never wait on the sync.
+// record to the WAL as one record with a single sync, then finds the
+// batch's places in the memtable without its lock and links the whole
+// batch in under one acquisition of it, so a reader sees the batch
+// whole, after its sync, or not at all. The commit holds the region's
+// commit lock, not the lock readers take, so reads never wait on the
+// sync, and wait on the memtable only while the batch links in.
 //
 // Mutations within a batch are applied in the order they were added
 // (later entries win on duplicate keys). A WriteBatch is not safe for

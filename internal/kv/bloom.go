@@ -2,7 +2,6 @@ package kv
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 	"math"
 )
 
@@ -29,17 +28,23 @@ func newBloomFilter(n int) *bloomFilter {
 	}
 }
 
-// hash2 derives two independent 32-bit hashes of key; the k probe
-// positions are their Kirsch–Mitzenmacher combinations.
-func bloomHash2(key []byte) (uint32, uint32) {
-	h := fnv.New64a()
-	h.Write(key)
-	v := h.Sum64()
-	return uint32(v), uint32(v >> 32)
+// bloomHash is the 64-bit FNV-1a hash of key. Its two halves are the
+// filter's two independent 32-bit hashes; the k probe positions are their
+// Kirsch–Mitzenmacher combinations.
+func bloomHash(key []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range key {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
 }
 
-func (b *bloomFilter) add(key []byte) {
-	h1, h2 := bloomHash2(key)
+func (b *bloomFilter) add(key []byte) { b.addHash(bloomHash(key)) }
+
+// addHash adds the key whose bloomHash is v.
+func (b *bloomFilter) addHash(v uint64) {
+	h1, h2 := uint32(v), uint32(v>>32)
 	n := uint32(len(b.bits) * 8)
 	for i := uint32(0); i < b.hashes; i++ {
 		pos := (h1 + i*h2) % n
@@ -51,7 +56,8 @@ func (b *bloomFilter) mayContain(key []byte) bool {
 	if len(b.bits) == 0 {
 		return true
 	}
-	h1, h2 := bloomHash2(key)
+	v := bloomHash(key)
+	h1, h2 := uint32(v), uint32(v>>32)
 	n := uint32(len(b.bits) * 8)
 	for i := uint32(0); i < b.hashes; i++ {
 		pos := (h1 + i*h2) % n

@@ -2,7 +2,9 @@ package kv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -189,7 +191,7 @@ func TestWALTornTail(t *testing.T) {
 
 func writeTestTable(t *testing.T, path string, n int, codec uint8) *table {
 	t.Helper()
-	tw, err := newTableWriter(OSFS{}, path, codec, nil)
+	tw, err := newTableWriter(OSFS{}, path, codec, nil, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +286,7 @@ func TestSSTableScanFull(t *testing.T) {
 }
 
 func TestSSTableRejectsOutOfOrder(t *testing.T) {
-	tw, err := newTableWriter(OSFS{}, filepath.Join(t.TempDir(), "t.sst"), blockCodecNone, nil)
+	tw, err := newTableWriter(OSFS{}, filepath.Join(t.TempDir(), "t.sst"), blockCodecNone, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,6 +296,69 @@ func TestSSTableRejectsOutOfOrder(t *testing.T) {
 	}
 	if err := tw.add([]byte("a"), nil, kindPut); err == nil {
 		t.Fatal("out-of-order add should fail")
+	}
+}
+
+// TestSSTableWriterAllocsPerBlock: adding an entry allocates nothing of
+// its own (the bloom filter keeps an 8-byte hash in a slice sized up
+// front, not a copy of the key), so a table's allocations grow with its
+// blocks, not its entries.
+func TestSSTableWriterAllocsPerBlock(t *testing.T) {
+	const n = 5000
+	keys, values := make([][]byte, n), make([][]byte, n)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%08d", i))
+		values[i] = []byte(fmt.Sprintf("value-%d-padpadpadpadpadpadpadpad", i*7919))
+	}
+	path := filepath.Join(t.TempDir(), "t.sst")
+	var blocks int
+	allocs := testing.AllocsPerRun(5, func() {
+		tw, err := newTableWriter(OSFS{}, path, blockCodecLZ4, nil, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tw.abort()
+		for i := range keys {
+			if err := tw.add(keys[i], values[i], kindPut); err != nil {
+				t.Fatal(err)
+			}
+		}
+		blocks = len(tw.index)
+	})
+	t.Logf("%v allocations for %d entries in %d blocks", allocs, n, blocks)
+	if blocks < 50 {
+		t.Fatalf("%d entries filled only %d blocks", n, blocks)
+	}
+	if limit := float64(3*blocks + 30); allocs > limit {
+		t.Fatalf("%v allocations for %d entries in %d blocks, want at most %v", allocs, n, blocks, limit)
+	}
+}
+
+// TestSSTableBloomSection: the filter a table is built with from its
+// keys' hashes is byte for byte the filter newBloomFilter and add build
+// from the keys, and bloomHash is the standard 64-bit FNV-1a, so tables
+// written before hashes replaced key copies keep answering.
+func TestSSTableBloomSection(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.sst")
+	writeTestTable(t, path, 3000, blockCodecLZ4).close()
+	want := newBloomFilter(3000)
+	for i := 0; i < 3000; i++ {
+		key := []byte(fmt.Sprintf("key-%06d", i))
+		want.add(key)
+		h := fnv.New64a()
+		h.Write(key)
+		if bloomHash(key) != h.Sum64() {
+			t.Fatalf("bloomHash(%q) = %#x, FNV-1a %#x", key, bloomHash(key), h.Sum64())
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	footer := data[len(data)-footerSize:]
+	off, n := binary.LittleEndian.Uint64(footer[0:]), binary.LittleEndian.Uint64(footer[8:])
+	if got := data[off : off+n]; !bytes.Equal(got, want.marshal()) {
+		t.Fatalf("bloom section differs from the keys' filter (%d bytes, want %d)", len(got), len(want.marshal()))
 	}
 }
 

@@ -137,8 +137,10 @@ type region struct {
 
 	// walMu orders the writers: commits (applyBatch, put), a freeze's
 	// WAL rotation and Close's log close. A commit's WAL sync and memtable
-	// insert hold it and not mu, so reads never wait on the disk. Lock
-	// order: walMu, mu, skiplist. mem and log change only under both.
+	// insert hold it and not mu, so reads never wait on the disk. Only
+	// its holder changes the active memtable, which lets putBatch search
+	// it without the skiplist lock. Lock order: walMu, mu, skiplist. mem
+	// and log change only under both.
 	walMu  sync.Mutex
 	staged []memEntry // applyBatch's scratch, guarded by walMu
 
@@ -397,9 +399,10 @@ func (r *region) writable() error {
 // applyBatch is the region half of Cluster.ApplyCtx, the group commit.
 // Holding walMu but not mu, it appends the batch to the WAL as one
 // record with a single sync, copies it into one arena and inserts it
-// into the memtable under one skiplist lock. A reader thus sees the
-// batch whole, after its sync, or not at all, and never waits on the
-// disk. mu is taken for writing only for the freeze check.
+// into the memtable, holding the skiplist lock only to link it in. A
+// reader thus sees the batch whole, after its sync, or not at all, and
+// never waits on the disk. mu is taken for writing only for the freeze
+// check.
 func (r *region) applyBatch(muts []mutation) error {
 	r.walMu.Lock()
 	defer r.walMu.Unlock()
@@ -763,7 +766,7 @@ func (r *region) flushImm(im *immMem) error {
 	r.mu.Unlock()
 
 	entries := im.mem.entries(KeyRange{})
-	tw, err := newTableWriter(r.fs, filepath.Join(r.dir, name), r.opts.blockCodec(), r.opts.ZoneExtractor)
+	tw, err := newTableWriter(r.fs, filepath.Join(r.dir, name), r.opts.blockCodec(), r.opts.ZoneExtractor, im.mem.count)
 	if err != nil {
 		return err
 	}
@@ -868,8 +871,12 @@ func (r *region) merge(tier bool) error {
 	name := fmt.Sprintf("sst-%06d.sst", r.sstSeq)
 	r.mu.Unlock()
 
+	n := 0
+	for _, t := range tables {
+		n += int(t.count)
+	}
 	it := newMergeIter(nil, tables, KeyRange{}, true)
-	tw, err := newTableWriter(r.fs, filepath.Join(r.dir, name), r.opts.blockCodec(), r.opts.ZoneExtractor)
+	tw, err := newTableWriter(r.fs, filepath.Join(r.dir, name), r.opts.blockCodec(), r.opts.ZoneExtractor, n)
 	if err != nil {
 		return err
 	}

@@ -3,15 +3,19 @@ package kv
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sync"
 )
 
 const skiplistMaxHeight = 12
 
 // skiplist is the memtable: a sorted in-memory map from key to the most
-// recent entry (put or tombstone). The region's walMu admits one writer
-// at a time; the mutex makes each put, and each whole putBatch, atomic
-// to readers, who take RLock, so scans during ingestion are safe.
+// recent entry (put or tombstone). The caller admits one writer at a time
+// (the region's walMu), and only that writer changes the list, so it
+// reads the list without the mutex: putBatch finds a batch's places
+// unlocked and holds the write lock only to link the batch in. Readers
+// take RLock, so each whole putBatch is atomic to them and scans during
+// ingestion are safe.
 type skiplist struct {
 	mu     sync.RWMutex
 	head   *skipnode
@@ -47,47 +51,72 @@ func (s *skiplist) randomHeight() int {
 // put inserts or overwrites the entry for key.
 func (s *skiplist) put(key, value []byte, k kind) { s.putBatch([]memEntry{{key, value, k}}) }
 
-// putBatch inserts or overwrites es in order (later entries win on
-// duplicate keys) under one acquisition of the lock: a reader sees all
-// of them or none.
+// putBatch inserts or overwrites es (later entries win on duplicate
+// keys), reordering es. Callers serialize it with every other write. It
+// stable-sorts the batch and finds each key's predecessors without the
+// lock, starting each search from the previous key's (a finger search),
+// then takes the write lock only to set the overwritten values and link
+// the new nodes, in descending key order: a reader sees all of the batch
+// or none.
 func (s *skiplist) putBatch(es []memEntry) {
+	slices.SortStableFunc(es, func(a, b memEntry) int { return bytes.Compare(a.key, b.key) })
+	type overwrite struct {
+		n     *skipnode
+		value []byte
+		kind  kind
+	}
+	var sets []overwrite
+	nodes := make([]*skipnode, 0, len(es))
+	var prev [skiplistMaxHeight]*skipnode
+	for level := range prev {
+		prev[level] = s.head
+	}
+	for i, e := range es {
+		if i+1 < len(es) && bytes.Equal(e.key, es[i+1].key) {
+			continue
+		}
+		// A level's search starts at the previous key's predecessor, or
+		// at this key's predecessor on the level above when that one
+		// moved, which puts it past the former.
+		for level, moved := s.height-1, false; level >= 0; level-- {
+			n := prev[level]
+			if moved {
+				n = prev[level+1]
+			}
+			for n.next[level] != nil && bytes.Compare(n.next[level].key, e.key) < 0 {
+				n = n.next[level]
+			}
+			moved = n != prev[level]
+			prev[level] = n
+		}
+		if t := prev[0].next[0]; t != nil && bytes.Equal(t.key, e.key) {
+			sets = append(sets, overwrite{t, e.value, e.kind})
+			continue
+		}
+		// Until it is linked, a node's next holds its predecessors.
+		node := &skipnode{key: e.key, value: e.value, kind: e.kind, next: make([]*skipnode, s.randomHeight())}
+		copy(node.next, prev[:])
+		nodes = append(nodes, node)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, e := range es {
-		s.insert(e.key, e.value, e.kind)
+	for _, o := range sets {
+		s.size += int64(len(o.value) - len(o.n.value))
+		o.n.value, o.n.kind = o.value, o.kind
 	}
-}
-
-// insert is putBatch's step, with the lock held.
-func (s *skiplist) insert(key, value []byte, k kind) {
-	var prev [skiplistMaxHeight]*skipnode
-	n := s.head
-	for level := s.height - 1; level >= 0; level-- {
-		for n.next[level] != nil && bytes.Compare(n.next[level].key, key) < 0 {
-			n = n.next[level]
+	// Nodes sharing a predecessor link in front of each other, largest
+	// key first, so each ends up before the larger ones.
+	for i := len(nodes) - 1; i >= 0; i-- {
+		n := nodes[i]
+		for level := range n.next {
+			p := n.next[level]
+			n.next[level] = p.next[level]
+			p.next[level] = n
 		}
-		prev[level] = n
+		s.height = max(s.height, len(n.next))
+		s.size += int64(len(n.key) + len(n.value) + 48)
 	}
-	if target := prev[0].next[0]; target != nil && bytes.Equal(target.key, key) {
-		s.size += int64(len(value) - len(target.value))
-		target.value = value
-		target.kind = k
-		return
-	}
-	h := s.randomHeight()
-	if h > s.height {
-		for level := s.height; level < h; level++ {
-			prev[level] = s.head
-		}
-		s.height = h
-	}
-	node := &skipnode{key: key, value: value, kind: k, next: make([]*skipnode, h)}
-	for level := 0; level < h; level++ {
-		node.next[level] = prev[level].next[level]
-		prev[level].next[level] = node
-	}
-	s.size += int64(len(key) + len(value) + 48)
-	s.count++
+	s.count += len(nodes)
 }
 
 // get returns the entry for key, if present.

@@ -129,14 +129,14 @@ type tableWriter struct {
 	codec  uint8  // blockCodec*; the codec new blocks are written with
 	zoneFn ZoneExtractor
 
-	block     bytes.Buffer
-	cblock    []byte // the compressed block, reused: it is only written and checksummed
-	blockKey  []byte // first key of the current block
-	index     []blockHandle
-	bloomKeys [][]byte
-	offset    uint64
-	count     uint64
-	lastKey   []byte
+	block    bytes.Buffer
+	cblock   []byte // the compressed block, reused: it is only written and checksummed
+	blockKey []byte // first key of the current block
+	index    []blockHandle
+	hashes   []uint64 // each key's bloomHash: 8 bytes a key, not a copy of it
+	offset   uint64
+	count    uint64
+	lastKey  []byte
 
 	// Zone accumulator for the block being built.
 	zoneOK     bool
@@ -145,12 +145,16 @@ type tableWriter struct {
 
 func tmpPath(path string) string { return path + ".tmp" }
 
-func newTableWriter(fs VFS, path string, codec uint8, zoneFn ZoneExtractor) (*tableWriter, error) {
+// newTableWriter starts a table; n is the number of entries the caller
+// expects to add, which sizes the bloom hashes (a guess that is off only
+// costs a reallocation).
+func newTableWriter(fs VFS, path string, codec uint8, zoneFn ZoneExtractor, n int) (*tableWriter, error) {
 	f, err := fs.Create(tmpPath(path))
 	if err != nil {
 		return nil, fmt.Errorf("kv: create sstable: %w", err)
 	}
-	return &tableWriter{fs: fs, f: f, w: bufio.NewWriterSize(f, 256<<10), path: path, codec: codec, zoneFn: zoneFn}, nil
+	return &tableWriter{fs: fs, f: f, w: bufio.NewWriterSize(f, 256<<10), path: path, codec: codec, zoneFn: zoneFn,
+		hashes: make([]uint64, 0, n)}, nil
 }
 
 // add appends an entry; keys must arrive in strictly ascending order.
@@ -191,7 +195,7 @@ func (t *tableWriter) add(key, value []byte, k kind) error {
 	t.block.Write(hdr[:n])
 	t.block.Write(key)
 	t.block.Write(value)
-	t.bloomKeys = append(t.bloomKeys, append([]byte(nil), key...))
+	t.hashes = append(t.hashes, bloomHash(key))
 	t.lastKey = append(t.lastKey[:0], key...)
 	t.count++
 	if t.block.Len() >= blockTargetSize {
@@ -253,9 +257,9 @@ func (t *tableWriter) finish() (int64, error) {
 	if err := t.flushBlock(); err != nil {
 		return 0, err
 	}
-	bloom := newBloomFilter(len(t.bloomKeys))
-	for _, k := range t.bloomKeys {
-		bloom.add(k)
+	bloom := newBloomFilter(len(t.hashes))
+	for _, h := range t.hashes {
+		bloom.addHash(h)
 	}
 	bloomBytes := bloom.marshal()
 	bloomOff := t.offset

@@ -96,25 +96,33 @@ func TestQueryLifecycle(t *testing.T) {
 	// longer than request scheduling jitter under CPU saturation.
 	loadPoints(t, s.engine, "u1", 400000)
 
-	// Baseline: how long the slow query takes with no deadline.
-	t0 := time.Now()
-	status, res, _ := postSQL(t, ts.URL, "u1", slowSQL, nil)
-	baseline := time.Since(t0)
-	if status != http.StatusOK || res.Error != "" {
-		t.Fatalf("baseline query failed: %d %+v", status, res)
-	}
-	t.Logf("undeadlined scan: %s", baseline)
-
 	t.Run("Deadline", func(t *testing.T) {
-		t0 := time.Now()
-		status, res, _ := postSQL(t, ts.URL, "u1", slowSQL, map[string]string{"X-JUST-Timeout": "50ms"})
-		elapsed := time.Since(t0)
-		if status != http.StatusUnprocessableEntity {
-			t.Fatalf("status = %d, want 422", status)
+		// The undeadlined baseline and the deadlined query alternate over
+		// three rounds, and the fastest of each is compared, so a burst of
+		// load from a sibling package cannot land on one side only.
+		var baseline, elapsed time.Duration
+		for round := 0; round < 3; round++ {
+			t0 := time.Now()
+			status, res, _ := postSQL(t, ts.URL, "u1", slowSQL, nil)
+			if d := time.Since(t0); round == 0 || d < baseline {
+				baseline = d
+			}
+			if status != http.StatusOK || res.Error != "" {
+				t.Fatalf("baseline query failed: %d %+v", status, res)
+			}
+			t0 = time.Now()
+			status, res, _ = postSQL(t, ts.URL, "u1", slowSQL, map[string]string{"X-JUST-Timeout": "50ms"})
+			if d := time.Since(t0); round == 0 || d < elapsed {
+				elapsed = d
+			}
+			if status != http.StatusUnprocessableEntity {
+				t.Fatalf("status = %d, want 422", status)
+			}
+			if res.Code != "deadline_exceeded" {
+				t.Fatalf("code = %q (%+v), want deadline_exceeded", res.Code, res)
+			}
 		}
-		if res.Code != "deadline_exceeded" {
-			t.Fatalf("code = %q (%+v), want deadline_exceeded", res.Code, res)
-		}
+		t.Logf("fastest undeadlined scan: %s, fastest deadlined: %s", baseline, elapsed)
 		if elapsed >= baseline {
 			t.Fatalf("deadlined query took %s, not faster than undeadlined %s", elapsed, baseline)
 		}
