@@ -67,24 +67,15 @@ func main() {
 	retryBackoffMax := flag.Duration("retry-backoff-max", 0, "retry backoff cap (0 = default 500ms)")
 
 	// Maintenance scheduler knobs (all roles).
-	jobQuarantineAfter := flag.Int("job-quarantine-after", 0, "consecutive failures before a maintenance class is quarantined (0 = default 5, negative = never)")
-	jobQuarantineCooldown := flag.Duration("job-quarantine-cooldown", 0, "quarantine hold before one probe run is re-admitted (0 = default 30s)")
 	jobCompactConcurrency := flag.Int("job-compact-concurrency", 0, "concurrent compactions across all regions (0 = default 2)")
-	jobDiskLow := flag.Int64("job-disk-low", 0, "free-space threshold in bytes below which low-priority maintenance is shed and writes degrade (0 = watchdog off)")
+	jobDiskLow := flag.Int64("job-disk-low", 0, "free-space threshold in bytes below which all maintenance but flush is shed and writes degrade (0 = watchdog off)")
 	jobDiskCheck := flag.Duration("job-disk-check", 0, "disk-pressure watchdog probe period (0 = default 2s)")
 	flag.Parse()
 
 	jobOpts := jobs.Options{
-		QuarantineAfter:    *jobQuarantineAfter,
-		QuarantineCooldown: *jobQuarantineCooldown,
+		CompactConcurrency: *jobCompactConcurrency,
 		DiskFreeLow:        *jobDiskLow,
 		DiskCheckInterval:  *jobDiskCheck,
-		Logf:               log.Printf,
-	}
-	if *jobCompactConcurrency > 0 {
-		jobOpts.Classes = map[jobs.Class]jobs.ClassConfig{
-			jobs.ClassCompact: {MaxConcurrent: *jobCompactConcurrency},
-		}
 	}
 
 	switch *role {

@@ -45,11 +45,10 @@ type Config struct {
 	// off globally (the JUSTnc variant in the evaluation).
 	DisableFieldCompression bool
 	// Jobs tunes the maintenance scheduler every background task
-	// (flush, compaction, scrub, stats, rebalance) runs through:
-	// quarantine thresholds, per-class concurrency overrides, and the
-	// disk-pressure watchdog. Zero values take the scheduler defaults;
-	// Jobs.DiskPath defaults to Dir so the watchdog measures the volume
-	// the engine actually writes to.
+	// (flush, compaction, scrub, stats, rebalance) runs through: the
+	// compaction cap and the disk-pressure watchdog. Zero values take
+	// the scheduler defaults; Jobs.DiskPath defaults to Dir so the
+	// watchdog measures the volume the engine actually writes to.
 	Jobs jobs.Options
 }
 
@@ -68,18 +67,14 @@ type Engine struct {
 	statsRefreshes atomic.Int64 // completed RefreshStats runs
 }
 
-// statsAutoJob is the engine's stats-after-compaction dependency edge:
-// a registered stats job kicked whenever a compaction completes.
-const statsAutoJob = "stats-auto"
-
 // Open creates or reopens an engine rooted at cfg.Dir.
 func Open(cfg Config) (*Engine, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("core: Config.Dir is required")
 	}
 	// One maintenance scheduler per engine: the storage layer (cluster
-	// or router) registers its jobs with it, the engine adds its own
-	// (automatic stats refresh), and the admin surface snapshots it.
+	// or router) runs its maintenance through it, the engine adds the
+	// stats refresh, and /api/v1/metrics reports its counters.
 	jopts := cfg.Jobs
 	if jopts.DiskPath == "" {
 		jopts.DiskPath = cfg.Dir
@@ -115,19 +110,11 @@ func Open(cfg Config) (*Engine, error) {
 		ctx:     exec.NewContext(cfg.MemoryBudget),
 		tables:  map[string]*table.Table{},
 	}
-	// Dependency edge: compactions rewrite the physical layout planner
-	// statistics describe, so a completed compaction kicks one coalesced
-	// stats pass. Only tables that have been ANALYZEd refresh — a table
-	// nobody asked statistics for stays heuristically planned.
-	if err := sched.Register(jobs.Spec{
-		Name:         statsAutoJob,
-		Class:        jobs.ClassStats,
-		TriggerAfter: []jobs.Class{jobs.ClassCompact},
-		Fn:           e.refreshAnalyzedTables,
-	}); err != nil {
-		e.Close()
-		return nil, err
-	}
+	// Compactions rewrite the physical layout planner statistics
+	// describe, so a completed compaction kicks one coalesced stats
+	// pass. Only tables that have been ANALYZEd refresh — a table nobody
+	// asked statistics for stays heuristically planned.
+	sched.AfterCompact(e.refreshAnalyzedTables)
 	return e, nil
 }
 
@@ -139,8 +126,7 @@ func (e *Engine) Close() error {
 	return err
 }
 
-// Jobs exposes the engine's maintenance scheduler (admin surface,
-// metrics, tests).
+// Jobs exposes the engine's maintenance scheduler (metrics, tests).
 func (e *Engine) Jobs() *jobs.Scheduler { return e.sched }
 
 // refreshAnalyzedTables re-collects statistics for every open table

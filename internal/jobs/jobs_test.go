@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,18 +25,17 @@ func checkGoroutines(t *testing.T, base int) {
 }
 
 func TestDoRetriesTransientFailure(t *testing.T) {
-	s := New(Options{Classes: map[Class]ClassConfig{
-		ClassFlush: {Retry: RetryPolicy{MaxAttempts: 4, Base: time.Millisecond, Cap: 4 * time.Millisecond}},
-	}})
+	s := New(Options{})
 	defer s.Close()
 
 	var calls int32
-	err := s.Do(context.Background(), ClassFlush, func(context.Context) error {
+	flaky := func(context.Context) error {
 		if atomic.AddInt32(&calls, 1) <= 2 {
 			return errors.New("transient")
 		}
 		return nil
-	})
+	}
+	err := s.Do(context.Background(), ClassFlush, flaky)
 	if err != nil {
 		t.Fatalf("Do after retries: %v", err)
 	}
@@ -46,175 +46,35 @@ func TestDoRetriesTransientFailure(t *testing.T) {
 	if m.Ran != 1 || m.Retried != 2 || m.Failed != 0 {
 		t.Fatalf("metrics = %+v, want Ran=1 Retried=2 Failed=0", m)
 	}
+
+	// A nil scheduler (a region opened without one) keeps the retry.
+	atomic.StoreInt32(&calls, 0)
+	var none *Scheduler
+	if err := none.Do(context.Background(), ClassFlush, flaky); err != nil || atomic.LoadInt32(&calls) != 3 {
+		t.Fatalf("nil scheduler Do = %v after %d calls, want nil after 3", err, calls)
+	}
 }
 
-func TestPanicIsolationAndQuarantine(t *testing.T) {
+func TestDoTurnsPanicIntoError(t *testing.T) {
 	base := runtime.NumGoroutine()
-	s := New(Options{
-		QuarantineAfter:    3,
-		QuarantineCooldown: time.Hour,
-		Classes: map[Class]ClassConfig{
-			ClassCompact: {Retry: RetryPolicy{MaxAttempts: 1}},
-		},
-	})
+	s := New(Options{})
 
 	boom := func(context.Context) error { panic("maintenance bug") }
-	for i := 0; i < 3; i++ {
-		err := s.Do(context.Background(), ClassCompact, boom)
-		var pe *PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("run %d: err = %v, want PanicError", i, err)
-		}
+	err := s.Do(context.Background(), ClassCompact, boom)
+	if err == nil || !strings.Contains(err.Error(), "panicked: maintenance bug") {
+		t.Fatalf("err = %v, want the panic as an error", err)
 	}
-	// Class is now quarantined: runs are refused with the typed error
-	// and the job function no longer executes.
-	var ran int32
-	err := s.Do(context.Background(), ClassCompact, func(context.Context) error {
-		atomic.AddInt32(&ran, 1)
-		return nil
-	})
-	if !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("quarantined Do err = %v, want ErrQuarantined", err)
-	}
-	var qe *QuarantineError
-	if !errors.As(err, &qe) || qe.Class != ClassCompact {
-		t.Fatalf("err = %#v, want QuarantineError{Class: compact}", err)
-	}
-	if atomic.LoadInt32(&ran) != 0 {
-		t.Fatal("job ran while class quarantined")
-	}
+	// The panic is retried like any other error, then counted as one
+	// failed run; the class keeps admitting work.
 	m := s.Metrics()[string(ClassCompact)]
-	if m.Panics != 3 || m.Failed != 3 || m.Quarantined != 1 {
-		t.Fatalf("metrics = %+v, want Panics=3 Failed=3 Quarantined=1", m)
+	if m.Ran != 1 || m.Retried != 2 || m.Failed != 1 {
+		t.Fatalf("metrics = %+v, want Ran=1 Retried=2 Failed=1", m)
 	}
-	if s.Healthy() {
-		t.Fatal("scheduler healthy with a quarantined class")
-	}
-	var quarantined []Class
-	for _, cs := range s.Snapshot().Classes {
-		if cs.Quarantined {
-			quarantined = append(quarantined, cs.Class)
-		}
-	}
-	if len(quarantined) != 1 || quarantined[0] != ClassCompact {
-		t.Fatalf("quarantined classes = %v, want [compact]", quarantined)
-	}
-
-	// Operator resume restores the class.
-	s.Resume(ClassCompact)
 	if err := s.Do(context.Background(), ClassCompact, func(context.Context) error { return nil }); err != nil {
-		t.Fatalf("Do after Resume: %v", err)
-	}
-	if !s.Healthy() {
-		t.Fatal("scheduler unhealthy after resume")
+		t.Fatalf("Do after a panic: %v", err)
 	}
 	s.Close()
 	checkGoroutines(t, base)
-}
-
-func TestQuarantineCooldownReadmitsHalfOpen(t *testing.T) {
-	s := New(Options{QuarantineAfter: 2, QuarantineCooldown: 20 * time.Millisecond,
-		Classes: map[Class]ClassConfig{ClassScrub: {Retry: RetryPolicy{MaxAttempts: 1}}}})
-	defer s.Close()
-
-	fail := func(context.Context) error { return errors.New("bad sector") }
-	for i := 0; i < 2; i++ {
-		if err := s.Do(context.Background(), ClassScrub, fail); err == nil {
-			t.Fatal("want error")
-		}
-	}
-	if err := s.Do(context.Background(), ClassScrub, fail); !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("err = %v, want ErrQuarantined", err)
-	}
-	time.Sleep(30 * time.Millisecond)
-	// Half-open after cooldown: one run is admitted; its failure
-	// re-quarantines immediately.
-	if err := s.Do(context.Background(), ClassScrub, fail); errors.Is(err, ErrQuarantined) {
-		t.Fatalf("cooldown did not re-admit: %v", err)
-	}
-	if err := s.Do(context.Background(), ClassScrub, fail); !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("half-open failure did not re-quarantine: %v", err)
-	}
-	// And a half-open success fully restores the class.
-	time.Sleep(30 * time.Millisecond)
-	if err := s.Do(context.Background(), ClassScrub, func(context.Context) error { return nil }); err != nil {
-		t.Fatalf("half-open success: %v", err)
-	}
-	if !s.Healthy() {
-		t.Fatal("unhealthy after recovery")
-	}
-}
-
-func TestPeriodicJobRunsAndDeregisterStops(t *testing.T) {
-	base := runtime.NumGoroutine()
-	s := New(Options{})
-	var runs int32
-	if err := s.Register(Spec{
-		Name:     "tick",
-		Class:    ClassStats,
-		Interval: 5 * time.Millisecond,
-		Fn:       func(context.Context) error { atomic.AddInt32(&runs, 1); return nil },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for atomic.LoadInt32(&runs) < 3 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if atomic.LoadInt32(&runs) < 3 {
-		t.Fatalf("periodic job ran %d times, want >= 3", runs)
-	}
-	if err := s.Deregister("tick"); err != nil {
-		t.Fatal(err)
-	}
-	got := atomic.LoadInt32(&runs)
-	time.Sleep(25 * time.Millisecond)
-	if after := atomic.LoadInt32(&runs); after != got {
-		t.Fatalf("job still running after Deregister: %d -> %d", got, after)
-	}
-	s.Close()
-	checkGoroutines(t, base)
-}
-
-func TestRunNowJoinsInflightRun(t *testing.T) {
-	s := New(Options{})
-	defer s.Close()
-
-	var execs int32
-	release := make(chan struct{})
-	started := make(chan struct{}, 8)
-	if err := s.Register(Spec{
-		Name:  "scrub-all",
-		Class: ClassScrub,
-		Fn: func(context.Context) error {
-			atomic.AddInt32(&execs, 1)
-			started <- struct{}{}
-			<-release
-			return nil
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	errs := make([]error, 3)
-	wg.Add(1)
-	go func() { defer wg.Done(); errs[0] = s.RunNow(context.Background(), "scrub-all") }()
-	<-started // first run is in flight
-	wg.Add(2)
-	go func() { defer wg.Done(); errs[1] = s.RunNow(context.Background(), "scrub-all") }()
-	go func() { defer wg.Done(); errs[2] = s.RunNow(context.Background(), "scrub-all") }()
-	time.Sleep(10 * time.Millisecond) // let the joiners enqueue
-	close(release)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("RunNow %d: %v", i, err)
-		}
-	}
-	if got := atomic.LoadInt32(&execs); got != 1 {
-		t.Fatalf("executions = %d, want 1 (joiners must dedupe)", got)
-	}
 }
 
 func TestDoSharedCollapsesConcurrentCallers(t *testing.T) {
@@ -251,14 +111,7 @@ func TestTriggerAfterRunsDependentJob(t *testing.T) {
 	defer s.Close()
 
 	var statsRuns int32
-	if err := s.Register(Spec{
-		Name:         "stats-auto",
-		Class:        ClassStats,
-		TriggerAfter: []Class{ClassCompact},
-		Fn:           func(context.Context) error { atomic.AddInt32(&statsRuns, 1); return nil },
-	}); err != nil {
-		t.Fatal(err)
-	}
+	s.AfterCompact(func(context.Context) error { atomic.AddInt32(&statsRuns, 1); return nil })
 	if err := s.Do(context.Background(), ClassCompact, func(context.Context) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +179,7 @@ func TestDiskPressureShedsLowPriorityClasses(t *testing.T) {
 }
 
 func TestClassConcurrencyCap(t *testing.T) {
-	s := New(Options{Classes: map[Class]ClassConfig{ClassCompact: {MaxConcurrent: 2}}})
+	s := New(Options{CompactConcurrency: 2})
 	defer s.Close()
 
 	var cur, peak int32
@@ -357,20 +210,6 @@ func TestClassConcurrencyCap(t *testing.T) {
 	}
 }
 
-func TestPauseResume(t *testing.T) {
-	s := New(Options{})
-	defer s.Close()
-	s.Pause(ClassCompact)
-	err := s.Do(context.Background(), ClassCompact, func(context.Context) error { return nil })
-	if !errors.Is(err, ErrPaused) {
-		t.Fatalf("err = %v, want ErrPaused", err)
-	}
-	s.Resume(ClassCompact)
-	if err := s.Do(context.Background(), ClassCompact, func(context.Context) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCloseCancelsRunsAndStopsLoops(t *testing.T) {
 	base := runtime.NumGoroutine()
 	var free atomic.Int64
@@ -380,13 +219,7 @@ func TestCloseCancelsRunsAndStopsLoops(t *testing.T) {
 		DiskCheckInterval: time.Millisecond,
 		DiskProbe:         func(string) (int64, error) { return free.Load(), nil },
 	})
-	for i := 0; i < 3; i++ {
-		name := []string{"a", "b", "c"}[i]
-		if err := s.Register(Spec{Name: name, Class: ClassStats, Interval: time.Millisecond,
-			Fn: func(context.Context) error { return nil }}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	s.AfterCompact(func(context.Context) error { return nil })
 	// A run blocked until its context ends: Close must cancel it.
 	stuck := make(chan struct{})
 	ran := make(chan error, 1)
@@ -407,45 +240,5 @@ func TestCloseCancelsRunsAndStopsLoops(t *testing.T) {
 	if err := s.Do(context.Background(), ClassFlush, func(context.Context) error { return nil }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Do after Close: %v, want ErrClosed", err)
 	}
-	if s.Healthy() {
-		t.Fatal("closed scheduler reports healthy")
-	}
 	checkGoroutines(t, base)
-}
-
-func TestSnapshotReportsJobHistory(t *testing.T) {
-	s := New(Options{})
-	defer s.Close()
-	var n int32
-	if err := s.Register(Spec{Name: "j", Class: ClassStats, Fn: func(context.Context) error {
-		if atomic.AddInt32(&n, 1) == 2 {
-			return errors.New("second run fails")
-		}
-		return nil
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	const runs = historyDepth + 2
-	for i := 0; i < runs; i++ {
-		_ = s.RunNow(context.Background(), "j")
-	}
-	st := s.Snapshot()
-	if len(st.Jobs) != 1 || st.Jobs[0].Name != "j" {
-		t.Fatalf("snapshot jobs = %+v", st.Jobs)
-	}
-	js := st.Jobs[0]
-	if js.Runs != runs || js.Fails != 1 {
-		t.Fatalf("runs=%d fails=%d, want %d/1", js.Runs, js.Fails, runs)
-	}
-	if len(js.History) != historyDepth {
-		t.Fatalf("history depth = %d, want %d (trimmed)", len(js.History), historyDepth)
-	}
-	for _, rec := range js.History {
-		if rec.Err != "" {
-			t.Fatalf("history kept the failed second run: %+v", js.History)
-		}
-	}
-	if !st.Healthy {
-		t.Fatal("snapshot unhealthy")
-	}
 }

@@ -3,7 +3,6 @@ package kv
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"path/filepath"
 	"runtime"
@@ -46,19 +45,21 @@ type Cluster struct {
 	zoneExts []zoneEntry
 
 	// Scrub state (see scrub.go).
-	scrubMu         sync.Mutex // serializes scrub passes
+	scrubMu         sync.Mutex // held by a pass; Close takes it to wait one out
+	scrubKey        string     // DoShared key of this cluster's passes
 	scrubRunning    atomic.Bool
 	scrubLastStart  atomic.Int64 // unix ms
 	scrubLastDur    atomic.Int64 // ms
 	scrubLastBlocks atomic.Int64
-	scrubLastErr    error // last pass's corruption verdict (under scrubMu)
 
-	// Maintenance scheduler: all background work (flush, compaction,
-	// scrub) runs through it. ownJobs marks a scheduler the cluster
-	// created (and closes); a shared one is the caller's.
-	jobs     *jobs.Scheduler
-	ownJobs  bool
-	scrubJob string // registered scrub job name
+	// Maintenance scheduler: flush, compaction and scrub run through
+	// it. ownJobs marks a scheduler the cluster created (and closes); a
+	// shared one is the caller's.
+	jobs    *jobs.Scheduler
+	ownJobs bool
+
+	stop chan struct{} // closed by Close; ends scrubLoop
+	wg   sync.WaitGroup
 }
 
 // paperServers is the region-server count of the paper's evaluation
@@ -68,9 +69,6 @@ type Cluster struct {
 // room in the worker → consumer channel.
 const paperServers = 5
 
-// Jobs exposes the cluster's maintenance scheduler (admin API, tests).
-func (c *Cluster) Jobs() *jobs.Scheduler { return c.jobs }
-
 // OpenCluster opens (or creates) a cluster rooted at dir. The region
 // lives in dir/region-0000.
 func OpenCluster(dir string, opts ClusterOptions) (*Cluster, error) {
@@ -78,7 +76,11 @@ func OpenCluster(dir string, opts ClusterOptions) (*Cluster, error) {
 		return nil, fmt.Errorf("kv: unknown block codec %q (want none, gzip or lz4)", opts.Options.Codec)
 	}
 	ropts := opts.Options.withDefaults()
-	c := &Cluster{slots: make(chan struct{}, max(2, runtime.NumCPU()/paperServers))}
+	c := &Cluster{
+		slots:    make(chan struct{}, max(2, runtime.NumCPU()/paperServers)),
+		scrubKey: "scrub:" + dir,
+		stop:     make(chan struct{}),
+	}
 	// The region writes SSTables through the cluster's prefix
 	// dispatcher, so extractors registered after open still cover data
 	// flushed later (zone maps are stamped at flush/compaction time).
@@ -96,24 +98,9 @@ func OpenCluster(dir string, opts ClusterOptions) (*Cluster, error) {
 		return nil, err
 	}
 	c.r = r
-	// The scrub job is always registered — with ScrubInterval 0 it has
-	// no ticker and fires only on demand (Scrub → RunNow), which is how
-	// concurrent scrub requests dedupe onto one pass.
-	c.scrubJob = "scrub:" + dir
-	if err := c.jobs.Register(jobs.Spec{
-		Name:     c.scrubJob,
-		Class:    jobs.ClassScrub,
-		Interval: opts.ScrubInterval,
-		Fn: func(ctx context.Context) error {
-			err := c.scrubPass(ctx)
-			if errors.Is(err, ErrClosed) {
-				return nil // shutting down; not a scrub failure
-			}
-			return err
-		},
-	}); err != nil {
-		c.Close()
-		return nil, err
+	if opts.ScrubInterval > 0 {
+		c.wg.Add(1)
+		go c.scrubLoop(opts.ScrubInterval)
 	}
 	return c, nil
 }
@@ -493,7 +480,7 @@ func (c *Cluster) Metrics() Metrics {
 	return m
 }
 
-// Close shuts the cluster down: the scrub job first (a pass reads the
+// Close shuts the cluster down: the scrub loop first (a pass reads the
 // whole store), then the region, which drains its background flusher
 // and closes its WAL and SSTables — so a shutdown mid-ingest can never
 // race an in-flight flush.
@@ -501,9 +488,11 @@ func (c *Cluster) Close() error {
 	if c.closed.Swap(true) {
 		return nil
 	}
-	if c.scrubJob != "" {
-		c.jobs.Deregister(c.scrubJob)
-	}
+	close(c.stop)
+	c.wg.Wait()
+	// A pass already running finishes; later ones see closed and stop.
+	c.scrubMu.Lock()
+	c.scrubMu.Unlock()
 	var err error
 	if c.r != nil {
 		err = c.r.Close()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -257,13 +258,10 @@ func TestCompactionStormBoundsForegroundLatency(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
 
 	key := func(i int) []byte { return []byte(fmt.Sprintf("base-%06d", i%2000)) }
-	// Gets are spaced out so the 400 samples span over a second — long
-	// enough that the storm below runs many flush/compact cycles inside
+	// Gets are spaced out so a round's samples span over half a second
+	// — long enough that the storm runs many flush/compact cycles inside
 	// the measurement window instead of finishing after it.
 	measure := func(n int) []time.Duration {
 		out := make([]time.Duration, 0, n)
@@ -282,53 +280,72 @@ func TestCompactionStormBoundsForegroundLatency(t *testing.T) {
 		return ds[len(ds)*99/100]
 	}
 
-	idle := p99(measure(400))
-	compactBefore := c.Metrics().Compactions
-
 	// Storm: writers churn the memtable fast enough that flush and
 	// compaction run continuously for the whole measurement window.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
+	stormRound := func(round int) (p99Storm time.Duration, maxDepth int64) {
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					k := []byte(fmt.Sprintf("storm-%d-%d-%08d", round, w, i))
+					if err := put(c, k, val); err != nil && !errors.Is(err, ErrClosed) {
+						return
+					}
+				}
+			}(w)
+		}
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; ; i++ {
+			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				k := []byte(fmt.Sprintf("storm-%d-%08d", w, i))
-				if err := put(c, k, val); err != nil && !errors.Is(err, ErrClosed) {
-					return
+				if d := c.Metrics().FlushQueueDepth; d > maxDepth {
+					maxDepth = d
 				}
+				time.Sleep(2 * time.Millisecond)
 			}
-		}(w)
+		}()
+		p99Storm = p99(measure(200))
+		close(stop)
+		wg.Wait()
+		return p99Storm, maxDepth
 	}
-	var maxDepth int64
-	sampleStop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-sampleStop:
-				return
-			default:
-			}
-			if d := c.Metrics().FlushQueueDepth; d > maxDepth {
-				maxDepth = d
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
-	storm := p99(measure(400))
-	close(stop)
-	close(sampleStop)
-	wg.Wait()
 
-	if delta := c.Metrics().Compactions - compactBefore; delta == 0 {
+	// Idle and storm rounds alternate and each side keeps its fastest
+	// round, so a burst of load from a sibling test package lands on
+	// both sides instead of on the storm alone. Before each idle round
+	// the store is flushed and fully compacted, so no flush or merge
+	// left over from the previous storm runs while idle is sampled.
+	const rounds = 3
+	idle, storm := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	var stormCompactions, maxDepth int64
+	for round := 0; round < rounds; round++ {
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		idle = min(idle, p99(measure(200)))
+		before := c.Metrics().Compactions
+		s, depth := stormRound(round)
+		stormCompactions += c.Metrics().Compactions - before
+		storm, maxDepth = min(storm, s), max(maxDepth, depth)
+	}
+
+	if stormCompactions == 0 {
 		t.Fatal("no compactions ran during the measurement window; the test measured nothing")
 	}
 	// Writers stall once the queue passes FlushQueue, so depth can touch
@@ -343,4 +360,30 @@ func TestCompactionStormBoundsForegroundLatency(t *testing.T) {
 		t.Fatalf("storm p99 %v exceeds bound %v (idle p99 %v)", storm, limit, idle)
 	}
 	t.Logf("idle p99 %v, storm p99 %v, max flush-queue depth %d", idle, storm, maxDepth)
+}
+
+// TestRouterRebalanceTicker: with RebalanceInterval set, the router runs
+// the rebalance pass on its own ticker through the scheduler's rebalance
+// class, and Close stops the ticker.
+func TestRouterRebalanceTicker(t *testing.T) {
+	sched := jobs.New(jobs.Options{})
+	defer sched.Close()
+	_, _, r := startRouterCluster(t, 2, NodeOptions{},
+		RouterOptions{RebalanceInterval: 5 * time.Millisecond, Jobs: sched})
+	ran := func() int64 { return sched.Metrics()[string(jobs.ClassRebalance)].Ran }
+	deadline := time.Now().Add(10 * time.Second)
+	for ran() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("rebalance ticker ran %d passes, want >= 2", ran())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after := ran()
+	time.Sleep(20 * time.Millisecond)
+	if got := ran(); got != after {
+		t.Fatalf("rebalance ran after Close: %d -> %d", after, got)
+	}
 }

@@ -232,9 +232,9 @@ type Metrics struct {
 
 	// Maintenance counters (the jobs scheduler): CompactionsDeferred
 	// background compaction checks that did not run to completion —
-	// shed under disk pressure, refused while the compact class was
-	// quarantined, or failed after retries (the region keeps serving
-	// with more tables; the next flush re-triggers the check).
+	// shed under disk pressure or failed after retries (the region
+	// keeps serving with more tables; the next flush re-triggers the
+	// check).
 	CompactionsDeferred int64 `json:"compactions_deferred"`
 }
 

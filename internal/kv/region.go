@@ -62,12 +62,12 @@ type Options struct {
 	// filesystem under a global transient-read fault injector); tests
 	// install a FaultFS to make disk failures reproducible.
 	FS VFS
-	// Jobs is the maintenance scheduler all background work (flush,
-	// compaction, scrub) runs through: it provides per-class
-	// concurrency caps, bounded jittered retries, panic isolation,
-	// failure quarantine and disk-pressure shedding. nil means
-	// OpenCluster creates an owned scheduler; a region opened outside a
-	// cluster gets a private passive one (no goroutines).
+	// Jobs is the maintenance scheduler flush, compaction and scrub run
+	// through: per-class concurrency caps, bounded retries for flush and
+	// compaction, panics turned into errors, and the disk-pressure
+	// watchdog. nil means OpenCluster creates one it owns; a region
+	// opened outside a cluster keeps nil, whose Do retries the same way
+	// with no cap.
 	Jobs *jobs.Scheduler
 }
 
@@ -162,7 +162,6 @@ type region struct {
 
 	ioMu        sync.Mutex // serializes SSTable builds (flush vs compact)
 	flusherDone chan struct{}
-	sched       *jobs.Scheduler
 }
 
 // immMem is a frozen memtable queued for background flush, together with
@@ -187,13 +186,6 @@ func openRegion(id int, dir string, opts Options, cache *blockCache, met *Metric
 		return nil, err
 	}
 	r := &region{id: id, dir: dir, opts: opts, fs: fs, cache: cache, met: met, mem: newSkiplist()}
-	if r.sched = opts.Jobs; r.sched == nil {
-		// Outside a cluster (unit tests, tools) the region gets a
-		// private passive scheduler: no registered jobs and no watchdog
-		// means zero goroutines, but Do still applies retry, panic
-		// isolation and quarantine discipline.
-		r.sched = jobs.New(jobs.Options{})
-	}
 
 	var m manifest
 	data, err := fs.ReadFile(filepath.Join(dir, "MANIFEST"))
@@ -688,13 +680,13 @@ func (r *region) flusher() {
 		im := r.imm[0]
 		r.mu.Unlock()
 
-		err := r.sched.Do(context.Background(), jobs.ClassFlush, func(context.Context) error {
+		err := r.opts.Jobs.Do(context.Background(), jobs.ClassFlush, func(context.Context) error {
 			return r.flushImm(im)
 		})
 
 		r.mu.Lock()
 		if err != nil {
-			if errors.Is(err, jobs.ErrDiskPressure) || errors.Is(err, jobs.ErrQuarantined) || r.sched.Pressured() {
+			if errors.Is(err, jobs.ErrDiskPressure) || r.opts.Jobs.Pressured() {
 				// Transient: stay degraded and retry instead of
 				// poisoning the region forever.
 				r.degraded = true
@@ -723,12 +715,11 @@ func (r *region) flusher() {
 			// The tier merge runs on the flusher, not a goroutine of
 			// its own: flushes wait behind it, so a writer that fills
 			// the queue meanwhile stalls and leaves the CPU to reads.
-			// Compaction failures no longer poison writes: persistent
-			// ones quarantine the compact class (visible in metrics and
-			// the admin API) while the region keeps serving; under disk
-			// pressure the scheduler sheds the run entirely, pausing
-			// compaction's output amplification.
-			cerr := r.sched.Do(context.Background(), jobs.ClassCompact, func(context.Context) error {
+			// A compaction failure does not poison writes: it counts
+			// in the compact class's metrics and the region keeps
+			// serving; under disk pressure the scheduler sheds the run
+			// entirely, pausing compaction's output amplification.
+			cerr := r.opts.Jobs.Do(context.Background(), jobs.ClassCompact, func(context.Context) error {
 				return r.merge(true)
 			})
 			r.mu.Lock()

@@ -52,8 +52,8 @@ type RouterOptions struct {
 	RetryBackoff    time.Duration
 	RetryBackoffMax time.Duration
 
-	// Jobs is the maintenance scheduler the rebalance job registers
-	// with; nil makes the router create (and close) its own.
+	// Jobs is the maintenance scheduler the rebalance pass runs
+	// through (nil: uncapped).
 	Jobs *jobs.Scheduler
 }
 
@@ -102,17 +102,9 @@ type Router struct {
 	failMu sync.Mutex // serializes failovers and moves
 	idCtr  atomic.Uint64
 
-	jobs     *jobs.Scheduler
-	ownJobs  bool
-	rebalJob string // registered rebalance job name
-
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
-
-// routerSeq disambiguates job names when several routers share one
-// maintenance scheduler.
-var routerSeq atomic.Uint64
 
 // OpenRouter connects to the peers, refreshing the region map and
 // bootstrapping the first region (whole key space, epoch 1, primary on
@@ -155,36 +147,21 @@ func OpenRouter(opts RouterOptions) (*Router, error) {
 			return nil, err
 		}
 	}
-	// The rebalance/cold-merge pass runs as a scheduled maintenance job
-	// (manual-only when RebalanceInterval is 0): it gets the rebalance
-	// class's retry/quarantine discipline and is shed under disk
-	// pressure along with the other low-priority classes.
-	if r.jobs = opts.Jobs; r.jobs == nil {
-		r.jobs = jobs.New(jobs.Options{})
-		r.ownJobs = true
-	}
-	r.rebalJob = fmt.Sprintf("rebalance:router-%d", routerSeq.Add(1))
-	if err := r.jobs.Register(jobs.Spec{
-		Name:     r.rebalJob,
-		Class:    jobs.ClassRebalance,
-		Interval: opts.RebalanceInterval,
-		Fn: func(ctx context.Context) error {
-			r.Rebalance(ctx)
-			return nil
-		},
-	}); err != nil {
-		r.Close()
-		return nil, err
-	}
 	if opts.ProbeInterval > 0 {
-		r.wg.Add(1)
-		go r.probeLoop()
+		r.every(opts.ProbeInterval, r.probePeers)
+	}
+	// The rebalance/cold-merge pass runs in the rebalance class, which
+	// disk pressure sheds along with the other low-priority classes.
+	if opts.RebalanceInterval > 0 {
+		r.every(opts.RebalanceInterval, func() {
+			_ = opts.Jobs.Do(context.Background(), jobs.ClassRebalance, func(ctx context.Context) error {
+				r.Rebalance(ctx)
+				return nil
+			})
+		})
 	}
 	return r, nil
 }
-
-// Jobs exposes the router's maintenance scheduler (admin surface).
-func (r *Router) Jobs() *jobs.Scheduler { return r.jobs }
 
 // do routes one unary RPC through addr's circuit breaker and feeds the
 // outcome back into the health tracker. An open breaker fails fast
@@ -255,27 +232,35 @@ func (r *Router) sleepBackoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// probeLoop pings every peer each interval, feeding the tracker so
-// dead peers are discovered (and revived ones readmitted) without a
-// live request having to trip over them. Probes bypass the breaker —
-// they are how an open breaker learns the peer came back.
-func (r *Router) probeLoop() {
-	defer r.wg.Done()
-	tick := time.NewTicker(r.opts.ProbeInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-tick.C:
-			for _, addr := range r.opts.Peers {
-				pctx, cancel := context.WithTimeout(context.Background(), r.opts.ProbeInterval)
-				start := time.Now()
-				_, err := r.tr.Do(pctx, addr, rpc.OpPing, nil)
-				cancel()
-				r.observe(addr, err, time.Since(start))
+// every runs fn each interval on a goroutine Close stops and waits for.
+func (r *Router) every(interval time.Duration, fn func()) {
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		tick := time.NewTicker(interval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-r.stop:
+				return
+			case <-tick.C:
+				fn()
 			}
 		}
+	}()
+}
+
+// probePeers pings every peer, feeding the tracker so dead peers are
+// discovered (and revived ones readmitted) without a live request
+// having to trip over them. Probes bypass the breaker — they are how
+// an open breaker learns the peer came back.
+func (r *Router) probePeers() {
+	for _, addr := range r.opts.Peers {
+		pctx, cancel := context.WithTimeout(context.Background(), r.opts.ProbeInterval)
+		start := time.Now()
+		_, err := r.tr.Do(pctx, addr, rpc.OpPing, nil)
+		cancel()
+		r.observe(addr, err, time.Since(start))
 	}
 }
 
@@ -1058,14 +1043,8 @@ func (r *Router) Close() error {
 	}
 	r.closed = true
 	r.mu.Unlock()
-	if r.rebalJob != "" && r.jobs != nil {
-		r.jobs.Deregister(r.rebalJob)
-	}
 	close(r.stop)
 	r.wg.Wait()
-	if r.ownJobs {
-		r.jobs.Close()
-	}
 	if r.own != nil {
 		r.own.Close()
 	}

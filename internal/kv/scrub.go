@@ -25,31 +25,38 @@ import (
 // the bytes are re-read from disk and checked against their CRCs) and
 // returns the first corruption error the pass found, or nil.
 //
-// The call enqueues through the maintenance scheduler's scrub job:
-// concurrent Scrub calls — manual, admin-endpoint and periodic alike —
-// dedupe onto one in-flight pass, each caller getting that pass's
-// result. Under disk pressure the scrub class is shed and Scrub returns
-// a typed ErrDiskPressure.
+// Concurrent Scrub calls — manual, admin-endpoint and periodic alike —
+// join one in-flight pass through the scheduler's DoShared, each caller
+// getting that pass's verdict. Under disk pressure the scrub class is
+// shed and Scrub returns a typed ErrDiskPressure.
 func (c *Cluster) Scrub(ctx context.Context) error {
 	if c.closed.Load() {
 		return ErrClosed
 	}
-	if err := c.jobs.RunNow(ctx, c.scrubJob); err != nil {
-		if errors.Is(err, jobs.ErrClosed) || errors.Is(err, jobs.ErrUnknownJob) {
-			return ErrClosed
-		}
-		return err
+	err := c.jobs.DoShared(ctx, jobs.ClassScrub, c.scrubKey, c.scrubPass)
+	if errors.Is(err, jobs.ErrClosed) {
+		return ErrClosed
 	}
-	c.scrubMu.Lock()
-	defer c.scrubMu.Unlock()
-	return c.scrubLastErr
+	return err
 }
 
-// scrubPass is one full verification sweep; it runs only inside the
-// registered scrub job. Corruption found in a region is a detection,
-// not a job failure — it is recorded in scrubLastErr for Scrub's
-// callers, while the job itself succeeds so the scrub class is not
-// driven into quarantine by damage it is doing its job finding.
+// scrubLoop runs a scrub pass every interval until Close.
+func (c *Cluster) scrubLoop(interval time.Duration) {
+	defer c.wg.Done()
+	t := time.NewTicker(interval)
+	defer t.Stop()
+	for {
+		select {
+		case <-c.stop:
+			return
+		case <-t.C:
+			_ = c.Scrub(context.Background()) // the verdict lands in ScrubState and the metrics
+		}
+	}
+}
+
+// scrubPass is one full verification sweep; its error is the
+// corruption verdict (or the cancellation that cut the pass short).
 func (c *Cluster) scrubPass(ctx context.Context) error {
 	c.scrubMu.Lock()
 	defer c.scrubMu.Unlock()
@@ -67,13 +74,12 @@ func (c *Cluster) scrubPass(ctx context.Context) error {
 	blocks, err := c.r.verifyTables(ctx)
 	atomic.AddInt64(&c.met.BlocksScrubbed, blocks)
 	if ctx.Err() != nil {
-		return ErrClosed // pass canceled (shutdown)
+		return ctx.Err() // pass canceled (shutdown)
 	}
 	c.r.noteCorruption(err)
 	c.scrubLastBlocks.Store(blocks)
-	c.scrubLastErr = err
 	atomic.AddInt64(&c.met.ScrubRuns, 1)
-	return nil
+	return err
 }
 
 // RegionIntegrityState describes one region's store in ScrubStatus.

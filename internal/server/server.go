@@ -22,7 +22,6 @@ import (
 	"just/internal/compress"
 	"just/internal/core"
 	"just/internal/exec"
-	"just/internal/jobs"
 	"just/internal/kv"
 	"just/internal/sql"
 )
@@ -114,80 +113,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/api/v1/admin/scrub", s.handleScrub)
 	mux.HandleFunc("/api/v1/admin/scrub/run", s.handleScrubRun)
 	mux.HandleFunc("/api/v1/admin/stats/refresh", s.handleStatsRefresh)
-	mux.HandleFunc("/api/v1/admin/jobs", s.handleJobs)
-	mux.HandleFunc("/api/v1/admin/jobs/run", s.handleJobsRun)
-	mux.HandleFunc("/api/v1/admin/jobs/pause", s.handleJobsPause)
-	mux.HandleFunc("/api/v1/admin/jobs/resume", s.handleJobsResume)
 	return mux
-}
-
-// handleJobs reports the maintenance scheduler: per-job state and run
-// history, per-class quarantine/pause state and counters, and the
-// disk-pressure watchdog — GET /api/v1/admin/jobs.
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.engine.Jobs().Snapshot())
-}
-
-// jobActionRequest is the body of the POST /api/v1/admin/jobs/*
-// actions: run wants a job name; pause/resume want a class.
-type jobActionRequest struct {
-	Name  string `json:"name"`
-	Class string `json:"class"`
-}
-
-// handleJobsRun triggers one registered job and waits for the result:
-// POST /api/v1/admin/jobs/run {"name": "scrub:..."}. Concurrent runs of
-// the same job collapse onto the in-flight one.
-func (s *Server) handleJobsRun(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req jobActionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Name == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "bad request: need {\"name\": ...}"})
-		return
-	}
-	resp := map[string]any{"job": req.Name, "ok": true}
-	if err := s.engine.Jobs().RunNow(r.Context(), req.Name); err != nil {
-		resp["ok"] = false
-		resp["error"] = err.Error()
-		if errors.Is(err, jobs.ErrUnknownJob) {
-			writeJSON(w, http.StatusNotFound, resp)
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleJobsPause pauses a maintenance class (new runs are refused with
-// a typed error until resumed): POST {"class": "compact"}.
-func (s *Server) handleJobsPause(w http.ResponseWriter, r *http.Request) {
-	s.handleJobsClassAction(w, r, func(c jobs.Class) { s.engine.Jobs().Pause(c) })
-}
-
-// handleJobsResume resumes a paused class and lifts any quarantine on
-// it (the operator override): POST {"class": "compact"}.
-func (s *Server) handleJobsResume(w http.ResponseWriter, r *http.Request) {
-	s.handleJobsClassAction(w, r, func(c jobs.Class) { s.engine.Jobs().Resume(c) })
-}
-
-func (s *Server) handleJobsClassAction(w http.ResponseWriter, r *http.Request, apply func(jobs.Class)) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req jobActionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Class == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "bad request: need {\"class\": ...}"})
-		return
-	}
-	apply(jobs.Class(req.Class))
-	writeJSON(w, http.StatusOK, s.engine.Jobs().Snapshot())
 }
 
 // sqlRequest is the body of POST /api/v1/sql.
@@ -443,7 +369,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"slow_queries":              s.slowQueries.Load(),
 		"codecs":                    compress.Stats(),
 		"jobs":                      s.engine.Jobs().Metrics(),
-		"jobs_healthy":              s.engine.Jobs().Healthy(),
 		"disk_pressure":             s.engine.Jobs().Pressured(),
 		"disk_free_bytes":           s.engine.Jobs().DiskFree(),
 	}

@@ -351,7 +351,7 @@ func TestMetricsKeySetGolden(t *testing.T) {
 		"codecs", "compactions", "compactions_deferred", "corruptions_detected",
 		"deadline_aborts", "disk_free_bytes", "disk_pressure",
 		"failovers", "flush_queue_depth", "flushes", "group_commit_records",
-		"group_commits", "jobs", "jobs_healthy", "orphans_removed",
+		"group_commits", "jobs", "orphans_removed",
 		"peak_query_bytes", "queries_active", "queries_admitted",
 		"queries_canceled", "queries_deadline_exceeded", "queries_killed",
 		"queries_mem_budget_kills", "queries_queued", "queries_shed",

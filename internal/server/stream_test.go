@@ -188,14 +188,9 @@ func TestStreamManyPagesOneRequest(t *testing.T) {
 		t.Fatalf("20 pages took %d requests, want 1", got)
 	}
 	// Once the response ends the server holds nothing for it: no
-	// registered query, and no cursor janitor on the scheduler.
+	// registered query.
 	if n := metricInt(t, ts.URL, "queries_active"); n != 0 {
 		t.Fatalf("queries_active = %d after the stream ended", n)
-	}
-	for _, j := range getJobsStatus(t, ts.URL).Jobs {
-		if strings.Contains(j.Name, "cursor") {
-			t.Fatalf("cursor job %q on the scheduler", j.Name)
-		}
 	}
 }
 

@@ -83,10 +83,12 @@ TOTAL=$(sql "SELECT fid FROM p" | sed -n 's/.*"total":\([0-9]*\).*/\1/p')
 curl -fsS "$BASE/api/v1/admin/topology" | grep -q '"mode":"router"' ||
     { echo "FAIL: topology endpoint"; exit 1; }
 
-# The router role's maintenance scheduler must be up and healthy even
-# with a peer down — quarantine/pressure would flip healthy to false.
-curl -fsS "$BASE/api/v1/admin/jobs" | grep -q '"healthy":true' ||
-    { echo "FAIL: router admin/jobs not healthy"; curl -fsS "$BASE/api/v1/admin/jobs" || true; exit 1; }
+# The router stays healthy with a peer down, and its disk-pressure
+# watchdog reports no pressure.
+curl -fsS "$BASE/api/v1/health" | grep -q '"status":"ok"' ||
+    { echo "FAIL: router health"; exit 1; }
+curl -fsS "$BASE/api/v1/metrics" | grep -q '"disk_pressure":false' ||
+    { echo "FAIL: router metrics do not report disk_pressure:false"; exit 1; }
 
 # The killed peer's circuit breaker must open before any revival: the
 # failed routes and the background prober both record transport failures
@@ -133,9 +135,8 @@ TOTAL=$(sql "SELECT fid FROM p" | sed -n 's/.*"total":\([0-9]*\).*/\1/p')
     exit 1
 }
 
-# Standalone role: same maintenance-scheduler surface — healthy
-# snapshot with the always-registered scrub job, and an on-demand run
-# of it succeeds through the admin API.
+# Standalone role: healthy, no disk pressure, and an on-demand scrub
+# pass over the store succeeds through the admin API.
 SA_PORT=$((HTTP_PORT + 1))
 "$BIN" -dir "$WORK/standalone" -addr "127.0.0.1:$SA_PORT" \
     >"$WORK/standalone.log" 2>&1 &
@@ -146,13 +147,14 @@ for _ in $(seq 1 50); do
     if curl -fsS "$SA/api/v1/health" >/dev/null 2>&1; then break; fi
     sleep 0.2
 done
-SA_JOBS=$(curl -fsS "$SA/api/v1/admin/jobs")
-echo "$SA_JOBS" | grep -q '"healthy":true' ||
-    { echo "FAIL: standalone admin/jobs not healthy: $SA_JOBS"; exit 1; }
-SCRUB_JOB=$(echo "$SA_JOBS" | grep -o '"name":"scrub:[^"]*"' | head -1 | sed 's/"name":"//; s/"$//')
-[ -n "$SCRUB_JOB" ] || { echo "FAIL: standalone has no registered scrub job: $SA_JOBS"; exit 1; }
-curl -fsS -X POST "$SA/api/v1/admin/jobs/run" -H 'Content-Type: application/json' \
-    -d "{\"name\":\"$SCRUB_JOB\"}" | grep -q '"ok":true' ||
-    { echo "FAIL: on-demand scrub run via admin/jobs"; exit 1; }
+curl -fsS "$SA/api/v1/health" | grep -q '"status":"ok"' ||
+    { echo "FAIL: standalone health"; exit 1; }
+curl -fsS "$SA/api/v1/metrics" | grep -q '"disk_pressure":false' ||
+    { echo "FAIL: standalone metrics do not report disk_pressure:false"; exit 1; }
+SCRUB=$(curl -fsS -X POST "$SA/api/v1/admin/scrub/run")
+if echo "$SCRUB" | grep -q '"error"' || ! echo "$SCRUB" | grep -q '"runs":[1-9]'; then
+    echo "FAIL: on-demand scrub via admin/scrub/run: $SCRUB"
+    exit 1
+fi
 
-echo "PASS: 3-process cluster served $((ROWS + 10)) acknowledged writes across a region-server kill; breaker opened and re-closed; admin/jobs healthy on router and standalone"
+echo "PASS: 3-process cluster served $((ROWS + 10)) acknowledged writes across a region-server kill; breaker opened and re-closed; router and standalone healthy without disk pressure; standalone scrub ran"
