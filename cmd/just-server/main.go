@@ -66,17 +66,9 @@ func main() {
 	retryBackoff := flag.Duration("retry-backoff", 0, "base retry backoff between routing attempts (0 = default 5ms)")
 	retryBackoffMax := flag.Duration("retry-backoff-max", 0, "retry backoff cap (0 = default 500ms)")
 
-	// Maintenance scheduler knobs (all roles).
-	jobCompactConcurrency := flag.Int("job-compact-concurrency", 0, "concurrent compactions across all regions (0 = default 2)")
-	jobDiskLow := flag.Int64("job-disk-low", 0, "free-space threshold in bytes below which all maintenance but flush is shed and writes degrade (0 = watchdog off)")
-	jobDiskCheck := flag.Duration("job-disk-check", 0, "disk-pressure watchdog probe period (0 = default 2s)")
+	jobOptions := jobFlags(flag.CommandLine)
 	flag.Parse()
-
-	jobOpts := jobs.Options{
-		CompactConcurrency: *jobCompactConcurrency,
-		DiskFreeLow:        *jobDiskLow,
-		DiskCheckInterval:  *jobDiskCheck,
-	}
+	jobOpts := jobOptions()
 
 	switch *role {
 	case "region":
@@ -165,6 +157,17 @@ func main() {
 		log.Printf("just-server: close engine: %v", err)
 	}
 	log.Printf("just-server: shutdown complete")
+}
+
+// jobFlags registers the maintenance scheduler knobs (all roles) on fs;
+// the function it returns reads them once fs is parsed.
+func jobFlags(fs *flag.FlagSet) func() jobs.Options {
+	compact := fs.Int("job-compact-concurrency", 0, "concurrent compactions across all regions (0 = default 2)")
+	diskLow := fs.Int64("job-disk-low", 0, "free-space threshold in bytes below which all maintenance but flush is shed and writes degrade (0 = watchdog off)")
+	diskCheck := fs.Duration("job-disk-check", 0, "disk-pressure watchdog probe period (0 = default 2s)")
+	return func() jobs.Options {
+		return jobs.Options{CompactConcurrency: *compact, DiskFreeLow: *diskLow, DiskCheckInterval: *diskCheck}
+	}
 }
 
 // runRegion hosts one networked region server until SIGINT/SIGTERM.

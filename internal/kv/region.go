@@ -756,16 +756,18 @@ func (r *region) flushImm(im *immMem) error {
 	name := fmt.Sprintf("sst-%06d.sst", r.sstSeq)
 	r.mu.Unlock()
 
-	entries := im.mem.entries(KeyRange{})
 	tw, err := newTableWriter(r.fs, filepath.Join(r.dir, name), r.opts.blockCodec(), r.opts.ZoneExtractor, im.mem.count)
 	if err != nil {
 		return err
 	}
-	for _, e := range entries {
-		if err := tw.add(e.key, e.value, e.kind); err != nil {
-			tw.abort()
-			return err
-		}
+	// The frozen memtable streams into the writer: no copy of its entries.
+	im.mem.iterate(KeyRange{}, func(key, value []byte, k kind) bool {
+		err = tw.add(key, value, k)
+		return err == nil
+	})
+	if err != nil {
+		tw.abort()
+		return err
 	}
 	size, err := tw.finish()
 	if err != nil {

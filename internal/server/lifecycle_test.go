@@ -374,6 +374,38 @@ func TestSQLBodyLimits(t *testing.T) {
 	}
 }
 
+// TestSQLBodyWithoutLength: a body of unknown length (the client sends
+// it chunked, with no Content-Length) is read the same way: accepted under the cap, 413 over it, 400 when it
+// is not one JSON object.
+func TestSQLBodyWithoutLength(t *testing.T) {
+	ts, _ := newTestServer(t, Options{MaxBodyBytes: 256})
+	post := func(body string) (int, string) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/api/v1/sql", io.MultiReader(strings.NewReader(body)))
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(raw)
+	}
+	if status, raw := post(`{"user":"u","sql":"SHOW TABLES"}`); status != http.StatusOK {
+		t.Fatalf("chunked SHOW TABLES = %d %s", status, raw)
+	}
+	big, _ := json.Marshal(sqlRequest{User: "u", SQL: strings.Repeat("SELECT 1;", 200)})
+	const tooBig = `{"total":0,"error":"request body exceeds 256 bytes","code":"body_too_large"}` + "\n"
+	if status, raw := post(string(big)); status != http.StatusRequestEntityTooLarge || raw != tooBig {
+		t.Fatalf("chunked oversized body = %d %s, want 413 %s", status, raw, tooBig)
+	}
+	for _, body := range []string{``, `{"sql":`, `{"sql":"SHOW TABLES"} {}`} {
+		if status, raw := post(body); status != http.StatusBadRequest || !strings.Contains(raw, "bad request: ") {
+			t.Fatalf("body %q = %d %s, want 400 bad request", body, status, raw)
+		}
+	}
+}
+
 // TestChaosCancelDuringFailover cancels queries with tight deadlines
 // while the primary region server is partitioned and healed underneath
 // them (a router over three loopback region servers, one replica per

@@ -7,6 +7,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -152,9 +153,19 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// Read the body once, into a buffer sized from Content-Length when the
+	// client sent it, then decode it in one pass.
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	var body bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= s.opts.MaxBodyBytes {
+		body.Grow(int(n) + bytes.MinRead)
+	}
 	var req sqlRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	_, err := body.ReadFrom(r.Body)
+	if err == nil {
+		err = json.Unmarshal(body.Bytes(), &req)
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeJSON(w, http.StatusRequestEntityTooLarge,

@@ -62,7 +62,14 @@ func (*DescStmt) stmt() {}
 // InsertStmt is INSERT INTO t VALUES (...), (...).
 type InsertStmt struct {
 	Table string
-	Rows  [][]Expr
+	Rows  [][]Cell
+}
+
+// Cell is one VALUES entry: a literal cell parsed straight to its value,
+// or the Expr of any other cell.
+type Cell struct {
+	Val  any
+	Expr Expr // nil when Val is the cell's value
 }
 
 func (*InsertStmt) stmt() {}

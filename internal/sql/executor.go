@@ -60,12 +60,6 @@ func (s *Session) ExecuteContext(ctx context.Context, src string) (*Result, erro
 	return s.ExecuteStmtContext(ctx, stmt)
 }
 
-// ExecuteStmt runs an already-parsed statement under a background
-// context.
-func (s *Session) ExecuteStmt(stmt Statement) (*Result, error) {
-	return s.ExecuteStmtContext(context.Background(), stmt)
-}
-
 // ExecuteStmtContext runs an already-parsed statement under ctx.
 func (s *Session) ExecuteStmtContext(ctx context.Context, stmt Statement) (*Result, error) {
 	if ctx == nil {
@@ -329,25 +323,9 @@ func (s *Session) execInsert(ctx context.Context, st *InsertStmt) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	cols := t.Desc.Columns
-	var rows []exec.Row
-	for _, exprRow := range st.Rows {
-		if len(exprRow) != len(cols) {
-			return nil, fmt.Errorf("sql: INSERT arity %d != table arity %d", len(exprRow), len(cols))
-		}
-		row := make(exec.Row, len(cols))
-		for i, e := range exprRow {
-			v, err := evalConst(foldExpr(e))
-			if err != nil {
-				return nil, err
-			}
-			cv, err := coerceValue(cols[i], v)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = cv
-		}
-		rows = append(rows, row)
+	rows, err := insertRows(t.Desc.Columns, st.Rows)
+	if err != nil {
+		return nil, err
 	}
 	if err := s.engine.InsertContext(ctx, t.Desc.User, t.Desc.Name, rows); err != nil {
 		return nil, err
@@ -355,14 +333,44 @@ func (s *Session) execInsert(ctx context.Context, st *InsertStmt) (*Result, erro
 	return &Result{Message: fmt.Sprintf("%d rows inserted into %s", len(rows), st.Table)}, nil
 }
 
+// insertRows gives each cell its column's type, folding and evaluating
+// the cells the parser kept as expressions. The rows share one slice.
+func insertRows(cols []table.Column, cells [][]Cell) ([]exec.Row, error) {
+	w := len(cols)
+	vals := make([]any, len(cells)*w)
+	rows := make([]exec.Row, len(cells))
+	for r, row := range cells {
+		if len(row) != w {
+			return nil, fmt.Errorf("sql: INSERT arity %d != table arity %d", len(row), w)
+		}
+		rows[r] = vals[r*w : (r+1)*w : (r+1)*w]
+		for i, c := range row {
+			v, err := c.Val, error(nil)
+			if c.Expr != nil {
+				if v, err = evalConst(foldExpr(c.Expr)); err != nil {
+					return nil, err
+				}
+			}
+			if rows[r][i], err = coerceValue(cols[i], v); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return rows, nil
+}
+
 // coerceValue adapts a literal to the column type: time strings, WKT
-// geometry, int/float widening.
+// geometry, int/float widening. A value that already has the column's
+// type is returned as is, not boxed again.
 func coerceValue(col table.Column, v any) (any, error) {
 	if v == nil {
 		return nil, nil
 	}
 	switch col.Type {
 	case exec.TypeTime:
+		if _, ok := v.(int64); ok {
+			return v, nil
+		}
 		return toTimeMS(v)
 	case exec.TypeGeometry:
 		if g, ok := v.(geom.Geometry); ok {
@@ -373,10 +381,13 @@ func coerceValue(col table.Column, v any) (any, error) {
 		}
 		return nil, fmt.Errorf("sql: column %q expects geometry, got %T", col.Name, v)
 	case exec.TypeFloat:
+		if _, ok := v.(float64); ok {
+			return v, nil
+		}
 		return toFloat(v)
 	case exec.TypeInt:
-		if n, ok := v.(int64); ok {
-			return n, nil // all 64 bits; float64 would round past 2^53
+		if _, ok := v.(int64); ok {
+			return v, nil // all 64 bits; float64 would round past 2^53
 		}
 		f, err := toFloat(v)
 		if err != nil {
@@ -384,8 +395,8 @@ func coerceValue(col table.Column, v any) (any, error) {
 		}
 		return int64(f), nil
 	case exec.TypeString:
-		if str, ok := v.(string); ok {
-			return str, nil
+		if _, ok := v.(string); ok {
+			return v, nil
 		}
 		return fmt.Sprintf("%v", v), nil
 	case exec.TypeBool:
@@ -1211,44 +1222,31 @@ func (cfg *loadConfig) apply(cols []table.Column, src exec.Row) (exec.Row, error
 
 // ParseExpr parses a standalone JustQL expression (used by LOAD CONFIG).
 func ParseExpr(src string) (Expr, error) {
-	l, err := newLexer(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{l: l}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if t := p.l.peek(); t.kind != tokEOF {
-		return nil, &SyntaxError{t.pos, fmt.Sprintf("trailing input %q", t.text)}
-	}
-	return e, nil
+	e, _, err := parseStandalone(src, false)
+	return e, err
 }
 
 // ParseFilter parses a LOAD FILTER string: an expression with an
 // optional trailing `limit N`.
-func ParseFilter(src string) (Expr, int, error) {
-	l, err := newLexer(src)
-	if err != nil {
-		return nil, 0, err
-	}
-	p := &parser{l: l}
+func ParseFilter(src string) (Expr, int, error) { return parseStandalone(src, true) }
+
+func parseStandalone(src string, withLimit bool) (Expr, int, error) {
+	p := &parser{l: newLexer(src)}
 	e, err := p.parseExpr()
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, p.l.fail(err)
 	}
 	limit := 0
-	if p.l.matchKeyword("limit") {
+	if withLimit && p.l.matchKeyword("limit") {
 		t := p.l.peek()
 		if t.kind != tokNumber {
-			return nil, 0, &SyntaxError{t.pos, "limit expects a number"}
+			return nil, 0, p.l.fail(&SyntaxError{t.pos, "limit expects a number"})
 		}
 		p.l.next()
 		fmt.Sscanf(t.text, "%d", &limit)
 	}
-	if t := p.l.peek(); t.kind != tokEOF {
-		return nil, 0, &SyntaxError{t.pos, fmt.Sprintf("trailing input %q", t.text)}
+	if err := p.l.expectEOF("trailing input"); err != nil {
+		return nil, 0, err
 	}
 	return e, limit, nil
 }

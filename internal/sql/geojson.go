@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
 
 	"just/internal/exec"
 	"just/internal/geom"
@@ -38,7 +39,7 @@ func (s *Session) loadGeoJSON(st *LoadStmt) (*Result, error) {
 	for k := range propSet {
 		propNames = append(propNames, k)
 	}
-	sortStrings(propNames)
+	sort.Strings(propNames)
 	fields := make([]exec.Field, 0, len(propNames)+1)
 	for _, n := range propNames {
 		fields = append(fields, exec.Field{Name: n, Type: exec.TypeString})
@@ -171,13 +172,5 @@ func jsonValue(v any) any {
 		return x
 	default:
 		return fmt.Sprintf("%v", x)
-	}
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
 	}
 }

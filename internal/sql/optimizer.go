@@ -195,7 +195,7 @@ func foldExpr(e Expr) Expr {
 		if analysisFuncs[v.Name] {
 			return v // never fold analysis operators
 		}
-		if _, isAgg := aggKindOf(v.Name); isAgg {
+		if _, isAgg := exec.ParseAgg(v.Name); isAgg {
 			return v
 		}
 		allConst := true

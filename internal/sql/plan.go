@@ -269,9 +269,6 @@ type analyzer struct {
 	user   string
 }
 
-// aggFuncNames identify aggregate calls in projections.
-func aggKindOf(name string) (exec.AggKind, bool) { return exec.ParseAgg(name) }
-
 // analyzeSelect builds the analyzed (unoptimized) plan for a SELECT.
 func (a *analyzer) analyzeSelect(st *SelectStmt) (Plan, error) {
 	if st.From == nil {
@@ -513,7 +510,7 @@ func materializeGroupKeys(groupBy []Expr, items []SelectItem, base Plan) ([]Expr
 	}
 	for _, it := range items {
 		if call, ok := it.Expr.(*FuncCall); ok {
-			if _, isAgg := aggKindOf(call.Name); isAgg {
+			if _, isAgg := exec.ParseAgg(call.Name); isAgg {
 				for _, a := range call.Args {
 					if id, ok := a.(*Ident); ok && id.Name != "*" && !carried[id.Name] {
 						if schema.Index(id.Name) < 0 {
@@ -548,7 +545,7 @@ func extractAggs(items []SelectItem, groupBy []Expr, schema *exec.Schema) (
 	}
 	for _, it := range items {
 		if call, ok := it.Expr.(*FuncCall); ok {
-			if _, isAgg := aggKindOf(call.Name); isAgg {
+			if _, isAgg := exec.ParseAgg(call.Name); isAgg {
 				hasAgg = true
 			}
 		}
@@ -573,7 +570,7 @@ func extractAggs(items []SelectItem, groupBy []Expr, schema *exec.Schema) (
 			}
 			outItems = append(outItems, it)
 		case *FuncCall:
-			kind, isAgg := aggKindOf(v.Name)
+			kind, isAgg := exec.ParseAgg(v.Name)
 			if !isAgg {
 				return nil, nil, nil, false,
 					fmt.Errorf("sql: non-aggregate %q in grouped query", v.Name)

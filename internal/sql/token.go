@@ -21,6 +21,7 @@ const (
 	tokString
 	tokOp   // punctuation and operators
 	tokJSON // balanced {...} blob (after USERDATA / CONFIG)
+	tokErr  // a lexical error; see lexer.err
 )
 
 type token struct {
@@ -29,21 +30,20 @@ type token struct {
 	pos  int
 }
 
-// lexer tokenizes JustQL. Keywords are case-insensitive and reported as
-// upper-cased idents.
+// lexer tokenizes JustQL on demand: the next token is scanned when the
+// parser consumes the current one. Keywords are case-insensitive idents.
+// A lexical error is a tokErr token, reported once the parser stops on it.
 type lexer struct {
-	src  string
-	pos  int
-	toks []token
-	i    int
+	src string
+	pos int   // where scanning resumes: the end of tok
+	tok token // the current token
+	err error // the lexical error tok stands for, if tok.kind == tokErr
 }
 
-func newLexer(src string) (*lexer, error) {
+func newLexer(src string) *lexer {
 	l := &lexer{src: src}
-	if err := l.run(); err != nil {
-		return nil, err
-	}
-	return l, nil
+	l.advance()
+	return l
 }
 
 // ErrSyntax wraps lexical and grammatical errors.
@@ -56,30 +56,58 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("sql: syntax error at offset %d: %s", e.Pos, e.Msg)
 }
 
-func (l *lexer) run() error {
+// fail returns the lexical error the parser stopped on, if it reached
+// one, else the parser's own err.
+func (l *lexer) fail(err error) error {
+	if l.err != nil {
+		return l.err
+	}
+	return err
+}
+
+// expectEOF reports anything after the end of what was parsed.
+func (l *lexer) expectEOF(msg string) error {
+	if t := l.peek(); t.kind != tokEOF {
+		return l.fail(&SyntaxError{t.pos, fmt.Sprintf("%s %q", msg, t.text)})
+	}
+	return nil
+}
+
+// advance scans the next token into l.tok, or the error that ends the scan.
+func (l *lexer) advance() {
+	if err := l.scan(); err != nil {
+		l.err, l.tok = err, token{kind: tokErr, pos: err.Pos}
+	}
+}
+
+func (l *lexer) scan() *SyntaxError {
 	s := l.src
 	for l.pos < len(s) {
 		c := s[l.pos]
+		start := l.pos
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			l.pos++
+			continue
 		case c == '-' && l.pos+1 < len(s) && s[l.pos+1] == '-':
 			for l.pos < len(s) && s[l.pos] != '\n' {
 				l.pos++
 			}
+			continue
 		case c == '{':
-			start := l.pos
 			blob, err := l.captureBalanced()
-			if err != nil {
-				return err
-			}
-			l.toks = append(l.toks, token{tokJSON, blob, start})
+			l.tok = token{tokJSON, blob, start}
+			return err
 		case c == '\'' || c == '"':
-			start := l.pos
-			quote := c
+			// Without escapes the string is a slice of the source.
+			if n := strings.IndexByte(s[start+1:], c); n >= 0 && strings.IndexByte(s[start+1:start+1+n], '\\') < 0 {
+				l.pos = start + n + 2
+				l.tok = token{tokString, s[start+1 : start+1+n], start}
+				return nil
+			}
 			l.pos++
 			var sb strings.Builder
-			for l.pos < len(s) && s[l.pos] != quote {
+			for l.pos < len(s) && s[l.pos] != c {
 				if s[l.pos] == '\\' && l.pos+1 < len(s) {
 					l.pos++
 				}
@@ -90,48 +118,45 @@ func (l *lexer) run() error {
 				return &SyntaxError{start, "unterminated string"}
 			}
 			l.pos++ // closing quote
-			l.toks = append(l.toks, token{tokString, sb.String(), start})
+			l.tok = token{tokString, sb.String(), start}
 		case c >= '0' && c <= '9' || (c == '.' && l.pos+1 < len(s) && s[l.pos+1] >= '0' && s[l.pos+1] <= '9'):
-			start := l.pos
 			for l.pos < len(s) && (isDigit(s[l.pos]) || s[l.pos] == '.' || s[l.pos] == 'e' || s[l.pos] == 'E' ||
 				((s[l.pos] == '+' || s[l.pos] == '-') && l.pos > start && (s[l.pos-1] == 'e' || s[l.pos-1] == 'E'))) {
 				l.pos++
 			}
-			l.toks = append(l.toks, token{tokNumber, s[start:l.pos], start})
+			l.tok = token{tokNumber, s[start:l.pos], start}
 		case isIdentStart(rune(c)):
-			start := l.pos
 			for l.pos < len(s) && isIdentPart(rune(s[l.pos])) {
 				l.pos++
 			}
-			l.toks = append(l.toks, token{tokIdent, s[start:l.pos], start})
+			l.tok = token{tokIdent, s[start:l.pos], start}
 		default:
-			start := l.pos
 			// Two-char operators first.
 			if l.pos+1 < len(s) {
-				two := s[l.pos : l.pos+2]
-				switch two {
+				switch two := s[l.pos : l.pos+2]; two {
 				case "<=", ">=", "!=", "<>", "::":
-					l.toks = append(l.toks, token{tokOp, two, start})
 					l.pos += 2
-					continue
+					l.tok = token{tokOp, two, start}
+					return nil
 				}
 			}
 			switch c {
 			case '(', ')', ',', ';', ':', '=', '<', '>', '+', '-', '*', '/', '.', '|':
-				l.toks = append(l.toks, token{tokOp, string(c), start})
 				l.pos++
+				l.tok = token{tokOp, s[start:l.pos], start}
 			default:
 				return &SyntaxError{start, fmt.Sprintf("unexpected character %q", c)}
 			}
 		}
+		return nil
 	}
-	l.toks = append(l.toks, token{tokEOF, "", len(s)})
+	l.tok = token{tokEOF, "", len(s)}
 	return nil
 }
 
 // captureBalanced consumes a balanced {...} blob, respecting quoted
 // strings inside.
-func (l *lexer) captureBalanced() (string, error) {
+func (l *lexer) captureBalanced() (string, *SyntaxError) {
 	s := l.src
 	start := l.pos
 	depth := 0
@@ -165,13 +190,13 @@ func isIdentStart(r rune) bool { return unicode.IsLetter(r) || r == '_' }
 func isIdentPart(r rune) bool  { return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' }
 
 // peek returns the current token without consuming it.
-func (l *lexer) peek() token { return l.toks[l.i] }
+func (l *lexer) peek() token { return l.tok }
 
-// next consumes and returns the current token.
+// next consumes and returns the current token, unless it is EOF or tokErr.
 func (l *lexer) next() token {
-	t := l.toks[l.i]
-	if l.i < len(l.toks)-1 {
-		l.i++
+	t := l.tok
+	if t.kind != tokEOF && t.kind != tokErr {
+		l.advance()
 	}
 	return t
 }
@@ -179,12 +204,11 @@ func (l *lexer) next() token {
 // matchKeyword consumes the token if it is the given keyword
 // (case-insensitive).
 func (l *lexer) matchKeyword(kw string) bool {
-	t := l.peek()
-	if t.kind == tokIdent && strings.EqualFold(t.text, kw) {
+	ok := l.isKeyword(kw)
+	if ok {
 		l.next()
-		return true
 	}
-	return false
+	return ok
 }
 
 // expectKeyword consumes a required keyword.
@@ -198,12 +222,11 @@ func (l *lexer) expectKeyword(kw string) error {
 
 // matchOp consumes the token if it is the given operator.
 func (l *lexer) matchOp(op string) bool {
-	t := l.peek()
-	if t.kind == tokOp && t.text == op {
+	ok := l.tok.kind == tokOp && l.tok.text == op
+	if ok {
 		l.next()
-		return true
 	}
-	return false
+	return ok
 }
 
 // expectOp consumes a required operator.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -136,8 +137,13 @@ func (t *Table) Schema() *exec.Schema { return t.Desc.Schema() }
 
 // keyPrefix builds [tableID u32][indexID u8].
 func (t *Table) keyPrefix(indexID uint8) []byte {
+	return t.appendKey(make([]byte, 0, 5), indexID, nil)
+}
+
+// appendKey appends the key prefix of indexID and then raw to dst.
+func (t *Table) appendKey(dst []byte, indexID uint8, raw []byte) []byte {
 	id := t.Desc.TableID
-	return []byte{byte(id >> 24), byte(id >> 16), byte(id >> 8), byte(id), indexID}
+	return append(append(dst, byte(id>>24), byte(id>>16), byte(id>>8), byte(id), indexID), raw...)
 }
 
 // TimeSpan returns the span of record start times the table holds.
@@ -217,6 +223,8 @@ func (t *Table) InsertBatchCtx(ctx context.Context, rows []exec.Row) error {
 		newKeys [][]byte // parallel to t.strategies; nil for non-spatial rows
 	}
 	preps := make([]prepRow, len(rows))
+	ns := len(t.strategies)
+	spatialKeys := make([][]byte, len(rows)*ns)
 	// Stage 1: encode + compress + index-key computation, in parallel
 	// (strategies are stateless after construction).
 	err := parallelRows(len(rows), func(i int) error {
@@ -228,24 +236,47 @@ func (t *Table) InsertBatchCtx(ctx context.Context, rows []exec.Row) error {
 		if err != nil {
 			return err
 		}
-		p := prepRow{rec: rec, value: value}
-		p.attrKey = append(t.keyPrefix(t.attrID), t.attr.KeyForFID(rec.FID)...)
-		p.newKeys = make([][]byte, len(t.strategies))
+		p := prepRow{rec: rec, value: value, newKeys: spatialKeys[i*ns : (i+1)*ns : (i+1)*ns]}
 		for si, s := range t.strategies {
 			if rec.Geom == nil {
 				continue
 			}
-			key, err := s.Key(rec)
-			if err != nil {
+			if p.newKeys[si], err = s.Key(rec); err != nil {
 				return err
 			}
-			p.newKeys[si] = append(t.keyPrefix(s.id), key...)
 		}
 		preps[i] = p
 		return nil
 	})
 	if err != nil {
 		return err
+	}
+	// Prefix every key with its table and index ids in one arena for the
+	// batch: the attribute keys first, so that one string of them keys
+	// lastByFID below.
+	size := 0
+	for i := range preps {
+		size += 5 + len(preps[i].rec.FID)
+		for _, key := range preps[i].newKeys {
+			size += 5 + len(key)
+		}
+	}
+	arena := make([]byte, 0, size)
+	prefixed := func(indexID uint8, raw []byte) []byte {
+		start := len(arena)
+		arena = t.appendKey(arena, indexID, raw)
+		return arena[start:len(arena):len(arena)]
+	}
+	for i := range preps {
+		preps[i].attrKey = prefixed(t.attrID, preps[i].rec.FID)
+	}
+	attrKeyText := string(arena)
+	for i := range preps {
+		for si, key := range preps[i].newKeys {
+			if key != nil {
+				preps[i].newKeys[si] = prefixed(t.strategies[si].id, key)
+			}
+		}
 	}
 	// Stage 2: one batched existence probe for the upsert path.
 	attrKeys := make([][]byte, len(rows))
@@ -257,36 +288,38 @@ func (t *Table) InsertBatchCtx(ctx context.Context, rows []exec.Row) error {
 		return err
 	}
 	// Stage 3: decode the found previous versions and recompute their
-	// index keys, again in parallel.
+	// index keys, again in parallel — when there are any.
 	oldKeys := make([][][]byte, len(rows))
-	err = parallelRows(len(rows), func(i int) error {
-		if oldVals[i] == nil {
-			return nil
-		}
-		oldRow, err := t.codec.Decode(oldVals[i])
-		if err != nil {
-			return err
-		}
-		oldRec, err := t.record(oldRow)
-		if err != nil {
-			return err
-		}
-		if oldRec.Geom == nil {
-			return nil
-		}
-		keys := make([][]byte, len(t.strategies))
-		for si, s := range t.strategies {
-			key, err := s.Key(oldRec)
+	if slices.ContainsFunc(oldVals, func(v []byte) bool { return v != nil }) {
+		err = parallelRows(len(rows), func(i int) error {
+			if oldVals[i] == nil {
+				return nil
+			}
+			oldRow, err := t.codec.Decode(oldVals[i])
 			if err != nil {
 				return err
 			}
-			keys[si] = append(t.keyPrefix(s.id), key...)
+			oldRec, err := t.record(oldRow)
+			if err != nil {
+				return err
+			}
+			if oldRec.Geom == nil {
+				return nil
+			}
+			keys := make([][]byte, len(t.strategies))
+			for si, s := range t.strategies {
+				key, err := s.Key(oldRec)
+				if err != nil {
+					return err
+				}
+				keys[si] = t.appendKey(nil, s.id, key)
+			}
+			oldKeys[i] = keys
+			return nil
+		})
+		if err != nil {
+			return err
 		}
-		oldKeys[i] = keys
-		return nil
-	})
-	if err != nil {
-		return err
 	}
 	// Stage 4: assemble the batch in row order (later mutations win in
 	// the memtable, so repeated fids resolve exactly as sequential
@@ -300,7 +333,9 @@ func (t *Table) InsertBatchCtx(ctx context.Context, rows []exec.Row) error {
 	for i := range preps {
 		lo, hi = min(lo, preps[i].rec.Start), max(hi, preps[i].rec.Start)
 		prior := oldKeys[i]
-		if j, ok := lastByFID[string(preps[i].rec.FID)]; ok {
+		fid := attrKeyText[:len(preps[i].attrKey)]
+		attrKeyText = attrKeyText[len(fid):]
+		if j, ok := lastByFID[fid]; ok {
 			prior = preps[j].newKeys
 		}
 		for si, old := range prior {
@@ -317,7 +352,7 @@ func (t *Table) InsertBatchCtx(ctx context.Context, rows []exec.Row) error {
 				batch.Put(key, preps[i].value)
 			}
 		}
-		lastByFID[string(preps[i].rec.FID)] = i
+		lastByFID[fid] = i
 	}
 	// Before the apply: a row is never readable outside the span.
 	t.widenSpan(lo, hi)
