@@ -64,3 +64,10 @@ func scanPairs(ctx context.Context, s Store, ranges []KeyRange, emit func(key, v
 		return pair{bytes.Clone(k), bytes.Clone(v)}, true, nil
 	}, func(p pair) bool { return emit(p.key, p.value) })
 }
+
+// iter is a lone table's iterator over r, outside any merge.
+func (t *table) iter(r KeyRange) *tableIter {
+	it := &tableIter{t: t, bi: -1}
+	it.seek(r, false)
+	return it
+}

@@ -868,7 +868,8 @@ func (r *region) merge(tier bool) error {
 	for _, t := range tables {
 		n += int(t.count)
 	}
-	it := newMergeIter(nil, tables, KeyRange{}, true)
+	it := newMergeIter(nil, tables, true)
+	it.seek(KeyRange{})
 	tw, err := newTableWriter(r.fs, filepath.Join(r.dir, name), r.opts.blockCodec(), r.opts.ZoneExtractor, n)
 	if err != nil {
 		return err
@@ -953,20 +954,36 @@ func (r *region) writeManifest() error {
 	return r.fs.SyncDir(r.dir)
 }
 
-// Scan returns an iterator over live pairs in the range, merging the
-// active memtable, any frozen memtables awaiting flush (newest first),
-// and the SSTables. The iterator pins its table snapshot against
-// background compaction; Close releases the pins.
-func (r *region) Scan(kr KeyRange) Iterator {
+// snapshot opens a merge over the region as it stands: the active
+// memtable, unless it is empty, and the frozen ones are captured and the
+// tables pinned under one read lock, so compaction cannot retire them
+// under the merge. seek then moves it through the ranges of a run;
+// Close releases the pins. Each seek copies the captured memtables'
+// entries in its range, so it also sees writes that land in the
+// captured active memtable meanwhile: they are newer than anything else
+// the snapshot holds.
+func (r *region) snapshot() *mergeIter {
 	r.mu.RLock()
-	mems := [][]memEntry{r.mem.entries(kr)}
+	var mems []memSrc
+	if !r.mem.empty() { // most scans of a bulk-loaded table find none to merge
+		mems = make([]memSrc, 1, 1+len(r.imm))
+		mems[0].mem = r.mem
+	}
 	for i := len(r.imm) - 1; i >= 0; i-- {
-		mems = append(mems, r.imm[i].mem.entries(kr))
+		mems = append(mems, memSrc{mem: r.imm[i].mem})
 	}
 	tables := pinTables(r.tables)
 	r.mu.RUnlock()
-	it := newMergeIter(mems, tables, kr, false)
-	it.pinned = tables
+	it := newMergeIter(mems, tables, false)
+	it.pinned = true
+	return it
+}
+
+// Scan returns an iterator over live pairs in the range: a one-range
+// run of a snapshot.
+func (r *region) Scan(kr KeyRange) Iterator {
+	it := r.snapshot()
+	it.seek(kr)
 	return it
 }
 
@@ -1024,58 +1041,58 @@ func (r *region) Close() error {
 	return first
 }
 
-// mergeIter merges the memtable snapshot and the SSTables, newest source
-// wins for duplicate keys, tombstones suppressed (unless raw). Pairs are
-// the sources' own slices: arenas and blocks are never rewritten.
+// mergeIter merges memtables and SSTables, newest source wins for
+// duplicate keys, tombstones suppressed (unless raw). Pairs are the
+// sources' own slices: arenas and blocks are never rewritten. It serves
+// the ranges of a run one seek at a time.
 type mergeIter struct {
+	mems   []memSrc    // the active memtable first, then frozen ones newest first
+	tables []tableIter // oldest first
 	h      srcHeap
 	key    []byte
 	value  []byte
-	knd    kind
 	err    error
-	raw    bool     // emit tombstones and shadowed versions' winners too
-	pinned []*table // tables pinned by region.Scan, released on Close
+
+	// high is the highest end of the ranges served so far, and open
+	// whether one of them had no end: every entry any table passed lies
+	// below high, so a range starting at or past it may walk on. high
+	// is the caller's slice, which a range must not change once sought.
+	high   []byte
+	open   bool
+	knd    kind
+	raw    bool // emit tombstones and shadowed versions' winners too
+	pinned bool // the tables are pinned by region.snapshot, released on Close
 }
 
 type mergeSrc interface {
-	next() bool
-	key() []byte
-	value() []byte
+	Next() bool
+	Key() []byte
+	Value() []byte
 	entryKind() kind
-	err() error
+	Err() error
 	priority() int // higher wins on equal keys
 }
 
+// memSrc is one memtable's entries in the current range.
 type memSrc struct {
+	mem     *skiplist
 	entries []memEntry
 	i       int
 	prio    int
 }
 
-func (m *memSrc) next() bool      { m.i++; return m.i < len(m.entries) }
-func (m *memSrc) key() []byte     { return m.entries[m.i].key }
-func (m *memSrc) value() []byte   { return m.entries[m.i].value }
+func (m *memSrc) Next() bool      { m.i++; return m.i < len(m.entries) }
+func (m *memSrc) Key() []byte     { return m.entries[m.i].key }
+func (m *memSrc) Value() []byte   { return m.entries[m.i].value }
 func (m *memSrc) entryKind() kind { return m.entries[m.i].kind }
-func (m *memSrc) err() error      { return nil }
+func (m *memSrc) Err() error      { return nil }
 func (m *memSrc) priority() int   { return m.prio }
-
-type tableSrc struct {
-	it   *tableIter
-	prio int
-}
-
-func (t *tableSrc) next() bool      { return t.it.Next() }
-func (t *tableSrc) key() []byte     { return t.it.Key() }
-func (t *tableSrc) value() []byte   { return t.it.Value() }
-func (t *tableSrc) entryKind() kind { return t.it.entryKind() }
-func (t *tableSrc) err() error      { return t.it.Err() }
-func (t *tableSrc) priority() int   { return t.prio }
 
 type srcHeap []mergeSrc
 
 func (h srcHeap) Len() int { return len(h) }
 func (h srcHeap) Less(i, j int) bool {
-	c := bytes.Compare(h[i].key(), h[j].key())
+	c := bytes.Compare(h[i].Key(), h[j].Key())
 	if c != 0 {
 		return c < 0
 	}
@@ -1091,63 +1108,69 @@ func (h *srcHeap) Pop() interface{} {
 	return x
 }
 
-// newMergeIter merges memtable snapshots (mems[0] newest — the active
-// memtable — then frozen ones in decreasing recency) with the SSTables.
-func newMergeIter(mems [][]memEntry, tables []*table, kr KeyRange, raw bool) *mergeIter {
-	m := &mergeIter{raw: raw}
-	for mi, mem := range mems {
-		if len(mem) == 0 {
-			continue
-		}
-		s := &memSrc{entries: mem, i: -1, prio: 1<<30 - mi}
-		if s.next() {
+// newMergeIter merges memtables (mems[0] newest — the active memtable —
+// then frozen ones in decreasing recency; only their mem is set) with
+// the SSTables (oldest first). It is positioned nowhere until the first
+// seek.
+func newMergeIter(mems []memSrc, tables []*table, raw bool) *mergeIter {
+	m := &mergeIter{raw: raw, mems: mems, tables: make([]tableIter, len(tables))}
+	for i := range mems {
+		mems[i].prio = 1<<30 - i
+	}
+	for i, t := range tables {
+		// Skipping a block never emits anything — it only removes
+		// candidate versions from the merge. That is safe when the
+		// skipped versions are shadowed by a newer source (the newer
+		// version wins either way) or absent elsewhere (the zone says
+		// they miss the window). The one hazard is an OLDER table
+		// holding a stale version of a key whose newest put lives in
+		// the skipped block, so the tables older than t veto a skip
+		// over their key span. Memtables and later tables are always
+		// newer and never need a veto.
+		m.tables[i] = tableIter{t: t, bi: -1, older: tables[:i]}
+	}
+	return m
+}
+
+// seek moves the merge to range kr, dropping what remains of the
+// previous one. The ranges of a run ascend, each starting at or after
+// the previous one's end, so each table walks on from where it stopped
+// (see tableIter.seek); any other range repositions each table it
+// reaches. An empty range yields nothing and moves nothing.
+func (m *mergeIter) seek(kr KeyRange) {
+	m.h = m.h[:0]
+	if m.err != nil || (kr.Start != nil && kr.End != nil && bytes.Compare(kr.Start, kr.End) >= 0) {
+		return
+	}
+	forward := !m.open && kr.Start != nil && bytes.Compare(kr.Start, m.high) >= 0
+	if kr.End == nil {
+		m.open = true
+	} else if bytes.Compare(kr.End, m.high) > 0 {
+		m.high = kr.End
+	}
+	for i := range m.mems {
+		s := &m.mems[i]
+		s.entries, s.i = s.mem.appendEntries(s.entries[:0], kr), -1
+		if s.Next() {
 			m.h = append(m.h, s)
 		}
 	}
-	for i, t := range tables {
+	for i := range m.tables {
+		s := &m.tables[i]
 		// Skip tables whose key span misses the range entirely.
-		if t.lastKey != nil && kr.Start != nil && bytes.Compare(t.lastKey, kr.Start) < 0 {
+		if len(s.t.index) == 0 || (kr.Start != nil && bytes.Compare(s.t.lastKey, kr.Start) < 0) ||
+			(kr.End != nil && bytes.Compare(s.t.firstKey(), kr.End) >= 0) {
 			continue
 		}
-		if fk := t.firstKey(); fk != nil && kr.End != nil && bytes.Compare(fk, kr.End) >= 0 {
-			continue
-		}
-		ti := t.iter(kr)
-		if kr.Zoned {
-			// Skipping a block never emits anything — it only removes
-			// candidate versions from the merge. That is safe when the
-			// skipped versions are shadowed by a newer source (the newer
-			// version wins either way) or absent elsewhere (the zone says
-			// they miss the window). The one hazard is an OLDER table
-			// holding a stale version of a key whose newest put lives in
-			// the skipped block: pruning the newest put would let the
-			// stale value win the merge and possibly land inside the
-			// window. So a block in table i may only be skipped when no
-			// older table (tables[:i]) overlaps its key span. Memtables
-			// and later tables are always newer and never need a veto.
-			older := tables[:i]
-			ti.canSkip = func(lo, hi []byte) bool {
-				for _, ot := range older {
-					if len(ot.index) == 0 {
-						continue
-					}
-					if bytes.Compare(ot.lastKey, lo) < 0 || bytes.Compare(ot.firstKey(), hi) > 0 {
-						continue
-					}
-					return false
-				}
-				return true
-			}
-		}
-		s := &tableSrc{it: ti, prio: i} // later tables are newer
-		if s.next() {
+		s.seek(kr, forward)
+		if s.Next() {
 			m.h = append(m.h, s)
-		} else if s.err() != nil {
-			m.err = s.err()
+		} else if err := s.Err(); err != nil {
+			m.err = err
+			return
 		}
 	}
 	heap.Init(&m.h)
-	return m
 }
 
 // nextRaw advances to the next winning entry, including tombstones.
@@ -1160,7 +1183,7 @@ func (m *mergeIter) nextRaw() bool {
 	}
 	src := m.h[0]
 	// Capped, so a caller's append copies instead of overwriting the next entry.
-	k, v := src.key(), src.value()
+	k, v := src.Key(), src.Value()
 	m.key, m.value, m.knd = k[:len(k):len(k)], v[:len(v):len(v)], src.entryKind()
 	// Advance the winner and every lower-priority duplicate.
 	m.advanceAll(m.key)
@@ -1169,12 +1192,12 @@ func (m *mergeIter) nextRaw() bool {
 
 // advanceAll pops/advances every source currently positioned at key.
 func (m *mergeIter) advanceAll(key []byte) {
-	for len(m.h) > 0 && bytes.Equal(m.h[0].key(), key) {
+	for len(m.h) > 0 && bytes.Equal(m.h[0].Key(), key) {
 		src := m.h[0]
-		if src.next() {
+		if src.Next() {
 			heap.Fix(&m.h, 0)
 		} else {
-			if err := src.err(); err != nil {
+			if err := src.Err(); err != nil {
 				m.err = err
 				return
 			}
@@ -1200,7 +1223,11 @@ func (m *mergeIter) Err() error    { return m.err }
 
 // Close releases the iterator's table pins; it is idempotent.
 func (m *mergeIter) Close() error {
-	releaseTables(m.pinned)
-	m.pinned = nil
+	if m.pinned {
+		for i := range m.tables {
+			m.tables[i].t.decRef()
+		}
+		m.pinned = false
+	}
 	return nil
 }

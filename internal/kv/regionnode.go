@@ -589,21 +589,24 @@ func (n *RegionNode) handleScan(ctx context.Context, payload []byte, w *rpc.Resp
 		}
 		return nil
 	}
-	// The ranges are walked in order and a batch fills across their
-	// boundaries, so a run of ranges costs the frames of one range. The
-	// batch holds the iterator's views until emit encodes them.
+	// The run's ranges are walked in order by one merge over one region
+	// snapshot, and a batch fills across their boundaries, so a run of
+	// ranges costs the frames of one range. The batch holds the
+	// iterator's views until emit encodes them; the snapshot closes after
+	// the last emit.
+	it := sr.r.snapshot()
+	defer it.Close()
 	var batch rpc.ScanBatch
 	var size int
 	kr := KeyRange{Start: req.Start, End: req.End, Zoned: req.Zoned, ZMin: req.ZMin, ZMax: req.ZMax}
 	for i := 0; ; i++ {
-		it := sr.r.Scan(kr)
+		it.seek(kr)
 		for it.Next() {
 			batch.Keys = append(batch.Keys, it.Key())
 			batch.Vals = append(batch.Vals, it.Value())
 			size += len(it.Key()) + len(it.Value())
 			if len(batch.Keys) >= scanBatchSize || size >= reseedChunkBytes {
 				if err := emit(&batch); err != nil {
-					it.Close()
 					if errors.Is(err, errScanDone) {
 						return nil
 					}
@@ -612,9 +615,7 @@ func (n *RegionNode) handleScan(ctx context.Context, payload []byte, w *rpc.Resp
 				batch.Keys, batch.Vals, size = batch.Keys[:0], batch.Vals[:0], 0
 			}
 		}
-		err := it.Err()
-		it.Close()
-		if err != nil {
+		if err := it.Err(); err != nil {
 			return sendKVErr(w, err)
 		}
 		if i == len(req.More) {

@@ -1,0 +1,282 @@
+package kv
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// Differential tests of the seeking run: one region snapshot serving a
+// run of ranges through one merge, checked against a map model of the
+// region and against a fresh region.Scan per range.
+
+// modelKeys is the key space of a scan fixture; every other key is
+// written, so the odd ones fall between stored keys.
+const modelKeys = 1200
+
+func modelKey(i int) []byte { return []byte(fmt.Sprintf("k%05d", i)) }
+
+// scanFixture is a region holding three SSTables, a frozen memtable and
+// an active memtable, with shadowed versions and tombstones across
+// them, and the map model of what it holds.
+type scanFixture struct {
+	r     *region
+	model map[string][]byte // live pairs; deleted keys are absent
+	live  []string          // the model's keys, sorted
+}
+
+// newScanFixture builds a fixture in dir. Values carry a record time
+// (zoneValue) and ~16 fit a 4 KiB block. The oldest table holds every
+// stored key at time = its index, so zone maps are selective. The
+// second table rewrites a contiguous span far outside any window near
+// the first times: its blocks are prunable, but the oldest table holds
+// in-window versions of the same keys, so the zone veto must refuse
+// those skips. The rest is random puts and deletes.
+func newScanFixture(tb testing.TB, dir string, seed int64) *scanFixture {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	opts := Options{ZoneExtractor: testZoneExtractor, FlushQueue: 100, MaxTables: 100}.withDefaults()
+	r, err := openRegion(0, dir, opts, newBlockCache(1<<20), &Metrics{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { r.Close() })
+	fx := &scanFixture{r: r, model: map[string][]byte{}}
+	put := func(i int, t int64) {
+		v := zoneValue(t, 240)
+		if err := r.Put(modelKey(i), v); err != nil {
+			tb.Fatal(err)
+		}
+		fx.model[string(modelKey(i))] = v
+	}
+	del := func(i int) {
+		if err := r.Delete(modelKey(i)); err != nil {
+			tb.Fatal(err)
+		}
+		delete(fx.model, string(modelKey(i)))
+	}
+	random := func(n int) {
+		for j := 0; j < n; j++ {
+			i := 2 * rng.Intn(modelKeys/2)
+			if rng.Intn(4) == 0 {
+				del(i)
+			} else {
+				put(i, rng.Int63n(2*modelKeys))
+			}
+		}
+	}
+	flush := func() {
+		if err := r.flush(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < modelKeys; i += 2 {
+		put(i, int64(i))
+	}
+	flush()
+	lo := 2 * rng.Intn(modelKeys/4)
+	for i := lo; i < lo+modelKeys/4; i += 2 {
+		put(i, int64(100*modelKeys+i))
+	}
+	random(40)
+	flush()
+	random(150)
+	flush()
+	// The frozen memtable stays on the queue while the flusher is parked.
+	pauseFlusher(r, true)
+	tb.Cleanup(func() { pauseFlusher(r, false) })
+	random(80)
+	flush()
+	random(60)
+	if len(r.tables) != 3 || len(r.imm) != 1 || r.mem.count == 0 {
+		tb.Fatalf("fixture holds %d tables, %d frozen memtables, %d active entries; want 3, 1, >0", len(r.tables), len(r.imm), r.mem.count)
+	}
+	for k := range fx.model {
+		fx.live = append(fx.live, k)
+	}
+	sort.Strings(fx.live)
+	return fx
+}
+
+// scanRunCheck scans run through one snapshot and requires:
+//   - the run yields what a fresh region.Scan of each range yields;
+//   - each range yields only live pairs of the model inside it, in key
+//     order, each once;
+//   - each range yields every live pair of the model inside it whose
+//     record time meets the range's zone (zones prune, they never hide).
+func scanRunCheck(tb testing.TB, fx *scanFixture, run []KeyRange) {
+	tb.Helper()
+	it := fx.r.snapshot()
+	defer it.Close()
+	for ri, kr := range run {
+		var got, fresh []pair
+		it.seek(kr)
+		for it.Next() {
+			got = append(got, pair{bytes.Clone(it.Key()), bytes.Clone(it.Value())})
+		}
+		if err := it.Err(); err != nil {
+			tb.Fatalf("range %d: %v", ri, err)
+		}
+		one := fx.r.Scan(kr)
+		for one.Next() {
+			fresh = append(fresh, pair{bytes.Clone(one.Key()), bytes.Clone(one.Value())})
+		}
+		one.Close()
+		same := len(got) == len(fresh)
+		for i := 0; same && i < len(got); i++ {
+			same = bytes.Equal(got[i].key, fresh[i].key) && bytes.Equal(got[i].value, fresh[i].value)
+		}
+		if !same {
+			tb.Fatalf("range %d %s: the run yields %d pairs, region.Scan %d, or other ones", ri, showRange(kr), len(got), len(fresh))
+		}
+		yielded := map[string]bool{}
+		for i, p := range got {
+			if i > 0 && bytes.Compare(got[i-1].key, p.key) >= 0 {
+				tb.Fatalf("range %d %s: %q after %q", ri, showRange(kr), p.key, got[i-1].key)
+			}
+			if want, ok := fx.model[string(p.key)]; !ok || !kr.Contains(p.key) || !bytes.Equal(want, p.value) {
+				tb.Fatalf("range %d %s: yields %q at time %d, which the model does not hold there", ri, showRange(kr), p.key, zoneTime(p.value))
+			}
+			yielded[string(p.key)] = true
+		}
+		for _, k := range fx.live[sort.SearchStrings(fx.live, string(kr.Start)):] {
+			if !kr.Contains([]byte(k)) {
+				break
+			}
+			z := zoneTime(fx.model[k])
+			if (!kr.Zoned || (z >= kr.ZMin && z <= kr.ZMax)) && !yielded[k] {
+				tb.Fatalf("range %d %s: misses %q at time %d", ri, showRange(kr), k, z)
+			}
+		}
+	}
+}
+
+func showRange(kr KeyRange) string {
+	s := fmt.Sprintf("[%q, %q)", kr.Start, kr.End)
+	if kr.Zoned {
+		s += fmt.Sprintf(" zone [%d, %d]", kr.ZMin, kr.ZMax)
+	}
+	return s
+}
+
+// decodeRun turns fuzz bytes into a run of ranges sharing one zone, the
+// shape an OpScan carries. The first two bytes pick the zone; then each
+// three bytes make a range: flags, a gap from the previous range's end
+// and a length, both in key steps. Flags: bit 0 starts the range between
+// stored keys, bit 1 ends it between them, bit 2 makes it empty, bit 3
+// jumps back before the previous range, bit 4 opens the first range's
+// start, bit 5 opens the last range's end.
+func decodeRun(data []byte) []KeyRange {
+	if len(data) < 2 {
+		return nil
+	}
+	var zone KeyRange
+	if data[0]&1 != 0 {
+		zone.Zoned = true
+		zone.ZMin = int64(data[0]>>1) * modelKeys / 64
+		zone.ZMax = zone.ZMin + int64(data[1])*modelKeys/256
+		if data[0]&0x80 != 0 {
+			zone.ZMin, zone.ZMax = 100*modelKeys, 100*modelKeys+modelKeys/4
+		}
+	}
+	var run []KeyRange
+	var flags byte
+	pos := 0
+	data = data[2:]
+	for len(data) >= 3 && len(run) < 64 {
+		var gap, n int
+		flags, gap, n = data[0], int(data[1]), int(data[2])%48
+		data = data[3:]
+		if flags&8 != 0 {
+			pos = max(pos-gap*4, 0)
+		} else {
+			pos += gap % 64
+		}
+		kr := zone
+		kr.Start = modelKey(pos)
+		if flags&1 != 0 {
+			kr.Start = append(kr.Start, 'x')
+		}
+		end := pos + n
+		if flags&4 != 0 {
+			end = pos
+		}
+		kr.End = modelKey(end)
+		if flags&2 != 0 {
+			kr.End = append(kr.End, 'x')
+		}
+		if flags&16 != 0 && len(run) == 0 {
+			kr.Start = nil
+		}
+		run = append(run, kr)
+		pos = end
+	}
+	if flags&32 != 0 {
+		run[len(run)-1].End = nil
+	}
+	return run
+}
+
+// randomRun is an ascending run of up to 40 ranges sharing one zone:
+// short ranges (several inside one block), long ones, ranges starting
+// or ending between stored keys, and empty ones.
+func randomRun(rng *rand.Rand) []KeyRange {
+	data := make([]byte, 2+3*(1+rng.Intn(40)))
+	rng.Read(data)
+	for i := 2; i < len(data); i += 3 {
+		data[i] &^= 8 // ascending only
+		if rng.Intn(4) != 0 {
+			data[i+1] %= 8 // mostly close together
+			data[i+2] %= 6
+		}
+	}
+	return decodeRun(data)
+}
+
+func TestScanRunMatchesModel(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		fx := newScanFixture(t, t.TempDir(), seed)
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 60; i++ {
+			scanRunCheck(t, fx, randomRun(rng))
+		}
+		// A one-range run of the whole key space, plain and zoned.
+		scanRunCheck(t, fx, []KeyRange{{}})
+		scanRunCheck(t, fx, []KeyRange{{Zoned: true, ZMin: 100, ZMax: 300}})
+	}
+}
+
+// TestScanRunZoneVeto: a window that the second table's rewritten span
+// misses must not let its blocks be pruned over the oldest table's
+// stale in-window versions of the same keys.
+func TestScanRunZoneVeto(t *testing.T) {
+	fx := newScanFixture(t, t.TempDir(), 7)
+	newest := fx.r.tables[1]
+	var keys []string
+	for k, v := range fx.model {
+		if zoneTime(v) >= 100*modelKeys {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) == 0 || len(newest.index) == 0 {
+		t.Fatal("the fixture rewrote no span out of the window")
+	}
+	sort.Strings(keys)
+	run := []KeyRange{{Start: []byte(keys[0]), End: append([]byte(keys[len(keys)-1]), 0), Zoned: true, ZMin: 0, ZMax: modelKeys}}
+	scanRunCheck(t, fx, run)
+}
+
+// FuzzScanRun decodes a run of ranges (see decodeRun), ascending or not,
+// and checks it against the model and against region.Scan per range.
+func FuzzScanRun(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 3, 2, 0, 1, 2, 0, 0, 5, 6, 40, 40})
+	f.Add([]byte{1, 40, 1, 2, 3, 2, 1, 1, 4, 0, 3, 8, 9, 2})
+	f.Add([]byte{0x81, 0, 16, 0, 47, 0, 200, 47, 8, 20, 5})
+	f.Add([]byte{0, 0, 4, 7, 1, 4, 0, 1, 0, 3, 3})
+	fx := newScanFixture(f, f.TempDir(), 11)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		scanRunCheck(t, fx, decodeRun(data))
+	})
+}

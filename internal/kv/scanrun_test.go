@@ -304,3 +304,80 @@ func TestRouterScanRunEarlyStopCancelsStream(t *testing.T) {
 	}
 	waitGoroutines(t, base)
 }
+
+// maintTransport runs maint once, inside the first OpScan stream, after
+// the stream's first frame: with the loopback fabric the region node is
+// then mid-run, holding its snapshot.
+type maintTransport struct {
+	Transport
+	maint atomic.Pointer[func()]
+}
+
+func (mt *maintTransport) Stream(ctx context.Context, addr string, op byte, payload []byte, onFrame func(op byte, payload []byte) (bool, error)) error {
+	if op != rpc.OpScan {
+		return mt.Transport.Stream(ctx, addr, op, payload, onFrame)
+	}
+	maint := mt.maint.Swap(nil)
+	if maint == nil {
+		return mt.Transport.Stream(ctx, addr, op, payload, onFrame)
+	}
+	return mt.Transport.Stream(ctx, addr, op, payload, func(rop byte, p []byte) (bool, error) {
+		if maint != nil {
+			(*maint)()
+			maint = nil
+		}
+		return onFrame(rop, p)
+	})
+}
+
+// TestRouterScanRunExactlyOnceUnderMaintenance streams a run while the
+// region rewrites keys, flushes and tier-merges underneath it, retiring
+// tables the run's snapshot still reads: every key comes once, in order.
+func TestRouterScanRunExactlyOnceUnderMaintenance(t *testing.T) {
+	lb := NewLoopback()
+	node := testNode(t, lb, "s1", 1, NodeOptions{})
+	mt := &maintTransport{Transport: lb}
+	r, err := OpenRouter(fastRetry(RouterOptions{Peers: []string{"s1"}, Transport: mt}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for lo := 0; lo < runKeys; lo += runKeys / 3 {
+		var b WriteBatch
+		for i := lo; i < lo+runKeys/3; i++ {
+			b.Put(runKey(i), []byte("v"))
+		}
+		if err := r.ApplyCtx(bg, &b); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	node.mu.Lock()
+	reg := node.regions[1].r
+	node.mu.Unlock()
+	before := node.Metrics().Compactions
+	tables := 0
+	maint := func() {
+		for i := 0; i < runKeys; i += 7 {
+			if err := reg.Put(runKey(i), []byte("w")); err != nil {
+				t.Error(err)
+			}
+		}
+		if err := reg.flush(); err != nil {
+			t.Error(err)
+		}
+		if err := reg.merge(true); err != nil {
+			t.Error(err)
+		}
+		reg.mu.RLock()
+		tables = len(reg.tables)
+		reg.mu.RUnlock()
+	}
+	mt.maint.Store(&maint)
+	checkRun(t, r, runRanges())
+	if mt.maint.Load() != nil || node.Metrics().Compactions == before || tables >= 4 {
+		t.Fatalf("maintenance did not land mid-run: %d compactions, %d tables after it", node.Metrics().Compactions-before, tables)
+	}
+}

@@ -119,6 +119,13 @@ func (s *skiplist) putBatch(es []memEntry) {
 	s.count += len(nodes)
 }
 
+// empty reports whether the list holds no entry.
+func (s *skiplist) empty() bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.count == 0
+}
+
 // get returns the entry for key, if present.
 func (s *skiplist) get(key []byte) (value []byte, k kind, ok bool) {
 	var e [1]memEntry
@@ -173,20 +180,20 @@ func (s *skiplist) iterate(r KeyRange, fn func(key, value []byte, k kind) bool) 
 	}
 }
 
-// memIter adapts a skiplist snapshot to the Iterator interface by
-// materializing the matching entries (memtables are small by design).
+// memEntry is one memtable entry: a merge iterator reads a memtable
+// range as a slice of them (memtables are small by design).
 type memEntry struct {
 	key, value []byte
 	kind       kind
 }
 
-// entries starts from a nil slice: most ranges of a selective plan
-// match nothing in a given memtable, and those must cost nothing.
-func (s *skiplist) entries(r KeyRange) []memEntry {
-	var out []memEntry
+// appendEntries appends the entries in r to dst. Most ranges of a
+// selective plan match nothing in a given memtable, and those must cost
+// nothing: dst is only grown for a match.
+func (s *skiplist) appendEntries(dst []memEntry, r KeyRange) []memEntry {
 	s.iterate(r, func(key, value []byte, k kind) bool {
-		out = append(out, memEntry{key, value, k})
+		dst = append(dst, memEntry{key, value, k})
 		return true
 	})
-	return out
+	return dst
 }

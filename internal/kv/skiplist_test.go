@@ -48,7 +48,7 @@ func checkPutBatchMatchesPuts(tb testing.TB, ops []byte) {
 // skiplistDiff describes the first difference between a and b, or
 // returns "".
 func skiplistDiff(a, b *skiplist, probes [][]byte) string {
-	ea, eb := a.entries(KeyRange{}), b.entries(KeyRange{})
+	ea, eb := a.appendEntries(nil, KeyRange{}), b.appendEntries(nil, KeyRange{})
 	if len(ea) != len(eb) {
 		return fmt.Sprintf("iterate yields %d entries, want %d", len(ea), len(eb))
 	}

@@ -758,7 +758,7 @@ func (t *table) get(key []byte) (value []byte, k kind, ok bool, err error) {
 			return nil, 0, false, nil
 		}
 	}
-	if it.err != nil {
+	if it.corrupt {
 		return nil, 0, false, t.corruptBlock(bi)
 	}
 	return nil, 0, false, nil
@@ -766,12 +766,12 @@ func (t *table) get(key []byte) (value []byte, k kind, ok bool, err error) {
 
 // blockIter walks entries inside a single decompressed block.
 type blockIter struct {
-	data  []byte
-	pos   int
-	key   []byte
-	value []byte
-	kind  kind
-	err   error
+	data    []byte
+	pos     int
+	key     []byte
+	value   []byte
+	kind    kind
+	corrupt bool // an entry did not decode: the block's bytes are damaged
 }
 
 func (b *blockIter) next() bool {
@@ -780,25 +780,25 @@ func (b *blockIter) next() bool {
 	}
 	p := b.data[b.pos:]
 	if len(p) < 1 {
-		b.err = ErrCorrupt
+		b.corrupt = true
 		return false
 	}
 	k := kind(p[0])
 	p = p[1:]
 	klen, n1 := binary.Uvarint(p)
 	if n1 <= 0 {
-		b.err = ErrCorrupt
+		b.corrupt = true
 		return false
 	}
 	p = p[n1:]
 	vlen, n2 := binary.Uvarint(p)
 	if n2 <= 0 {
-		b.err = ErrCorrupt
+		b.corrupt = true
 		return false
 	}
 	p = p[n2:]
 	if uint64(len(p)) < klen+vlen {
-		b.err = ErrCorrupt
+		b.corrupt = true
 		return false
 	}
 	b.key = p[:klen]
@@ -808,44 +808,53 @@ func (b *blockIter) next() bool {
 	return true
 }
 
-// tableIter iterates a key range of one table, skipping blocks whose
-// zone map proves they hold nothing in the range's zone interval — the
-// block is pruned before it is read from disk or decompressed.
+// tableIter iterates key ranges of one table in ascending order,
+// skipping blocks whose zone map proves they hold nothing in the
+// range's zone interval — the block is pruned before it is read from
+// disk or decompressed. seek moves it to the next range of a run.
 type tableIter struct {
 	t     *table
 	r     KeyRange
-	bi    int
+	bi    int // the block held in block; before the first load, the block before the next one to load
 	block blockIter
+	cur   bool // block.key is an entry not yet moved past: the last returned, or the first at or past r.End
+	again bool // the next Next re-checks block.key against r instead of reading on
 	done  bool
 	err   error
 
-	// canSkip (optional) must confirm a zone-prunable block may really
-	// be skipped: in an LSM merge, pruning a block removes what may be
-	// the newest version of its keys, and an *older* table overlapping
-	// the block's key span could then surface a stale version. The merge
-	// layer vetoes the skip in that case. lo/hi bound the block's keys
-	// (hi inclusive, conservatively).
-	canSkip func(lo, hi []byte) bool
+	// older are the tables older than t in its merge, the zone veto: in
+	// an LSM merge, pruning a block removes what may be the newest
+	// version of its keys, and an older table overlapping the block's
+	// key span could then surface a stale version. nil for a lone table.
+	older []*table
 }
 
-func (t *table) iter(r KeyRange) *tableIter {
-	it := &tableIter{t: t, r: r, bi: -1}
-	if len(t.index) == 0 {
-		it.done = true
-		return it
+// seek moves the iterator to range r. forward promises that r starts at
+// or after the end of every range the iterator served before, so every
+// entry it passed lies below r.Start: when r.Start then falls before
+// the next block's first key, the iterator walks on from its current
+// entry inside the block it holds instead of reloading a block and
+// walking it from its first entry.
+func (it *tableIter) seek(r KeyRange, forward bool) {
+	it.r = r
+	if it.err != nil {
+		return
 	}
+	it.done = len(it.t.index) == 0
+	if forward && it.block.data != nil &&
+		(it.bi+1 == len(it.t.index) || bytes.Compare(r.Start, it.t.index[it.bi+1].firstKey) < 0) {
+		it.again = it.cur
+		return
+	}
+	it.block, it.cur, it.again = blockIter{}, false, false
+	it.bi = -1
 	if r.Start != nil {
-		bi := t.blockFor(r.Start)
-		if bi < 0 {
-			bi = 0
-		}
-		it.bi = bi - 1
+		it.bi = max(it.t.blockFor(r.Start), 0) - 1
 	}
-	return it
 }
 
 // skippable reports whether block bi is proven irrelevant by its zone
-// map for the iterator's zone interval.
+// map for the iterator's zone interval, and no older table overlaps it.
 func (it *tableIter) skippable(bi int) bool {
 	if !it.r.Zoned {
 		return false
@@ -854,12 +863,13 @@ func (it *tableIter) skippable(bi int) bool {
 	if !h.hasZone || (h.zmin <= it.r.ZMax && h.zmax >= it.r.ZMin) {
 		return false
 	}
-	if it.canSkip != nil {
-		hi := it.t.lastKey
-		if bi+1 < len(it.t.index) {
-			hi = it.t.index[bi+1].firstKey
-		}
-		if !it.canSkip(h.firstKey, hi) {
+	// The block's keys lie in [lo, hi], hi inclusive, conservatively.
+	lo, hi := h.firstKey, it.t.lastKey
+	if bi+1 < len(it.t.index) {
+		hi = it.t.index[bi+1].firstKey
+	}
+	for _, ot := range it.older {
+		if len(ot.index) > 0 && bytes.Compare(ot.lastKey, lo) >= 0 && bytes.Compare(ot.firstKey(), hi) <= 0 {
 			return false
 		}
 	}
@@ -867,11 +877,10 @@ func (it *tableIter) skippable(bi int) bool {
 }
 
 func (it *tableIter) Next() bool {
-	for {
-		if it.done || it.err != nil {
-			return false
-		}
-		if it.block.data != nil && it.block.next() {
+	for !it.done && it.err == nil {
+		if it.again || (it.block.data != nil && it.block.next()) {
+			it.again = false
+			it.cur = true
 			if it.r.Start != nil && bytes.Compare(it.block.key, it.r.Start) < 0 {
 				continue
 			}
@@ -881,36 +890,37 @@ func (it *tableIter) Next() bool {
 			}
 			return true
 		}
-		if it.block.err != nil {
+		it.cur = false
+		if it.block.corrupt {
 			it.err = it.t.corruptBlock(it.bi)
 			return false
 		}
-		it.bi++
-		for it.bi < len(it.t.index) {
+		next := it.bi + 1
+		for ; next < len(it.t.index); next++ {
 			// Stop early if the next block starts past the range end.
-			if it.r.End != nil && bytes.Compare(it.t.index[it.bi].firstKey, it.r.End) >= 0 {
+			if it.r.End != nil && bytes.Compare(it.t.index[next].firstKey, it.r.End) >= 0 {
 				it.done = true
 				return false
 			}
-			if !it.skippable(it.bi) {
+			if !it.skippable(next) {
 				break
 			}
 			if it.t.metrics != nil {
 				atomic.AddInt64(&it.t.metrics.BlocksSkipped, 1)
 			}
-			it.bi++
 		}
-		if it.bi >= len(it.t.index) {
+		if next == len(it.t.index) {
 			it.done = true
 			return false
 		}
-		data, err := it.t.loadBlock(it.bi)
+		data, err := it.t.loadBlock(next)
 		if err != nil {
 			it.err = err
 			return false
 		}
-		it.block = blockIter{data: data}
+		it.bi, it.block = next, blockIter{data: data}
 	}
+	return false
 }
 
 func (it *tableIter) Key() []byte   { return it.block.key }
@@ -918,5 +928,7 @@ func (it *tableIter) Value() []byte { return it.block.value }
 func (it *tableIter) entryKind() kind {
 	return it.block.kind
 }
-func (it *tableIter) Err() error   { return it.err }
-func (it *tableIter) Close() error { return nil }
+func (it *tableIter) Err() error { return it.err }
+
+// priority ranks the iterator in its merge: later tables are newer.
+func (it *tableIter) priority() int { return len(it.older) }

@@ -36,9 +36,6 @@ type ClientOptions struct {
 	OpTimeout time.Duration
 	// MaxFrameBytes bounds incoming frames (0 = 16 MiB).
 	MaxFrameBytes int
-	// CompressMin is the request-payload size at which lz4 framing is
-	// attempted (0 = 1 KiB; negative disables compression).
-	CompressMin int
 	// MaxIdlePerHost bounds pooled idle connections per peer (0 = 4).
 	MaxIdlePerHost int
 	// IdleConnTimeout discards pooled connections idle for longer
@@ -56,9 +53,6 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	}
 	if o.MaxFrameBytes <= 0 {
 		o.MaxFrameBytes = DefaultMaxFrameBytes
-	}
-	if o.CompressMin == 0 {
-		o.CompressMin = DefaultCompressMin
 	}
 	if o.MaxIdlePerHost <= 0 {
 		// Enough since a scan sends one OpScan per region run: order_st_tcp
@@ -90,18 +84,22 @@ func (c *Client) Stats() Stats {
 type cconn struct {
 	nc     net.Conn
 	br     *bufio.Reader
-	buf    []byte // frame build buffer
-	rn     int64  // total response bytes read off the socket
+	buf    []byte        // frame build buffer
+	rn     int64         // total response bytes read off the socket
+	in     *atomic.Int64 // the client's BytesIn
 	idleAt time.Time
 	pooled bool // drawn from the idle pool rather than freshly dialed
 }
 
-// Read counts response bytes as they leave the socket, so a failed
-// exchange can tell "the peer never answered" (safe to blame the
-// pooled conn and redial) from "the response broke mid-flight".
+// Read counts response bytes as they leave the socket: into the
+// client's BytesIn, which so counts wire bytes as the server's BytesOut
+// does, and into rn, so a failed exchange can tell "the peer never
+// answered" (safe to blame the pooled conn and redial) from "the
+// response broke mid-flight".
 func (cc *cconn) Read(p []byte) (int, error) {
 	n, err := cc.nc.Read(p)
 	cc.rn += int64(n)
+	cc.in.Add(int64(n))
 	return n, err
 }
 
@@ -133,7 +131,7 @@ func (c *Client) dial(ctx context.Context, addr string) (*cconn, error) {
 		return nil, &TransportError{Addr: addr, Err: err}
 	}
 	c.dials.Add(1)
-	cc := &cconn{nc: nc}
+	cc := &cconn{nc: nc, in: &c.bytesIn}
 	cc.br = bufio.NewReaderSize(cc, 64<<10)
 	return cc, nil
 }
@@ -242,7 +240,7 @@ func (c *Client) exchange(ctx context.Context, addr string, cc *cconn, op byte, 
 	}()
 
 	cc.nc.SetDeadline(c.deadlineFor(ctx))
-	cc.buf = AppendFrameDeadline(cc.buf[:0], op, payload, c.opts.CompressMin, deadlineMicros(ctx))
+	cc.buf = AppendFrameDeadline(cc.buf[:0], op, payload, deadlineMicros(ctx))
 	n, err := cc.nc.Write(cc.buf)
 	c.bytesOut.Add(int64(n))
 	if err != nil {
@@ -253,7 +251,6 @@ func (c *Client) exchange(ctx context.Context, addr string, cc *cconn, op byte, 
 		if err != nil {
 			return c.wrapIO(ctx, addr, err)
 		}
-		c.bytesIn.Add(int64(len(p)) + 8)
 		switch rop {
 		case OpError:
 			// The exchange completed cleanly; the connection is reusable.
@@ -276,7 +273,7 @@ func (c *Client) exchange(ctx context.Context, addr string, cc *cconn, op byte, 
 				// and frees the scan promptly. Best-effort — the connection
 				// is torn down either way and never reused.
 				cc.nc.SetDeadline(time.Now().Add(time.Second))
-				f, werr := AppendFrame(cc.buf[:0], OpCancel, nil, 0), error(nil)
+				f, werr := AppendFrame(cc.buf[:0], OpCancel, nil), error(nil)
 				if _, werr = cc.nc.Write(f); werr == nil {
 					c.bytesOut.Add(int64(len(f)))
 				}

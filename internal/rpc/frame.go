@@ -4,21 +4,21 @@
 // Frame layout (the unit both directions speak):
 //
 //	[op u8]                 operation / response tag
-//	[flags u8]              bit 0: payload is lz4-framed (internal/compress)
-//	                        bit 1: a deadline envelope follows
+//	[flags u8]              bit 1: a deadline envelope follows; every
+//	                        other bit is rejected (bit 0 once marked an
+//	                        lz4-framed payload)
 //	[deadline uvarint]      remaining request budget in microseconds,
 //	                        present only when flag bit 1 is set
-//	[len uvarint]           payload length on the wire
+//	[len uvarint]           payload length
 //	[payload]               op-specific message bytes
 //	[crc32c u32le]          Castagnoli checksum of op, flags, deadline
 //	                        and payload
 //
-// The CRC trailer covers the bytes as sent (post-compression), so a
-// damaged frame is rejected before any decompression or decoding runs.
-// Payloads at or above the writer's compression threshold are wrapped
-// in the storage codec's self-checking lz4 frame, giving bulk ops
-// (batch puts, scan batches, WAL shipments) the same keep-if-smaller
-// compression the SSTable blocks get.
+// The CRC trailer covers the bytes as sent, so a damaged frame is
+// rejected before any decoding runs. Payloads travel uncompressed: at
+// the lz4 codec's ~200 MB/s encode and ~500 MB/s decode, framing a
+// payload costs more time than its saved bytes take on any link faster
+// than about 0.5 Gb/s (see DESIGN.md).
 //
 // The deadline envelope propagates the caller's remaining time budget
 // to the peer: the serving side derives a per-request context from it,
@@ -42,8 +42,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-
-	"just/internal/compress"
 )
 
 // Operation bytes. Requests and responses share one namespace so a
@@ -81,19 +79,13 @@ const (
 	OpScanEnd   byte = 0x43 // terminal end-of-scan
 )
 
-// Frame flag bits.
-const (
-	flagCompressed byte = 1 << 0
-	flagDeadline   byte = 1 << 1
-)
+// flagDeadline is the one frame flag bit: a deadline envelope follows.
+const flagDeadline byte = 1 << 1
 
-// DefaultMaxFrameBytes bounds a frame's wire payload; a peer
-// advertising a larger length is treated as corrupt (or hostile)
-// before any allocation happens.
+// DefaultMaxFrameBytes bounds a frame's payload; a peer advertising a
+// larger length is treated as corrupt (or hostile) before any
+// allocation happens.
 const DefaultMaxFrameBytes = 16 << 20
-
-// DefaultCompressMin is the payload size at which writers try lz4.
-const DefaultCompressMin = 1 << 10
 
 // Frame decoding errors.
 var (
@@ -104,38 +96,28 @@ var (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// AppendFrame appends one encoded frame carrying payload to dst. When
-// compressMin > 0 and the payload is at least that long, the payload is
-// lz4-framed and the compressed form is kept if smaller.
-func AppendFrame(dst []byte, op byte, payload []byte, compressMin int) []byte {
-	return AppendFrameDeadline(dst, op, payload, compressMin, 0)
+// AppendFrame appends one encoded frame carrying payload to dst.
+func AppendFrame(dst []byte, op byte, payload []byte) []byte {
+	return AppendFrameDeadline(dst, op, payload, 0)
 }
 
 // AppendFrameDeadline is AppendFrame with a deadline envelope:
 // deadlineMicros > 0 propagates the caller's remaining time budget in
 // the frame header (flag bit 1), 0 omits the envelope entirely, which
 // keeps the frame byte-identical to the pre-envelope format.
-func AppendFrameDeadline(dst []byte, op byte, payload []byte, compressMin int, deadlineMicros uint64) []byte {
-	flags := byte(0)
-	wire := payload
-	if compressMin > 0 && len(payload) >= compressMin {
-		if c := compress.CompressLZ4Frame(nil, payload); len(c) < len(payload) {
-			wire, flags = c, flagCompressed
-		}
-	}
+func AppendFrameDeadline(dst []byte, op byte, payload []byte, deadlineMicros uint64) []byte {
 	var hdr [2 + binary.MaxVarintLen64]byte
 	hdr[0] = op
 	hn := 2
 	if deadlineMicros > 0 {
-		flags |= flagDeadline
+		hdr[1] = flagDeadline
 		hn += binary.PutUvarint(hdr[2:], deadlineMicros)
 	}
-	hdr[1] = flags
 	dst = append(dst, hdr[:hn]...)
-	dst = binary.AppendUvarint(dst, uint64(len(wire)))
-	dst = append(dst, wire...)
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = append(dst, payload...)
 	crc := crc32.Update(0, castagnoli, hdr[:hn])
-	crc = crc32.Update(crc, castagnoli, wire)
+	crc = crc32.Update(crc, castagnoli, payload)
 	return binary.LittleEndian.AppendUint32(dst, crc)
 }
 
@@ -146,9 +128,8 @@ type byteReader interface {
 	io.ByteReader
 }
 
-// ReadFrame decodes one frame from r, verifying the CRC trailer and
-// transparently decompressing flagged payloads. maxLen bounds the wire
-// payload (0 means DefaultMaxFrameBytes). The returned payload is a
+// ReadFrame decodes one frame from r, verifying the CRC trailer. maxLen
+// bounds the payload (0 means DefaultMaxFrameBytes). The returned payload is a
 // fresh allocation owned by the caller. io.EOF is returned unchanged
 // when the stream ends cleanly before the first byte.
 func ReadFrame(r byteReader, maxLen int) (op byte, payload []byte, err error) {
@@ -171,7 +152,7 @@ func ReadFrameDeadline(r byteReader, maxLen int) (op byte, deadlineMicros uint64
 	if err != nil {
 		return 0, 0, nil, eofIsUnexpected(err)
 	}
-	if flags&^(flagCompressed|flagDeadline) != 0 {
+	if flags&^flagDeadline != 0 {
 		return 0, 0, nil, fmt.Errorf("%w: unknown flags %#02x", ErrBadFrame, flags)
 	}
 	var hdr [2 + binary.MaxVarintLen64]byte
@@ -194,8 +175,8 @@ func ReadFrameDeadline(r byteReader, maxLen int) (op byte, deadlineMicros uint64
 	if n > uint64(maxLen) {
 		return 0, 0, nil, fmt.Errorf("%w: %d bytes (max %d)", ErrFrameTooLarge, n, maxLen)
 	}
-	wire := make([]byte, n)
-	if _, err := io.ReadFull(r, wire); err != nil {
+	payload = make([]byte, n)
+	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, 0, nil, eofIsUnexpected(err)
 	}
 	var trailer [4]byte
@@ -203,21 +184,11 @@ func ReadFrameDeadline(r byteReader, maxLen int) (op byte, deadlineMicros uint64
 		return 0, 0, nil, eofIsUnexpected(err)
 	}
 	crc := crc32.Update(0, castagnoli, hdr[:hn])
-	crc = crc32.Update(crc, castagnoli, wire)
+	crc = crc32.Update(crc, castagnoli, payload)
 	if crc != binary.LittleEndian.Uint32(trailer[:]) {
 		return 0, 0, nil, ErrBadCRC
 	}
-	if flags&flagCompressed != 0 {
-		raw, err := compress.DecompressLZ4Frame(wire)
-		if err != nil {
-			return 0, 0, nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
-		}
-		if len(raw) > maxLen {
-			return 0, 0, nil, fmt.Errorf("%w: %d bytes decompressed (max %d)", ErrFrameTooLarge, len(raw), maxLen)
-		}
-		return op, deadlineMicros, raw, nil
-	}
-	return op, deadlineMicros, wire, nil
+	return op, deadlineMicros, payload, nil
 }
 
 // eofIsUnexpected converts a mid-frame EOF into io.ErrUnexpectedEOF so

@@ -14,7 +14,7 @@ import (
 
 func TestFrameDeadlineRoundTrip(t *testing.T) {
 	payload := []byte("deadline-bound request")
-	frame := AppendFrameDeadline(nil, OpScan, payload, 0, 1500)
+	frame := AppendFrameDeadline(nil, OpScan, payload, 1500)
 	op, dl, got, err := ReadFrameDeadline(bufio.NewReader(bytes.NewReader(frame)), 0)
 	if err != nil {
 		t.Fatalf("ReadFrameDeadline: %v", err)
@@ -32,8 +32,8 @@ func TestFrameDeadlineRoundTrip(t *testing.T) {
 
 func TestFrameZeroDeadlineIsLegacyFrame(t *testing.T) {
 	payload := []byte("plain")
-	legacy := AppendFrame(nil, OpGet, payload, 0)
-	viaZero := AppendFrameDeadline(nil, OpGet, payload, 0, 0)
+	legacy := AppendFrame(nil, OpGet, payload)
+	viaZero := AppendFrameDeadline(nil, OpGet, payload, 0)
 	if !bytes.Equal(legacy, viaZero) {
 		t.Fatalf("deadline=0 frame differs from legacy encoding:\n%x\n%x", legacy, viaZero)
 	}
@@ -126,7 +126,7 @@ func TestClientRedialOnStalePooledConn(t *testing.T) {
 				if _, _, _, err := ReadFrameDeadline(br, 0); err != nil {
 					return
 				}
-				c.Write(AppendFrame(nil, OpResp, []byte("one"), 0))
+				c.Write(AppendFrame(nil, OpResp, []byte("one")))
 				// Connection closes here: the client's pooled copy is stale.
 			}(c)
 		}
@@ -189,11 +189,11 @@ func TestStreamCancelFrameStopsServer(t *testing.T) {
 		}
 		return w.Send(OpScanEnd, nil)
 	}
-	srv, err := Serve("127.0.0.1:0", h, ServerOptions{CompressMin: -1})
+	srv, err := Serve("127.0.0.1:0", h, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := NewClient(ClientOptions{CompressMin: -1})
+	cl := NewClient(ClientOptions{})
 	defer func() { cl.Close(); srv.Close() }()
 
 	err = cl.Stream(context.Background(), srv.Addr(), OpScan, nil, func(op byte, p []byte) (bool, error) {

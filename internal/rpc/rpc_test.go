@@ -8,6 +8,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"reflect"
 	"strings"
@@ -21,37 +22,56 @@ func TestFrameRoundTrip(t *testing.T) {
 		nil,
 		{},
 		[]byte("hello"),
-		bytes.Repeat([]byte("abcdefgh"), 4096), // compressible, above threshold
-		make([]byte, 100_000),                  // zeros: very compressible
+		bytes.Repeat([]byte("abcdefgh"), 4096),
+		make([]byte, 100_000),
 	}
 	for i, p := range payloads {
-		for _, compressMin := range []int{-1, 1, 64 << 10} {
-			frame := AppendFrame(nil, OpPutBatch, p, compressMin)
-			op, got, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)), 0)
-			if err != nil {
-				t.Fatalf("payload %d compressMin %d: %v", i, compressMin, err)
-			}
-			if op != OpPutBatch {
-				t.Fatalf("op = %#02x", op)
-			}
-			if !bytes.Equal(got, p) {
-				t.Fatalf("payload %d compressMin %d: round trip mismatch (%d vs %d bytes)", i, compressMin, len(got), len(p))
-			}
+		frame := AppendFrame(nil, OpPutBatch, p)
+		if want := 2 + len(binary.AppendUvarint(nil, uint64(len(p)))) + len(p) + 4; len(frame) != want {
+			t.Fatalf("payload %d: frame is %d bytes, want %d: the payload travels as is", i, len(frame), want)
+		}
+		op, got, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)), 0)
+		if err != nil {
+			t.Fatalf("payload %d: %v", i, err)
+		}
+		if op != OpPutBatch {
+			t.Fatalf("op = %#02x", op)
+		}
+		if !bytes.Equal(got, p) {
+			t.Fatalf("payload %d: round trip mismatch (%d vs %d bytes)", i, len(got), len(p))
 		}
 	}
 }
 
-func TestFrameCompressionShrinksWire(t *testing.T) {
-	p := bytes.Repeat([]byte("spatiotemporal"), 2048)
-	plain := AppendFrame(nil, OpScanBatch, p, -1)
-	packed := AppendFrame(nil, OpScanBatch, p, 1)
-	if len(packed) >= len(plain) {
-		t.Fatalf("compressed frame %d >= plain %d", len(packed), len(plain))
+// flagBit0Frame is a frame with a valid checksum whose flags byte sets
+// bit 0, which once marked an lz4-framed payload.
+func flagBit0Frame(flags byte) []byte {
+	frame := []byte{OpScanBatch, flags | 1}
+	if flags&flagDeadline != 0 {
+		frame = binary.AppendUvarint(frame, 1500)
+	}
+	hdr := len(frame)
+	payload := []byte("no longer a compressed payload")
+	frame = binary.AppendUvarint(frame, uint64(len(payload)))
+	frame = append(frame, payload...)
+	crc := crc32.Update(0, castagnoli, frame[:hdr])
+	crc = crc32.Update(crc, castagnoli, payload)
+	return binary.LittleEndian.AppendUint32(frame, crc)
+}
+
+// TestFrameFlagBit0Rejected: frames travel uncompressed, so flag bit 0
+// is an unknown flag like any other, alone or beside a deadline.
+func TestFrameFlagBit0Rejected(t *testing.T) {
+	for _, flags := range []byte{0, flagDeadline} {
+		_, _, _, err := ReadFrameDeadline(bufio.NewReader(bytes.NewReader(flagBit0Frame(flags))), 0)
+		if !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), "unknown flags") {
+			t.Fatalf("flags %#02x: err = %v, want ErrBadFrame for unknown flags", flags|1, err)
+		}
 	}
 }
 
 func TestFrameCorruptionDetected(t *testing.T) {
-	frame := AppendFrame(nil, OpShip, []byte("the payload under test"), -1)
+	frame := AppendFrame(nil, OpShip, []byte("the payload under test"))
 	for i := 0; i < len(frame); i++ {
 		dam := append([]byte(nil), frame...)
 		dam[i] ^= 0x40
@@ -65,7 +85,7 @@ func TestFrameCorruptionDetected(t *testing.T) {
 }
 
 func TestFrameTooLarge(t *testing.T) {
-	frame := AppendFrame(nil, OpScan, make([]byte, 4096), -1)
+	frame := AppendFrame(nil, OpScan, make([]byte, 4096))
 	_, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)), 128)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
@@ -73,7 +93,7 @@ func TestFrameTooLarge(t *testing.T) {
 }
 
 func TestFrameTruncation(t *testing.T) {
-	frame := AppendFrame(nil, OpGet, []byte("truncate me please"), -1)
+	frame := AppendFrame(nil, OpGet, []byte("truncate me please"))
 	for n := 1; n < len(frame); n++ {
 		_, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame[:n])), 0)
 		if err == nil {
@@ -276,6 +296,55 @@ func TestClientServerExchange(t *testing.T) {
 	if !errors.As(err, &re) || re.Code != CodeInternal {
 		t.Fatalf("no-response op: err = %v", err)
 	}
+}
+
+// TestClientCountsWireBytes: the client counts the bytes it reads off
+// the socket, as the server counts the bytes it writes, so over a Get
+// and a scan streamed in many frames the client's BytesIn and BytesOut
+// equal the server's BytesOut and BytesIn.
+func TestClientCountsWireBytes(t *testing.T) {
+	val := bytes.Repeat([]byte("v"), 3000)
+	h := func(ctx context.Context, op byte, payload []byte, w *ResponseWriter) error {
+		if op == OpGet {
+			return w.Send(OpResp, val)
+		}
+		for i := 0; i < 5; i++ {
+			b := ScanBatch{Keys: [][]byte{[]byte(fmt.Sprintf("k%d", i))}, Vals: [][]byte{bytes.Repeat(val, 10)}}
+			if err := w.Send(OpScanBatch, b.Append(nil)); err != nil {
+				return err
+			}
+		}
+		return w.Send(OpScanEnd, nil)
+	}
+	srv, err := Serve("127.0.0.1:0", h, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := NewClient(ClientOptions{})
+	defer func() { cl.Close(); srv.Close() }()
+	ctx := context.Background()
+	check := func(what string) {
+		t.Helper()
+		c, s := cl.Stats(), srv.Stats()
+		if c.BytesIn != s.BytesOut || c.BytesOut != s.BytesIn || c.BytesIn == 0 || c.BytesOut == 0 {
+			t.Fatalf("after %s: client in/out %d/%d, server out/in %d/%d", what, c.BytesIn, c.BytesOut, s.BytesOut, s.BytesIn)
+		}
+	}
+	get := (&GetReq{Region: 1, Epoch: 1, Key: []byte("k")}).Append(nil)
+	if v, err := cl.Do(ctx, srv.Addr(), OpGet, get); err != nil || !bytes.Equal(v, val) {
+		t.Fatalf("get: %d bytes, err %v", len(v), err)
+	}
+	check("a get")
+	frames := 0
+	scan := (&ScanReq{Region: 1, Epoch: 1, Start: []byte("a"), End: []byte("z")}).Append(nil)
+	err = cl.Stream(ctx, srv.Addr(), OpScan, scan, func(op byte, p []byte) (bool, error) {
+		frames++
+		return true, nil
+	})
+	if err != nil || frames != 6 {
+		t.Fatalf("scan: %d frames, err %v", frames, err)
+	}
+	check("a streamed scan")
 }
 
 func TestClientConcurrentRequests(t *testing.T) {

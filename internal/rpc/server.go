@@ -36,11 +36,10 @@ type inFrame struct {
 
 // ResponseWriter sends response frames for one in-flight request.
 type ResponseWriter struct {
-	w           *bufio.Writer
-	buf         []byte
-	compressMin int
-	sent        int
-	out         *atomic.Int64
+	w    *bufio.Writer
+	buf  []byte
+	sent int
+	out  *atomic.Int64
 
 	// interrupt delivers frames that arrive while the request is being
 	// served. The protocol is strictly sequential per connection, so the
@@ -65,7 +64,7 @@ func (w *ResponseWriter) Send(op byte, payload []byte) error {
 	if w.direct != nil {
 		return w.direct(op, payload)
 	}
-	w.buf = AppendFrame(w.buf[:0], op, payload, w.compressMin)
+	w.buf = AppendFrame(w.buf[:0], op, payload)
 	n, err := w.w.Write(w.buf)
 	w.out.Add(int64(n))
 	if err != nil {
@@ -121,10 +120,9 @@ type Stats struct {
 // Server accepts rpc connections and dispatches request frames to a
 // Handler, sequentially per connection.
 type Server struct {
-	l           net.Listener
-	h           Handler
-	maxFrame    int
-	compressMin int
+	l        net.Listener
+	h        Handler
+	maxFrame int
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -143,9 +141,6 @@ type Server struct {
 type ServerOptions struct {
 	// MaxFrameBytes bounds incoming frame payloads (0 = 16 MiB).
 	MaxFrameBytes int
-	// CompressMin is the response-payload size at which lz4 framing is
-	// attempted (0 = 1 KiB; negative disables compression).
-	CompressMin int
 }
 
 // Serve listens on addr and serves h until Close. addr may carry port 0
@@ -163,15 +158,11 @@ func ServeListener(l net.Listener, h Handler, opts ServerOptions) *Server {
 	if opts.MaxFrameBytes <= 0 {
 		opts.MaxFrameBytes = DefaultMaxFrameBytes
 	}
-	if opts.CompressMin == 0 {
-		opts.CompressMin = DefaultCompressMin
-	}
 	s := &Server{
-		l:           l,
-		h:           h,
-		maxFrame:    opts.MaxFrameBytes,
-		compressMin: opts.CompressMin,
-		conns:       map[net.Conn]struct{}{},
+		l:        l,
+		h:        h,
+		maxFrame: opts.MaxFrameBytes,
+		conns:    map[net.Conn]struct{}{},
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.wg.Add(1)
@@ -249,7 +240,7 @@ func (s *Server) serveConn(c net.Conn) {
 			}
 		}
 	}()
-	rw := &ResponseWriter{w: bw, compressMin: s.compressMin, out: &s.bytesOut, interrupt: frames}
+	rw := &ResponseWriter{w: bw, out: &s.bytesOut, interrupt: frames}
 	for f := range frames {
 		if f.op == OpCancel {
 			continue // late cancel: the stream it meant already ended

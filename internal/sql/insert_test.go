@@ -45,6 +45,40 @@ func TestLexerErrors(t *testing.T) {
 	}
 }
 
+// TestNonASCIIIdentifiers: identifiers are Unicode letters, digits and
+// '_' read as UTF-8, in CREATE TABLE, SELECT and WHERE alike, and a
+// stray invalid UTF-8 byte fails at its offset.
+func TestNonASCIIIdentifiers(t *testing.T) {
+	s := newTestSession(t)
+	mustExec(t, s, `CREATE TABLE messung (fid integer:primary key, größe integer, 名前 string, time date, geom point:srid=4326)`)
+	mustExec(t, s, `INSERT INTO messung VALUES (1, 5, 'a', 3600000, st_makePoint(116.41, 39.9)), (2, 9, 'b', 3600000, st_makePoint(116.42, 39.9))`)
+	res := mustExec(t, s, `SELECT größe, 名前 FROM messung WHERE größe > 6 AND 名前 = 'b'`)
+	if names := res.Frame.Schema().Names(); strings.Join(names, ",") != "größe,名前" {
+		t.Fatalf("columns = %v", names)
+	}
+	if rows := res.Frame.Collect(); len(rows) != 1 || fmt.Sprint(rows[0]) != "[9 b]" {
+		t.Fatalf("rows = %v, want [[9 b]]", rows)
+	}
+	// Keywords match ASCII letters only: ſ folds to s under Unicode rules.
+	if _, err := Parse(`ſELECT größe FROM messung`); err == nil {
+		t.Error("ſELECT parsed as SELECT")
+	}
+	for _, c := range []struct {
+		src string
+		at  int
+	}{
+		{"SELECT gr\xffße FROM messung", 9},
+		{"SELECT größe FROM messung WHERE \xc3", 34},
+	} {
+		_, err := Parse(c.src)
+		var se *SyntaxError
+		want := fmt.Sprintf("invalid UTF-8 byte %#x", c.src[c.at])
+		if !errors.As(err, &se) || se.Pos != c.at || se.Msg != want {
+			t.Errorf("Parse(%q) = %v, want %q at offset %d", c.src, err, want, c.at)
+		}
+	}
+}
+
 // grammarInsert is INSERT without the literal-cell shortcut: every cell
 // goes down the expression grammar when parsed and through foldExpr →
 // evalConst → coerceValue when executed. It is the oracle the shortcut

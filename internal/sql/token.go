@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind enumerates lexical classes.
@@ -84,6 +85,7 @@ func (l *lexer) scan() *SyntaxError {
 	s := l.src
 	for l.pos < len(s) {
 		c := s[l.pos]
+		r, rn := firstRune(s[l.pos:])
 		start := l.pos
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
@@ -125,9 +127,13 @@ func (l *lexer) scan() *SyntaxError {
 				l.pos++
 			}
 			l.tok = token{tokNumber, s[start:l.pos], start}
-		case isIdentStart(rune(c)):
-			for l.pos < len(s) && isIdentPart(rune(s[l.pos])) {
-				l.pos++
+		case isIdentStart(r):
+			for l.pos < len(s) {
+				r, n := firstRune(s[l.pos:])
+				if !isIdentPart(r) {
+					break
+				}
+				l.pos += n
 			}
 			l.tok = token{tokIdent, s[start:l.pos], start}
 		default:
@@ -145,7 +151,10 @@ func (l *lexer) scan() *SyntaxError {
 				l.pos++
 				l.tok = token{tokOp, s[start:l.pos], start}
 			default:
-				return &SyntaxError{start, fmt.Sprintf("unexpected character %q", c)}
+				if r == utf8.RuneError && rn == 1 {
+					return &SyntaxError{start, fmt.Sprintf("invalid UTF-8 byte %#x", c)}
+				}
+				return &SyntaxError{start, fmt.Sprintf("unexpected character %q", r)}
 			}
 		}
 		return nil
@@ -185,7 +194,18 @@ func (l *lexer) captureBalanced() (string, *SyntaxError) {
 	return "", &SyntaxError{start, "unterminated { ... } block"}
 }
 
-func isDigit(c byte) bool      { return c >= '0' && c <= '9' }
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+// firstRune returns the rune s starts with and its width: an ASCII byte
+// as is, else its UTF-8 decoding (utf8.RuneError, width 1, for an
+// invalid byte).
+func firstRune(s string) (rune, int) {
+	if s[0] < utf8.RuneSelf {
+		return rune(s[0]), 1
+	}
+	return utf8.DecodeRuneInString(s)
+}
+
 func isIdentStart(r rune) bool { return unicode.IsLetter(r) || r == '_' }
 func isIdentPart(r rune) bool  { return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' }
 
@@ -249,8 +269,26 @@ func (l *lexer) expectIdent() (string, error) {
 }
 
 // isKeyword reports whether the current token equals the keyword without
-// consuming it.
+// consuming it. Keywords are ASCII and match ASCII letters of either
+// case, and nothing else: an identifier such as ſelect, which equals
+// SELECT only under Unicode case folding, is no keyword, as the
+// grammar's lower-cased function names are not either.
 func (l *lexer) isKeyword(kw string) bool {
 	t := l.peek()
-	return t.kind == tokIdent && strings.EqualFold(t.text, kw)
+	if t.kind != tokIdent || len(t.text) != len(kw) {
+		return false
+	}
+	for i := 0; i < len(kw); i++ {
+		if lowerASCII(t.text[i]) != lowerASCII(kw[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
 }

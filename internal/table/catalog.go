@@ -129,6 +129,11 @@ func QualifiedName(user, name string) string {
 
 var nameRE = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*$`)
 
+// columnRE admits every identifier the JustQL lexer reads: Unicode
+// letters, decimal digits and '_'. Column names never reach keys or
+// paths, so unlike table names they need not be ASCII.
+var columnRE = regexp.MustCompile(`^[\p{L}_][\p{L}\p{Nd}_]*$`)
+
 // Catalog is the meta table: a mutex-guarded map persisted atomically.
 type Catalog struct {
 	mu     sync.RWMutex
@@ -197,7 +202,7 @@ func (c *Catalog) Create(d *Desc) error {
 	}
 	seen := map[string]bool{}
 	for _, col := range d.Columns {
-		if !nameRE.MatchString(col.Name) {
+		if !columnRE.MatchString(col.Name) {
 			return fmt.Errorf("%w: bad column name %q", ErrBadSchema, col.Name)
 		}
 		if seen[col.Name] {
