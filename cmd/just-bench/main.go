@@ -7,13 +7,15 @@
 //
 //	just-bench -dir /tmp/just-bench -exp fig12a
 //
-// The report prints the same rows/series the paper plots; EXPERIMENTS.md
-// maps each to the paper's figure and records the expected shape.
+// Each cell of the paper's rows and series is written to stdout as one
+// JSON line: measured and modeled milliseconds with the per-query median
+// counts behind them, a size, or the failure that stopped a system.
+// EXPERIMENTS.md maps each experiment to the paper's figure and records
+// the expected shape.
 package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"strings"
@@ -44,8 +46,6 @@ func main() {
 		Queries: *queries,
 		Seed:    *seed,
 	})
-	fmt.Printf("# JUST evaluation reproduction (scale=%s, queries/point=%d, dir=%s)\n",
-		*scale, *queries, *dir)
 	var err error
 	if *exp == "all" {
 		err = r.RunAll()

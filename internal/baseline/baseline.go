@@ -6,8 +6,8 @@
 //	             local indexes, no global index
 //	MemQuad    — LocationSpark-like: in-memory point quadtree
 //	MemList    — SpatialSpark-like: grid partitions without local indexes
-//	DiskGrid   — SpatialHadoop-like: on-disk grid partition files plus a
-//	             per-job startup cost (the MapReduce launch the paper
+//	DiskGrid   — SpatialHadoop-like: on-disk grid partition files read
+//	             by one MapReduce job per query (the launch the paper
 //	             blames for ST-Hadoop's latency)
 //	DiskGridST — ST-Hadoop-like: DiskGrid with temporal slicing; rejects
 //	             historical inserts (Table I: "ST-Hadoop only supports
@@ -17,6 +17,10 @@
 // budget and fails ingest with ErrOutOfMemory beyond it — reproducing
 // the out-of-memory failures the paper reports for Simba and
 // LocationSpark on larger inputs.
+//
+// No system sleeps to model a cluster cost. Each counts the jobs it
+// launches and the partition bytes it reads (System.Counters); the
+// benchmark harness prices those counts.
 package baseline
 
 import (
@@ -69,6 +73,9 @@ type System interface {
 	KNN(q geom.Point, k int) ([]Record, error)
 	// MemoryBytes reports accounted memory (post-ingest).
 	MemoryBytes() int64
+	// Counters reports the jobs launched and the partition-file bytes
+	// read by every query since the system was created.
+	Counters() (jobs, bytesRead int64)
 	// Close releases resources.
 	Close() error
 }

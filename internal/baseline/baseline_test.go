@@ -3,9 +3,10 @@ package baseline
 import (
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
-	"time"
 
 	"just/internal/geom"
 )
@@ -53,11 +54,11 @@ func bruteKNN(recs []Record, q geom.Point, k int) []int64 {
 
 func memSystems(t *testing.T) []System {
 	t.Helper()
-	dg, err := NewDiskGrid(DiskGridConfig{Dir: t.TempDir(), JobOverhead: time.Microsecond})
+	dg, err := NewDiskGrid(DiskGridConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dgst, err := NewDiskGridST(DiskGridConfig{Dir: t.TempDir(), JobOverhead: time.Microsecond}, 0)
+	dgst, err := NewDiskGridST(DiskGridConfig{Dir: t.TempDir()}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestSpatialRangeMatchesBruteForce(t *testing.T) {
 func TestKNNMatchesBruteForce(t *testing.T) {
 	recs := randRecords(2000, 3)
 	rng := rand.New(rand.NewSource(4))
-	dg, _ := NewDiskGrid(DiskGridConfig{Dir: t.TempDir(), JobOverhead: time.Microsecond})
+	dg, _ := NewDiskGrid(DiskGridConfig{Dir: t.TempDir()})
 	systems := []System{NewMemRTree(0), NewMemGrid(0), NewMemQuad(0), dg}
 	for _, sys := range systems {
 		if err := sys.Ingest(recs); err != nil {
@@ -130,7 +131,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 
 func TestSTRangeDiskGridST(t *testing.T) {
 	recs := randRecords(2000, 5)
-	sys, err := NewDiskGridST(DiskGridConfig{Dir: t.TempDir(), JobOverhead: time.Microsecond}, 0)
+	sys, err := NewDiskGridST(DiskGridConfig{Dir: t.TempDir()}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestSTRangeDiskGridST(t *testing.T) {
 }
 
 func TestHistoricalInsertRejected(t *testing.T) {
-	sys, _ := NewDiskGridST(DiskGridConfig{Dir: t.TempDir(), JobOverhead: time.Microsecond}, 0)
+	sys, _ := NewDiskGridST(DiskGridConfig{Dir: t.TempDir()}, 0)
 	newRec := Record{ID: 1, Box: geom.Point{Lng: 116, Lat: 39}.MBR(), Start: 1000000, End: 1000000}
 	if err := sys.Ingest([]Record{newRec}); err != nil {
 		t.Fatal(err)
@@ -211,7 +212,7 @@ func TestNonPointRecords(t *testing.T) {
 		Box: geom.MBR{MinLng: 116.0, MinLat: 39.0, MaxLng: 116.5, MaxLat: 39.5},
 	}}
 	win := geom.MBR{MinLng: 116.4, MinLat: 39.4, MaxLng: 116.45, MaxLat: 39.45} // far from center
-	dg, _ := NewDiskGrid(DiskGridConfig{Dir: t.TempDir(), JobOverhead: time.Microsecond})
+	dg, _ := NewDiskGrid(DiskGridConfig{Dir: t.TempDir()})
 	for _, sys := range []System{NewMemRTree(0), NewMemGrid(0), NewMemQuad(0), NewMemList(0), dg} {
 		if err := sys.Ingest(recs); err != nil {
 			t.Fatal(err)
@@ -227,7 +228,7 @@ func TestNonPointRecords(t *testing.T) {
 }
 
 func TestDiskGridPersistsToDisk(t *testing.T) {
-	dg, _ := NewDiskGrid(DiskGridConfig{Dir: t.TempDir(), JobOverhead: time.Microsecond})
+	dg, _ := NewDiskGrid(DiskGridConfig{Dir: t.TempDir()})
 	recs := randRecords(500, 8)
 	if err := dg.Ingest(recs); err != nil {
 		t.Fatal(err)
@@ -269,5 +270,60 @@ func TestRTreeStructure(t *testing.T) {
 	walk(tree.root)
 	if n != 1000 {
 		t.Fatalf("tree holds %d records, want 1000", n)
+	}
+}
+
+func TestCountersChargeJobsAndBytes(t *testing.T) {
+	recs := randRecords(500, 10)
+	dg, err := NewDiskGrid(DiskGridConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	quad := NewMemQuad(0)
+	for _, sys := range []System{dg, quad} {
+		if err := sys.Ingest(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := dg.SpatialRange(geom.WorldMBR); err != nil {
+		t.Fatal(err)
+	}
+	if jobs, bytes := dg.Counters(); jobs != 1 || bytes != dg.DiskBytes() {
+		t.Fatalf("DiskGrid full scan: jobs %d bytes %d, want 1 and %d", jobs, bytes, dg.DiskBytes())
+	}
+	if _, err := quad.KNN(geom.Point{Lng: 116.5, Lat: 39.5}, 5); err != nil {
+		t.Fatal(err)
+	}
+	if jobs, bytes := quad.Counters(); jobs != 2 || bytes != 0 {
+		t.Fatalf("MemQuad k-NN: jobs %d bytes %d, want 2 and 0", jobs, bytes)
+	}
+}
+
+func TestTruncatedPartitionIsAnError(t *testing.T) {
+	// Each record is 64 header bytes plus its 100 payload bytes: cut the
+	// last one inside its header, then inside its payload.
+	for _, cut := range []int64{150, 10} {
+		dir := t.TempDir()
+		dg, err := NewDiskGrid(DiskGridConfig{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dg.Ingest(randRecords(500, 11)); err != nil {
+			t.Fatal(err)
+		}
+		parts, err := filepath.Glob(filepath.Join(dir, "part-*.bin"))
+		if err != nil || len(parts) == 0 {
+			t.Fatalf("partition files: %v %v", parts, err)
+		}
+		st, err := os.Stat(parts[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(parts[0], st.Size()-cut); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := dg.SpatialRange(geom.WorldMBR); err == nil {
+			t.Fatalf("cut %d bytes: SpatialRange = %d, nil error", cut, n)
+		}
 	}
 }

@@ -8,42 +8,34 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"time"
 
 	"just/internal/geom"
 )
 
 // DiskGrid is the SpatialHadoop-like comparator: records live in on-disk
-// grid partition files; each query pays a simulated job-startup cost and
-// then reads + filters every overlapping partition from disk. The
-// startup cost models the MapReduce job launch the paper blames for
+// grid partition files; each query is a MapReduce job that reads and
+// filters every overlapping partition from disk. The system counts the
+// jobs and the bytes (Counters); the launch the paper blames for
 // ST-Hadoop's latency ("it is expensive for ST-Hadoop to start a
-// MapReduce job") — real launches take ~10 s on a cluster; the default
-// here is scaled to 50 ms so benchmarks finish while the relative shapes
-// survive.
+// MapReduce job") is priced by whoever reads the counts.
 type DiskGrid struct {
 	dir          string
-	jobOverhead  time.Duration
-	mbps         int // simulated read throughput; 0 = page-cache speed
 	grid         geom.MBR
 	cols, rows   int
 	cellW, cellH float64
 	maxExt       float64
 	counts       []int
 	bytesOnDisk  int64
+	jobs         int64
+	bytesRead    int64
 }
 
 // DiskGridConfig tunes the system.
 type DiskGridConfig struct {
 	// Dir is the partition-file directory (required).
 	Dir string
-	// JobOverhead is charged per query; default 50 ms.
-	JobOverhead time.Duration
 	// Cells per axis; default 32.
 	Cells int
-	// DiskThroughputMBps simulates the HDFS read path (same knob as the
-	// kv store); 0 disables it.
-	DiskThroughputMBps int
 }
 
 // NewDiskGrid creates the system.
@@ -51,22 +43,13 @@ func NewDiskGrid(cfg DiskGridConfig) (*DiskGrid, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("baseline: DiskGrid needs a directory")
 	}
-	if cfg.JobOverhead == 0 {
-		cfg.JobOverhead = 50 * time.Millisecond
-	}
 	if cfg.Cells <= 0 {
 		cfg.Cells = 32
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &DiskGrid{
-		dir:         cfg.Dir,
-		jobOverhead: cfg.JobOverhead,
-		mbps:        cfg.DiskThroughputMBps,
-		cols:        cfg.Cells,
-		rows:        cfg.Cells,
-	}, nil
+	return &DiskGrid{dir: cfg.Dir, cols: cfg.Cells, rows: cfg.Cells}, nil
 }
 
 // Name implements System.
@@ -173,25 +156,24 @@ func writeRecord(w io.Writer, r Record) (int, error) {
 	return 64 + r.PayloadBytes, nil
 }
 
-func readRecords(path string, mbps int, visit func(Record) bool) error {
+// readRecords visits a partition file's records and returns the bytes
+// it read. Only a clean end of file at a record boundary ends the file;
+// a truncated record is an error, so a damaged partition never reads as
+// a shorter one.
+func readRecords(path string, visit func(Record) bool) (int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
+		return 0, err
 	}
 	defer f.Close()
-	if mbps > 0 {
-		if st, err := f.Stat(); err == nil {
-			time.Sleep(time.Duration(st.Size()) * time.Second / time.Duration(mbps<<20))
-		}
-	}
 	r := bufio.NewReaderSize(f, 256<<10)
+	var n int64
 	var buf [64]byte
 	for {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return nil // EOF
+		if _, err := io.ReadFull(r, buf[:]); err == io.EOF {
+			return n, nil
+		} else if err != nil {
+			return n, fmt.Errorf("baseline: read %s: %w", path, err)
 		}
 		rec := Record{
 			ID: int64(binary.LittleEndian.Uint64(buf[0:])),
@@ -207,18 +189,22 @@ func readRecords(path string, mbps int, visit func(Record) bool) error {
 		}
 		if rec.PayloadBytes > 0 {
 			if _, err := io.CopyN(io.Discard, r, int64(rec.PayloadBytes)); err != nil {
-				return nil
+				if err == io.EOF {
+					err = io.ErrUnexpectedEOF
+				}
+				return n, fmt.Errorf("baseline: read %s: %w", path, err)
 			}
 		}
+		n += 64 + int64(rec.PayloadBytes)
 		if !visit(rec) {
-			return nil
+			return n, nil
 		}
 	}
 }
 
 // SpatialRange implements System.
 func (s *DiskGrid) SpatialRange(win geom.MBR) (int, error) {
-	time.Sleep(s.jobOverhead) // MapReduce job launch
+	s.jobs++
 	if s.counts == nil {
 		return 0, nil
 	}
@@ -254,7 +240,9 @@ func (s *DiskGrid) visitCells(win geom.MBR, visit func(Record) bool) error {
 			if s.counts[cell] == 0 {
 				continue
 			}
-			if err := readRecords(s.cellPath(cell), s.mbps, visit); err != nil {
+			n, err := readRecords(s.cellPath(cell), visit)
+			s.bytesRead += n
+			if err != nil {
 				return err
 			}
 		}
@@ -276,7 +264,7 @@ func (s *DiskGrid) KNN(q geom.Point, k int) ([]Record, error) {
 	}
 	side := math.Max(s.cellW, s.cellH)
 	for iter := 0; iter < 12; iter++ {
-		time.Sleep(s.jobOverhead) // each expansion is a new job
+		s.jobs++ // each expansion is a new job
 		win := geom.MBR{
 			MinLng: q.Lng - side, MinLat: q.Lat - side,
 			MaxLng: q.Lng + side, MaxLat: q.Lat + side,
@@ -343,6 +331,9 @@ func sortByDist(recs []Record, q geom.Point) {
 // in memory.
 func (s *DiskGrid) MemoryBytes() int64 { return int64(len(s.counts)) * 8 }
 
+// Counters implements System.
+func (s *DiskGrid) Counters() (jobs, bytesRead int64) { return s.jobs, s.bytesRead }
+
 // DiskBytes reports the partition-file volume.
 func (s *DiskGrid) DiskBytes() int64 { return s.bytesOnDisk }
 
@@ -353,22 +344,18 @@ func (s *DiskGrid) Close() error { return nil }
 // slicing (one sub-directory per time slice) and the Table I limitation
 // that only future-time inserts are accepted.
 type DiskGridST struct {
-	dir         string
-	jobOverhead time.Duration
-	mbps        int
-	sliceMS     int64
-	slices      map[int64]*DiskGrid
-	highWater   int64
-	cells       int
+	dir       string
+	sliceMS   int64
+	slices    map[int64]*DiskGrid
+	highWater int64
+	cells     int
+	jobs      int64 // one per query; the slices' own job counts stay 0
 }
 
 // NewDiskGridST creates the system; sliceMS defaults to one day.
 func NewDiskGridST(cfg DiskGridConfig, sliceMS int64) (*DiskGridST, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("baseline: DiskGridST needs a directory")
-	}
-	if cfg.JobOverhead == 0 {
-		cfg.JobOverhead = 50 * time.Millisecond
 	}
 	if cfg.Cells <= 0 {
 		cfg.Cells = 16
@@ -377,13 +364,11 @@ func NewDiskGridST(cfg DiskGridConfig, sliceMS int64) (*DiskGridST, error) {
 		sliceMS = 24 * 3600 * 1000
 	}
 	return &DiskGridST{
-		dir:         cfg.Dir,
-		jobOverhead: cfg.JobOverhead,
-		mbps:        cfg.DiskThroughputMBps,
-		sliceMS:     sliceMS,
-		slices:      map[int64]*DiskGrid{},
-		highWater:   math.MinInt64,
-		cells:       cfg.Cells,
+		dir:       cfg.Dir,
+		sliceMS:   sliceMS,
+		slices:    map[int64]*DiskGrid{},
+		highWater: math.MinInt64,
+		cells:     cfg.Cells,
 	}, nil
 }
 
@@ -411,15 +396,12 @@ func (s *DiskGridST) Ingest(recs []Record) error {
 		if !ok {
 			var err error
 			g, err = NewDiskGrid(DiskGridConfig{
-				Dir:                filepath.Join(s.dir, fmt.Sprintf("slice-%d", slice)),
-				JobOverhead:        0, // charged once per query by the wrapper
-				Cells:              s.cells,
-				DiskThroughputMBps: s.mbps,
+				Dir:   filepath.Join(s.dir, fmt.Sprintf("slice-%d", slice)),
+				Cells: s.cells,
 			})
 			if err != nil {
 				return err
 			}
-			g.jobOverhead = 0
 			s.slices[slice] = g
 		}
 		if err := g.Ingest(rs); err != nil {
@@ -436,7 +418,7 @@ func (s *DiskGridST) SpatialRange(win geom.MBR) (int, error) {
 
 // STRange implements System.
 func (s *DiskGridST) STRange(win geom.MBR, tmin, tmax int64) (int, error) {
-	time.Sleep(s.jobOverhead)
+	s.jobs++
 	lo := floorDiv(tmin, s.sliceMS)
 	hi := floorDiv(tmax, s.sliceMS)
 	n := 0
@@ -468,7 +450,7 @@ func floorDiv(a, b int64) int64 {
 // KNN implements System: ST-Hadoop inherits SpatialHadoop's kNN; run it
 // over all slices.
 func (s *DiskGridST) KNN(q geom.Point, k int) ([]Record, error) {
-	time.Sleep(s.jobOverhead)
+	s.jobs++
 	var all []Record
 	for _, g := range s.slices {
 		err := g.visitCells(geom.WorldMBR, func(r Record) bool {
@@ -493,6 +475,15 @@ func (s *DiskGridST) MemoryBytes() int64 {
 		total += g.MemoryBytes()
 	}
 	return total
+}
+
+// Counters implements System: the slices' partition reads, one job per
+// query.
+func (s *DiskGridST) Counters() (jobs, bytesRead int64) {
+	for _, g := range s.slices {
+		bytesRead += g.bytesRead
+	}
+	return s.jobs, bytesRead
 }
 
 // DiskBytes reports total partition-file volume.

@@ -3,7 +3,6 @@ package baseline
 import (
 	"math"
 	"sort"
-	"time"
 
 	"just/internal/geom"
 )
@@ -83,13 +82,8 @@ type MemGrid struct {
 	grid   *gridIndex
 	maxExt float64 // largest record extent, for query padding
 	all    []Record
-	// jobOverhead simulates the Spark driver dispatching a job for each
-	// query (0 = off; the benchmark harness sets a scaled value).
-	jobOverhead time.Duration
+	jobs   int64 // Spark jobs the driver dispatched, one per query
 }
-
-// SetJobOverhead installs a per-query dispatch cost.
-func (s *MemGrid) SetJobOverhead(d time.Duration) { s.jobOverhead = d }
 
 // NewMemGrid creates the system with a memory budget (0 = unlimited).
 func NewMemGrid(budgetBytes int64) *MemGrid {
@@ -121,7 +115,7 @@ func (s *MemGrid) Ingest(recs []Record) error {
 
 // SpatialRange implements System.
 func (s *MemGrid) SpatialRange(win geom.MBR) (int, error) {
-	time.Sleep(s.jobOverhead)
+	s.jobs++
 	x0, y0, x1, y1 := s.grid.cellRange(win, s.maxExt)
 	n := 0
 	for y := y0; y <= y1; y++ {
@@ -147,7 +141,7 @@ func (s *MemGrid) STRange(win geom.MBR, tmin, tmax int64) (int, error) {
 // computes a local k-NN over all of its records, then the driver merges
 // the partial results — a full pass over the dataset per query.
 func (s *MemGrid) KNN(q geom.Point, k int) ([]Record, error) {
-	time.Sleep(s.jobOverhead)
+	s.jobs++
 	if k <= 0 || len(s.all) == 0 {
 		return nil, nil
 	}
@@ -176,6 +170,9 @@ func (s *MemGrid) KNN(q geom.Point, k int) ([]Record, error) {
 // MemoryBytes implements System.
 func (s *MemGrid) MemoryBytes() int64 { return s.mem.used }
 
+// Counters implements System: no disk reads.
+func (s *MemGrid) Counters() (jobs, bytesRead int64) { return s.jobs, 0 }
+
 // Close implements System.
 func (s *MemGrid) Close() error { return nil }
 
@@ -203,7 +200,7 @@ func (s *MemList) KNN(q geom.Point, k int) ([]Record, error) {
 // "huge index scan" cost the paper attributes to SpatialSpark is modeled
 // by visiting every record of every candidate partition).
 func (s *MemList) SpatialRange(win geom.MBR) (int, error) {
-	time.Sleep(s.jobOverhead)
+	s.jobs++
 	x0, y0, x1, y1 := s.grid.cellRange(win, s.maxExt)
 	n := 0
 	for y := y0; y <= y1; y++ {

@@ -3,7 +3,6 @@ package baseline
 import (
 	"container/heap"
 	"sort"
-	"time"
 
 	"just/internal/geom"
 )
@@ -75,15 +74,12 @@ func (n *quadNode) search(win geom.MBR, pad float64, visit func(Record)) {
 // MemQuad is the LocationSpark-like comparator: an in-memory quadtree
 // over record centers.
 type MemQuad struct {
-	mem         memAccountant
-	root        *quadNode
-	maxExt      float64
-	count       int
-	jobOverhead time.Duration
+	mem    memAccountant
+	root   *quadNode
+	maxExt float64
+	count  int
+	jobs   int64
 }
-
-// SetJobOverhead installs a per-query dispatch cost.
-func (s *MemQuad) SetJobOverhead(d time.Duration) { s.jobOverhead = d }
 
 // NewMemQuad creates the system with a memory budget (0 = unlimited).
 func NewMemQuad(budgetBytes int64) *MemQuad {
@@ -116,7 +112,7 @@ func (s *MemQuad) Ingest(recs []Record) error {
 
 // SpatialRange implements System.
 func (s *MemQuad) SpatialRange(win geom.MBR) (int, error) {
-	time.Sleep(s.jobOverhead)
+	s.jobs++
 	n := 0
 	if s.root != nil {
 		s.root.search(win, s.maxExt, func(Record) { n++ })
@@ -131,9 +127,9 @@ func (s *MemQuad) STRange(win geom.MBR, tmin, tmax int64) (int, error) {
 
 // KNN implements System: best-first traversal over quadtree nodes.
 func (s *MemQuad) KNN(q geom.Point, k int) ([]Record, error) {
-	// LocationSpark also pays one job dispatch per query plus a driver
+	// LocationSpark pays one job dispatch per query plus a driver
 	// round-trip for candidate collection.
-	time.Sleep(2 * s.jobOverhead)
+	s.jobs += 2
 	if s.root == nil || k <= 0 {
 		return nil, nil
 	}
@@ -187,6 +183,9 @@ func (h *quadHeap) Pop() interface{} {
 
 // MemoryBytes implements System.
 func (s *MemQuad) MemoryBytes() int64 { return s.mem.used }
+
+// Counters implements System: no disk reads.
+func (s *MemQuad) Counters() (jobs, bytesRead int64) { return s.jobs, 0 }
 
 // Close implements System.
 func (s *MemQuad) Close() error { return nil }

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"math"
 	"sort"
-	"time"
 
 	"just/internal/geom"
 )
@@ -183,14 +182,11 @@ func (h *entryHeap) Pop() interface{} {
 // MemRTree is the Simba-like comparator: everything in memory under one
 // global R-tree. Per Table VI it answers S and k-NN but not ST queries.
 type MemRTree struct {
-	mem         memAccountant
-	tree        *rtree
-	recs        []Record
-	jobOverhead time.Duration
+	mem  memAccountant
+	tree *rtree
+	recs []Record
+	jobs int64
 }
-
-// SetJobOverhead installs a per-query dispatch cost.
-func (s *MemRTree) SetJobOverhead(d time.Duration) { s.jobOverhead = d }
 
 // NewMemRTree creates the system with a memory budget (0 = unlimited).
 func NewMemRTree(budgetBytes int64) *MemRTree {
@@ -218,7 +214,7 @@ func (s *MemRTree) Ingest(recs []Record) error {
 
 // SpatialRange implements System.
 func (s *MemRTree) SpatialRange(win geom.MBR) (int, error) {
-	time.Sleep(s.jobOverhead)
+	s.jobs++
 	n := 0
 	s.tree.search(win, func(Record) bool { n++; return true })
 	return n, nil
@@ -231,12 +227,15 @@ func (s *MemRTree) STRange(win geom.MBR, tmin, tmax int64) (int, error) {
 
 // KNN implements System.
 func (s *MemRTree) KNN(q geom.Point, k int) ([]Record, error) {
-	time.Sleep(s.jobOverhead)
+	s.jobs++
 	return s.tree.knn(q, k), nil
 }
 
 // MemoryBytes implements System.
 func (s *MemRTree) MemoryBytes() int64 { return s.mem.used }
+
+// Counters implements System: one Spark job per query, no disk reads.
+func (s *MemRTree) Counters() (jobs, bytesRead int64) { return s.jobs, 0 }
 
 // Close implements System.
 func (s *MemRTree) Close() error { return nil }

@@ -1,21 +1,28 @@
 // Package bench reproduces every table and figure of the paper's
-// evaluation (Section VIII) at laptop scale. Each experiment has a
-// runner that regenerates the same rows/series the paper reports —
-// absolute numbers differ (the substrate is a simulator, not a 5-node
-// Hadoop cluster), but the shapes (who wins, by what factor, where
-// systems fail) are the reproduction target; EXPERIMENTS.md records
+// evaluation (Section VIII) at laptop scale. Each experiment writes its
+// cells as JSON lines: the same rows and series the paper reports, each
+// with its measured time, its time on the modeled clock and the counts
+// behind both. Absolute numbers differ (one process, not a 5-node Hadoop
+// cluster), but the shapes (who wins, by what factor, where systems
+// fail) are the reproduction target; EXPERIMENTS.md records
 // paper-vs-measured for each.
 package bench
 
 import (
+	"cmp"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
 	"just/internal/baseline"
+	"just/internal/core"
 	"just/internal/geom"
 	"just/internal/table"
 	"just/internal/workload"
@@ -37,7 +44,8 @@ const (
 type Options struct {
 	// Dir is the scratch directory (one subdirectory per system build).
 	Dir string
-	// Out receives the report (default os.Stdout).
+	// Out receives the cells, one JSON object per line (default
+	// os.Stdout).
 	Out io.Writer
 	// Scale selects dataset sizes (default ScaleMedium).
 	Scale Scale
@@ -85,6 +93,9 @@ func (o Options) sizes() sizes {
 type Runner struct {
 	opts Options
 	sz   sizes
+	enc  *json.Encoder
+	exp  string // the experiment running, stamped on every cell
+	werr error  // the first failed write of a cell
 
 	// lazily generated datasets
 	orders []workload.Order
@@ -94,7 +105,7 @@ type Runner struct {
 // NewRunner creates a runner.
 func NewRunner(opts Options) *Runner {
 	opts = opts.withDefaults()
-	return &Runner{opts: opts, sz: opts.sizes()}
+	return &Runner{opts: opts, sz: opts.sizes(), enc: json.NewEncoder(opts.Out)}
 }
 
 // Experiments lists every runnable experiment id in report order.
@@ -137,7 +148,11 @@ func (r *Runner) Run(id string) error {
 	if !ok {
 		return fmt.Errorf("bench: unknown experiment %q (have %v)", id, Experiments())
 	}
-	return fn(r)
+	r.exp = id
+	if err := fn(r); err != nil {
+		return err
+	}
+	return r.werr
 }
 
 // RunAll executes every experiment in order.
@@ -171,24 +186,22 @@ func (r *Runner) Trajs() []*table.Trajectory {
 	return r.trajs
 }
 
-// fraction returns the first pct% of a slice (the paper's "Data Size
-// (%)" axis).
+// synthetic returns the Synthetic dataset: jittered copies of Traj
+// spread over ~10x its time span.
+func (r *Runner) synthetic() []*table.Trajectory {
+	return workload.Synthetic(r.Trajs(), r.sz.syntheticMult, r.opts.Seed+2)
+}
+
+// dataPercents is the paper's "Data Size (%)" axis.
+var dataPercents = []int{20, 40, 60, 80, 100}
+
+// fraction returns the first pct% of a slice.
 func fraction[T any](xs []T, pct int) []T {
 	n := len(xs) * pct / 100
 	if n < 1 {
 		n = 1
 	}
 	return xs[:n]
-}
-
-// printf writes to the report.
-func (r *Runner) printf(format string, args ...any) {
-	fmt.Fprintf(r.opts.Out, format, args...)
-}
-
-// header prints an experiment banner.
-func (r *Runner) header(id, title string) {
-	r.printf("\n## %s — %s\n", id, title)
 }
 
 // scratch returns a fresh subdirectory for a system build.
@@ -203,52 +216,175 @@ func (r *Runner) scratch(name string) (string, error) {
 	return dir, nil
 }
 
-// medianDuration runs fn once per parameter set and reports the median —
-// the paper's methodology for dodging the HBase block cache ("randomly
-// select 100 different query parameters, perform each query only once,
-// and take the median").
-func medianDuration(n int, fn func(i int) error) (time.Duration, error) {
-	times := make([]time.Duration, 0, n)
-	for i := 0; i < n; i++ {
-		start := time.Now()
-		if err := fn(i); err != nil {
-			return 0, err
+// The modeled clock. The paper ran on a 5-node HBase/HDFS cluster where
+// every byte read comes off an HDD through HDFS replication and RPC, a
+// Spark system dispatches a job per query and a MapReduce query
+// launches a job that takes ~10 s. In one process on a page cache none
+// of that costs anything, so a cell's modeled time adds it to the
+// measured wall time as arithmetic on what the query counted:
+//
+//	modeled = measured + bytes read / diskMBps + jobs × launch cost
+//
+// Bytes are charged serially, for JUST's SSTable blocks as for the
+// Hadoop comparators' partition files. No system sleeps, and nothing
+// outside this package knows the prices.
+const diskMBps = 40
+
+// launchCost is the price of one of sys's jobs: a Spark dispatch for the
+// in-memory comparators and a MapReduce launch for the Hadoop ones,
+// scaled down from ~100 ms and ~10 s with the datasets.
+func (r *Runner) launchCost(sys baseline.System) time.Duration {
+	small := r.opts.Scale == ScaleSmall
+	switch sys.(type) {
+	case *baseline.DiskGrid, *baseline.DiskGridST:
+		if small {
+			return 10 * time.Millisecond
 		}
-		times = append(times, time.Since(start))
+		return 50 * time.Millisecond
 	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	return times[len(times)/2], nil
+	if small {
+		return 200 * time.Microsecond
+	}
+	return 500 * time.Microsecond
 }
 
-// ms renders a duration in milliseconds with two decimals.
-func ms(d time.Duration) string {
-	return fmt.Sprintf("%.2f", float64(d.Microseconds())/1000)
+// counts is what one query (or one ingest) did: the hits it returned
+// and the work the system's own counters saw.
+type counts struct {
+	Hits          int64 `json:"hits"`
+	ScanTasks     int64 `json:"scan_tasks"`
+	PairsScanned  int64 `json:"pairs_scanned"`
+	BlocksRead    int64 `json:"blocks_read"`
+	BlockMisses   int64 `json:"block_misses"`
+	BlocksSkipped int64 `json:"blocks_skipped"`
+	BytesRead     int64 `json:"bytes_read"`
+	Jobs          int64 `json:"jobs"`
 }
 
-// mb renders bytes as MiB with two decimals.
-func mb(b int64) string {
-	return fmt.Sprintf("%.2f", float64(b)/(1<<20))
+func (c *counts) fields() [8]*int64 {
+	return [8]*int64{&c.Hits, &c.ScanTasks, &c.PairsScanned, &c.BlocksRead,
+		&c.BlockMisses, &c.BlocksSkipped, &c.BytesRead, &c.Jobs}
 }
 
-// cell renders either a duration or a failure marker.
+func (c counts) minus(b counts) counts {
+	f, g := c.fields(), b.fields()
+	for j := range f {
+		*f[j] -= *g[j]
+	}
+	return c
+}
+
+// cost prices the counted work on the modeled clock.
+func (c counts) cost(launch time.Duration) time.Duration {
+	return time.Duration(c.BytesRead)*time.Second/(diskMBps<<20) + time.Duration(c.Jobs)*launch
+}
+
+// meter reads a system's cumulative counters and prices its jobs.
+type meter struct {
+	read   func() counts
+	launch time.Duration
+}
+
+func justMeter(e *core.Engine) meter {
+	return meter{read: func() counts {
+		m := e.Store().Metrics()
+		return counts{ScanTasks: m.ScanTasks, PairsScanned: m.ScanPairs, BlocksRead: m.BlocksRead,
+			BlockMisses: m.BlockCacheMisses, BlocksSkipped: m.BlocksSkipped, BytesRead: m.BytesRead}
+	}}
+}
+
+func (r *Runner) systemMeter(sys baseline.System) meter {
+	return meter{read: func() counts {
+		jobs, bytes := sys.Counters()
+		return counts{Jobs: jobs, BytesRead: bytes}
+	}, launch: r.launchCost(sys)}
+}
+
+// cell is one value of a figure, written as one JSON line: a time on the
+// measured and the modeled clock with the per-query median counts behind
+// it, a plain value (a size or a statistic), or the failure that stopped
+// the system.
 type cell struct {
-	d   time.Duration
-	err error
+	Exp        string   `json:"exp"`
+	Row        string   `json:"row"`
+	System     string   `json:"system"`
+	Series     string   `json:"series"`
+	MeasuredMS float64  `json:"measured_ms,omitempty"`
+	ModeledMS  float64  `json:"modeled_ms,omitempty"`
+	Value      *float64 `json:"value,omitempty"`
+	Fail       string   `json:"fail,omitempty"` // "OOM" or "n/a"
+	Counts     *counts  `json:"counts,omitempty"`
 }
 
-func (c cell) String() string {
-	if c.err != nil {
-		switch {
-		case c.err == baseline.ErrOutOfMemory:
-			return "OOM"
-		case c.err == baseline.ErrUnsupported:
-			return "n/a"
-		default:
-			return "ERR"
-		}
+func (r *Runner) put(row, system, series string, c cell) {
+	c.Exp, c.Row, c.System, c.Series = r.exp, row, system, series
+	if err := r.enc.Encode(c); err != nil && r.werr == nil {
+		r.werr = err
 	}
-	return ms(c.d)
 }
+
+func (r *Runner) value(row, system, series string, v float64) {
+	v = math.Round(v*1000) / 1000
+	r.put(row, system, series, cell{Value: &v})
+}
+
+// measure runs fn once per parameter set, as the paper does to dodge the
+// HBase block cache ("randomly select 100 different query parameters,
+// perform each query only once, and take the median"), and emits the
+// medians of the measured time, the modeled time and each count. fn
+// returns its hits. A query that fails with ErrOutOfMemory or
+// ErrUnsupported gives a failure cell; any other error ends the
+// experiment.
+func (r *Runner) measure(row, system, series string, m meter, n int, fn func(i int) (int, error)) error {
+	walls := make([]time.Duration, n)
+	modeled := make([]time.Duration, n)
+	per := make([]counts, n)
+	for i := range per {
+		before := m.read()
+		start := time.Now()
+		hits, err := fn(i)
+		walls[i] = time.Since(start)
+		if err != nil {
+			return r.fail(row, system, series, err)
+		}
+		per[i] = m.read().minus(before)
+		per[i].Hits = int64(hits)
+		modeled[i] = walls[i] + per[i].cost(m.launch)
+	}
+	var med counts
+	vals := make([]int64, n)
+	for j, f := range med.fields() {
+		for i := range per {
+			vals[i] = *per[i].fields()[j]
+		}
+		*f = median(vals)
+	}
+	r.put(row, system, series, cell{MeasuredMS: ms(median(walls)), ModeledMS: ms(median(modeled)), Counts: &med})
+	return nil
+}
+
+// fail emits the failure that stopped a system: OOM for a memory budget
+// exceeded, n/a for a query type it lacks (Table VI).
+func (r *Runner) fail(row, system, series string, err error) error {
+	switch {
+	case errors.Is(err, baseline.ErrOutOfMemory):
+		r.put(row, system, series, cell{Fail: "OOM"})
+	case errors.Is(err, baseline.ErrUnsupported):
+		r.put(row, system, series, cell{Fail: "n/a"})
+	default:
+		return fmt.Errorf("%s at %s (%s): %w", system, row, series, err)
+	}
+	return nil
+}
+
+func median[T cmp.Ordered](xs []T) T {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
+}
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+func mib(b int64) float64 { return float64(b) / (1 << 20) }
 
 // orderRecords converts orders into baseline records.
 func orderRecords(orders []workload.Order) []baseline.Record {
@@ -285,6 +421,13 @@ func trajRecords(trajs []*table.Trajectory) []baseline.Record {
 	return recs
 }
 
+// byStart sorts recs by start time, as ST-Hadoop's future-only rule
+// requires of an ingest.
+func byStart(recs []baseline.Record) []baseline.Record {
+	slices.SortStableFunc(recs, func(a, b baseline.Record) int { return cmp.Compare(a.Start, b.Start) })
+	return recs
+}
+
 func totalBytes(recs []baseline.Record) int64 {
 	var total int64
 	for _, r := range recs {
@@ -314,15 +457,10 @@ func (r *Runner) queryConfig() workload.QueryConfig {
 	return workload.QueryConfig{Seed: r.opts.Seed + 7, Region: workload.Region, Days: 30}
 }
 
-// defaultWindows returns the paper's default 3x3 km windows, salted so
-// each figure row queries distinct locations (the paper's methodology of
-// distinct parameters per measurement, which defeats cache carry-over
-// between rows).
-func (r *Runner) defaultWindows(salt int64) []geom.MBR {
-	return r.windows(salt, 3)
-}
-
-// windows returns salted square query windows with the given side (km).
+// windows returns square query windows with the given side (km), salted
+// so each figure row queries distinct locations (the paper's methodology
+// of distinct parameters per measurement, which defeats cache carry-over
+// between rows). The paper's default window is 3x3 km.
 func (r *Runner) windows(salt int64, sideKM float64) []geom.MBR {
 	cfg := r.queryConfig()
 	cfg.Seed += 7919 * (salt + int64(sideKM*100))

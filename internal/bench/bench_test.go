@@ -2,8 +2,7 @@ package bench
 
 import (
 	"bytes"
-	"fmt"
-	"strings"
+	"encoding/json"
 	"testing"
 )
 
@@ -19,6 +18,40 @@ func tinyRunner(t *testing.T, out *bytes.Buffer) *Runner {
 	// Shrink datasets further for unit tests.
 	r.sz = sizes{orderN: 3000, trajN: 60, trajPoints: 100, syntheticMult: 2}
 	return r
+}
+
+// runCells runs experiments on a tiny runner and decodes the cells.
+func runCells(t *testing.T, ids ...string) []cell {
+	t.Helper()
+	var out bytes.Buffer
+	r := tinyRunner(t, &out)
+	for _, id := range ids {
+		if err := r.Run(id); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+	}
+	var cells []cell
+	dec := json.NewDecoder(&out)
+	for dec.More() {
+		var c cell
+		if err := dec.Decode(&c); err != nil {
+			t.Fatal(err)
+		}
+		cells = append(cells, c)
+	}
+	return cells
+}
+
+// find returns the cell of one experiment, row, system and series.
+func find(t *testing.T, cells []cell, exp, row, system, series string) cell {
+	t.Helper()
+	for _, c := range cells {
+		if c.Exp == exp && c.Row == row && c.System == system && c.Series == series {
+			return c
+		}
+	}
+	t.Fatalf("no cell %s/%s/%s/%s", exp, row, system, series)
+	return cell{}
 }
 
 func TestExperimentRegistryComplete(t *testing.T) {
@@ -45,66 +78,87 @@ func TestExperimentRegistryComplete(t *testing.T) {
 	}
 }
 
-func TestTable2(t *testing.T) {
-	var out bytes.Buffer
-	r := tinyRunner(t, &out)
-	if err := r.Run("table2"); err != nil {
-		t.Fatal(err)
+// TestEveryExperimentEmitsCells runs every experiment and checks that
+// each cell is exactly one of: a time with its counts, on a modeled
+// clock no faster than the measured one; a plain value; or a failure
+// marked without a time.
+func TestEveryExperimentEmitsCells(t *testing.T) {
+	cells := runCells(t, Experiments()...)
+	perExp := map[string]int{}
+	for _, c := range cells {
+		perExp[c.Exp]++
+		switch {
+		case c.Fail != "":
+			if c.Fail != "OOM" && c.Fail != "n/a" {
+				t.Errorf("unknown failure %+v", c)
+			}
+			if c.MeasuredMS != 0 || c.ModeledMS != 0 || c.Counts != nil || c.Value != nil {
+				t.Errorf("failure cell carries a result: %+v", c)
+			}
+		case c.Value != nil:
+			if c.MeasuredMS != 0 || c.ModeledMS != 0 || c.Counts != nil {
+				t.Errorf("value cell carries a time: %+v", c)
+			}
+		default:
+			if c.MeasuredMS <= 0 || c.ModeledMS < c.MeasuredMS {
+				t.Errorf("clocks: measured %g modeled %g in %+v", c.MeasuredMS, c.ModeledMS, c)
+			}
+			if c.Counts == nil {
+				t.Errorf("timed cell without counts: %+v", c)
+			}
+		}
+		if c.Row == "" || c.System == "" || c.Series == "" {
+			t.Errorf("unlabeled cell %+v", c)
+		}
 	}
-	s := out.String()
-	for _, want := range []string{"Traj", "Order", "Synthetic", "# points", "# records"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("table2 output missing %q:\n%s", want, s)
+	for _, id := range Experiments() {
+		if perExp[id] == 0 {
+			t.Errorf("%s emitted no cells", id)
+		}
+	}
+
+	// Compression reads fewer bytes (Fig. 11b): JUST against JUSTnc over
+	// the same windows, summed over the rows.
+	var just, nc int64
+	for _, pct := range []string{"20", "40", "60", "80", "100"} {
+		just += find(t, cells, "fig11b", pct, "JUST", "S").Counts.BytesRead
+		nc += find(t, cells, "fig11b", pct, "JUSTnc", "S").Counts.BytesRead
+	}
+	if just >= nc {
+		t.Errorf("fig11b bytes read per query: JUST %d, JUSTnc %d", just, nc)
+	}
+}
+
+func TestTable2(t *testing.T) {
+	cells := runCells(t, "table2")
+	for _, ds := range []string{"Traj", "Order", "Synthetic"} {
+		for _, row := range []string{"points", "records"} {
+			if c := find(t, cells, "table2", row, ds, "count"); *c.Value <= 0 {
+				t.Fatalf("%s %s = %g", ds, row, *c.Value)
+			}
 		}
 	}
 }
 
 func TestClusterExperimentRuns(t *testing.T) {
-	var out bytes.Buffer
-	r := tinyRunner(t, &out)
-	if err := r.Run("cluster"); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"standalone", "loopback", "tcp"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("cluster output missing %q:\n%s", want, s)
-		}
+	cells := runCells(t, "cluster")
+	for _, mode := range []string{"standalone", "loopback", "tcp"} {
+		find(t, cells, "cluster", mode, "JUST", "ingest")
+		find(t, cells, "cluster", mode, "JUST", "ST")
 	}
 }
 
 func TestFig10aCompressionShape(t *testing.T) {
-	var out bytes.Buffer
-	r := tinyRunner(t, &out)
-	if err := r.Run("fig10a"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "JUSTcompress") {
-		t.Fatalf("output:\n%s", out.String())
-	}
+	cells := runCells(t, "fig10a")
+	find(t, cells, "fig10a", "100", "JUSTcompress", "storage_mib")
 }
 
 func TestFig10bCompressionWins(t *testing.T) {
-	var out bytes.Buffer
-	r := tinyRunner(t, &out)
-	if err := r.Run("fig10b"); err != nil {
-		t.Fatal(err)
-	}
-	// The last row (100%) must show JUST < JUSTnc.
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	last := strings.Fields(lines[len(lines)-1])
-	if len(last) != 3 {
-		t.Fatalf("row = %v", last)
-	}
-	var justMB, ncMB float64
-	if _, err := sscan(last[1], &justMB); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sscan(last[2], &ncMB); err != nil {
-		t.Fatal(err)
-	}
-	if justMB >= ncMB {
-		t.Fatalf("compression should shrink storage: JUST=%g JUSTnc=%g", justMB, ncMB)
+	cells := runCells(t, "fig10b")
+	just := *find(t, cells, "fig10b", "100", "JUST", "storage_mib").Value
+	nc := *find(t, cells, "fig10b", "100", "JUSTnc", "storage_mib").Value
+	if just >= nc {
+		t.Fatalf("compression should shrink storage: JUST=%g JUSTnc=%g", just, nc)
 	}
 }
 
@@ -113,51 +167,22 @@ func TestFig12aAllVariantsRun(t *testing.T) {
 	// test verifies every variant produces a clean measurement. The
 	// deterministic Z2T-beats-Z3 property is tested at the index level
 	// (index.TestZ2TSelectivity).
-	var out bytes.Buffer
-	r := tinyRunner(t, &out)
-	if err := r.Run("fig12a"); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if strings.Contains(s, "ERR") || strings.Contains(s, "OOM") {
-		t.Fatalf("variant failed:\n%s", s)
-	}
-	lines := strings.Split(strings.TrimSpace(s), "\n")
-	last := strings.Fields(lines[len(lines)-1])
-	if len(last) != 5 {
-		t.Fatalf("row = %v", last)
-	}
-	for _, col := range last[1:] {
-		var v float64
-		if _, err := sscan(col, &v); err != nil || v <= 0 {
-			t.Fatalf("bad measurement %q in %v", col, last)
+	cells := runCells(t, "fig12a")
+	for _, v := range stVariants {
+		if c := find(t, cells, "fig12a", "100", v.name, "ST"); c.Fail != "" || c.MeasuredMS <= 0 {
+			t.Fatalf("bad measurement %+v", c)
 		}
 	}
 }
 
 func TestFig13bOOMShape(t *testing.T) {
-	var out bytes.Buffer
-	r := tinyRunner(t, &out)
-	if err := r.Run("fig13b"); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "OOM") {
-		t.Fatalf("expected Simba OOM markers:\n%s", s)
+	cells := runCells(t, "fig13b")
+	if c := find(t, cells, "fig13b", "100", "Simba", "kNN"); c.Fail != "OOM" {
+		t.Fatalf("expected Simba OOM: %+v", c)
 	}
 }
 
 func TestFig14bSTFlat(t *testing.T) {
-	var out bytes.Buffer
-	r := tinyRunner(t, &out)
-	if err := r.Run("fig14b"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "ST") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func sscan(s string, v *float64) (int, error) {
-	return fmt.Sscan(s, v)
+	cells := runCells(t, "fig14b")
+	find(t, cells, "fig14b", "100", "JUST", "ST")
 }

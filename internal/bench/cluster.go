@@ -3,11 +3,11 @@ package bench
 import (
 	"fmt"
 	"path/filepath"
-	"time"
 
 	"just/internal/core"
 	"just/internal/kv"
 	"just/internal/rpc"
+	"just/internal/workload"
 )
 
 // RunCluster reports the networked-deployment dimension: the same Order
@@ -18,35 +18,26 @@ import (
 // CRC, kernel round trips); the standalone/loopback delta prices the
 // routing layer itself.
 func (r *Runner) RunCluster() error {
-	r.header("cluster", "Networked region servers (Order): standalone vs routed loopback vs routed TCP")
-	r.printf("%-12s %14s %14s %10s %14s\n",
-		"deployment", "ingest (ms)", "ST range (ms)", "regions", "rpc out (MiB)")
+	ds := orderSet(r.Orders())
 	for _, mode := range []string{"standalone", "loopback", "tcp"} {
 		e, cleanup, err := r.openClusterMode(mode)
 		if err != nil {
 			return err
 		}
-		start := time.Now()
-		if err := loadOrders(e, variantJUST, r.Orders()); err != nil {
-			cleanup()
-			return err
-		}
-		ingest := time.Since(start)
-		wins := r.defaultWindows(53)
-		times := r.timeWindows(53, 24*3600*1000)
-		med, err := medianDuration(len(wins), func(i int) error {
-			_, err := stCount(e, "orders", wins[i], times[i][0], times[i][1])
-			return err
+		err = r.measure(mode, "JUST", "ingest", justMeter(e), 1, func(int) (int, error) {
+			return len(ds.recs), ds.load(e, variantJUST)
 		})
+		if err == nil {
+			err = r.queryRow(mode, ds.tbl, []namedEngine{{"JUST", e}}, nil, r.stQuery(53, 3, 53, workload.Day))
+		}
+		if err == nil {
+			r.value(mode, "JUST", "regions", float64(e.Store().Regions()))
+			r.value(mode, "JUST", "rpc_out_mib", mib(e.Store().Metrics().RPCBytesOut))
+		}
+		cleanup()
 		if err != nil {
-			cleanup()
 			return err
 		}
-		m := e.Store().Metrics()
-		regions := e.Store().Regions()
-		cleanup()
-		r.printf("%-12s %14s %14s %10d %14s\n",
-			mode, ms(ingest), ms(med), regions, mb(m.RPCBytesOut))
 	}
 	return nil
 }
@@ -59,11 +50,7 @@ func (r *Runner) openClusterMode(mode string) (*core.Engine, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	opts := kv.Options{
-		DisableWAL:         true,
-		DiskThroughputMBps: diskMBps,
-		BlockCacheBytes:    8 << 20,
-	}
+	opts := storeOptions("")
 	if mode == "standalone" {
 		e, err := core.Open(core.Config{Dir: dir, Cluster: kv.ClusterOptions{Options: opts}})
 		if err != nil {

@@ -1,57 +1,59 @@
 package bench
 
 import (
+	"slices"
+	"strconv"
 	"time"
 
 	"just/internal/table"
 	"just/internal/workload"
 )
 
-// RunTable2 prints the dataset statistics table (Table II) at
-// reproduction scale.
+// RunTable2 emits the dataset statistics table (Table II) at
+// reproduction scale: one cell per attribute and dataset.
 func (r *Runner) RunTable2() error {
-	r.header("table2", "Statistics of Datasets (reproduction scale)")
-	orders := r.Orders()
-	trajs := r.Trajs()
-	syn := workload.Synthetic(trajs, r.sz.syntheticMult, r.opts.Seed+2)
-
-	trajPts := 0
-	var trajBytes int64
-	for _, t := range trajs {
-		trajPts += len(t.Points)
-		trajBytes += int64(len(t.Points)) * 24
+	var times []int64
+	for _, o := range r.Orders() {
+		times = append(times, o.TMS)
 	}
-	synPts := 0
-	var synBytes int64
-	for _, t := range syn {
-		synPts += len(t.Points)
-		synBytes += int64(len(t.Points)) * 24
+	r.datasetStats("Order", len(times), times)
+	for _, ds := range []struct {
+		name  string
+		trajs []*table.Trajectory
+	}{{"Traj", r.Trajs()}, {"Synthetic", r.synthetic()}} {
+		times = times[:0]
+		for _, t := range ds.trajs {
+			for _, p := range t.Points {
+				times = append(times, p.T)
+			}
+		}
+		r.datasetStats(ds.name, len(ds.trajs), times)
 	}
-	r.printf("%-12s %12s %12s %12s\n", "attribute", "Traj", "Order", "Synthetic")
-	r.printf("%-12s %12d %12d %12d\n", "# points", trajPts, len(orders), synPts)
-	r.printf("%-12s %12d %12d %12d\n", "# records", len(trajs), len(orders), len(syn))
-	r.printf("%-12s %11sM %11sM %11sM\n", "raw size", mb(trajBytes), mb(int64(len(orders))*24), mb(synBytes))
-	r.printf("%-12s %12s %12s %12s\n", "time span", "30 days", "60 days", "~310 days")
 	return nil
+}
+
+// datasetStats emits one dataset's column of Table II; times holds the
+// time of every point.
+func (r *Runner) datasetStats(name string, records int, times []int64) {
+	r.value("points", name, "count", float64(len(times)))
+	r.value("records", name, "count", float64(records))
+	r.value("raw size", name, "MiB", mib(int64(len(times))*24))
+	r.value("time span", name, "days", float64(slices.Max(times)-slices.Min(times))/float64(workload.Day))
 }
 
 // RunFig10a reproduces Fig. 10a: Order storage size, JUST vs
 // JUSTcompress. The paper's lesson: compressing small fields *increases*
 // storage, so compression is only for big fields.
 func (r *Runner) RunFig10a() error {
-	r.header("fig10a", "Storage Size (Order): JUST vs JUSTcompress")
-	r.printf("%-8s %14s %20s\n", "data%", "JUST (MiB)", "JUSTcompress (MiB)")
-	for _, pct := range []int{20, 40, 60, 80, 100} {
+	for _, pct := range dataPercents {
 		orders := fraction(r.Orders(), pct)
-		plain, err := r.orderStorage(orders, false)
-		if err != nil {
-			return err
+		for _, name := range []string{"JUST", "JUSTcompress"} {
+			size, err := r.orderStorage(orders, name == "JUSTcompress")
+			if err != nil {
+				return err
+			}
+			r.value(strconv.Itoa(pct), name, "storage_mib", mib(size))
 		}
-		compressed, err := r.orderStorage(orders, true)
-		if err != nil {
-			return err
-		}
-		r.printf("%-8d %14s %20s\n", pct, mb(plain), mb(compressed))
 	}
 	return nil
 }
@@ -59,7 +61,7 @@ func (r *Runner) RunFig10a() error {
 // orderStorage loads orders (optionally compressing the small point
 // field) and reports on-disk bytes.
 func (r *Runner) orderStorage(orders []workload.Order, compressFields bool) (int64, error) {
-	e, err := r.openJUST("fig10a", variantJUST)
+	e, err := r.openJUST(variantJUST, "")
 	if err != nil {
 		return 0, err
 	}
@@ -96,28 +98,22 @@ func (r *Runner) orderStorage(orders []workload.Order, compressFields bool) (int
 // RunFig10b reproduces Fig. 10b: Traj storage size, JUST (gzip GPS
 // lists) vs JUSTnc — compression of big fields pays off hugely.
 func (r *Runner) RunFig10b() error {
-	r.header("fig10b", "Storage Size (Traj): JUST vs JUSTnc")
-	r.printf("%-8s %14s %14s\n", "data%", "JUST (MiB)", "JUSTnc (MiB)")
-	for _, pct := range []int{20, 40, 60, 80, 100} {
-		trajs := fraction(r.Trajs(), pct)
-		var sizes [2]int64
-		for i, v := range []justVariant{variantJUST, variantJUSTnc} {
-			e, err := r.openJUST("fig10b", v)
+	for _, pct := range dataPercents {
+		ds := trajSet(fraction(r.Trajs(), pct))
+		for _, v := range []justVariant{variantJUST, variantJUSTnc} {
+			es, err := r.openEngines(ds, v)
 			if err != nil {
 				return err
 			}
-			if err := loadTrajs(e, v, trajs); err != nil {
-				e.Close()
-				return err
-			}
-			if err := e.Cluster().Compact(); err != nil {
-				e.Close()
-				return err
-			}
-			sizes[i] = e.DiskSize()
+			e := es[0].e
+			err = e.Cluster().Compact()
+			size := e.DiskSize()
 			e.Close()
+			if err != nil {
+				return err
+			}
+			r.value(strconv.Itoa(pct), v.name, "storage_mib", mib(size))
 		}
-		r.printf("%-8d %14s %14s\n", pct, mb(sizes[0]), mb(sizes[1]))
 	}
 	return nil
 }
@@ -126,34 +122,11 @@ func (r *Runner) RunFig10b() error {
 // JUST's time includes storing to disk, so the in-memory Spark systems
 // are faster here — the paper reports the same.
 func (r *Runner) RunFig10c() error {
-	r.header("fig10c", "Indexing Time (Order): JUST vs Spark systems")
-	r.printf("%-8s %10s %10s %14s %14s %10s\n",
-		"data%", "JUST", "GeoSpark", "LocationSpark", "SpatialSpark", "Simba")
-	for _, pct := range []int{20, 40, 60, 80, 100} {
-		orders := fraction(r.Orders(), pct)
-		recs := orderRecords(orders)
-
-		e, err := r.openJUST("fig10c", variantJUST)
-		if err != nil {
+	for _, pct := range dataPercents {
+		ds := orderSet(fraction(r.Orders(), pct))
+		if err := r.ingestRow(strconv.Itoa(pct), ds, []justVariant{variantJUST}, rangeSystems[:4]...); err != nil {
 			return err
 		}
-		start := time.Now()
-		if err := loadOrders(e, variantJUST, orders); err != nil {
-			e.Close()
-			return err
-		}
-		justTime := time.Since(start)
-		e.Close()
-
-		cells := []cell{{d: justTime}}
-		for _, ns := range r.sparkBaselines() {
-			start := time.Now()
-			err := ns.sys.Ingest(recs)
-			cells = append(cells, cell{d: time.Since(start), err: err})
-			ns.sys.Close()
-		}
-		r.printf("%-8d %10s %10s %14s %14s %10s\n",
-			pct, cells[0], cells[1], cells[2], cells[3], cells[4])
 	}
 	return nil
 }
@@ -162,37 +135,13 @@ func (r *Runner) RunFig10c() error {
 // memory from 40%, SpatialSpark at 100% (Section VIII-B); compression
 // makes JUST faster than JUSTnc by shrinking the write volume.
 func (r *Runner) RunFig10d() error {
-	r.header("fig10d", "Indexing Time (Traj): JUST/JUSTnc vs Spark systems")
-	r.printf("%-8s %10s %10s %10s %14s %10s\n",
-		"data%", "JUST", "JUSTnc", "GeoSpark", "SpatialSpark", "Simba")
-	for _, pct := range []int{20, 40, 60, 80, 100} {
-		trajs := fraction(r.Trajs(), pct)
-		recs := trajRecords(trajs)
-
-		var justCells [2]cell
-		for i, v := range []justVariant{variantJUST, variantJUSTnc} {
-			e, err := r.openJUST("fig10d", v)
-			if err != nil {
-				return err
-			}
-			start := time.Now()
-			err = loadTrajs(e, v, trajs)
-			justCells[i] = cell{d: time.Since(start), err: err}
-			e.Close()
+	for _, pct := range dataPercents {
+		ds := trajSet(fraction(r.Trajs(), pct))
+		err := r.ingestRow(strconv.Itoa(pct), ds, []justVariant{variantJUST, variantJUSTnc},
+			"GeoSpark", "SpatialSpark", "Simba")
+		if err != nil {
+			return err
 		}
-		var cells []cell
-		for _, ns := range []namedSystem{
-			{"GeoSpark", r.newGeoSpark()},
-			{"SpatialSpark", r.newSpatialSpark()},
-			{"Simba", r.newSimba()},
-		} {
-			start := time.Now()
-			err := ns.sys.Ingest(recs)
-			cells = append(cells, cell{d: time.Since(start), err: err})
-			ns.sys.Close()
-		}
-		r.printf("%-8d %10s %10s %10s %14s %10s\n",
-			pct, justCells[0], justCells[1], cells[0], cells[1], cells[2])
 	}
 	return nil
 }

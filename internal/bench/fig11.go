@@ -1,75 +1,24 @@
 package bench
 
 import (
-	"just/internal/baseline"
-	"just/internal/core"
-	"just/internal/geom"
+	"fmt"
+	"strconv"
 )
 
-// querySpatialJUST times JUST spatial range queries (median over the
-// workload windows).
-func (r *Runner) querySpatialJUST(e *core.Engine, tbl string, wins []geom.MBR) cell {
-	d, err := medianDuration(len(wins), func(i int) error {
-		_, err := spatialCount(e, tbl, wins[i])
-		return err
-	})
-	return cell{d: d, err: err}
-}
+// windowSides is the paper's spatial-window axis (km per side).
+var windowSides = []float64{1, 2, 3, 4, 5}
 
-// querySpatialBaseline times a baseline's spatial range queries.
-func querySpatialBaseline(sys baseline.System, wins []geom.MBR) cell {
-	d, err := medianDuration(len(wins), func(i int) error {
-		_, err := sys.SpatialRange(wins[i])
-		return err
-	})
-	return cell{d: d, err: err}
-}
+func sideRow(side float64) string { return fmt.Sprintf("%gx%g", side, side) }
 
 // RunFig11a reproduces Fig. 11a: spatial range query time on Order vs
 // data size (3x3 km default window).
 func (r *Runner) RunFig11a() error {
-	r.header("fig11a", "Spatial Range Query (Order) vs Data Size — ms")
-	r.printf("%-8s %10s %10s %14s %14s %10s %14s\n",
-		"data%", "JUST", "GeoSpark", "LocationSpark", "SpatialSpark", "Simba", "SpatialHadoop")
-	for _, pct := range []int{20, 40, 60, 80, 100} {
-		wins := r.defaultWindows(int64(pct))
-		orders := fraction(r.Orders(), pct)
-		recs := orderRecords(orders)
-
-		e, err := r.openJUST("fig11a", variantJUST)
+	for _, pct := range dataPercents {
+		ds := orderSet(fraction(r.Orders(), pct))
+		err := r.freshRow(strconv.Itoa(pct), ds, r.sQuery(int64(pct), 3), []justVariant{variantJUST}, rangeSystems...)
 		if err != nil {
 			return err
 		}
-		if err := loadOrders(e, variantJUST, orders); err != nil {
-			e.Close()
-			return err
-		}
-		justCell := r.querySpatialJUST(e, "orders", wins)
-		e.Close()
-
-		var cells []cell
-		for _, ns := range r.sparkBaselines() {
-			if err := ns.sys.Ingest(recs); err != nil {
-				cells = append(cells, cell{err: err})
-				ns.sys.Close()
-				continue
-			}
-			cells = append(cells, querySpatialBaseline(ns.sys, wins))
-			ns.sys.Close()
-		}
-		sh, err := r.hadoopBaseline("fig11a")
-		if err != nil {
-			return err
-		}
-		if err := sh.Ingest(recs); err != nil {
-			cells = append(cells, cell{err: err})
-		} else {
-			cells = append(cells, querySpatialBaseline(sh, wins))
-		}
-		sh.Close()
-
-		r.printf("%-8d %10s %10s %14s %14s %10s %14s\n",
-			pct, justCell, cells[0], cells[1], cells[2], cells[3], cells[4])
 	}
 	return nil
 }
@@ -78,43 +27,13 @@ func (r *Runner) RunFig11a() error {
 // data size. Simba OOMs beyond 20%, LocationSpark immediately
 // (Section VIII-C); JUST beats JUSTnc because compression cuts disk IO.
 func (r *Runner) RunFig11b() error {
-	r.header("fig11b", "Spatial Range Query (Traj) vs Data Size — ms")
-	r.printf("%-8s %10s %10s %10s %14s %10s\n",
-		"data%", "JUST", "JUSTnc", "GeoSpark", "SpatialSpark", "Simba")
-	for _, pct := range []int{20, 40, 60, 80, 100} {
-		wins := r.defaultWindows(int64(pct))
-		trajs := fraction(r.Trajs(), pct)
-		recs := trajRecords(trajs)
-
-		var justCells [2]cell
-		for i, v := range []justVariant{variantJUST, variantJUSTnc} {
-			e, err := r.openJUST("fig11b", v)
-			if err != nil {
-				return err
-			}
-			if err := loadTrajs(e, v, trajs); err != nil {
-				e.Close()
-				return err
-			}
-			justCells[i] = r.querySpatialJUST(e, "traj", wins)
-			e.Close()
+	for _, pct := range dataPercents {
+		ds := trajSet(fraction(r.Trajs(), pct))
+		err := r.freshRow(strconv.Itoa(pct), ds, r.sQuery(int64(pct), 3),
+			[]justVariant{variantJUST, variantJUSTnc}, "GeoSpark", "SpatialSpark", "Simba")
+		if err != nil {
+			return err
 		}
-		var cells []cell
-		for _, ns := range []namedSystem{
-			{"GeoSpark", r.newGeoSpark()},
-			{"SpatialSpark", r.newSpatialSpark()},
-			{"Simba", r.newSimba()},
-		} {
-			if err := ns.sys.Ingest(recs); err != nil {
-				cells = append(cells, cell{err: err})
-				ns.sys.Close()
-				continue
-			}
-			cells = append(cells, querySpatialBaseline(ns.sys, wins))
-			ns.sys.Close()
-		}
-		r.printf("%-8d %10s %10s %10s %14s %10s\n",
-			pct, justCells[0], justCells[1], cells[0], cells[1], cells[2])
 	}
 	return nil
 }
@@ -122,50 +41,21 @@ func (r *Runner) RunFig11b() error {
 // RunFig11c reproduces Fig. 11c: spatial range query time on Order vs
 // spatial window size (100% data).
 func (r *Runner) RunFig11c() error {
-	r.header("fig11c", "Spatial Range Query (Order) vs Spatial Window — ms")
-	orders := r.Orders()
-	recs := orderRecords(orders)
-
-	e, err := r.openJUST("fig11c", variantJUST)
+	ds := orderSet(r.Orders())
+	es, err := r.openEngines(ds, variantJUST)
 	if err != nil {
 		return err
 	}
-	defer e.Close()
-	if err := loadOrders(e, variantJUST, orders); err != nil {
-		return err
-	}
-	systems := r.sparkBaselines()
-	failed := map[string]error{}
-	for _, ns := range systems {
-		defer ns.sys.Close()
-		if err := ns.sys.Ingest(recs); err != nil {
-			failed[ns.name] = err
-		}
-	}
-	sh, err := r.hadoopBaseline("fig11c")
+	defer closeEngines(es)
+	ss, err := r.openSystems(ds.recs, rangeSystems...)
 	if err != nil {
 		return err
 	}
-	defer sh.Close()
-	if err := sh.Ingest(recs); err != nil {
-		return err
-	}
-
-	r.printf("%-10s %10s %10s %14s %14s %10s %14s\n",
-		"window", "JUST", "GeoSpark", "LocationSpark", "SpatialSpark", "Simba", "SpatialHadoop")
-	for _, side := range []float64{1, 2, 3, 4, 5} {
-		wins := r.windows(0, side)
-		row := []cell{r.querySpatialJUST(e, "orders", wins)}
-		for _, ns := range systems {
-			if err := failed[ns.name]; err != nil {
-				row = append(row, cell{err: err})
-				continue
-			}
-			row = append(row, querySpatialBaseline(ns.sys, wins))
+	defer closeSystems(ss)
+	for _, side := range windowSides {
+		if err := r.queryRow(sideRow(side), ds.tbl, es, ss, r.sQuery(0, side)); err != nil {
+			return err
 		}
-		row = append(row, querySpatialBaseline(sh, wins))
-		r.printf("%2.0fx%-7.0f %10s %10s %14s %14s %10s %14s\n",
-			side, side, row[0], row[1], row[2], row[3], row[4], row[5])
 	}
 	return nil
 }
@@ -174,40 +64,27 @@ func (r *Runner) RunFig11c() error {
 // spatial window. As in the paper, SpatialSpark only manages 80% of the
 // data (its budget), yet JUST still beats it on larger windows.
 func (r *Runner) RunFig11d() error {
-	r.header("fig11d", "Spatial Range Query (Traj) vs Spatial Window — ms (SpatialSpark at 80% data)")
-	trajs := r.Trajs()
-
-	engines := map[string]*core.Engine{}
-	for _, v := range []justVariant{variantJUST, variantJUSTnc} {
-		e, err := r.openJUST("fig11d", v)
-		if err != nil {
-			return err
-		}
-		defer e.Close()
-		if err := loadTrajs(e, v, trajs); err != nil {
-			return err
-		}
-		engines[v.name] = e
-	}
-	geospark := r.newGeoSpark()
-	defer geospark.Close()
-	if err := geospark.Ingest(trajRecords(trajs)); err != nil {
+	ds := trajSet(r.Trajs())
+	es, err := r.openEngines(ds, variantJUST, variantJUSTnc)
+	if err != nil {
 		return err
 	}
-	spatialspark := r.newSpatialSpark()
-	defer spatialspark.Close()
-	if err := spatialspark.Ingest(trajRecords(fraction(trajs, 80))); err != nil {
+	defer closeEngines(es)
+	ss, err := r.openSystems(ds.recs, "GeoSpark")
+	if err != nil {
 		return err
 	}
-
-	r.printf("%-10s %10s %10s %10s %16s\n", "window", "JUST", "JUSTnc", "GeoSpark", "SpatialSpark(80%)")
-	for _, side := range []float64{1, 2, 3, 4, 5} {
-		wins := r.windows(0, side)
-		r.printf("%2.0fx%-7.0f %10s %10s %10s %16s\n", side, side,
-			r.querySpatialJUST(engines["JUST"], "traj", wins),
-			r.querySpatialJUST(engines["JUSTnc"], "traj", wins),
-			querySpatialBaseline(geospark, wins),
-			querySpatialBaseline(spatialspark, wins))
+	defer closeSystems(ss)
+	partial, err := r.openSystems(trajRecords(fraction(r.Trajs(), 80)), "SpatialSpark")
+	if err != nil {
+		return err
+	}
+	defer closeSystems(partial)
+	partial[0].name += "(80%)"
+	for _, side := range windowSides {
+		if err := r.queryRow(sideRow(side), ds.tbl, es, append(ss, partial...), r.sQuery(0, side)); err != nil {
+			return err
+		}
 	}
 	return nil
 }

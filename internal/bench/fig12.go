@@ -1,79 +1,48 @@
 package bench
 
 import (
-	"just/internal/baseline"
-	"just/internal/core"
-	"just/internal/geom"
+	"strconv"
+
 	"just/internal/workload"
 )
-
-// querySTJUST times spatio-temporal range queries against a JUST engine.
-func (r *Runner) querySTJUST(e *core.Engine, tbl string, wins []geom.MBR, tws [][2]int64) cell {
-	d, err := medianDuration(len(wins), func(i int) error {
-		tw := tws[i%len(tws)]
-		_, err := stCount(e, tbl, wins[i], tw[0], tw[1])
-		return err
-	})
-	return cell{d: d, err: err}
-}
-
-func querySTBaseline(sys baseline.System, wins []geom.MBR, tws [][2]int64) cell {
-	d, err := medianDuration(len(wins), func(i int) error {
-		tw := tws[i%len(tws)]
-		_, err := sys.STRange(wins[i], tw[0], tw[1])
-		return err
-	})
-	return cell{d: d, err: err}
-}
 
 // stVariants are the index configurations Fig. 12 compares: the paper's
 // Z2T/XZ2T against Z3/XZ3 with day, year, and century periods.
 var stVariants = []justVariant{variantJUST, variantJUSTd, variantJUSTy, variantJUSTc}
 
-// loadOrderVariants builds one engine per variant over the same data.
-func (r *Runner) loadOrderVariants(tag string, orders []workload.Order, variants []justVariant) (map[string]*core.Engine, func(), error) {
-	engines := map[string]*core.Engine{}
-	cleanup := func() {
-		for _, e := range engines {
-			e.Close()
-		}
-	}
-	for _, v := range variants {
-		e, err := r.openJUST(tag, v)
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		if err := loadOrders(e, v, orders); err != nil {
-			e.Close()
-			cleanup()
-			return nil, nil, err
-		}
-		engines[v.name] = e
-	}
-	return engines, cleanup, nil
-}
-
 // RunFig12a reproduces Fig. 12a: ST range query time on Order vs data
 // size — JUST (Z2T) vs JUSTd/JUSTy/JUSTc (Z3 with growing periods). The
 // paper's observations: JUST wins; larger Z3 periods beat smaller ones.
 func (r *Runner) RunFig12a() error {
-	r.header("fig12a", "Spatio-Temporal Range Query (Order) vs Data Size — ms")
-	r.printf("%-8s %10s %10s %10s %10s\n", "data%", "JUST", "JUSTd", "JUSTy", "JUSTc")
-	for _, pct := range []int{20, 40, 60, 80, 100} {
-		wins := r.defaultWindows(int64(pct))
-		tws := r.timeWindows(int64(pct), workload.Day)
-		orders := fraction(r.Orders(), pct)
-		engines, cleanup, err := r.loadOrderVariants("fig12a", orders, stVariants)
-		if err != nil {
+	for _, pct := range dataPercents {
+		q := r.stQuery(int64(pct), 3, int64(pct), workload.Day)
+		if err := r.freshRow(strconv.Itoa(pct), orderSet(fraction(r.Orders(), pct)), q, stVariants); err != nil {
 			return err
 		}
-		r.printf("%-8d %10s %10s %10s %10s\n", pct,
-			r.querySTJUST(engines["JUST"], "orders", wins, tws),
-			r.querySTJUST(engines["JUSTd"], "orders", wins, tws),
-			r.querySTJUST(engines["JUSTy"], "orders", wins, tws),
-			r.querySTJUST(engines["JUSTc"], "orders", wins, tws))
-		cleanup()
+	}
+	return nil
+}
+
+// stHadoopRows loads the full Order table into the Fig. 12 variants and
+// its first 20% into ST-Hadoop (which only takes future-time inserts, so
+// in time order), then emits one row per label.
+func (r *Runner) stHadoopRows(labels []string, query func(i int) query) error {
+	ds := orderSet(r.Orders())
+	es, err := r.openEngines(ds, stVariants...)
+	if err != nil {
+		return err
+	}
+	defer closeEngines(es)
+	ss, err := r.openSystems(byStart(orderRecords(fraction(r.Orders(), 20))), "ST-Hadoop")
+	if err != nil {
+		return err
+	}
+	defer closeSystems(ss)
+	ss[0].name += "(20%)"
+	for i, label := range labels {
+		if err := r.queryRow(label, ds.tbl, es, ss, query(i)); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -82,64 +51,30 @@ func (r *Runner) RunFig12a() error {
 // window, including ST-Hadoop loaded with only 20% of the data — and
 // still an order of magnitude slower (MapReduce startup + disk IO).
 func (r *Runner) RunFig12b() error {
-	r.header("fig12b", "Spatio-Temporal Range Query (Order) vs Spatial Window — ms (ST-Hadoop at 20% data)")
-	orders := r.Orders()
-	engines, cleanup, err := r.loadOrderVariants("fig12b", orders, stVariants)
-	if err != nil {
-		return err
+	labels := make([]string, len(windowSides))
+	for i, side := range windowSides {
+		labels[i] = sideRow(side)
 	}
-	defer cleanup()
-	sth, err := r.stHadoopBaseline("fig12b")
-	if err != nil {
-		return err
-	}
-	defer sth.Close()
-	if err := ingestSorted(sth, orderRecords(fraction(orders, 20))); err != nil {
-		return err
-	}
-
-	r.printf("%-10s %10s %10s %10s %10s %16s\n", "window", "JUST", "JUSTd", "JUSTy", "JUSTc", "ST-Hadoop(20%)")
-	for _, side := range []float64{1, 2, 3, 4, 5} {
-		wins := r.windows(1, side)
-		tws := r.timeWindows(int64(side), workload.Day)
-		r.printf("%2.0fx%-7.0f %10s %10s %10s %10s %16s\n", side, side,
-			r.querySTJUST(engines["JUST"], "orders", wins, tws),
-			r.querySTJUST(engines["JUSTd"], "orders", wins, tws),
-			r.querySTJUST(engines["JUSTy"], "orders", wins, tws),
-			r.querySTJUST(engines["JUSTc"], "orders", wins, tws),
-			querySTBaseline(sth, wins, tws))
-	}
-	return nil
+	return r.stHadoopRows(labels, func(i int) query {
+		side := windowSides[i]
+		return r.stQuery(1, side, int64(side), workload.Day)
+	})
 }
 
 // RunFig12c reproduces Fig. 12c: ST range query on Traj vs spatial
 // window — XZ2T vs XZ3 variants plus the no-compression ablation.
 func (r *Runner) RunFig12c() error {
-	r.header("fig12c", "Spatio-Temporal Range Query (Traj) vs Spatial Window — ms")
-	trajs := r.Trajs()
-	variants := []justVariant{variantJUST, variantJUSTnc, variantJUSTd, variantJUSTy, variantJUSTc}
-	engines := map[string]*core.Engine{}
-	for _, v := range variants {
-		e, err := r.openJUST("fig12c", v)
-		if err != nil {
-			return err
-		}
-		defer e.Close()
-		if err := loadTrajs(e, v, trajs); err != nil {
-			return err
-		}
-		engines[v.name] = e
+	ds := trajSet(r.Trajs())
+	es, err := r.openEngines(ds, variantJUST, variantJUSTnc, variantJUSTd, variantJUSTy, variantJUSTc)
+	if err != nil {
+		return err
 	}
-	r.printf("%-10s %10s %10s %10s %10s %10s\n", "window", "JUST", "JUSTnc", "JUSTd", "JUSTy", "JUSTc")
-	for _, side := range []float64{1, 2, 3, 4, 5} {
-		wins := r.windows(2, side)
-		tws := r.timeWindows(int64(side)+50, workload.Day)
-		r.printf("%2.0fx%-7.0f %10s %10s %10s %10s %10s\n", side, side,
-			r.querySTJUST(engines["JUST"], "traj", wins, tws),
-			r.querySTJUST(engines["JUSTnc"], "traj", wins, tws),
-			r.querySTJUST(engines["JUSTd"], "traj", wins, tws),
-			r.querySTJUST(engines["JUSTy"], "traj", wins, tws),
-			r.querySTJUST(engines["JUSTc"], "traj", wins, tws))
+	defer closeEngines(es)
+	for _, side := range windowSides {
+		q := r.stQuery(2, side, int64(side)+50, workload.Day)
+		if err := r.queryRow(sideRow(side), ds.tbl, es, nil, q); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -147,39 +82,9 @@ func (r *Runner) RunFig12c() error {
 // RunFig12d reproduces Fig. 12d: ST range query on Order vs time window
 // (1 hour to 1 month).
 func (r *Runner) RunFig12d() error {
-	r.header("fig12d", "Spatio-Temporal Range Query (Order) vs Time Window — ms (ST-Hadoop at 20% data)")
-	orders := r.Orders()
-	engines, cleanup, err := r.loadOrderVariants("fig12d", orders, stVariants)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	sth, err := r.stHadoopBaseline("fig12d")
-	if err != nil {
-		return err
-	}
-	defer sth.Close()
-	if err := ingestSorted(sth, orderRecords(fraction(orders, 20))); err != nil {
-		return err
-	}
-
-	spans := []struct {
-		label string
-		d     int64
-	}{
-		{"1h", workload.Hour}, {"6h", 6 * workload.Hour}, {"1d", workload.Day},
-		{"1w", workload.Week}, {"1m", workload.Month},
-	}
-	r.printf("%-8s %10s %10s %10s %10s %16s\n", "window", "JUST", "JUSTd", "JUSTy", "JUSTc", "ST-Hadoop(20%)")
-	for _, span := range spans {
-		wins := r.defaultWindows(span.d % 997)
-		tws := r.timeWindows(span.d%991, span.d)
-		r.printf("%-8s %10s %10s %10s %10s %16s\n", span.label,
-			r.querySTJUST(engines["JUST"], "orders", wins, tws),
-			r.querySTJUST(engines["JUSTd"], "orders", wins, tws),
-			r.querySTJUST(engines["JUSTy"], "orders", wins, tws),
-			r.querySTJUST(engines["JUSTc"], "orders", wins, tws),
-			querySTBaseline(sth, wins, tws))
-	}
-	return nil
+	labels := []string{"1h", "6h", "1d", "1w", "1m"}
+	spans := []int64{workload.Hour, 6 * workload.Hour, workload.Day, workload.Week, workload.Month}
+	return r.stHadoopRows(labels, func(i int) query {
+		return r.stQuery(spans[i]%997, 3, spans[i]%991, spans[i])
+	})
 }

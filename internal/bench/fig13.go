@@ -1,79 +1,21 @@
 package bench
 
-import (
-	"context"
-	"just/internal/baseline"
-	"just/internal/core"
-	"just/internal/geom"
-	"just/internal/workload"
-)
-
-// queryKNNJUST times k-NN queries against a JUST engine.
-func (r *Runner) queryKNNJUST(e *core.Engine, tbl string, pts []geom.Point, k int) cell {
-	d, err := medianDuration(len(pts), func(i int) error {
-		_, err := e.KNN(context.Background(), "", tbl, pts[i], k, core.KNNOptions{Root: workload.Region})
-		return err
-	})
-	return cell{d: d, err: err}
-}
-
-func queryKNNBaseline(sys baseline.System, pts []geom.Point, k int) cell {
-	d, err := medianDuration(len(pts), func(i int) error {
-		_, err := sys.KNN(pts[i], k)
-		return err
-	})
-	return cell{d: d, err: err}
-}
+import "strconv"
 
 const defaultK = 100 // Table IV's default k
 
+// ks is the paper's k axis.
+var ks = []int{50, 100, 150, 200, 250}
+
 // RunFig13a reproduces Fig. 13a: k-NN query time on Order vs data size.
 func (r *Runner) RunFig13a() error {
-	r.header("fig13a", "k-NN Query (Order) vs Data Size — ms (k=100)")
-	r.printf("%-8s %10s %10s %14s %10s %14s\n",
-		"data%", "JUST", "GeoSpark", "LocationSpark", "Simba", "SpatialHadoop")
-	for _, pct := range []int{20, 40, 60, 80, 100} {
-		pts := r.knnPoints(int64(pct))
-		orders := fraction(r.Orders(), pct)
-		recs := orderRecords(orders)
-
-		e, err := r.openJUST("fig13a", variantJUST)
+	for _, pct := range dataPercents {
+		ds := orderSet(fraction(r.Orders(), pct))
+		err := r.freshRow(strconv.Itoa(pct), ds, r.knnQuery(int64(pct), defaultK), []justVariant{variantJUST},
+			"GeoSpark", "LocationSpark", "Simba", "SpatialHadoop")
 		if err != nil {
 			return err
 		}
-		if err := loadOrders(e, variantJUST, orders); err != nil {
-			e.Close()
-			return err
-		}
-		justCell := r.queryKNNJUST(e, "orders", pts, defaultK)
-		e.Close()
-
-		var cells []cell
-		for _, ns := range []namedSystem{
-			{"GeoSpark", r.newGeoSpark()},
-			{"LocationSpark", r.newLocationSpark()},
-			{"Simba", r.newSimba()},
-		} {
-			if err := ns.sys.Ingest(recs); err != nil {
-				cells = append(cells, cell{err: err})
-				ns.sys.Close()
-				continue
-			}
-			cells = append(cells, queryKNNBaseline(ns.sys, pts, defaultK))
-			ns.sys.Close()
-		}
-		sh, err := r.hadoopBaseline("fig13a")
-		if err != nil {
-			return err
-		}
-		if err := sh.Ingest(recs); err != nil {
-			cells = append(cells, cell{err: err})
-		} else {
-			cells = append(cells, queryKNNBaseline(sh, pts, defaultK))
-		}
-		sh.Close()
-		r.printf("%-8d %10s %10s %14s %10s %14s\n",
-			pct, justCell, cells[0], cells[1], cells[2], cells[3])
 	}
 	return nil
 }
@@ -81,114 +23,44 @@ func (r *Runner) RunFig13a() error {
 // RunFig13b reproduces Fig. 13b: k-NN on Traj vs data size — Simba OOMs
 // from 40% as in the paper.
 func (r *Runner) RunFig13b() error {
-	r.header("fig13b", "k-NN Query (Traj) vs Data Size — ms (k=100)")
-	r.printf("%-8s %10s %10s %10s %10s\n", "data%", "JUST", "JUSTnc", "GeoSpark", "Simba")
-	for _, pct := range []int{20, 40, 60, 80, 100} {
-		pts := r.knnPoints(int64(pct) + 500)
-		trajs := fraction(r.Trajs(), pct)
-		recs := trajRecords(trajs)
+	for _, pct := range dataPercents {
+		ds := trajSet(fraction(r.Trajs(), pct))
+		err := r.freshRow(strconv.Itoa(pct), ds, r.knnQuery(int64(pct)+500, defaultK),
+			[]justVariant{variantJUST, variantJUSTnc}, "GeoSpark", "Simba")
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-		var justCells [2]cell
-		for i, v := range []justVariant{variantJUST, variantJUSTnc} {
-			e, err := r.openJUST("fig13b", v)
-			if err != nil {
-				return err
-			}
-			if err := loadTrajs(e, v, trajs); err != nil {
-				e.Close()
-				return err
-			}
-			justCells[i] = r.queryKNNJUST(e, "traj", pts, defaultK)
-			e.Close()
+// knnByK loads ds once into the variants and the comparators and emits
+// one row per k; salt keeps each figure's query points its own.
+func (r *Runner) knnByK(ds dataset, salt int64, variants []justVariant, systems ...string) error {
+	es, err := r.openEngines(ds, variants...)
+	if err != nil {
+		return err
+	}
+	defer closeEngines(es)
+	ss, err := r.openSystems(ds.recs, systems...)
+	if err != nil {
+		return err
+	}
+	defer closeSystems(ss)
+	for _, k := range ks {
+		if err := r.queryRow(strconv.Itoa(k), ds.tbl, es, ss, r.knnQuery(int64(k)+salt, k)); err != nil {
+			return err
 		}
-		var cells []cell
-		for _, ns := range []namedSystem{
-			{"GeoSpark", r.newGeoSpark()},
-			{"Simba", r.newSimba()},
-		} {
-			if err := ns.sys.Ingest(recs); err != nil {
-				cells = append(cells, cell{err: err})
-				ns.sys.Close()
-				continue
-			}
-			cells = append(cells, queryKNNBaseline(ns.sys, pts, defaultK))
-			ns.sys.Close()
-		}
-		r.printf("%-8d %10s %10s %10s %10s\n", pct, justCells[0], justCells[1], cells[0], cells[1])
 	}
 	return nil
 }
 
 // RunFig13c reproduces Fig. 13c: k-NN on Order vs k.
 func (r *Runner) RunFig13c() error {
-	r.header("fig13c", "k-NN Query (Order) vs k — ms")
-	orders := r.Orders()
-	recs := orderRecords(orders)
-
-	e, err := r.openJUST("fig13c", variantJUST)
-	if err != nil {
-		return err
-	}
-	defer e.Close()
-	if err := loadOrders(e, variantJUST, orders); err != nil {
-		return err
-	}
-	systems := []namedSystem{
-		{"GeoSpark", r.newGeoSpark()},
-		{"LocationSpark", r.newLocationSpark()},
-		{"Simba", r.newSimba()},
-	}
-	failed := map[string]error{}
-	for _, ns := range systems {
-		defer ns.sys.Close()
-		if err := ns.sys.Ingest(recs); err != nil {
-			failed[ns.name] = err
-		}
-	}
-	r.printf("%-8s %10s %10s %14s %10s\n", "k", "JUST", "GeoSpark", "LocationSpark", "Simba")
-	for _, k := range []int{50, 100, 150, 200, 250} {
-		pts := r.knnPoints(int64(k) + 1000)
-		row := []cell{r.queryKNNJUST(e, "orders", pts, k)}
-		for _, ns := range systems {
-			if err := failed[ns.name]; err != nil {
-				row = append(row, cell{err: err})
-				continue
-			}
-			row = append(row, queryKNNBaseline(ns.sys, pts, k))
-		}
-		r.printf("%-8d %10s %10s %14s %10s\n", k, row[0], row[1], row[2], row[3])
-	}
-	return nil
+	return r.knnByK(orderSet(r.Orders()), 1000, []justVariant{variantJUST}, "GeoSpark", "LocationSpark", "Simba")
 }
 
 // RunFig13d reproduces Fig. 13d: k-NN on Traj vs k.
 func (r *Runner) RunFig13d() error {
-	r.header("fig13d", "k-NN Query (Traj) vs k — ms")
-	trajs := r.Trajs()
-	engines := map[string]*core.Engine{}
-	for _, v := range []justVariant{variantJUST, variantJUSTnc} {
-		e, err := r.openJUST("fig13d", v)
-		if err != nil {
-			return err
-		}
-		defer e.Close()
-		if err := loadTrajs(e, v, trajs); err != nil {
-			return err
-		}
-		engines[v.name] = e
-	}
-	geospark := r.newGeoSpark()
-	defer geospark.Close()
-	if err := geospark.Ingest(trajRecords(trajs)); err != nil {
-		return err
-	}
-	r.printf("%-8s %10s %10s %10s\n", "k", "JUST", "JUSTnc", "GeoSpark")
-	for _, k := range []int{50, 100, 150, 200, 250} {
-		pts := r.knnPoints(int64(k) + 2000)
-		r.printf("%-8d %10s %10s %10s\n", k,
-			r.queryKNNJUST(engines["JUST"], "traj", pts, k),
-			r.queryKNNJUST(engines["JUSTnc"], "traj", pts, k),
-			queryKNNBaseline(geospark, pts, k))
-	}
-	return nil
+	return r.knnByK(trajSet(r.Trajs()), 2000, []justVariant{variantJUST, variantJUSTnc}, "GeoSpark")
 }

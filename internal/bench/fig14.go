@@ -1,7 +1,7 @@
 package bench
 
 import (
-	"time"
+	"strconv"
 
 	"just/internal/workload"
 )
@@ -9,28 +9,25 @@ import (
 // RunFig14a reproduces Fig. 14a: indexing time and storage size on the
 // Synthetic dataset vs data size — both grow linearly.
 func (r *Runner) RunFig14a() error {
-	r.header("fig14a", "Scalability (Synthetic): Indexing Time & Storage vs Data Size")
-	syn := workload.Synthetic(r.Trajs(), r.sz.syntheticMult, r.opts.Seed+2)
-	r.printf("%-8s %16s %16s\n", "data%", "index time (ms)", "storage (MiB)")
-	for _, pct := range []int{20, 40, 60, 80, 100} {
-		part := fraction(syn, pct)
-		e, err := r.openJUST("fig14a", variantJUST)
+	syn := r.synthetic()
+	for _, pct := range dataPercents {
+		row, ds := strconv.Itoa(pct), trajSet(fraction(syn, pct))
+		e, err := r.openJUST(variantJUST, "")
 		if err != nil {
 			return err
 		}
-		start := time.Now()
-		if err := loadTrajs(e, variantJUST, part); err != nil {
-			e.Close()
-			return err
-		}
-		elapsed := time.Since(start)
-		if err := e.Cluster().Compact(); err != nil {
-			e.Close()
-			return err
+		err = r.measure(row, "JUST", "ingest", justMeter(e), 1, func(int) (int, error) {
+			return len(ds.recs), ds.load(e, variantJUST)
+		})
+		if err == nil {
+			err = e.Cluster().Compact()
 		}
 		size := e.DiskSize()
 		e.Close()
-		r.printf("%-8d %16s %16s\n", pct, ms(elapsed), mb(size))
+		if err != nil {
+			return err
+		}
+		r.value(row, "JUST", "storage_mib", mib(size))
 	}
 	return nil
 }
@@ -40,30 +37,25 @@ func (r *Runner) RunFig14a() error {
 // key observation: ST query time is flat — the qualified time periods
 // hold the same amount of data no matter how big the dataset grows.
 func (r *Runner) RunFig14b() error {
-	r.header("fig14b", "Scalability (Synthetic): Query Time vs Data Size — ms")
-	syn := workload.Synthetic(r.Trajs(), r.sz.syntheticMult, r.opts.Seed+2)
-
-	r.printf("%-8s %10s %10s %10s\n", "data%", "k-NN", "S", "ST")
-	for _, pct := range []int{20, 40, 60, 80, 100} {
+	syn := r.synthetic()
+	for _, pct := range dataPercents {
 		// The synthetic data spreads over ~10x the base time span; a
 		// 1-day window within the base span sees a constant slice of it.
-		wins := r.defaultWindows(int64(pct) + 300)
-		tws := r.timeWindows(int64(pct)+300, workload.Day)
-		pts := r.knnPoints(int64(pct) + 300)
-		part := fraction(syn, pct)
-		e, err := r.openJUST("fig14b", variantJUST)
+		salt := int64(pct) + 300
+		ds := trajSet(fraction(syn, pct))
+		es, err := r.openEngines(ds, variantJUST)
 		if err != nil {
 			return err
 		}
-		if err := loadTrajs(e, variantJUST, part); err != nil {
-			e.Close()
+		for _, q := range []query{r.knnQuery(salt, defaultK), r.sQuery(salt, 3), r.stQuery(salt, 3, salt, workload.Day)} {
+			if err = r.queryRow(strconv.Itoa(pct), ds.tbl, es, nil, q); err != nil {
+				break
+			}
+		}
+		closeEngines(es)
+		if err != nil {
 			return err
 		}
-		knn := r.queryKNNJUST(e, "traj", pts, defaultK)
-		s := r.querySpatialJUST(e, "traj", wins)
-		st := r.querySTJUST(e, "traj", wins, tws)
-		e.Close()
-		r.printf("%-8d %10s %10s %10s\n", pct, knn, s, st)
 	}
 	return nil
 }

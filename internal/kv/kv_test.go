@@ -209,7 +209,7 @@ func writeTestTable(t *testing.T, path string, n int, codec uint8) *table {
 	if _, err := tw.finish(); err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := openTable(OSFS{}, path, nil, nil, 0)
+	tbl, err := openTable(OSFS{}, path, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

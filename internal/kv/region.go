@@ -43,14 +43,6 @@ type Options struct {
 	// DisableWAL skips write-ahead logging (bulk loads that can be
 	// replayed from source, as in the paper's batch ingestion).
 	DisableWAL bool
-	// DiskThroughputMBps simulates the storage read path of an HBase
-	// cluster (HDD + HDFS + RPC hops): every block read from an SSTable
-	// is charged size/throughput of wall time. 0 disables the model and
-	// reads run at page-cache speed. The benchmark harness enables it so
-	// IO-volume effects (e.g. the paper's compression-speeds-up-queries
-	// result) are observable on a laptop whose page cache would
-	// otherwise hide them.
-	DiskThroughputMBps int
 	// ZoneExtractor, when set, derives a [min, max] record-time zone
 	// from each stored pair at SSTable build time; blocks whose every
 	// entry yields a zone get a zone map in the block index, letting
@@ -202,7 +194,7 @@ func openRegion(id int, dir string, opts Options, cache *blockCache, met *Metric
 		return nil, err
 	}
 	for _, name := range m.Tables {
-		t, err := openTable(fs, filepath.Join(dir, name), cache, met, opts.DiskThroughputMBps)
+		t, err := openTable(fs, filepath.Join(dir, name), cache, met)
 		if err != nil {
 			return nil, err
 		}
@@ -774,7 +766,7 @@ func (r *region) flushImm(im *immMem) error {
 		tw.abort()
 		return err
 	}
-	t, err := openTable(r.fs, filepath.Join(r.dir, name), r.cache, r.met, r.opts.DiskThroughputMBps)
+	t, err := openTable(r.fs, filepath.Join(r.dir, name), r.cache, r.met)
 	if err != nil {
 		return err
 	}
@@ -892,7 +884,7 @@ func (r *region) merge(tier bool) error {
 		tw.abort()
 		return err
 	}
-	nt, err := openTable(r.fs, filepath.Join(r.dir, name), r.cache, r.met, r.opts.DiskThroughputMBps)
+	nt, err := openTable(r.fs, filepath.Join(r.dir, name), r.cache, r.met)
 	if err != nil {
 		return err
 	}

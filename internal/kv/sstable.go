@@ -12,7 +12,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"just/internal/compress"
 )
@@ -386,9 +385,6 @@ type table struct {
 
 	cache   *blockCache
 	metrics *Metrics
-	// mbps > 0 simulates cluster-storage read throughput (Options.
-	// DiskThroughputMBps): block reads sleep size/mbps.
-	mbps int
 }
 
 // readChecked fills buf from offset and verifies it against want
@@ -415,7 +411,7 @@ func readChecked(f File, path string, block int, offset int64, buf []byte, want 
 	}
 }
 
-func openTable(fs VFS, path string, cache *blockCache, metrics *Metrics, mbps int) (*table, error) {
+func openTable(fs VFS, path string, cache *blockCache, metrics *Metrics) (*table, error) {
 	f, err := fs.Open(path)
 	if err != nil {
 		return nil, err
@@ -426,7 +422,6 @@ func openTable(fs VFS, path string, cache *blockCache, metrics *Metrics, mbps in
 		return nil, err
 	}
 	t.cache = cache
-	t.mbps = mbps
 	t.refs.Store(1)
 	return t, nil
 }
@@ -663,10 +658,6 @@ func (t *table) loadBlock(i int) ([]byte, error) {
 	disk, err := t.readBlockRaw(i, disk)
 	if err != nil {
 		return nil, err
-	}
-	if t.mbps > 0 {
-		// Simulated cluster read path: size / throughput.
-		time.Sleep(time.Duration(int64(h.length)) * time.Second / time.Duration(t.mbps<<20))
 	}
 	if t.metrics != nil {
 		atomic.AddInt64(&t.metrics.BytesRead, int64(h.length))

@@ -16,14 +16,12 @@ import (
 )
 
 // The benchmarks reproduce the evaluation harness storage settings
-// (internal/bench/systems.go): WAL off, 40 MB/s simulated disk, 8 MB
-// block cache.
+// (internal/bench/systems.go): WAL off, 8 MB block cache.
 func benchClusterOptions() kv.ClusterOptions {
 	return kv.ClusterOptions{
 		Options: kv.Options{
-			DisableWAL:         true,
-			DiskThroughputMBps: 40,
-			BlockCacheBytes:    8 << 20,
+			DisableWAL:      true,
+			BlockCacheBytes: 8 << 20,
 		},
 	}
 }
