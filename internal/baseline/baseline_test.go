@@ -241,6 +241,44 @@ func TestDiskGridPersistsToDisk(t *testing.T) {
 	}
 }
 
+// TestIngestWriteErrorCountsNothing: a partition file that cannot take
+// its records fails the ingest, and the counts do not claim them.
+func TestIngestWriteErrorCountsNothing(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	dir := t.TempDir()
+	dg, err := NewDiskGrid(DiskGridConfig{Dir: dir, Cells: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := randRecords(400, 12)
+	if err := dg.Ingest(recs[:200]); err != nil {
+		t.Fatal(err)
+	}
+	disk := dg.DiskBytes()
+	part := dg.cellPath(0)
+	if err := os.Remove(part); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink("/dev/full", part); err != nil {
+		t.Fatal(err)
+	}
+	if err := dg.Ingest(recs[200:]); err == nil {
+		t.Fatal("ingest into a full partition file returned nil")
+	}
+	if dg.DiskBytes() != disk {
+		t.Fatalf("DiskBytes %d after the failed ingest, want %d", dg.DiskBytes(), disk)
+	}
+	total := 0
+	for _, n := range dg.counts {
+		total += n
+	}
+	if total != 200 {
+		t.Fatalf("counts hold %d records after the failed ingest, want 200", total)
+	}
+}
+
 func TestRTreeStructure(t *testing.T) {
 	recs := randRecords(1000, 9)
 	tree := buildRTree(recs)

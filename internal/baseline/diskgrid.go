@@ -3,6 +3,7 @@ package baseline
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -75,16 +76,13 @@ func (s *DiskGrid) Ingest(recs []Record) error {
 		}
 		s.counts = make([]int, s.cols*s.rows)
 	}
+	// The counts take the records only once every partition file they
+	// went to has flushed and closed cleanly.
 	writers := map[int]*bufio.Writer{}
 	files := map[int]*os.File{}
-	defer func() {
-		for _, w := range writers {
-			w.Flush()
-		}
-		for _, f := range files {
-			f.Close()
-		}
-	}()
+	added := make([]int, len(s.counts))
+	var written int64
+	var err error
 	for _, r := range recs {
 		if ext := math.Max(r.Box.Width(), r.Box.Height()); ext > s.maxExt {
 			s.maxExt = ext
@@ -92,21 +90,31 @@ func (s *DiskGrid) Ingest(recs []Record) error {
 		cell := s.cellOf(r.Center())
 		w, ok := writers[cell]
 		if !ok {
-			f, err := os.OpenFile(s.cellPath(cell), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return err
+			var f *os.File
+			if f, err = os.OpenFile(s.cellPath(cell), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+				break
 			}
 			files[cell] = f
 			w = bufio.NewWriterSize(f, 64<<10)
 			writers[cell] = w
 		}
-		n, err := writeRecord(w, r)
-		if err != nil {
-			return err
+		var n int
+		if n, err = writeRecord(w, r); err != nil {
+			break
 		}
-		s.bytesOnDisk += int64(n)
-		s.counts[cell]++
+		written += int64(n)
+		added[cell]++
 	}
+	for cell, w := range writers {
+		err = errors.Join(err, w.Flush(), files[cell].Close())
+	}
+	if err != nil {
+		return err
+	}
+	for cell, n := range added {
+		s.counts[cell] += n
+	}
+	s.bytesOnDisk += written
 	return nil
 }
 

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -153,5 +155,44 @@ func TestResultSetCloseEndsRequest(t *testing.T) {
 	}
 	if err := rs.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
+	}
+}
+
+// TestHealthKeepsOneConnection: health checks read their reply to the
+// end, so they and the statements after them share one connection.
+func TestHealthKeepsOneConnection(t *testing.T) {
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/api/v1/health" {
+			io.WriteString(w, "{\"regions\":1,\"status\":\"ok\"}\n")
+			return
+		}
+		io.WriteString(w, "{\"columns\":[\"a\"]}\n[1]\n{\"total\":1}\n")
+	}))
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	c := Connect(ts.URL, "u")
+	for range 5 {
+		if err := c.Health(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rs, err := c.ExecuteQuery("SELECT a FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rs.HasNext() {
+		rs.Next()
+	}
+	if rs.Err() != nil {
+		t.Fatal(rs.Err())
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("5 health checks and a query opened %d connections, want 1", n)
 	}
 }
