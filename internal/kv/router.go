@@ -577,6 +577,10 @@ func (r *Router) applyMuts(ctx context.Context, muts []mutation) error {
 		}
 		// Group by destination region, preserving mutation order within
 		// each group (replicas replay ship order; see servedRegion).
+		// Groups are applied in the order of their first mutation, and
+		// none after a group that must be retried, so a caller can make
+		// one group's mutations land before another's (Table's meta rows
+		// before its data).
 		var groups []mutGroup
 		byID := map[uint64]int{}
 		var routeErr error
@@ -598,7 +602,7 @@ func (r *Router) applyMuts(ctx context.Context, muts []mutation) error {
 			return routeErr
 		}
 		var failed []mutation
-		for _, g := range groups {
+		for i, g := range groups {
 			req := rpc.PutBatchReq{
 				Region: g.reg.id, Epoch: g.reg.epoch,
 				Payload: encodeBatchPayload(nil, g.muts),
@@ -607,11 +611,13 @@ func (r *Router) applyMuts(ctx context.Context, muts []mutation) error {
 			if err == nil {
 				continue
 			}
-			if r.retryable(ctx, g.reg, err) {
-				failed = append(failed, g.muts...)
-				continue
+			if !r.retryable(ctx, g.reg, err) {
+				return translateErr(err)
 			}
-			return translateErr(err)
+			for _, g := range groups[i:] {
+				failed = append(failed, g.muts...)
+			}
+			break
 		}
 		if len(failed) == 0 {
 			return nil

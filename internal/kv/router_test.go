@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
+
+	"just/internal/rpc"
 )
 
 // startRouterCluster spins up n region nodes on a loopback fabric at
@@ -239,5 +242,75 @@ func TestRouterRestartsFromPersistedTopology(t *testing.T) {
 	}
 	if got := r2.Regions(); got != 1 {
 		t.Fatalf("second router sees %d regions, want 1", got)
+	}
+}
+
+// putRecorder records the region of every PutBatch sent through it, and
+// fails the next one with a transport error when failNext is set.
+type putRecorder struct {
+	Transport
+	mu       sync.Mutex
+	regions  []uint64
+	failNext bool
+}
+
+func (p *putRecorder) Do(ctx context.Context, addr string, op byte, payload []byte) ([]byte, error) {
+	if op == rpc.OpPutBatch {
+		var req rpc.PutBatchReq
+		if err := req.Decode(payload); err != nil {
+			return nil, err
+		}
+		p.mu.Lock()
+		p.regions = append(p.regions, req.Region)
+		fail := p.failNext
+		p.failNext = false
+		p.mu.Unlock()
+		if fail {
+			return nil, &rpc.TransportError{Addr: addr, Err: errPeerDown}
+		}
+	}
+	return p.Transport.Do(ctx, addr, op, payload)
+}
+
+// TestRouterAppliesGroupsInBatchOrder: a batch's region groups are
+// applied in the order of their first mutation, and a group that must
+// be retried holds back every group after it, so a caller can land one
+// group's mutations before another's (the table layer's span rows
+// before its data).
+func TestRouterAppliesGroupsInBatchOrder(t *testing.T) {
+	lb := NewLoopback()
+	testNode(t, lb, "s1", 1, NodeOptions{Options: Options{MemtableBytes: 8 << 10}, SplitBytes: 32 << 10})
+	rec := &putRecorder{Transport: lb}
+	r, err := OpenRouter(RouterOptions{Peers: []string{"s1"}, Transport: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	val := bytes.Repeat([]byte("v"), 200)
+	for i := 0; i < 2000; i++ {
+		if err := put(r, []byte(fmt.Sprintf("row-%05d", i)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, last := []byte("row-01999"), []byte("row-00000")
+	a, errA := r.route(bg, first)
+	b, errB := r.route(bg, last)
+	if errA != nil || errB != nil || a.id == b.id {
+		t.Fatalf("want the two keys in two regions: %d, %d (%v, %v)", a.id, b.id, errA, errB)
+	}
+	var batch WriteBatch
+	batch.Put(first, []byte("1"))
+	batch.Put(last, []byte("2"))
+	rec.mu.Lock()
+	rec.regions, rec.failNext = nil, true
+	rec.mu.Unlock()
+	if err := r.ApplyCtx(bg, &batch); err != nil {
+		t.Fatal(err)
+	}
+	rec.mu.Lock()
+	got := fmt.Sprint(rec.regions)
+	rec.mu.Unlock()
+	if want := fmt.Sprint([]uint64{a.id, a.id, b.id}); got != want {
+		t.Fatalf("PutBatch regions in send order = %s, want %s: the failed group first, again, and only then the next", got, want)
 	}
 }

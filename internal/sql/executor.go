@@ -215,7 +215,7 @@ func (s *Session) execStoreView(ctx context.Context, st *StoreViewStmt) (*Result
 	}
 	schema := v.Frame.Schema()
 	// Auto-create the target table from the view schema if missing.
-	if _, err := s.engine.Catalog().Get(s.user, st.Table); err != nil {
+	if _, err := s.engine.OpenTable(s.user, st.Table); err != nil {
 		desc := &table.Desc{Name: st.Table, User: s.user, Kind: table.KindCommon}
 		for _, f := range schema.Fields {
 			desc.Columns = append(desc.Columns, table.Column{Name: f.Name, Type: f.Type})
@@ -254,7 +254,10 @@ func (s *Session) execShow(st *ShowStmt) (*Result, error) {
 		names = s.engine.Views().List(s.user)
 		label = "view"
 	} else {
-		names = s.engine.Catalog().List(s.user)
+		var err error
+		if names, err = s.engine.Catalog().List(s.user); err != nil {
+			return nil, err
+		}
 	}
 	rows := make([]exec.Row, len(names))
 	for i, n := range names {
@@ -284,11 +287,11 @@ func (s *Session) execDesc(st *DescStmt) (*Result, error) {
 			rows = append(rows, exec.Row{f.Name, f.Type.String(), ""})
 		}
 	} else {
-		d, err := s.engine.Catalog().Get(s.user, st.Name)
+		t, err := s.engine.OpenTable(s.user, st.Name)
 		if err != nil {
 			return nil, err
 		}
-		for _, c := range d.Columns {
+		for _, c := range t.Desc.Columns {
 			var mods []string
 			if c.PrimaryKey {
 				mods = append(mods, "primary key")

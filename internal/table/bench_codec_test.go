@@ -55,7 +55,7 @@ func codecBenchTable(b *testing.B, codec string) (*Table, int64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cat, _ := OpenCatalog("")
+	cat := NewCatalog(cluster, IndexConfig{})
 	d := &Desc{
 		Name: "corders", Kind: KindCommon,
 		Columns: []Column{
@@ -146,7 +146,7 @@ func BenchmarkIngestOrderBatchedCodec(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				cat, _ := OpenCatalog("")
+				cat := NewCatalog(cluster, IndexConfig{})
 				d := &Desc{
 					Name: "orders", Kind: KindCommon,
 					Columns: []Column{

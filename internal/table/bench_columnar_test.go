@@ -111,7 +111,7 @@ func zoneBenchTable() (*Table, error) {
 			zoneBenchErr = err
 			return
 		}
-		cat, _ := OpenCatalog("")
+		cat := NewCatalog(cluster, IndexConfig{})
 		d := &Desc{
 			Name: "zorders", Kind: KindCommon,
 			Columns: []Column{
@@ -211,7 +211,7 @@ func TestZoneMapPruningFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cluster.Close() })
-	cat, _ := OpenCatalog("")
+	cat := NewCatalog(cluster, IndexConfig{})
 	d := &Desc{
 		Name: "zorders", Kind: KindCommon,
 		Columns: []Column{

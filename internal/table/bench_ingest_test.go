@@ -38,7 +38,7 @@ func ingestTrajTable(b *testing.B) (*Table, *kv.Cluster) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cat, _ := OpenCatalog("")
+	cat := NewCatalog(cluster, IndexConfig{})
 	d, err := NewDescFromPlugin("", "traj", "trajectory")
 	if err != nil {
 		b.Fatal(err)
@@ -89,7 +89,7 @@ func ingestOrderTable(b *testing.B) (*Table, *kv.Cluster) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cat, _ := OpenCatalog("")
+	cat := NewCatalog(cluster, IndexConfig{})
 	d := &Desc{
 		Name: "orders", Kind: KindCommon,
 		Columns: []Column{

@@ -97,7 +97,7 @@ func trajBenchTable() (*Table, error) {
 			trajBenchErr = err
 			return
 		}
-		cat, _ := OpenCatalog("")
+		cat := NewCatalog(cluster, IndexConfig{})
 		d, err := NewDescFromPlugin("", "traj", "trajectory")
 		if err != nil {
 			trajBenchErr = err
@@ -235,7 +235,7 @@ func orderBenchTable() (*Table, error) {
 			orderBenchErr = err
 			return
 		}
-		cat, _ := OpenCatalog("")
+		cat := NewCatalog(cluster, IndexConfig{})
 		d := &Desc{
 			Name: "orders", Kind: KindCommon,
 			Columns: []Column{

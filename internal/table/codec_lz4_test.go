@@ -139,7 +139,7 @@ func newTrajTestTableCodec(t *testing.T, rng *rand.Rand, n int, method string) *
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cluster.Close() })
-	cat, _ := OpenCatalog("")
+	cat := NewCatalog(cluster, IndexConfig{})
 	d, err := NewDescFromPlugin("", "traj", "trajectory")
 	if err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@ func newOrderTestTable(t *testing.T, rng *rand.Rand, n, flushEvery int) *Table {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cluster.Close() })
-	cat, _ := OpenCatalog("")
+	cat := NewCatalog(cluster, IndexConfig{})
 	d := &Desc{
 		Name: "orders", Kind: KindCommon,
 		Columns: []Column{
@@ -84,7 +84,7 @@ func newTrajTestTable(t *testing.T, rng *rand.Rand, n int) *Table {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cluster.Close() })
-	cat, _ := OpenCatalog("")
+	cat := NewCatalog(cluster, IndexConfig{})
 	d, err := NewDescFromPlugin("", "traj", "trajectory")
 	if err != nil {
 		t.Fatal(err)

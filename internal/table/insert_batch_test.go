@@ -12,11 +12,12 @@ import (
 	"just/internal/kv"
 )
 
-// collectPairs snapshots every live key/value pair in a cluster.
+// collectPairs snapshots every live data pair in a cluster: the keys of
+// table ids from 1 up, not the catalog's meta rows.
 func collectPairs(t *testing.T, c *kv.Cluster) map[string]string {
 	t.Helper()
 	pairs := map[string]string{}
-	err := kv.ScanRange(bg, c, kv.KeyRange{}, func(k, v []byte) bool {
+	err := kv.ScanRange(bg, c, kv.KeyRange{Start: []byte{0, 0, 0, 1}}, func(k, v []byte) bool {
 		pairs[string(k)] = string(v)
 		return true
 	})
@@ -130,10 +131,7 @@ func TestInsertBatchMatchesInsert(t *testing.T) {
 // batch of rows); it stays here as the oracle InsertBatchCtx is checked
 // against.
 func (t *Table) insertOne(ctx context.Context, row exec.Row) error {
-	rec, err := t.record(row)
-	if err != nil {
-		return err
-	}
+	rec := t.record(row)
 	value, err := t.codec.Encode(row)
 	if err != nil {
 		return err
@@ -158,10 +156,7 @@ func (t *Table) insertOne(ctx context.Context, row exec.Row) error {
 		if err != nil {
 			return err
 		}
-		oldRec, err := t.record(oldRow)
-		if err != nil {
-			return err
-		}
+		oldRec := t.record(oldRow)
 		for i, s := range t.strategies {
 			if oldRec.Geom == nil {
 				continue
@@ -178,7 +173,7 @@ func (t *Table) insertOne(ctx context.Context, row exec.Row) error {
 	} else if err != kv.ErrNotFound {
 		return err
 	}
-	t.widenSpan(rec.Start, rec.Start)
+	widen(&t.minT, &t.maxT, rec.Start, rec.Start)
 	b.Put(attrKey, value)
 	for _, key := range newKeys {
 		if key != nil {

@@ -137,7 +137,7 @@ func goldenTable(t *testing.T, traj bool, strategies ...string) *Table {
 	for i, s := range strategies {
 		d.Indexes = append(d.Indexes, IndexDesc{Strategy: s, ID: uint8(i + 1)})
 	}
-	cat, _ := OpenCatalog("")
+	cat := NewCatalog(cluster, IndexConfig{})
 	if err := cat.Create(d); err != nil {
 		t.Fatal(err)
 	}

@@ -100,15 +100,6 @@ func (t *Trajectory) MBR() geom.MBR {
 	return m
 }
 
-// Line returns the trajectory's path as a LineString.
-func (t *Trajectory) Line() *geom.LineString {
-	pts := make([]geom.Point, len(t.Points))
-	for i, p := range t.Points {
-		pts[i] = p.Point
-	}
-	return &geom.LineString{Points: pts}
-}
-
 // Row converts the trajectory to a trajectory-plugin row.
 func (t *Trajectory) Row() (exec.Row, error) {
 	if len(t.Points) == 0 {

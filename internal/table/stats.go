@@ -3,6 +3,7 @@ package table
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"sort"
@@ -26,8 +27,8 @@ const statsSampleSize = 1024
 const rangeSeekCost = 8.0
 
 // TableStats is the optimizer's view of a table's physical key
-// distribution, collected by CollectStats and persisted in the catalog
-// descriptor. PlanAccess costs by a fixed preference when it is absent;
+// distribution, collected by CollectStats and persisted in the table's
+// statistics row (see metaPrefix). PlanAccess costs by a fixed preference when it is absent;
 // it is advisory only and never affects result correctness.
 type TableStats struct {
 	CollectedAtMS int64 `json:"collected_at_ms"`
@@ -214,13 +215,21 @@ func (t *Table) SetStats(st *TableStats) {
 // Stats returns the installed statistics, or nil before any collection.
 func (t *Table) Stats() *TableStats { return t.stats.Load() }
 
-// RefreshStats recollects statistics and installs them on the table.
-// The caller (the engine) persists the returned snapshot in the
-// catalog so it survives restarts.
+// RefreshStats recollects statistics, writes them to the table's
+// statistics row so they survive restarts, and installs them.
 func (t *Table) RefreshStats(ctx context.Context) (*TableStats, error) {
 	st, err := t.CollectStats(ctx)
 	if err != nil {
 		return nil, err
+	}
+	data, err := json.Marshal(st)
+	if err != nil {
+		return nil, err
+	}
+	var b kv.WriteBatch
+	b.Put(t.metaKey('s', 0), data)
+	if err := t.cluster.ApplyCtx(ctx, &b); err != nil {
+		return nil, exec.MapCtxErr(err)
 	}
 	t.SetStats(st)
 	return st, nil

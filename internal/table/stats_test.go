@@ -39,7 +39,7 @@ func TestCollectStatsSameOnEveryStore(t *testing.T) {
 	}
 	t.Cleanup(func() { router.Close() })
 
-	cat, _ := OpenCatalog("")
+	cat := NewCatalog(cluster, IndexConfig{})
 	d := &Desc{
 		Name: "points", Kind: KindCommon,
 		Columns: []Column{
