@@ -65,8 +65,10 @@ type Cluster struct {
 // paperServers is the region-server count of the paper's evaluation
 // cluster. A Cluster shares the host's CPUs out as if among that many
 // servers: its region gets max(2, NumCPU/paperServers) scan slots, and
-// a ScanCollect runs one worker per server, each with two batches of
-// room in the worker → consumer channel.
+// a ScanCollect runs one worker per slot (a worker more would only park
+// on the slots), each with two batches of room in the worker → consumer
+// channel. Each task's scan takes a recycled merge from its region and
+// hands it back when the task ends (region.snapshot, mergeIter.recycle).
 const paperServers = 5
 
 // OpenCluster opens (or creates) a cluster rooted at dir. The region
@@ -265,8 +267,8 @@ func ScanRange(ctx context.Context, s Store, kr KeyRange, emit func(key, value [
 // scanTasks makes one task per range: the one region serves them all.
 func (c *Cluster) scanTasks(ranges []KeyRange) []scanTask {
 	tasks := make([]scanTask, len(ranges))
-	for i, kr := range ranges {
-		tasks[i] = scanTask{kr: kr}
+	for i := range ranges {
+		tasks[i].run = ranges[i : i+1 : i+1]
 	}
 	return tasks
 }
@@ -282,11 +284,14 @@ func (c *Cluster) runScanTask(ctx context.Context, t scanTask, emit func(key, va
 		return ctx.Err()
 	}
 	defer func() { <-c.slots }()
-	it := c.r.Scan(t.kr)
-	defer it.Close()
-	for it.Next() {
-		if !emit(it.Key(), it.Value()) {
-			return nil
+	it := c.r.snapshot()
+	defer it.recycle()
+	for _, kr := range t.run {
+		it.seek(kr)
+		for it.Next() {
+			if !emit(it.Key(), it.Value()) {
+				return nil
+			}
 		}
 	}
 	err := it.Err()
@@ -296,7 +301,7 @@ func (c *Cluster) runScanTask(ctx context.Context, t scanTask, emit func(key, va
 
 func (c *Cluster) metrics() *Metrics { return &c.met }
 
-func (c *Cluster) scanWidth() int { return paperServers }
+func (c *Cluster) scanWidth() int { return cap(c.slots) }
 
 // maxSerialScanTasks bounds the plan size below which starting scan
 // workers costs more than it saves: smaller plans run the worker loop
@@ -396,26 +401,29 @@ func ScanCollect[B any](ctx context.Context, s Store, ranges []KeyRange, newTask
 		col := newTask()
 		var scanned int64
 		defer func() { atomic.AddInt64(&met.ScanPairs, scanned) }()
+		// One emit per worker: a closure per task costs an allocation
+		// per range. A stage error ends the loop (fail cancels).
+		var stageErr error
+		add := func(k, v []byte) bool {
+			if cancelled.Load() {
+				return false
+			}
+			scanned++
+			b, full, perr := col.Add(k, v)
+			if perr != nil {
+				stageErr = perr
+				return false
+			}
+			return !full || out(b)
+		}
 		for !cancelled.Load() {
 			i := int(next.Add(1) - 1)
 			if i >= len(tasks) {
 				break
 			}
-			var stageErr error
 			// Slot accounting, routing and resume all live inside
 			// runScanTask; the engine only collects.
-			err := s.runScanTask(ctx, tasks[i], func(k, v []byte) bool {
-				if cancelled.Load() {
-					return false
-				}
-				scanned++
-				b, full, perr := col.Add(k, v)
-				if perr != nil {
-					stageErr = perr
-					return false
-				}
-				return !full || out(b)
-			})
+			err := s.runScanTask(ctx, tasks[i], add)
 			if stageErr != nil {
 				err = stageErr
 			}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -304,8 +305,11 @@ func (r *region) removeOrphans(m manifest) error {
 // noteCorruption latches the region's corrupt flag when err is a
 // persistent checksum failure; any other error (or nil) is ignored.
 func (r *region) noteCorruption(err error) {
+	if err == nil {
+		return // before cb is declared: errors.As moves it to the heap
+	}
 	var cb *ErrCorruptBlock
-	if err != nil && errors.As(err, &cb) {
+	if errors.As(err, &cb) {
 		r.corrupt.Store(true)
 	}
 }
@@ -320,7 +324,7 @@ func (r *region) verifyTables(ctx context.Context) (int64, error) {
 		r.mu.RUnlock()
 		return 0, ErrClosed
 	}
-	tables := pinTables(r.tables)
+	tables := pinTables(nil, r.tables)
 	r.mu.RUnlock()
 	defer releaseTables(tables)
 	var blocks int64
@@ -522,12 +526,12 @@ func (r *region) freezeLocked() error {
 }
 
 // pinTables snapshots and pins a region's table stack for a lock-free
-// read. It must be called under r.mu (read or write): the region's own
-// reference keeps every table in r.tables live, and holding the lock
-// excludes compact's retire (which runs under the write lock) from
-// slipping between the copy and the incRef.
-func pinTables(ts []*table) []*table {
-	out := append([]*table(nil), ts...)
+// read, appending it to dst. It must be called under r.mu (read or
+// write): the region's own reference keeps every table in r.tables
+// live, and holding the lock excludes compact's retire (which runs
+// under the write lock) from slipping between the copy and the incRef.
+func pinTables(dst, ts []*table) []*table {
+	out := append(dst, ts...)
 	for _, t := range out {
 		t.incRef()
 	}
@@ -550,7 +554,7 @@ func (r *region) Get(key []byte) ([]byte, error) {
 	}
 	mem := r.mem
 	imms := append([]*immMem(nil), r.imm...)
-	tables := pinTables(r.tables)
+	tables := pinTables(nil, r.tables)
 	r.mu.RUnlock()
 	defer releaseTables(tables)
 	v, k, _ := mem.get(key)
@@ -569,7 +573,7 @@ func (r *region) getBatch(keys, out [][]byte) error {
 	}
 	mem := r.mem
 	imms := append([]*immMem(nil), r.imm...)
-	tables := pinTables(r.tables)
+	tables := pinTables(nil, r.tables)
 	r.mu.RUnlock()
 	defer releaseTables(tables)
 	hits := make([]memEntry, len(keys))
@@ -845,7 +849,7 @@ func (r *region) merge(tier bool) error {
 	if tier && len(r.tables) >= 2 {
 		lo = tierRun(r.tables)
 	}
-	tables := pinTables(r.tables[lo:])
+	tables := pinTables(nil, r.tables[lo:])
 	r.mu.RUnlock()
 	defer releaseTables(tables)
 	if len(tables) < 2 {
@@ -860,7 +864,8 @@ func (r *region) merge(tier bool) error {
 	for _, t := range tables {
 		n += int(t.count)
 	}
-	it := newMergeIter(nil, tables, true)
+	it := &mergeIter{raw: true}
+	it.arm(tables)
 	it.seek(KeyRange{})
 	tw, err := newTableWriter(r.fs, filepath.Join(r.dir, name), r.opts.blockCodec(), r.opts.ZoneExtractor, n)
 	if err != nil {
@@ -953,22 +958,25 @@ func (r *region) writeManifest() error {
 // Close releases the pins. Each seek copies the captured memtables'
 // entries in its range, so it also sees writes that land in the
 // captured active memtable meanwhile: they are newer than anything else
-// the snapshot holds.
+// the snapshot holds. A merge a scan recycled is re-armed in place.
 func (r *region) snapshot() *mergeIter {
+	m := mergeIters.Get().(*mergeIter)
+	r.rearm(m)
+	return m
+}
+
+// rearm points a new or reset merge at the region's current sources.
+func (r *region) rearm(m *mergeIter) {
 	r.mu.RLock()
-	var mems []memSrc
 	if !r.mem.empty() { // most scans of a bulk-loaded table find none to merge
-		mems = make([]memSrc, 1, 1+len(r.imm))
-		mems[0].mem = r.mem
+		m.addMem(r.mem)
 	}
 	for i := len(r.imm) - 1; i >= 0; i-- {
-		mems = append(mems, memSrc{mem: r.imm[i].mem})
+		m.addMem(r.imm[i].mem)
 	}
-	tables := pinTables(r.tables)
+	m.pins = pinTables(m.pins, r.tables)
 	r.mu.RUnlock()
-	it := newMergeIter(mems, tables, false)
-	it.pinned = true
-	return it
+	m.arm(m.pins)
 }
 
 // Scan returns an iterator over live pairs in the range: a one-range
@@ -1049,12 +1057,15 @@ type mergeIter struct {
 	// whether one of them had no end: every entry any table passed lies
 	// below high, so a range starting at or past it may walk on. high
 	// is the caller's slice, which a range must not change once sought.
-	high   []byte
-	open   bool
-	knd    kind
-	raw    bool // emit tombstones and shadowed versions' winners too
-	pinned bool // the tables are pinned by region.snapshot, released on Close
+	high []byte
+	open bool
+	knd  kind
+	raw  bool     // emit tombstones and shadowed versions' winners too
+	pins []*table // the tables region.snapshot pinned, oldest first; released on Close
 }
+
+// mergeIters holds merges that scans handed back (see recycle).
+var mergeIters = sync.Pool{New: func() any { return new(mergeIter) }}
 
 type mergeSrc interface {
 	Next() bool
@@ -1100,15 +1111,18 @@ func (h *srcHeap) Pop() interface{} {
 	return x
 }
 
-// newMergeIter merges memtables (mems[0] newest — the active memtable —
-// then frozen ones in decreasing recency; only their mem is set) with
-// the SSTables (oldest first). It is positioned nowhere until the first
-// seek.
-func newMergeIter(mems []memSrc, tables []*table, raw bool) *mergeIter {
-	m := &mergeIter{raw: raw, mems: mems, tables: make([]tableIter, len(tables))}
-	for i := range mems {
-		mems[i].prio = 1<<30 - i
-	}
+// addMem adds a memtable to the merge, older than those added before
+// and newer than every table, reusing the entry buffer a recycled merge
+// kept in that slot.
+func (m *mergeIter) addMem(mem *skiplist) {
+	n := len(m.mems)
+	m.mems = slices.Grow(m.mems, 1)[:n+1]
+	m.mems[n].mem, m.mems[n].prio = mem, 1<<30-n
+}
+
+// arm adds the SSTables (oldest first) to the merge, which is then
+// positioned nowhere until the first seek.
+func (m *mergeIter) arm(tables []*table) {
 	for i, t := range tables {
 		// Skipping a block never emits anything — it only removes
 		// candidate versions from the merge. That is safe when the
@@ -1119,9 +1133,8 @@ func newMergeIter(mems []memSrc, tables []*table, raw bool) *mergeIter {
 		// the skipped block, so the tables older than t veto a skip
 		// over their key span. Memtables and later tables are always
 		// newer and never need a veto.
-		m.tables[i] = tableIter{t: t, bi: -1, older: tables[:i]}
+		m.tables = append(m.tables, tableIter{t: t, bi: -1, older: tables[:i]})
 	}
-	return m
 }
 
 // seek moves the merge to range kr, dropping what remains of the
@@ -1215,11 +1228,30 @@ func (m *mergeIter) Err() error    { return m.err }
 
 // Close releases the iterator's table pins; it is idempotent.
 func (m *mergeIter) Close() error {
-	if m.pinned {
-		for i := range m.tables {
-			m.tables[i].t.decRef()
-		}
-		m.pinned = false
-	}
+	releaseTables(m.pins)
+	m.pins = m.pins[:0]
 	return nil
+}
+
+// recycle closes the merge and hands it back for region.snapshot. Only
+// the scan that owns it calls it, once it holds no view of a pair, and
+// then never touches it: a later Close would release another scan's pins.
+func (m *mergeIter) recycle() {
+	m.reset()
+	mergeIters.Put(m)
+}
+
+// reset closes the merge and drops every block, memtable entry and
+// table it points at, keeping its slices: a pooled merge pins nothing.
+func (m *mergeIter) reset() {
+	m.Close()
+	mems := m.mems[:cap(m.mems)]
+	for i := range mems {
+		clear(mems[i].entries[:cap(mems[i].entries)])
+		mems[i] = memSrc{entries: mems[i].entries[:0]}
+	}
+	clear(m.tables[:cap(m.tables)])
+	clear(m.pins[:cap(m.pins)])
+	clear(m.h[:cap(m.h)])
+	*m = mergeIter{mems: m.mems[:0], tables: m.tables[:0], pins: m.pins[:0], h: m.h[:0]}
 }

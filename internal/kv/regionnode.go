@@ -595,7 +595,7 @@ func (n *RegionNode) handleScan(ctx context.Context, payload []byte, w *rpc.Resp
 	// iterator's views until emit encodes them; the snapshot closes after
 	// the last emit.
 	it := sr.r.snapshot()
-	defer it.Close()
+	defer it.recycle()
 	var batch rpc.ScanBatch
 	var size int
 	kr := KeyRange{Start: req.Start, End: req.End, Zoned: req.Zoned, ZMin: req.ZMin, ZMax: req.ZMax}

@@ -228,3 +228,50 @@ func TestScanCollectWorkerSpansTasks(t *testing.T) {
 		})
 	}
 }
+
+// raceEnabled is set by race_test.go in -race builds, where sync.Pool
+// drops a random quarter of what it is handed.
+var raceEnabled bool
+
+// TestScanAllocsPerRange: a standalone scan pays per worker, not per
+// range. ScanCollect over 256 one-pair ranges allocates less than one
+// object more per extra range than over 16, because each task re-arms a
+// merge an earlier task recycled and a worker's tasks share one emit.
+// Ten of the keys are rewritten in the active memtable, so merges also
+// copy memtable entries. Under -race the pool's drops cost allocations,
+// so only the scan's result is checked there.
+func TestScanAllocsPerRange(t *testing.T) {
+	c := pipelineCluster(t, poolKeys)
+	var b WriteBatch
+	for i := 0; i < poolKeys; i += poolKeys / 10 {
+		b.Put([]byte(poolKey(i)), []byte("new"))
+	}
+	if err := c.ApplyCtx(bg, &b); err != nil {
+		t.Fatal(err)
+	}
+	ranges := poolRanges()
+	count := func() TaskCollector[int] {
+		n := 0
+		return TaskCollector[int]{
+			Add:    func(k, v []byte) (int, bool, error) { n++; return 0, false, nil },
+			Finish: func() (int, bool, error) { return n, true, nil },
+		}
+	}
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			got := 0
+			if err := ScanCollect(bg, c, ranges[:n], count, func(k int) bool { got += k; return true }); err != nil {
+				t.Fatal(err)
+			}
+			if got != n {
+				t.Fatalf("scan of %d one-pair ranges collected %d pairs", n, got)
+			}
+		})
+	}
+	small, large := allocs(16), allocs(256)
+	perRange := (large - small) / (256 - 16)
+	t.Logf("%.0f allocations at 16 ranges, %.0f at 256: %.3f per extra range", small, large, perRange)
+	if !raceEnabled && perRange >= 1 {
+		t.Fatalf("%.3f allocations per extra range, want < 1", perRange)
+	}
+}

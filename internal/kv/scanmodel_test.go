@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -100,16 +102,22 @@ func newScanFixture(tb testing.TB, dir string, seed int64) *scanFixture {
 	return fx
 }
 
-// scanRunCheck scans run through one snapshot and requires:
+// scanRunCheck scans run through one snapshot (see checkMergeRun).
+func scanRunCheck(tb testing.TB, fx *scanFixture, run []KeyRange) {
+	tb.Helper()
+	it := fx.r.snapshot()
+	defer it.Close()
+	checkMergeRun(tb, fx, it, run)
+}
+
+// checkMergeRun scans run through the merge it and requires:
 //   - the run yields what a fresh region.Scan of each range yields;
 //   - each range yields only live pairs of the model inside it, in key
 //     order, each once;
 //   - each range yields every live pair of the model inside it whose
 //     record time meets the range's zone (zones prune, they never hide).
-func scanRunCheck(tb testing.TB, fx *scanFixture, run []KeyRange) {
+func checkMergeRun(tb testing.TB, fx *scanFixture, it *mergeIter, run []KeyRange) {
 	tb.Helper()
-	it := fx.r.snapshot()
-	defer it.Close()
 	for ri, kr := range run {
 		var got, fresh []pair
 		it.seek(kr)
@@ -279,4 +287,130 @@ func FuzzScanRun(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		scanRunCheck(t, fx, decodeRun(data))
 	})
+}
+
+// TestRecycledMergeStaysExact re-arms one merge across a flush and a
+// full compaction, as region.snapshot re-arms a merge a scan recycled
+// (recycle is reset, then the pool). Reset must return every table's
+// reference count to its base and leave no block, memtable entry or
+// table in the merge; the tables it pinned must retire and close; and
+// the re-armed merge, over new tables and a new memtable, must still
+// match the model and a fresh region.Scan.
+func TestRecycledMergeStaysExact(t *testing.T) {
+	fx := newScanFixture(t, t.TempDir(), 5)
+	rng := rand.New(rand.NewSource(5))
+	refs := func(ts []*table) []int32 {
+		out := make([]int32, len(ts))
+		for i, tb := range ts {
+			out[i] = tb.refs.Load()
+		}
+		return out
+	}
+	// scan runs random runs and a whole-key-space one through it, which
+	// holds ts pinned once more than their base.
+	scan := func(it *mergeIter, ts []*table, base []int32) {
+		t.Helper()
+		for i := 0; i < 30; i++ {
+			checkMergeRun(t, fx, it, randomRun(rng))
+		}
+		checkMergeRun(t, fx, it, []KeyRange{{}})
+		for i, n := range refs(ts) {
+			if n != base[i]+1 {
+				t.Fatalf("table %d: %d references while the merge is armed, want %d", i, n, base[i]+1)
+			}
+		}
+		it.reset()
+		if got := refs(ts); !slices.Equal(got, base) {
+			t.Fatalf("after reset the tables hold %v references, want their base %v", got, base)
+		}
+		requireEmptyMerge(t, it)
+	}
+	write := func(n int) {
+		for j := 0; j < n; j++ {
+			k := modelKey(2 * rng.Intn(modelKeys/2))
+			if rng.Intn(4) == 0 {
+				if err := fx.r.Delete(k); err != nil {
+					t.Fatal(err)
+				}
+				delete(fx.model, string(k))
+				continue
+			}
+			v := zoneValue(rng.Int63n(2*modelKeys), 240)
+			if err := fx.r.Put(k, v); err != nil {
+				t.Fatal(err)
+			}
+			fx.model[string(k)] = v
+		}
+		fx.live = fx.live[:0]
+		for k := range fx.model {
+			fx.live = append(fx.live, k)
+		}
+		sort.Strings(fx.live)
+	}
+
+	first := slices.Clone(fx.r.tables)
+	base := refs(first)
+	it := fx.r.snapshot()
+	scan(it, first, base)
+
+	write(120)
+	pauseFlusher(fx.r, false)
+	if err := fx.r.flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fx.r.compact(); err != nil {
+		t.Fatal(err)
+	}
+	for i, tb := range first {
+		if slices.Contains(fx.r.tables, tb) || !tb.drop.Load() || tb.refs.Load() != 0 {
+			t.Fatalf("table %d of the first snapshot is live after flush and compaction (%d references)", i, tb.refs.Load())
+		}
+	}
+	write(80) // the re-armed merge has an active memtable to copy from
+
+	second := slices.Clone(fx.r.tables)
+	base = refs(second)
+	fx.r.rearm(it)
+	if len(it.mems) != 1 || len(it.tables) != len(second) {
+		t.Fatalf("re-armed merge holds %d memtables and %d tables, want 1 and %d", len(it.mems), len(it.tables), len(second))
+	}
+	scan(it, second, base)
+}
+
+// requireEmptyMerge fails unless m, reset, points at no block, memtable
+// entry or table, in any slot its kept slices can reach, and kept them.
+func requireEmptyMerge(t *testing.T, m *mergeIter) {
+	t.Helper()
+	if len(m.mems)+len(m.tables)+len(m.pins)+len(m.h) != 0 || cap(m.tables) == 0 || cap(m.pins) == 0 || cap(m.mems) == 0 || cap(m.h) == 0 {
+		t.Fatalf("reset left lengths %d/%d/%d/%d and capacities %d/%d/%d/%d (mems/tables/pins/heap), want 0 and kept",
+			len(m.mems), len(m.tables), len(m.pins), len(m.h), cap(m.mems), cap(m.tables), cap(m.pins), cap(m.h))
+	}
+	for i, s := range m.mems[:cap(m.mems)] {
+		if s.mem != nil || s.i != 0 || s.prio != 0 {
+			t.Fatalf("memtable slot %d still points at a memtable", i)
+		}
+		for j, e := range s.entries[:cap(s.entries)] {
+			if !reflect.ValueOf(e).IsZero() {
+				t.Fatalf("memtable slot %d still holds entry %d (%q)", i, j, e.key)
+			}
+		}
+	}
+	for i, s := range m.tables[:cap(m.tables)] {
+		if !reflect.ValueOf(s).IsZero() {
+			t.Fatalf("table slot %d still holds a table iterator", i)
+		}
+	}
+	for i, p := range m.pins[:cap(m.pins)] {
+		if p != nil {
+			t.Fatalf("pin slot %d still holds a table", i)
+		}
+	}
+	for i, s := range m.h[:cap(m.h)] {
+		if s != nil {
+			t.Fatalf("heap slot %d still holds a source", i)
+		}
+	}
+	if m.key != nil || m.value != nil || m.high != nil || m.err != nil || m.open || m.raw {
+		t.Fatal("reset left the merge's position or error")
+	}
 }

@@ -66,11 +66,9 @@ type Store interface {
 }
 
 // scanTask is one schedulable unit of a parallel scan: key sub-ranges
-// served by one region. The implementation fields match the Store that
-// produced the task.
+// served by one region. A *Cluster task is one range of the plan; a
+// *Router task is ascending sub-ranges of one cached region, each
+// starting at or after the previous one's end, shipped in one OpScan.
 type scanTask struct {
-	kr KeyRange // *Cluster: the one range
-	// run is *Router's: ascending sub-ranges of one cached region, each
-	// starting at or after the previous one's end, shipped in one OpScan.
 	run []KeyRange
 }

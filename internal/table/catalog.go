@@ -169,6 +169,10 @@ func (c *Catalog) Create(d *Desc) error {
 			return fmt.Errorf("%w: column %q: unknown compression %q (want gzip, zip or lz4)", ErrBadSchema, col.Name, col.Compress)
 		}
 	}
+	// A descriptor Open would reject must not take the name.
+	if _, err := resolve(d, c.store, c.cfg); err != nil {
+		return err
+	}
 	ctx := context.Background()
 	c.mu.Lock()
 	defer c.mu.Unlock()

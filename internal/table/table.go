@@ -69,6 +69,33 @@ type IndexConfig = index.Config
 // cluster, or a router over networked region servers) and reads the
 // table's span and statistics from its meta rows.
 func Open(d *Desc, cluster kv.Store, cfg IndexConfig) (*Table, error) {
+	t, err := resolve(d, cluster, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.loadMeta(context.Background()); err != nil {
+		return nil, err
+	}
+	// Every index copy stores the same encoded row, so one extractor
+	// serves all of the table's key prefixes: SSTables flushed or
+	// compacted from here on carry per-block [min,max] record-time zone
+	// maps, which time-windowed scans use to skip blocks before disk
+	// read and decompression.
+	if t.timeIdx >= 0 {
+		zfn := func(_, value []byte) (int64, int64, bool) {
+			return t.codec.DecodeTimeBounds(value, t.timeIdx, t.endIdx)
+		}
+		for _, id := range d.Indexes {
+			cluster.RegisterZoneExtractor(t.keyPrefix(id.ID), zfn)
+		}
+	}
+	return t, nil
+}
+
+// resolve builds the runtime of d's field roles and indexes, or says
+// why d cannot be opened; it reads and registers nothing, so
+// Catalog.Create runs it before it stores d.
+func resolve(d *Desc, cluster kv.Store, cfg IndexConfig) (*Table, error) {
 	t := &Table{Desc: d, codec: NewCodec(d.Columns), cluster: cluster}
 	schema := d.Schema()
 	t.fidIdx, t.geomIdx = schema.Index(d.FidColumn), schema.Index(d.GeomColumn)
@@ -94,22 +121,6 @@ func Open(d *Desc, cluster kv.Store, cfg IndexConfig) (*Table, error) {
 	}
 	if t.attr == nil {
 		return nil, fmt.Errorf("%w: table %s missing attr index", ErrBadSchema, d.Name)
-	}
-	if err := t.loadMeta(context.Background()); err != nil {
-		return nil, err
-	}
-	// Every index copy stores the same encoded row, so one extractor
-	// serves all of the table's key prefixes: SSTables flushed or
-	// compacted from here on carry per-block [min,max] record-time zone
-	// maps, which time-windowed scans use to skip blocks before disk
-	// read and decompression.
-	if t.timeIdx >= 0 {
-		zfn := func(_, value []byte) (int64, int64, bool) {
-			return t.codec.DecodeTimeBounds(value, t.timeIdx, t.endIdx)
-		}
-		for _, id := range d.Indexes {
-			cluster.RegisterZoneExtractor(t.keyPrefix(id.ID), zfn)
-		}
 	}
 	return t, nil
 }

@@ -94,6 +94,40 @@ func TestCatalogValidation(t *testing.T) {
 	}
 }
 
+// TestCreateRejectsWhatOpenRejects: a descriptor Open refuses (here,
+// indexes without attr) fails at CREATE and does not take its name, so
+// a valid CREATE of the same name succeeds and opens.
+func TestCreateRejectsWhatOpenRejects(t *testing.T) {
+	cluster, err := kv.OpenCluster(t.TempDir(), kv.ClusterOptions{Options: kv.Options{DisableWAL: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	c := NewCatalog(cluster, IndexConfig{})
+	desc := func(idx ...IndexDesc) *Desc {
+		return &Desc{
+			Name: "pts", Kind: KindCommon,
+			Columns:   []Column{{Name: "fid", Type: exec.TypeInt, PrimaryKey: true}, {Name: "geom", Type: exec.TypeGeometry}},
+			Indexes:   idx,
+			FidColumn: "fid", GeomColumn: "geom",
+		}
+	}
+	for _, bad := range []*Desc{
+		desc(IndexDesc{Strategy: "z2", ID: 1}),
+		desc(IndexDesc{Strategy: "attr", ID: 0}, IndexDesc{Strategy: "nope", ID: 1}),
+	} {
+		if err := c.Create(bad); err == nil {
+			t.Fatalf("CREATE with indexes %v succeeded", bad.Indexes)
+		}
+	}
+	if err := c.Create(desc(IndexDesc{Strategy: "attr", ID: 0}, IndexDesc{Strategy: "z2", ID: 1})); err != nil {
+		t.Fatalf("valid CREATE after rejected ones: %v", err)
+	}
+	if _, err := c.Open("", "pts"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCatalogStats checks the span a table keeps in its meta rows:
 // widened by each batch, and read back by a fresh Open, which then
 // plans every row.
