@@ -71,3 +71,32 @@ func (t *table) iter(r KeyRange) *tableIter {
 	it.seek(r, false)
 	return it
 }
+
+// get returns a cached block's bytes to a caller that may keep them.
+func (c *blockCache) get(table uint64, block int) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.items[cacheKey{table, block}]
+	if !ok || e.state.Load() == entryLoading {
+		return nil, false
+	}
+	e.escaped = true
+	c.ll.moveToFront(e)
+	return e.data, true
+}
+
+// put caches a loaded block that callers may keep. data
+// must be the decompressed buffer, so used tracks resident memory, not
+// the smaller on-disk size.
+func (c *blockCache) put(table uint64, block int, data []byte) {
+	e, state := c.acquire(table, block, true)
+	if state == cacheMiss {
+		e.data = data
+		c.loaded(e, true)
+	}
+	c.release(e)
+}
+
+// Len returns the number of cached blocks; the caller holds the
+// cache's lock.
+func (l *lru) Len() int { return l.len }

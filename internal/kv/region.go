@@ -864,7 +864,7 @@ func (r *region) merge(tier bool) error {
 	for _, t := range tables {
 		n += int(t.count)
 	}
-	it := &mergeIter{raw: true}
+	it := &mergeIter{raw: true, escape: true}
 	it.arm(tables)
 	it.seek(KeyRange{})
 	tw, err := newTableWriter(r.fs, filepath.Join(r.dir, name), r.opts.blockCodec(), r.opts.ZoneExtractor, n)
@@ -980,11 +980,13 @@ func (r *region) rearm(m *mergeIter) {
 }
 
 // Scan returns an iterator over live pairs in the range: a one-range
-// run of a snapshot.
+// run of a snapshot whose pairs stay valid after Close.
 func (r *region) Scan(kr KeyRange) Iterator {
-	it := r.snapshot()
-	it.seek(kr)
-	return it
+	m := mergeIters.Get().(*mergeIter)
+	m.escape = true
+	r.rearm(m)
+	m.seek(kr)
+	return m
 }
 
 // immCount reports the flush-queue depth (frozen memtables pending).
@@ -1062,6 +1064,12 @@ type mergeIter struct {
 	knd  kind
 	raw  bool     // emit tombstones and shadowed versions' winners too
 	pins []*table // the tables region.snapshot pinned, oldest first; released on Close
+
+	// escape: the caller may keep pairs past the next nextRaw, and past
+	// Close (region.Scan, compaction), so no block it reads is ever
+	// recycled. Otherwise a pair is valid until the next nextRaw, and
+	// the merge holds the blocks it reads until then (see tableIter).
+	escape bool
 }
 
 // mergeIters holds merges that scans handed back (see recycle).
@@ -1133,7 +1141,7 @@ func (m *mergeIter) arm(tables []*table) {
 		// the skipped block, so the tables older than t veto a skip
 		// over their key span. Memtables and later tables are always
 		// newer and never need a veto.
-		m.tables = append(m.tables, tableIter{t: t, bi: -1, older: tables[:i]})
+		m.tables = append(m.tables, tableIter{t: t, bi: -1, older: tables[:i], escape: m.escape})
 	}
 }
 
@@ -1226,8 +1234,11 @@ func (m *mergeIter) Value() []byte { return m.value }
 func (m *mergeIter) kind() kind    { return m.knd }
 func (m *mergeIter) Err() error    { return m.err }
 
-// Close releases the iterator's table pins; it is idempotent.
+// Close releases the iterator's blocks and table pins; it is idempotent.
 func (m *mergeIter) Close() error {
+	for i := range m.tables {
+		m.tables[i].release()
+	}
 	releaseTables(m.pins)
 	m.pins = m.pins[:0]
 	return nil

@@ -3,6 +3,7 @@ package kv
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -569,19 +570,20 @@ func (n *RegionNode) handleScan(ctx context.Context, payload []byte, w *rpc.Resp
 	// this region's store while the scan walks it, it queues behind the
 	// scan instead (writes keep flowing — they also use read locks).
 	defer sr.mu.RUnlock()
-	// emit flushes one batch, bailing out when the caller's propagated
+	// emit sends one frame, bailing out when the caller's propagated
 	// deadline expired (a terminal CodeDeadline ends the stream and
 	// errScanDone stops the walk) or the client canceled the stream —
 	// either way the consumer is gone, so the scan stops instead of
 	// walking the rest of the region into a dead connection.
-	emit := func(batch *rpc.ScanBatch) error {
+	var frame scanFrame
+	emit := func() error {
 		if n.expired(ctx) {
 			if err := sendKVErr(w, ctx.Err()); err != nil {
 				return err
 			}
 			return errScanDone
 		}
-		if err := w.Send(rpc.OpScanBatch, batch.Append(nil)); err != nil {
+		if err := w.Send(rpc.OpScanBatch, frame.payload()); err != nil {
 			if errors.Is(err, rpc.ErrStreamCanceled) {
 				atomic.AddInt64(&n.met.ScanCancels, 1)
 			}
@@ -590,29 +592,23 @@ func (n *RegionNode) handleScan(ctx context.Context, payload []byte, w *rpc.Resp
 		return nil
 	}
 	// The run's ranges are walked in order by one merge over one region
-	// snapshot, and a batch fills across their boundaries, so a run of
-	// ranges costs the frames of one range. The batch holds the
-	// iterator's views until emit encodes them; the snapshot closes after
-	// the last emit.
+	// snapshot, and a frame fills across their boundaries, so a run of
+	// ranges costs the frames of one range. Each pair is encoded into the
+	// frame as the merge yields it: the merge's views last only until it
+	// moves on.
 	it := sr.r.snapshot()
 	defer it.recycle()
-	var batch rpc.ScanBatch
-	var size int
 	kr := KeyRange{Start: req.Start, End: req.End, Zoned: req.Zoned, ZMin: req.ZMin, ZMax: req.ZMax}
 	for i := 0; ; i++ {
 		it.seek(kr)
 		for it.Next() {
-			batch.Keys = append(batch.Keys, it.Key())
-			batch.Vals = append(batch.Vals, it.Value())
-			size += len(it.Key()) + len(it.Value())
-			if len(batch.Keys) >= scanBatchSize || size >= reseedChunkBytes {
-				if err := emit(&batch); err != nil {
+			if frame.add(it.Key(), it.Value()) {
+				if err := emit(); err != nil {
 					if errors.Is(err, errScanDone) {
 						return nil
 					}
 					return err
 				}
-				batch.Keys, batch.Vals, size = batch.Keys[:0], batch.Vals[:0], 0
 			}
 		}
 		if err := it.Err(); err != nil {
@@ -623,8 +619,8 @@ func (n *RegionNode) handleScan(ctx context.Context, payload []byte, w *rpc.Resp
 		}
 		kr.Start, kr.End = req.More[i].Start, req.More[i].End
 	}
-	if len(batch.Keys) > 0 {
-		if err := emit(&batch); err != nil {
+	if frame.pairs > 0 {
+		if err := emit(); err != nil {
 			if errors.Is(err, errScanDone) {
 				return nil
 			}
@@ -632,6 +628,45 @@ func (n *RegionNode) handleScan(ctx context.Context, payload []byte, w *rpc.Resp
 		}
 	}
 	return w.Send(rpc.OpScanEnd, nil)
+}
+
+// scanFrame builds an OpScanBatch payload pair by pair, in the bytes
+// rpc.ScanBatch.Append writes: the pair count, then each key and value
+// with its length. The count leads but is known only at the end, so
+// room for its varint is kept in front of the pairs, and payload writes
+// it into the tail of that room.
+type scanFrame struct {
+	buf   []byte // frameCountRoom bytes of room, then the pairs
+	pairs int
+	size  int // key and value bytes in the frame
+}
+
+const frameCountRoom = binary.MaxVarintLen64
+
+// add encodes a pair into the frame and reports whether the frame is
+// full: scanBatchSize pairs, or reseedChunkBytes of keys and values.
+func (f *scanFrame) add(k, v []byte) bool {
+	if f.buf == nil {
+		f.buf = make([]byte, frameCountRoom, 4<<10)
+	}
+	f.buf = binary.AppendUvarint(f.buf, uint64(len(k)))
+	f.buf = append(f.buf, k...)
+	f.buf = binary.AppendUvarint(f.buf, uint64(len(v)))
+	f.buf = append(f.buf, v...)
+	f.pairs++
+	f.size += len(k) + len(v)
+	return f.pairs >= scanBatchSize || f.size >= reseedChunkBytes
+}
+
+// payload returns the frame's bytes and empties it. They are valid
+// until the next add.
+func (f *scanFrame) payload() []byte {
+	var count [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(count[:], uint64(f.pairs))
+	p := f.buf[frameCountRoom-n:]
+	copy(p, count[:n])
+	f.buf, f.pairs, f.size = f.buf[:frameCountRoom], 0, 0
+	return p
 }
 
 func (n *RegionNode) handleShip(payload []byte, w *rpc.ResponseWriter) error {

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -630,61 +631,105 @@ func (t *table) readBlockRaw(i int, buf []byte) ([]byte, error) {
 }
 
 // blockBufs holds the buffers compressed blocks are read into: only the
-// inflated copy outlives loadBlock.
+// inflated copy outlives readBlock.
 var blockBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // loadBlock returns the decompressed contents of block i, via the
-// cache. On a cache miss the disk bytes are checksum-verified before
-// they are decompressed or decoded.
-func (t *table) loadBlock(i int) ([]byte, error) {
-	if t.cache != nil {
-		if b, ok := t.cache.get(t.id, i); ok {
-			if t.metrics != nil {
-				atomic.AddInt64(&t.metrics.BlockCacheHits, 1)
+// cache, and the cache entry that holds them with a reference taken for
+// the caller to release once it holds no view of them (nil without a
+// cache). escape says the caller may keep views past that point: the
+// entry is then marked so that its buffer is never recycled, and no
+// reference is left to release. Concurrent misses of one block read it
+// once: the other readers wait for that load and count as hits.
+func (t *table) loadBlock(i int, escape bool) ([]byte, *cacheEntry, error) {
+	c := t.cache
+	if c == nil {
+		data, err := t.readBlock(i, nil)
+		return data, nil, err
+	}
+	for {
+		e, state := c.acquire(t.id, i, escape)
+		switch state {
+		case cacheWait:
+			// A load is a page-cache read and a decompression, a few
+			// microseconds: less than a parked goroutine waits to be
+			// woken, so the waiter yields instead of parking. (Parking
+			// on a WaitGroup doubled order_st's p95 on a 2-vCPU host.)
+			for e.state.Load() == entryLoading {
+				runtime.Gosched()
 			}
-			return b, nil
+			if e.state.Load() == entryFailed {
+				// Each reader of a block that fails to load meets the
+				// failure itself, as without the cache: its own read, its
+				// own error, its own count of the corruption.
+				c.release(e)
+				continue
+			}
+		case cacheMiss:
+			if t.metrics != nil {
+				atomic.AddInt64(&t.metrics.BlockCacheMisses, 1)
+			}
+			var err error
+			e.data, err = t.readBlock(i, e.data)
+			c.loaded(e, err == nil)
+			if err != nil {
+				c.release(e)
+				return nil, nil, err
+			}
 		}
-		if t.metrics != nil {
-			atomic.AddInt64(&t.metrics.BlockCacheMisses, 1)
+		if state != cacheMiss && t.metrics != nil {
+			atomic.AddInt64(&t.metrics.BlockCacheHits, 1)
 		}
+		if escape {
+			data := e.data
+			c.release(e)
+			return data, nil, nil
+		}
+		return e.data, e, nil
 	}
+}
+
+// readBlock reads block i from disk into dst, grown if short: the disk
+// bytes are checksum-verified before they are decompressed or decoded.
+func (t *table) readBlock(i int, dst []byte) ([]byte, error) {
 	h := t.index[i]
-	var disk []byte // an uncompressed block's disk bytes are the block
-	if h.codec != blockCodecNone {
-		pooled := blockBufs.Get().(*[]byte)
-		defer func() { *pooled = disk; blockBufs.Put(pooled) }()
-		disk = *pooled
+	if h.codec == blockCodecNone { // an uncompressed block's disk bytes are the block
+		dst, err := t.readBlockRaw(i, dst)
+		if err == nil {
+			t.countRead(h.length)
+		}
+		return dst, err
 	}
-	disk, err := t.readBlockRaw(i, disk)
+	pooled := blockBufs.Get().(*[]byte)
+	disk, err := t.readBlockRaw(i, *pooled)
+	defer func() { *pooled = disk; blockBufs.Put(pooled) }()
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	if t.metrics != nil {
-		atomic.AddInt64(&t.metrics.BytesRead, int64(h.length))
-		atomic.AddInt64(&t.metrics.BlocksRead, 1)
-	}
-	buf := disk
+	t.countRead(h.length)
+	dst = slices.Grow(dst[:0], int(h.rawLen))[:h.rawLen]
 	switch h.codec {
-	case blockCodecNone:
 	case blockCodecGzip:
-		buf = make([]byte, h.rawLen)
-		if err := compress.DecompressGzipLen(buf, disk); err != nil {
-			return nil, t.corruptBlock(i)
-		}
+		err = compress.DecompressGzipLen(dst, disk)
 	case blockCodecLZ4:
-		buf = make([]byte, h.rawLen)
-		if err := compress.DecompressLZ4(buf, disk); err != nil {
-			return nil, t.corruptBlock(i)
-		}
+		err = compress.DecompressLZ4(dst, disk)
 	default:
 		// A codec id this build does not know: surface it as corruption
 		// rather than serving compressed bytes as data.
-		return nil, t.corruptBlock(i)
+		return dst, t.corruptBlock(i)
 	}
-	if t.cache != nil {
-		t.cache.put(t.id, i, buf)
+	if err != nil {
+		return dst, t.corruptBlock(i)
 	}
-	return buf, nil
+	return dst, nil
+}
+
+// countRead counts one data block read from disk.
+func (t *table) countRead(length uint32) {
+	if t.metrics != nil {
+		atomic.AddInt64(&t.metrics.BytesRead, int64(length))
+		atomic.AddInt64(&t.metrics.BlocksRead, 1)
+	}
 }
 
 // corruptBlock reports block i as corrupt: its checksum matched but its
@@ -736,7 +781,7 @@ func (t *table) get(key []byte) (value []byte, k kind, ok bool, err error) {
 	if bi < 0 {
 		return nil, 0, false, nil
 	}
-	block, err := t.loadBlock(bi)
+	block, _, err := t.loadBlock(bi, true) // the value returned is the caller's to keep
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -818,6 +863,14 @@ type tableIter struct {
 	// version of its keys, and an older table overlapping the block's
 	// key span could then surface a stale version. nil for a lone table.
 	older []*table
+
+	// escape: the iterator's views may outlive it (see loadBlock), so it
+	// holds no block. Otherwise held references the block in block, and
+	// prev the one before it: a merge hands out its winner's entry and
+	// then advances the winner, which may load the next block, so the
+	// entry handed out stays valid until the load after that.
+	escape     bool
+	held, prev *cacheEntry
 }
 
 // seek moves the iterator to range r. forward promises that r starts at
@@ -904,11 +957,13 @@ func (it *tableIter) Next() bool {
 			it.done = true
 			return false
 		}
-		data, err := it.t.loadBlock(next)
+		data, e, err := it.t.loadBlock(next, it.escape)
 		if err != nil {
 			it.err = err
 			return false
 		}
+		it.t.cache.release(it.prev)
+		it.prev, it.held = it.held, e
 		it.bi, it.block = next, blockIter{data: data}
 	}
 	return false
@@ -920,6 +975,13 @@ func (it *tableIter) entryKind() kind {
 	return it.block.kind
 }
 func (it *tableIter) Err() error { return it.err }
+
+// release gives back the blocks the iterator holds.
+func (it *tableIter) release() {
+	it.t.cache.release(it.held)
+	it.t.cache.release(it.prev)
+	it.held, it.prev = nil, nil
+}
 
 // priority ranks the iterator in its merge: later tables are newer.
 func (it *tableIter) priority() int { return len(it.older) }
