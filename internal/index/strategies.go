@@ -143,6 +143,14 @@ func (s *curveStrategy) Plan(q Query, span Span) Plan {
 	return p
 }
 
+// PartitionLen is the length of s's keys' shard ∥ period prefix, or 0.
+func PartitionLen(s Strategy) int {
+	if c, ok := s.(*curveStrategy); ok && c.periodic {
+		return 1 + 4 // shard u8, period u32
+	}
+	return 0
+}
+
 // AttrStrategy indexes records by their id for point lookups and id-range
 // scans ("attribute indexing" in Fig. 1; JUST uses it for primary keys).
 type AttrStrategy struct{}

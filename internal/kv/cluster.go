@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,11 +39,9 @@ type Cluster struct {
 	slots  chan struct{}
 	closed atomic.Bool
 
-	// Zone-extractor registry: the table layer registers one extractor
-	// per key prefix (table × index); flushes and compactions dispatch
-	// through zoneFor to stamp per-block zone maps into SSTable indexes.
-	zoneMu   sync.RWMutex
-	zoneExts []zoneEntry
+	// fams are the key families the table layer registered, one per
+	// table × index prefix.
+	fams registry
 
 	// Scrub state (see scrub.go).
 	scrubMu         sync.Mutex // held by a pass; Close takes it to wait one out
@@ -83,10 +82,9 @@ func OpenCluster(dir string, opts ClusterOptions) (*Cluster, error) {
 		scrubKey: "scrub:" + dir,
 		stop:     make(chan struct{}),
 	}
-	// The region writes SSTables through the cluster's prefix
-	// dispatcher, so extractors registered after open still cover data
-	// flushed later (zone maps are stamped at flush/compaction time).
-	ropts.ZoneExtractor = c.zoneFor
+	// The region builds SSTables from the cluster's registry, so families
+	// registered after open still cover data flushed later.
+	ropts.families = &c.fams
 	// All maintenance runs through one scheduler; the region opened
 	// below inherits it through ropts.
 	if c.jobs = ropts.Jobs; c.jobs == nil {
@@ -107,49 +105,48 @@ func OpenCluster(dir string, opts ClusterOptions) (*Cluster, error) {
 	return c, nil
 }
 
-// zoneEntry binds a key prefix to the zone extractor for its table/index.
-type zoneEntry struct {
-	prefix []byte
-	fn     ZoneExtractor
+// KeyFamily is what the table layer registers for the keys under one
+// prefix (a table's index); SSTables built while it is registered use it.
+type KeyFamily struct {
+	// Zone derives each pair's record-time zone for the block zone maps.
+	Zone ZoneExtractor
+	// PrefixLen, when longer than the prefix, is the length of the
+	// table ∥ index ∥ shard ∥ period prefix each SSTable summarises.
+	PrefixLen int
+
+	prefix []byte // the prefix it is registered under
 }
 
-// RegisterZoneExtractor installs fn as the zone extractor for keys
-// starting with prefix, replacing any extractor previously registered
-// under the same prefix. SSTables written afterwards (flush or
-// compaction) carry per-block zone maps for those keys; existing
-// tables are upgraded as compaction rewrites them. Passing a nil fn
-// unregisters the prefix.
-func (c *Cluster) RegisterZoneExtractor(prefix []byte, fn ZoneExtractor) {
-	c.zoneMu.Lock()
-	defer c.zoneMu.Unlock()
-	for i := range c.zoneExts {
-		if bytes.Equal(c.zoneExts[i].prefix, prefix) {
-			if fn == nil {
-				c.zoneExts = append(c.zoneExts[:i], c.zoneExts[i+1:]...)
-			} else {
-				c.zoneExts[i].fn = fn
-			}
-			return
-		}
-	}
-	if fn == nil {
-		return
-	}
-	c.zoneExts = append(c.zoneExts, zoneEntry{append([]byte(nil), prefix...), fn})
+// registry holds a store's key families. register swaps in a new slice,
+// so a table build reads one snapshot of them with no lock.
+type registry struct {
+	mu   sync.Mutex
+	fams atomic.Pointer[[]KeyFamily]
 }
 
-// zoneFor dispatches zone extraction by key prefix; keys under no
-// registered prefix get no zone (their blocks are never skipped).
-func (c *Cluster) zoneFor(key, value []byte) (int64, int64, bool) {
-	c.zoneMu.RLock()
-	defer c.zoneMu.RUnlock()
-	for _, e := range c.zoneExts {
-		if bytes.HasPrefix(key, e.prefix) {
-			return e.fn(key, value)
-		}
+// register replaces the family under prefix with f; a zero f removes it.
+func (g *registry) register(prefix []byte, f KeyFamily) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	fams := slices.DeleteFunc(slices.Clone(g.snapshot()), func(e KeyFamily) bool { return bytes.Equal(e.prefix, prefix) })
+	if f.Zone != nil || f.PrefixLen > 0 {
+		f.prefix = bytes.Clone(prefix)
+		fams = append(fams, f)
 	}
-	return 0, 0, false
+	g.fams.Store(&fams)
 }
+
+// snapshot returns the families registered now; none for a nil registry.
+func (g *registry) snapshot() []KeyFamily {
+	if g == nil || g.fams.Load() == nil {
+		return nil
+	}
+	return *g.fams.Load()
+}
+
+// RegisterKeyFamily installs f for the keys starting with prefix (a zero
+// f unregisters it); each flush and merge reads the families once.
+func (c *Cluster) RegisterKeyFamily(prefix []byte, f KeyFamily) { c.fams.register(prefix, f) }
 
 // ready is the prologue of every operation: an expired context or a
 // closed cluster fails before any region is touched. The in-process
@@ -481,10 +478,13 @@ func (c *Cluster) DiskSize() int64 { return c.r.DiskSize() }
 func (c *Cluster) Regions() int { return 1 }
 
 // Metrics returns a snapshot of cumulative storage metrics (plus the
-// instantaneous flush-queue depth gauge).
+// instantaneous flush-queue depth and table-count gauges).
 func (c *Cluster) Metrics() Metrics {
 	m := c.met.snapshot()
 	m.FlushQueueDepth = int64(c.r.immCount())
+	c.r.mu.RLock()
+	m.Tables = int64(len(c.r.tables))
+	c.r.mu.RUnlock()
 	return m
 }
 

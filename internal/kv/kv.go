@@ -149,6 +149,7 @@ type Metrics struct {
 	BytesRead        int64 `json:"bytes_read"`    // bytes read from SSTables (compressed size)
 	BlocksRead       int64 `json:"blocks_read"`   // data blocks fetched from disk
 	BlockCacheHits   int64 `json:"block_cache_hits"`
+	BlocksTouched    int64 `json:"blocks_touched"` // blocks query scans loaded, hit or miss
 	BlockCacheMisses int64 `json:"block_cache_misses"`
 	BloomNegatives   int64 `json:"bloom_negatives"` // gets short-circuited by the bloom filter
 	Flushes          int64 `json:"flushes"`
@@ -164,6 +165,11 @@ type Metrics struct {
 	// batches ScanCollect delivered (the column batches of table scans).
 	BlocksSkipped  int64 `json:"blocks_skipped"`
 	BatchesDecoded int64 `json:"batches_decoded"`
+
+	// TablesSkipped table × range seeks a prefix summary proved empty;
+	// Tables, a gauge, the SSTables held.
+	TablesSkipped int64 `json:"tables_skipped"`
+	Tables        int64 `json:"tables"`
 
 	// Write path counters (Cluster.ApplyCtx / the background flusher):
 	// GroupCommits region-level batch applies covering

@@ -44,12 +44,9 @@ type Options struct {
 	// DisableWAL skips write-ahead logging (bulk loads that can be
 	// replayed from source, as in the paper's batch ingestion).
 	DisableWAL bool
-	// ZoneExtractor, when set, derives a [min, max] record-time zone
-	// from each stored pair at SSTable build time; blocks whose every
-	// entry yields a zone get a zone map in the block index, letting
-	// time-bounded scans prune them before disk read. The cluster layer
-	// installs its prefix-dispatching registry here.
-	ZoneExtractor ZoneExtractor
+	// families, when set, are the key families each SSTable build
+	// snapshots: the Cluster installs its registry here.
+	families *registry
 	// FS is the filesystem the store runs on. nil means the real
 	// filesystem (or, when JUST_FAULT_READ_PROB is set, the real
 	// filesystem under a global transient-read fault injector); tests
@@ -752,7 +749,7 @@ func (r *region) flushImm(im *immMem) error {
 	name := fmt.Sprintf("sst-%06d.sst", r.sstSeq)
 	r.mu.Unlock()
 
-	tw, err := newTableWriter(r.fs, filepath.Join(r.dir, name), r.opts.blockCodec(), r.opts.ZoneExtractor, im.mem.count)
+	tw, err := newTableWriter(r.fs, filepath.Join(r.dir, name), r.opts.blockCodec(), r.opts.families.snapshot(), im.mem.count)
 	if err != nil {
 		return err
 	}
@@ -867,7 +864,7 @@ func (r *region) merge(tier bool) error {
 	it := &mergeIter{raw: true, escape: true}
 	it.arm(tables)
 	it.seek(KeyRange{})
-	tw, err := newTableWriter(r.fs, filepath.Join(r.dir, name), r.opts.blockCodec(), r.opts.ZoneExtractor, n)
+	tw, err := newTableWriter(r.fs, filepath.Join(r.dir, name), r.opts.blockCodec(), r.opts.families.snapshot(), n)
 	if err != nil {
 		return err
 	}
@@ -1170,9 +1167,10 @@ func (m *mergeIter) seek(kr KeyRange) {
 	}
 	for i := range m.tables {
 		s := &m.tables[i]
-		// Skip tables whose key span misses the range entirely.
+		// Skip tables whose key span misses the range entirely, and those
+		// whose prefix summary proves they hold none of its keys.
 		if len(s.t.index) == 0 || (kr.Start != nil && bytes.Compare(s.t.lastKey, kr.Start) < 0) ||
-			(kr.End != nil && bytes.Compare(s.t.firstKey(), kr.End) >= 0) {
+			(kr.End != nil && bytes.Compare(s.t.firstKey(), kr.End) >= 0) || s.t.lacks(kr) {
 			continue
 		}
 		s.seek(kr, forward)

@@ -1034,10 +1034,10 @@ func (r *Router) Metrics() Metrics {
 	return out
 }
 
-// RegisterZoneExtractor is a no-op: extractors are Go functions and
-// cannot be pushed to remote region servers. Zone pruning is an
-// optimization; scans stay correct without it.
-func (r *Router) RegisterZoneExtractor(prefix []byte, fn ZoneExtractor) {}
+// RegisterKeyFamily is a no-op: extractors are Go functions that cannot
+// be pushed to remote region servers, and the prefix length waits for a
+// row format the region knows. Scans stay correct without them.
+func (r *Router) RegisterKeyFamily(prefix []byte, f KeyFamily) {}
 
 // Close stops the background loop and the owned transport. The region
 // servers keep running — they are separate processes.

@@ -238,11 +238,26 @@ var raceEnabled bool
 // object more per extra range than over 16, because each task re-arms a
 // merge an earlier task recycled and a worker's tasks share one emit.
 // Ten of the keys are rewritten in the active memtable, so merges also
-// copy memtable entries. Under -race the pool's drops cost allocations,
-// so only the scan's result is checked there.
+// copy memtable entries, and 120 in a summarised table that holds the
+// first and last of the ten prefixes, so each range also runs the
+// summary check and most pass the table over. Under -race the pool's drops cost
+// allocations, so only the scan's result is checked there.
 func TestScanAllocsPerRange(t *testing.T) {
 	c := pipelineCluster(t, poolKeys)
+	c.RegisterKeyFamily(nil, KeyFamily{PrefixLen: len("0-")})
 	var b WriteBatch
+	for i := 0; i < poolKeys; i++ {
+		if i%10 == 0 || i%10 == 9 {
+			b.Put([]byte(poolKey(i)), []byte("summarised"))
+		}
+	}
+	if err := c.ApplyCtx(bg, &b); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	b.Reset()
 	for i := 0; i < poolKeys; i += poolKeys / 10 {
 		b.Put([]byte(poolKey(i)), []byte("new"))
 	}
@@ -268,7 +283,12 @@ func TestScanAllocsPerRange(t *testing.T) {
 			}
 		})
 	}
+	m0 := c.Metrics()
 	small, large := allocs(16), allocs(256)
+	if m := c.Metrics(); m.TablesSkipped == m0.TablesSkipped || m.BlocksTouched == m0.BlocksTouched || m.Tables != 2 {
+		t.Fatalf("tables_skipped +%d, blocks_touched +%d, tables %d: want the summarised table passed over, blocks counted, 2 tables",
+			m.TablesSkipped-m0.TablesSkipped, m.BlocksTouched-m0.BlocksTouched, m.Tables)
+	}
 	perRange := (large - small) / (256 - 16)
 	t.Logf("%.0f allocations at 16 ranges, %.0f at 256: %.3f per extra range", small, large, perRange)
 	if !raceEnabled && perRange >= 1 {

@@ -38,68 +38,122 @@ type scanFixture struct {
 // those skips. The rest is random puts and deletes.
 func newScanFixture(tb testing.TB, dir string, seed int64) *scanFixture {
 	tb.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	opts := Options{ZoneExtractor: testZoneExtractor, FlushQueue: 100, MaxTables: 100}.withDefaults()
+	fx, b := openScanFixture(tb, dir, seed, registryOf(nil, KeyFamily{Zone: testZoneExtractor}))
+	for i := 0; i < modelKeys; i += 2 {
+		b.put(i, int64(i))
+	}
+	b.flush()
+	lo := 2 * b.rng.Intn(modelKeys/4)
+	for i := lo; i < lo+modelKeys/4; i += 2 {
+		b.put(i, int64(100*modelKeys+i))
+	}
+	b.random(40)
+	b.flush()
+	b.random(150)
+	b.flush()
+	b.finish(3)
+	return fx
+}
+
+// summaryPrefixLen is the prefix length of the summary fixture's family:
+// "k" and the first three digits, so each hundred keys share a prefix.
+const summaryPrefixLen = 4
+
+// newSummaryFixture builds a fixture whose key family carries a prefix
+// length, so every table has a prefix summary. Three tables hold every
+// third hundred keys each: their key spans overlap, their prefixes do
+// not, so most ranges within a hundred pass over two of them. A fourth
+// table holds tombstones, under the first hundred (which only it and
+// the oldest table hold) only tombstones, then random puts and deletes.
+func newSummaryFixture(tb testing.TB, dir string, seed int64) *scanFixture {
+	tb.Helper()
+	fam := KeyFamily{Zone: testZoneExtractor, PrefixLen: summaryPrefixLen}
+	fx, b := openScanFixture(tb, dir, seed, registryOf([]byte("k"), fam))
+	for part := 0; part < 3; part++ {
+		for i := 0; i < modelKeys; i += 2 {
+			if (i/100)%3 == part {
+				b.put(i, int64(i))
+			}
+		}
+		b.flush()
+	}
+	for i := 0; i < 100; i += 4 {
+		b.del(i)
+	}
+	b.flush()
+	b.finish(4)
+	return fx
+}
+
+// fixtureBuilder writes a fixture's region and its model together.
+type fixtureBuilder struct {
+	tb  testing.TB
+	fx  *scanFixture
+	rng *rand.Rand
+}
+
+// openScanFixture opens an empty fixture region over fams.
+func openScanFixture(tb testing.TB, dir string, seed int64, fams *registry) (*scanFixture, *fixtureBuilder) {
+	opts := Options{families: fams, FlushQueue: 100, MaxTables: 100}.withDefaults()
 	r, err := openRegion(0, dir, opts, newBlockCache(1<<20), &Metrics{})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { r.Close() })
 	fx := &scanFixture{r: r, model: map[string][]byte{}}
-	put := func(i int, t int64) {
-		v := zoneValue(t, 240)
-		if err := r.Put(modelKey(i), v); err != nil {
-			tb.Fatal(err)
+	return fx, &fixtureBuilder{tb: tb, fx: fx, rng: rand.New(rand.NewSource(seed))}
+}
+
+func (b *fixtureBuilder) put(i int, t int64) {
+	v := zoneValue(t, 240)
+	if err := b.fx.r.Put(modelKey(i), v); err != nil {
+		b.tb.Fatal(err)
+	}
+	b.fx.model[string(modelKey(i))] = v
+}
+
+func (b *fixtureBuilder) del(i int) {
+	if err := b.fx.r.Delete(modelKey(i)); err != nil {
+		b.tb.Fatal(err)
+	}
+	delete(b.fx.model, string(modelKey(i)))
+}
+
+// random writes n puts and deletes of random stored keys.
+func (b *fixtureBuilder) random(n int) {
+	for j := 0; j < n; j++ {
+		i := 2 * b.rng.Intn(modelKeys/2)
+		if b.rng.Intn(4) == 0 {
+			b.del(i)
+		} else {
+			b.put(i, b.rng.Int63n(2*modelKeys))
 		}
-		fx.model[string(modelKey(i))] = v
 	}
-	del := func(i int) {
-		if err := r.Delete(modelKey(i)); err != nil {
-			tb.Fatal(err)
-		}
-		delete(fx.model, string(modelKey(i)))
+}
+
+func (b *fixtureBuilder) flush() {
+	if err := b.fx.r.flush(); err != nil {
+		b.tb.Fatal(err)
 	}
-	random := func(n int) {
-		for j := 0; j < n; j++ {
-			i := 2 * rng.Intn(modelKeys/2)
-			if rng.Intn(4) == 0 {
-				del(i)
-			} else {
-				put(i, rng.Int63n(2*modelKeys))
-			}
-		}
-	}
-	flush := func() {
-		if err := r.flush(); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	for i := 0; i < modelKeys; i += 2 {
-		put(i, int64(i))
-	}
-	flush()
-	lo := 2 * rng.Intn(modelKeys/4)
-	for i := lo; i < lo+modelKeys/4; i += 2 {
-		put(i, int64(100*modelKeys+i))
-	}
-	random(40)
-	flush()
-	random(150)
-	flush()
+}
+
+// finish adds a frozen and an active memtable of random writes, checks
+// the region holds the given number of tables, and sorts the model.
+func (b *fixtureBuilder) finish(tables int) {
+	r := b.fx.r
 	// The frozen memtable stays on the queue while the flusher is parked.
 	pauseFlusher(r, true)
-	tb.Cleanup(func() { pauseFlusher(r, false) })
-	random(80)
-	flush()
-	random(60)
-	if len(r.tables) != 3 || len(r.imm) != 1 || r.mem.count == 0 {
-		tb.Fatalf("fixture holds %d tables, %d frozen memtables, %d active entries; want 3, 1, >0", len(r.tables), len(r.imm), r.mem.count)
+	b.tb.Cleanup(func() { pauseFlusher(r, false) })
+	b.random(80)
+	b.flush()
+	b.random(60)
+	if len(r.tables) != tables || len(r.imm) != 1 || r.mem.count == 0 {
+		b.tb.Fatalf("fixture holds %d tables, %d frozen memtables, %d active entries; want %d, 1, >0", len(r.tables), len(r.imm), r.mem.count, tables)
 	}
-	for k := range fx.model {
-		fx.live = append(fx.live, k)
+	for k := range b.fx.model {
+		b.fx.live = append(b.fx.live, k)
 	}
-	sort.Strings(fx.live)
-	return fx
+	sort.Strings(b.fx.live)
 }
 
 // scanRunCheck scans run through one snapshot (see checkMergeRun).
@@ -254,6 +308,19 @@ func TestScanRunMatchesModel(t *testing.T) {
 		scanRunCheck(t, fx, []KeyRange{{}})
 		scanRunCheck(t, fx, []KeyRange{{Zoned: true, ZMin: 100, ZMax: 300}})
 	}
+	// Several tables of a registered family with a prefix length: most
+	// ranges pass over the tables their summaries prove empty.
+	for seed := int64(1); seed <= 3; seed++ {
+		fx := newSummaryFixture(t, t.TempDir(), seed)
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 60; i++ {
+			scanRunCheck(t, fx, randomRun(rng))
+		}
+		scanRunCheck(t, fx, []KeyRange{{}})
+		if fx.r.met.TablesSkipped == 0 {
+			t.Fatal("no range passed over a table by its prefix summary")
+		}
+	}
 }
 
 // TestScanRunZoneVeto: a window that the second table's rewritten span
@@ -277,15 +344,18 @@ func TestScanRunZoneVeto(t *testing.T) {
 }
 
 // FuzzScanRun decodes a run of ranges (see decodeRun), ascending or not,
-// and checks it against the model and against region.Scan per range.
+// and checks it against the model and against region.Scan per range, on
+// the plain fixture and on the summary fixture.
 func FuzzScanRun(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 2, 0, 1, 2, 0, 0, 5, 6, 40, 40})
 	f.Add([]byte{1, 40, 1, 2, 3, 2, 1, 1, 4, 0, 3, 8, 9, 2})
 	f.Add([]byte{0x81, 0, 16, 0, 47, 0, 200, 47, 8, 20, 5})
 	f.Add([]byte{0, 0, 4, 7, 1, 4, 0, 1, 0, 3, 3})
 	fx := newScanFixture(f, f.TempDir(), 11)
+	summarised := newSummaryFixture(f, f.TempDir(), 11)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		scanRunCheck(t, fx, decodeRun(data))
+		scanRunCheck(t, summarised, decodeRun(data))
 	})
 }
 

@@ -21,6 +21,12 @@ import (
 //
 //	[data block]* [bloom filter] [block index] [footer]
 //
+// The block index is `[n uvarint] [entry]*n [lastKey]`, then, if a key
+// family with a prefix length was registered, the prefix summary:
+// `[families uvarint]`, per family `[prefix] [plen uvarint] [count
+// uvarint] [tail]*count`, the sorted, distinct plen-byte prefixes of its
+// keys (tombstones too) less the family prefix. A file without it has none.
+//
 // Data blocks hold sorted entries `[kind u8][klen uvarint][vlen uvarint]
 // [key][value]` and are individually (and optionally) compressed under a
 // per-block codec (gzip or lz4) — the storage half of the paper's
@@ -121,13 +127,60 @@ type blockHandle struct {
 // the pair has no zone, poisoning its block's zone map.
 type ZoneExtractor func(key, value []byte) (zmin, zmax int64, ok bool)
 
+// summary is one key family's prefix summary in a table: the distinct
+// plen-byte prefixes of its keys, ascending, as tailOf their tails.
+type summary struct {
+	prefix []byte
+	plen   int
+	tails  []uint64
+}
+
+// tailOf reads a prefix's tail past the family prefix (≤ 8 bytes) as a
+// big-endian number, so tails of one width order as their bytes do.
+func tailOf(b []byte) uint64 {
+	var v uint64
+	for _, c := range b {
+		v = v<<8 | uint64(c)
+	}
+	return v
+}
+
+// add records key's prefix; keys arrive in ascending order.
+func (s *summary) add(key []byte) {
+	if s.plen == 0 || len(key) < s.plen {
+		return
+	}
+	if v := tailOf(key[len(s.prefix):s.plen]); len(s.tails) == 0 || s.tails[len(s.tails)-1] != v {
+		s.tails = append(s.tails, v)
+	}
+}
+
+// newSummaries starts one build's summaries, parallel to fams: a family
+// whose prefix length is 1 to 8 bytes past a prefix that nests with no
+// other family's (so every key under it counts to it) is summarised.
+func newSummaries(fams []KeyFamily) []summary {
+	sums := make([]summary, len(fams))
+	for i, f := range fams {
+		nested := false
+		for j, g := range fams {
+			nested = nested || (j != i && (bytes.HasPrefix(f.prefix, g.prefix) || bytes.HasPrefix(g.prefix, f.prefix)))
+		}
+		if w := f.PrefixLen - len(f.prefix); w > 0 && w <= 8 && !nested {
+			sums[i] = summary{prefix: f.prefix, plen: f.PrefixLen}
+		}
+	}
+	return sums
+}
+
 type tableWriter struct {
-	fs     VFS
-	w      *bufio.Writer
-	f      File
-	path   string // final path; bytes are written to path+".tmp"
-	codec  uint8  // blockCodec*; the codec new blocks are written with
-	zoneFn ZoneExtractor
+	fs    VFS
+	w     *bufio.Writer
+	f     File
+	path  string // final path; bytes are written to path+".tmp"
+	codec uint8  // blockCodec*; the codec new blocks are written with
+	// The key families when the build began, and their summaries.
+	fams []KeyFamily
+	sums []summary
 
 	block    bytes.Buffer
 	cblock   []byte // the compressed block, reused: it is only written and checksummed
@@ -148,13 +201,13 @@ func tmpPath(path string) string { return path + ".tmp" }
 // newTableWriter starts a table; n is the number of entries the caller
 // expects to add, which sizes the bloom hashes (a guess that is off only
 // costs a reallocation).
-func newTableWriter(fs VFS, path string, codec uint8, zoneFn ZoneExtractor, n int) (*tableWriter, error) {
+func newTableWriter(fs VFS, path string, codec uint8, fams []KeyFamily, n int) (*tableWriter, error) {
 	f, err := fs.Create(tmpPath(path))
 	if err != nil {
 		return nil, fmt.Errorf("kv: create sstable: %w", err)
 	}
-	return &tableWriter{fs: fs, f: f, w: bufio.NewWriterSize(f, 256<<10), path: path, codec: codec, zoneFn: zoneFn,
-		hashes: make([]uint64, 0, n)}, nil
+	return &tableWriter{fs: fs, f: f, w: bufio.NewWriterSize(f, 256<<10), path: path, codec: codec,
+		fams: fams, sums: newSummaries(fams), hashes: make([]uint64, 0, n)}, nil
 }
 
 // add appends an entry; keys must arrive in strictly ascending order.
@@ -164,14 +217,18 @@ func (t *tableWriter) add(key, value []byte, k kind) error {
 	}
 	if t.block.Len() == 0 {
 		t.blockKey = append([]byte(nil), key...)
-		t.zoneOK = t.zoneFn != nil
+		t.zoneOK = len(t.fams) > 0
+	}
+	fi := slices.IndexFunc(t.fams, func(f KeyFamily) bool { return bytes.HasPrefix(key, f.prefix) })
+	if fi >= 0 {
+		t.sums[fi].add(key)
 	}
 	if t.zoneOK {
 		// Tombstones have no zone and must shadow older versions in any
 		// scan, so their block can never be pruned.
 		zmin, zmax, ok := int64(0), int64(0), false
-		if k == kindPut {
-			zmin, zmax, ok = t.zoneFn(key, value)
+		if k == kindPut && fi >= 0 && t.fams[fi].Zone != nil {
+			zmin, zmax, ok = t.fams[fi].Zone(key, value)
 		}
 		switch {
 		case !ok:
@@ -268,6 +325,52 @@ func (t *tableWriter) finish() (int64, error) {
 	}
 	t.offset += uint64(len(bloomBytes))
 
+	idx := t.encodeIndex()
+	indexOff := t.offset
+	if _, err := t.w.Write(idx); err != nil {
+		return 0, err
+	}
+	t.offset += uint64(len(idx))
+
+	// Footer: five u64 handles, the bloom/index checksums, a checksum of
+	// the footer bytes themselves, then the magic. A torn footer write
+	// (the crash boundary of a table build) fails the footer CRC.
+	var footer [footerSize]byte
+	binary.LittleEndian.PutUint64(footer[0:], bloomOff)
+	binary.LittleEndian.PutUint64(footer[8:], uint64(len(bloomBytes)))
+	binary.LittleEndian.PutUint64(footer[16:], indexOff)
+	binary.LittleEndian.PutUint64(footer[24:], uint64(len(idx)))
+	binary.LittleEndian.PutUint64(footer[32:], t.count)
+	binary.LittleEndian.PutUint32(footer[40:], crc32.Checksum(bloomBytes, castagnoli))
+	binary.LittleEndian.PutUint32(footer[44:], crc32.Checksum(idx, castagnoli))
+	binary.LittleEndian.PutUint32(footer[48:], crc32.Checksum(footer[0:48], castagnoli))
+	binary.LittleEndian.PutUint64(footer[56:], tableMagic)
+	if _, err := t.w.Write(footer[:]); err != nil {
+		return 0, err
+	}
+	t.offset += footerSize
+	if err := t.w.Flush(); err != nil {
+		return 0, err
+	}
+	if err := t.f.Sync(); err != nil {
+		return 0, err
+	}
+	if err := t.f.Close(); err != nil {
+		return 0, err
+	}
+	if err := t.fs.Rename(tmpPath(t.path), t.path); err != nil {
+		return 0, err
+	}
+	// The rename's directory entry must be durable before the manifest
+	// can reference the table: fsync the directory.
+	if err := t.fs.SyncDir(filepath.Dir(t.path)); err != nil {
+		return 0, err
+	}
+	return int64(t.offset), nil
+}
+
+// encodeIndex encodes the block index (see the layout at the top).
+func (t *tableWriter) encodeIndex() []byte {
 	var idx bytes.Buffer
 	var scratch [binary.MaxVarintLen64]byte
 	writeUvarint := func(v uint64) {
@@ -312,47 +415,22 @@ func (t *tableWriter) finish() (int64, error) {
 	}
 	writeUvarint(uint64(len(t.lastKey)))
 	idx.Write(t.lastKey)
-	indexOff := t.offset
-	if _, err := t.w.Write(idx.Bytes()); err != nil {
-		return 0, err
+	// The prefix summary section, only when a family is summarised: a
+	// table built without one stays byte-identical to the older format.
+	sums := slices.DeleteFunc(slices.Clone(t.sums), func(s summary) bool { return s.plen == 0 })
+	if len(sums) > 0 {
+		writeUvarint(uint64(len(sums)))
+		for _, s := range sums {
+			writeUvarint(uint64(len(s.prefix)))
+			idx.Write(s.prefix)
+			writeUvarint(uint64(s.plen))
+			writeUvarint(uint64(len(s.tails)))
+			for _, v := range s.tails {
+				idx.Write(binary.BigEndian.AppendUint64(scratch[:0], v)[8-s.plen+len(s.prefix):])
+			}
+		}
 	}
-	t.offset += uint64(idx.Len())
-
-	// Footer: five u64 handles, the bloom/index checksums, a checksum of
-	// the footer bytes themselves, then the magic. A torn footer write
-	// (the crash boundary of a table build) fails the footer CRC.
-	var footer [footerSize]byte
-	binary.LittleEndian.PutUint64(footer[0:], bloomOff)
-	binary.LittleEndian.PutUint64(footer[8:], uint64(len(bloomBytes)))
-	binary.LittleEndian.PutUint64(footer[16:], indexOff)
-	binary.LittleEndian.PutUint64(footer[24:], uint64(idx.Len()))
-	binary.LittleEndian.PutUint64(footer[32:], t.count)
-	binary.LittleEndian.PutUint32(footer[40:], crc32.Checksum(bloomBytes, castagnoli))
-	binary.LittleEndian.PutUint32(footer[44:], crc32.Checksum(idx.Bytes(), castagnoli))
-	binary.LittleEndian.PutUint32(footer[48:], crc32.Checksum(footer[0:48], castagnoli))
-	binary.LittleEndian.PutUint64(footer[56:], tableMagic)
-	if _, err := t.w.Write(footer[:]); err != nil {
-		return 0, err
-	}
-	t.offset += footerSize
-	if err := t.w.Flush(); err != nil {
-		return 0, err
-	}
-	if err := t.f.Sync(); err != nil {
-		return 0, err
-	}
-	if err := t.f.Close(); err != nil {
-		return 0, err
-	}
-	if err := t.fs.Rename(tmpPath(t.path), t.path); err != nil {
-		return 0, err
-	}
-	// The rename's directory entry must be durable before the manifest
-	// can reference the table: fsync the directory.
-	if err := t.fs.SyncDir(filepath.Dir(t.path)); err != nil {
-		return 0, err
-	}
-	return int64(t.offset), nil
+	return idx.Bytes()
 }
 
 // abort discards a partially written table.
@@ -381,6 +459,7 @@ type table struct {
 	index   []blockHandle
 	bloom   *bloomFilter
 	lastKey []byte
+	sums    []summary // the prefix summaries; none in an older file
 	count   uint64
 	size    int64
 
@@ -486,7 +565,7 @@ func loadTableMeta(f File, fs VFS, path string, metrics *Metrics) (*table, error
 	if err := readChecked(f, path, -1, int64(indexOff), idxBytes, indexCRC, metrics); err != nil {
 		return nil, err
 	}
-	index, lastKey, err := decodeIndex(idxBytes)
+	index, lastKey, sums, err := decodeIndex(idxBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -498,46 +577,49 @@ func loadTableMeta(f File, fs VFS, path string, metrics *Metrics) (*table, error
 		index:   index,
 		bloom:   bloom,
 		lastKey: lastKey,
+		sums:    sums,
 		count:   count,
 		size:    st.Size(),
 		metrics: metrics,
 	}, nil
 }
 
-func decodeIndex(b []byte) ([]blockHandle, []byte, error) {
+// decodeIndex decodes a block index and its prefix summaries; bytes it
+// cannot decode, however damaged, are ErrCorrupt.
+func decodeIndex(b []byte) ([]blockHandle, []byte, []summary, error) {
 	r := bytes.NewReader(b)
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, nil, ErrCorrupt
-	}
-	index := make([]blockHandle, 0, n)
-	readBytes := func() ([]byte, error) {
-		l, err := binary.ReadUvarint(r)
-		if err != nil {
+	// take reads a count of w-byte items, checked against the bytes left
+	// before anything is allocated, then the items.
+	take := func(w int) ([]byte, error) {
+		n, err := binary.ReadUvarint(r)
+		if err != nil || n > uint64(r.Len()/w) {
 			return nil, ErrCorrupt
 		}
-		out := make([]byte, l)
-		if _, err := io.ReadFull(r, out); err != nil {
-			return nil, ErrCorrupt
-		}
+		out := make([]byte, int(n)*w)
+		io.ReadFull(r, out)
 		return out, nil
 	}
+	n, err := binary.ReadUvarint(r)
+	if err != nil || n > uint64(r.Len()/6) { // an entry takes at least 6 bytes
+		return nil, nil, nil, ErrCorrupt
+	}
+	index := make([]blockHandle, 0, n)
 	for i := uint64(0); i < n; i++ {
-		firstKey, err := readBytes()
+		firstKey, err := take(1)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		var vals [4]uint64
 		for j := range vals {
 			v, err := binary.ReadUvarint(r)
 			if err != nil {
-				return nil, nil, ErrCorrupt
+				return nil, nil, nil, ErrCorrupt
 			}
 			vals[j] = v
 		}
 		flags, err := r.ReadByte()
 		if err != nil {
-			return nil, nil, ErrCorrupt
+			return nil, nil, nil, ErrCorrupt
 		}
 		h := blockHandle{
 			firstKey: firstKey,
@@ -554,26 +636,52 @@ func decodeIndex(b []byte) ([]blockHandle, []byte, error) {
 		}
 		if h.hasZone {
 			if h.zmin, err = binary.ReadVarint(r); err != nil {
-				return nil, nil, ErrCorrupt
+				return nil, nil, nil, ErrCorrupt
 			}
 			if h.zmax, err = binary.ReadVarint(r); err != nil {
-				return nil, nil, ErrCorrupt
+				return nil, nil, nil, ErrCorrupt
 			}
 		}
 		if flags&4 != 0 {
 			c, err := r.ReadByte()
 			if err != nil {
-				return nil, nil, ErrCorrupt
+				return nil, nil, nil, ErrCorrupt
 			}
 			h.codec = c
 		}
 		index = append(index, h)
 	}
-	lastKey, err := readBytes()
-	if err != nil {
-		return nil, nil, err
+	lastKey, err := take(1)
+	if err != nil || r.Len() == 0 {
+		return index, lastKey, nil, err // no summary section
 	}
-	return index, lastKey, nil
+	nf, err := binary.ReadUvarint(r)
+	if err != nil || nf == 0 || nf > uint64(r.Len()/3) { // a family takes at least 3 bytes
+		return nil, nil, nil, ErrCorrupt
+	}
+	sums := make([]summary, nf)
+	for i := range sums {
+		s, plen := &sums[i], uint64(0)
+		if s.prefix, err = take(1); err == nil {
+			plen, err = binary.ReadUvarint(r)
+		}
+		if err != nil || plen <= uint64(len(s.prefix)) || plen > uint64(len(s.prefix))+8 {
+			return nil, nil, nil, ErrCorrupt
+		}
+		s.plen = int(plen)
+		w := s.plen - len(s.prefix)
+		raw, err := take(w)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		for j := 0; j < len(raw); j += w {
+			s.tails = append(s.tails, tailOf(raw[j:j+w]))
+		}
+	}
+	if r.Len() != 0 {
+		return nil, nil, nil, ErrCorrupt
+	}
+	return index, lastKey, sums, nil
 }
 
 // incRef pins the table for a read snapshot. It must only be called
@@ -680,6 +788,9 @@ func (t *table) loadBlock(i int, escape bool) ([]byte, *cacheEntry, error) {
 		if state != cacheMiss && t.metrics != nil {
 			atomic.AddInt64(&t.metrics.BlockCacheHits, 1)
 		}
+		if !escape && t.metrics != nil { // a query scan's: counted beside the hit, on its cache line
+			atomic.AddInt64(&t.metrics.BlocksTouched, 1)
+		}
 		if escape {
 			data := e.data
 			c.release(e)
@@ -755,6 +866,27 @@ func (t *table) verify() (int64, error) {
 		blocks++
 	}
 	return blocks, nil
+}
+
+// lacks reports, and counts, whether the table's summary proves it holds
+// no key of kr: kr's bounds share (so all its keys start with) a full
+// prefix of a summarised family that the summary lacks. O(log prefixes).
+func (t *table) lacks(kr KeyRange) bool {
+	for i := range t.sums {
+		s := &t.sums[i]
+		if len(kr.Start) < s.plen || !bytes.HasPrefix(kr.Start, s.prefix) {
+			continue
+		}
+		_, held := slices.BinarySearch(s.tails, tailOf(kr.Start[len(s.prefix):s.plen]))
+		if held || len(kr.End) < s.plen || !bytes.Equal(kr.Start[:s.plen], kr.End[:s.plen]) {
+			return false
+		}
+		if t.metrics != nil {
+			atomic.AddInt64(&t.metrics.TablesSkipped, 1)
+		}
+		return true
+	}
+	return false
 }
 
 // blockFor returns the index of the block that could contain key: the

@@ -42,11 +42,11 @@ type Store interface {
 	Regions() int
 	// Metrics snapshots cumulative storage metrics.
 	Metrics() Metrics
-	// RegisterZoneExtractor installs fn as the zone extractor for keys
-	// with the given prefix (nil fn unregisters). Implementations that
-	// cannot push extractors to the storage nodes may ignore this; zone
-	// pruning is an optimization, never a correctness requirement.
-	RegisterZoneExtractor(prefix []byte, fn ZoneExtractor)
+	// RegisterKeyFamily installs f for the keys with the given prefix
+	// (a zero f unregisters). Implementations that cannot push it to the
+	// storage nodes may ignore this: zone pruning and prefix summaries
+	// are optimizations, never a correctness requirement.
+	RegisterKeyFamily(prefix []byte, f KeyFamily)
 	// Close releases the store.
 	Close() error
 

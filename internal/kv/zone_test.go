@@ -31,9 +31,16 @@ func zoneValue(t int64, pad int) []byte {
 
 func zoneTime(v []byte) int64 { return int64(binary.BigEndian.Uint64(v)) }
 
+// registryOf is a registry holding one family under prefix.
+func registryOf(prefix []byte, f KeyFamily) *registry {
+	g := &registry{}
+	g.register(prefix, f)
+	return g
+}
+
 func openZoneRegion(t *testing.T, met *Metrics) *region {
 	t.Helper()
-	opts := Options{ZoneExtractor: testZoneExtractor}.withDefaults()
+	opts := Options{families: registryOf(nil, KeyFamily{Zone: testZoneExtractor})}.withDefaults()
 	r, err := openRegion(0, t.TempDir(), opts, nil, met)
 	if err != nil {
 		t.Fatal(err)

@@ -346,7 +346,7 @@ func TestAdminScrubEndpoints(t *testing.T) {
 func TestMetricsKeySetGolden(t *testing.T) {
 	want := []string{
 		"batches_decoded", "block_cache_hits", "block_cache_misses", "blocks_read",
-		"blocks_scrubbed", "blocks_skipped", "bloom_negatives",
+		"blocks_scrubbed", "blocks_skipped", "blocks_touched", "bloom_negatives",
 		"breaker_fast_fails", "breaker_opens", "bytes_read", "bytes_written",
 		"codecs", "compactions", "compactions_deferred", "corruptions_detected",
 		"deadline_aborts", "disk_free_bytes", "disk_pressure",
@@ -360,7 +360,7 @@ func TestMetricsKeySetGolden(t *testing.T) {
 		"rpc_hedges", "rpc_redials", "rpc_retries", "scan_cancels",
 		"scan_pairs", "scan_tasks", "scrub_runs",
 		"slow_queries", "stale_map_refreshes",
-		"stats_refreshes", "wal_sync_bytes", "wal_syncs",
+		"stats_refreshes", "tables", "tables_skipped", "wal_sync_bytes", "wal_syncs",
 		"write_stall_nanos", "write_stalls",
 	}
 	ts, _ := newTestServer(t, Options{})

@@ -14,26 +14,27 @@ import (
 	"just/internal/kv"
 )
 
-// zoneRecorder is a store that keeps the set of registered zone-extractor
+// zoneRecorder is a store that keeps the set of registered key-family
 // prefixes, as kv.Cluster's registry does.
 type zoneRecorder struct {
 	kv.Store
 	prefixes map[string]bool
 }
 
-func (z *zoneRecorder) RegisterZoneExtractor(prefix []byte, fn kv.ZoneExtractor) {
-	if fn == nil {
+func (z *zoneRecorder) RegisterKeyFamily(prefix []byte, f kv.KeyFamily) {
+	if f.Zone == nil && f.PrefixLen == 0 {
 		delete(z.prefixes, string(prefix))
 	} else {
 		z.prefixes[string(prefix)] = true
 	}
-	z.Store.RegisterZoneExtractor(prefix, fn)
+	z.Store.RegisterKeyFamily(prefix, f)
 }
 
-// TestDropUnregistersZoneExtractors: every Open registers one zone
-// extractor per index prefix, so CREATE / DROP cycles that left them
-// registered would grow the registry that every flushed and compacted
-// key is matched against, and pin each dropped table's codec.
+// TestDropUnregistersZoneExtractors: every Open registers one key family
+// (zone extractor, and prefix length for a periodic index) per index
+// prefix, so CREATE / DROP cycles that left them registered would grow
+// the registry that every flushed and compacted key is matched against,
+// and pin each dropped table's codec.
 func TestDropUnregistersZoneExtractors(t *testing.T) {
 	_, cluster := newTestTable(t)
 	store := &zoneRecorder{Store: cluster, prefixes: map[string]bool{}}

@@ -80,14 +80,18 @@ func Open(d *Desc, cluster kv.Store, cfg IndexConfig) (*Table, error) {
 	// serves all of the table's key prefixes: SSTables flushed or
 	// compacted from here on carry per-block [min,max] record-time zone
 	// maps, which time-windowed scans use to skip blocks before disk
-	// read and decompression.
+	// read and decompression. A periodic index also registers the length
+	// of its (shard, period) prefixes, which each SSTable summarises.
+	var zfn kv.ZoneExtractor
 	if t.timeIdx >= 0 {
-		zfn := func(_, value []byte) (int64, int64, bool) {
+		zfn = func(_, value []byte) (int64, int64, bool) {
 			return t.codec.DecodeTimeBounds(value, t.timeIdx, t.endIdx)
 		}
-		for _, id := range d.Indexes {
-			cluster.RegisterZoneExtractor(t.keyPrefix(id.ID), zfn)
-		}
+	}
+	cluster.RegisterKeyFamily(t.keyPrefix(t.attrID), kv.KeyFamily{Zone: zfn})
+	for _, s := range t.strategies {
+		prefix := t.keyPrefix(s.id)
+		cluster.RegisterKeyFamily(prefix, kv.KeyFamily{Zone: zfn, PrefixLen: len(prefix) + index.PartitionLen(s.Strategy)})
 	}
 	return t, nil
 }
@@ -641,7 +645,7 @@ func (t *Table) FullScan(ctx context.Context, emit func(exec.Row) bool) error {
 }
 
 // DropData deletes every key owned by the table, its meta rows and
-// descriptor too, and unregisters its zone extractors. Keys are
+// descriptor too, and unregisters its key families. Keys are
 // collected without touching the values and deleted in one WriteBatch.
 func (t *Table) DropData(ctx context.Context) error {
 	var b kv.WriteBatch
@@ -660,7 +664,7 @@ func (t *Table) DropData(ctx context.Context) error {
 		return exec.MapCtxErr(err)
 	}
 	for _, id := range t.Desc.Indexes {
-		t.cluster.RegisterZoneExtractor(t.keyPrefix(id.ID), nil)
+		t.cluster.RegisterKeyFamily(t.keyPrefix(id.ID), kv.KeyFamily{})
 	}
 	return nil
 }
