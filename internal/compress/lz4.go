@@ -11,8 +11,8 @@ package compress
 import (
 	"encoding/binary"
 	"errors"
-	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 )
@@ -43,8 +43,8 @@ const (
 	lastLiterals    = 5
 
 	// hashLog sizes the match-finder table: 2^13 slots covers the 4 KiB
-	// SSTable block size many times over while the table itself (32 KiB)
-	// stays cache-resident.
+	// SSTable block size many times over while the table itself (16 KiB
+	// of uint16 positions) stays cache-resident.
 	hashLog  = 13
 	hashSize = 1 << hashLog
 
@@ -53,15 +53,13 @@ const (
 	maxBlockLen = 1 << 30
 )
 
-// matchTable is the encoder's hash table of candidate positions. A pooled
-// table is reused without clearing: it stores base+i for position i, and
-// base advances past each input, so an entry below base — left by an
-// earlier input — reads as position 0, what a zeroed table holds. Output
-// thus depends on the input alone, and a reuse costs nothing until base
-// would overflow.
+// matchTable is the encoder's hash table of candidate positions, cleared
+// for each input so that an empty slot reads as position 0. An input
+// under 64 KiB stores its positions as uint16, as reference LZ4 does:
+// half the bytes to clear and to keep in cache. A longer one uses int32.
 type matchTable struct {
-	pos  [hashSize]int32
-	base int32
+	small [hashSize]uint16
+	large [hashSize]int32
 }
 
 var matchTablePool = sync.Pool{New: func() any { return new(matchTable) }}
@@ -74,12 +72,13 @@ func le32(b []byte) uint32 {
 }
 
 // CompressLZ4 appends the LZ4-block encoding of src to dst and returns
-// the extended slice. Worst case (incompressible input) the payload is
-// len(src) + len(src)/255 + 16 bytes; callers that only want a win
-// compare lengths and keep the raw bytes otherwise.
+// the extended slice. dst first grows by the worst case, len(src) +
+// len(src)/255 + 16 bytes, as reference LZ4 asks of callers. Callers that
+// only want a win compare lengths and keep the raw bytes otherwise.
 func CompressLZ4(dst, src []byte) []byte {
 	start := time.Now()
 	before := len(dst)
+	dst = slices.Grow(dst, len(src)+len(src)/255+16)
 	ht := matchTablePool.Get().(*matchTable)
 	dst = appendLZ4(dst, src, ht)
 	matchTablePool.Put(ht)
@@ -88,12 +87,16 @@ func CompressLZ4(dst, src []byte) []byte {
 }
 
 func appendLZ4(dst, src []byte, ht *matchTable) []byte {
-	n := len(src)
-	if int64(ht.base)+int64(n) > math.MaxInt32 {
-		*ht = matchTable{}
+	if len(src) < 1<<16 {
+		clear(ht.small[:])
+		return encodeLZ4(dst, src, &ht.small)
 	}
-	base := ht.base
-	ht.base += int32(n)
+	clear(ht.large[:])
+	return encodeLZ4(dst, src, &ht.large)
+}
+
+func encodeLZ4[P uint16 | int32](dst, src []byte, pos *[hashSize]P) []byte {
+	n := len(src)
 	anchor := 0
 	if n >= matchStartFloor {
 		limit := n - matchStartFloor // last position a match may start at
@@ -102,8 +105,8 @@ func appendLZ4(dst, src []byte, ht *matchTable) []byte {
 		for i <= limit {
 			u := le32(src[i:])
 			h := lz4Hash(u)
-			cand := max(int(ht.pos[h]-base), 0)
-			ht.pos[h] = base + int32(i)
+			cand := int(pos[h])
+			pos[h] = P(i)
 			if cand >= i || i-cand > maxOffset || le32(src[cand:]) != u {
 				i++
 				continue
@@ -113,8 +116,8 @@ func appendLZ4(dst, src []byte, ht *matchTable) []byte {
 			// Seed positions inside the match so nearby repeats remain
 			// findable after the jump.
 			if i+2 <= limit {
-				ht.pos[lz4Hash(le32(src[i+1:]))] = base + int32(i+1)
-				ht.pos[lz4Hash(le32(src[i+2:]))] = base + int32(i+2)
+				pos[lz4Hash(le32(src[i+1:]))] = P(i + 1)
+				pos[lz4Hash(le32(src[i+2:]))] = P(i + 2)
 			}
 			i += mlen
 			anchor = i

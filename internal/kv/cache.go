@@ -19,8 +19,9 @@ import (
 //     a short free list, and the next miss decompresses into that
 //     buffer. It does so only if every reader the entry was handed to
 //     released it before holding a view past a pair's emit: a reader
-//     that may keep views (region.Scan, compaction, point reads) marks
-//     the entry escaped, and an escaped buffer is left to the GC.
+//     that may keep views (region.Scan, point reads) marks the entry
+//     escaped, and an escaped buffer is left to the GC. A compaction
+//     reads its inputs past the cache, as HBase's do.
 type blockCache struct {
 	mu       sync.Mutex
 	capacity int64

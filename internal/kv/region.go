@@ -441,7 +441,7 @@ func (r *region) applyBatch(muts []mutation) error {
 			}
 			prevSrc, prevCopy = m.value, v
 		}
-		staged = append(staged, memEntry{key, v, m.k})
+		staged = append(staged, memEntry{key: key, value: v, kind: m.k})
 	}
 	r.mem.putBatch(staged)
 	clear(staged) // the scratch must not pin this arena past its flush
@@ -861,7 +861,7 @@ func (r *region) merge(tier bool) error {
 	for _, t := range tables {
 		n += int(t.count)
 	}
-	it := &mergeIter{raw: true, escape: true}
+	it := &mergeIter{raw: true, direct: true}
 	it.arm(tables)
 	it.seek(KeyRange{})
 	tw, err := newTableWriter(r.fs, filepath.Join(r.dir, name), r.opts.blockCodec(), r.opts.families.snapshot(), n)
@@ -1063,10 +1063,10 @@ type mergeIter struct {
 	pins []*table // the tables region.snapshot pinned, oldest first; released on Close
 
 	// escape: the caller may keep pairs past the next nextRaw, and past
-	// Close (region.Scan, compaction), so no block it reads is ever
-	// recycled. Otherwise a pair is valid until the next nextRaw, and
-	// the merge holds the blocks it reads until then (see tableIter).
-	escape bool
+	// Close (region.Scan), so no block it reads is ever recycled. Else a
+	// pair is valid until the next nextRaw, and the merge holds the blocks
+	// it reads until then (see tableIter), past the cache if direct.
+	escape, direct bool
 }
 
 // mergeIters holds merges that scans handed back (see recycle).
@@ -1138,7 +1138,7 @@ func (m *mergeIter) arm(tables []*table) {
 		// the skipped block, so the tables older than t veto a skip
 		// over their key span. Memtables and later tables are always
 		// newer and never need a veto.
-		m.tables = append(m.tables, tableIter{t: t, bi: -1, older: tables[:i], escape: m.escape})
+		m.tables = append(m.tables, tableIter{t: t, bi: -1, older: tables[:i], escape: m.escape, direct: m.direct})
 	}
 }
 

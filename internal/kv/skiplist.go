@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
 	"slices"
 	"sync"
@@ -23,6 +24,11 @@ type skiplist struct {
 	rng    *rand.Rand
 	size   int64 // approximate memory footprint in bytes
 	count  int
+
+	// putBatch's scratch, kept between batches: each new node's height
+	// and predecessors, until the batch's nodes are cut from its slabs.
+	heights []uint8
+	links   []*skipnode
 }
 
 type skipnode struct {
@@ -49,24 +55,28 @@ func (s *skiplist) randomHeight() int {
 }
 
 // put inserts or overwrites the entry for key.
-func (s *skiplist) put(key, value []byte, k kind) { s.putBatch([]memEntry{{key, value, k}}) }
+func (s *skiplist) put(key, value []byte, k kind) { s.putBatch([]memEntry{{key, value, k, 0}}) }
 
 // putBatch inserts or overwrites es (later entries win on duplicate
 // keys), reordering es. Callers serialize it with every other write. It
-// stable-sorts the batch and finds each key's predecessors without the
-// lock, starting each search from the previous key's (a finger search),
-// then takes the write lock only to set the overwritten values and link
-// the new nodes, in descending key order: a reader sees all of the batch
-// or none.
+// sorts the batch, equal keys in batch order, and finds each key's
+// predecessors without the lock, starting each search from the previous
+// key's (a finger search). The new nodes and their links are cut from
+// two slabs, one allocation each per batch. Then it takes the write lock
+// only to set the overwritten values and link the new nodes, in
+// descending key order: a reader sees all of the batch or none.
 func (s *skiplist) putBatch(es []memEntry) {
-	slices.SortStableFunc(es, func(a, b memEntry) int { return bytes.Compare(a.key, b.key) })
+	for i := range es {
+		es[i].seq = uint32(i)
+	}
+	slices.SortFunc(es, func(a, b memEntry) int { return cmp.Or(bytes.Compare(a.key, b.key), cmp.Compare(a.seq, b.seq)) })
 	type overwrite struct {
 		n     *skipnode
 		value []byte
 		kind  kind
 	}
 	var sets []overwrite
-	nodes := make([]*skipnode, 0, len(es))
+	fresh := 0 // the new keys' entries, moved to es[:fresh]
 	var prev [skiplistMaxHeight]*skipnode
 	for level := range prev {
 		prev[level] = s.head
@@ -93,11 +103,21 @@ func (s *skiplist) putBatch(es []memEntry) {
 			sets = append(sets, overwrite{t, e.value, e.kind})
 			continue
 		}
-		// Until it is linked, a node's next holds its predecessors.
-		node := &skipnode{key: e.key, value: e.value, kind: e.kind, next: make([]*skipnode, s.randomHeight())}
-		copy(node.next, prev[:])
-		nodes = append(nodes, node)
+		h := s.randomHeight()
+		s.heights = append(s.heights, uint8(h))
+		s.links = append(s.links, prev[:h]...)
+		es[fresh] = e
+		fresh++
 	}
+	// Until it is linked, a node's next holds its predecessors.
+	nodes := make([]skipnode, fresh)
+	links := slices.Clone(s.links)
+	for i := range nodes {
+		h := int(s.heights[i])
+		nodes[i] = skipnode{key: es[i].key, value: es[i].value, kind: es[i].kind, next: links[:h:h]}
+		links = links[h:]
+	}
+	s.heights, s.links = s.heights[:0], s.links[:0]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, o := range sets {
@@ -107,7 +127,7 @@ func (s *skiplist) putBatch(es []memEntry) {
 	// Nodes sharing a predecessor link in front of each other, largest
 	// key first, so each ends up before the larger ones.
 	for i := len(nodes) - 1; i >= 0; i-- {
-		n := nodes[i]
+		n := &nodes[i]
 		for level := range n.next {
 			p := n.next[level]
 			n.next[level] = p.next[level]
@@ -141,7 +161,7 @@ func (s *skiplist) getBatch(keys [][]byte, out []memEntry) {
 	defer s.mu.RUnlock()
 	for i, key := range keys {
 		if n := s.seek(key); n != nil && bytes.Equal(n.key, key) {
-			out[i] = memEntry{n.key, n.value, n.kind}
+			out[i] = memEntry{key: n.key, value: n.value, kind: n.kind}
 		}
 	}
 }
@@ -185,6 +205,7 @@ func (s *skiplist) iterate(r KeyRange, fn func(key, value []byte, k kind) bool) 
 type memEntry struct {
 	key, value []byte
 	kind       kind
+	seq        uint32 // the entry's place in its batch: putBatch's tiebreak
 }
 
 // appendEntries appends the entries in r to dst. Most ranges of a
@@ -192,7 +213,7 @@ type memEntry struct {
 // nothing: dst is only grown for a match.
 func (s *skiplist) appendEntries(dst []memEntry, r KeyRange) []memEntry {
 	s.iterate(r, func(key, value []byte, k kind) bool {
-		dst = append(dst, memEntry{key, value, k})
+		dst = append(dst, memEntry{key: key, value: value, kind: k})
 		return true
 	})
 	return dst

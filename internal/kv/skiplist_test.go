@@ -90,11 +90,33 @@ func TestSkiplistPutBatchMatchesPuts(t *testing.T) {
 		}
 		checkPutBatchMatchesPuts(t, ops)
 	}
+	// Batches dense in repeated keys: runs of put, delete, put of one
+	// key among three, so that which version wins rests on the sort's
+	// tiebreak, not on the keys.
+	for seed := 0; seed < 20; seed++ {
+		var ops []byte
+		for len(ops) < 6000 {
+			n := 1 + rng.Intn(200)
+			for j := 0; j < n; j++ {
+				key := byte(rng.Intn(3))
+				for _, op := range []byte{byte(rng.Intn(32)) &^ 3, 3, byte(rng.Intn(32)) &^ 3} {
+					if rng.Intn(2) == 0 {
+						op ^= 3 // sometimes delete, put, delete
+					}
+					ops = append(ops, op|1<<5, key)
+				}
+			}
+			ops[len(ops)-2] &^= 7 << 5
+		}
+		checkPutBatchMatchesPuts(t, ops)
+	}
 }
 
 func FuzzSkiplistPutBatch(f *testing.F) {
 	f.Add([]byte{0x20, 1, 0x23, 1, 0x04, 2, 0x20, 2, 0x03, 1})
 	f.Add(bytes.Repeat([]byte{0x21, 7, 0x20, 9, 0x02, 8}, 40))
+	f.Add(bytes.Repeat([]byte{0x24, 5, 0x23, 5, 0x28, 5, 0x23, 6, 0x20, 6}, 30))
+	f.Add(append(bytes.Repeat([]byte{0x21, 1, 0x23, 1, 0x22, 1}, 50), 0x03, 1))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		checkPutBatchMatchesPuts(t, ops)
 	})

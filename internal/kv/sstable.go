@@ -1003,6 +1003,12 @@ type tableIter struct {
 	// entry handed out stays valid until the load after that.
 	escape     bool
 	held, prev *cacheEntry
+
+	// direct: a compaction's, which reads its blocks past the cache with
+	// readBlock, into buffers the iterator owns: block's, and spare, the
+	// one before it, by the same rule as held and prev.
+	direct bool
+	spare  []byte
 }
 
 // seek moves the iterator to range r. forward promises that r starts at
@@ -1089,7 +1095,15 @@ func (it *tableIter) Next() bool {
 			it.done = true
 			return false
 		}
-		data, e, err := it.t.loadBlock(next, it.escape)
+		var data []byte
+		var e *cacheEntry
+		var err error
+		if it.direct {
+			data, err = it.t.readBlock(next, it.spare)
+			it.spare = it.block.data
+		} else {
+			data, e, err = it.t.loadBlock(next, it.escape)
+		}
 		if err != nil {
 			it.err = err
 			return false

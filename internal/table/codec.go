@@ -34,19 +34,25 @@ func NewCodec(cols []Column) *Codec {
 }
 
 // Encode serializes row (which must match the codec's arity):
-// [nullBitmap][field...], each field length-prefixed.
+// [nullBitmap][field...], each field length-prefixed. The record is
+// built in one slice: the bitmap is reserved at its front, and each
+// field is appended in place and then prefixed with its length.
 func (c *Codec) Encode(row exec.Row) ([]byte, error) {
 	if len(row) != len(c.cols) {
 		return nil, fmt.Errorf("table: row arity %d != schema %d", len(row), len(c.cols))
 	}
-	bitmap := make([]byte, (len(c.cols)+7)/8)
-	var body bytes.Buffer
+	bitmap := (len(c.cols) + 7) / 8
+	size := bitmap
+	for _, v := range row {
+		size += sizeHint(v)
+	}
+	out := make([]byte, bitmap, size)
 	for i, col := range c.cols {
 		if row[i] == nil {
-			bitmap[i/8] |= 1 << (i % 8)
+			out[i/8] |= 1 << (i % 8)
 			continue
 		}
-		var field []byte
+		start := len(out)
 		var err error
 		if col.Type == exec.TypeSTSeries && col.Compress != "" {
 			// The paper's compression mechanism for GPS lists: delta
@@ -55,29 +61,46 @@ func (c *Codec) Encode(row exec.Row) ([]byte, error) {
 			if !ok {
 				return nil, fmt.Errorf("table: column %q: %v", col.Name, typeErr(col.Type, row[i]))
 			}
-			var buf bytes.Buffer
-			encodeSTSeries(&buf, pts, true)
-			field = buf.Bytes()
-		} else {
-			field, err = encodeValue(col.Type, row[i])
-			if err != nil {
-				return nil, fmt.Errorf("table: column %q: %w", col.Name, err)
-			}
+			out = appendSTSeries(out, pts, true)
+		} else if out, err = appendValue(out, col.Type, row[i]); err != nil {
+			return nil, fmt.Errorf("table: column %q: %w", col.Name, err)
 		}
 		if col.Compress != "" {
-			field, err = compressField(col.Compress, field)
+			field, err := compressField(col.Compress, out[start:])
 			if err != nil {
 				return nil, err
 			}
+			out = append(out[:start], field...)
 		}
-		var lenBuf [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(lenBuf[:], uint64(len(field)))
-		body.Write(lenBuf[:n])
-		body.Write(field)
+		out = prefixLen(out, start)
 	}
-	out := make([]byte, 0, len(bitmap)+body.Len())
-	out = append(out, bitmap...)
-	return append(out, body.Bytes()...), nil
+	return out, nil
+}
+
+// sizeHint guesses a field's encoded size with its length prefix, enough
+// for the scalar types and a point, so that an order row's record is
+// built without growing.
+func sizeHint(v any) int {
+	switch x := v.(type) {
+	case string:
+		return binary.MaxVarintLen32 + len(x)
+	case []byte:
+		return binary.MaxVarintLen32 + len(x)
+	case geom.Point:
+		return 18
+	default:
+		return 1 + binary.MaxVarintLen64
+	}
+}
+
+// prefixLen inserts before out[start:] its length as a uvarint.
+func prefixLen(out []byte, start int) []byte {
+	var lb [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(lb[:], uint64(len(out)-start))
+	out = append(out, lb[:n]...)
+	copy(out[start+n:], out[start:len(out)-n])
+	copy(out[start:], lb[:n])
+	return out
 }
 
 // Decode deserializes a stored row.
@@ -315,80 +338,69 @@ func decompressInto(dst *bytes.Buffer, method string, data []byte) error {
 	return nil
 }
 
-func encodeValue(t exec.DataType, v any) ([]byte, error) {
-	var buf bytes.Buffer
+func appendValue(dst []byte, t exec.DataType, v any) ([]byte, error) {
 	switch t {
 	case exec.TypeInt, exec.TypeTime:
 		x, ok := v.(int64)
 		if !ok {
-			return nil, typeErr(t, v)
+			return dst, typeErr(t, v)
 		}
-		var b [binary.MaxVarintLen64]byte
-		n := binary.PutVarint(b[:], x)
-		return b[:n], nil
+		return binary.AppendVarint(dst, x), nil
 	case exec.TypeFloat:
 		x, ok := v.(float64)
 		if !ok {
 			if i, iok := v.(int64); iok {
 				x = float64(i)
 			} else {
-				return nil, typeErr(t, v)
+				return dst, typeErr(t, v)
 			}
 		}
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
-		return b[:], nil
+		return appendF64(dst, x), nil
 	case exec.TypeString:
 		x, ok := v.(string)
 		if !ok {
-			return nil, typeErr(t, v)
+			return dst, typeErr(t, v)
 		}
-		return []byte(x), nil
+		return append(dst, x...), nil
 	case exec.TypeBytes:
 		x, ok := v.([]byte)
 		if !ok {
-			return nil, typeErr(t, v)
+			return dst, typeErr(t, v)
 		}
-		return x, nil
+		return append(dst, x...), nil
 	case exec.TypeBool:
 		x, ok := v.(bool)
 		if !ok {
-			return nil, typeErr(t, v)
+			return dst, typeErr(t, v)
 		}
 		if x {
-			return []byte{1}, nil
+			return append(dst, 1), nil
 		}
-		return []byte{0}, nil
+		return append(dst, 0), nil
 	case exec.TypeGeometry:
 		g, ok := v.(geom.Geometry)
 		if !ok {
-			return nil, typeErr(t, v)
+			return dst, typeErr(t, v)
 		}
-		encodeGeometry(&buf, g)
-		return buf.Bytes(), nil
+		return appendGeometry(dst, g), nil
 	case exec.TypeSTSeries:
 		pts, ok := v.([]geom.TPoint)
 		if !ok {
-			return nil, typeErr(t, v)
+			return dst, typeErr(t, v)
 		}
-		encodeSTSeries(&buf, pts, false)
-		return buf.Bytes(), nil
+		return appendSTSeries(dst, pts, false), nil
 	case exec.TypeTSeries:
 		xs, ok := v.([]float64)
 		if !ok {
-			return nil, typeErr(t, v)
+			return dst, typeErr(t, v)
 		}
-		var b [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(b[:], uint64(len(xs)))
-		buf.Write(b[:n])
+		dst = binary.AppendUvarint(dst, uint64(len(xs)))
 		for _, x := range xs {
-			var fb [8]byte
-			binary.LittleEndian.PutUint64(fb[:], math.Float64bits(x))
-			buf.Write(fb[:])
+			dst = appendF64(dst, x)
 		}
-		return buf.Bytes(), nil
+		return dst, nil
 	default:
-		return nil, fmt.Errorf("table: unsupported type %v", t)
+		return dst, fmt.Errorf("table: unsupported type %v", t)
 	}
 }
 
@@ -422,10 +434,8 @@ func typeErr(t exec.DataType, v any) error {
 	return fmt.Errorf("value %T does not match column type %v", v, t)
 }
 
-func writeF64(buf *bytes.Buffer, v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	buf.Write(b[:])
+func appendF64(dst []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
 func readF64(data []byte) (float64, []byte, error) {
@@ -435,18 +445,12 @@ func readF64(data []byte) (float64, []byte, error) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(data)), data[8:], nil
 }
 
-func writeUvarint(buf *bytes.Buffer, v uint64) {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(b[:], v)
-	buf.Write(b[:n])
-}
-
-func encodePointSeq(buf *bytes.Buffer, pts []geom.Point) {
-	writeUvarint(buf, uint64(len(pts)))
+func appendPointSeq(dst []byte, pts []geom.Point) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(pts)))
 	for _, p := range pts {
-		writeF64(buf, p.Lng)
-		writeF64(buf, p.Lat)
+		dst = appendF64(appendF64(dst, p.Lng), p.Lat)
 	}
+	return dst
 }
 
 func decodePointSeq(data []byte) ([]geom.Point, []byte, error) {
@@ -468,23 +472,23 @@ func decodePointSeq(data []byte) ([]geom.Point, []byte, error) {
 	return pts, data, nil
 }
 
-func encodeGeometry(buf *bytes.Buffer, g geom.Geometry) {
-	buf.WriteByte(byte(g.Type()))
+func appendGeometry(dst []byte, g geom.Geometry) []byte {
+	dst = append(dst, byte(g.Type()))
 	switch v := g.(type) {
 	case geom.Point:
-		writeF64(buf, v.Lng)
-		writeF64(buf, v.Lat)
+		dst = appendF64(appendF64(dst, v.Lng), v.Lat)
 	case *geom.LineString:
-		encodePointSeq(buf, v.Points)
+		dst = appendPointSeq(dst, v.Points)
 	case *geom.MultiPoint:
-		encodePointSeq(buf, v.Points)
+		dst = appendPointSeq(dst, v.Points)
 	case *geom.Polygon:
-		writeUvarint(buf, uint64(1+len(v.Holes)))
-		encodePointSeq(buf, v.Outer)
+		dst = binary.AppendUvarint(dst, uint64(1+len(v.Holes)))
+		dst = appendPointSeq(dst, v.Outer)
 		for _, h := range v.Holes {
-			encodePointSeq(buf, h)
+			dst = appendPointSeq(dst, h)
 		}
 	}
+	return dst
 }
 
 func decodeGeometry(data []byte) (geom.Geometry, []byte, error) {
@@ -560,43 +564,37 @@ const (
 	stSeriesFormatDelta2 = 2
 )
 
-// encodeSTSeries writes timestamped points. The delta format encodes all
+// appendSTSeries appends timestamped points. The delta format encodes all
 // three dimensions as varint deltas (coordinates at 1e-7° fixed
 // precision); consecutive GPS fixes are meters and seconds apart, so the
 // deltas are tiny and gzip on top squeezes the remaining regularity —
 // the property the paper's compression mechanism exploits on courier GPS
 // lists.
-func encodeSTSeries(buf *bytes.Buffer, pts []geom.TPoint, delta bool) {
+func appendSTSeries(dst []byte, pts []geom.TPoint, delta bool) []byte {
 	if !delta {
-		buf.WriteByte(stSeriesFormatPlain)
-		writeUvarint(buf, uint64(len(pts)))
-		var b [binary.MaxVarintLen64]byte
+		dst = append(dst, stSeriesFormatPlain)
+		dst = binary.AppendUvarint(dst, uint64(len(pts)))
 		var prevT int64
 		for _, p := range pts {
-			writeF64(buf, p.Lng)
-			writeF64(buf, p.Lat)
-			n := binary.PutVarint(b[:], p.T-prevT)
-			buf.Write(b[:n])
+			dst = appendF64(appendF64(dst, p.Lng), p.Lat)
+			dst = binary.AppendVarint(dst, p.T-prevT)
 			prevT = p.T
 		}
-		return
+		return dst
 	}
-	buf.WriteByte(stSeriesFormatDelta2)
-	writeUvarint(buf, uint64(len(pts)))
-	var b [binary.MaxVarintLen64]byte
+	dst = append(dst, stSeriesFormatDelta2)
+	dst = binary.AppendUvarint(dst, uint64(len(pts)))
 	var prevLng, prevLat, prevT, prevDT int64
 	for _, p := range pts {
 		lng := int64(math.Round(p.Lng * stSeriesScale))
 		lat := int64(math.Round(p.Lat * stSeriesScale))
-		n := binary.PutVarint(b[:], lng-prevLng)
-		buf.Write(b[:n])
-		n = binary.PutVarint(b[:], lat-prevLat)
-		buf.Write(b[:n])
+		dst = binary.AppendVarint(dst, lng-prevLng)
+		dst = binary.AppendVarint(dst, lat-prevLat)
 		dt := p.T - prevT
-		n = binary.PutVarint(b[:], dt-prevDT)
-		buf.Write(b[:n])
+		dst = binary.AppendVarint(dst, dt-prevDT)
 		prevLng, prevLat, prevT, prevDT = lng, lat, p.T, dt
 	}
+	return dst
 }
 
 func decodeSTSeries(data []byte) ([]geom.TPoint, error) {

@@ -58,12 +58,11 @@ func TestSTSeriesDelta2(t *testing.T) {
 			T:     tm,
 		}
 	}
-	var buf bytes.Buffer
-	encodeSTSeries(&buf, irregular, true)
-	if buf.Bytes()[0] != stSeriesFormatDelta2 {
-		t.Fatalf("compressed write used format %d, want %d", buf.Bytes()[0], stSeriesFormatDelta2)
+	enc := appendSTSeries(nil, irregular, true)
+	if enc[0] != stSeriesFormatDelta2 {
+		t.Fatalf("compressed write used format %d, want %d", enc[0], stSeriesFormatDelta2)
 	}
-	got, err := decodeSTSeries(buf.Bytes())
+	got, err := decodeSTSeries(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +79,7 @@ func TestSTSeriesDelta2(t *testing.T) {
 	// hand-encode the same points the way the previous release did.
 	var legacy bytes.Buffer
 	legacy.WriteByte(stSeriesFormatDelta)
-	writeUvarint(&legacy, uint64(len(irregular)))
+	legacy.Write(binary.AppendUvarint(nil, uint64(len(irregular))))
 	var b [binary.MaxVarintLen64]byte
 	var prevLng, prevLat, prevT int64
 	for _, p := range irregular {
@@ -108,11 +107,10 @@ func TestSTSeriesDelta2(t *testing.T) {
 	for i := range regular {
 		regular[i] = geom.TPoint{Point: irregular[i].Point, T: int64(i) * 3000}
 	}
-	var dod bytes.Buffer
-	encodeSTSeries(&dod, regular, true)
+	dod := appendSTSeries(nil, regular, true)
 	var d1 bytes.Buffer
 	d1.WriteByte(stSeriesFormatDelta)
-	writeUvarint(&d1, uint64(len(regular)))
+	d1.Write(binary.AppendUvarint(nil, uint64(len(regular))))
 	prevLng, prevLat, prevT = 0, 0, 0
 	for _, p := range regular {
 		lng := int64(math.Round(p.Lng * stSeriesScale))
@@ -125,8 +123,8 @@ func TestSTSeriesDelta2(t *testing.T) {
 		d1.Write(b[:n])
 		prevLng, prevLat, prevT = lng, lat, p.T
 	}
-	if dod.Len() >= d1.Len() {
-		t.Fatalf("delta-of-delta %d bytes, first-order delta %d: no win on regular sampling", dod.Len(), d1.Len())
+	if len(dod) >= d1.Len() {
+		t.Fatalf("delta-of-delta %d bytes, first-order delta %d: no win on regular sampling", len(dod), d1.Len())
 	}
 }
 
