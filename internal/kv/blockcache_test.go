@@ -87,7 +87,7 @@ func TestConcurrentMissesReadOnce(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					data, e, err := tb.loadBlock(0, false)
+					data, e, err := tb.loadBlock(0)
 					got[g], errs[g] = bytes.Clone(data), err
 					cache.release(e)
 				}()
@@ -331,6 +331,78 @@ func TestRecycledBlocksServeNoStaleView(t *testing.T) {
 			}
 			if m := s.metrics(); atomic.LoadInt64(&m.BlockCacheMisses) == 0 && name == "cluster" {
 				t.Fatal("no scan missed the cache")
+			}
+		})
+	}
+}
+
+// TestPointReadsSurviveRecycledBlocks: a value GetCtx or MultiGetCtx
+// returns is the caller's. The values are read from blocks of a 16 KiB
+// cache; full scans then evict those blocks, whose buffers are recycled
+// (and, in tests, poisoned) and refilled by later misses, and every
+// value kept must still be the one written. It runs on a Cluster and
+// through a RegionNode over Loopback behind a Router.
+func TestPointReadsSurviveRecycledBlocks(t *testing.T) {
+	opts := Options{Codec: "lz4", BlockCacheBytes: 16 << 10}
+	_, nodes, router := startRouterCluster(t, 1, NodeOptions{Options: opts}, fastRetry(RouterOptions{}))
+	cluster := newTestCluster(t, ClusterOptions{Options: opts})
+	stores := []struct {
+		name   string
+		s      Store
+		misses func() int64
+	}{
+		{"cluster", cluster, func() int64 { return cluster.Metrics().BlockCacheMisses }},
+		{"router", router, func() int64 { return nodes[0].Metrics().BlockCacheMisses }},
+	}
+	const keys = 400
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%04d", i)) }
+	for _, st := range stores {
+		t.Run(st.name, func(t *testing.T) {
+			s, rng := st.s, rand.New(rand.NewSource(58))
+			var b WriteBatch
+			for i := 0; i < keys; i++ {
+				b.Put(key(i), staleValue(rng, key(i), 0))
+			}
+			if err := s.ApplyCtx(bg, &b); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			var kept [][2][]byte // key, value
+			for i := 0; i < keys; i += 7 {
+				v, err := s.GetCtx(bg, key(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				kept = append(kept, [2][]byte{key(i), v})
+			}
+			var many [][]byte
+			for i := 3; i < keys; i += 7 {
+				many = append(many, key(i))
+			}
+			vs, err := s.MultiGetCtx(bg, many)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range vs {
+				kept = append(kept, [2][]byte{many[i], v})
+			}
+			misses := st.misses()
+			for pass := 0; pass < 2; pass++ {
+				if err := ScanRange(bg, s, KeyRange{}, func(k, v []byte) bool { return true }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Each pass misses four times what the cache holds, so no
+			// block the point reads loaded is still cached.
+			if n, least := st.misses()-misses, int64(2*4*(16<<10)/blockTargetSize); n < least {
+				t.Fatalf("the scans missed %d blocks, want at least %d", n, least)
+			}
+			for _, p := range kept {
+				if msg := checkStaleValue(p[0], p[1]); msg != "" {
+					t.Fatal(msg)
+				}
 			}
 		})
 	}

@@ -17,11 +17,10 @@ import (
 //     loads the block itself.
 //   - The last release of an evicted entry puts it, buffer and all, on
 //     a short free list, and the next miss decompresses into that
-//     buffer. It does so only if every reader the entry was handed to
-//     released it before holding a view past a pair's emit: a reader
-//     that may keep views (region.Scan, point reads) marks the entry
-//     escaped, and an escaped buffer is left to the GC. A compaction
-//     reads its inputs past the cache, as HBase's do.
+//     buffer. Every reader releases its entry once it holds no view of
+//     it: a scan when its pair is passed, a point read once it copied
+//     its value. A compaction reads its inputs past the cache, as
+//     HBase's do.
 type blockCache struct {
 	mu       sync.Mutex
 	capacity int64
@@ -41,9 +40,8 @@ type cacheEntry struct {
 	data       []byte
 	prev, next *cacheEntry // LRU links, set only while the entry is in ll
 
-	refs    atomic.Int32
-	state   atomic.Int32 // entryLoading, then entryLoaded (in ll) or entryFailed (out of items)
-	escaped bool         // a reader may keep views of data: never recycle it (under mu)
+	refs  atomic.Int32
+	state atomic.Int32 // entryLoading, then entryLoaded (in ll) or entryFailed (out of items)
 }
 
 // The states of an entry.
@@ -79,14 +77,12 @@ const (
 )
 
 // acquire returns block's entry with a reference taken for the caller.
-// escape marks it as handed to a reader that may keep views of it.
-func (c *blockCache) acquire(table uint64, block int, escape bool) (*cacheEntry, int) {
+func (c *blockCache) acquire(table uint64, block int) (*cacheEntry, int) {
 	k := cacheKey{table, block}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.items[k]; ok {
 		e.refs.Add(1)
-		e.escaped = e.escaped || escape
 		if e.state.Load() == entryLoading {
 			return e, cacheWait
 		}
@@ -100,7 +96,7 @@ func (c *blockCache) acquire(table uint64, block int, escape bool) (*cacheEntry,
 	} else {
 		e = new(cacheEntry)
 	}
-	e.key, e.escaped = k, escape
+	e.key = k
 	e.refs.Store(2)
 	e.state.Store(entryLoading)
 	c.items[k] = e
@@ -148,9 +144,9 @@ func (c *blockCache) evictLocked(e *cacheEntry) {
 }
 
 // recycleLocked keeps an entry no one references for the next miss,
-// unless its buffer escaped or the free list is full.
+// unless the free list is full.
 func (c *blockCache) recycleLocked(e *cacheEntry) {
-	if e.escaped || len(c.free) == maxFreeBlocks {
+	if len(c.free) == maxFreeBlocks {
 		return
 	}
 	if poisonRecycled {

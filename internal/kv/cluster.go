@@ -33,10 +33,7 @@ type ClusterOptions struct {
 type Cluster struct {
 	met Metrics
 
-	// r is the one region; slots bound how many scan tasks run on it at
-	// once.
-	r      *region
-	slots  chan struct{}
+	r      *region // the one region
 	closed atomic.Bool
 
 	// fams are the key families the table layer registered, one per
@@ -63,11 +60,12 @@ type Cluster struct {
 
 // paperServers is the region-server count of the paper's evaluation
 // cluster. A Cluster shares the host's CPUs out as if among that many
-// servers: its region gets max(2, NumCPU/paperServers) scan slots, and
-// a ScanCollect runs one worker per slot (a worker more would only park
-// on the slots), each with two batches of room in the worker → consumer
-// channel. Each task's scan takes a recycled merge from its region and
-// hands it back when the task ends (region.snapshot, mergeIter.recycle).
+// servers: a ScanCollect runs max(2, NumCPU/paperServers) workers, each
+// with two batches of room in the worker → consumer channel. Nothing
+// else bounds a region's scans: across statements, as on a region
+// server, admission does. Each task's scan takes a recycled merge from
+// its region and hands it back when the task ends (region.snapshot,
+// mergeIter.recycle).
 const paperServers = 5
 
 // OpenCluster opens (or creates) a cluster rooted at dir. The region
@@ -78,7 +76,6 @@ func OpenCluster(dir string, opts ClusterOptions) (*Cluster, error) {
 	}
 	ropts := opts.Options.withDefaults()
 	c := &Cluster{
-		slots:    make(chan struct{}, max(2, runtime.NumCPU()/paperServers)),
 		scrubKey: "scrub:" + dir,
 		stop:     make(chan struct{}),
 	}
@@ -270,17 +267,12 @@ func (c *Cluster) scanTasks(ranges []KeyRange) []scanTask {
 	return tasks
 }
 
-// runScanTask streams one task's pairs once a scan slot is free. A task
-// still queued for a slot when ctx is canceled never starts, so a
-// canceled query does not hold the region's scan concurrency hostage
-// behind slow neighbors.
+// runScanTask streams one task's pairs. A task whose ctx is canceled
+// before it starts never opens a snapshot.
 func (c *Cluster) runScanTask(ctx context.Context, t scanTask, emit func(key, value []byte) bool) error {
-	select {
-	case c.slots <- struct{}{}:
-	case <-ctx.Done():
-		return ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	defer func() { <-c.slots }()
 	it := c.r.snapshot()
 	defer it.recycle()
 	for _, kr := range t.run {
@@ -298,7 +290,7 @@ func (c *Cluster) runScanTask(ctx context.Context, t scanTask, emit func(key, va
 
 func (c *Cluster) metrics() *Metrics { return &c.met }
 
-func (c *Cluster) scanWidth() int { return cap(c.slots) }
+func (c *Cluster) scanWidth() int { return max(2, runtime.NumCPU()/paperServers) }
 
 // maxSerialScanTasks bounds the plan size below which starting scan
 // workers costs more than it saves: smaller plans run the worker loop
@@ -324,13 +316,12 @@ type TaskCollector[B any] struct {
 // ScanCollect is the parallel face of the scan engine: it scans many
 // ranges, split into tasks (a range, or a run of ranges, served by one
 // region), on min(tasks, scanWidth) workers. Each worker takes the next
-// task from a shared cursor, runs it in a scan slot of its region and
-// folds its pairs into batches through the worker's TaskCollector.
-// Decode and filter work therefore parallelizes across workers, no
-// goroutine is started per task, and whole batches (not pairs) cross
-// the worker → consumer boundary. Batches reach emit serially, in
-// arbitrary inter-task order; those emit receives count into
-// BatchesDecoded.
+// task from a shared cursor, runs it on its region and folds its pairs
+// into batches through the worker's TaskCollector. Decode and filter
+// work therefore parallelizes across workers, no goroutine is started
+// per task, and whole batches (not pairs) cross the worker → consumer
+// boundary. Batches reach emit serially, in arbitrary inter-task order;
+// those emit receives count into BatchesDecoded.
 //
 // Plans of at most maxSerialScanTasks tasks, and plans one worker
 // serves, run the worker loop inline, on the caller's goroutine. emit

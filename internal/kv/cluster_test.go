@@ -43,7 +43,7 @@ func TestClusterScanRangeOrdered(t *testing.T) {
 }
 
 // TestClusterScanRangesParallel scans more ranges than run inline, so
-// the tasks fan out over the region's scan slots.
+// the tasks fan out over the scan workers.
 func TestClusterScanRangesParallel(t *testing.T) {
 	c := newTestCluster(t, ClusterOptions{})
 	want := map[string]bool{}

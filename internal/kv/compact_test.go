@@ -116,7 +116,8 @@ func mergeThroughCache(t *testing.T, r *region, tables []*table, path string) {
 	for _, tb := range tables {
 		n += int(tb.count)
 	}
-	it := &mergeIter{raw: true, escape: true}
+	it := &mergeIter{raw: true}
+	defer it.Close()
 	it.arm(tables)
 	it.seek(KeyRange{})
 	tw, err := newTableWriter(OSFS{}, path, r.opts.blockCodec(), r.opts.families.snapshot(), n)

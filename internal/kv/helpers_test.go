@@ -3,6 +3,7 @@ package kv
 import (
 	"bytes"
 	"context"
+	"sync/atomic"
 )
 
 // bg is the context of tests that exercise no deadline or cancellation:
@@ -72,7 +73,7 @@ func (t *table) iter(r KeyRange) *tableIter {
 	return it
 }
 
-// get returns a cached block's bytes to a caller that may keep them.
+// get returns a cached block's bytes, bumping it to the LRU front.
 func (c *blockCache) get(table uint64, block int) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -80,16 +81,14 @@ func (c *blockCache) get(table uint64, block int) ([]byte, bool) {
 	if !ok || e.state.Load() == entryLoading {
 		return nil, false
 	}
-	e.escaped = true
 	c.ll.moveToFront(e)
 	return e.data, true
 }
 
-// put caches a loaded block that callers may keep. data
-// must be the decompressed buffer, so used tracks resident memory, not
-// the smaller on-disk size.
+// put caches a loaded block. data must be the decompressed buffer, so
+// used tracks resident memory, not the smaller on-disk size.
 func (c *blockCache) put(table uint64, block int, data []byte) {
-	e, state := c.acquire(table, block, true)
+	e, state := c.acquire(table, block)
 	if state == cacheMiss {
 		e.data = data
 		c.loaded(e, true)
@@ -100,3 +99,36 @@ func (c *blockCache) put(table uint64, block int, data []byte) {
 // Len returns the number of cached blocks; the caller holds the
 // cache's lock.
 func (l *lru) Len() int { return l.len }
+
+// put writes one unsynced entry to the WAL and the memtable, outside any
+// batch: the single-entry record older logs hold. Put and Delete use it.
+func (r *region) put(key, value []byte, k kind) error {
+	r.walMu.Lock()
+	defer r.walMu.Unlock()
+	if err := r.writable(); err != nil {
+		return err
+	}
+	if r.log != nil {
+		if err := r.log.append(k, key, value); err != nil {
+			return err
+		}
+		if r.met != nil {
+			atomic.AddInt64(&r.met.BytesWritten, int64(len(key)+len(value)+9))
+		}
+	}
+	r.mem.put(bytes.Clone(key), bytes.Clone(value), k)
+	return r.maybeFreeze()
+}
+
+// Put writes key through region.put.
+func (r *region) Put(key, value []byte) error { return r.put(key, value, kindPut) }
+
+// Delete writes a tombstone for key through region.put.
+func (r *region) Delete(key []byte) error { return r.put(key, nil, kindDelete) }
+
+// append frames one entry as a single-entry record, left in the buffer
+// until the next flush.
+func (l *wal) append(k kind, key, value []byte) error {
+	l.buf = appendWALEntry(l.buf[:0], k, key, value)
+	return l.appendRecord(l.buf)
+}

@@ -149,7 +149,7 @@ type Metrics struct {
 	BytesRead        int64 `json:"bytes_read"`    // bytes read from SSTables (compressed size)
 	BlocksRead       int64 `json:"blocks_read"`   // data blocks fetched from disk
 	BlockCacheHits   int64 `json:"block_cache_hits"`
-	BlocksTouched    int64 `json:"blocks_touched"` // blocks query scans loaded, hit or miss
+	BlocksTouched    int64 `json:"blocks_touched"` // cached block loads, hit or miss: scans and point reads
 	BlockCacheMisses int64 `json:"block_cache_misses"`
 	BloomNegatives   int64 `json:"bloom_negatives"` // gets short-circuited by the bloom filter
 	Flushes          int64 `json:"flushes"`

@@ -214,7 +214,7 @@ func openRegion(id int, dir string, opts Options, cache *blockCache, met *Metric
 		var tail int64         // offset past the last valid record of the newest file
 		for i, p := range walFiles {
 			end, err := replayWAL(fs, p, func(k kind, key, value []byte) error {
-				r.mem.put(append([]byte(nil), key...), append([]byte(nil), value...), k)
+				r.mem.put(bytes.Clone(key), bytes.Clone(value), k) // an empty value stays non-nil: present
 				return nil
 			})
 			if err != nil {
@@ -341,30 +341,6 @@ func (r *region) verifyTables(ctx context.Context) (int64, error) {
 func (r *region) walPath() string {
 	return filepath.Join(r.dir, fmt.Sprintf("wal-%06d.log", r.walSeq))
 }
-
-func (r *region) put(key, value []byte, k kind) error {
-	r.walMu.Lock()
-	defer r.walMu.Unlock()
-	if err := r.writable(); err != nil {
-		return err
-	}
-	if r.log != nil {
-		if err := r.log.append(k, key, value); err != nil {
-			return err
-		}
-		if r.met != nil {
-			atomic.AddInt64(&r.met.BytesWritten, int64(len(key)+len(value)+9))
-		}
-	}
-	r.mem.put(append([]byte(nil), key...), append([]byte(nil), value...), k)
-	return r.maybeFreeze()
-}
-
-// Put inserts or overwrites key.
-func (r *region) Put(key, value []byte) error { return r.put(key, value, kindPut) }
-
-// Delete writes a tombstone for key.
-func (r *region) Delete(key []byte) error { return r.put(key, nil, kindDelete) }
 
 // writable reports why the region refuses a write, if it does.
 func (r *region) writable() error {
@@ -542,20 +518,16 @@ func releaseTables(ts []*table) {
 	}
 }
 
-// Get returns the value for key or ErrNotFound.
+// Get returns the value for key or ErrNotFound: a getBatch of one key.
 func (r *region) Get(key []byte) ([]byte, error) {
-	r.mu.RLock()
-	if r.closed {
-		r.mu.RUnlock()
-		return nil, ErrClosed
+	var out [1][]byte
+	if err := r.getBatch([][]byte{key}, out[:]); err != nil {
+		return nil, err
 	}
-	mem := r.mem
-	imms := append([]*immMem(nil), r.imm...)
-	tables := pinTables(nil, r.tables)
-	r.mu.RUnlock()
-	defer releaseTables(tables)
-	v, k, _ := mem.get(key)
-	return getFrom(memEntry{value: v, kind: k}, imms, tables, key)
+	if out[0] == nil {
+		return nil, ErrNotFound
+	}
+	return out[0], nil
 }
 
 // getBatch probes many keys against one consistent snapshot of the
@@ -977,11 +949,9 @@ func (r *region) rearm(m *mergeIter) {
 }
 
 // Scan returns an iterator over live pairs in the range: a one-range
-// run of a snapshot whose pairs stay valid after Close.
+// run of a snapshot. A pair is valid until the next Next.
 func (r *region) Scan(kr KeyRange) Iterator {
-	m := mergeIters.Get().(*mergeIter)
-	m.escape = true
-	r.rearm(m)
+	m := r.snapshot()
 	m.seek(kr)
 	return m
 }
@@ -1062,11 +1032,9 @@ type mergeIter struct {
 	raw  bool     // emit tombstones and shadowed versions' winners too
 	pins []*table // the tables region.snapshot pinned, oldest first; released on Close
 
-	// escape: the caller may keep pairs past the next nextRaw, and past
-	// Close (region.Scan), so no block it reads is ever recycled. Else a
-	// pair is valid until the next nextRaw, and the merge holds the blocks
+	// A pair is valid until the next nextRaw: the merge holds the blocks
 	// it reads until then (see tableIter), past the cache if direct.
-	escape, direct bool
+	direct bool
 }
 
 // mergeIters holds merges that scans handed back (see recycle).
@@ -1138,7 +1106,7 @@ func (m *mergeIter) arm(tables []*table) {
 		// the skipped block, so the tables older than t veto a skip
 		// over their key span. Memtables and later tables are always
 		// newer and never need a veto.
-		m.tables = append(m.tables, tableIter{t: t, bi: -1, older: tables[:i], escape: m.escape, direct: m.direct})
+		m.tables = append(m.tables, tableIter{t: t, bi: -1, older: tables[:i], direct: m.direct})
 	}
 }
 

@@ -38,11 +38,45 @@ const splitIDSpace = 1_000_000
 // scanBatchSize caps the pairs of one scan reply frame.
 const scanBatchSize = 512
 
-// reseed chunking: mutations and bytes per shipped catch-up batch.
+// copy chunking: mutations and bytes per batch that a split, a merge or
+// a reseed writes (see copyChunks).
 const (
 	reseedChunkMuts  = 4096
 	reseedChunkBytes = 4 << 20
 )
+
+// copyChunks hands apply the live pairs of a snapshot of r over kr, in
+// key order, as chunks of at most reseedChunkMuts pairs or about
+// reseedChunkBytes of keys and values: the one copier of region splits,
+// merges and replica reseeds. A chunk's slices are copies, valid until
+// apply returns.
+func (r *region) copyChunks(kr KeyRange, apply func([]mutation) error) error {
+	it := r.Scan(kr)
+	defer it.Close()
+	var (
+		muts []mutation
+		buf  []byte
+	)
+	for it.Next() {
+		// A grown buf leaves the chunk's earlier pairs in the old array.
+		n, k := len(buf), len(it.Key())
+		buf = append(append(buf, it.Key()...), it.Value()...)
+		muts = append(muts, mutation{kindPut, buf[n : n+k : n+k], buf[n+k : len(buf) : len(buf)]})
+		if len(muts) >= reseedChunkMuts || len(buf) >= reseedChunkBytes {
+			if err := apply(muts); err != nil {
+				return err
+			}
+			muts, buf = muts[:0], buf[:0]
+		}
+	}
+	if err := it.Err(); err != nil {
+		return err
+	}
+	if len(muts) == 0 {
+		return nil
+	}
+	return apply(muts)
+}
 
 // errShipGap reports a replica whose ship stream has a sequence hole
 // (it restarted, or a promote re-based the stream); the primary cures
@@ -472,42 +506,17 @@ func (n *RegionNode) reseedReplica(ctx context.Context, sr *servedRegion, addr s
 	if _, err := n.tr.Do(ctx, addr, rpc.OpCreateRegion, rpc.MarshalAdmin(&create)); err != nil {
 		return 0, err
 	}
-	var (
-		muts  []mutation
-		size  int
-		seq   uint64
-		sreq  = rpc.ShipReq{Region: sr.id, Epoch: sr.epoch}
-		flush = func() error {
-			seq++
-			sreq.Seq = seq
-			sreq.Payload = encodeBatchPayload(nil, muts)
-			_, err := n.tr.Do(ctx, addr, rpc.OpShip, sreq.Append(nil))
-			muts, size = muts[:0], 0
-			return err
-		}
-	)
-	it := sr.r.Scan(KeyRange{})
-	for it.Next() {
-		k := append([]byte(nil), it.Key()...)
-		v := append([]byte(nil), it.Value()...)
-		muts = append(muts, mutation{kindPut, k, v})
-		size += len(k) + len(v)
-		if len(muts) >= reseedChunkMuts || size >= reseedChunkBytes {
-			if err := flush(); err != nil {
-				it.Close()
-				return 0, err
-			}
-		}
-	}
-	err := it.Err()
-	it.Close()
+	var seq uint64
+	sreq := rpc.ShipReq{Region: sr.id, Epoch: sr.epoch}
+	err := sr.r.copyChunks(KeyRange{}, func(muts []mutation) error {
+		seq++
+		sreq.Seq = seq
+		sreq.Payload = encodeBatchPayload(sreq.Payload[:0], muts)
+		_, err := n.tr.Do(ctx, addr, rpc.OpShip, sreq.Append(nil))
+		return err
+	})
 	if err != nil {
 		return 0, err
-	}
-	if len(muts) > 0 {
-		if err := flush(); err != nil {
-			return 0, err
-		}
 	}
 	return seq, nil
 }
@@ -956,29 +965,17 @@ func (n *RegionNode) splitLocked(sr *servedRegion, mid []byte, leftID, rightID u
 		n.fs.RemoveAll(n.regionDir(leftID))
 		n.fs.RemoveAll(n.regionDir(rightID))
 	}
-	it := sr.r.Scan(KeyRange{})
-	for it.Next() {
-		dst := left
-		if bytes.Compare(it.Key(), mid) >= 0 {
-			dst = right
-		}
-		if err := dst.Put(it.Key(), it.Value()); err != nil {
-			it.Close()
-			cleanup()
-			return err
-		}
+	err = sr.r.copyChunks(KeyRange{End: mid}, left.applyBatch)
+	if err == nil {
+		err = sr.r.copyChunks(KeyRange{Start: mid}, right.applyBatch)
 	}
-	if err := it.Err(); err != nil {
-		it.Close()
-		cleanup()
-		return err
+	if err == nil {
+		err = left.flush()
 	}
-	it.Close()
-	if err := left.flush(); err != nil {
-		cleanup()
-		return err
+	if err == nil {
+		err = right.flush()
 	}
-	if err := right.flush(); err != nil {
+	if err != nil {
 		cleanup()
 		return err
 	}
@@ -1067,25 +1064,14 @@ func (n *RegionNode) handleMerge(payload []byte, w *rpc.ResponseWriter) error {
 	if err != nil {
 		return w.SendErr(rpc.CodeInternal, err.Error())
 	}
-	for _, src := range []*servedRegion{left, right} {
-		it := src.r.Scan(KeyRange{})
-		for it.Next() {
-			if err := merged.Put(it.Key(), it.Value()); err != nil {
-				it.Close()
-				merged.Close()
-				n.fs.RemoveAll(n.regionDir(req.NewID))
-				return sendKVErr(w, err)
-			}
-		}
-		err := it.Err()
-		it.Close()
-		if err != nil {
-			merged.Close()
-			n.fs.RemoveAll(n.regionDir(req.NewID))
-			return sendKVErr(w, err)
-		}
+	err = left.r.copyChunks(KeyRange{}, merged.applyBatch)
+	if err == nil {
+		err = right.r.copyChunks(KeyRange{}, merged.applyBatch)
 	}
-	if err := merged.flush(); err != nil {
+	if err == nil {
+		err = merged.flush()
+	}
+	if err != nil {
 		merged.Close()
 		n.fs.RemoveAll(n.regionDir(req.NewID))
 		return sendKVErr(w, err)

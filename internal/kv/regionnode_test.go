@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"maps"
+	"math/rand"
 	"testing"
 
 	"just/internal/rpc"
@@ -274,6 +276,104 @@ func TestRegionNodeSplit(t *testing.T) {
 			t.Fatalf("after split: %s = %q, want %q", k, got[k], v)
 		}
 	}
+
+	// A churned source bigger than one copy chunk, read through a 16 KiB
+	// cache that recycles its blocks, split on request: each daughter
+	// holds exactly the model's keys on its side of mid.
+	n2 := testNode(t, lb, "n2", 2, NodeOptions{Options: Options{MemtableBytes: 64 << 10, BlockCacheBytes: 16 << 10}})
+	adminCall(t, lb, "n2", rpc.OpCreateRegion, &rpc.CreateRegionReq{ID: 1, Epoch: 1, Role: rpc.RolePrimary})
+	model := fillChurned(t, lb, n2, "n2", 1, 1, "k", 10000)
+	mid := "k-05000"
+	commits := n2.Metrics().GroupCommits
+	adminCall(t, lb, "n2", rpc.OpSplit, &rpc.SplitReq{Region: 1, Epoch: 1, SplitKey: []byte(mid), LeftID: 2, RightID: 3})
+	chunks := 0
+	for _, side := range []struct {
+		id     uint64
+		inSide func(k string) bool
+	}{{2, func(k string) bool { return k < mid }}, {3, func(k string) bool { return k >= mid }}} {
+		sub := map[string]string{}
+		for k, v := range model {
+			if side.inSide(k) {
+				sub[k] = v
+			}
+		}
+		if len(sub) <= reseedChunkMuts {
+			t.Fatalf("daughter %d gets %d pairs, want more than one chunk's %d", side.id, len(sub), reseedChunkMuts)
+		}
+		checkRegionModel(t, lb, "n2", side.id, 2, sub)
+		chunks += (len(sub) + reseedChunkMuts - 1) / reseedChunkMuts
+	}
+	if got := n2.Metrics().GroupCommits - commits; got != int64(chunks) {
+		t.Fatalf("split applied %d batches, want %d chunks", got, chunks)
+	}
+}
+
+// fillChurned writes count keys prefix-%05d to a region in batches of
+// 500, then overwrites about a third of them and deletes about a tenth,
+// flushing between rounds so that the region's pairs lie in several
+// tables and its memtable. It returns the model of what stays live.
+func fillChurned(t *testing.T, lb *Loopback, n *RegionNode, addr string, region, epoch uint64, prefix string, count int) map[string]string {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(count)))
+	model := map[string]string{}
+	apply := func(b *WriteBatch) {
+		req := rpc.PutBatchReq{Region: region, Epoch: epoch, Payload: encodeBatchPayload(nil, b.muts)}
+		if _, err := lb.Do(context.Background(), addr, rpc.OpPutBatch, req.Append(nil)); err != nil {
+			t.Fatal(err)
+		}
+		b.Reset()
+	}
+	var b WriteBatch
+	for round := 0; round < 3; round++ {
+		for i := 0; i < count; i++ {
+			k := fmt.Sprintf("%s-%05d", prefix, i)
+			switch {
+			case round == 0:
+			case round == 1 && rng.Intn(3) == 0:
+			case round == 2 && rng.Intn(10) == 0:
+				b.Delete([]byte(k))
+				delete(model, k)
+				continue
+			default:
+				continue
+			}
+			v := fmt.Sprintf("%s@%d-%x", k, round, rng.Int63())
+			b.Put([]byte(k), []byte(v))
+			model[k] = v
+			if b.Len() == 500 {
+				apply(&b)
+			}
+		}
+		if b.Len() > 0 {
+			apply(&b)
+		}
+		if round < 2 {
+			n.mu.Lock()
+			sr := n.regions[region]
+			n.mu.Unlock()
+			if err := sr.r.flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return model
+}
+
+// checkRegionModel scans a region whole and compares it with model.
+func checkRegionModel(t *testing.T, lb *Loopback, addr string, region, epoch uint64, model map[string]string) {
+	t.Helper()
+	got, err := nodeScanAll(t, lb, addr, region, epoch)
+	if err != nil {
+		t.Fatalf("scan region %d: %v", region, err)
+	}
+	if len(got) != len(model) {
+		t.Fatalf("region %d holds %d pairs, want %d", region, len(got), len(model))
+	}
+	for k, v := range model {
+		if got[k] != v {
+			t.Fatalf("region %d: %s = %q, want %q", region, k, got[k], v)
+		}
+	}
 }
 
 // putViaMap routes one put through the current region map, like the
@@ -416,6 +516,29 @@ func TestRegionNodeMerge(t *testing.T) {
 		rpc.MarshalAdmin(&rpc.MergeReq{Left: 9, Right: 9, NewID: 10, Epoch: 3}))
 	if err == nil {
 		t.Fatal("self-merge: want error")
+	}
+
+	// Two churned sources, each bigger than one copy chunk, read through
+	// a 16 KiB cache that recycles its blocks: the merged region holds
+	// exactly the union of their models.
+	n2 := testNode(t, lb, "n2", 2, NodeOptions{Options: Options{MemtableBytes: 64 << 10, BlockCacheBytes: 16 << 10}})
+	adminCall(t, lb, "n2", rpc.OpCreateRegion, &rpc.CreateRegionReq{ID: 1, Epoch: 1, End: []byte("m"), Role: rpc.RolePrimary})
+	adminCall(t, lb, "n2", rpc.OpCreateRegion, &rpc.CreateRegionReq{ID: 2, Epoch: 1, Start: []byte("m"), Role: rpc.RolePrimary})
+	model := fillChurned(t, lb, n2, "n2", 1, 1, "a", 6000)
+	right := fillChurned(t, lb, n2, "n2", 2, 1, "x", 7000)
+	chunks := 0
+	for _, src := range []map[string]string{model, right} {
+		if len(src) <= reseedChunkMuts {
+			t.Fatalf("a source holds %d pairs, want more than one chunk's %d", len(src), reseedChunkMuts)
+		}
+		chunks += (len(src) + reseedChunkMuts - 1) / reseedChunkMuts
+	}
+	maps.Copy(model, right)
+	commits := n2.Metrics().GroupCommits
+	adminCall(t, lb, "n2", rpc.OpMerge, &rpc.MergeReq{Left: 1, Right: 2, NewID: 9, Epoch: 2})
+	checkRegionModel(t, lb, "n2", 9, 2, model)
+	if got := n2.Metrics().GroupCommits - commits; got != int64(chunks) {
+		t.Fatalf("merge applied %d batches, want %d chunks", got, chunks)
 	}
 }
 

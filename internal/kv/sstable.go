@@ -745,18 +745,16 @@ var blockBufs = sync.Pool{New: func() any { return new([]byte) }}
 // loadBlock returns the decompressed contents of block i, via the
 // cache, and the cache entry that holds them with a reference taken for
 // the caller to release once it holds no view of them (nil without a
-// cache). escape says the caller may keep views past that point: the
-// entry is then marked so that its buffer is never recycled, and no
-// reference is left to release. Concurrent misses of one block read it
-// once: the other readers wait for that load and count as hits.
-func (t *table) loadBlock(i int, escape bool) ([]byte, *cacheEntry, error) {
+// cache). Concurrent misses of one block read it once: the other
+// readers wait for that load and count as hits.
+func (t *table) loadBlock(i int) ([]byte, *cacheEntry, error) {
 	c := t.cache
 	if c == nil {
 		data, err := t.readBlock(i, nil)
 		return data, nil, err
 	}
 	for {
-		e, state := c.acquire(t.id, i, escape)
+		e, state := c.acquire(t.id, i)
 		switch state {
 		case cacheWait:
 			// A load is a page-cache read and a decompression, a few
@@ -785,16 +783,11 @@ func (t *table) loadBlock(i int, escape bool) ([]byte, *cacheEntry, error) {
 				return nil, nil, err
 			}
 		}
-		if state != cacheMiss && t.metrics != nil {
-			atomic.AddInt64(&t.metrics.BlockCacheHits, 1)
-		}
-		if !escape && t.metrics != nil { // a query scan's: counted beside the hit, on its cache line
+		if t.metrics != nil {
+			if state != cacheMiss {
+				atomic.AddInt64(&t.metrics.BlockCacheHits, 1)
+			}
 			atomic.AddInt64(&t.metrics.BlocksTouched, 1)
-		}
-		if escape {
-			data := e.data
-			c.release(e)
-			return data, nil, nil
 		}
 		return e.data, e, nil
 	}
@@ -913,15 +906,16 @@ func (t *table) get(key []byte) (value []byte, k kind, ok bool, err error) {
 	if bi < 0 {
 		return nil, 0, false, nil
 	}
-	block, _, err := t.loadBlock(bi, true) // the value returned is the caller's to keep
+	block, e, err := t.loadBlock(bi)
 	if err != nil {
 		return nil, 0, false, err
 	}
+	defer t.cache.release(e)
 	it := blockIter{data: block}
 	for it.next() {
 		switch bytes.Compare(it.key, key) {
 		case 0:
-			return it.value, it.kind, true, nil
+			return bytes.Clone(it.value), it.kind, true, nil // the caller keeps it past the release
 		case 1:
 			return nil, 0, false, nil
 		}
@@ -996,12 +990,10 @@ type tableIter struct {
 	// key span could then surface a stale version. nil for a lone table.
 	older []*table
 
-	// escape: the iterator's views may outlive it (see loadBlock), so it
-	// holds no block. Otherwise held references the block in block, and
-	// prev the one before it: a merge hands out its winner's entry and
-	// then advances the winner, which may load the next block, so the
-	// entry handed out stays valid until the load after that.
-	escape     bool
+	// held references the block in block, and prev the one before it: a
+	// merge hands out its winner's entry and then advances the winner,
+	// which may load the next block, so the entry handed out stays valid
+	// until the load after that.
 	held, prev *cacheEntry
 
 	// direct: a compaction's, which reads its blocks past the cache with
@@ -1102,7 +1094,7 @@ func (it *tableIter) Next() bool {
 			data, err = it.t.readBlock(next, it.spare)
 			it.spare = it.block.data
 		} else {
-			data, e, err = it.t.loadBlock(next, it.escape)
+			data, e, err = it.t.loadBlock(next)
 		}
 		if err != nil {
 			it.err = err

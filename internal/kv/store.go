@@ -21,8 +21,8 @@ import "context"
 //
 // The unexported methods deliberately restrict implementations to this
 // package: the scan engine is built on their contracts,
-// which are too easy to get subtly wrong (resume semantics, slot
-// accounting) to leave open.
+// which are too easy to get subtly wrong (resume semantics, views valid
+// only during emit) to leave open.
 type Store interface {
 	// GetCtx fetches the value for key or ErrNotFound.
 	GetCtx(ctx context.Context, key []byte) ([]byte, error)
@@ -52,7 +52,7 @@ type Store interface {
 
 	// scanTasks splits ranges into tasks of one region each.
 	scanTasks(ranges []KeyRange) []scanTask
-	// runScanTask streams one task's pairs in key order, handling slots,
+	// runScanTask streams one task's pairs in key order, handling
 	// routing, retries and resume internally. The pairs passed to emit
 	// are valid only during the call; emit returning false stops the
 	// task without error.

@@ -46,13 +46,15 @@ func TestMergeIterZeroAllocsPerPair(t *testing.T) {
 	}
 }
 
-// TestScanViewsSurviveFlushAndCompaction keeps every pair a scan yields
-// — views into memtable arenas and block buffers — while flushes and
+// TestScanPairsValidUntilNextThroughFlushAndCompaction copies every pair
+// a scan yields at its Next — a pair is a view into a memtable arena or
+// a held block, valid until the next Next — while flushes and
 // compactions replace the sources underneath and a 16 KiB block cache
-// evicts and reloads blocks, then compares each byte with a brute-force
-// map. The values of the lower half of the keys are incompressible, so
-// their blocks are stored raw and the others lz4-compressed.
-func TestScanViewsSurviveFlushAndCompaction(t *testing.T) {
+// evicts, recycles and reloads blocks, then compares each byte with a
+// brute-force map. The values of the lower half of the keys are
+// incompressible, so their blocks are stored raw and the others
+// lz4-compressed.
+func TestScanPairsValidUntilNextThroughFlushAndCompaction(t *testing.T) {
 	opts := Options{Codec: "lz4", MemtableBytes: 32 << 10, MaxTables: 3}.withDefaults()
 	r, err := openRegion(0, t.TempDir(), opts, newBlockCache(16<<10), nil)
 	if err != nil {
@@ -135,8 +137,8 @@ func TestScanViewsSurviveFlushAndCompaction(t *testing.T) {
 	}
 }
 
-// scanAgainst scans kr three times, keeping every pair, and only then
-// checks the kept pairs of all three scans against model.
+// scanAgainst scans kr three times, copying every pair at its Next, and
+// only then checks the copies of all three scans against model.
 func scanAgainst(r *region, model map[string][]byte, kr KeyRange) error {
 	var want []string
 	for k := range model {
@@ -149,7 +151,7 @@ func scanAgainst(r *region, model map[string][]byte, kr KeyRange) error {
 	for i := range kept {
 		it := r.Scan(kr)
 		for it.Next() {
-			kept[i] = append(kept[i], [2][]byte{it.Key(), it.Value()})
+			kept[i] = append(kept[i], [2][]byte{bytes.Clone(it.Key()), bytes.Clone(it.Value())})
 		}
 		err := it.Err()
 		it.Close()

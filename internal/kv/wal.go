@@ -12,20 +12,17 @@ import (
 	"just/internal/compress"
 )
 
-// wal is a write-ahead log. Every mutation is appended before it reaches
-// the memtable. Durability is two-tier: single-record appends (Put /
-// Delete) sit in a 64 KiB bufio buffer until a flush boundary, so a
-// crash can lose the most recent unsynced records — HBase's deferred
-// log flush. The batched group-commit path (appendBatch) flushes the
-// buffer and fsyncs once per batch, so a batch acknowledged by Apply
-// survives a crash. Records:
+// wal is a write-ahead log. Every batch is appended, flushed and synced
+// before it reaches the memtable (appendBatch, the group commit), so a
+// batch acknowledged by Apply survives a crash. Records:
 //
 //	[payloadLen u32][crc32(payload) u32][payload]
 //	payload = entry | [walBatchTag u8][count uvarint]entry*
 //	entry   = [kind u8][keyLen uvarint][key][valueLen uvarint][value]
 //
-// A group-committed batch is one record: its CRC covers the whole
-// envelope, so replay applies a batch all-or-nothing — a torn tail can
+// The writer frames only batch envelopes; replay still decodes a lone
+// entry, which older logs hold. A batch is one record: its CRC covers
+// the whole envelope, so replay applies it all-or-nothing — a torn tail can
 // never resurrect a prefix of a batch (e.g. an upsert's tombstone
 // without its matching put). Replay stops at the first torn or corrupt
 // record (standard truncated-tail recovery) and reports the offset of
@@ -99,15 +96,6 @@ func appendWALEntry(p []byte, k kind, key, value []byte) []byte {
 	return p
 }
 
-func (l *wal) append(k kind, key, value []byte) error {
-	need := 1 + binary.MaxVarintLen32*2 + len(key) + len(value)
-	if cap(l.buf) < need {
-		l.buf = make([]byte, 0, need)
-	}
-	l.buf = appendWALEntry(l.buf[:0], k, key, value)
-	return l.appendRecord(l.buf)
-}
-
 // encodeBatchPayload encodes muts as one batch-envelope payload,
 // appending to dst — the sealed unit the WAL frames as a single
 // CRC-checked record and the replication layer ships to replicas.
@@ -160,11 +148,6 @@ func (l *wal) appendBatch(muts []mutation) (int64, error) {
 	}
 	return l.n - start, nil
 }
-
-// sync flushes buffered records to the OS. (fsync is intentionally not
-// called per-record on the single-Put path; full durability comes from
-// appendBatch's group-commit sync and from flush boundaries.)
-func (l *wal) sync() error { return l.w.Flush() }
 
 func (l *wal) close() error {
 	if err := l.w.Flush(); err != nil {
